@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rc_netcfg::gen::ProtocolChoice;
-use realconfig::{RealConfig, UpdateOrder};
+use realconfig::{RealConfig, UpdateOrder, VerifierOptions};
 use realconfig_bench::{PaperChange, Workload};
 
 const K: u32 = 6;
@@ -18,8 +18,9 @@ fn pipeline_update(c: &mut Criterion) {
         for (olabel, order) in
             [("insert-first", UpdateOrder::InsertFirst), ("delete-first", UpdateOrder::DeleteFirst)]
         {
+            let opts = VerifierOptions { order, ..Default::default() };
             let (mut rc, _) =
-                RealConfig::with_order(w.configs.clone(), order).expect("verifies");
+                RealConfig::with_options(w.configs.clone(), opts).expect("verifies");
             let port = &w.sample_ports(1, 42)[0];
             let (apply_cs, restore_cs) = w.change_at(change, port);
             group.bench_function(

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use realconfig::{PredKind, RealConfig, UpdateOrder};
+use realconfig::{PredKind, RealConfig, VerifierOptions};
 use realconfig_bench::{fmt_us, PaperChange, Workload};
 use rc_netcfg::gen::ProtocolChoice;
 use serde::Serialize;
@@ -68,12 +68,11 @@ fn main() {
     let ports = w.sample_ports(args.samples, 0xC0FFEE);
 
     eprintln!("building one verifier per backend…");
-    let (mut rc_bdd, _) =
-        RealConfig::with_order_backend(w.configs.clone(), UpdateOrder::InsertFirst, PredKind::Bdd)
-            .expect("workload verifies");
-    let (mut rc_atoms, _) =
-        RealConfig::with_order_backend(w.configs.clone(), UpdateOrder::InsertFirst, PredKind::Atoms)
-            .expect("workload verifies");
+    let build = |backend| {
+        let opts = VerifierOptions { backend, ..Default::default() };
+        RealConfig::with_options(w.configs.clone(), opts).expect("workload verifies").0
+    };
+    let (mut rc_bdd, mut rc_atoms) = (build(PredKind::Bdd), build(PredKind::Atoms));
 
     let mut rows = Vec::new();
     let mut reports_compared = 0usize;

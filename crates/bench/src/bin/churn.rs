@@ -9,14 +9,14 @@
 //!
 //! `--fault-every N` additionally injects a deterministic fault
 //! (rotating across the three stage boundaries) into every Nth change
-//! and verifies through the self-healing
-//! [`RealConfig::apply_change_or_rebuild`] path, recording full-rebuild
-//! latency alongside the incremental percentiles.
+//! and runs the verifier with the self-healing
+//! [`OnFailure::Rebuild`] policy, recording full-rebuild latency
+//! alongside the incremental percentiles.
 
 use std::time::{Duration, Instant};
 
 use rc_netcfg::gen::ProtocolChoice;
-use realconfig::RealConfig;
+use realconfig::{Compaction, OnFailure, RealConfig, VerifierOptions};
 use realconfig_bench::{stream, Workload};
 use serde::Serialize;
 
@@ -88,23 +88,23 @@ fn run_stream(
     seed: u64,
     fault_every: usize,
 ) -> ChurnResult {
-    let (mut rc, _) = RealConfig::new(w.configs.clone()).expect("verifies");
-    rc.set_auto_compact(if compacting { Some(1) } else { None });
+    // Faulted runs self-heal: the rebuild fallback is the failure policy.
+    let opts = VerifierOptions {
+        compaction: if compacting { Compaction::Every(1) } else { Compaction::Never },
+        on_failure: if fault_every > 0 { OnFailure::Rebuild } else { OnFailure::Poison },
+        ..Default::default()
+    };
+    let (mut rc, _) = RealConfig::with_options(w.configs.clone(), opts).expect("verifies");
     let mut lat: Vec<Duration> = Vec::with_capacity(changes);
     // The shared uniform-churn generator: stateful link fail/restore
     // (fail only up links, restore only down ones), same stream the
     // `throughput` bin feeds its ingest queue.
     for (i, cs) in stream::uniform_churn(w, changes, seed).iter().enumerate() {
-        if fault_every > 0 && i % fault_every == 0 {
-            let _guard = rotating_fault(i / fault_every);
-            let t = Instant::now();
-            rc.apply_change_or_rebuild(cs).expect("self-heals");
-            lat.push(t.elapsed());
-        } else {
-            let t = Instant::now();
-            rc.apply_change(cs).expect("verifies");
-            lat.push(t.elapsed());
-        }
+        let _guard =
+            (fault_every > 0 && i % fault_every == 0).then(|| rotating_fault(i / fault_every));
+        let t = Instant::now();
+        rc.apply_change(cs).expect("verifies (self-healing under faults)");
+        lat.push(t.elapsed());
     }
 
     let quarter = lat.len() / 4;

@@ -18,7 +18,7 @@
 
 use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::topology::host_prefix;
-use realconfig::RealConfig;
+use realconfig::{RealConfig, VerifierOptions};
 use realconfig_bench::{check_gate, fmt_us, PaperChange, Workload};
 use serde::Serialize;
 use std::time::Instant;
@@ -73,8 +73,9 @@ fn main() {
     let mut rcs: Vec<(usize, RealConfig)> = Vec::new();
     for &t in &args.threads {
         eprintln!("[threads={t}] building verifier…");
-        let (mut rc, _) = RealConfig::new(w.configs.clone()).expect("workload verifies");
-        rc.set_threads(Some(t));
+        let opts = VerifierOptions { threads: Some(t), ..Default::default() };
+        let (mut rc, _) =
+            RealConfig::with_options(w.configs.clone(), opts).expect("workload verifies");
         rc.require_reachability("pod00-edge00", "pod01-edge00", host_prefix(2))
             .expect("devices exist");
         rc.add_policy(realconfig::Policy::LoopFree { class: realconfig::PacketClass::All });
@@ -111,16 +112,11 @@ fn main() {
             }
             churn_us[i].push(start.elapsed().as_micros());
 
-            // From-scratch full build A/B: construction reads the
-            // process-global worker knob, so set it for the duration of
-            // the build only (the long-lived verifiers carry their own
-            // per-verifier override and are unaffected).
-            realconfig::set_threads(*t);
+            // From-scratch full build A/B at the same worker count.
             let start = Instant::now();
-            let (built, _) =
-                RealConfig::new(w.configs.clone()).expect("full build verifies");
+            let (built, _) = RealConfig::with_options(w.configs.clone(), *rc.options())
+                .expect("full build verifies");
             build_us[i].push(start.elapsed().as_micros());
-            realconfig::set_threads(0);
             let ecs = *build_ecs.get_or_insert(built.num_ecs());
             assert_eq!(built.num_ecs(), ecs, "threads={t}: full-build EC count diverged");
             drop(built);

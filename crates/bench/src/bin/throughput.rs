@@ -3,7 +3,7 @@
 //! cost?
 //!
 //! Drives the ingest queue + adaptive batch coalescer
-//! ([`RealConfig::apply_stream`]) with two arrival profiles:
+//! ([`stream::apply_stream`]) with two arrival profiles:
 //!
 //! - **burst**: maintenance windows (link-group bounces and rule-swap
 //!   storms from [`stream::maintenance_bursts`]) arriving
@@ -34,8 +34,9 @@ use std::collections::BTreeSet;
 
 use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::ChangeSet;
-use realconfig::{CoalescePolicy, CompactionPolicy, RealConfig, UpdateOrder};
-use realconfig_bench::{check_gate, fmt_us, stream, Workload};
+use realconfig::{Compaction, CompactionPolicy, RealConfig, UpdateOrder, VerifierOptions};
+use realconfig_bench::stream::{self, CoalescePolicy};
+use realconfig_bench::{check_gate, fmt_us, Workload};
 use serde::Serialize;
 
 /// Fields that must be byte-identical between a run and the committed
@@ -128,13 +129,15 @@ fn run_leg(
     leg: &Leg<'_>,
     reference: Option<&FinalState>,
 ) -> (ThroughputRow, FinalState) {
+    let opts = VerifierOptions {
+        order: leg.order,
+        compaction: leg.adaptive.map_or(Compaction::Every(1), Compaction::Threshold),
+        ..Default::default()
+    };
     let (mut rc, _) =
-        RealConfig::with_order(w.configs.clone(), leg.order).expect("workload verifies");
-    match leg.adaptive {
-        Some(p) => rc.set_adaptive_compact(Some(p)),
-        None => rc.set_auto_compact(Some(1)),
-    }
-    let report = rc.apply_stream(arrivals.to_vec(), leg.policy).expect("stream verifies");
+        RealConfig::with_options(w.configs.clone(), opts).expect("workload verifies");
+    let report =
+        stream::apply_stream(&mut rc, arrivals.to_vec(), leg.policy).expect("stream verifies");
     let state = FinalState { fib: rc.fib(), rules: rc.num_rules(), pairs: rc.num_pairs() };
     let ab_identical = reference
         .map(|r| r.fib == state.fib && r.rules == state.rules && r.pairs == state.pairs)

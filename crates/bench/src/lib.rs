@@ -29,7 +29,7 @@ use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, Topology};
 use rc_netcfg::{ChangeSet, DeviceConfig};
 use rc_routing::engine::RoutingEngine;
-use realconfig::{RealConfig, UpdateOrder};
+use realconfig::{RealConfig, UpdateOrder, VerifierOptions};
 
 /// The paper's change types.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -304,9 +304,10 @@ pub fn run_table3_opts(
 
     for change in [PaperChange::LinkFailure, PaperChange::LocalPref] {
         for order in [UpdateOrder::InsertFirst, UpdateOrder::DeleteFirst] {
-            let (mut rc, _) = RealConfig::with_order_backend(w.configs.clone(), order, backend)
-                .expect("workload verifies");
-            rc.set_ec_index_enabled(!full_scan);
+            let opts =
+                VerifierOptions { order, backend, ec_index: !full_scan, ..Default::default() };
+            let (mut rc, _) =
+                RealConfig::with_options(w.configs.clone(), opts).expect("workload verifies");
             let mut acc = Table3Row {
                 change: change.label().into(),
                 backend: backend.label().into(),

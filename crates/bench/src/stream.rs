@@ -1,5 +1,7 @@
 //! Change-stream and arrival-profile generators shared by the `churn`
-//! and `throughput` benchmark binaries.
+//! and `throughput` benchmark binaries, and the virtual-clock ingest
+//! loop ([`apply_stream`]) that feeds them to a verifier in coalesced
+//! batches.
 //!
 //! Two stream *shapes* (what changes happen) and two arrival *profiles*
 //! (when they happen):
@@ -21,12 +23,14 @@
 //! CI gate the throughput harness's final state against a committed
 //! baseline.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::{ChangeOp, ChangeSet};
+use realconfig::RealConfig;
 
 use crate::Workload;
 
@@ -139,6 +143,159 @@ pub fn burst_arrivals(burst_sizes: &[usize], intra_us: u64, gap_us: u64) -> Vec<
         t += n.saturating_sub(1) as u64 * intra_us;
     }
     out
+}
+
+/// When a pending burst is flushed into one coalesced apply.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CoalescePolicy {
+    /// Flush as soon as this many changes are pending.
+    pub max_depth: usize,
+    /// Flush when the oldest pending change has waited this long
+    /// (microseconds of stream time).
+    pub max_age_us: u64,
+    /// Never fold more than this many changes into one apply (bounds
+    /// worst-case batch latency).
+    pub max_batch: usize,
+}
+
+impl Default for CoalescePolicy {
+    fn default() -> Self {
+        CoalescePolicy { max_depth: 8, max_age_us: 2_000, max_batch: 256 }
+    }
+}
+
+impl CoalescePolicy {
+    /// The degenerate policy: every change is its own batch. Runs the
+    /// same code path as real coalescing, which is what makes the A/B
+    /// comparison in the `throughput` benchmark fair.
+    pub fn one_at_a_time() -> Self {
+        CoalescePolicy { max_depth: 1, max_age_us: 0, max_batch: 1 }
+    }
+}
+
+/// What one [`apply_stream`] run did, with enough raw data to compute
+/// sustained throughput and latency percentiles.
+#[derive(Clone, Debug, Default)]
+pub struct StreamReport {
+    /// Changes that arrived on the stream.
+    pub arrivals: usize,
+    /// Transactional applies performed (excluding net no-op batches).
+    pub batches: usize,
+    /// Batches that folded to a net no-op and skipped the pipeline.
+    pub noop_batches: usize,
+    /// Operations cancelled by last-writer-wins folding, total.
+    pub cancelled_ops: usize,
+    /// Largest number of changes folded into one apply.
+    pub max_coalesced: usize,
+    /// Deepest the ingest queue got.
+    pub max_queue_depth: usize,
+    /// Total pipeline wall time (microseconds actually spent applying).
+    pub busy_us: u64,
+    /// Stream time from first arrival to last completion.
+    pub span_us: u64,
+    /// Per-change latency: completion of the batch that carried it
+    /// minus its arrival, microseconds.
+    pub latencies_us: Vec<u64>,
+}
+
+impl StreamReport {
+    /// Sustained throughput over the stream's span.
+    pub fn changes_per_sec(&self) -> f64 {
+        if self.span_us == 0 {
+            return 0.0;
+        }
+        self.arrivals as f64 * 1_000_000.0 / self.span_us as f64
+    }
+
+    /// Latency percentile (`p` in 0..=100) over all changes.
+    pub fn latency_percentile_us(&self, p: f64) -> u64 {
+        if self.latencies_us.is_empty() {
+            return 0;
+        }
+        let mut sorted = self.latencies_us.clone();
+        sorted.sort_unstable();
+        let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
+        sorted[idx.min(sorted.len() - 1)]
+    }
+}
+
+/// Drive a timed stream of changes into `rc` through an ingest queue
+/// with adaptive batch coalescing ([`RealConfig::apply_coalesced`]),
+/// and measure sustained throughput.
+///
+/// `arrivals` is `(arrival_us, change)` on a *virtual* microsecond
+/// clock. The loop is a discrete event simulation: pending changes
+/// accumulate while an apply is in flight (virtual time advances by the
+/// apply's measured wall time), and the queue flushes when the policy's
+/// depth or age threshold trips — so a burst that arrives faster than
+/// the pipeline drains coalesces into progressively larger batches,
+/// exactly as a live daemon would behave. `queue.*` telemetry lands in
+/// the verifier's registry.
+///
+/// Errors abort the stream at the failing batch (the verifier keeps the
+/// last committed state, per the transaction contract).
+pub fn apply_stream(
+    rc: &mut RealConfig,
+    mut stream: Vec<(u64, ChangeSet)>,
+    policy: &CoalescePolicy,
+) -> Result<StreamReport, realconfig::Error> {
+    stream.sort_by_key(|(t, _)| *t);
+    let tel = rc.telemetry().clone();
+    let mut report = StreamReport { arrivals: stream.len(), ..Default::default() };
+    let mut arrivals = stream.into_iter().peekable();
+    let mut pending: VecDeque<(u64, ChangeSet)> = VecDeque::new();
+    let mut now_us = arrivals.peek().map_or(0, |(t, _)| *t);
+    let start_us = now_us;
+
+    loop {
+        // Admit everything that has arrived by virtual `now`.
+        while let Some(arrival) = arrivals.next_if(|(t, _)| *t <= now_us) {
+            pending.push_back(arrival);
+            tel.counter("queue.enqueued").incr();
+        }
+        report.max_queue_depth = report.max_queue_depth.max(pending.len());
+        let next_arrival = arrivals.peek().map(|(t, _)| *t);
+        let Some(oldest) = pending.front().map(|(t, _)| *t) else {
+            // Idle: jump to the next arrival, or finish.
+            match next_arrival {
+                Some(t) => now_us = now_us.max(t),
+                None => break,
+            }
+            continue;
+        };
+        // Flush when the policy trips — or unconditionally once the
+        // stream is exhausted (nothing left to wait for).
+        let deadline = oldest.saturating_add(policy.max_age_us);
+        let flush = match next_arrival {
+            _ if pending.len() >= policy.max_depth => "queue.flush.depth",
+            None => "queue.flush.drain",
+            Some(_) if now_us >= deadline => "queue.flush.age",
+            Some(next) => {
+                // Wait for the age deadline or the next arrival.
+                now_us = now_us.max(deadline.min(next));
+                continue;
+            }
+        };
+        tel.counter(flush).incr();
+        tel.histogram("queue.depth").record(pending.len() as u64);
+        let n = pending.len().min(policy.max_batch.max(1));
+        let (times, sets): (Vec<u64>, Vec<ChangeSet>) = pending.drain(..n).unzip();
+        let t = Instant::now();
+        let applied = rc.apply_coalesced(&sets)?;
+        let elapsed_us = t.elapsed().as_micros() as u64;
+        now_us += elapsed_us;
+        report.busy_us += elapsed_us;
+        if applied.coalesced_noop {
+            report.noop_batches += 1;
+        } else {
+            report.batches += 1;
+        }
+        report.cancelled_ops += applied.cancelled_ops;
+        report.max_coalesced = report.max_coalesced.max(sets.len());
+        report.latencies_us.extend(times.iter().map(|t| now_us.saturating_sub(*t)));
+    }
+    report.span_us = now_us.saturating_sub(start_us);
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@
 //! policy checker latencies) as JSON after the run — on failure, the
 //! snapshot-so-far is still written, for post-mortem inspection.
 //!
-//! `--threads N` sets the worker count of the parallel policy-checking
-//! phase (default: the `RC_THREADS` environment variable, then the
-//! machine's available parallelism; `1` forces the serial path).
+//! `--threads N` sets the verifier's worker count for its parallel
+//! phases (default: the `RC_THREADS` environment variable, then the
+//! machine's available parallelism; `1` forces the serial paths).
 //! Reports are byte-identical for any worker count.
 //!
 //! `--backend bdd|atoms` selects the predicate backend of the EC model
@@ -32,10 +32,10 @@
 //! that need 5-tuple semantics must use `bdd`. Verdicts and reports are
 //! identical between backends on workloads both support.
 //!
-//! `diff --recover` verifies the change with the self-healing path
-//! ([`RealConfig::apply_configs_or_rebuild`]): if the incremental
-//! pipeline fails mid-change, the new configurations are verified by a
-//! full rebuild instead and the report is flagged `recovered`.
+//! `diff --recover` verifies the change with the self-healing failure
+//! policy ([`OnFailure::Rebuild`]): if the incremental pipeline fails
+//! mid-change, the new configurations are verified by a full rebuild
+//! instead and the report is flagged `recovered`.
 //!
 //! `--state-dir DIR` makes verifier state durable: `verify` restarts
 //! warm from the newest checksummed snapshot (+ apply-journal replay)
@@ -70,7 +70,9 @@ use std::process::ExitCode;
 
 use rc_netcfg::parser::parse_config;
 use rc_netcfg::DeviceConfig;
-use realconfig::{PacketClass, Packet, Policy, Prefix, RealConfig};
+use realconfig::{
+    OnFailure, Packet, PacketClass, Policy, Prefix, RealConfig, ReplayMode, VerifierOptions,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -280,33 +282,23 @@ fn register_policies(
     Ok(out)
 }
 
-/// Parse an optional `--threads N` flag and, when present, install it
-/// as the process-global worker-count knob (so the construction-time
-/// full check parallelizes too, not just later passes).
-fn apply_threads_flag(args: &[String]) -> Result<(), CliError> {
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Ok(());
-    };
-    let n: usize = args.get(i + 1).ok_or("--threads needs a worker count")?.parse()?;
-    if n == 0 {
-        return Err("--threads must be at least 1".into());
+/// Build the verifier options from the optional `--threads N` and
+/// `--backend bdd|atoms` flags. Without a flag the process defaults
+/// apply (`RC_THREADS` / available parallelism; `RC_BACKEND` / BDDs).
+fn parse_options(args: &[String]) -> Result<VerifierOptions, CliError> {
+    let mut opts = VerifierOptions::default();
+    if let Some(i) = args.iter().position(|a| a == "--threads") {
+        let n: usize = args.get(i + 1).ok_or("--threads needs a worker count")?.parse()?;
+        if n == 0 {
+            return Err("--threads must be at least 1".into());
+        }
+        opts.threads = Some(n);
     }
-    realconfig::set_threads(n);
-    Ok(())
-}
-
-/// Parse an optional `--backend bdd|atoms` flag and, when present,
-/// install it as the process-global predicate-backend default (so the
-/// verifier built right after picks it up). Without the flag the
-/// `RC_BACKEND` environment variable applies, then BDDs.
-fn apply_backend_flag(args: &[String]) -> Result<(), CliError> {
-    let Some(i) = args.iter().position(|a| a == "--backend") else {
-        return Ok(());
-    };
-    let name = args.get(i + 1).ok_or("--backend needs a value: \"bdd\" or \"atoms\"")?;
-    let kind: realconfig::PredKind = name.parse().map_err(CliError::from)?;
-    realconfig::set_default_backend(Some(kind));
-    Ok(())
+    if let Some(i) = args.iter().position(|a| a == "--backend") {
+        let name = args.get(i + 1).ok_or("--backend needs a value: \"bdd\" or \"atoms\"")?;
+        opts.backend = name.parse().map_err(CliError::from)?;
+    }
+    Ok(opts)
 }
 
 /// Parse an optional `--metrics <path>` flag.
@@ -370,8 +362,8 @@ fn dump_metrics_on_failure(rc: &RealConfig, path: Option<&str>) {
 
 fn cmd_verify(args: &[String]) -> Result<bool, CliError> {
     let dir = args.first().ok_or("verify needs a config directory")?;
-    apply_threads_flag(args)?;
-    apply_backend_flag(args)?;
+    // Drift since the snapshot is verified self-healing.
+    let opts = VerifierOptions { on_failure: OnFailure::Rebuild, ..parse_options(args)? };
     let state_dir = parse_state_dir(args)?;
     let coalesce = args.iter().any(|a| a == "--coalesce");
     if coalesce && state_dir.is_none() {
@@ -381,7 +373,9 @@ fn cmd_verify(args: &[String]) -> Result<bool, CliError> {
     let n = configs.len();
     let mut rc = match &state_dir {
         Some(sd) => {
-            let (mut rc, restore) = RealConfig::open_opts(Path::new(sd), configs.clone(), coalesce)?;
+            let replay = if coalesce { ReplayMode::Coalesced } else { ReplayMode::Serial };
+            let (mut rc, restore) =
+                RealConfig::open_with(Path::new(sd), configs.clone(), opts, replay)?;
             println!("{n} devices verified ({}).", describe_restore(&restore));
             for note in &restore.notes {
                 println!("  restore note: {note}");
@@ -389,7 +383,7 @@ fn cmd_verify(args: &[String]) -> Result<bool, CliError> {
             if rc.configs() != &configs {
                 // The directory moved on since the snapshot: verify the
                 // drift incrementally on top of the warm state.
-                let report = rc.apply_configs_or_rebuild(configs)?;
+                let report = rc.apply_configs(configs)?;
                 println!(
                     "  configs drifted since snapshot: +{}/−{} lines verified in {:?}",
                     report.lines_inserted,
@@ -400,7 +394,7 @@ fn cmd_verify(args: &[String]) -> Result<bool, CliError> {
             rc
         }
         None => {
-            let (rc, report) = RealConfig::new(configs)?;
+            let (rc, report) = RealConfig::with_options(configs, opts)?;
             println!("{n} devices verified.");
             println!("  data plane generation : {:?} ({} FIB entries)", report.dp_gen, report.fib_entries);
             println!("  model update          : {:?} ({} ECs, {} rules)", report.model_update, report.ecs, report.rules);
@@ -434,14 +428,15 @@ fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
     let old_dir = args.first().ok_or("diff needs <old-dir> <new-dir>")?;
     let new_dir = args.get(1).ok_or("diff needs <old-dir> <new-dir>")?;
     let json = args.iter().any(|a| a == "--json");
-    let recover = args.iter().any(|a| a == "--recover");
-    apply_threads_flag(args)?;
-    apply_backend_flag(args)?;
+    let mut opts = parse_options(args)?;
+    if args.iter().any(|a| a == "--recover") {
+        opts.on_failure = OnFailure::Rebuild;
+    }
     let metrics_path = parse_metrics_path(args)?;
     let old = load_dir(old_dir)?;
     let new = load_dir(new_dir)?;
 
-    let (mut rc, _) = match RealConfig::new(old) {
+    let (mut rc, _) = match RealConfig::with_options(old, opts) {
         Ok(built) => built,
         Err(e) => {
             return Err(CliError { msg: format!("old configs do not verify: {e}"), ..e.into() })
@@ -449,12 +444,7 @@ fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
     };
     let policies = register_policies(&mut rc, &parse_policies(args)?)?;
 
-    let applied = if recover {
-        rc.apply_configs_or_rebuild(new)
-    } else {
-        rc.apply_configs(new)
-    };
-    let report = match applied {
+    let report = match rc.apply_configs(new) {
         Ok(report) => report,
         Err(e) => {
             dump_metrics_on_failure(&rc, metrics_path.as_deref());
@@ -512,7 +502,7 @@ fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
 
 fn cmd_trace(args: &[String]) -> Result<bool, CliError> {
     let dir = args.first().ok_or("trace needs a config directory")?;
-    apply_backend_flag(args)?;
+    let opts = parse_options(args)?;
     let mut from = None;
     let mut dst = None;
     let mut proto = 6u8;
@@ -537,8 +527,7 @@ fn cmd_trace(args: &[String]) -> Result<bool, CliError> {
                 i += 2;
             }
             "--backend" => {
-                // Validated and installed globally by apply_backend_flag
-                // below; just step over the value here.
+                // Parsed by parse_options above; step over the value.
                 i += 2;
             }
             other => return Err(format!("unknown trace argument {other:?}").into()),
@@ -549,7 +538,7 @@ fn cmd_trace(args: &[String]) -> Result<bool, CliError> {
         dst.ok_or("trace needs --dst A.B.C.D")?.parse().map_err(|e| format!("{e}"))?;
 
     let configs = load_dir(dir)?;
-    let (rc, _) = RealConfig::new(configs)?;
+    let (rc, _) = RealConfig::with_options(configs, opts)?;
     let packet = Packet { dst_ip: dst.0, proto, dst_port: dport, ..Default::default() };
     let trace =
         rc.trace_packet(&from, packet).ok_or_else(|| format!("unknown device {from:?}"))?;
@@ -566,11 +555,10 @@ fn cmd_snapshot(args: &[String]) -> Result<bool, CliError> {
     let dir = args.first().ok_or("snapshot needs a config directory")?;
     let state_dir =
         parse_state_dir(args)?.ok_or("snapshot needs --state-dir DIR")?;
-    apply_threads_flag(args)?;
-    apply_backend_flag(args)?;
+    let opts = parse_options(args)?;
     let configs = load_dir(dir)?;
     let n = configs.len();
-    let (mut rc, _) = RealConfig::new(configs)?;
+    let (mut rc, _) = RealConfig::with_options(configs, opts)?;
     register_policies(&mut rc, &parse_policies(args)?)?;
     rc.attach_state_dir(Path::new(&state_dir))
         .map_err(|e| format!("cannot use state dir {state_dir}: {e}"))?;

@@ -173,3 +173,45 @@ fn usage_on_no_args() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
+
+/// `--threads` and `--backend` travel through `VerifierOptions`: the
+/// verification reported is the same under every setting (everything
+/// but wall-clock timings and the metrics snapshot), the metrics show
+/// the setting took effect, and a bad value is a usage error.
+#[test]
+fn threads_and_backend_flags_reach_the_verifier() {
+    let old = TempNet::new("flags-old", &[("r1", R1), ("r2", R2), ("r3", R3)]);
+    let cheap = R1.replace("ip ospf cost 1", "ip ospf cost 7");
+    let new = TempNet::new("flags-new", &[("r1", &cheap), ("r2", R2), ("r3", R3)]);
+    // (non-timing report fields, whether counter `probe` was registered)
+    let report = |flags: [&str; 2], probe: &str| {
+        let out = run(&[&["diff", old.path(), new.path(), "--json"], &flags[..]].concat());
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let v: serde_json::Value =
+            serde_json::from_slice(&out.stdout).expect("valid JSON report");
+        let probed = v["metrics"]["counters"].get(probe).is_some();
+        let mut fields = v.as_object().expect("report object").clone();
+        for timing in ["dp_gen", "model_update", "policy_check", "metrics"] {
+            assert!(fields.remove(timing).is_some(), "report lost its {timing} field");
+        }
+        (fields, probed)
+    };
+    // The pool's small-task fallback only exists with more than one
+    // worker; BDD operation counters only with the BDD backend.
+    let (serial, inlined) = report(["--threads", "1"], "par.small_tasks_inlined");
+    assert!(!inlined, "--threads 1 must take the serial paths");
+    let (pooled, inlined) = report(["--threads", "4"], "par.small_tasks_inlined");
+    assert!(inlined, "--threads 4 must reach the pool dispatcher");
+    let (bdd, bdd_ops) = report(["--backend", "bdd"], "bdd.apply_hits");
+    assert!(bdd_ops);
+    let (atoms, bdd_ops) = report(["--backend", "atoms"], "bdd.apply_hits");
+    assert!(!bdd_ops, "--backend atoms must not build BDDs");
+    assert_eq!(serial, pooled);
+    assert_eq!(serial, bdd);
+    assert_eq!(serial, atoms, "dst-prefix-only network: both backends encode it");
+
+    for bad in [["--backend", "nonsense"], ["--threads", "0"]] {
+        let out = run(&[&["diff", old.path(), new.path()], &bad[..]].concat());
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+    }
+}

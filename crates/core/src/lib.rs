@@ -57,11 +57,11 @@ mod verifier;
 pub use report::{ChangeReport, FullReport};
 pub use trace::{HopAction, PacketTrace, TraceHop};
 pub use verifier::{
-    full_dataplane_baseline, full_dataplane_realconfig, ChangeQueue, CoalescePolicy, Error,
-    RealConfig, RestoreReport, RestoreSource, StreamReport, DEFAULT_AUTO_COMPACT,
+    full_dataplane_baseline, full_dataplane_realconfig, Compaction, ConfigDelta, Error, OnFailure,
+    RealConfig, ReplayMode, RestoreReport, RestoreSource, VerifierOptions, DEFAULT_AUTO_COMPACT,
 };
 
-// Compaction policy for `RealConfig::set_adaptive_compact`.
+// Threshold policy for `Compaction::Threshold`.
 pub use rc_dataflow::CompactionPolicy;
 
 // Packet type used by `RealConfig::trace_packet`.
@@ -72,8 +72,7 @@ pub use rc_routing::route::FibEntry;
 
 // Re-export the pieces a downstream user needs to drive the verifier.
 // `set_threads`/`threads` are the process-global worker-count knob for
-// the parallel policy-checking phase (per-verifier override:
-// `RealConfig::set_threads`).
+// the parallel phases (per-verifier override: `VerifierOptions::threads`).
 pub use rc_bdd::{default_backend, set_default_backend, PredKind};
 pub use rc_par::{set_threads, threads};
 pub use rc_apkeep::UpdateOrder;

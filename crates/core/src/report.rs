@@ -98,8 +98,8 @@ pub struct ChangeReport {
     pub warnings: Vec<String>,
     /// True when the incremental path failed and this change was
     /// verified by the self-healing full-rebuild fallback instead
-    /// (`RealConfig::apply_configs_or_rebuild`). The per-stage timings
-    /// then measure the rebuild, not incremental work.
+    /// (`OnFailure::Rebuild`). The per-stage timings then measure the
+    /// rebuild, not incremental work.
     pub recovered: bool,
     /// Pipeline-wide telemetry at the end of this change. Counters are
     /// cumulative since the verifier was built, gauges are current.

@@ -1,5 +1,9 @@
 //! The RealConfig verifier: configurations in, incremental verification
 //! reports out.
+//!
+//! Three single-owner pieces: one full build ([`build`]), options fixed
+//! at construction ([`VerifierOptions`]), and one transactional apply
+//! ([`RealConfig::apply_configs`]) fed by one [`ConfigDelta`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -7,22 +11,21 @@ use std::time::Instant;
 use rc_apkeep::{ApkModel, RuleUpdate, UpdateOrder};
 use rc_netcfg::change::{ChangeError, ChangeSet};
 use rc_netcfg::facts::{fact_delta, lower, Fact, Registry};
-use rc_netcfg::linediff::diff_lines;
 use rc_netcfg::parser::{parse_config, ParseError};
-use rc_netcfg::printer::print_config;
-use rc_netcfg::types::{NodeId, Port, Prefix};
+use rc_netcfg::types::{NodeId, Prefix};
 use rc_netcfg::DeviceConfig;
 use rc_policy::{PacketClass, Policy, PolicyChecker, PolicyId};
-use rc_routing::engine::RoutingEngine;
 use rc_routing::route::FibEntry;
 
-use crate::convert::{filter_rule, FibGrouper};
+use crate::convert::filter_rule;
 use crate::report::{ChangeReport, FullReport};
 
+mod build;
+mod delta;
 mod persist;
-mod queue;
-pub use persist::{RestoreReport, RestoreSource};
-pub use queue::{ChangeQueue, CoalescePolicy, StreamReport};
+use build::{DataPlane, Stages};
+pub use delta::ConfigDelta;
+pub use persist::{ReplayMode, RestoreReport, RestoreSource};
 
 /// Verifier errors.
 ///
@@ -38,8 +41,8 @@ pub use queue::{ChangeQueue, CoalescePolicy, StreamReport};
 /// - [`Error::Divergence`] and [`Error::Internal`] poison the verifier:
 ///   the incremental engines may hold partial results of the failed
 ///   change. [`RealConfig::needs_rebuild`] reports this state, and
-///   [`RealConfig::rebuild`] (or the automatic
-///   [`RealConfig::apply_configs_or_rebuild`]) recovers from it.
+///   [`RealConfig::rebuild`] (or, automatically,
+///   [`OnFailure::Rebuild`]) recovers from it.
 #[derive(Debug)]
 pub enum Error {
     /// A configuration failed to parse.
@@ -91,10 +94,73 @@ impl From<rc_dataflow::EvalError> for Error {
 }
 
 /// How many changes the verifier absorbs before folding engine history
-/// (see [`RealConfig::set_auto_compact`]). Compaction keeps per-change
+/// under the default [`Compaction::Every`]. Compaction keeps per-change
 /// latency flat over long change streams at the cost of a periodic
 /// sweep; 64 keeps the sweep amortized well under the incremental work.
 pub const DEFAULT_AUTO_COMPACT: u32 = 64;
+
+/// When the dataflow engine's history is folded. Results are identical
+/// under every variant; only memory and per-change latency move.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Compaction {
+    /// Only on [`RealConfig::compact`].
+    Never,
+    /// A full sweep after every this many changes.
+    Every(u32),
+    /// After each change, fold only the operators whose recent trace
+    /// layer outgrew the policy's ratio of their consolidated base.
+    Threshold(rc_dataflow::CompactionPolicy),
+}
+
+/// What an apply does when the incremental path fails mid-change.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OnFailure {
+    /// Roll back, poison the verifier and return the error; the caller
+    /// decides when to [`RealConfig::rebuild`].
+    Poison,
+    /// Self-heal: roll back, then verify the new configurations from
+    /// scratch (policies and verdict history carry over; the report is
+    /// flagged `recovered`). If they do not verify from scratch either,
+    /// heal back to the last good configurations and return the
+    /// incremental error. A verifier poisoned on entry is rebuilt
+    /// first. The call ends poisoned only if recovery failed twice.
+    Rebuild,
+}
+
+/// Everything configurable about a verifier, fixed at construction:
+/// rebuilds and snapshot restores read the same value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct VerifierOptions {
+    /// Data plane model update order (insertion-first is the fast one;
+    /// Table 3 quantifies why).
+    pub order: UpdateOrder,
+    /// Predicate backend of the EC model. Defaults to the process
+    /// default ([`rc_bdd::default_backend`]) when `default()` is called.
+    pub backend: rc_bdd::PredKind,
+    /// Worker count for the parallel phases (policy walks, sharded
+    /// dataflow operators, EC scans). `None` is the process-global knob
+    /// ([`rc_par::threads`]); `Some(1)` forces the exact serial paths.
+    /// Results are byte-identical for any worker count.
+    pub threads: Option<usize>,
+    /// Use the EC model's dst-interval candidate index. `false` is the
+    /// full O(#ECs) scan — same results; for A/B ablation and tests.
+    pub ec_index: bool,
+    pub compaction: Compaction,
+    pub on_failure: OnFailure,
+}
+
+impl Default for VerifierOptions {
+    fn default() -> Self {
+        VerifierOptions {
+            order: UpdateOrder::InsertFirst,
+            backend: rc_bdd::default_backend(),
+            threads: None,
+            ec_index: true,
+            compaction: Compaction::Every(DEFAULT_AUTO_COMPACT),
+            on_failure: OnFailure::Poison,
+        }
+    }
+}
 
 /// The incremental network configuration verifier (the paper's
 /// RealConfig): chains the incremental data plane generator, the
@@ -102,37 +168,13 @@ pub const DEFAULT_AUTO_COMPACT: u32 = 64;
 pub struct RealConfig {
     configs: BTreeMap<String, DeviceConfig>,
     registry: Registry,
-    facts: BTreeSet<Fact>,
-    warnings: BTreeSet<String>,
-    engine: RoutingEngine,
-    model: ApkModel,
-    checker: PolicyChecker,
-    grouper: FibGrouper,
-    devices: BTreeSet<NodeId>,
-    update_order: UpdateOrder,
-    /// Ablation/test support: run the EC model with its dst-interval
-    /// candidate index disabled (full O(#ECs) scans). Survives rebuilds.
-    model_full_scan: bool,
-    /// Predicate backend the model was built with (BDDs or Delta-net
-    /// interval atoms). Captured at construction; survives rebuilds.
-    backend: rc_bdd::PredKind,
-    /// Worker-count override for the checker's parallel walk phase
-    /// (`None`: the process-global `rc_par` knob). Survives rebuilds.
-    threads: Option<usize>,
-    /// Compact engine history every this many changes (None: never).
-    auto_compact: Option<u32>,
+    stages: Stages,
+    opts: VerifierOptions,
     changes_since_compact: u32,
-    /// Threshold-driven compaction: when set, engine history is folded
-    /// only on operators whose recent trace layer outgrew the policy's
-    /// ratio of their base — instead of the count-based sweep above.
-    /// Survives rebuilds (it is a RealConfig field, not engine state).
-    adaptive_compact: Option<rc_dataflow::CompactionPolicy>,
     /// Shared metric registry for all three pipeline stages.
     telemetry: rc_telemetry::Telemetry,
     /// Set when a failure may have left the incremental engines holding
-    /// partial results of a rejected change (see [`Error`]). While set,
-    /// applies are refused with [`Error::Poisoned`] until
-    /// [`RealConfig::rebuild`] succeeds.
+    /// partial results of a rejected change (see [`Error`]).
     poisoned: bool,
     /// Durable warm state (state directory, snapshot sequence, apply
     /// journal). `None` unless a state directory is attached — the
@@ -140,102 +182,45 @@ pub struct RealConfig {
     store: Option<persist::StoreState>,
 }
 
-/// Extract a human-readable message from a contained panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "pipeline stage panicked (non-string payload)".to_string()
+/// Run a pipeline step, containing a panic as [`Error::Internal`].
+fn contained<T>(step: impl FnOnce() -> Result<T, Error>) -> Result<T, Error> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
+        Ok(result) => result,
+        Err(payload) => Err(Error::Internal(
+            (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "pipeline stage panicked (non-string payload)".into()),
+        )),
     }
 }
 
 impl RealConfig {
-    /// Build the verifier and run the initial full verification.
+    /// Build the verifier with default options and run the initial full
+    /// verification.
     pub fn new(configs: BTreeMap<String, DeviceConfig>) -> Result<(Self, FullReport), Error> {
-        Self::with_order(configs, UpdateOrder::InsertFirst)
+        Self::with_options(configs, VerifierOptions::default())
     }
 
-    /// [`RealConfig::new`] with an explicit data plane model update
-    /// order (insertion-first is the fast one; Table 3 quantifies why).
-    /// The predicate backend comes from the process-global default
-    /// ([`rc_bdd::default_backend`]: `--backend` / `RC_BACKEND`).
-    pub fn with_order(
+    /// Build the verifier and run the initial full verification.
+    pub fn with_options(
         configs: BTreeMap<String, DeviceConfig>,
-        update_order: UpdateOrder,
+        opts: VerifierOptions,
     ) -> Result<(Self, FullReport), Error> {
-        Self::with_order_backend(configs, update_order, rc_bdd::default_backend())
-    }
-
-    /// [`RealConfig::with_order`] with an explicit predicate backend,
-    /// bypassing the process-global default. Tests and benchmarks that
-    /// compare backends side by side use this to avoid racing on the
-    /// global knob.
-    pub fn with_order_backend(
-        configs: BTreeMap<String, DeviceConfig>,
-        update_order: UpdateOrder,
-        backend: rc_bdd::PredKind,
-    ) -> Result<(Self, FullReport), Error> {
-        let mut rc = RealConfig {
-            configs: BTreeMap::new(),
-            registry: Registry::new(),
-            facts: BTreeSet::new(),
-            warnings: BTreeSet::new(),
-            engine: RoutingEngine::new(),
-            model: ApkModel::with_backend(backend),
-            checker: PolicyChecker::new(),
-            grouper: FibGrouper::default(),
-            devices: BTreeSet::new(),
-            update_order,
-            model_full_scan: false,
-            backend,
-            threads: None,
-            auto_compact: Some(DEFAULT_AUTO_COMPACT),
+        let telemetry = rc_telemetry::Telemetry::new();
+        let mut registry = Registry::new();
+        let (stages, mut report, _) =
+            Stages::build(&configs, &mut registry, &opts, &telemetry, &[])?;
+        report.metrics = telemetry.snapshot();
+        let rc = RealConfig {
+            configs,
+            registry,
+            stages,
+            opts,
             changes_since_compact: 0,
-            adaptive_compact: None,
-            telemetry: rc_telemetry::Telemetry::new(),
+            telemetry,
             poisoned: false,
             store: None,
         };
-        rc.engine.set_telemetry(rc.telemetry.clone());
-        rc.model.set_telemetry(&rc.telemetry);
-        rc.checker.set_telemetry(&rc.telemetry);
-        let mut report = FullReport::default();
-
-        let lowered = lower(&configs, &mut rc.registry);
-        rc.warnings = lowered.warnings.iter().map(|w| w.to_string()).collect();
-        report.warnings = rc.warnings.iter().cloned().collect();
-
-        let t = Instant::now();
-        let stats = rc.engine.apply(lowered.facts.iter().map(|f| (f.clone(), 1)))?;
-        report.dp_gen = t.elapsed();
-        report.dp_records = stats.records;
-
-        rc.facts = lowered.facts;
-        rc.configs = configs;
-        rc.sync_structure_from_delta(
-            &rc.facts.iter().cloned().map(|f| (f, 1)).collect::<Vec<_>>(),
-        );
-
-        let t = Instant::now();
-        let mut updates = rc.grouper.convert(rc.engine.fib_delta());
-        let (fins, _frem) = rc.engine.filter_delta();
-        updates.extend(fins.iter().map(|f| RuleUpdate::Insert(filter_rule(f))));
-        let summary = rc.model.apply_batch(updates, rc.update_order);
-        report.model_update = t.elapsed();
-        report.fib_entries = rc.engine.fib().len();
-        report.rules = rc.model.num_rules();
-        report.ecs = rc.model.num_ecs();
-        let _ = summary;
-
-        let t = Instant::now();
-        let check = rc.checker.check_full(&mut rc.model);
-        report.policy_check = t.elapsed();
-        report.pairs = check.total_pairs;
-        report.violated = check.newly_violated.iter().map(|p| p.0).collect();
-        report.metrics = rc.telemetry.snapshot();
-
         Ok((rc, report))
     }
 
@@ -251,65 +236,76 @@ impl RealConfig {
         Self::new(configs)
     }
 
-    /// Update the checker's device set and link map from a fact delta;
-    /// returns the ECs invalidated by link changes.
-    fn sync_structure_from_delta(&mut self, delta: &[(Fact, isize)]) -> BTreeSet<rc_apkeep::EcId> {
-        let mut link_delta: Vec<(Port, Port, isize)> = Vec::new();
-        let mut devices_changed = false;
-        for (f, r) in delta {
-            match f {
-                Fact::Link { src, dst } => link_delta.push((*src, *dst, *r)),
-                Fact::Device(n) => {
-                    devices_changed = true;
-                    if *r > 0 {
-                        self.devices.insert(*n);
-                    } else {
-                        self.devices.remove(n);
-                    }
-                }
-                _ => {}
-            }
-        }
-        if devices_changed {
-            self.checker.set_nodes(self.devices.iter().copied());
-        }
-        self.checker.apply_link_delta(&link_delta)
+    /// Verify a configuration change incrementally:
+    /// [`RealConfig::apply_configs`] over the current configurations
+    /// with `cs` applied. A change that does not apply is
+    /// [`Error::Change`] and nothing ran.
+    pub fn apply_change(&mut self, cs: &ChangeSet) -> Result<ChangeReport, Error> {
+        let new_configs = self.candidate(cs)?;
+        self.apply_configs(new_configs)
     }
 
-    /// Verify a configuration change incrementally. On success the
-    /// change is committed; on failure the configurations are left
-    /// untouched (see [`Error`] for the poisoning contract).
-    pub fn apply_change(&mut self, cs: &ChangeSet) -> Result<ChangeReport, Error> {
-        if self.poisoned {
-            return Err(Error::Poisoned);
+    /// Fold a burst of pending changes ([`ChangeSet::coalesce`]:
+    /// last-writer-wins on set-type operations) into one
+    /// [`RealConfig::apply_configs`] transaction: the burst commits or
+    /// rolls back atomically and produces **exactly one** journal
+    /// record. A burst that folds to no change at all (a link group
+    /// that went down and came back up) skips the pipeline and the
+    /// journal (`coalesced_noop`). `coalesce.*` telemetry is registered
+    /// on first use only.
+    pub fn apply_coalesced(&mut self, burst: &[ChangeSet]) -> Result<ChangeReport, Error> {
+        let (folded, cancelled) = ChangeSet::coalesce(burst);
+        let new_configs = self.candidate(&folded)?;
+        self.telemetry.counter("coalesce.batches").incr();
+        self.telemetry.counter("coalesce.changes").add(burst.len() as u64);
+        self.telemetry.histogram("coalesce.batch_size").record(burst.len() as u64);
+        if cancelled > 0 {
+            self.telemetry.counter("coalesce.cancelled_ops").add(cancelled as u64);
         }
+        let mut report = if new_configs == self.configs {
+            self.telemetry.counter("coalesce.noop_batches").incr();
+            ChangeReport {
+                coalesced_noop: true,
+                metrics: self.telemetry.snapshot(),
+                ..Default::default()
+            }
+        } else {
+            self.apply_configs(new_configs)?
+        };
+        report.coalesced_changes = burst.len();
+        report.cancelled_ops = cancelled;
+        Ok(report)
+    }
+
+    /// The current configurations with `cs` applied — the candidate of
+    /// both change front-ends.
+    fn candidate(&mut self, cs: &ChangeSet) -> Result<BTreeMap<String, DeviceConfig>, Error> {
+        self.ensure_usable()?;
         let mut new_configs = self.configs.clone();
         if let Err(e) = cs.apply(&mut new_configs) {
             // Nothing ran: a pure rollback (the cheapest kind).
             self.telemetry.counter("verifier.rollbacks").incr();
             return Err(Error::Change(e));
         }
-        self.apply_configs(new_configs)
+        Ok(new_configs)
     }
 
-    /// [`RealConfig::apply_change`] with the self-healing fallback of
-    /// [`RealConfig::apply_configs_or_rebuild`].
-    pub fn apply_change_or_rebuild(&mut self, cs: &ChangeSet) -> Result<ChangeReport, Error> {
-        if self.poisoned {
-            self.rebuild()?;
+    /// Entry gate of every apply: a poisoned verifier refuses
+    /// ([`OnFailure::Poison`]) or heals first ([`OnFailure::Rebuild`]).
+    fn ensure_usable(&mut self) -> Result<(), Error> {
+        match (self.poisoned, self.opts.on_failure) {
+            (false, _) => Ok(()),
+            (true, OnFailure::Poison) => Err(Error::Poisoned),
+            (true, OnFailure::Rebuild) => self.rebuild().map(drop),
         }
-        let mut new_configs = self.configs.clone();
-        if let Err(e) = cs.apply(&mut new_configs) {
-            self.telemetry.counter("verifier.rollbacks").incr();
-            return Err(Error::Change(e));
-        }
-        self.apply_configs_or_rebuild(new_configs)
     }
 
     /// Verify a transition to an arbitrary new configuration set
     /// incrementally — e.g., files an operator edited by hand. Devices
     /// may be added or removed; whatever differs is derived from the
-    /// fact delta, exactly as for [`RealConfig::apply_change`].
+    /// fact delta. This is the verifier's only transaction;
+    /// [`RealConfig::apply_change`] and [`RealConfig::apply_coalesced`]
+    /// are front-ends that compute the new configuration set.
     ///
     /// # Transaction contract
     ///
@@ -320,7 +316,8 @@ impl RealConfig {
     /// contained panic — the observable state rolls back to the
     /// pre-change snapshot. Failures raised after stage 1 started
     /// mutating the incremental engines additionally poison the
-    /// verifier (see [`Error`] and [`RealConfig::rebuild`]).
+    /// verifier (see [`Error`]); what happens next is
+    /// [`VerifierOptions::on_failure`].
     ///
     /// The only pre-transaction mutation is name interning into the
     /// shared registry while lowering the *candidate* configurations:
@@ -331,51 +328,51 @@ impl RealConfig {
         &mut self,
         new_configs: BTreeMap<String, DeviceConfig>,
     ) -> Result<ChangeReport, Error> {
-        if self.poisoned {
-            return Err(Error::Poisoned);
-        }
+        self.ensure_usable()?;
+        let delta = ConfigDelta::between(&self.configs, &new_configs);
+        let retry = (self.opts.on_failure == OnFailure::Rebuild).then(|| new_configs.clone());
         // Snapshot the cheap rollback-able state. The heavy engine /
         // model / checker state is deliberately *not* snapshotted
         // (cloning a dataflow trace per change would dwarf the
         // incremental work); failures after stage 1 begins poison the
-        // verifier and recovery goes through `rebuild()` instead.
-        let devices_snap = self.devices.clone();
-        let grouper_snap = self.grouper.clone();
-        let verdicts_snap = self.checker.verdicts();
+        // verifier and recovery goes through a rebuild instead.
+        let devices_snap = self.stages.devices.clone();
+        let grouper_snap = self.stages.grouper.clone();
+        let verdicts_snap = self.stages.checker.verdicts();
 
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.apply_configs_txn(new_configs)
-        }));
-        let err = match outcome {
-            Ok(Ok(report)) => return Ok(report),
-            Ok(Err(e)) => e,
-            Err(payload) => Error::Internal(panic_message(payload.as_ref())),
+        let err = match contained(|| self.run_stages_and_commit(new_configs, &delta)) {
+            Ok(report) => return Ok(report),
+            Err(e) => e,
         };
 
         // Roll back: the commit point was never reached, so configs /
         // facts / warnings are untouched; restore what the stages
         // touched along the way.
-        self.devices = devices_snap;
-        self.grouper = grouper_snap;
-        self.checker.set_nodes(self.devices.iter().copied());
-        self.checker.restore_verdicts(&verdicts_snap);
+        self.stages.devices = devices_snap;
+        self.stages.grouper = grouper_snap;
+        self.stages.checker.set_nodes(self.stages.devices.iter().copied());
+        self.stages.checker.restore_verdicts(&verdicts_snap);
         self.telemetry.counter("verifier.rollbacks").incr();
         if matches!(err, Error::Divergence(_) | Error::Internal(_)) {
             self.poisoned = true;
             self.telemetry.counter("verifier.poison_events").incr();
         }
-        Err(err)
+        match retry {
+            Some(new_configs) => self.verify_from_scratch(new_configs, &delta, err),
+            None => Err(err),
+        }
     }
 
     /// The transaction body: all three stages, then the commit point.
     /// Mutates heavy pipeline state as it goes; `apply_configs` owns
-    /// rollback and poisoning.
-    fn apply_configs_txn(
+    /// rollback, poisoning and the failure policy.
+    fn run_stages_and_commit(
         &mut self,
         new_configs: BTreeMap<String, DeviceConfig>,
+        delta: &ConfigDelta,
     ) -> Result<ChangeReport, Error> {
         let mut report = ChangeReport::default();
-        self.diff_config_lines(&new_configs, &mut report);
+        (report.lines_inserted, report.lines_deleted) = delta.line_counts(&self.configs);
 
         // Semantic view: fact delta. (Lowering interns names into the
         // shared registry — the benign pre-transaction mutation
@@ -383,28 +380,29 @@ impl RealConfig {
         let lowered = lower(&new_configs, &mut self.registry);
         let new_warnings: BTreeSet<String> =
             lowered.warnings.iter().map(|w| w.to_string()).collect();
-        report.warnings = new_warnings.difference(&self.warnings).cloned().collect();
-        let delta = fact_delta(&self.facts, &lowered.facts);
-        report.fact_changes = delta.len();
+        report.warnings = new_warnings.difference(&self.stages.warnings).cloned().collect();
+        let facts = fact_delta(&self.stages.facts, &lowered.facts);
+        report.fact_changes = facts.len();
 
         // Stage 1: incremental data plane generation. First heavy
         // mutation — an `Err` from here on poisons.
+        let s = &mut self.stages;
         let t = Instant::now();
-        let stats = self.engine.apply(delta.iter().cloned())?;
+        let stats = s.engine.apply(facts.iter().cloned())?;
         report.dp_gen = t.elapsed();
         report.dp_records = stats.records;
 
-        let touched = self.sync_structure_from_delta(&delta);
+        let touched = s.sync_structure(&facts);
 
         // Stage 2: incremental model update.
         let t = Instant::now();
-        let mut updates = self.grouper.convert(self.engine.fib_delta());
-        let (fins, frem) = self.engine.filter_delta();
+        let mut updates = s.grouper.convert(s.engine.fib_delta());
+        let (fins, frem) = s.engine.filter_delta();
         updates.extend(frem.iter().map(|f| RuleUpdate::Remove(filter_rule(f))));
         updates.extend(fins.iter().map(|f| RuleUpdate::Insert(filter_rule(f))));
         report.rules_inserted = updates.iter().filter(|u| u.is_insert()).count();
         report.rules_removed = updates.len() - report.rules_inserted;
-        let summary = self.model.apply_batch(updates, self.update_order);
+        let summary = s.model.apply_batch(updates, self.opts.order);
         report.model_update = t.elapsed();
         report.ec_moves = summary.ec_moves;
         report.ec_splits = summary.ec_splits;
@@ -412,7 +410,7 @@ impl RealConfig {
 
         // Stage 3: incremental policy checking.
         let t = Instant::now();
-        let check = self.checker.check_incremental(&mut self.model, &summary, touched);
+        let check = s.checker.check_incremental(&mut s.model, &summary, touched);
         report.policy_check = t.elapsed();
         report.affected_pairs = check.affected_pairs;
         report.changed_pairs = check.changed_pairs;
@@ -422,101 +420,47 @@ impl RealConfig {
         report.newly_satisfied = check.newly_satisfied.iter().map(|p| p.0).collect();
 
         // History compaction keeps long change streams flat (see the
-        // `churn` and `throughput` benchmarks). Threshold-driven when an
-        // adaptive policy is set (compact only operators whose recent
-        // layer outgrew their base), count-based otherwise. Still
-        // pre-commit: a failure here must not leave new configs
-        // committed.
+        // `churn` and `throughput` benchmarks). Still pre-commit: a
+        // failure here must not leave new configs committed.
         self.changes_since_compact += 1;
-        if let Some(policy) = self.adaptive_compact {
-            if self.engine.compact_adaptive(&policy) > 0 {
-                self.changes_since_compact = 0;
+        match self.opts.compaction {
+            Compaction::Every(n) if self.changes_since_compact >= n => self.compact(),
+            Compaction::Threshold(policy) => {
+                self.stages.engine.compact_adaptive(&policy);
             }
-        } else if let Some(every) = self.auto_compact {
-            if self.changes_since_compact >= every {
-                self.engine.compact();
-                self.changes_since_compact = 0;
-            }
+            _ => {}
         }
 
         // Commit point: all three stages succeeded. The journal record
-        // is computed against the pre-commit configs, appended only
-        // after the in-memory commit — a crash between the two loses at
-        // most the change that was never reported as applied.
-        let journal_record = self.journal_record_for(&new_configs);
+        // is appended only after the in-memory commit — a crash between
+        // the two loses at most the change that was never reported as
+        // applied.
         self.configs = new_configs;
-        self.facts = lowered.facts;
-        self.warnings = new_warnings;
-        if let Some(record) = journal_record {
-            self.journal_append(record);
-        }
+        self.stages.facts = lowered.facts;
+        self.stages.warnings = new_warnings;
+        self.journal_append(delta);
 
         report.metrics = self.telemetry.snapshot();
         Ok(report)
     }
 
-    /// Textual view of a candidate change (the paper's "insertions or
-    /// deletions of configuration lines"). Added or removed devices
-    /// diff against an empty configuration. Read-only.
-    fn diff_config_lines(
-        &self,
-        new_configs: &BTreeMap<String, DeviceConfig>,
-        report: &mut ChangeReport,
-    ) {
-        let empty = String::new();
-        for (name, new_cfg) in new_configs {
-            let old_text =
-                self.configs.get(name).map(print_config).unwrap_or_else(|| empty.clone());
-            let new_text = print_config(new_cfg);
-            if old_text != new_text {
-                let d = diff_lines(&old_text, &new_text);
-                report.lines_inserted += d.insertions();
-                report.lines_deleted += d.deletions();
-            }
-        }
-        for (name, old_cfg) in &self.configs {
-            if !new_configs.contains_key(name) {
-                let d = diff_lines(&print_config(old_cfg), &empty);
-                report.lines_deleted += d.deletions();
-            }
-        }
-    }
-
-    /// Verify a transition with the self-healing fallback: try the
-    /// incremental path, and on any failure fall back to verifying the
-    /// new configurations from scratch (policies and their satisfaction
-    /// history carry over, so the report's verdict deltas stay
-    /// correct). If even the from-scratch build rejects the new
-    /// configurations (e.g. they genuinely diverge), the verifier heals
-    /// itself back to the last good configurations and surfaces the
-    /// incremental error — in every case the verifier ends the call
-    /// un-poisoned unless recovery itself failed twice.
-    pub fn apply_configs_or_rebuild(
+    /// The [`OnFailure::Rebuild`] fallback: the incremental path failed
+    /// with `first` and rolled back; verify `new_configs` from scratch
+    /// instead.
+    fn verify_from_scratch(
         &mut self,
         new_configs: BTreeMap<String, DeviceConfig>,
+        delta: &ConfigDelta,
+        first: Error,
     ) -> Result<ChangeReport, Error> {
-        if self.poisoned {
-            self.rebuild()?;
-        }
-        let first = match self.apply_configs(new_configs.clone()) {
-            Ok(report) => return Ok(report),
-            Err(e) => e,
-        };
-
-        // The incremental path failed and rolled back; verify the new
-        // configurations from scratch instead.
         let mut report = ChangeReport { recovered: true, ..Default::default() };
-        self.diff_config_lines(&new_configs, &mut report);
-        let old_warnings = self.warnings.clone();
-        let lowered = lower(&new_configs, &mut self.registry);
-        report.fact_changes = fact_delta(&self.facts, &lowered.facts).len();
-
-        let rebuilt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.rebuild_from(new_configs)
-        }));
-        match rebuilt {
-            Ok(Ok((full, check))) => {
+        (report.lines_inserted, report.lines_deleted) = delta.line_counts(&self.configs);
+        let old_facts = self.stages.facts.clone();
+        let old_warnings = self.stages.warnings.clone();
+        match contained(|| self.rebuild_from(new_configs)) {
+            Ok((full, check)) => {
                 self.telemetry.counter("verifier.recoveries").incr();
+                report.fact_changes = fact_delta(&old_facts, &self.stages.facts).len();
                 report.dp_gen = full.dp_gen;
                 report.dp_records = full.dp_records;
                 report.model_update = full.model_update;
@@ -526,14 +470,14 @@ impl RealConfig {
                 report.newly_violated = check.newly_violated.iter().map(|p| p.0).collect();
                 report.newly_satisfied = check.newly_satisfied.iter().map(|p| p.0).collect();
                 report.warnings =
-                    self.warnings.difference(&old_warnings).cloned().collect();
+                    self.stages.warnings.difference(&old_warnings).cloned().collect();
                 report.metrics = self.telemetry.snapshot();
                 Ok(report)
             }
             // The new configurations do not verify even from scratch.
             // Heal back to the last good set and surface the
             // incremental failure.
-            _ => {
+            Err(_) => {
                 if self.poisoned {
                     let _ = self.rebuild();
                 }
@@ -554,17 +498,11 @@ impl RealConfig {
     /// satisfaction history are preserved, so verdict deltas of
     /// subsequent changes remain correct. On success the verifier is
     /// un-poisoned and exactly equivalent to a fresh
-    /// [`RealConfig::new`] over the same configurations.
+    /// [`RealConfig::with_options`] over the same configurations and
+    /// options.
     pub fn rebuild(&mut self) -> Result<FullReport, Error> {
         let configs = self.configs.clone();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.rebuild_from(configs)
-        }));
-        match outcome {
-            Ok(Ok((report, _check))) => Ok(report),
-            Ok(Err(e)) => Err(e),
-            Err(payload) => Err(Error::Internal(panic_message(payload.as_ref()))),
-        }
+        contained(|| self.rebuild_from(configs)).map(|(report, _)| report)
     }
 
     /// Build a fresh pipeline over `configs` and commit it wholesale.
@@ -575,79 +513,13 @@ impl RealConfig {
         configs: BTreeMap<String, DeviceConfig>,
     ) -> Result<(FullReport, rc_policy::CheckReport), Error> {
         let t0 = Instant::now();
-        let mut report = FullReport::default();
+        let policies = self.stages.checker.policy_specs();
+        let (stages, mut report, check) =
+            Stages::build(&configs, &mut self.registry, &self.opts, &self.telemetry, &policies)?;
 
-        let mut engine = RoutingEngine::new();
-        engine.set_telemetry(self.telemetry.clone());
-        engine.set_threads(self.threads);
-        let mut model = ApkModel::with_backend(self.backend);
-        model.set_telemetry(&self.telemetry);
-        model.set_full_scan(self.model_full_scan);
-        model.set_threads(self.threads);
-        let mut checker = PolicyChecker::new();
-        checker.set_telemetry(&self.telemetry);
-        checker.set_threads(self.threads);
-        let mut grouper = FibGrouper::default();
-
-        let lowered = lower(&configs, &mut self.registry);
-        let warnings: BTreeSet<String> =
-            lowered.warnings.iter().map(|w| w.to_string()).collect();
-        report.warnings = warnings.iter().cloned().collect();
-
-        let t = Instant::now();
-        let stats = engine.apply(lowered.facts.iter().map(|f| (f.clone(), 1)))?;
-        report.dp_gen = t.elapsed();
-        report.dp_records = stats.records;
-
-        // Device set and checker link map from the full fact set.
-        let mut devices = BTreeSet::new();
-        let mut link_delta: Vec<(Port, Port, isize)> = Vec::new();
-        for f in &lowered.facts {
-            match f {
-                Fact::Device(n) => {
-                    devices.insert(*n);
-                }
-                Fact::Link { src, dst } => link_delta.push((*src, *dst, 1)),
-                _ => {}
-            }
-        }
-        checker.set_nodes(devices.iter().copied());
-        checker.apply_link_delta(&link_delta);
-
-        let t = Instant::now();
-        let mut updates = grouper.convert(engine.fib_delta());
-        let (fins, _frem) = engine.filter_delta();
-        updates.extend(fins.iter().map(|f| RuleUpdate::Insert(filter_rule(f))));
-        let summary = model.apply_batch(updates, self.update_order);
-        report.model_update = t.elapsed();
-        report.fib_entries = engine.fib().len();
-        report.rules = model.num_rules();
-        report.ecs = model.num_ecs();
-        let _ = summary;
-
-        // Re-register the policies in id order with their pre-failure
-        // verdicts, so the check below reports newly-violated /
-        // newly-satisfied relative to what the caller last saw.
-        for (policy, satisfied) in self.checker.policy_specs() {
-            let id = checker.add_policy(&mut model, policy);
-            checker.restore_verdict(id, satisfied);
-        }
-        let t = Instant::now();
-        let check = checker.check_full(&mut model);
-        report.policy_check = t.elapsed();
-        report.pairs = check.total_pairs;
-        report.violated = check.newly_violated.iter().map(|p| p.0).collect();
-
-        // Commit the rebuilt pipeline wholesale.
         let configs_changed = self.configs != configs;
-        self.engine = engine;
-        self.model = model;
-        self.checker = checker;
-        self.grouper = grouper;
+        self.stages = stages;
         self.configs = configs;
-        self.facts = lowered.facts;
-        self.warnings = warnings;
-        self.devices = devices;
         self.changes_since_compact = 0;
         self.poisoned = false;
         if configs_changed {
@@ -666,7 +538,7 @@ impl RealConfig {
 
     /// Register a policy (by device ids; see [`RealConfig::node`]).
     pub fn add_policy(&mut self, policy: Policy) -> PolicyId {
-        self.checker.add_policy(&mut self.model, policy)
+        self.stages.checker.add_policy(&mut self.stages.model, policy)
     }
 
     /// Registered policies with their current verdicts, in id order
@@ -674,7 +546,7 @@ impl RealConfig {
     /// snapshot-restored verifier discover what is already registered
     /// instead of re-adding duplicates.
     pub fn policy_specs(&self) -> Vec<(Policy, bool)> {
-        self.checker.policy_specs()
+        self.stages.checker.policy_specs()
     }
 
     /// Convenience: "packets from `src` to `dst_prefix` must reach
@@ -697,7 +569,7 @@ impl RealConfig {
     /// Re-evaluate all policies from scratch (e.g., after registering
     /// policies post-construction).
     pub fn recheck_policies(&mut self) -> rc_policy::CheckReport {
-        self.checker.check_full(&mut self.model)
+        self.stages.checker.check_full(&mut self.stages.model)
     }
 
     /// Device id for a hostname.
@@ -717,44 +589,44 @@ impl RealConfig {
 
     /// Current complete FIB (per-ECMP-leg entries).
     pub fn fib(&self) -> BTreeSet<FibEntry> {
-        self.engine.fib()
+        self.stages.engine.fib()
     }
 
     /// Current grouped FIB rule count (the "#Rules" denominator of
     /// Table 3).
     pub fn num_rules(&self) -> usize {
-        self.model.num_rules()
+        self.stages.model.num_rules()
     }
 
     /// ECs currently in the data plane model.
     pub fn num_ecs(&self) -> usize {
-        self.model.num_ecs()
+        self.stages.model.num_ecs()
     }
 
     /// (src, dst) pairs with deliverable traffic (Table 3's "#Pairs"
     /// denominator).
     pub fn num_pairs(&self) -> usize {
-        self.checker.num_pairs()
+        self.stages.checker.num_pairs()
     }
 
     /// Whether any EC currently delivers traffic from `src` to `dst`.
     pub fn pair_reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        self.checker.pair_ecs(src, dst).is_some()
+        self.stages.checker.pair_ecs(src, dst).is_some()
     }
 
     /// Whether a policy currently holds.
     pub fn is_satisfied(&self, id: PolicyId) -> bool {
-        self.checker.is_satisfied(id)
+        self.stages.checker.is_satisfied(id)
     }
 
     /// Current input fact set (for external oracles).
     pub fn facts(&self) -> &BTreeSet<Fact> {
-        &self.facts
+        &self.stages.facts
     }
 
     /// Current lowering warnings (formatted, deduplicated).
     pub fn warnings(&self) -> &BTreeSet<String> {
-        &self.warnings
+        &self.stages.warnings
     }
 
     /// Interface name for an interned id.
@@ -775,86 +647,36 @@ impl RealConfig {
     }
 
     pub(crate) fn model(&self) -> &ApkModel {
-        &self.model
+        &self.stages.model
     }
 
     pub(crate) fn checker(&self) -> &PolicyChecker {
-        &self.checker
+        &self.stages.checker
     }
 
     /// Grouped FIB rules currently installed (one per (device, prefix),
     /// ECMP folded into one logical rule).
     pub fn num_fib_rules(&self) -> usize {
-        self.grouper.len()
+        self.stages.grouper.len()
     }
 
     /// Records currently retained in the dataflow engine's trace
     /// spines (base + recent layers) — the quantity compaction bounds.
     pub fn trace_records(&self) -> usize {
-        self.engine.trace_records()
+        self.stages.engine.trace_records()
     }
 
-    /// Compact the incremental engine's internal history (bounds memory
-    /// over long change sequences; behaviour is unaffected). Also
-    /// happens automatically — see [`RealConfig::set_auto_compact`].
+    /// Compact the incremental engine's internal history now (bounds
+    /// memory over long change sequences; behaviour is unaffected).
+    /// Also happens automatically — see [`VerifierOptions::compaction`].
     pub fn compact(&mut self) {
-        self.engine.compact();
+        self.stages.engine.compact();
         self.changes_since_compact = 0;
     }
 
-    /// Configure automatic history compaction: fold engine history
-    /// after every `interval` changes, or never (`None`). The default
-    /// is [`DEFAULT_AUTO_COMPACT`]. Ignored while an adaptive policy is
-    /// installed (see [`RealConfig::set_adaptive_compact`]).
-    pub fn set_auto_compact(&mut self, interval: Option<u32>) {
-        self.auto_compact = interval;
-    }
-
-    /// Install (or with `None` remove) a threshold-driven compaction
-    /// policy: after each change, engine history is folded only on
-    /// operators whose recent trace layer exceeds the policy's ratio of
-    /// their consolidated base — so sustained churn pays for compaction
-    /// when lookups would degrade, not on a fixed schedule. While set,
-    /// this replaces the count-based [`RealConfig::set_auto_compact`]
-    /// sweep. Behaviour (FIBs, verdicts) is identical either way; the
-    /// setting survives [`RealConfig::rebuild`].
-    pub fn set_adaptive_compact(&mut self, policy: Option<rc_dataflow::CompactionPolicy>) {
-        self.adaptive_compact = policy;
-    }
-
-    /// Enable/disable the EC model's dst-interval candidate index
-    /// (enabled by default). Disabling reverts rule transfers and
-    /// policy registration to the full O(#ECs) scan — results are
-    /// identical either way; this exists for A/B ablation (the `table3`
-    /// binary's `--full-scan`) and tests. The setting survives
-    /// [`RealConfig::rebuild`].
-    pub fn set_ec_index_enabled(&mut self, enabled: bool) {
-        self.model_full_scan = !enabled;
-        self.model.set_full_scan(!enabled);
-    }
-
-    /// Override the worker count for this verifier's parallel work —
-    /// policy checking, the dataflow engine's sharded operators, and
-    /// the model's EC scans (`None` falls back to the process-global
-    /// knob — [`rc_par::set_threads`] / the `RC_THREADS` environment
-    /// variable / available parallelism; `Some(1)` forces the exact
-    /// serial paths). Results are byte-identical for any worker count.
-    /// The setting survives [`RealConfig::rebuild`].
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
-        self.checker.set_threads(threads);
-        self.engine.set_threads(threads);
-        self.model.set_threads(threads);
-    }
-
-    /// The per-verifier worker-count override, if any.
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// The predicate backend this verifier was built with.
-    pub fn backend(&self) -> rc_bdd::PredKind {
-        self.backend
+    /// The options this verifier was built (or restored) with.
+    pub fn options(&self) -> &VerifierOptions {
+        &self.opts
     }
 }
 
@@ -875,10 +697,11 @@ pub fn full_dataplane_baseline(
 pub fn full_dataplane_realconfig(
     configs: &BTreeMap<String, DeviceConfig>,
 ) -> Result<(std::time::Duration, usize), Error> {
-    let mut reg = Registry::new();
-    let lowered = lower(configs, &mut reg);
-    let mut engine = RoutingEngine::new();
-    let t = Instant::now();
-    engine.apply(lowered.facts.iter().map(|f| (f.clone(), 1)))?;
-    Ok((t.elapsed(), engine.fib().len()))
+    let dp = DataPlane::build(
+        configs,
+        &mut Registry::new(),
+        &VerifierOptions::default(),
+        &rc_telemetry::Telemetry::new(),
+    )?;
+    Ok((dp.dp_gen, dp.engine.fib().len()))
 }

@@ -47,19 +47,19 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use rc_netcfg::facts::{lower, Fact, Registry};
+use rc_apkeep::{ApkModel, UpdateOrder};
+use rc_netcfg::facts::Registry;
 use rc_netcfg::parser::parse_config;
 use rc_netcfg::printer::print_config;
 use rc_netcfg::DeviceConfig;
+use rc_policy::PolicyChecker;
 use rc_store::{
     atomic_write, decode_snapshot, encode_snapshot, journal_path, list_snapshots,
-    prune_snapshots, read_journal, snapshot_path, Journal, Reader, StoreError, Writer,
+    prune_snapshots, read_journal, snapshot_path, Journal, Reader, StoreError, WireError, Writer,
 };
 
-use super::{Error, RealConfig};
-use rc_apkeep::{ApkModel, UpdateOrder};
-use rc_policy::PolicyChecker;
-use rc_routing::engine::RoutingEngine;
+use super::build::{DataPlane, Stages};
+use super::{Compaction, ConfigDelta, Error, RealConfig, VerifierOptions, DEFAULT_AUTO_COMPACT};
 
 /// Section tags inside a snapshot container.
 const SEC_META: u32 = 1;
@@ -75,7 +75,7 @@ const KEEP_SNAPSHOTS: usize = 2;
 
 /// Where a restored verifier's state came from (the rung of the
 /// recovery ladder that succeeded).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RestoreSource {
     /// The newest snapshot decoded cleanly (journal replay may still
     /// have discarded a torn tail — see
@@ -90,12 +90,13 @@ pub enum RestoreSource {
     /// running.
     Rebuilt,
     /// The state directory held no snapshots at all (first boot).
+    #[default]
     ColdStart,
 }
 
 /// Outcome of [`RealConfig::open`]: which ladder rung produced the
 /// verifier and what the journal replay saw.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RestoreReport {
     /// The ladder rung that succeeded.
     pub source: RestoreSource,
@@ -113,6 +114,18 @@ pub struct RestoreReport {
     pub elapsed: std::time::Duration,
 }
 
+/// How [`RealConfig::open_with`] replays the journal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReplayMode {
+    /// One incremental apply per record.
+    Serial,
+    /// The records are folded into their net config delta and verified
+    /// as **one** incremental apply — the fast path when a crash
+    /// interrupted a long change stream. The committed state reached
+    /// is identical; only intermediate states are skipped.
+    Coalesced,
+}
+
 /// Per-verifier persistence handle: the state directory, the snapshot
 /// sequence the journal extends, and the journal itself (`None` when
 /// journaling is disabled — before the first snapshot, or after an
@@ -128,64 +141,63 @@ pub(super) struct StoreState {
     appended: u64,
 }
 
-/// Encode one journal record: the device-granularity config delta from
-/// `old` to `new` (changed/added devices as canonical printed text,
-/// removed devices by name).
-fn encode_delta(
-    old: &BTreeMap<String, DeviceConfig>,
-    new: &BTreeMap<String, DeviceConfig>,
-) -> Vec<u8> {
-    let upserts: Vec<(&String, String)> = new
-        .iter()
-        .filter(|(name, cfg)| old.get(*name) != Some(*cfg))
-        .map(|(name, cfg)| (name, print_config(cfg)))
-        .collect();
-    let removes: Vec<&String> =
-        old.keys().filter(|name| !new.contains_key(*name)).collect();
+fn write_names(w: &mut Writer, names: &[String]) {
+    w.len_prefix(names.len());
+    for name in names {
+        w.str(name);
+    }
+}
+
+fn read_names(r: &mut Reader<'_>) -> Result<Vec<String>, WireError> {
+    (0..r.len_prefix()?).map(|_| r.str().map(str::to_string)).collect()
+}
+
+/// `(hostname, config)` pairs as journal records and the snapshot
+/// CONFIGS section store them: each config as canonical printed text.
+fn write_configs<'a>(
+    w: &mut Writer,
+    configs: impl ExactSizeIterator<Item = (&'a String, &'a DeviceConfig)>,
+) {
+    w.len_prefix(configs.len());
+    for (name, cfg) in configs {
+        w.str(name);
+        w.str(&print_config(cfg));
+    }
+}
+
+/// Inverse of [`write_configs`], re-parsing each text. Unparseable
+/// text or a hostname mismatch is an error.
+fn read_configs(r: &mut Reader<'_>) -> Result<Vec<(String, DeviceConfig)>, WireError> {
+    let mut configs = Vec::new();
+    for _ in 0..r.len_prefix()? {
+        let name = r.str()?.to_string();
+        let cfg = parse_config(r.str()?)
+            .map_err(|e| WireError(format!("stored config for {name:?} unparseable: {e}")))?;
+        if cfg.hostname != name {
+            return Err(WireError(format!(
+                "stored config {name:?} names itself {:?}",
+                cfg.hostname
+            )));
+        }
+        configs.push((name, cfg));
+    }
+    Ok(configs)
+}
+
+/// One journal record: upserted devices, then removed device names.
+fn encode_delta(delta: &ConfigDelta) -> Vec<u8> {
     let mut w = Writer::new();
-    w.len_prefix(upserts.len());
-    for (name, text) in &upserts {
-        w.str(name);
-        w.str(text);
-    }
-    w.len_prefix(removes.len());
-    for name in &removes {
-        w.str(name);
-    }
+    write_configs(&mut w, delta.upserts.iter().map(|(name, cfg)| (name, cfg)));
+    write_names(&mut w, &delta.removes);
     w.finish()
 }
 
-/// A decoded journal record: (upserted configs, removed device names).
-type ConfigDelta = (Vec<(String, DeviceConfig)>, Vec<String>);
-
-/// Decode a journal record back into (upserted configs, removed names).
-/// Corrupt input — unparseable text, a hostname mismatch — is an error,
-/// never a half-applied delta.
-fn decode_delta(bytes: &[u8]) -> Result<ConfigDelta, String> {
+/// Decode a journal record: an error, never a half-applied delta.
+fn decode_delta(bytes: &[u8]) -> Result<ConfigDelta, WireError> {
     let mut r = Reader::new(bytes);
-    let err = |e: rc_store::WireError| e.0;
-    let n = r.len_prefix().map_err(err)?;
-    let mut upserts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str().map_err(err)?.to_string();
-        let text = r.str().map_err(err)?;
-        let cfg = parse_config(text)
-            .map_err(|e| format!("journal config for {name:?} unparseable: {e}"))?;
-        if cfg.hostname != name {
-            return Err(format!(
-                "journal record hostname mismatch: key {name:?} vs config {:?}",
-                cfg.hostname
-            ));
-        }
-        upserts.push((name, cfg));
-    }
-    let n = r.len_prefix().map_err(err)?;
-    let mut removes = Vec::with_capacity(n);
-    for _ in 0..n {
-        removes.push(r.str().map_err(err)?.to_string());
-    }
-    r.done().map_err(err)?;
-    Ok((upserts, removes))
+    let delta = ConfigDelta { upserts: read_configs(&mut r)?, removes: read_names(&mut r)? };
+    r.done()?;
+    Ok(delta)
 }
 
 impl RealConfig {
@@ -228,42 +240,39 @@ impl RealConfig {
     /// Serialize the full verifier state into snapshot sections.
     fn encode_sections(&self) -> Vec<(u32, Vec<u8>)> {
         let mut meta = Writer::new();
-        meta.u8(match self.update_order {
+        meta.u8(match self.opts.order {
             UpdateOrder::InsertFirst => 0,
             UpdateOrder::DeleteFirst => 1,
             UpdateOrder::AsGiven => 2,
         });
-        meta.u8(self.model_full_scan as u8);
-        match self.auto_compact {
-            Some(n) => {
+        meta.u8(!self.opts.ec_index as u8);
+        // META has no encoding for a threshold policy: it records the
+        // default interval, so a plain `open` falls back to the default
+        // sweep and `open_with` reinstates the caller's policy.
+        match self.opts.compaction {
+            Compaction::Never => meta.u8(0),
+            Compaction::Every(n) => {
                 meta.u8(1);
                 meta.u32(n);
             }
-            None => meta.u8(0),
+            Compaction::Threshold(_) => {
+                meta.u8(1);
+                meta.u32(DEFAULT_AUTO_COMPACT);
+            }
         }
 
         let mut reg = Writer::new();
         let (node_names, iface_names) = self.registry.export_names();
-        reg.len_prefix(node_names.len());
-        for n in &node_names {
-            reg.str(n);
-        }
-        reg.len_prefix(iface_names.len());
-        for n in &iface_names {
-            reg.str(n);
-        }
+        write_names(&mut reg, &node_names);
+        write_names(&mut reg, &iface_names);
 
         let mut cfgs = Writer::new();
-        cfgs.len_prefix(self.configs.len());
-        for (name, cfg) in &self.configs {
-            cfgs.str(name);
-            cfgs.str(&print_config(cfg));
-        }
+        write_configs(&mut cfgs, self.configs.iter());
 
         let mut model = Writer::new();
-        self.model.encode_state(&mut model);
+        self.stages.model.encode_state(&mut model);
         let mut checker = Writer::new();
-        self.checker.encode_state(&mut checker);
+        self.stages.checker.encode_state(&mut checker);
 
         vec![
             (SEC_META, meta.finish()),
@@ -299,7 +308,7 @@ impl RealConfig {
             Ok(j) => Some(j),
             Err(e) => {
                 self.telemetry.counter("store.journal_open_failures").incr();
-                self.warnings.insert(format!(
+                self.stages.warnings.insert(format!(
                     "persistence: journal create failed after snapshot {seq}: {e} \
                      (journaling disabled until next snapshot)"
                 ));
@@ -321,27 +330,15 @@ impl RealConfig {
         Ok(seq)
     }
 
-    /// Compute the journal record for a transition the transaction is
-    /// about to commit. `None` when journaling is off — the common
-    /// (no persistence) case pays one `Option` check and nothing else.
-    pub(super) fn journal_record_for(
-        &self,
-        new_configs: &BTreeMap<String, DeviceConfig>,
-    ) -> Option<Vec<u8>> {
-        self.store
-            .as_ref()
-            .and_then(|s| s.journal.as_ref())
-            .map(|_| encode_delta(&self.configs, new_configs))
-    }
-
-    /// Append a committed change's record to the journal. On failure,
-    /// journaling is disabled until the next snapshot — the journal on
-    /// disk stays a checksummed exact prefix of the committed changes,
-    /// with no gaps.
-    pub(super) fn journal_append(&mut self, record: Vec<u8>) {
+    /// Append a committed change's record to the journal (a no-op
+    /// unless journaling is on — the no-persistence case pays one
+    /// `Option` check and nothing else). On failure, journaling is
+    /// disabled until the next snapshot — the journal on disk stays a
+    /// checksummed exact prefix of the committed changes, with no gaps.
+    pub(super) fn journal_append(&mut self, delta: &ConfigDelta) {
         let Some(store) = self.store.as_mut() else { return };
         let Some(journal) = store.journal.as_mut() else { return };
-        match journal.append(&record) {
+        match journal.append(&encode_delta(delta)) {
             Ok(()) => {
                 store.appended += 1;
                 self.telemetry.counter("store.journal_appends").incr();
@@ -349,7 +346,7 @@ impl RealConfig {
             Err(e) => {
                 store.journal = None;
                 self.telemetry.counter("store.journal_append_failures").incr();
-                self.warnings.insert(format!(
+                self.stages.warnings.insert(format!(
                     "persistence: journal append failed: {e} \
                      (journaling disabled until next snapshot)"
                 ));
@@ -363,17 +360,13 @@ impl RealConfig {
     /// snapshot (best-effort: on failure, journaling stays off until
     /// the next explicit snapshot).
     pub(super) fn rebase_journal_after_rebuild(&mut self) {
-        if self.store.is_none() {
-            return;
-        }
-        if let Some(s) = self.store.as_mut() {
-            // Whatever happens below, the old journal must not receive
-            // further appends — its base no longer matches.
-            s.journal = None;
-        }
+        let Some(store) = self.store.as_mut() else { return };
+        // Whatever happens below, the old journal must not receive
+        // further appends — its base no longer matches.
+        store.journal = None;
         if let Err(e) = self.save_snapshot() {
             self.telemetry.counter("store.snapshot_failures").incr();
-            self.warnings.insert(format!(
+            self.stages.warnings.insert(format!(
                 "persistence: snapshot after rebuild failed: {e} \
                  (journaling disabled until next snapshot)"
             ));
@@ -391,41 +384,33 @@ impl RealConfig {
         state_dir: &Path,
         fallback: BTreeMap<String, DeviceConfig>,
     ) -> Result<(Self, RestoreReport), Error> {
-        Self::open_opts(state_dir, fallback, false)
+        Self::open_with(state_dir, fallback, VerifierOptions::default(), ReplayMode::Serial)
     }
 
-    /// [`RealConfig::open`] with restore options. With
-    /// `coalesce_replay`, the journal's records are folded into their
-    /// net config delta and verified as **one** incremental apply
-    /// instead of one per record — the restore-time analogue of
-    /// [`RealConfig::apply_coalesced`], and the fast path when a crash
-    /// interrupted a long change stream. The committed state reached is
-    /// identical; only intermediate states are skipped.
-    pub fn open_opts(
+    /// [`RealConfig::open`] with explicit options and journal replay
+    /// mode. A restored snapshot overrides `opts` with what it records
+    /// — update order, EC-index flag, count-based compaction interval
+    /// (unless `opts` asks for [`Compaction::Threshold`], which a
+    /// snapshot cannot record) and the model's predicate backend;
+    /// everything else (`threads`, `on_failure`) is the caller's.
+    pub fn open_with(
         state_dir: &Path,
         fallback: BTreeMap<String, DeviceConfig>,
-        coalesce_replay: bool,
+        opts: VerifierOptions,
+        replay: ReplayMode,
     ) -> Result<(Self, RestoreReport), Error> {
         let t0 = Instant::now();
-        let mut report = RestoreReport {
-            source: RestoreSource::ColdStart,
-            replayed: 0,
-            discarded_corrupt: 0,
-            snapshots_rejected: 0,
-            notes: Vec::new(),
-            elapsed: std::time::Duration::ZERO,
-        };
+        let mut report = RestoreReport::default();
+        let snaps = list_snapshots(state_dir).unwrap_or_else(|e| {
+            report.notes.push(format!("state dir unreadable: {e}"));
+            Vec::new()
+        });
 
-        let snaps = match list_snapshots(state_dir) {
-            Ok(s) => s,
-            Err(e) => {
-                report.notes.push(format!("state dir unreadable: {e}"));
-                Vec::new()
-            }
-        };
-
+        // Walk the ladder down to a verifier, and learn whether the
+        // journal on disk is exactly what it replayed.
+        let mut restored = None;
         for (rank, (seq, path)) in snaps.iter().take(KEEP_SNAPSHOTS).enumerate() {
-            let mut rc = match Self::restore_from_file(path) {
+            let mut rc = match Self::restore_from_file(path, opts) {
                 Ok(rc) => rc,
                 Err(e) => {
                     report.snapshots_rejected += 1;
@@ -433,219 +418,150 @@ impl RealConfig {
                     continue;
                 }
             };
-            let mut journal_clean = false;
-            if rank == 0 {
-                journal_clean =
-                    rc.replay_journal(state_dir, *seq, coalesce_replay, &mut report);
+            let journal_clean = if rank == 0 {
                 report.source = RestoreSource::Snapshot { seq: *seq };
+                rc.replay_journal(state_dir, *seq, replay, &mut report)
             } else {
                 report.source = RestoreSource::PreviousSnapshot { seq: *seq };
                 report
                     .notes
                     .push("journal (if any) extends a newer snapshot; not replayed".into());
-            }
-
-            if let Err(e) = rc.attach_state_dir(state_dir) {
-                report.notes.push(format!("state dir re-attach failed: {e}"));
-            } else if journal_clean {
-                // The journal on disk is exactly the replayed records:
-                // keep extending it.
-                let j = Journal::attach(&journal_path(state_dir));
-                if let Some(s) = rc.store.as_mut() {
-                    s.seq = *seq;
-                    s.journal = Some(j);
-                    s.appended = report.replayed as u64;
+                false
+            };
+            restored = Some((rc, journal_clean));
+            break;
+        }
+        let (mut rc, journal_clean) = match restored {
+            Some(found) => found,
+            // Bottom rung: full rebuild from the fallback configurations.
+            None => {
+                if !snaps.is_empty() {
+                    report.source = RestoreSource::Rebuilt;
+                    report
+                        .notes
+                        .push("all snapshots rejected; rebuilt from fallback configs".into());
                 }
-            } else {
-                // Torn tail, seq mismatch, or an older snapshot: the
-                // journal does not match the restored state. Re-base on
-                // a fresh snapshot.
-                rc.rebase_journal_after_rebuild();
+                (Self::with_options(fallback, opts)?.0, false)
             }
+        };
 
-            rc.finish_restore(&mut report, t0);
-            return Ok((rc, report));
-        }
-
-        // Bottom rung: full rebuild from the fallback configurations.
-        if !snaps.is_empty() {
-            report.source = RestoreSource::Rebuilt;
-            report
-                .notes
-                .push("all snapshots rejected; rebuilt from fallback configs".into());
-        }
-        let (mut rc, _full) = Self::new(fallback)?;
         if let Err(e) = rc.attach_state_dir(state_dir) {
             report.notes.push(format!("state dir attach failed: {e}"));
+        } else if let (true, Some(store)) = (journal_clean, rc.store.as_mut()) {
+            // The journal on disk is exactly the replayed records:
+            // keep extending it.
+            store.journal = Some(Journal::attach(&journal_path(state_dir)));
+            store.appended = report.replayed as u64;
         } else {
+            // No snapshot, an older one, a torn tail or a seq mismatch:
+            // the journal does not match the restored state. Re-base on
+            // a fresh snapshot.
             rc.rebase_journal_after_rebuild();
         }
-        rc.finish_restore(&mut report, t0);
-        Ok((rc, report))
-    }
 
-    /// Record restore telemetry on the (possibly restored) registry.
-    fn finish_restore(&mut self, report: &mut RestoreReport, t0: Instant) {
         report.elapsed = t0.elapsed();
-        self.telemetry.counter("store.restores").incr();
+        let tel = &rc.telemetry;
+        tel.counter("store.restores").incr();
         if report.replayed > 0 {
-            self.telemetry
-                .counter("store.journal_replays")
-                .add(report.replayed as u64);
+            tel.counter("store.journal_replays").add(report.replayed as u64);
         }
         if report.discarded_corrupt > 0 {
-            self.telemetry
-                .counter("store.corrupt_records_skipped")
-                .add(report.discarded_corrupt as u64);
+            tel.counter("store.corrupt_records_skipped").add(report.discarded_corrupt as u64);
         }
-        self.telemetry
-            .histogram("store.restore_us")
-            .record(report.elapsed.as_micros() as u64);
+        tel.histogram("store.restore_us").record(report.elapsed.as_micros() as u64);
+        Ok((rc, report))
     }
 
     /// Decode one snapshot file into a fully wired verifier. Any
     /// defect — bad CRC, truncation, cross-reference out of bounds,
     /// facts that no longer lower — is an `Err`, never a verifier that
     /// miscomputes.
-    fn restore_from_file(path: &Path) -> Result<Self, String> {
+    fn restore_from_file(path: &Path, mut opts: VerifierOptions) -> Result<Self, String> {
         let bytes = rc_store::read_file(path).map_err(|e| e.to_string())?;
         let sections = decode_snapshot(&bytes).map_err(|e| e.to_string())?;
-        let section = |tag: u32| -> Result<&[u8], String> {
-            sections
+        // Decode one section to its end; errors carry the section name.
+        fn section<T>(
+            sections: &[(u32, Vec<u8>)],
+            (tag, name): (u32, &str),
+            decode: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
+        ) -> Result<T, String> {
+            let (_, bytes) = sections
                 .iter()
                 .find(|(t, _)| *t == tag)
-                .map(|(_, b)| b.as_slice())
-                .ok_or_else(|| format!("snapshot missing section {tag}"))
-        };
-        let werr = |e: rc_store::WireError| e.0;
-        let in_sec = |sec: &str| {
-            let sec = sec.to_string();
-            move |e: rc_store::WireError| format!("{sec}: {}", e.0)
-        };
+                .ok_or_else(|| format!("snapshot missing section {name}"))?;
+            let mut r = Reader::new(bytes);
+            let value = decode(&mut r).map_err(|e| format!("{name}: {}", e.0))?;
+            r.done().map_err(|e| format!("{name}: {}", e.0))?;
+            Ok(value)
+        }
 
-        // META.
-        let mut r = Reader::new(section(SEC_META)?);
-        let update_order = match r.u8().map_err(werr)? {
-            0 => UpdateOrder::InsertFirst,
-            1 => UpdateOrder::DeleteFirst,
-            2 => UpdateOrder::AsGiven,
-            t => return Err(format!("bad update-order tag {t}")),
-        };
-        let model_full_scan = r.u8().map_err(werr)? != 0;
-        let auto_compact = match r.u8().map_err(werr)? {
-            0 => None,
-            1 => Some(r.u32().map_err(werr)?),
-            t => return Err(format!("bad auto-compact tag {t}")),
-        };
-        r.done().map_err(werr)?;
+        section(&sections, (SEC_META, "meta"), |r| {
+            opts.order = match r.u8()? {
+                0 => UpdateOrder::InsertFirst,
+                1 => UpdateOrder::DeleteFirst,
+                2 => UpdateOrder::AsGiven,
+                t => return Err(WireError(format!("bad update-order tag {t}"))),
+            };
+            opts.ec_index = r.u8()? == 0;
+            let recorded = match r.u8()? {
+                0 => Compaction::Never,
+                1 => Compaction::Every(r.u32()?),
+                t => return Err(WireError(format!("bad auto-compact tag {t}"))),
+            };
+            if !matches!(opts.compaction, Compaction::Threshold(_)) {
+                opts.compaction = recorded;
+            }
+            Ok(())
+        })?;
 
         // REGISTRY: names in id order, so every id in the model /
         // checker sections resolves to the same name it had live.
-        let mut r = Reader::new(section(SEC_REGISTRY)?);
-        let n = r.len_prefix().map_err(werr)?;
-        let mut node_names = Vec::with_capacity(n);
-        for _ in 0..n {
-            node_names.push(r.str().map_err(werr)?.to_string());
-        }
-        let n = r.len_prefix().map_err(werr)?;
-        let mut iface_names = Vec::with_capacity(n);
-        for _ in 0..n {
-            iface_names.push(r.str().map_err(werr)?.to_string());
-        }
-        r.done().map_err(werr)?;
+        let (node_names, iface_names) =
+            section(&sections, (SEC_REGISTRY, "registry"), |r| Ok((read_names(r)?, read_names(r)?)))?;
         let mut registry = Registry::from_names(node_names, iface_names)?;
 
         // CONFIGS: canonical printed text, re-parsed.
-        let mut r = Reader::new(section(SEC_CONFIGS)?);
-        let n = r.len_prefix().map_err(werr)?;
         let mut configs = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.str().map_err(werr)?.to_string();
-            let text = r.str().map_err(werr)?;
-            let cfg = parse_config(text)
-                .map_err(|e| format!("snapshot config {name:?} unparseable: {e}"))?;
-            if cfg.hostname != name {
-                return Err(format!(
-                    "snapshot config hostname mismatch: key {name:?} vs {:?}",
-                    cfg.hostname
-                ));
-            }
+        for (name, cfg) in section(&sections, (SEC_CONFIGS, "configs"), read_configs)? {
             if configs.insert(name, cfg).is_some() {
                 return Err("snapshot config duplicated".into());
             }
         }
-        r.done().map_err(werr)?;
 
         // MODEL and CHECKER: handle-for-handle state restore.
-        let mut r = Reader::new(section(SEC_MODEL)?);
-        let mut model = ApkModel::decode_state(&mut r).map_err(in_sec("model"))?;
-        r.done().map_err(in_sec("model"))?;
-        let mut r = Reader::new(section(SEC_CHECKER)?);
-        let mut checker = PolicyChecker::decode_state(&mut r, model.pred_slots())
-            .map_err(in_sec("checker"))?;
-        r.done().map_err(in_sec("checker"))?;
+        let model = section(&sections, (SEC_MODEL, "model"), ApkModel::decode_state)?;
+        let checker = section(&sections, (SEC_CHECKER, "checker"), |r| {
+            PolicyChecker::decode_state(r, model.pred_slots())
+        })?;
+        opts.backend = model.backend();
 
         // Re-derive everything that is cheaper to recompute than to
         // store: lowering is deterministic and all names are already
         // interned, so facts and warnings come back exactly as they
         // were; the routing engine is rebuilt by replaying the full
-        // fact set (the paper's dp-gen stage, minus model and check).
-        let backend = model.backend();
-        let lowered = lower(&configs, &mut registry);
-        let warnings = lowered.warnings.iter().map(|w| w.to_string()).collect();
-
+        // fact set (the paper's dp-gen stage, minus model and check),
+        // which also primes the FIB grouper so the next incremental
+        // convert diffs against the right baseline.
         let telemetry = rc_telemetry::Telemetry::new();
-        let mut engine = RoutingEngine::new();
-        engine.set_telemetry(telemetry.clone());
-        engine
-            .apply(lowered.facts.iter().map(|f| (f.clone(), 1)))
+        let dp = DataPlane::build(&configs, &mut registry, &opts, &telemetry)
             .map_err(|e| format!("restored facts no longer evaluate: {e}"))?;
-
-        let mut devices = std::collections::BTreeSet::new();
-        for f in &lowered.facts {
-            if let Fact::Device(n) = f {
-                devices.insert(*n);
-            }
-        }
-
-        // Prime the FIB grouper with the engine's full FIB so the next
-        // incremental convert diffs against the right baseline, and
-        // cross-check the restored model against the rebuilt FIB: the
-        // rule count must line up or the snapshot and configs disagree.
-        let mut grouper = crate::convert::FibGrouper::default();
-        let updates = grouper.convert(engine.fib_delta());
-        let (fins, _frem) = engine.filter_delta();
-        let expected_rules =
-            updates.iter().filter(|u| u.is_insert()).count() + fins.len();
-        if model.num_rules() != expected_rules {
+        // Cross-check the restored model against the rebuilt data
+        // plane: the rule count must line up or the snapshot and
+        // configs disagree.
+        if model.num_rules() != dp.rules.len() {
             return Err(format!(
                 "snapshot model has {} rules but configs lower to {}",
                 model.num_rules(),
-                expected_rules
+                dp.rules.len()
             ));
         }
-
-        model.set_telemetry(&telemetry);
-        model.set_full_scan(model_full_scan);
-        checker.set_telemetry(&telemetry);
 
         Ok(RealConfig {
             configs,
             registry,
-            facts: lowered.facts,
-            warnings,
-            engine,
-            model,
-            checker,
-            grouper,
-            devices,
-            update_order,
-            model_full_scan,
-            backend,
-            threads: None,
-            auto_compact,
+            stages: Stages::assemble(dp, model, checker, &opts, &telemetry),
+            opts,
             changes_since_compact: 0,
-            adaptive_compact: None,
             telemetry,
             poisoned: false,
             store: None,
@@ -653,15 +569,16 @@ impl RealConfig {
     }
 
     /// Replay the journal (if it extends `snapshot_seq`) through the
-    /// incremental apply path. Returns whether the journal on disk is a
-    /// clean exact record of what was replayed (and may therefore keep
-    /// being appended to); any defect stops replay at the last good
-    /// record and counts the rest as discarded.
+    /// incremental apply path — one apply per record, or one for all of
+    /// them folded, per `mode`. Returns whether the journal on disk is
+    /// a clean exact record of what was replayed (and may therefore
+    /// keep being appended to); any defect stops replay at the last
+    /// good record and counts the rest as discarded.
     fn replay_journal(
         &mut self,
         dir: &Path,
         snapshot_seq: u64,
-        coalesce: bool,
+        mode: ReplayMode,
         report: &mut RestoreReport,
     ) -> bool {
         let path = journal_path(dir);
@@ -691,251 +608,47 @@ impl RealConfig {
             report.notes.push(format!("journal tail torn ({} discarded)", jr.discarded));
             clean = false;
         }
-        let total = jr.records.len();
-        if coalesce {
-            // Fold every record's config delta into the net transition
-            // and verify it as one incremental apply. Decode failures
-            // truncate to the clean prefix, exactly as serial replay.
-            let mut new_configs = self.configs.clone();
-            let mut folded = 0usize;
-            for (i, record) in jr.records.iter().enumerate() {
-                match decode_delta(record) {
-                    Ok((upserts, removes)) => {
-                        for (name, cfg) in upserts {
-                            new_configs.insert(name, cfg);
-                        }
-                        for name in &removes {
-                            new_configs.remove(name);
-                        }
-                        folded += 1;
-                    }
-                    Err(e) => {
-                        report.discarded_corrupt += total - i;
-                        report.notes.push(format!("journal record {i} corrupt: {e}"));
-                        clean = false;
-                        break;
-                    }
-                }
-            }
-            if folded == 0 {
-                return clean;
-            }
-            if let Err(e) = self.apply_configs(new_configs) {
-                report.discarded_corrupt += folded;
-                report
-                    .notes
-                    .push(format!("coalesced replay of {folded} records failed: {e}"));
-                if self.poisoned {
-                    let _ = self.rebuild();
-                }
-                return false;
-            }
-            report.replayed += folded;
-            report.notes.push(format!("journal coalesced: {folded} records, one apply"));
-            return clean;
-        }
-        for (i, record) in jr.records.into_iter().enumerate() {
-            let (upserts, removes) = match decode_delta(&record) {
-                Ok(d) => d,
+        // Decode failures truncate to the clean prefix.
+        let mut deltas = Vec::with_capacity(jr.records.len());
+        for (i, record) in jr.records.iter().enumerate() {
+            match decode_delta(record) {
+                Ok(delta) => deltas.push(delta),
                 Err(e) => {
-                    report.discarded_corrupt += total - i;
+                    report.discarded_corrupt += jr.records.len() - i;
                     report.notes.push(format!("journal record {i} corrupt: {e}"));
-                    return false;
+                    clean = false;
+                    break;
                 }
-            };
-            let mut new_configs = self.configs.clone();
-            for (name, cfg) in upserts {
-                new_configs.insert(name, cfg);
             }
-            for name in &removes {
-                new_configs.remove(name);
+        }
+        let per_apply = match mode {
+            ReplayMode::Serial => 1,
+            ReplayMode::Coalesced => deltas.len().max(1),
+        };
+        for group in deltas.chunks(per_apply) {
+            let mut new_configs = self.configs.clone();
+            for delta in group {
+                delta.apply_to(&mut new_configs);
             }
             if let Err(e) = self.apply_configs(new_configs) {
-                // The record was durable but no longer applies (e.g. a
+                // The records were durable but no longer apply (e.g. a
                 // bit-flip survived CRC — astronomically unlikely — or
                 // the apply genuinely fails). Heal and stop here.
-                report.discarded_corrupt += total - i;
-                report.notes.push(format!("journal record {i} failed to apply: {e}"));
+                report.discarded_corrupt += deltas.len() - report.replayed;
+                report.notes.push(format!(
+                    "journal records {}.. failed to apply: {e}",
+                    report.replayed
+                ));
                 if self.poisoned {
                     let _ = self.rebuild();
                 }
                 return false;
             }
-            report.replayed += 1;
+            report.replayed += group.len();
+        }
+        if mode == ReplayMode::Coalesced && !deltas.is_empty() {
+            report.notes.push(format!("journal coalesced: {} records, one apply", deltas.len()));
         }
         clean
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rc_netcfg::change::ChangeSet;
-    use rc_netcfg::{gen, topology};
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("rc-core-persist-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn ring(n: u32) -> BTreeMap<String, DeviceConfig> {
-        gen::build_configs(&topology::ring(n), gen::ProtocolChoice::Ospf)
-    }
-
-    /// Restored verifier must be observably identical to the live one.
-    fn assert_same(live: &RealConfig, restored: &RealConfig) {
-        assert_eq!(live.configs(), restored.configs());
-        assert_eq!(live.facts(), restored.facts());
-        assert_eq!(live.fib(), restored.fib());
-        assert_eq!(live.num_rules(), restored.num_rules());
-        assert_eq!(live.num_ecs(), restored.num_ecs());
-        assert_eq!(live.num_pairs(), restored.num_pairs());
-        assert_eq!(live.checker.verdicts(), restored.checker.verdicts());
-        assert_eq!(
-            live.checker.policy_specs().len(),
-            restored.checker.policy_specs().len()
-        );
-    }
-
-    #[test]
-    fn open_on_empty_dir_is_a_cold_start() {
-        let dir = temp_dir("cold");
-        let (rc, report) = RealConfig::open(&dir, ring(4)).unwrap();
-        assert_eq!(report.source, RestoreSource::ColdStart);
-        assert_eq!(report.replayed, 0);
-        assert!(rc.journaling(), "cold start should leave a snapshot + journal");
-        assert_eq!(rc.snapshot_seq(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn snapshot_restores_identically_and_replays_the_journal() {
-        let dir = temp_dir("roundtrip");
-        let (mut live, _) = RealConfig::new(ring(5)).unwrap();
-        let p = live
-            .require_reachability("r000", "r002", topology::host_prefix(2))
-            .unwrap();
-        live.recheck_policies();
-        live.attach_state_dir(&dir).unwrap();
-        live.save_snapshot().unwrap();
-
-        // Two journaled changes after the snapshot.
-        live.apply_change(&ChangeSet::link_failure("r001", "eth1")).unwrap();
-        let mut up = ChangeSet::new();
-        up.push(rc_netcfg::change::ChangeOp::EnableInterface {
-            device: "r001".into(),
-            iface: "eth1".into(),
-        });
-        live.apply_change(&up).unwrap();
-        assert_eq!(live.journaled_changes(), 2);
-
-        let (restored, report) = RealConfig::open(&dir, BTreeMap::new()).unwrap();
-        assert_eq!(report.source, RestoreSource::Snapshot { seq: 1 });
-        assert_eq!(report.replayed, 2);
-        assert_eq!(report.discarded_corrupt, 0);
-        assert_same(&live, &restored);
-        assert!(restored.is_satisfied(p));
-        assert!(restored.journaling());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_newest_snapshot_falls_back_to_previous() {
-        let dir = temp_dir("ladder");
-        let (mut live, _) = RealConfig::new(ring(4)).unwrap();
-        live.attach_state_dir(&dir).unwrap();
-        live.save_snapshot().unwrap();
-        let twin_fib = live.fib();
-        live.apply_change(&ChangeSet::link_failure("r001", "eth1")).unwrap();
-        live.save_snapshot().unwrap();
-
-        // Flip a byte in the newest snapshot's body.
-        let newest = snapshot_path(&dir, 2);
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&newest, &bytes).unwrap();
-
-        let (restored, report) = RealConfig::open(&dir, BTreeMap::new()).unwrap();
-        assert_eq!(report.source, RestoreSource::PreviousSnapshot { seq: 1 });
-        assert_eq!(report.snapshots_rejected, 1);
-        assert_eq!(restored.fib(), twin_fib);
-        // Restore re-based on a fresh snapshot, so journaling is live.
-        assert!(restored.journaling());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn all_snapshots_corrupt_rebuilds_from_fallback() {
-        let dir = temp_dir("rebuilt");
-        let (mut live, _) = RealConfig::new(ring(4)).unwrap();
-        live.attach_state_dir(&dir).unwrap();
-        live.save_snapshot().unwrap();
-        live.apply_change(&ChangeSet::link_failure("r001", "eth1")).unwrap();
-        live.save_snapshot().unwrap();
-        for (_, path) in list_snapshots(&dir).unwrap() {
-            let mut bytes = std::fs::read(&path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x01;
-            std::fs::write(&path, &bytes).unwrap();
-        }
-        let (restored, report) = RealConfig::open(&dir, ring(4)).unwrap();
-        assert_eq!(report.source, RestoreSource::Rebuilt);
-        assert_eq!(report.snapshots_rejected, 2);
-        let (twin, _) = RealConfig::new(ring(4)).unwrap();
-        assert_eq!(restored.fib(), twin.fib());
-        assert!(restored.journaling());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_journal_tail_is_discarded_and_rebased() {
-        let dir = temp_dir("torn-tail");
-        let (mut live, _) = RealConfig::new(ring(5)).unwrap();
-        live.attach_state_dir(&dir).unwrap();
-        live.save_snapshot().unwrap();
-        live.apply_change(&ChangeSet::link_failure("r001", "eth1")).unwrap();
-        live.apply_change(&ChangeSet::link_failure("r003", "eth1")).unwrap();
-
-        // Tear the last record: chop bytes off the journal tail.
-        let jpath = journal_path(&dir);
-        let bytes = std::fs::read(&jpath).unwrap();
-        std::fs::write(&jpath, &bytes[..bytes.len() - 3]).unwrap();
-
-        // Twin: only the first (durable) change.
-        let (mut twin, _) = RealConfig::new(ring(5)).unwrap();
-        twin.apply_change(&ChangeSet::link_failure("r001", "eth1")).unwrap();
-
-        let (restored, report) = RealConfig::open(&dir, BTreeMap::new()).unwrap();
-        assert_eq!(report.source, RestoreSource::Snapshot { seq: 1 });
-        assert_eq!(report.replayed, 1);
-        assert_eq!(report.discarded_corrupt, 1);
-        assert_same(&twin, &restored);
-        // Journal no longer matches state: re-based on snapshot 2.
-        assert_eq!(restored.snapshot_seq(), 2);
-        assert!(restored.journaling());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn save_requires_an_attached_state_dir() {
-        let (mut rc, _) = RealConfig::new(ring(3)).unwrap();
-        assert!(rc.save_snapshot().is_err());
-        assert!(!rc.journaling());
-        assert_eq!(rc.journaled_changes(), 0);
-    }
-
-    #[test]
-    fn fault_free_runs_carry_no_store_metrics() {
-        let (mut rc, _) = RealConfig::new(ring(4)).unwrap();
-        rc.apply_change(&ChangeSet::link_failure("r001", "eth1")).unwrap();
-        let snap = rc.metrics_snapshot();
-        assert!(
-            !snap.counters.keys().any(|k| k.starts_with("store.")),
-            "no persistence in use, but store.* counters appeared"
-        );
     }
 }

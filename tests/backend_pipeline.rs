@@ -5,26 +5,23 @@
 //! — FIBs, rule/EC/pair counts, change reports (non-timing fields),
 //! policy verdicts, packet traces — must be identical.
 //!
-//! Backends are passed explicitly via `with_order_backend`, not the
-//! process-global knob, so this test is safe under a parallel test
+//! Backends are passed explicitly via `VerifierOptions::backend`, not
+//! the process-global knob, so this test is safe under a parallel test
 //! runner.
 
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, host_prefix};
-use realconfig::{
-    ChangeSet, Packet, PredKind, RealConfig, UpdateOrder,
-};
+use realconfig::{ChangeSet, Packet, PredKind, RealConfig, VerifierOptions};
 
 fn build_pair() -> (RealConfig, RealConfig) {
     let configs = build_configs(&fat_tree(4), ProtocolChoice::Bgp);
+    let on = |backend| VerifierOptions { backend, ..Default::default() };
     let (with_bdd, full_b) =
-        RealConfig::with_order_backend(configs.clone(), UpdateOrder::InsertFirst, PredKind::Bdd)
-            .expect("bdd build");
+        RealConfig::with_options(configs.clone(), on(PredKind::Bdd)).expect("bdd build");
     let (with_atoms, full_a) =
-        RealConfig::with_order_backend(configs, UpdateOrder::InsertFirst, PredKind::Atoms)
-            .expect("atoms build");
-    assert_eq!(with_bdd.backend(), PredKind::Bdd);
-    assert_eq!(with_atoms.backend(), PredKind::Atoms);
+        RealConfig::with_options(configs, on(PredKind::Atoms)).expect("atoms build");
+    assert_eq!(with_bdd.options().backend, PredKind::Bdd);
+    assert_eq!(with_atoms.options().backend, PredKind::Atoms);
     assert_eq!(full_b.fib_entries, full_a.fib_entries);
     assert_eq!(full_b.rules, full_a.rules);
     assert_eq!(full_b.ecs, full_a.ecs);
@@ -104,7 +101,7 @@ fn backend_survives_rebuild() {
     let (mut with_bdd, mut with_atoms) = build_pair();
     with_bdd.rebuild().expect("rebuild");
     with_atoms.rebuild().expect("rebuild");
-    assert_eq!(with_bdd.backend(), PredKind::Bdd);
-    assert_eq!(with_atoms.backend(), PredKind::Atoms);
+    assert_eq!(with_bdd.options().backend, PredKind::Bdd);
+    assert_eq!(with_atoms.options().backend, PredKind::Atoms);
     assert_same_state(&with_bdd, &with_atoms);
 }

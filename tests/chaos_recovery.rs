@@ -2,8 +2,8 @@
 //! through a long interface-churn stream while a deterministic
 //! [`rc_faults::FaultPlan`] kills every Nth change at a rotating
 //! pipeline stage. The verifier must recover each time
-//! ([`RealConfig::apply_change_or_rebuild`]), never stay poisoned, and
-//! remain equivalent to a fault-free from-scratch oracle.
+//! ([`OnFailure::Rebuild`]), never stay poisoned, and remain equivalent
+//! to a fault-free from-scratch oracle.
 
 mod common;
 
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rc_faults::{FaultGuard, FaultPlan, FaultPoint};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, host_prefix, ring};
-use realconfig::{PolicyId, RealConfig};
+use realconfig::{ChangeSet, OnFailure, PolicyId, RealConfig, VerifierOptions};
 
 /// One-shot fault plan for chaos round `round`, rotating through the
 /// three stage boundaries and both failure modes.
@@ -26,6 +26,12 @@ fn rotating_fault(round: usize) -> FaultGuard {
         plan.panic_on(point, 1)
     };
     plan.install()
+}
+
+/// A verifier whose applies self-heal through the rebuild fallback.
+fn self_healing(configs: std::collections::BTreeMap<String, rc_netcfg::DeviceConfig>) -> RealConfig {
+    let opts = VerifierOptions { on_failure: OnFailure::Rebuild, ..Default::default() };
+    RealConfig::with_options(configs, opts).expect("network verifies").0
 }
 
 /// Register the standing policies used for verdict tracking; the
@@ -68,8 +74,7 @@ fn assert_matches_oracle(
 #[test]
 fn fat_tree_churn_with_rotating_faults_self_heals() {
     quiet_injected_panics();
-    let configs = build_configs(&fat_tree(4), ProtocolChoice::Ospf);
-    let (mut rc, _) = RealConfig::new(configs).expect("fat-tree verifies");
+    let mut rc = self_healing(build_configs(&fat_tree(4), ProtocolChoice::Ospf));
     let policies = standing_policies(&mut rc);
     assert!(!policies.is_empty(), "fat-tree has standing policies");
 
@@ -85,7 +90,7 @@ fn fat_tree_churn_with_rotating_faults_self_heals() {
 
         let guard = (i % FAULT_EVERY == 0).then(|| rotating_fault(i / FAULT_EVERY));
         let report = rc
-            .apply_change_or_rebuild(&cs)
+            .apply_change(&cs)
             .unwrap_or_else(|e| panic!("change {i} must self-heal, got: {e}"));
         if let Some(g) = guard {
             faults_fired += rc_faults::injected_count() as usize;
@@ -125,28 +130,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// For ANY (fault point, fault mode, single or double fault,
-    /// change stream): `apply_change_or_rebuild` never returns with
-    /// the verifier still poisoned, and the committed state always
-    /// matches a fault-free from-scratch oracle. The double-fault case
-    /// kills the rebuild fallback too — the verifier must then heal
-    /// back to the last good configurations and surface the original
-    /// error, still un-poisoned.
+    /// burst size, change stream): an apply under
+    /// [`OnFailure::Rebuild`] — one change at a time (`burst == 1`) or
+    /// coalesced bursts — never returns with the verifier still
+    /// poisoned, and the committed state always matches a fault-free
+    /// from-scratch oracle. The double-fault case kills the rebuild
+    /// fallback too — the verifier must then heal back to the last
+    /// good configurations and surface the original error, still
+    /// un-poisoned.
     #[test]
     fn recovery_never_leaves_a_poisoned_verifier(
         point in 0usize..3,
         panic_mode in 0usize..2,
         double in 0usize..2,
+        burst in 1usize..4,
         cmds in arb_cmds(),
     ) {
         quiet_injected_panics();
-        let configs = build_configs(&ring(5), ProtocolChoice::Ospf);
-        let (mut rc, _) = RealConfig::new(configs).expect("ring verifies");
+        let mut rc = self_healing(build_configs(&ring(5), ProtocolChoice::Ospf));
         let policies = standing_policies(&mut rc);
         let point = FaultPoint::PIPELINE[point];
 
-        for (i, cmd) in cmds.iter().enumerate() {
-            let Some(cs) = to_changeset(cmd, &rc) else { continue };
-            // Fresh one-shot plan per change: fault the incremental
+        for (i, chunk) in cmds.chunks(burst).enumerate() {
+            let sets: Vec<ChangeSet> = chunk.iter().filter_map(|c| to_changeset(c, &rc)).collect();
+            if sets.is_empty() {
+                continue;
+            }
+            // Fresh one-shot plan per apply: fault the incremental
             // path, and in the double case the rebuild fallback too.
             let plan = if panic_mode == 1 || point != FaultPoint::EngineApply {
                 FaultPlan::new().panic_on(point, 1)
@@ -155,7 +165,9 @@ proptest! {
             };
             let plan = if double == 1 { plan.panic_on(point, 2) } else { plan };
             let guard = plan.install();
-            match rc.apply_change_or_rebuild(&cs) {
+            let applied =
+                if burst == 1 { rc.apply_change(&sets[0]) } else { rc.apply_coalesced(&sets) };
+            match applied {
                 // Single fault: recovered via rebuild. Double fault:
                 // healed back to last-good and the original error
                 // surfaced. Both end un-poisoned.
@@ -164,10 +176,10 @@ proptest! {
                 Err(realconfig::Error::Divergence(_) | realconfig::Error::Internal(_)) => {
                     prop_assert!(double == 1, "single fault must self-heal, not surface");
                 }
-                Err(e) => panic!("unexpected failure after {cmd:?}: {e}"),
+                Err(e) => panic!("unexpected failure after {chunk:?}: {e}"),
             }
             drop(guard);
-            prop_assert!(!rc.needs_rebuild(), "poisoned after change {i}: {cmd:?}");
+            prop_assert!(!rc.needs_rebuild(), "poisoned after change {i}: {chunk:?}");
             assert_matches_oracle(&rc, &policies, i);
         }
     }

@@ -15,18 +15,15 @@ use common::{to_changeset, Cmd};
 use proptest::prelude::*;
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{grid, host_prefix, ring, Topology};
-use realconfig::{PredKind, RealConfig, UpdateOrder};
+use realconfig::{PredKind, RealConfig, VerifierOptions};
 
 fn run_pair(proto: ProtocolChoice, topo: Topology, cmds: Vec<Cmd>, backend: PredKind) {
     let configs = build_configs(&topo, proto);
-    let Ok((mut serial, _)) =
-        RealConfig::with_order_backend(configs.clone(), UpdateOrder::InsertFirst, backend)
-    else {
+    let opts = VerifierOptions { backend, ..Default::default() };
+    let Ok((mut serial, _)) = RealConfig::with_options(configs.clone(), opts) else {
         return;
     };
-    let Ok((mut batch, _)) =
-        RealConfig::with_order_backend(configs, UpdateOrder::InsertFirst, backend)
-    else {
+    let Ok((mut batch, _)) = RealConfig::with_options(configs, opts) else {
         return;
     };
 

@@ -9,7 +9,9 @@ use std::sync::{Mutex, Once};
 
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, host_prefix};
-use realconfig::{ChangeOp, ChangeReport, ChangeSet, Error, PolicyId, RealConfig};
+use realconfig::{
+    ChangeOp, ChangeReport, ChangeSet, Error, PolicyId, RealConfig, VerifierOptions,
+};
 
 /// The fault points are process-global one-shots, and every test here
 /// drives changes through the stages that fire them — serialize so an
@@ -34,9 +36,12 @@ fn quiet_injected_panics() {
 }
 
 fn build(threads: Option<usize>) -> (RealConfig, PolicyId) {
+    build_with(VerifierOptions { threads, ..Default::default() })
+}
+
+fn build_with(opts: VerifierOptions) -> (RealConfig, PolicyId) {
     let configs = build_configs(&fat_tree(4), ProtocolChoice::Bgp);
-    let (mut rc, _) = RealConfig::new(configs).expect("fat tree verifies");
-    rc.set_threads(threads);
+    let (mut rc, _) = RealConfig::with_options(configs, opts).expect("fat tree verifies");
     let id = rc
         .require_reachability("pod00-edge00", "pod01-edge00", host_prefix(2))
         .expect("devices exist");
@@ -191,10 +196,10 @@ fn apk_transfer_chunk_panic_poisons_and_rebuild_recovers() {
     // full EC list, and check the workload actually clears the
     // threshold — otherwise the armed point would never be reached and
     // apply_change would succeed, failing the match above.
-    let (mut rc, id) = build(Some(4));
-    rc.set_ec_index_enabled(false);
-    let (mut twin, tid) = build(Some(4));
-    twin.set_ec_index_enabled(false);
+    let full_scan =
+        VerifierOptions { threads: Some(4), ec_index: false, ..Default::default() };
+    let (rc, id) = build_with(full_scan);
+    let (twin, tid) = build_with(full_scan);
     assert!(
         rc.num_ecs() >= 32,
         "workload too small to reach the parallel transfer path: {} ECs",

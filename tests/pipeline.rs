@@ -5,7 +5,14 @@
 
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, host_prefix};
-use realconfig::{ChangeSet, PacketClass, Policy, RealConfig};
+use realconfig::{ChangeReport, ChangeSet, PacketClass, Policy, RealConfig};
+
+/// `(lines_inserted, lines_deleted)` of a report. Every change below
+/// pins it: the line diff prints only the devices a change touched, and
+/// must count exactly what diffing every device counted.
+fn lines(r: &ChangeReport) -> (usize, usize) {
+    (r.lines_inserted, r.lines_deleted)
+}
 
 /// Rebuild a fresh verifier from the same configurations and compare
 /// all externally visible state.
@@ -27,23 +34,26 @@ fn fat_tree_ospf_change_sequence() {
     let report = rc.apply_change(&ChangeSet::link_failure("pod00-edge00", "eth0")).unwrap();
     assert!(report.fact_changes > 0);
     assert!(report.rules_inserted + report.rules_removed > 0);
+    assert_eq!(lines(&report), (1, 0), "one `shutdown` line added");
     assert_matches_fresh(&rc);
 
     // The paper's LC: cost 1 → 100.
     let report = rc.apply_change(&ChangeSet::link_cost("pod01-edge00", "eth0", 100)).unwrap();
-    assert_eq!(report.lines_inserted, 1, "one line modified");
-    assert_eq!(report.lines_deleted, 1);
+    assert_eq!(lines(&report), (1, 1), "one line modified");
     assert_matches_fresh(&rc);
 
     // Restore both.
-    rc.apply_change(&ChangeSet {
-        ops: vec![realconfig::ChangeOp::EnableInterface {
-            device: "pod00-edge00".into(),
-            iface: "eth0".into(),
-        }],
-    })
-    .unwrap();
-    rc.apply_change(&ChangeSet::link_cost("pod01-edge00", "eth0", 1)).unwrap();
+    let report = rc
+        .apply_change(&ChangeSet {
+            ops: vec![realconfig::ChangeOp::EnableInterface {
+                device: "pod00-edge00".into(),
+                iface: "eth0".into(),
+            }],
+        })
+        .unwrap();
+    assert_eq!(lines(&report), (0, 1));
+    let report = rc.apply_change(&ChangeSet::link_cost("pod01-edge00", "eth0", 1)).unwrap();
+    assert_eq!(lines(&report), (1, 1));
     assert_matches_fresh(&rc);
 }
 
@@ -56,10 +66,12 @@ fn fat_tree_bgp_change_sequence() {
     // LinkFailure.
     let report = rc.apply_change(&ChangeSet::link_failure("pod00-edge00", "eth0")).unwrap();
     assert!(report.rules_inserted + report.rules_removed > 0);
+    assert_eq!(lines(&report), (1, 0));
     assert_matches_fresh(&rc);
 
     // LP: 100 → 150 on one interface's imports.
     let report = rc.apply_change(&ChangeSet::local_pref("pod02-edge01", "eth1", 150)).unwrap();
+    assert_eq!(lines(&report), (1, 1));
     assert!(report.affected_ecs > 0 || report.rules_inserted + report.rules_removed == 0);
     assert_matches_fresh(&rc);
 
@@ -95,21 +107,25 @@ fn policies_track_changes_incrementally() {
 
     // Cut pod00-edge00 off entirely (both uplinks): its policies break,
     // the other source's survive.
-    rc.apply_change(&ChangeSet::link_failure("pod00-edge00", "eth0")).unwrap();
+    let report = rc.apply_change(&ChangeSet::link_failure("pod00-edge00", "eth0")).unwrap();
+    assert_eq!(lines(&report), (1, 0));
     let report = rc.apply_change(&ChangeSet::link_failure("pod00-edge00", "eth1")).unwrap();
+    assert_eq!(lines(&report), (1, 0));
     assert!(!report.newly_violated.is_empty());
     for ((si, _), id) in &policies {
         assert_eq!(rc.is_satisfied(*id), *si != 0, "policy {id:?}");
     }
 
     // Repair: newly_satisfied must fire.
-    rc.apply_change(&ChangeSet {
-        ops: vec![realconfig::ChangeOp::EnableInterface {
-            device: "pod00-edge00".into(),
-            iface: "eth0".into(),
-        }],
-    })
-    .unwrap();
+    let report = rc
+        .apply_change(&ChangeSet {
+            ops: vec![realconfig::ChangeOp::EnableInterface {
+                device: "pod00-edge00".into(),
+                iface: "eth0".into(),
+            }],
+        })
+        .unwrap();
+    assert_eq!(lines(&report), (0, 1));
     let report = rc
         .apply_change(&ChangeSet {
             ops: vec![realconfig::ChangeOp::EnableInterface {
@@ -118,7 +134,7 @@ fn policies_track_changes_incrementally() {
             }],
         })
         .unwrap();
-    let _ = report;
+    assert_eq!(lines(&report), (0, 1));
     for (_, id) in &policies {
         assert!(rc.is_satisfied(*id), "all policies restored");
     }
@@ -163,6 +179,7 @@ fn acl_changes_flow_through_to_policies() {
         });
     }
     let report = rc.apply_change(&cs).unwrap();
+    assert_eq!(lines(&report), (4, 0), "ACL header, entry, and one binding per interface");
     assert!(report.newly_satisfied.contains(&http_blocked.0));
     assert!(rc.is_satisfied(http_blocked));
 }
@@ -175,6 +192,7 @@ fn incremental_is_faster_than_full_on_repeat_changes() {
     let configs = build_configs(&fat_tree(4), ProtocolChoice::Bgp);
     let (mut rc, full) = RealConfig::new(configs).unwrap();
     let report = rc.apply_change(&ChangeSet::local_pref("pod00-edge00", "eth0", 150)).unwrap();
+    assert_eq!(lines(&report), (1, 1));
     assert!(
         report.dp_records * 5 < full.dp_records,
         "incremental {} vs full {} records",
@@ -205,6 +223,7 @@ fn bad_change_leaves_verifier_untouched() {
     assert!(matches!(err, Err(realconfig::Error::Change(_))));
     assert_eq!(rc.fib(), fib_before);
     // Still usable afterwards.
-    rc.apply_change(&ChangeSet::link_failure("pod00-edge00", "eth0")).unwrap();
+    let report = rc.apply_change(&ChangeSet::link_failure("pod00-edge00", "eth0")).unwrap();
+    assert_eq!(lines(&report), (1, 0));
     assert_matches_fresh(&rc);
 }

@@ -11,7 +11,11 @@ use common::{to_changeset, Cmd};
 use proptest::prelude::*;
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{host_prefix, ring};
-use realconfig::{PredKind, RealConfig, RestoreSource, UpdateOrder};
+use realconfig::{
+    ChangeSet, Compaction, CompactionPolicy, PredKind, RealConfig, ReplayMode, RestoreSource,
+    VerifierOptions,
+};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -52,21 +56,21 @@ fn standing_policies(rc: &mut RealConfig) {
 /// Everything observable through the public API must match.
 fn assert_equivalent(live: &RealConfig, restored: &RealConfig, ctx: &str) {
     assert_eq!(live.configs(), restored.configs(), "{ctx}: configs diverged");
+    assert_eq!(live.facts(), restored.facts(), "{ctx}: facts diverged");
     assert_eq!(live.fib(), restored.fib(), "{ctx}: FIB diverged");
     assert_eq!(live.warnings(), restored.warnings(), "{ctx}: warnings diverged");
     assert_eq!(live.num_fib_rules(), restored.num_fib_rules(), "{ctx}: rule count diverged");
     assert_eq!(live.num_ecs(), restored.num_ecs(), "{ctx}: EC count diverged");
     assert_eq!(live.num_pairs(), restored.num_pairs(), "{ctx}: pair count diverged");
     assert_eq!(live.policy_specs(), restored.policy_specs(), "{ctx}: verdicts diverged");
-    assert_eq!(live.backend(), restored.backend(), "{ctx}: backend diverged");
+    assert_eq!(live.options(), restored.options(), "{ctx}: options diverged");
 }
 
 /// Snapshot → restore → continue verifying, on one backend.
 fn roundtrip_on(backend: PredKind) {
     let configs = build_configs(&ring(6), ProtocolChoice::Ospf);
-    let (mut live, _) =
-        RealConfig::with_order_backend(configs.clone(), UpdateOrder::InsertFirst, backend)
-            .expect("ring verifies");
+    let opts = VerifierOptions { backend, ..Default::default() };
+    let (mut live, _) = RealConfig::with_options(configs.clone(), opts).expect("ring verifies");
     standing_policies(&mut live);
 
     let dir = StateDir::new(&format!("{backend:?}"));
@@ -121,6 +125,197 @@ fn snapshot_roundtrip_is_lossless_on_the_atoms_backend() {
     roundtrip_on(PredKind::Atoms);
 }
 
+// ---- The recovery ladder, rung by rung ----
+
+fn ring_configs(n: u32) -> BTreeMap<String, rc_netcfg::DeviceConfig> {
+    build_configs(&ring(n), ProtocolChoice::Ospf)
+}
+
+/// A live verifier over `ring(n)` with a first snapshot in `dir`.
+fn live_with_snapshot(n: u32, dir: &StateDir) -> RealConfig {
+    let (mut live, _) = RealConfig::new(ring_configs(n)).expect("ring verifies");
+    standing_policies(&mut live);
+    live.attach_state_dir(&dir.0).expect("state dir creatable");
+    live.save_snapshot().expect("snapshot writes");
+    live
+}
+
+fn flip_middle_byte(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).expect("file readable");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(path, &bytes).expect("file writable");
+}
+
+#[test]
+fn open_on_empty_dir_is_a_cold_start() {
+    let dir = StateDir::new("cold");
+    let (rc, report) = RealConfig::open(&dir.0, ring_configs(4)).expect("cold start");
+    assert_eq!(report.source, RestoreSource::ColdStart);
+    assert_eq!(report.replayed, 0);
+    assert!(rc.journaling(), "cold start should leave a snapshot + journal");
+    assert_eq!(rc.snapshot_seq(), 1);
+}
+
+#[test]
+fn snapshot_restores_identically_and_replays_the_journal() {
+    let dir = StateDir::new("replay");
+    let mut live = live_with_snapshot(5, &dir);
+    // Two journaled changes after the snapshot.
+    live.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("change verifies");
+    let up = realconfig::ChangeOp::EnableInterface { device: "r001".into(), iface: "eth1".into() };
+    live.apply_change(&ChangeSet { ops: vec![up] }).expect("change verifies");
+    assert_eq!(live.journaled_changes(), 2);
+
+    let (restored, report) = RealConfig::open(&dir.0, BTreeMap::new()).expect("restore");
+    assert_eq!(report.source, RestoreSource::Snapshot { seq: 1 });
+    assert_eq!(report.replayed, 2);
+    assert_eq!(report.discarded_corrupt, 0);
+    assert_equivalent(&live, &restored, "after replay");
+    assert!(restored.journaling());
+}
+
+#[test]
+fn corrupt_newest_snapshot_falls_back_to_previous() {
+    let dir = StateDir::new("ladder");
+    let mut live = live_with_snapshot(4, &dir);
+    let twin_fib = live.fib();
+    live.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("change verifies");
+    live.save_snapshot().expect("snapshot writes");
+    flip_middle_byte(&rc_store::snapshot_path(&dir.0, 2));
+
+    let (restored, report) = RealConfig::open(&dir.0, BTreeMap::new()).expect("restore");
+    assert_eq!(report.source, RestoreSource::PreviousSnapshot { seq: 1 });
+    assert_eq!(report.snapshots_rejected, 1);
+    assert_eq!(restored.fib(), twin_fib);
+    // Restore re-based on a fresh snapshot, so journaling is live.
+    assert!(restored.journaling());
+}
+
+#[test]
+fn all_snapshots_corrupt_rebuilds_from_fallback() {
+    let dir = StateDir::new("rebuilt");
+    let mut live = live_with_snapshot(4, &dir);
+    live.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("change verifies");
+    live.save_snapshot().expect("snapshot writes");
+    for (_, path) in rc_store::list_snapshots(&dir.0).expect("state dir lists") {
+        flip_middle_byte(&path);
+    }
+    let (restored, report) = RealConfig::open(&dir.0, ring_configs(4)).expect("rebuild");
+    assert_eq!(report.source, RestoreSource::Rebuilt);
+    assert_eq!(report.snapshots_rejected, 2);
+    let (twin, _) = RealConfig::new(ring_configs(4)).expect("ring verifies");
+    assert_eq!(restored.fib(), twin.fib());
+    assert!(restored.journaling());
+}
+
+#[test]
+fn torn_journal_tail_is_discarded_and_rebased() {
+    let dir = StateDir::new("torn-tail");
+    let mut live = live_with_snapshot(5, &dir);
+    live.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("change verifies");
+    live.apply_change(&ChangeSet::link_failure("r003", "eth1")).expect("change verifies");
+
+    // Tear the last record: chop bytes off the journal tail.
+    let jpath = rc_store::journal_path(&dir.0);
+    let bytes = std::fs::read(&jpath).expect("journal readable");
+    std::fs::write(&jpath, &bytes[..bytes.len() - 3]).expect("journal writable");
+
+    // Twin: only the first (durable) change.
+    let (mut twin, _) = RealConfig::new(ring_configs(5)).expect("ring verifies");
+    standing_policies(&mut twin);
+    twin.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("change verifies");
+
+    let (restored, report) = RealConfig::open(&dir.0, BTreeMap::new()).expect("restore");
+    assert_eq!(report.source, RestoreSource::Snapshot { seq: 1 });
+    assert_eq!(report.replayed, 1);
+    assert_eq!(report.discarded_corrupt, 1);
+    assert_equivalent(&twin, &restored, "after torn-tail restore");
+    // Journal no longer matches state: re-based on snapshot 2.
+    assert_eq!(restored.snapshot_seq(), 2);
+    assert!(restored.journaling());
+}
+
+#[test]
+fn persistence_is_off_until_a_state_dir_is_attached() {
+    let (mut rc, _) = RealConfig::new(ring_configs(4)).expect("ring verifies");
+    assert!(rc.save_snapshot().is_err());
+    assert!(!rc.journaling());
+    assert_eq!(rc.journaled_changes(), 0);
+    rc.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("change verifies");
+    assert!(
+        !rc.metrics_snapshot().counters.keys().any(|k| k.starts_with("store.")),
+        "no persistence in use, but store.* counters appeared"
+    );
+}
+
+/// A verifier reopened with explicit options keeps the ones a snapshot
+/// cannot record (worker count, threshold compaction) — through the
+/// restore and through a later rebuild — while the recorded ones
+/// (update order here) still come from the snapshot.
+#[test]
+fn reopen_keeps_options_the_snapshot_does_not_record() {
+    let configs = build_configs(&ring(5), ProtocolChoice::Ospf);
+    let opts = VerifierOptions {
+        order: realconfig::UpdateOrder::DeleteFirst,
+        threads: Some(1),
+        compaction: Compaction::Threshold(CompactionPolicy { ratio: 0.25, min_recent: 16 }),
+        ..Default::default()
+    };
+    let (mut live, _) = RealConfig::with_options(configs.clone(), opts).expect("ring verifies");
+    let dir = StateDir::new("options");
+    live.attach_state_dir(&dir.0).expect("state dir creatable");
+    live.save_snapshot().expect("snapshot writes");
+    live.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("change verifies");
+
+    // The caller asks for the default order; the snapshot's wins.
+    let asked = VerifierOptions { order: realconfig::UpdateOrder::InsertFirst, ..opts };
+    let (mut reopened, report) =
+        RealConfig::open_with(&dir.0, configs.clone(), asked, ReplayMode::Serial)
+            .expect("restore never refuses to start");
+    assert!(matches!(report.source, RestoreSource::Snapshot { .. }), "{:?}", report.notes);
+    assert_equivalent(&live, &reopened, "after reopen");
+    reopened.rebuild().expect("rebuild succeeds");
+    assert_eq!(reopened.options(), &opts, "a rebuild reads the same options");
+    assert_eq!(reopened.fib(), live.fib(), "after rebuild");
+
+    // A plain `open` has nothing to reinstate them from: defaults,
+    // except what the snapshot records.
+    let (plain, _) = RealConfig::open(&dir.0, configs).expect("restore never refuses to start");
+    let defaults = VerifierOptions { backend: opts.backend, ..Default::default() };
+    assert_eq!(plain.options(), &VerifierOptions { order: opts.order, ..defaults });
+}
+
+/// The on-disk formats are a compatibility surface: for default
+/// options, snapshot and journal bytes must stay exactly what the
+/// format's first release wrote (length and CRC-32 of each file,
+/// recorded from that release on this scenario).
+#[test]
+fn snapshot_and_journal_bytes_are_pinned() {
+    let configs = build_configs(&ring(4), ProtocolChoice::Ospf);
+    let opts = VerifierOptions { backend: PredKind::Bdd, ..Default::default() };
+    let (mut rc, _) = RealConfig::with_options(configs, opts).expect("ring verifies");
+    rc.require_reachability("r000", "r002", host_prefix(2)).expect("devices exist");
+    rc.recheck_policies();
+    let dir = StateDir::new("golden");
+    rc.attach_state_dir(&dir.0).expect("state dir creatable");
+    rc.save_snapshot().expect("snapshot writes");
+    rc.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("change verifies");
+    rc.apply_coalesced(&[
+        ChangeSet::link_cost("r000", "eth0", 50),
+        ChangeSet::link_cost("r002", "eth1", 7),
+    ])
+    .expect("burst verifies");
+    let pin = |path: std::path::PathBuf| {
+        let bytes = std::fs::read(&path).expect("store file readable");
+        (bytes.len(), rc_store::crc32(&bytes))
+    };
+    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 1)), (11089, 0x1c71_153b));
+    assert_eq!(pin(rc_store::journal_path(&dir.0)), (992, 0x3867_2ef9));
+    rc.save_snapshot().expect("snapshot writes");
+    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 2)), (12484, 0xa714_ce26));
+}
+
 fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
     prop::collection::vec(
         prop_oneof![
@@ -149,9 +344,9 @@ proptest! {
     ) {
         let backend = if atoms { PredKind::Atoms } else { PredKind::Bdd };
         let configs = build_configs(&ring(5), ProtocolChoice::Ospf);
+        let opts = VerifierOptions { backend, ..Default::default() };
         let (mut live, _) =
-            RealConfig::with_order_backend(configs.clone(), UpdateOrder::InsertFirst, backend)
-                .expect("ring verifies");
+            RealConfig::with_options(configs.clone(), opts).expect("ring verifies");
         standing_policies(&mut live);
 
         let dir = StateDir::new("prop");
