@@ -2,7 +2,7 @@
 //! verifier.
 //!
 //! ```text
-//! realconfig verify <dir> [--policy reach:SRC:DST:PREFIX]... [--threads N] [--backend bdd|atoms] [--metrics FILE] [--state-dir DIR] [--coalesce]
+//! realconfig verify <dir> [--policy reach:SRC:DST:PREFIX]... [--threads N] [--backend bdd|atoms] [--metrics FILE] [--state-dir DIR]
 //! realconfig diff <old-dir> <new-dir> [--policy ...]... [--json] [--recover] [--threads N] [--backend bdd|atoms] [--metrics FILE]
 //! realconfig trace <dir> --from DEV --dst A.B.C.D [--proto N] [--dport N] [--backend bdd|atoms]
 //! realconfig snapshot <dir> --state-dir DIR [--policy ...]... [--threads N] [--backend bdd|atoms]
@@ -38,18 +38,13 @@
 //! instead and the report is flagged `recovered`.
 //!
 //! `--state-dir DIR` makes verifier state durable: `verify` restarts
-//! warm from the newest checksummed snapshot (+ apply-journal replay)
-//! when one exists, and writes a fresh snapshot after a cold build;
+//! warm from the newest checksummed snapshot when one exists (the apply
+//! journal's records are folded and verified as one incremental apply),
+//! and writes a fresh snapshot after a cold build;
 //! `snapshot` builds from configs and persists without further checks;
 //! `restore` exercises the recovery ladder alone and reports which rung
 //! ran. Corrupt state never prevents startup — the ladder falls back to
 //! the previous snapshot and then to a full rebuild from the configs.
-//!
-//! `verify --coalesce` (needs `--state-dir`) folds the journal's
-//! records into their net configuration delta and replays them as one
-//! incremental apply instead of one per record — the fast restart after
-//! a crash mid-burst. The committed state reached is identical; only
-//! intermediate states are skipped.
 //!
 //! # Exit codes
 //!
@@ -71,8 +66,18 @@ use std::process::ExitCode;
 use rc_netcfg::parser::parse_config;
 use rc_netcfg::DeviceConfig;
 use realconfig::{
-    OnFailure, Packet, PacketClass, Policy, Prefix, RealConfig, ReplayMode, VerifierOptions,
+    OnFailure, Packet, PacketClass, Policy, Prefix, RealConfig, VerifierOptions,
 };
+
+const USAGE: &str = "usage:\n  \
+    realconfig verify <dir> [--policy reach:SRC:DST:PREFIX]... [--threads N] [--backend bdd|atoms] [--state-dir DIR]\n  \
+    realconfig diff <old-dir> <new-dir> [--policy ...]... [--json] [--recover] [--threads N] [--backend bdd|atoms]\n  \
+    realconfig trace <dir> --from DEV --dst A.B.C.D [--proto N] [--dport N] [--backend bdd|atoms]\n  \
+    realconfig snapshot <dir> --state-dir DIR [--policy ...]... [--threads N] [--backend bdd|atoms]\n  \
+    realconfig restore <dir> --state-dir DIR";
+
+/// The flags `verify` takes; each is followed by its value.
+const VERIFY_FLAGS: [&str; 5] = ["--policy", "--threads", "--backend", "--metrics", "--state-dir"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -83,13 +88,7 @@ fn main() -> ExitCode {
         Some("snapshot") => cmd_snapshot(&args[1..]),
         Some("restore") => cmd_restore(&args[1..]),
         _ => {
-            eprintln!(
-                "usage:\n  realconfig verify <dir> [--policy reach:SRC:DST:PREFIX]... [--threads N] [--backend bdd|atoms] [--state-dir DIR] [--coalesce]\n  \
-                 realconfig diff <old-dir> <new-dir> [--policy ...]... [--json] [--recover] [--threads N] [--backend bdd|atoms]\n  \
-                 realconfig trace <dir> --from DEV --dst A.B.C.D [--proto N] [--dport N] [--backend bdd|atoms]\n  \
-                 realconfig snapshot <dir> --state-dir DIR [--policy ...]... [--threads N] [--backend bdd|atoms]\n  \
-                 realconfig restore <dir> --state-dir DIR"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -362,20 +361,17 @@ fn dump_metrics_on_failure(rc: &RealConfig, path: Option<&str>) {
 
 fn cmd_verify(args: &[String]) -> Result<bool, CliError> {
     let dir = args.first().ok_or("verify needs a config directory")?;
+    if let Some(pair) = args[1..].chunks(2).find(|pair| !VERIFY_FLAGS.contains(&pair[0].as_str())) {
+        return Err(format!("unknown verify argument {:?}\n{USAGE}", pair[0]).into());
+    }
     // Drift since the snapshot is verified self-healing.
     let opts = VerifierOptions { on_failure: OnFailure::Rebuild, ..parse_options(args)? };
     let state_dir = parse_state_dir(args)?;
-    let coalesce = args.iter().any(|a| a == "--coalesce");
-    if coalesce && state_dir.is_none() {
-        return Err("--coalesce needs --state-dir DIR (it coalesces journal replay)".into());
-    }
     let configs = load_dir(dir)?;
     let n = configs.len();
     let mut rc = match &state_dir {
         Some(sd) => {
-            let replay = if coalesce { ReplayMode::Coalesced } else { ReplayMode::Serial };
-            let (mut rc, restore) =
-                RealConfig::open_with(Path::new(sd), configs.clone(), opts, replay)?;
+            let (mut rc, restore) = RealConfig::open_with(Path::new(sd), configs.clone(), opts)?;
             println!("{n} devices verified ({}).", describe_restore(&restore));
             for note in &restore.notes {
                 println!("  restore note: {note}");

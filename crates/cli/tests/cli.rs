@@ -174,6 +174,18 @@ fn usage_on_no_args() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
+/// Journal replay has one mode: the flag that used to pick another is
+/// an unknown argument like any other.
+#[test]
+fn verify_rejects_the_removed_coalesce_flag() {
+    let net = TempNet::new("coalesce", &[("r1", R1), ("r2", R2), ("r3", R3)]);
+    let state = TempNet::new("coalesce-state", &[]);
+    let out = run(&["verify", net.path(), "--state-dir", state.path(), "--coalesce"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--coalesce") && stderr.contains("usage"), "{stderr}");
+}
+
 /// `--threads` and `--backend` travel through `VerifierOptions`: the
 /// verification reported is the same under every setting (everything
 /// but wall-clock timings and the metrics snapshot), the metrics show

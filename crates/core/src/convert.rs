@@ -13,8 +13,7 @@ use rc_netcfg::types::{NodeId, Prefix};
 use rc_routing::route::{FibAction, FibDelta, FilterRule};
 
 /// Grouped FIB state: the current logical rule per `(node, prefix)`.
-/// `Clone` so the verifier can snapshot it for transaction rollback.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct FibGrouper {
     current: BTreeMap<(NodeId, Prefix), PortAction>,
 }

@@ -58,7 +58,7 @@ pub use report::{ChangeReport, FullReport};
 pub use trace::{HopAction, PacketTrace, TraceHop};
 pub use verifier::{
     full_dataplane_baseline, full_dataplane_realconfig, Compaction, ConfigDelta, Error, OnFailure,
-    RealConfig, ReplayMode, RestoreReport, RestoreSource, VerifierOptions, DEFAULT_AUTO_COMPACT,
+    RealConfig, RestoreReport, RestoreSource, VerifierOptions, DEFAULT_AUTO_COMPACT,
 };
 
 // Threshold policy for `Compaction::Threshold`.

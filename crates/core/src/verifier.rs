@@ -1,8 +1,9 @@
 //! The RealConfig verifier: configurations in, incremental verification
 //! reports out.
 //!
-//! Three single-owner pieces: one full build ([`build`]), options fixed
-//! at construction ([`VerifierOptions`]), and one transactional apply
+//! Three single-owner pieces: one full build ([`build`]) that is also
+//! the only rollback, options fixed at construction
+//! ([`VerifierOptions`]), and one transactional apply
 //! ([`RealConfig::apply_configs`]) fed by one [`ConfigDelta`].
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,24 +26,30 @@ mod delta;
 mod persist;
 use build::{DataPlane, Stages};
 pub use delta::ConfigDelta;
-pub use persist::{ReplayMode, RestoreReport, RestoreSource};
+pub use persist::{RestoreReport, RestoreSource};
 
 /// Verifier errors.
 ///
 /// # Failure model
 ///
-/// Every variant leaves the *observable* verifier state — configs,
-/// facts, warnings, FIB, policy verdicts — at the last good set (the
-/// failed change is never committed). The variants differ in whether
-/// the *internal* pipeline state survived:
+/// A failed change is never committed: after every variant
+/// [`RealConfig::configs`], [`RealConfig::facts`],
+/// [`RealConfig::warnings`] and the policy verdicts
+/// ([`RealConfig::is_satisfied`], [`RealConfig::policy_specs`]) are the
+/// last good set. The variants differ in what happened to the pipeline:
 ///
 /// - [`Error::Parse`] and [`Error::Change`] fail before the pipeline
 ///   runs: nothing happened, keep applying changes.
 /// - [`Error::Divergence`] and [`Error::Internal`] poison the verifier:
 ///   the incremental engines may hold partial results of the failed
-///   change. [`RealConfig::needs_rebuild`] reports this state, and
+///   change, and nothing rolls them back — the pipeline accessors
+///   ([`RealConfig::fib`], [`RealConfig::num_rules`],
+///   [`RealConfig::num_ecs`], [`RealConfig::num_pairs`],
+///   [`RealConfig::num_fib_rules`]) reflect the failed attempt.
+///   [`RealConfig::needs_rebuild`] reports this state, and
 ///   [`RealConfig::rebuild`] (or, automatically,
-///   [`OnFailure::Rebuild`]) recovers from it.
+///   [`OnFailure::Rebuild`]) ends it: afterwards every accessor equals
+///   a from-scratch build over the last good configurations.
 #[derive(Debug)]
 pub enum Error {
     /// A configuration failed to parse.
@@ -115,10 +122,10 @@ pub enum Compaction {
 /// What an apply does when the incremental path fails mid-change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OnFailure {
-    /// Roll back, poison the verifier and return the error; the caller
-    /// decides when to [`RealConfig::rebuild`].
+    /// Poison the verifier and return the error; the caller decides
+    /// when to [`RealConfig::rebuild`].
     Poison,
-    /// Self-heal: roll back, then verify the new configurations from
+    /// Self-heal: verify the new configurations from
     /// scratch (policies and verdict history carry over; the report is
     /// flagged `recovered`). If they do not verify from scratch either,
     /// heal back to the last good configurations and return the
@@ -241,28 +248,28 @@ impl RealConfig {
     /// with `cs` applied. A change that does not apply is
     /// [`Error::Change`] and nothing ran.
     pub fn apply_change(&mut self, cs: &ChangeSet) -> Result<ChangeReport, Error> {
-        let new_configs = self.candidate(cs)?;
-        self.apply_configs(new_configs)
+        let (new_configs, delta) = self.candidate(cs)?;
+        self.apply_delta(new_configs, delta)
     }
 
     /// Fold a burst of pending changes ([`ChangeSet::coalesce`]:
     /// last-writer-wins on set-type operations) into one
     /// [`RealConfig::apply_configs`] transaction: the burst commits or
-    /// rolls back atomically and produces **exactly one** journal
-    /// record. A burst that folds to no change at all (a link group
-    /// that went down and came back up) skips the pipeline and the
-    /// journal (`coalesced_noop`). `coalesce.*` telemetry is registered
-    /// on first use only.
+    /// fails atomically and produces **exactly one** journal record. A
+    /// burst that folds to no change at all (a link group that went
+    /// down and came back up) skips the pipeline and the journal
+    /// (`coalesced_noop`). `coalesce.*` telemetry is registered on
+    /// first use only.
     pub fn apply_coalesced(&mut self, burst: &[ChangeSet]) -> Result<ChangeReport, Error> {
         let (folded, cancelled) = ChangeSet::coalesce(burst);
-        let new_configs = self.candidate(&folded)?;
+        let (new_configs, delta) = self.candidate(&folded)?;
         self.telemetry.counter("coalesce.batches").incr();
         self.telemetry.counter("coalesce.changes").add(burst.len() as u64);
         self.telemetry.histogram("coalesce.batch_size").record(burst.len() as u64);
         if cancelled > 0 {
             self.telemetry.counter("coalesce.cancelled_ops").add(cancelled as u64);
         }
-        let mut report = if new_configs == self.configs {
+        let mut report = if delta.is_empty() {
             self.telemetry.counter("coalesce.noop_batches").incr();
             ChangeReport {
                 coalesced_noop: true,
@@ -270,16 +277,19 @@ impl RealConfig {
                 ..Default::default()
             }
         } else {
-            self.apply_configs(new_configs)?
+            self.apply_delta(new_configs, delta)?
         };
         report.coalesced_changes = burst.len();
         report.cancelled_ops = cancelled;
         Ok(report)
     }
 
-    /// The current configurations with `cs` applied — the candidate of
-    /// both change front-ends.
-    fn candidate(&mut self, cs: &ChangeSet) -> Result<BTreeMap<String, DeviceConfig>, Error> {
+    /// The current configurations with `cs` applied, and what that
+    /// changes — the candidate of both change front-ends.
+    fn candidate(
+        &mut self,
+        cs: &ChangeSet,
+    ) -> Result<(BTreeMap<String, DeviceConfig>, ConfigDelta), Error> {
         self.ensure_usable()?;
         let mut new_configs = self.configs.clone();
         if let Err(e) = cs.apply(&mut new_configs) {
@@ -287,7 +297,8 @@ impl RealConfig {
             self.telemetry.counter("verifier.rollbacks").incr();
             return Err(Error::Change(e));
         }
-        Ok(new_configs)
+        let delta = ConfigDelta::between(&self.configs, &new_configs);
+        Ok((new_configs, delta))
     }
 
     /// Entry gate of every apply: a poisoned verifier refuses
@@ -309,90 +320,92 @@ impl RealConfig {
     ///
     /// # Transaction contract
     ///
-    /// The three-stage pipeline runs as a transaction: no verifier
-    /// field (`configs`, `facts`, `warnings`, device set, checker link
-    /// map, FIB grouper, policy verdicts) is committed until all three
-    /// stages succeed. On any failure — an `Err` from a stage or a
-    /// contained panic — the observable state rolls back to the
-    /// pre-change snapshot. Failures raised after stage 1 started
-    /// mutating the incremental engines additionally poison the
-    /// verifier (see [`Error`]); what happens next is
-    /// [`VerifierOptions::on_failure`].
+    /// Configurations, facts and warnings are committed only after all
+    /// three stages succeed, and a failed apply — an `Err` from a stage
+    /// or a contained panic — puts the policy verdicts back, so those
+    /// four stay at the last good set. Nothing else is rolled back: the
+    /// stages mutate the incremental engines as they go, so a failure
+    /// poisons the verifier (see [`Error`]) and the only way out is a
+    /// rebuild, which replaces every stage wholesale. What happens next
+    /// is [`VerifierOptions::on_failure`].
     ///
-    /// The only pre-transaction mutation is name interning into the
-    /// shared registry while lowering the *candidate* configurations:
-    /// the registry is append-only (existing ids never change meaning),
-    /// so a failed change can at worst leave unused names interned —
-    /// benign, and invisible through every accessor.
+    /// Lowering the *candidate* configurations interns names into the
+    /// shared registry before anything can fail: the registry is
+    /// append-only (existing ids never change meaning), so a failed
+    /// change can at worst leave unused names interned — benign, and
+    /// invisible through every accessor.
     pub fn apply_configs(
         &mut self,
         new_configs: BTreeMap<String, DeviceConfig>,
     ) -> Result<ChangeReport, Error> {
         self.ensure_usable()?;
         let delta = ConfigDelta::between(&self.configs, &new_configs);
-        let retry = (self.opts.on_failure == OnFailure::Rebuild).then(|| new_configs.clone());
-        // Snapshot the cheap rollback-able state. The heavy engine /
-        // model / checker state is deliberately *not* snapshotted
-        // (cloning a dataflow trace per change would dwarf the
-        // incremental work); failures after stage 1 begins poison the
-        // verifier and recovery goes through a rebuild instead.
-        let devices_snap = self.stages.devices.clone();
-        let grouper_snap = self.stages.grouper.clone();
-        let verdicts_snap = self.stages.checker.verdicts();
+        self.apply_delta(new_configs, delta)
+    }
 
-        let err = match contained(|| self.run_stages_and_commit(new_configs, &delta)) {
-            Ok(report) => return Ok(report),
+    /// The transaction behind every front-end: lend the candidate to
+    /// the stages, then commit it or apply the failure policy.
+    fn apply_delta(
+        &mut self,
+        new_configs: BTreeMap<String, DeviceConfig>,
+        delta: ConfigDelta,
+    ) -> Result<ChangeReport, Error> {
+        // The one piece of stage state a rebuild reads back (through
+        // `policy_specs`), and callers may read while poisoned.
+        let verdicts = self.stages.checker.verdicts();
+        let err = match contained(|| self.run_stages(&new_configs, &delta)) {
+            Ok(mut report) => {
+                // Commit point, begun by the last two moves of
+                // `run_stages`. The journal record is appended only
+                // after the in-memory commit — a crash between the two
+                // loses at most the change that was never reported as
+                // applied.
+                self.configs = new_configs;
+                self.journal_append(&delta);
+                report.metrics = self.telemetry.snapshot();
+                return Ok(report);
+            }
             Err(e) => e,
         };
 
-        // Roll back: the commit point was never reached, so configs /
-        // facts / warnings are untouched; restore what the stages
-        // touched along the way.
-        self.stages.devices = devices_snap;
-        self.stages.grouper = grouper_snap;
-        self.stages.checker.set_nodes(self.stages.devices.iter().copied());
-        self.stages.checker.restore_verdicts(&verdicts_snap);
+        self.stages.checker.restore_verdicts(&verdicts);
+        self.poisoned = true;
         self.telemetry.counter("verifier.rollbacks").incr();
-        if matches!(err, Error::Divergence(_) | Error::Internal(_)) {
-            self.poisoned = true;
-            self.telemetry.counter("verifier.poison_events").incr();
-        }
-        match retry {
-            Some(new_configs) => self.verify_from_scratch(new_configs, &delta, err),
-            None => Err(err),
+        self.telemetry.counter("verifier.poison_events").incr();
+        match self.opts.on_failure {
+            OnFailure::Poison => Err(err),
+            OnFailure::Rebuild => self.verify_from_scratch(new_configs, &delta, err),
         }
     }
 
-    /// The transaction body: all three stages, then the commit point.
-    /// Mutates heavy pipeline state as it goes; `apply_configs` owns
-    /// rollback, poisoning and the failure policy.
-    fn run_stages_and_commit(
+    /// The transaction body: all three stages over `new_configs`.
+    /// Mutates the stage engines as it goes; once nothing can fail any
+    /// more it commits the facts and warnings it lowered, and
+    /// `apply_delta` commits the configurations they belong to.
+    fn run_stages(
         &mut self,
-        new_configs: BTreeMap<String, DeviceConfig>,
+        new_configs: &BTreeMap<String, DeviceConfig>,
         delta: &ConfigDelta,
     ) -> Result<ChangeReport, Error> {
         let mut report = ChangeReport::default();
         (report.lines_inserted, report.lines_deleted) = delta.line_counts(&self.configs);
 
-        // Semantic view: fact delta. (Lowering interns names into the
-        // shared registry — the benign pre-transaction mutation
-        // documented on `apply_configs`.)
-        let lowered = lower(&new_configs, &mut self.registry);
+        // Semantic view: fact delta.
+        let lowered = lower(new_configs, &mut self.registry);
         let new_warnings: BTreeSet<String> =
             lowered.warnings.iter().map(|w| w.to_string()).collect();
         report.warnings = new_warnings.difference(&self.stages.warnings).cloned().collect();
         let facts = fact_delta(&self.stages.facts, &lowered.facts);
         report.fact_changes = facts.len();
 
-        // Stage 1: incremental data plane generation. First heavy
-        // mutation — an `Err` from here on poisons.
+        // Stage 1: incremental data plane generation.
         let s = &mut self.stages;
         let t = Instant::now();
         let stats = s.engine.apply(facts.iter().cloned())?;
         report.dp_gen = t.elapsed();
         report.dp_records = stats.records;
 
-        let touched = s.sync_structure(&facts);
+        let touched = build::sync_structure(&mut s.checker, &facts, &lowered.facts);
 
         // Stage 2: incremental model update.
         let t = Instant::now();
@@ -430,23 +443,13 @@ impl RealConfig {
             }
             _ => {}
         }
-
-        // Commit point: all three stages succeeded. The journal record
-        // is appended only after the in-memory commit — a crash between
-        // the two loses at most the change that was never reported as
-        // applied.
-        self.configs = new_configs;
         self.stages.facts = lowered.facts;
         self.stages.warnings = new_warnings;
-        self.journal_append(delta);
-
-        report.metrics = self.telemetry.snapshot();
         Ok(report)
     }
 
     /// The [`OnFailure::Rebuild`] fallback: the incremental path failed
-    /// with `first` and rolled back; verify `new_configs` from scratch
-    /// instead.
+    /// with `first`; verify `new_configs` from scratch instead.
     fn verify_from_scratch(
         &mut self,
         new_configs: BTreeMap<String, DeviceConfig>,
@@ -478,9 +481,7 @@ impl RealConfig {
             // Heal back to the last good set and surface the
             // incremental failure.
             Err(_) => {
-                if self.poisoned {
-                    let _ = self.rebuild();
-                }
+                let _ = self.rebuild();
                 Err(first)
             }
         }

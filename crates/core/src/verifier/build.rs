@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use rc_apkeep::{ApkModel, EcId, RuleUpdate};
 use rc_netcfg::facts::{lower, Fact, Registry};
-use rc_netcfg::types::{NodeId, Port};
+use rc_netcfg::types::Port;
 use rc_netcfg::DeviceConfig;
 use rc_policy::{CheckReport, Policy, PolicyChecker};
 use rc_routing::engine::RoutingEngine;
@@ -68,7 +68,6 @@ pub(super) struct Stages {
     pub grouper: FibGrouper,
     pub model: ApkModel,
     pub checker: PolicyChecker,
-    pub devices: BTreeSet<NodeId>,
     pub facts: BTreeSet<Fact>,
     pub warnings: BTreeSet<String>,
 }
@@ -89,17 +88,11 @@ impl Stages {
         model.set_threads(opts.threads);
         checker.set_telemetry(telemetry);
         checker.set_threads(opts.threads);
-        let devices = dp
-            .facts
-            .iter()
-            .filter_map(|f| if let Fact::Device(n) = f { Some(*n) } else { None })
-            .collect();
         Stages {
             engine: dp.engine,
             grouper: dp.grouper,
             model,
             checker,
-            devices,
             facts: dp.facts,
             warnings: dp.warnings,
         }
@@ -128,7 +121,7 @@ impl Stages {
         let model = ApkModel::with_backend(opts.backend);
         let mut s = Stages::assemble(dp, model, PolicyChecker::new(), opts, telemetry);
         let all_facts: Vec<(Fact, isize)> = s.facts.iter().map(|f| (f.clone(), 1)).collect();
-        s.sync_structure(&all_facts);
+        sync_structure(&mut s.checker, &all_facts, &s.facts);
 
         let t = Instant::now();
         s.model.apply_batch(rules, opts.order);
@@ -148,29 +141,28 @@ impl Stages {
         report.violated = check.newly_violated.iter().map(|p| p.0).collect();
         Ok((s, report, check))
     }
+}
 
-    /// Update the device set and the checker's link map from a fact
-    /// delta; returns the ECs invalidated by link changes.
-    pub fn sync_structure(&mut self, delta: &[(Fact, isize)]) -> BTreeSet<EcId> {
-        let mut link_delta: Vec<(Port, Port, isize)> = Vec::new();
-        let mut devices_changed = false;
-        for (f, r) in delta {
-            match f {
-                Fact::Link { src, dst } => link_delta.push((*src, *dst, *r)),
-                Fact::Device(n) => {
-                    devices_changed = true;
-                    if *r > 0 {
-                        self.devices.insert(*n);
-                    } else {
-                        self.devices.remove(n);
-                    }
-                }
-                _ => {}
-            }
+/// Update the checker's device set and link map from a fact delta that
+/// leads to `facts`; returns the ECs invalidated by link changes.
+pub(super) fn sync_structure(
+    checker: &mut PolicyChecker,
+    delta: &[(Fact, isize)],
+    facts: &BTreeSet<Fact>,
+) -> BTreeSet<EcId> {
+    let mut link_delta: Vec<(Port, Port, isize)> = Vec::new();
+    let mut devices_changed = false;
+    for (f, r) in delta {
+        match f {
+            Fact::Link { src, dst } => link_delta.push((*src, *dst, *r)),
+            Fact::Device(_) => devices_changed = true,
+            _ => {}
         }
-        if devices_changed {
-            self.checker.set_nodes(self.devices.iter().copied());
-        }
-        self.checker.apply_link_delta(&link_delta)
     }
+    if devices_changed {
+        checker.set_nodes(
+            facts.iter().filter_map(|f| if let Fact::Device(n) = f { Some(*n) } else { None }),
+        );
+    }
+    checker.apply_link_delta(&link_delta)
 }

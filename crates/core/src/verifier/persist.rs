@@ -24,12 +24,14 @@
 //! Each committed apply appends one checksummed record — the
 //! device-granularity config delta (upserted device texts + removed
 //! names) — to `journal.rcj`, which names the snapshot sequence it
-//! extends. Replay pushes each record through the normal incremental
-//! [`RealConfig::apply_configs`] path, so a restored verifier is the
-//! same machine as one that never crashed. If an append fails (disk
-//! full, fsync error), journaling is disabled until the next snapshot
-//! rather than leaving a gap: the durable state is always an exact
-//! prefix of the applied changes.
+//! extends. Replay folds the records into the configurations they
+//! lead to ([`ConfigDelta::apply_to`]) and verifies that as one normal
+//! incremental [`RealConfig::apply_configs`]: a restored verifier
+//! reaches the committed state of one that never crashed, and the
+//! intermediate states, which nobody observes, are not re-verified. If
+//! an append fails (disk full, fsync error), journaling is disabled
+//! until the next snapshot rather than leaving a gap: the durable state
+//! is always an exact prefix of the applied changes.
 //!
 //! # Recovery ladder
 //!
@@ -100,7 +102,7 @@ pub enum RestoreSource {
 pub struct RestoreReport {
     /// The ladder rung that succeeded.
     pub source: RestoreSource,
-    /// Journal records replayed through the incremental apply path.
+    /// Journal records replayed: folded into one incremental apply.
     pub replayed: usize,
     /// Journal records (or whole artifacts) dropped as corrupt: torn
     /// journal tails, records for a different snapshot, records whose
@@ -108,22 +110,11 @@ pub struct RestoreReport {
     pub discarded_corrupt: usize,
     /// Snapshots that failed to decode before one succeeded.
     pub snapshots_rejected: usize,
-    /// Human-readable notes for each degradation encountered.
+    /// Human-readable notes: each degradation encountered, and how many
+    /// journal records the replay folded into its one apply.
     pub notes: Vec<String>,
     /// Wall-clock time of the whole open, including any journal replay.
     pub elapsed: std::time::Duration,
-}
-
-/// How [`RealConfig::open_with`] replays the journal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplayMode {
-    /// One incremental apply per record.
-    Serial,
-    /// The records are folded into their net config delta and verified
-    /// as **one** incremental apply — the fast path when a crash
-    /// interrupted a long change stream. The committed state reached
-    /// is identical; only intermediate states are skipped.
-    Coalesced,
 }
 
 /// Per-verifier persistence handle: the state directory, the snapshot
@@ -384,12 +375,12 @@ impl RealConfig {
         state_dir: &Path,
         fallback: BTreeMap<String, DeviceConfig>,
     ) -> Result<(Self, RestoreReport), Error> {
-        Self::open_with(state_dir, fallback, VerifierOptions::default(), ReplayMode::Serial)
+        Self::open_with(state_dir, fallback, VerifierOptions::default())
     }
 
-    /// [`RealConfig::open`] with explicit options and journal replay
-    /// mode. A restored snapshot overrides `opts` with what it records
-    /// — update order, EC-index flag, count-based compaction interval
+    /// [`RealConfig::open`] with explicit options. A restored snapshot
+    /// overrides `opts` with what it records — update order, EC-index
+    /// flag, count-based compaction interval
     /// (unless `opts` asks for [`Compaction::Threshold`], which a
     /// snapshot cannot record) and the model's predicate backend;
     /// everything else (`threads`, `on_failure`) is the caller's.
@@ -397,7 +388,6 @@ impl RealConfig {
         state_dir: &Path,
         fallback: BTreeMap<String, DeviceConfig>,
         opts: VerifierOptions,
-        replay: ReplayMode,
     ) -> Result<(Self, RestoreReport), Error> {
         let t0 = Instant::now();
         let mut report = RestoreReport::default();
@@ -420,7 +410,7 @@ impl RealConfig {
             };
             let journal_clean = if rank == 0 {
                 report.source = RestoreSource::Snapshot { seq: *seq };
-                rc.replay_journal(state_dir, *seq, replay, &mut report)
+                rc.replay_journal(state_dir, *seq, &mut report)
             } else {
                 report.source = RestoreSource::PreviousSnapshot { seq: *seq };
                 report
@@ -568,17 +558,16 @@ impl RealConfig {
         })
     }
 
-    /// Replay the journal (if it extends `snapshot_seq`) through the
-    /// incremental apply path — one apply per record, or one for all of
-    /// them folded, per `mode`. Returns whether the journal on disk is
-    /// a clean exact record of what was replayed (and may therefore
-    /// keep being appended to); any defect stops replay at the last
-    /// good record and counts the rest as discarded.
+    /// Replay the journal (if it extends `snapshot_seq`): fold its
+    /// records into the configurations they lead to and verify that as
+    /// one incremental apply. Returns whether the journal on disk is a
+    /// clean exact record of what was replayed (and may therefore keep
+    /// being appended to); a defect truncates replay to the records
+    /// before it and counts the rest as discarded.
     fn replay_journal(
         &mut self,
         dir: &Path,
         snapshot_seq: u64,
-        mode: ReplayMode,
         report: &mut RestoreReport,
     ) -> bool {
         let path = journal_path(dir);
@@ -608,11 +597,16 @@ impl RealConfig {
             report.notes.push(format!("journal tail torn ({} discarded)", jr.discarded));
             clean = false;
         }
-        // Decode failures truncate to the clean prefix.
-        let mut deltas = Vec::with_capacity(jr.records.len());
+        // Fold the records into the configurations they lead to; a
+        // decode failure truncates to the clean prefix.
+        let mut new_configs = self.configs.clone();
+        let mut folded = 0;
         for (i, record) in jr.records.iter().enumerate() {
             match decode_delta(record) {
-                Ok(delta) => deltas.push(delta),
+                Ok(delta) => {
+                    delta.apply_to(&mut new_configs);
+                    folded += 1;
+                }
                 Err(e) => {
                     report.discarded_corrupt += jr.records.len() - i;
                     report.notes.push(format!("journal record {i} corrupt: {e}"));
@@ -621,34 +615,22 @@ impl RealConfig {
                 }
             }
         }
-        let per_apply = match mode {
-            ReplayMode::Serial => 1,
-            ReplayMode::Coalesced => deltas.len().max(1),
-        };
-        for group in deltas.chunks(per_apply) {
-            let mut new_configs = self.configs.clone();
-            for delta in group {
-                delta.apply_to(&mut new_configs);
-            }
-            if let Err(e) = self.apply_configs(new_configs) {
-                // The records were durable but no longer apply (e.g. a
-                // bit-flip survived CRC — astronomically unlikely — or
-                // the apply genuinely fails). Heal and stop here.
-                report.discarded_corrupt += deltas.len() - report.replayed;
-                report.notes.push(format!(
-                    "journal records {}.. failed to apply: {e}",
-                    report.replayed
-                ));
-                if self.poisoned {
-                    let _ = self.rebuild();
-                }
-                return false;
-            }
-            report.replayed += group.len();
+        if folded == 0 {
+            return clean;
         }
-        if mode == ReplayMode::Coalesced && !deltas.is_empty() {
-            report.notes.push(format!("journal coalesced: {} records, one apply", deltas.len()));
+        if let Err(e) = self.apply_configs(new_configs) {
+            // The records were durable but no longer apply (e.g. a
+            // bit-flip survived CRC — astronomically unlikely — or the
+            // apply genuinely fails). Heal back to the snapshot's state.
+            report.discarded_corrupt += folded;
+            report.notes.push(format!("journal records failed to apply: {e}"));
+            if self.poisoned {
+                let _ = self.rebuild();
+            }
+            return false;
         }
+        report.replayed = folded;
+        report.notes.push(format!("journal replayed: {folded} records, one apply"));
         clean
     }
 }

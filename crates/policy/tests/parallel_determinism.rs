@@ -7,6 +7,7 @@
 //! or being swallowed.
 
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 use rc_apkeep::{
@@ -14,6 +15,11 @@ use rc_apkeep::{
 };
 use rc_netcfg::types::{IfaceId, NodeId, Port, Prefix};
 use rc_policy::{PacketClass, Policy, PolicyChecker};
+
+/// The walk-panic arm is process-global and one-shot, and both tests
+/// walk ECs: serialize them so the panic armed by one cannot fire
+/// inside a walk of the other.
+static WALK_ARM_LOCK: Mutex<()> = Mutex::new(());
 
 const NODES: u32 = 5;
 const PREFIXES: [&str; 3] = ["10.0.0.0/24", "10.0.1.0/24", "10.0.0.0/23"];
@@ -102,6 +108,7 @@ proptest! {
     fn reports_are_identical_for_any_worker_count(
         steps in prop::collection::vec(prop::collection::vec(arb_op(), 1..4), 1..10),
     ) {
+        let _serialized = WALK_ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut serial = build(Some(1));
         let mut par = build(Some(4));
 
@@ -167,6 +174,7 @@ proptest! {
 /// sees it) — completing at all proves it did not deadlock the pool.
 #[test]
 fn worker_panic_propagates_to_the_caller() {
+    let _serialized = WALK_ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Silence the default hook for the expected injected panic only.
     let default = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {

@@ -1,17 +1,19 @@
-//! Satellite contract: every [`realconfig::Error`] variant leaves the
-//! verifier's *observable* state — configs, facts, warnings, FIB,
-//! policy verdicts — at the last good set. A never-failed twin verifier
-//! is the oracle: after each rejected change the failed verifier must
-//! look exactly like the twin (for pre-pipeline failures, down to the
-//! FIB; for mid-pipeline faults, observables roll back and poisoning +
-//! rebuild restores full equality).
+//! Satellite contract: every [`realconfig::Error`] variant leaves
+//! configs, facts, warnings and policy verdicts at the last good set. A
+//! never-failed twin verifier is the oracle: after each rejected change
+//! the failed verifier must look exactly like the twin — for
+//! pre-pipeline failures down to the FIB; for mid-pipeline faults in
+//! those four, with the pipeline accessors following once the poisoned
+//! verifier is rebuilt (a rebuild is the only rollback of stage state).
 
 use std::collections::BTreeMap;
 
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{host_prefix, ring};
 use rc_netcfg::DeviceConfig;
-use realconfig::{ChangeSet, Error, PolicyId, RealConfig};
+use realconfig::{
+    ChangeReport, ChangeSet, Error, OnFailure, PolicyId, RealConfig, VerifierOptions,
+};
 
 fn net() -> BTreeMap<String, DeviceConfig> {
     build_configs(&ring(4), ProtocolChoice::Ospf)
@@ -19,7 +21,12 @@ fn net() -> BTreeMap<String, DeviceConfig> {
 
 /// Build a verifier with one standing reachability policy.
 fn build() -> (RealConfig, PolicyId) {
-    let (mut rc, _) = RealConfig::new(net()).expect("ring verifies");
+    build_with(OnFailure::Poison)
+}
+
+fn build_with(on_failure: OnFailure) -> (RealConfig, PolicyId) {
+    let opts = VerifierOptions { on_failure, ..Default::default() };
+    let (mut rc, _) = RealConfig::with_options(net(), opts).expect("ring verifies");
     let id = rc.require_reachability("r000", "r002", host_prefix(2)).expect("devices exist");
     rc.recheck_policies();
     (rc, id)
@@ -211,5 +218,88 @@ fn poisoned_error_is_itself_stateless() {
         }
         assert_observables_equal(&rc, &twin, "while poisoned");
         assert_eq!(rc.is_satisfied(id), twin.is_satisfied(tid), "verdict while poisoned");
+    }
+}
+
+/// Every accessor must match the twin — only guaranteed when no apply
+/// has failed since the last (re)build.
+fn assert_every_accessor_equal(rc: &RealConfig, twin: &RealConfig, ctx: &str) {
+    assert_observables_equal(rc, twin, ctx);
+    assert_eq!(rc.fib(), twin.fib(), "{ctx}: FIB");
+    assert_eq!(rc.num_fib_rules(), twin.num_fib_rules(), "{ctx}: grouped FIB rules");
+    assert_eq!(rc.num_rules(), twin.num_rules(), "{ctx}: model rules");
+    assert_eq!(rc.num_ecs(), twin.num_ecs(), "{ctx}: ECs");
+    assert_eq!(rc.num_pairs(), twin.num_pairs(), "{ctx}: pairs");
+    assert_eq!(rc.policy_specs(), twin.policy_specs(), "{ctx}: verdicts");
+}
+
+/// A [`ChangeReport`] minus wall-clock timings, the metrics snapshot
+/// and the dataflow record count (work, not result: an engine rebuilt
+/// over newer configurations has a shorter history than its twin's).
+fn shape(r: &ChangeReport) -> impl PartialEq + std::fmt::Debug {
+    (
+        (r.lines_inserted, r.lines_deleted, r.fact_changes),
+        (r.rules_inserted, r.rules_removed, r.ec_moves, r.ec_splits, r.affected_ecs),
+        (r.affected_pairs, r.changed_pairs, r.total_pairs, r.policies_checked),
+        (r.newly_violated.clone(), r.newly_satisfied.clone(), r.warnings.clone(), r.recovered),
+    )
+}
+
+/// A rebuild is the only rollback of stage state. Whichever stage a
+/// change dies in, by error or by panic, once the verifier is rebuilt —
+/// by the caller under [`OnFailure::Poison`], by the failed apply
+/// itself under [`OnFailure::Rebuild`] — every accessor equals a
+/// never-failed twin's and the next changes track the twin report for
+/// report. Those changes take one of r000's two ECMP legs towards r002
+/// away, give it back and take it away again, so a FIB grouper (or
+/// device set, or verdict) left over from the failed attempt would show.
+#[test]
+fn rebuild_after_any_pipeline_fault_tracks_the_never_failed_twin() {
+    quiet_injected_panics();
+    // Reroutes r002 only: r000 keeps both legs whether or not it commits.
+    let failing = ChangeSet::link_cost("r002", "eth0", 9);
+    let next_three = [
+        ChangeSet::link_cost("r000", "eth0", 5),
+        ChangeSet::link_cost("r000", "eth0", 1),
+        ChangeSet::link_failure("r001", "eth1"),
+    ];
+    for on_failure in [OnFailure::Poison, OnFailure::Rebuild] {
+        for point in rc_faults::FaultPoint::PIPELINE {
+            for mode in [rc_faults::FaultMode::Error, rc_faults::FaultMode::Panic] {
+                let ctx = format!("{on_failure:?}, {mode:?} at {point}");
+                let (mut rc, _) = build_with(on_failure);
+                let (mut twin, _) = build();
+
+                let guard = rc_faults::FaultPlan::new().fault_on(point, 1, mode).install();
+                let result = rc.apply_change(&failing);
+                drop(guard);
+                match on_failure {
+                    OnFailure::Poison => {
+                        assert!(
+                            matches!(result, Err(Error::Divergence(_) | Error::Internal(_))),
+                            "{ctx}: {result:?}"
+                        );
+                        assert!(rc.needs_rebuild(), "{ctx}: must poison");
+                        assert_observables_equal(&rc, &twin, &format!("{ctx}, poisoned"));
+                        assert_eq!(rc.policy_specs(), twin.policy_specs(), "{ctx}: verdicts");
+                        rc.rebuild().expect("rebuild succeeds");
+                    }
+                    OnFailure::Rebuild => {
+                        let report = result.unwrap_or_else(|e| panic!("{ctx}: must self-heal: {e}"));
+                        assert!(report.recovered, "{ctx}: verified by the rebuild fallback");
+                        twin.apply_change(&failing).expect("change verifies on twin");
+                    }
+                }
+                assert!(!rc.needs_rebuild(), "{ctx}: still poisoned");
+                assert_every_accessor_equal(&rc, &twin, &format!("{ctx}, rebuilt"));
+
+                for (i, change) in next_three.iter().enumerate() {
+                    let got = rc.apply_change(change).expect("change verifies after rebuild");
+                    let want = twin.apply_change(change).expect("change verifies on twin");
+                    assert_eq!(shape(&got), shape(&want), "{ctx}: report of change {i}");
+                    assert_every_accessor_equal(&rc, &twin, &format!("{ctx}, change {i}"));
+                }
+            }
+        }
     }
 }

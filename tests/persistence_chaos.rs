@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rc_faults::{FaultPlan, FaultPoint};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{host_prefix, ring};
-use realconfig::{OnFailure, RealConfig, ReplayMode, VerifierOptions};
+use realconfig::{OnFailure, RealConfig, VerifierOptions};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -166,8 +166,8 @@ fn sample_burst() -> Vec<realconfig::ChangeSet> {
 }
 
 /// A crash right after a coalesced commit: the whole burst must be ONE
-/// checksummed journal record, and both replay modes (one apply per
-/// record, coalesced) must reopen to the committed post-burst state.
+/// checksummed journal record, and replay must reopen to the committed
+/// post-burst state.
 #[test]
 fn crash_mid_burst_replays_single_coalesced_record() {
     let configs = build_configs(&ring(5), ProtocolChoice::Ospf);
@@ -189,63 +189,53 @@ fn crash_mid_burst_replays_single_coalesced_record() {
     // The fallback is the PRE-burst configs: reaching the post-burst
     // state proves the journal record carried the burst, not the
     // bottom-rung rebuild.
-    for replay in [ReplayMode::Serial, ReplayMode::Coalesced] {
-        let (mut reopened, report) =
-            RealConfig::open_with(&dir.0, pre_burst.clone(), VerifierOptions::default(), replay)
-                .expect("reopen after crash mid-burst");
-        assert_eq!(
-            report.replayed, 1,
-            "a coalesced commit is exactly one journal record ({replay:?})"
-        );
-        assert_eq!(reopened.configs(), &committed, "reopen ({replay:?}) lost the burst");
-        assert_eq!(reopened.fib(), expected_fib, "FIB diverged ({replay:?})");
-        assert_matches_twin(&mut reopened, &format!("crash mid-burst ({replay:?})"));
-    }
+    let (mut reopened, report) =
+        RealConfig::open(&dir.0, pre_burst).expect("reopen after crash mid-burst");
+    assert_eq!(report.replayed, 1, "a coalesced commit is exactly one journal record");
+    assert_eq!(reopened.configs(), &committed, "reopen lost the burst");
+    assert_eq!(reopened.fib(), expected_fib, "FIB diverged");
+    assert_matches_twin(&mut reopened, "crash mid-burst");
 }
 
-/// A journal record whose replay fails mid-pipeline (stage 3 panics on
-/// the first replayed apply). Serial and coalesced replay share one
-/// loop, so they heal the same way: under the default failure policy
-/// the ladder stops at the snapshot's state and discards the journal;
-/// under [`OnFailure::Rebuild`] the failed apply is verified from
-/// scratch and replay carries on to the committed state. Never
-/// poisoned, never a refusal to start, journaling re-armed.
+/// Journal records whose replay fails mid-pipeline (stage 3 panics on
+/// the replay apply): under the default failure policy the ladder
+/// stops at the snapshot's state and discards the journal; under
+/// [`OnFailure::Rebuild`] the failed apply is verified from scratch and
+/// replay reaches the committed state. Never poisoned, never a refusal
+/// to start, journaling re-armed.
 #[test]
-fn failed_replay_heals_the_same_way_in_both_replay_modes() {
+fn failed_replay_heals_per_the_failure_policy() {
     quiet_injected_panics();
     for on_failure in [OnFailure::Poison, OnFailure::Rebuild] {
-        for replay in [ReplayMode::Serial, ReplayMode::Coalesced] {
-            let ctx = format!("{on_failure:?}/{replay:?}");
-            let configs = build_configs(&ring(5), ProtocolChoice::Ospf);
-            let dir = StateDir::new("failed-replay");
-            let (mut rc, _) = RealConfig::new(configs).expect("ring verifies");
-            standing_policies(&mut rc);
-            rc.attach_state_dir(&dir.0).expect("state dir creatable");
-            rc.save_snapshot().expect("initial snapshot writes");
-            let at_snapshot = rc.configs().clone();
-            for cs in &sample_burst()[1..3] {
-                rc.apply_change(cs).expect("change verifies");
-            }
-            let committed = rc.configs().clone();
-            drop(rc); // crash
-
-            let guard = FaultPlan::new().panic_on(FaultPoint::PolicyCheck, 1).install();
-            let opts = VerifierOptions { on_failure, ..Default::default() };
-            let (mut reopened, report) =
-                RealConfig::open_with(&dir.0, at_snapshot.clone(), opts, replay)
-                    .unwrap_or_else(|e| panic!("{ctx}: recovery refused to start: {e}"));
-            drop(guard);
-            assert!(!reopened.needs_rebuild(), "{ctx}: reopened verifier is poisoned");
-            let (replayed, discarded, expected) = match on_failure {
-                OnFailure::Poison => (0, 2, &at_snapshot),
-                OnFailure::Rebuild => (2, 0, &committed),
-            };
-            assert_eq!(report.replayed, replayed, "{ctx}: {:?}", report.notes);
-            assert_eq!(report.discarded_corrupt, discarded, "{ctx}: {:?}", report.notes);
-            assert_eq!(reopened.configs(), expected, "{ctx}: wrong recovered state");
-            assert!(reopened.journaling(), "{ctx}: durability not re-armed");
-            assert_matches_twin(&mut reopened, &ctx);
+        let ctx = format!("{on_failure:?}");
+        let configs = build_configs(&ring(5), ProtocolChoice::Ospf);
+        let dir = StateDir::new("failed-replay");
+        let (mut rc, _) = RealConfig::new(configs).expect("ring verifies");
+        standing_policies(&mut rc);
+        rc.attach_state_dir(&dir.0).expect("state dir creatable");
+        rc.save_snapshot().expect("initial snapshot writes");
+        let at_snapshot = rc.configs().clone();
+        for cs in &sample_burst()[1..3] {
+            rc.apply_change(cs).expect("change verifies");
         }
+        let committed = rc.configs().clone();
+        drop(rc); // crash
+
+        let guard = FaultPlan::new().panic_on(FaultPoint::PolicyCheck, 1).install();
+        let opts = VerifierOptions { on_failure, ..Default::default() };
+        let (mut reopened, report) = RealConfig::open_with(&dir.0, at_snapshot.clone(), opts)
+            .unwrap_or_else(|e| panic!("{ctx}: recovery refused to start: {e}"));
+        drop(guard);
+        assert!(!reopened.needs_rebuild(), "{ctx}: reopened verifier is poisoned");
+        let (replayed, discarded, expected) = match on_failure {
+            OnFailure::Poison => (0, 2, &at_snapshot),
+            OnFailure::Rebuild => (2, 0, &committed),
+        };
+        assert_eq!(report.replayed, replayed, "{ctx}: {:?}", report.notes);
+        assert_eq!(report.discarded_corrupt, discarded, "{ctx}: {:?}", report.notes);
+        assert_eq!(reopened.configs(), expected, "{ctx}: wrong recovered state");
+        assert!(reopened.journaling(), "{ctx}: durability not re-armed");
+        assert_matches_twin(&mut reopened, &ctx);
     }
 }
 

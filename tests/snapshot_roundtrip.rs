@@ -12,8 +12,7 @@ use proptest::prelude::*;
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{host_prefix, ring};
 use realconfig::{
-    ChangeSet, Compaction, CompactionPolicy, PredKind, RealConfig, ReplayMode, RestoreSource,
-    VerifierOptions,
+    ChangeSet, Compaction, CompactionPolicy, PredKind, RealConfig, RestoreSource, VerifierOptions,
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -175,6 +174,29 @@ fn snapshot_restores_identically_and_replays_the_journal() {
     assert!(restored.journaling());
 }
 
+/// Replay is one fold and one verified apply however long the journal
+/// is: a 12-record tail reopens with a single incremental check on the
+/// restored verifier's books, and the live verifier's state.
+#[test]
+fn a_long_journal_tail_replays_as_one_apply() {
+    let dir = StateDir::new("one-replay");
+    let mut live = live_with_snapshot(5, &dir);
+    for i in 0..12 {
+        let cmd = Cmd::ToggleIface { dev: i * 3 + 1, iface: i };
+        let cs = to_changeset(&cmd, &live).expect("every ring device has eth interfaces");
+        live.apply_change(&cs).expect("change verifies");
+    }
+    assert_eq!(live.journaled_changes(), 12);
+
+    let (restored, report) = RealConfig::open(&dir.0, BTreeMap::new()).expect("restore");
+    assert_eq!(report.source, RestoreSource::Snapshot { seq: 1 });
+    assert_eq!((report.replayed, report.discarded_corrupt), (12, 0), "{:?}", report.notes);
+    let checks = &restored.metrics_snapshot().histograms["policy.check_incremental_us"];
+    assert_eq!(checks.count, 1, "12 records fold into one verified apply");
+    assert_equivalent(&live, &restored, "after a 12-record replay");
+    assert!(restored.journaling());
+}
+
 #[test]
 fn corrupt_newest_snapshot_falls_back_to_previous() {
     let dir = StateDir::new("ladder");
@@ -270,9 +292,8 @@ fn reopen_keeps_options_the_snapshot_does_not_record() {
 
     // The caller asks for the default order; the snapshot's wins.
     let asked = VerifierOptions { order: realconfig::UpdateOrder::InsertFirst, ..opts };
-    let (mut reopened, report) =
-        RealConfig::open_with(&dir.0, configs.clone(), asked, ReplayMode::Serial)
-            .expect("restore never refuses to start");
+    let (mut reopened, report) = RealConfig::open_with(&dir.0, configs.clone(), asked)
+        .expect("restore never refuses to start");
     assert!(matches!(report.source, RestoreSource::Snapshot { .. }), "{:?}", report.notes);
     assert_equivalent(&live, &reopened, "after reopen");
     reopened.rebuild().expect("rebuild succeeds");
