@@ -23,9 +23,9 @@ fn samples(normal: usize) -> usize {
 }
 
 /// Accumulate one key's state from a 10k-record history, once with
-/// every record still in the recent delta layer (deep) and once after
-/// compaction folded everything into the consolidated base (shallow,
-/// served from the generation-tagged cache).
+/// every record still in the recent delta layer (deep — what a bulk
+/// load in one epoch leaves) and once after a fold moved everything
+/// into the consolidated base (shallow, served from the per-key cache).
 fn trace_accumulate(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataflow/trace_accumulate");
     group.sample_size(samples(50));
@@ -33,7 +33,7 @@ fn trace_accumulate(c: &mut Criterion) {
     let build = || {
         let mut tr: KeyTrace<u32, u64> = KeyTrace::new();
         for i in 0..RECORDS {
-            tr.push(0, i, Time::new(1 + i % 512, 0), 1);
+            tr.push(0, i, Time::new(1, 0), 1);
         }
         tr
     };
@@ -43,14 +43,14 @@ fn trace_accumulate(c: &mut Criterion) {
     group.bench_function("deep-history", |b| b.iter(|| deep.accumulate(&0, t).len()));
 
     let mut shallow = build();
-    shallow.compact(512);
+    shallow.compact(1);
     group.bench_function("shallow-base", |b| b.iter(|| shallow.accumulate(&0, t).len()));
     group.finish();
 }
 
-/// One incremental epoch through a 2000-key join: insert a record,
-/// advance, remove it, advance, compact. Exercises dirty-set
-/// scheduling, trace pushes and the cached-base accumulate path.
+/// Two incremental epochs through a 2000-key join: insert a record,
+/// advance, remove it, advance. Exercises dirty-set scheduling, trace
+/// pushes with their fold of the touched key, and the join walk.
 fn join_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataflow/join_step");
     group.sample_size(samples(30));
@@ -63,7 +63,6 @@ fn join_step(c: &mut Criterion) {
     b_in.extend((0..KEYS).map(|k| (k, k + 1)));
     df.advance().expect("initial epoch");
     out.drain();
-    df.compact();
     group.bench_function(BenchmarkId::from_parameter(format!("{KEYS}-keys")), |b| {
         b.iter(|| {
             a_in.insert((7, 99));
@@ -72,7 +71,6 @@ fn join_step(c: &mut Criterion) {
             a_in.remove((7, 99));
             df.advance().expect("remove epoch");
             let m = out.drain().len();
-            df.compact();
             n + m
         })
     });

@@ -1,7 +1,7 @@
 //! Sustained-maintenance benchmark (paper §2, "Regular maintenance"):
 //! a long-running verifier absorbing a stream of small changes, as a
 //! network team would produce over weeks. Reports latency percentiles
-//! over the stream and the effect of history compaction — the
+//! over the stream and its first and last quarters — the
 //! operator-facing promise is *flat* per-change latency, however long
 //! the verifier has been running.
 //!
@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use rc_netcfg::gen::ProtocolChoice;
-use realconfig::{Compaction, OnFailure, RealConfig, VerifierOptions};
+use realconfig::{OnFailure, RealConfig, VerifierOptions};
 use realconfig_bench::{stream, Workload};
 use serde::Serialize;
 
@@ -24,7 +24,6 @@ use serde::Serialize;
 struct ChurnResult {
     k: u32,
     changes: usize,
-    compacting: bool,
     p50_us: u128,
     p95_us: u128,
     max_us: u128,
@@ -81,16 +80,9 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[idx]
 }
 
-fn run_stream(
-    w: &Workload,
-    changes: usize,
-    compacting: bool,
-    seed: u64,
-    fault_every: usize,
-) -> ChurnResult {
+fn run_stream(w: &Workload, changes: usize, seed: u64, fault_every: usize) -> ChurnResult {
     // Faulted runs self-heal: the rebuild fallback is the failure policy.
     let opts = VerifierOptions {
-        compaction: if compacting { Compaction::Every(1) } else { Compaction::Never },
         on_failure: if fault_every > 0 { OnFailure::Rebuild } else { OnFailure::Poison },
         ..Default::default()
     };
@@ -118,7 +110,6 @@ fn run_stream(
     ChurnResult {
         k: w.k,
         changes: lat.len(),
-        compacting,
         p50_us: percentile(&lat, 0.5).as_micros(),
         p95_us: percentile(&lat, 0.95).as_micros(),
         max_us: percentile(&lat, 1.0).as_micros(),
@@ -150,41 +141,31 @@ fn main() {
         quiet_injected_panics();
     }
 
-    let mut results = Vec::new();
-    for compacting in [true, false] {
-        let r = run_stream(&w, changes, compacting, 0xFEED, fault_every);
-        println!(
-            "compaction {:>3}: p50 {:>8} p95 {:>8} max {:>8} | mean first-¼ {:>8} last-¼ {:>8}{}",
-            if compacting { "on" } else { "off" },
-            realconfig_bench::fmt_us(r.p50_us),
-            realconfig_bench::fmt_us(r.p95_us),
-            realconfig_bench::fmt_us(r.max_us),
-            realconfig_bench::fmt_us(r.first_quarter_mean_us),
-            realconfig_bench::fmt_us(r.last_quarter_mean_us),
-            if !compacting && r.last_quarter_mean_us > 2 * r.first_quarter_mean_us {
-                "   ← history growth without compaction"
-            } else {
-                ""
-            }
-        );
-        if fault_every > 0 {
-            println!(
-                "               {} self-healing rebuilds: p50 {} max {}",
-                r.rebuilds,
-                realconfig_bench::fmt_us(r.rebuild_p50_us as u128),
-                realconfig_bench::fmt_us(r.rebuild_max_us as u128),
-            );
-        }
-        results.push(r);
-    }
-
+    let r = run_stream(&w, changes, 0xFEED, fault_every);
     println!(
-        "\nWith per-change compaction the stream stays flat — the verifier can absorb the \
-         paper's 'regular maintenance' workload indefinitely."
+        "p50 {:>8} p95 {:>8} max {:>8} | mean first-¼ {:>8} last-¼ {:>8}{}",
+        realconfig_bench::fmt_us(r.p50_us),
+        realconfig_bench::fmt_us(r.p95_us),
+        realconfig_bench::fmt_us(r.max_us),
+        realconfig_bench::fmt_us(r.first_quarter_mean_us),
+        realconfig_bench::fmt_us(r.last_quarter_mean_us),
+        if r.last_quarter_mean_us > 2 * r.first_quarter_mean_us {
+            "   ← latency grows with history"
+        } else {
+            ""
+        }
     );
+    if fault_every > 0 {
+        println!(
+            "{} self-healing rebuilds: p50 {} max {}",
+            r.rebuilds,
+            realconfig_bench::fmt_us(r.rebuild_p50_us as u128),
+            realconfig_bench::fmt_us(r.rebuild_max_us as u128),
+        );
+    }
     realconfig_bench::write_results(
         "bench_results/churn.json",
-        &serde_json::to_string_pretty(&results).expect("serializes"),
+        &serde_json::to_string_pretty([r].as_slice()).expect("serializes"),
     );
     println!("Raw results: bench_results/churn.json");
 }

@@ -34,7 +34,7 @@ use std::collections::BTreeSet;
 
 use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::ChangeSet;
-use realconfig::{Compaction, CompactionPolicy, RealConfig, UpdateOrder, VerifierOptions};
+use realconfig::{RealConfig, UpdateOrder, VerifierOptions};
 use realconfig_bench::stream::{self, CoalescePolicy};
 use realconfig_bench::{check_gate, fmt_us, Workload};
 use serde::Serialize;
@@ -47,7 +47,6 @@ const GATE_FIELDS: &[&str] = &[
     "k",
     "profile",
     "mode",
-    "compaction",
     "arrivals",
     "final_fib",
     "final_rules",
@@ -62,8 +61,6 @@ struct ThroughputRow {
     profile: String,
     /// Apply mode: "serial", "coalesce(+,-)" or "coalesce(-,+)".
     mode: String,
-    /// History compaction: "per-change" sweep or "adaptive" threshold.
-    compaction: String,
     /// Changes that arrived on the stream (deterministic).
     arrivals: usize,
     /// Transactional applies actually performed.
@@ -92,9 +89,6 @@ struct ThroughputRow {
     /// True iff this leg's final FIB set, rule count and pair count
     /// equal the serial leg's (the equal-correctness half of the A/B).
     ab_identical: bool,
-    /// Trace records fed through compaction passes during the run
-    /// (per-change sweep + threshold triggers).
-    compact_records: u64,
     /// Trace records retained in the dataflow spine at end of run.
     trace_records: usize,
     /// Logical CPUs of the host (context for the timing columns).
@@ -114,13 +108,12 @@ struct FinalState {
 }
 
 /// Everything that distinguishes one A/B leg: its labels, the batch
-/// ordering, the coalescing policy, and the compaction discipline.
+/// ordering and the coalescing policy.
 struct Leg<'a> {
     profile: &'a str,
     mode: &'a str,
     order: UpdateOrder,
     policy: &'a CoalescePolicy,
-    adaptive: Option<CompactionPolicy>,
 }
 
 fn run_leg(
@@ -129,11 +122,7 @@ fn run_leg(
     leg: &Leg<'_>,
     reference: Option<&FinalState>,
 ) -> (ThroughputRow, FinalState) {
-    let opts = VerifierOptions {
-        order: leg.order,
-        compaction: leg.adaptive.map_or(Compaction::Every(1), Compaction::Threshold),
-        ..Default::default()
-    };
+    let opts = VerifierOptions { order: leg.order, ..Default::default() };
     let (mut rc, _) =
         RealConfig::with_options(w.configs.clone(), opts).expect("workload verifies");
     let report =
@@ -142,13 +131,10 @@ fn run_leg(
     let ab_identical = reference
         .map(|r| r.fib == state.fib && r.rules == state.rules && r.pairs == state.pairs)
         .unwrap_or(true);
-    let metrics = rc.metrics_snapshot();
-    let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
     let row = ThroughputRow {
         k: w.k,
         profile: leg.profile.into(),
         mode: leg.mode.into(),
-        compaction: if leg.adaptive.is_some() { "adaptive".into() } else { "per-change".into() },
         arrivals: report.arrivals,
         batches: report.batches,
         noop_batches: report.noop_batches,
@@ -164,12 +150,10 @@ fn run_leg(
         final_rules: state.rules,
         final_pairs: state.pairs,
         ab_identical,
-        compact_records: counter("dataflow.compact.records_before")
-            + counter("compact.trigger.records_before"),
         trace_records: rc.trace_records(),
         host_cores: realconfig_bench::host_cores(),
         peak_rss_kb: realconfig_bench::peak_rss_kb(),
-        metrics,
+        metrics: rc.metrics_snapshot(),
     };
     (row, state)
 }
@@ -207,7 +191,6 @@ fn main() {
 
     let coalesce = CoalescePolicy::default();
     let serial = CoalescePolicy::one_at_a_time();
-    let adaptive = CompactionPolicy::default();
 
     let mut rows: Vec<ThroughputRow> = Vec::new();
     for (profile, arrivals) in [("burst", &burst_stream), ("poisson", &churn_stream)] {
@@ -216,13 +199,7 @@ fn main() {
         let (row, reference) = run_leg(
             &w,
             arrivals,
-            &Leg {
-                profile,
-                mode: "serial",
-                order: UpdateOrder::InsertFirst,
-                policy: &serial,
-                adaptive: None,
-            },
+            &Leg { profile, mode: "serial", order: UpdateOrder::InsertFirst, policy: &serial },
             None,
         );
         print_row(&row);
@@ -235,7 +212,7 @@ fn main() {
             let (row, _) = run_leg(
                 &w,
                 arrivals,
-                &Leg { profile, mode, order, policy: &coalesce, adaptive: None },
+                &Leg { profile, mode, order, policy: &coalesce },
                 Some(&reference),
             );
             print_row(&row);
@@ -248,32 +225,6 @@ fn main() {
             }
             rows.push(row);
         }
-        // Memory leg: same coalesced stream, threshold-driven
-        // compaction instead of the per-change sweep.
-        let (row, _) = run_leg(
-            &w,
-            arrivals,
-            &Leg {
-                profile,
-                mode: "coalesce(+,-)",
-                order: UpdateOrder::InsertFirst,
-                policy: &coalesce,
-                adaptive: Some(adaptive),
-            },
-            Some(&reference),
-        );
-        print_row(&row);
-        let per_change = &rows[rows.len() - 2];
-        println!(
-            "  → adaptive compaction fed {} records through compaction vs {} per-change \
-             ({:.1}x less work), retaining {} vs {} trace records",
-            row.compact_records,
-            per_change.compact_records,
-            per_change.compact_records as f64 / row.compact_records.max(1) as f64,
-            row.trace_records,
-            per_change.trace_records,
-        );
-        rows.push(row);
     }
 
     let all_identical = rows.iter().all(|r| r.ab_identical);
@@ -305,11 +256,10 @@ fn main() {
 
 fn print_row(r: &ThroughputRow) {
     println!(
-        "{:<8} {:<14} {:<10} {:>7.1} ch/s  p50 {:>8} p99 {:>8}  depth {:>3}  folded≤{:<3} \
+        "{:<8} {:<14} {:>7.1} ch/s  p50 {:>8} p99 {:>8}  depth {:>3}  folded≤{:<3} \
          noop {:>2}  rss {:>7} KiB",
         r.profile,
         r.mode,
-        r.compaction,
         r.changes_per_sec,
         fmt_us(r.p50_us as u128),
         fmt_us(r.p99_us as u128),

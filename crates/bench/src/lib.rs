@@ -211,7 +211,6 @@ pub fn run_table2(k: u32, proto: ProtocolChoice, samples: usize, seed: u64) -> T
             let (apply, restore) = w.change_at(change, port);
             total += harness.apply(&apply);
             harness.apply(&restore);
-            harness.engine.compact();
         }
         avg.insert(change.label(), total / ports.len() as u32);
     }
@@ -342,7 +341,6 @@ pub fn run_table3_opts(
                 acc.affected_pairs += report.affected_pairs;
                 acc.t2_us += report.policy_check.as_micros();
                 rc.apply_change(&restore).expect("verifies");
-                rc.compact();
             }
             // Ablation: what would checking cost without
             // incrementality? One full recheck on the settled state.

@@ -57,12 +57,9 @@ mod verifier;
 pub use report::{ChangeReport, FullReport};
 pub use trace::{HopAction, PacketTrace, TraceHop};
 pub use verifier::{
-    full_dataplane_baseline, full_dataplane_realconfig, Compaction, ConfigDelta, Error, OnFailure,
+    full_dataplane_baseline, full_dataplane_realconfig, ConfigDelta, Error, OnFailure,
     RealConfig, RestoreReport, RestoreSource, VerifierOptions, DEFAULT_AUTO_COMPACT,
 };
-
-// Threshold policy for `Compaction::Threshold`.
-pub use rc_dataflow::CompactionPolicy;
 
 // Packet type used by `RealConfig::trace_packet`.
 pub use rc_bdd::pkt::Packet;

@@ -100,24 +100,11 @@ impl From<rc_dataflow::EvalError> for Error {
     }
 }
 
-/// How many changes the verifier absorbs before folding engine history
-/// under the default [`Compaction::Every`]. Compaction keeps per-change
-/// latency flat over long change streams at the cost of a periodic
-/// sweep; 64 keeps the sweep amortized well under the incremental work.
+/// The value the snapshot META section's retired auto-compaction field
+/// keeps carrying (tag `1`, this count), so snapshot bytes stay what
+/// they were when a sweep ran every this many changes. Nothing reads it
+/// back: the engine folds a key's history when the key is next touched.
 pub const DEFAULT_AUTO_COMPACT: u32 = 64;
-
-/// When the dataflow engine's history is folded. Results are identical
-/// under every variant; only memory and per-change latency move.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Compaction {
-    /// Only on [`RealConfig::compact`].
-    Never,
-    /// A full sweep after every this many changes.
-    Every(u32),
-    /// After each change, fold only the operators whose recent trace
-    /// layer outgrew the policy's ratio of their consolidated base.
-    Threshold(rc_dataflow::CompactionPolicy),
-}
 
 /// What an apply does when the incremental path fails mid-change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,7 +139,6 @@ pub struct VerifierOptions {
     /// Use the EC model's dst-interval candidate index. `false` is the
     /// full O(#ECs) scan — same results; for A/B ablation and tests.
     pub ec_index: bool,
-    pub compaction: Compaction,
     pub on_failure: OnFailure,
 }
 
@@ -163,7 +149,6 @@ impl Default for VerifierOptions {
             backend: rc_bdd::default_backend(),
             threads: None,
             ec_index: true,
-            compaction: Compaction::Every(DEFAULT_AUTO_COMPACT),
             on_failure: OnFailure::Poison,
         }
     }
@@ -177,7 +162,6 @@ pub struct RealConfig {
     registry: Registry,
     stages: Stages,
     opts: VerifierOptions,
-    changes_since_compact: u32,
     /// Shared metric registry for all three pipeline stages.
     telemetry: rc_telemetry::Telemetry,
     /// Set when a failure may have left the incremental engines holding
@@ -223,7 +207,6 @@ impl RealConfig {
             registry,
             stages,
             opts,
-            changes_since_compact: 0,
             telemetry,
             poisoned: false,
             store: None,
@@ -432,17 +415,6 @@ impl RealConfig {
         report.newly_violated = check.newly_violated.iter().map(|p| p.0).collect();
         report.newly_satisfied = check.newly_satisfied.iter().map(|p| p.0).collect();
 
-        // History compaction keeps long change streams flat (see the
-        // `churn` and `throughput` benchmarks). Still pre-commit: a
-        // failure here must not leave new configs committed.
-        self.changes_since_compact += 1;
-        match self.opts.compaction {
-            Compaction::Every(n) if self.changes_since_compact >= n => self.compact(),
-            Compaction::Threshold(policy) => {
-                self.stages.engine.compact_adaptive(&policy);
-            }
-            _ => {}
-        }
         self.stages.facts = lowered.facts;
         self.stages.warnings = new_warnings;
         Ok(report)
@@ -521,7 +493,6 @@ impl RealConfig {
         let configs_changed = self.configs != configs;
         self.stages = stages;
         self.configs = configs;
-        self.changes_since_compact = 0;
         self.poisoned = false;
         if configs_changed {
             // These configs never went through the journaled apply
@@ -662,17 +633,18 @@ impl RealConfig {
     }
 
     /// Records currently retained in the dataflow engine's trace
-    /// spines (base + recent layers) — the quantity compaction bounds.
+    /// spines (base + recent layers).
     pub fn trace_records(&self) -> usize {
         self.stages.engine.trace_records()
     }
 
-    /// Compact the incremental engine's internal history now (bounds
-    /// memory over long change sequences; behaviour is unaffected).
-    /// Also happens automatically — see [`VerifierOptions::compaction`].
+    /// Fold all of the incremental engine's history now. Not needed
+    /// for speed, correctness or bounded memory — every apply folds the
+    /// history of the keys it touches, and a trace that has doubled
+    /// folds itself whole — it returns the traces to a fresh build's
+    /// size without waiting for that.
     pub fn compact(&mut self) {
         self.stages.engine.compact();
-        self.changes_since_compact = 0;
     }
 
     /// The options this verifier was built (or restored) with.

@@ -61,7 +61,7 @@ use rc_store::{
 };
 
 use super::build::{DataPlane, Stages};
-use super::{Compaction, ConfigDelta, Error, RealConfig, VerifierOptions, DEFAULT_AUTO_COMPACT};
+use super::{ConfigDelta, Error, RealConfig, VerifierOptions, DEFAULT_AUTO_COMPACT};
 
 /// Section tags inside a snapshot container.
 const SEC_META: u32 = 1;
@@ -237,20 +237,10 @@ impl RealConfig {
             UpdateOrder::AsGiven => 2,
         });
         meta.u8(!self.opts.ec_index as u8);
-        // META has no encoding for a threshold policy: it records the
-        // default interval, so a plain `open` falls back to the default
-        // sweep and `open_with` reinstates the caller's policy.
-        match self.opts.compaction {
-            Compaction::Never => meta.u8(0),
-            Compaction::Every(n) => {
-                meta.u8(1);
-                meta.u32(n);
-            }
-            Compaction::Threshold(_) => {
-                meta.u8(1);
-                meta.u32(DEFAULT_AUTO_COMPACT);
-            }
-        }
+        // The retired auto-compaction field, kept so snapshot bytes do
+        // not move.
+        meta.u8(1);
+        meta.u32(DEFAULT_AUTO_COMPACT);
 
         let mut reg = Writer::new();
         let (node_names, iface_names) = self.registry.export_names();
@@ -380,10 +370,8 @@ impl RealConfig {
 
     /// [`RealConfig::open`] with explicit options. A restored snapshot
     /// overrides `opts` with what it records — update order, EC-index
-    /// flag, count-based compaction interval
-    /// (unless `opts` asks for [`Compaction::Threshold`], which a
-    /// snapshot cannot record) and the model's predicate backend;
-    /// everything else (`threads`, `on_failure`) is the caller's.
+    /// flag and the model's predicate backend; everything else
+    /// (`threads`, `on_failure`) is the caller's.
     pub fn open_with(
         state_dir: &Path,
         fallback: BTreeMap<String, DeviceConfig>,
@@ -493,13 +481,11 @@ impl RealConfig {
                 t => return Err(WireError(format!("bad update-order tag {t}"))),
             };
             opts.ec_index = r.u8()? == 0;
-            let recorded = match r.u8()? {
-                0 => Compaction::Never,
-                1 => Compaction::Every(r.u32()?),
+            // The retired auto-compaction field: validated, not used.
+            match r.u8()? {
+                0 => {}
+                1 => drop(r.u32()?),
                 t => return Err(WireError(format!("bad auto-compact tag {t}"))),
-            };
-            if !matches!(opts.compaction, Compaction::Threshold(_)) {
-                opts.compaction = recorded;
             }
             Ok(())
         })?;
@@ -551,7 +537,6 @@ impl RealConfig {
             registry,
             stages: Stages::assemble(dp, model, checker, &opts, &telemetry),
             opts,
-            changes_since_compact: 0,
             telemetry,
             poisoned: false,
             store: None,

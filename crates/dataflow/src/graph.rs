@@ -306,16 +306,9 @@ pub(crate) trait OpNode {
     /// Called once per epoch after all processing; checks invariants.
     fn end_epoch(&mut self, epoch: u64);
 
-    /// Fold history at epochs `≤ frontier` down to epoch 0.
+    /// Fold every key's history at epochs `≤ frontier` down to epoch 0
+    /// (the explicit full fold; pushes fold the keys they touch).
     fn compact(&mut self, frontier: u64);
-
-    /// `(base, recent)` trace record counts across this node's keyed
-    /// traces (a scope sums its children). Stateless operators report
-    /// `(0, 0)`. Drives threshold-triggered compaction: the recent
-    /// layer is the part compaction folds away.
-    fn trace_sizes(&self) -> (usize, usize) {
-        (0, 0)
-    }
 
     /// Cumulative count of records processed (a machine-independent
     /// work measure reported by the benchmarks).
@@ -358,6 +351,10 @@ pub struct OpStats {
     pub trace_base_records: usize,
     /// Trace records in the recent delta layers.
     pub trace_recent_records: usize,
+    /// Keys whose recent history was folded into its base (cumulative).
+    pub folded_keys: u64,
+    /// Recent records those folds moved into a base (cumulative).
+    pub folded_records: u64,
     /// Internal pending work: a reduce's unprocessed interesting
     /// times, a join's deferred future-time outputs.
     pub pending: usize,
@@ -409,36 +406,6 @@ impl GraphState {
     }
 }
 
-/// When threshold-triggered compaction fires on an operator's traces.
-///
-/// Compacting once per round keeps resident memory minimal but pays the
-/// full spine-merge cost on every change; never compacting lets the
-/// recent layer grow without bound under sustained churn. The policy
-/// compacts an operator only when its recent layer both exceeds
-/// `min_recent` records (small spines are never worth a merge) and has
-/// grown past `ratio` × the consolidated base layer — the point where
-/// lookups degrade and the merge amortizes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompactionPolicy {
-    /// Compact when `recent > ratio * base`.
-    pub ratio: f64,
-    /// Never compact an operator whose recent layer is below this.
-    pub min_recent: usize,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy { ratio: 0.5, min_recent: 4096 }
-    }
-}
-
-impl CompactionPolicy {
-    /// Whether an operator with `(base, recent)` trace records is due.
-    pub fn due(&self, base: usize, recent: usize) -> bool {
-        recent >= self.min_recent && recent as f64 > self.ratio * base as f64
-    }
-}
-
 /// Statistics for one `advance` call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EpochStats {
@@ -471,6 +438,10 @@ struct EngineTelemetry {
     trace_records: rc_telemetry::Gauge,
     trace_base_records: rc_telemetry::Gauge,
     trace_recent_records: rc_telemetry::Gauge,
+    folded_keys: rc_telemetry::Counter,
+    folded_records: rc_telemetry::Counter,
+    /// Last-seen cumulative `(folded_keys, folded_records)`.
+    folded_seen: (u64, u64),
     compact_before: rc_telemetry::Counter,
     compact_after: rc_telemetry::Counter,
     epochs: rc_telemetry::Counter,
@@ -488,17 +459,6 @@ struct EngineTelemetry {
     shard_records: Option<Vec<rc_telemetry::Gauge>>,
     shard_dispatched_seen: u64,
     shard_inlined_seen: u64,
-    /// Threshold-compaction metrics, registered lazily on the first
-    /// adaptive trigger so runs that never cross a threshold carry no
-    /// `compact.trigger.*` keys.
-    compact_trigger: Option<CompactTriggerMetrics>,
-}
-
-/// Counters describing adaptive (threshold-triggered) compactions.
-struct CompactTriggerMetrics {
-    fired: rc_telemetry::Counter,
-    records_before: rc_telemetry::Counter,
-    records_after: rc_telemetry::Counter,
 }
 
 impl EngineTelemetry {
@@ -509,6 +469,9 @@ impl EngineTelemetry {
             trace_records: registry.gauge("dataflow.trace_records"),
             trace_base_records: registry.gauge("dataflow.trace.base_records"),
             trace_recent_records: registry.gauge("dataflow.trace.recent_records"),
+            folded_keys: registry.counter("dataflow.trace.folded_keys"),
+            folded_records: registry.counter("dataflow.trace.folded_records"),
+            folded_seen: (0, 0),
             compact_before: registry.counter("dataflow.compact.records_before"),
             compact_after: registry.counter("dataflow.compact.records_after"),
             epochs: registry.counter("dataflow.epochs"),
@@ -522,7 +485,6 @@ impl EngineTelemetry {
             shard_records: None,
             shard_dispatched_seen: 0,
             shard_inlined_seen: 0,
-            compact_trigger: None,
             registry,
         }
     }
@@ -550,6 +512,12 @@ impl EngineTelemetry {
             .set(stats.values().map(|s| s.trace_base_records).sum::<usize>() as i64);
         self.trace_recent_records
             .set(stats.values().map(|s| s.trace_recent_records).sum::<usize>() as i64);
+        let folded = stats
+            .values()
+            .fold((0, 0), |(k, r), s| (k + s.folded_keys, r + s.folded_records));
+        self.folded_keys.add(folded.0 - self.folded_seen.0);
+        self.folded_records.add(folded.1 - self.folded_seen.1);
+        self.folded_seen = folded;
         let (run, skipped) = sched.step_counts();
         self.steps_run.add(run - self.sched_baseline.0);
         self.steps_skipped.add(skipped - self.sched_baseline.1);
@@ -609,8 +577,9 @@ impl Dataflow {
 
     /// Attach a telemetry registry. Every subsequent [`Dataflow::advance`]
     /// records per-operator work (`dataflow.work.<op>`), queue depths,
-    /// reduce pending-times sizes, trace spine sizes and scheduler
-    /// decisions; [`Dataflow::compact`] records trace record counts
+    /// reduce pending-times sizes, trace spine sizes, the keys and
+    /// records folded on touch and scheduler decisions;
+    /// [`Dataflow::compact`] records trace record counts
     /// before and after compaction.
     pub fn set_telemetry(&mut self, registry: Telemetry) {
         self.telemetry = Some(EngineTelemetry::new(registry));
@@ -695,26 +664,21 @@ impl Dataflow {
         self.state.borrow().stacks[0].iter().map(|n| n.work()).sum()
     }
 
-    /// Compact all operator state below the current epoch. Sound only
-    /// between `advance` calls (which is the only time it can be
-    /// called, given `&mut self`).
+    /// Fold every key of every operator below the current epoch. Pushes
+    /// already fold the keys they touch, and a trace that has doubled
+    /// folds itself whole, so this changes no result; it reclaims now
+    /// what untouched keys still hold in their recent layers (and keys
+    /// whose history cancelled). Sound only between
+    /// `advance` calls (which is the only time it can be called, given
+    /// `&mut self`).
     pub fn compact(&mut self) {
-        let mut st = self.state.borrow_mut();
-        let frontier = self.epoch;
-        let trace_records = |nodes: &[Box<dyn OpNode>]| {
-            let mut stats = BTreeMap::new();
-            for node in nodes {
-                node.collect_stats(&mut stats);
-            }
-            stats.values().map(|s| s.trace_records).sum::<usize>() as u64
-        };
-        let before = self.telemetry.as_ref().map(|_| trace_records(&st.stacks[0]));
-        for node in st.stacks[0].iter_mut() {
-            node.compact(frontier);
+        let before = self.trace_records() as u64;
+        for node in self.state.borrow_mut().stacks[0].iter_mut() {
+            node.compact(self.epoch);
         }
         if let Some(tel) = &self.telemetry {
-            tel.compact_before.add(before.unwrap_or(0));
-            let after = trace_records(&st.stacks[0]);
+            let after = self.trace_records() as u64;
+            tel.compact_before.add(before);
             tel.compact_after.add(after);
             tel.trace_records.set(after as i64);
         }
@@ -723,53 +687,6 @@ impl Dataflow {
     /// Records currently retained across all operator trace spines
     /// (base + recent layers, including operators inside scopes).
     pub fn trace_records(&self) -> usize {
-        self.state.borrow().stacks[0]
-            .iter()
-            .map(|n| {
-                let (base, recent) = n.trace_sizes();
-                base + recent
-            })
-            .sum()
-    }
-
-    /// Compact only the operators whose trace spines have crossed the
-    /// policy's recent-vs-base threshold, leaving small or already
-    /// consolidated traces untouched. Returns the number of operators
-    /// compacted. Sound between `advance` calls, like
-    /// [`Dataflow::compact`].
-    ///
-    /// Telemetry: the first trigger registers `compact.trigger.fired` /
-    /// `compact.trigger.records_before` / `compact.trigger.records_after`;
-    /// runs where no threshold is ever crossed carry none of these keys.
-    pub fn compact_adaptive(&mut self, policy: &CompactionPolicy) -> usize {
-        let mut st = self.state.borrow_mut();
-        let frontier = self.epoch;
-        let mut fired = 0usize;
-        let mut before = 0u64;
-        let mut after = 0u64;
-        for node in st.stacks[0].iter_mut() {
-            let (base, recent) = node.trace_sizes();
-            if !policy.due(base, recent) {
-                continue;
-            }
-            fired += 1;
-            before += (base + recent) as u64;
-            node.compact(frontier);
-            let (b, r) = node.trace_sizes();
-            after += (b + r) as u64;
-        }
-        if fired > 0 {
-            if let Some(tel) = &mut self.telemetry {
-                let m = tel.compact_trigger.get_or_insert_with(|| CompactTriggerMetrics {
-                    fired: tel.registry.counter("compact.trigger.fired"),
-                    records_before: tel.registry.counter("compact.trigger.records_before"),
-                    records_after: tel.registry.counter("compact.trigger.records_after"),
-                });
-                m.fired.add(fired as u64);
-                m.records_before.add(before);
-                m.records_after.add(after);
-            }
-        }
-        fired
+        self.op_stats().values().map(|s| s.trace_records).sum()
     }
 }

@@ -59,6 +59,6 @@ pub mod util;
 pub use collection::{Collection, DEFAULT_MAX_ITERS};
 pub use delta::{consolidate, consolidate_values, Data, Delta, Diff};
 pub use error::EvalError;
-pub use graph::{CompactionPolicy, Dataflow, EpochStats, OpStats};
+pub use graph::{Dataflow, EpochStats, OpStats};
 pub use operators::{InputHandle, OutputHandle};
 pub use time::Time;

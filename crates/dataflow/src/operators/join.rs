@@ -208,15 +208,6 @@ impl<K: Data, V: Data, W: Data> OpNode for JoinNode<K, V, W> {
         }
     }
 
-    fn trace_sizes(&self) -> (usize, usize) {
-        self.shards.iter().fold((0, 0), |(b, r), s| {
-            (
-                b + s.trace_a.base_len() + s.trace_b.base_len(),
-                r + s.trace_a.recent_len() + s.trace_b.recent_len(),
-            )
-        })
-    }
-
     fn work(&self) -> u64 {
         self.work
     }
@@ -232,6 +223,10 @@ impl<K: Data, V: Data, W: Data> OpNode for JoinNode<K, V, W> {
             e.trace_recent_records += s.trace_a.recent_len() + s.trace_b.recent_len();
             e.pending += s.deferred.len();
             e.shard_records[i] += records;
+            for (keys, folded) in [s.trace_a.folded(), s.trace_b.folded()] {
+                e.folded_keys += keys;
+                e.folded_records += folded;
+            }
         }
         e.shard_dispatched += self.shard_dispatched;
         e.shard_inlined += self.shard_inlined;

@@ -260,15 +260,6 @@ impl<K: Data, V: Data, W: Data> OpNode for ReduceNode<K, V, W> {
         }
     }
 
-    fn trace_sizes(&self) -> (usize, usize) {
-        self.shards.iter().fold((0, 0), |(b, r), s| {
-            (
-                b + s.in_trace.base_len() + s.out_trace.base_len(),
-                r + s.in_trace.recent_len() + s.out_trace.recent_len(),
-            )
-        })
-    }
-
     fn work(&self) -> u64 {
         self.work
     }
@@ -284,6 +275,10 @@ impl<K: Data, V: Data, W: Data> OpNode for ReduceNode<K, V, W> {
             e.trace_recent_records += s.in_trace.recent_len() + s.out_trace.recent_len();
             e.pending += s.pending.len();
             e.shard_records[i] += records;
+            for (keys, folded) in [s.in_trace.folded(), s.out_trace.folded()] {
+                e.folded_keys += keys;
+                e.folded_records += folded;
+            }
         }
         e.shard_dispatched += self.shard_dispatched;
         e.shard_inlined += self.shard_inlined;

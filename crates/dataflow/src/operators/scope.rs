@@ -186,13 +186,6 @@ impl OpNode for ScopeNode {
         }
     }
 
-    fn trace_sizes(&self) -> (usize, usize) {
-        self.children.iter().fold((0, 0), |(b, r), c| {
-            let (cb, cr) = c.trace_sizes();
-            (b + cb, r + cr)
-        })
-    }
-
     fn work(&self) -> u64 {
         self.children.iter().map(|c| c.work()).sum()
     }

@@ -10,20 +10,36 @@
 //!
 //! Each key's history is split into two layers:
 //!
-//! * a **base** layer holding records folded to epoch 0 by
-//!   [`KeyTrace::compact`], kept consolidated and sorted by
-//!   `(value, iter)` — every base record's time is `(0, iter)`, which is
-//!   `≤` any accumulation time in every *epoch*, so only the iteration
-//!   component can affect comparisons;
-//! * a small **recent** layer of records pushed since the last
-//!   compaction, in arrival order.
+//! * a **base** layer holding records folded to epoch 0, kept
+//!   consolidated and sorted by `(value, iter)` — every base record's
+//!   time is `(0, iter)`, which is `≤` any accumulation time in every
+//!   *epoch*, so only the iteration component can affect comparisons;
+//! * a small **recent** layer holding the records of the last epoch
+//!   that touched the key, in arrival order.
 //!
-//! This keeps per-update work proportional to the *change*, not to the
-//! total history: [`KeyTrace::accumulate`] merges a cached base
-//! accumulation with the (small) recent layer instead of filtering,
-//! cloning and re-sorting the whole history, and compaction merges the
-//! recent layer into the already-sorted base in one linear pass instead
-//! of re-sorting every key.
+//! # Fold on touch
+//!
+//! Compaction is a property of the trace, not a schedule: the first
+//! [`KeyTrace::push`] to a key in epoch `e` folds that key's recent
+//! records — all from one earlier epoch — into its base. Sound because
+//! every time the engine will ever compare against has epoch `≥ e`, so
+//! only the iteration component of older records can matter. A key
+//! nobody touches costs nothing, a touched key pays one linear merge of
+//! its own history, and every read walks at most the consolidated base
+//! plus one epoch of changes. [`KeyTrace::compact`] is the same fold
+//! applied to every key at once; it changes no answer.
+//!
+//! # Keys that never come back
+//!
+//! Fold on touch reclaims a key's history when the key recurs. A key
+//! whose last change was its removal is never touched again and would
+//! keep its base `+1` and its recent `-1` for good. So a trace also
+//! folds itself whole when, at the first push of a new epoch, it holds
+//! more than twice what it held after its last whole fold (or after
+//! the bulk load of its first epoch). The whole fold costs O(records)
+//! and more than half of those records were pushed since the last one:
+//! amortized O(1) per push, and the trace stays within twice its folded
+//! size plus one epoch of pushes whatever the keys do.
 
 use std::collections::HashMap;
 
@@ -31,18 +47,19 @@ use crate::delta::{consolidate_values, Data, Diff};
 use crate::time::Time;
 use crate::util::FxHashMap;
 
-/// A cached full-base accumulation: `(generation, acc)`. Boxed so an
-/// uncached spine — the overwhelmingly common case, since only deep
-/// bases are cached — stays one pointer wide, keeping the per-key
-/// entries small in the trace's hash table.
-type BaseAccCache<V> = Option<Box<(u64, Vec<(V, Diff)>)>>;
+/// A cached full-base accumulation. Boxed so an uncached spine — the
+/// overwhelmingly common case, since only deep bases are cached — stays
+/// one pointer wide, keeping the per-key entries small in the trace's
+/// hash table.
+type BaseAccCache<V> = Option<Box<Vec<(V, Diff)>>>;
 
 /// One key's two-layer difference history.
 struct KeySpine<V: Data> {
     /// Records folded to epoch 0: consolidated (no duplicate
     /// `(value, iter)` pairs, no zero diffs), sorted by `(value, iter)`.
     base: Vec<(V, u32, Diff)>,
-    /// Records pushed since the last compaction, in arrival order.
+    /// Records of the last epoch that pushed to this key, in arrival
+    /// order.
     recent: Vec<(V, Time, Diff)>,
     /// Largest iteration present in `base` (0 when empty). Base
     /// accumulations at any iteration `≥` this are identical, so they
@@ -50,10 +67,10 @@ struct KeySpine<V: Data> {
     max_base_iter: u32,
     /// Cached accumulation of the *whole* base layer (the answer for
     /// any iteration `≥ max_base_iter` — in particular for every
-    /// top-level, iteration-0 trace). Valid while the trace generation
-    /// matches: pushes land in the recent layer and never invalidate
-    /// it; only compaction does. Lookups below `max_base_iter` scan the
-    /// base directly instead of thrashing this entry.
+    /// top-level, iteration-0 trace). Pushes land in the recent layer
+    /// and never invalidate it; only a fold does. Lookups below
+    /// `max_base_iter` scan the base directly instead of thrashing this
+    /// entry.
     cache: BaseAccCache<V>,
 }
 
@@ -106,70 +123,50 @@ impl<V: Data> KeySpine<V> {
         acc
     }
 
-    /// Ensure the cache holds the whole-base accumulation for the
-    /// current trace generation.
-    fn refresh_cache(&mut self, generation: u64) {
-        if let Some(c) = &self.cache {
-            if c.0 == generation {
-                return;
-            }
-        }
-        self.cache =
-            Some(Box::new((generation, self.scan_base_merged(self.max_base_iter, &[]))));
-    }
-
     /// Fold recent records at epochs `≤ frontier` down to `(0, iter)`
-    /// and merge them into the sorted base in one linear pass.
-    fn compact(&mut self, frontier: u64) {
+    /// and merge them into the sorted base in one linear pass. Returns
+    /// how many records were folded.
+    fn compact(&mut self, frontier: u64) -> usize {
+        // Epochs never decrease from push to push, so what folds is a
+        // prefix; it is drained by value.
+        let n = self.recent.partition_point(|(_, t, _)| t.epoch <= frontier);
+        if n == 0 {
+            return 0;
+        }
+        let mut fold: Vec<(V, u32, Diff)> =
+            self.recent.drain(..n).map(|(v, t, r)| (v, t.iter, r)).collect();
+        // A buffer many times larger than the epoch it just gave up was
+        // sized by a bulk load; a key's steady per-epoch volume keeps
+        // its buffer.
+        if self.recent.capacity() > 4 * (n + 2) {
+            self.recent.shrink_to(n);
+        }
         self.cache = None;
-        // Drain foldable records while keeping `recent`'s storage (and
-        // the arrival order of what stays): post-compaction pushes
-        // reuse the capacity instead of regrowing every key from zero.
-        let mut fold: Vec<(V, u32, Diff)> = Vec::new();
-        self.recent.retain(|(v, t, r)| {
-            if t.epoch <= frontier {
-                fold.push((v.clone(), t.iter, *r));
-                false
-            } else {
-                true
-            }
-        });
-        if fold.is_empty() {
-            return;
-        }
         fold.sort_unstable_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-        // Merge the two sorted runs, summing equal (value, iter) pairs
-        // and dropping zeros. The base is never re-sorted.
-        let base = std::mem::take(&mut self.base);
-        let mut merged: Vec<(V, u32, Diff)> = Vec::with_capacity(base.len() + fold.len());
-        let push = |out: &mut Vec<(V, u32, Diff)>, rec: (V, u32, Diff)| {
-            if let Some(last) = out.last_mut() {
-                if last.0 == rec.0 && last.1 == rec.1 {
-                    last.2 += rec.2;
-                    if last.2 == 0 {
-                        out.pop();
-                    }
-                    return;
-                }
+        fold.dedup_by(|later, first| {
+            let same = first.0 == later.0 && first.1 == later.1;
+            if same {
+                first.2 += later.2;
             }
-            if rec.2 != 0 {
-                out.push(rec);
+            same
+        });
+        // Merge the two consolidated runs, summing equal (value, iter)
+        // pairs and dropping zeros. The base is never re-sorted.
+        let mut merged = Vec::with_capacity(self.base.len() + fold.len());
+        let mut base = std::mem::take(&mut self.base).into_iter().peekable();
+        for rec in fold {
+            while let Some(older) = base.next_if(|b| (&b.0, b.1) < (&rec.0, rec.1)) {
+                merged.push(older);
             }
-        };
-        let mut a = base.into_iter().peekable();
-        let mut b = fold.into_iter().peekable();
-        loop {
-            let take_a = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => (&x.0, x.1) <= (&y.0, y.1),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let rec = if take_a { a.next().unwrap() } else { b.next().unwrap() };
-            push(&mut merged, rec);
+            let sum = rec.2 + base.next_if(|b| b.0 == rec.0 && b.1 == rec.1).map_or(0, |b| b.2);
+            if sum != 0 {
+                merged.push((rec.0, rec.1, sum));
+            }
         }
+        merged.extend(base);
         self.base = merged;
         self.max_base_iter = self.base.iter().map(|&(_, i, _)| i).max().unwrap_or(0);
+        n
     }
 }
 
@@ -180,8 +177,15 @@ pub struct KeyTrace<K: Data, V: Data> {
     base_len: usize,
     /// Total records in the recent layers.
     recent_len: usize,
-    /// Bumped by `compact`; tags base-accumulation cache entries.
-    generation: u64,
+    /// Keys folded, and the recent records those folds moved into a
+    /// base (cumulative; a plain tally, traces live inside operator
+    /// shards).
+    folded: (u64, u64),
+    /// Epoch of the latest push.
+    epoch: u64,
+    /// `len()` after the last whole fold, or after the trace's first
+    /// epoch: the size the next whole fold is measured against.
+    settled: usize,
 }
 
 impl<K: Data, V: Data> Default for KeyTrace<K, V> {
@@ -192,16 +196,52 @@ impl<K: Data, V: Data> Default for KeyTrace<K, V> {
 
 impl<K: Data, V: Data> KeyTrace<K, V> {
     pub fn new() -> Self {
-        KeyTrace { entries: HashMap::default(), base_len: 0, recent_len: 0, generation: 0 }
+        KeyTrace {
+            entries: HashMap::default(),
+            base_len: 0,
+            recent_len: 0,
+            folded: (0, 0),
+            epoch: 0,
+            settled: 0,
+        }
     }
 
-    /// Append one difference (into the recent layer).
+    /// Append one difference (into the recent layer). The first push to
+    /// a key in a new epoch first folds what the key's recent layer
+    /// still holds from an earlier one, so the layer never spans two
+    /// epochs; the first push to the trace in a new epoch folds every
+    /// key if the trace has doubled since it was last folded whole, so
+    /// keys that never recur are reclaimed too. Epochs must not
+    /// decrease from one push to the next.
     pub fn push(&mut self, k: K, v: V, t: Time, r: Diff) {
         if r == 0 {
             return;
         }
-        self.entries.entry(k).or_default().recent.push((v, t, r));
+        debug_assert!(self.epoch <= t.epoch, "push at epoch {} after {}", t.epoch, self.epoch);
+        if self.epoch < t.epoch {
+            self.epoch = t.epoch;
+            if self.settled == 0 {
+                self.settled = self.len();
+            } else if self.len() > 2 * self.settled {
+                self.compact(t.epoch - 1);
+            }
+        }
+        let spine = self.entries.entry(k).or_default();
+        if spine.recent.last().is_some_and(|(_, u, _)| u.epoch < t.epoch) {
+            let base = spine.base.len();
+            let folded = spine.compact(t.epoch - 1);
+            self.base_len = self.base_len - base + spine.base.len();
+            self.recent_len -= folded;
+            self.folded.0 += 1;
+            self.folded.1 += folded as u64;
+        }
+        spine.recent.push((v, t, r));
         self.recent_len += 1;
+    }
+
+    /// Cumulative `(keys, records)` folded.
+    pub(crate) fn folded(&self) -> (u64, u64) {
+        self.folded
     }
 
     /// Iterate all differences recorded for `k`, base layer first.
@@ -217,12 +257,11 @@ impl<K: Data, V: Data> KeyTrace<K, V> {
 
     /// Accumulate `k`'s state as of `t` (product order), consolidated
     /// and sorted by value. The base contribution needs no sorting: at
-    /// or above `max_base_iter` it is served from a generation-tagged
-    /// per-key cache (valid across pushes, dropped on compaction), and
-    /// below it a single pass over the value-sorted base suffices. The
-    /// (small) recent layer is merged on top.
+    /// or above `max_base_iter` it is served from a per-key cache
+    /// (valid across pushes, dropped when the key folds), and below it
+    /// a single pass over the value-sorted base suffices. The (small)
+    /// recent layer is merged on top.
     pub fn accumulate(&mut self, k: &K, t: Time) -> Vec<(V, Diff)> {
-        let generation = self.generation;
         let Some(spine) = self.entries.get_mut(k) else {
             return Vec::new();
         };
@@ -236,9 +275,10 @@ impl<K: Data, V: Data> KeyTrace<K, V> {
         if t.iter < spine.max_base_iter || spine.base.len() < CACHE_MIN_BASE {
             return spine.scan_base_merged(t.iter, &rec);
         }
-        spine.refresh_cache(generation);
-        let base_acc: &[(V, Diff)] =
-            spine.cache.as_ref().map(|c| c.1.as_slice()).unwrap_or(&[]);
+        if spine.cache.is_none() {
+            spine.cache = Some(Box::new(spine.scan_base_merged(spine.max_base_iter, &[])));
+        }
+        let base_acc: &[(V, Diff)] = spine.cache.as_deref().map_or(&[], |c| c.as_slice());
         if rec.is_empty() {
             return base_acc.to_vec();
         }
@@ -304,23 +344,28 @@ impl<K: Data, V: Data> KeyTrace<K, V> {
         self.entries.keys()
     }
 
-    /// Compact the trace below an epoch frontier: every record with
+    /// Fold every key below an epoch frontier: every record with
     /// `epoch ≤ frontier` is retimed to epoch 0 (keeping its iteration)
-    /// and merged into the key's sorted base layer. Sound because any
-    /// future accumulation time has epoch `> frontier`, so only the
-    /// iteration component of old records can affect comparisons.
+    /// and merged into the key's sorted base layer, and keys whose
+    /// history cancels are dropped. Sound because any future
+    /// accumulation time has epoch `> frontier`. What [`KeyTrace::push`]
+    /// does for one key, done for all: no `accumulate` or `times`
+    /// answer at a later epoch changes.
     pub fn compact(&mut self, frontier: u64) {
-        self.generation += 1;
         let mut base_len = 0;
         let mut recent_len = 0;
+        let folded = &mut self.folded;
         self.entries.retain(|_, spine| {
-            spine.compact(frontier);
+            let n = spine.compact(frontier);
+            folded.0 += (n > 0) as u64;
+            folded.1 += n as u64;
             base_len += spine.base.len();
             recent_len += spine.recent.len();
             !spine.base.is_empty() || !spine.recent.is_empty()
         });
         self.base_len = base_len;
         self.recent_len = recent_len;
+        self.settled = self.len();
     }
 }
 
@@ -384,10 +429,53 @@ mod tests {
     #[test]
     fn times_dedup_sorted() {
         let mut tr: KeyTrace<&str, u32> = KeyTrace::new();
-        tr.push("k", 1, Time::new(2, 0), 1);
-        tr.push("k", 2, Time::new(1, 0), 1);
-        tr.push("k", 3, Time::new(2, 0), 1);
-        assert_eq!(tr.times(&"k"), vec![Time::new(1, 0), Time::new(2, 0)]);
+        tr.push("k", 1, Time::new(2, 1), 1);
+        tr.push("k", 2, Time::new(2, 0), 1);
+        tr.push("k", 3, Time::new(2, 1), 1);
+        assert_eq!(tr.times(&"k"), vec![Time::new(2, 0), Time::new(2, 1)]);
+    }
+
+    #[test]
+    fn push_folds_only_the_key_it_touches() {
+        let mut tr: KeyTrace<&str, u32> = KeyTrace::new();
+        tr.push("a", 1, Time::new(1, 0), 1);
+        tr.push("b", 1, Time::new(1, 0), 1);
+        tr.push("a", 1, Time::new(2, 0), -1);
+        // "a" folded its epoch-1 record; nobody touched "b".
+        assert_eq!((tr.base_len(), tr.recent_len()), (1, 2));
+        assert_eq!(tr.folded(), (1, 1));
+        // The next touch cancels the pair out of the base.
+        tr.push("a", 2, Time::new(3, 1), 1);
+        assert_eq!((tr.base_len(), tr.recent_len()), (0, 2));
+        assert_eq!(tr.folded(), (2, 2));
+        assert_eq!(tr.times(&"a"), vec![Time::new(3, 1)]);
+        assert_eq!(tr.times(&"b"), vec![Time::new(1, 0)]);
+    }
+
+    #[test]
+    fn keys_that_never_recur_are_reclaimed() {
+        let mut tr: KeyTrace<u32, u32> = KeyTrace::new();
+        for k in 0..100 {
+            tr.push(k, 0, Time::new(1, 0), 1);
+        }
+        // Each epoch adds a fresh key and retires the previous one; no
+        // key is pushed to again after its removal.
+        let mut peak = 0;
+        for e in 2..2_000u64 {
+            tr.push(1_000 + e as u32, 0, Time::new(e, 0), 1);
+            if e > 2 {
+                tr.push(999 + e as u32, 0, Time::new(e, 0), -1);
+            }
+            peak = peak.max(tr.len());
+        }
+        // Live state is 101 records; dead keys hold two each until a
+        // whole fold drops them.
+        assert!(peak <= 2 * 101 + 2, "trace peaked at {peak} records");
+        assert!(tr.keys().count() <= 2 * 101, "dead keys kept their hash entries");
+        let before = tr.accumulate(&5, Time::new(2_000, 0));
+        tr.compact(1_999);
+        assert_eq!(tr.len(), 101);
+        assert_eq!(tr.accumulate(&5, Time::new(2_000, 0)), before);
     }
 
     #[test]

@@ -72,11 +72,16 @@ fn build(threads: usize) -> Harness {
 /// telemetry snapshot.
 fn trace_counts(t: &rc_telemetry::Telemetry) -> Vec<(String, i64)> {
     let snap = t.snapshot();
+    // Gauges (spine sizes) and counters (keys and records folded on
+    // touch — the folds happen inside the shards).
+    let counters = snap.counters.iter().map(|(k, v)| (k, *v as i64));
     let mut out: Vec<(String, i64)> = snap
         .gauges
         .iter()
+        .map(|(k, v)| (k, *v))
+        .chain(counters)
         .filter(|(k, _)| k.starts_with("dataflow.trace"))
-        .map(|(k, v)| (k.clone(), *v))
+        .map(|(k, v)| (k.clone(), v))
         .collect();
     out.sort();
     out

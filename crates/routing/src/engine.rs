@@ -474,19 +474,10 @@ impl RoutingEngine {
         self.df.op_stats()
     }
 
-    /// Fold operator history below the current epoch (bounds memory
-    /// across long change sequences).
+    /// Fold every operator key's history below the current epoch (see
+    /// [`Dataflow::compact`]; applies already fold the keys they touch).
     pub fn compact(&mut self) {
         self.df.compact();
-    }
-
-    /// Threshold-triggered compaction: fold history only on operators
-    /// whose recent trace layer has outgrown the policy's ratio of
-    /// their consolidated base (see
-    /// [`rc_dataflow::Dataflow::compact_adaptive`]). Returns the number
-    /// of operators compacted.
-    pub fn compact_adaptive(&mut self, policy: &rc_dataflow::CompactionPolicy) -> usize {
-        self.df.compact_adaptive(policy)
     }
 
     /// Records currently retained across the dataflow's trace spines

@@ -11,9 +11,7 @@ use common::{to_changeset, Cmd};
 use proptest::prelude::*;
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{host_prefix, ring};
-use realconfig::{
-    ChangeSet, Compaction, CompactionPolicy, PredKind, RealConfig, RestoreSource, VerifierOptions,
-};
+use realconfig::{ChangeSet, PredKind, RealConfig, RestoreSource, VerifierOptions};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -272,16 +270,16 @@ fn persistence_is_off_until_a_state_dir_is_attached() {
 }
 
 /// A verifier reopened with explicit options keeps the ones a snapshot
-/// cannot record (worker count, threshold compaction) — through the
-/// restore and through a later rebuild — while the recorded ones
-/// (update order here) still come from the snapshot.
+/// cannot record (worker count, failure policy) — through the restore
+/// and through a later rebuild — while the recorded ones (update order
+/// here) still come from the snapshot.
 #[test]
 fn reopen_keeps_options_the_snapshot_does_not_record() {
     let configs = build_configs(&ring(5), ProtocolChoice::Ospf);
     let opts = VerifierOptions {
         order: realconfig::UpdateOrder::DeleteFirst,
         threads: Some(1),
-        compaction: Compaction::Threshold(CompactionPolicy { ratio: 0.25, min_recent: 16 }),
+        on_failure: realconfig::OnFailure::Rebuild,
         ..Default::default()
     };
     let (mut live, _) = RealConfig::with_options(configs.clone(), opts).expect("ring verifies");

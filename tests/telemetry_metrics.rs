@@ -66,11 +66,31 @@ fn compaction_records_before_and_after_trace_sizes() {
     assert!(after <= before, "compaction grew the traces: {after} > {before}");
 }
 
+/// Compaction work tracks the change: the full build folds nothing
+/// (both counters are registered eagerly and read 0), and an apply
+/// folds only the keys it touches — a small fraction of the trace.
+#[test]
+fn fold_counters_track_the_change() {
+    let (mut rc, full) = build();
+    assert_eq!(full.metrics.counters["dataflow.trace.folded_keys"], 0);
+    assert_eq!(full.metrics.counters["dataflow.trace.folded_records"], 0);
+    let m = rc.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("verifies").metrics;
+    let (keys, records) =
+        (m.counters["dataflow.trace.folded_keys"], m.counters["dataflow.trace.folded_records"]);
+    assert!(keys > 0, "the change touched no key with history");
+    assert!(records >= keys, "every fold moves at least one record");
+    assert!(
+        records < rc.trace_records() as u64,
+        "one link failure folded {records} records of a {}-record trace",
+        rc.trace_records()
+    );
+}
+
 /// Telemetry keys are registered lazily inside the paths that produce
 /// them: a verifier driven through plain applies and compaction — no
-/// ingest queue, no coalescing, no threshold trigger — must carry none
-/// of the `queue.*` / `coalesce.*` / `compact.trigger.*` keys, keeping
-/// committed gate baselines stable for runs that never batch.
+/// ingest queue, no coalescing — must carry none of the `queue.*` /
+/// `coalesce.*` keys, keeping committed gate baselines stable for runs
+/// that never batch.
 #[test]
 fn plain_runs_carry_no_batching_keys() {
     let (mut rc, _) = build();
@@ -83,7 +103,7 @@ fn plain_runs_carry_no_batching_keys() {
         .chain(m.gauges.keys())
         .chain(m.histograms.keys());
     for key in all_keys {
-        for prefix in ["queue.", "coalesce.", "compact.trigger."] {
+        for prefix in ["queue.", "coalesce."] {
             assert!(
                 !key.starts_with(prefix),
                 "plain run registered batching key {key:?}"
