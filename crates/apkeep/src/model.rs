@@ -318,12 +318,12 @@ pub struct ApkModel {
     elements: Vec<Element>,
     element_index: HashMap<ElementKey, usize>,
     telemetry: Option<ApkTelemetry>,
-    /// Worker-count override for the parallel EC scans; `0` means
+    /// Worker-count override for the parallel transfer scan; `0` means
     /// "unset, use the process default" ([`rc_par::threads`]).
     threads: usize,
 }
 
-/// Minimum candidate-scan length before the parallel paths engage;
+/// Minimum candidate-scan length before the parallel transfer engages;
 /// below this the pool dispatch costs more than the scan.
 const PAR_SCAN_MIN: usize = 32;
 
@@ -471,9 +471,9 @@ impl ApkModel {
         self.full_scan = full_scan;
     }
 
-    /// Override the worker count for the parallel EC scans (`None`
+    /// Override the worker count for the parallel transfer scan (`None`
     /// reverts to the process default, [`rc_par::threads`]). At any
-    /// worker count the scans produce byte-identical results, splits
+    /// worker count the scan produces byte-identical results, splits
     /// and counters; `<= 1` is the exact serial path.
     pub fn set_threads(&mut self, threads: Option<usize>) {
         self.threads = threads.unwrap_or(0);
@@ -645,24 +645,15 @@ impl ApkModel {
         let candidates = self.candidate_ecs(pred);
         let indexed = candidates.is_some();
         let scan = candidates.unwrap_or_else(|| (0..num_ecs as u32).collect());
-        let nthreads = self.worker_threads();
-        let mut out = Vec::new();
-        if nthreads > 1 && scan.len() >= PAR_SCAN_MIN {
-            // Pure read-only filter; results reassemble in scan order,
-            // so the output is identical to the serial loop's.
-            let preds = &self.preds;
-            let ec_preds = &self.ec_preds;
-            let (hits, _stats) = rc_par::par_map_indexed_in(nthreads, &scan, |_, &i| {
-                preds.intersects(ec_preds[i as usize], pred)
-            });
-            out.extend(scan.iter().zip(hits).filter_map(|(&i, hit)| hit.then_some(EcId(i))));
-        } else {
-            for &i in &scan {
-                if self.preds.intersects(self.ec_preds[i as usize], pred) {
-                    out.push(EcId(i));
-                }
-            }
-        }
+        // Always on the caller's thread: a probe is 6–50 ns, so a pool
+        // dispatch (tens of µs at best, a scheduler quantum when the
+        // other CPU is taken) costs more than scanning every EC of any
+        // network built here.
+        let out = scan
+            .iter()
+            .filter(|&&i| self.preds.intersects(self.ec_preds[i as usize], pred))
+            .map(|&i| EcId(i))
+            .collect();
         if let Some(tel) = &self.telemetry {
             if indexed {
                 tel.index_probes().add(scan.len() as u64);

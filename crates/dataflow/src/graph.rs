@@ -109,10 +109,14 @@ impl Scheduler {
 }
 
 /// Minimum freshly routed records in one operator step before its
-/// shards go to the pool. Below this the pool's spawn/steal overhead
-/// beats the win — the regression PR 5 measured on tiny churn batches —
-/// so the shards run inline on the caller's thread instead.
-pub(crate) const SHARD_DISPATCH_MIN: usize = 512;
+/// shards go to the pool; smaller steps run inline on the caller's
+/// thread. A dispatched step waits for its slowest shard task, and a
+/// task whose CPU is taken away mid-shard is waited for a scheduler
+/// quantum, so a step goes to the pool only when its own inline cost
+/// (0.3–1 µs per record with histories folded on touch) is several
+/// quanta. Between 1 k and 16 k records the pool is 15–30 % faster on
+/// an idle host and slower on a busy one; the spread is not worth it.
+pub(crate) const SHARD_DISPATCH_MIN: usize = 16_384;
 
 /// How one [`run_shards`] call was executed (telemetry material).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
