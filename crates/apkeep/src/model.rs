@@ -318,20 +318,7 @@ pub struct ApkModel {
     elements: Vec<Element>,
     element_index: HashMap<ElementKey, usize>,
     telemetry: Option<ApkTelemetry>,
-    /// Worker-count override for the parallel transfer scan; `0` means
-    /// "unset, use the process default" ([`rc_par::threads`]).
-    threads: usize,
 }
-
-/// Minimum candidate-scan length before the parallel transfer engages;
-/// below this the pool dispatch costs more than the scan.
-const PAR_SCAN_MIN: usize = 32;
-
-/// Candidates per block in the block-wise parallel transfer: each block
-/// is prefiltered in parallel against the immutable store, then applied
-/// serially, so the serial early-exit (`remaining` drained) is checked
-/// at least every `TRANSFER_BLOCK` candidates.
-const TRANSFER_BLOCK: usize = 256;
 
 /// Cached metric handles (name lookups happen once, at attach time).
 /// The index counters register lazily, on first indexed query, so
@@ -443,7 +430,6 @@ impl ApkModel {
             elements: Vec::new(),
             element_index: HashMap::new(),
             telemetry: None,
-            threads: 0,
         }
     }
 
@@ -469,21 +455,6 @@ impl ApkModel {
     /// must produce byte-identical results.
     pub fn set_full_scan(&mut self, full_scan: bool) {
         self.full_scan = full_scan;
-    }
-
-    /// Override the worker count for the parallel transfer scan (`None`
-    /// reverts to the process default, [`rc_par::threads`]). At any
-    /// worker count the scan produces byte-identical results, splits
-    /// and counters; `<= 1` is the exact serial path.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads.unwrap_or(0);
-    }
-
-    fn worker_threads(&self) -> usize {
-        match self.threads {
-            0 => rc_par::threads(),
-            n => n,
-        }
     }
 
     /// Number of live ECs.
@@ -851,15 +822,6 @@ impl ApkModel {
     /// output-invariant: ECs are disjoint, so each EC's intersection
     /// with the un-transferred remainder equals its intersection with
     /// `pred` regardless of which other ECs were probed first.
-    ///
-    /// With more than one worker and a long enough scan, candidates are
-    /// processed block-wise: each block is prefiltered in parallel with
-    /// the store's read-only `intersects(ec, pred)` (valid against the
-    /// full `pred` — for an unprocessed candidate `ec ∩ remaining`
-    /// equals `ec ∩ pred` by EC disjointness), then applied serially in
-    /// ascending EC order. Splits, moves, child ids, probe/skip counts
-    /// and the early exit are therefore byte-identical to the serial
-    /// scan at any worker count.
     fn transfer(&mut self, eid: usize, pred: Ref, to_port: usize, tx: &mut Batch) {
         if pred.is_false() {
             return;
@@ -875,74 +837,23 @@ impl ApkModel {
         let mut remaining = pred;
         let mut probes = 0u64;
         let mut skips = if indexed { (num_ecs - scan.len()) as u64 } else { 0 };
-        let nthreads = self.worker_threads();
-        if nthreads > 1 && scan.len() >= PAR_SCAN_MIN {
-            'blocks: for (bi, block) in scan.chunks(TRANSFER_BLOCK).enumerate() {
-                if remaining.is_false() {
-                    break;
-                }
-                // Parallel, read-only prefilter. The store is borrowed
-                // shared here; all mutation happens in the serial apply
-                // loop below, so block predicates are stable (earlier
-                // candidates' splits only rewrite their own entry and
-                // append children past the scan).
-                let preds = &self.preds;
-                let ec_preds = &self.ec_preds;
-                let port_of_ec = &self.elements[eid].port_of_ec;
-                let (hits, _stats) = rc_par::par_map_indexed_in(nthreads, block, |j, &idx| {
-                    rc_faults::fire_shard(
-                        rc_faults::ShardSite::ApkTransfer,
-                        bi * TRANSFER_BLOCK + j,
-                    );
-                    port_of_ec[idx as usize] != to_port
-                        && preds.intersects(ec_preds[idx as usize], pred)
-                });
-                // Serial apply, ascending: identical decisions and
-                // counters to the serial loop. A prefilter miss proves
-                // the intersection is empty, so the `and` is skipped —
-                // an empty result interns nothing, so the store is
-                // left exactly as the serial scan leaves it.
-                for (&idx, hit) in block.iter().zip(hits) {
-                    if remaining.is_false() {
-                        break 'blocks;
-                    }
-                    if self.elements[eid].port_of_ec[idx as usize] == to_port {
-                        skips += 1;
-                        continue;
-                    }
-                    probes += 1;
-                    if !hit {
-                        continue;
-                    }
-                    let ec_pred = self.ec_preds[idx as usize];
-                    let inter = self.preds.and(ec_pred, remaining);
-                    if inter.is_false() {
-                        continue;
-                    }
-                    remaining = self.preds.diff(remaining, inter);
-                    let moving = if inter == ec_pred { idx } else { self.split(idx, inter, tx) };
-                    self.move_ec(eid, moving, to_port, tx);
-                }
+        for &idx in &scan {
+            if remaining.is_false() {
+                break;
             }
-        } else {
-            for &idx in &scan {
-                if remaining.is_false() {
-                    break;
-                }
-                if self.elements[eid].port_of_ec[idx as usize] == to_port {
-                    skips += 1;
-                    continue;
-                }
-                let ec_pred = self.ec_preds[idx as usize];
-                probes += 1;
-                let inter = self.preds.and(ec_pred, remaining);
-                if inter.is_false() {
-                    continue;
-                }
-                remaining = self.preds.diff(remaining, inter);
-                let moving = if inter == ec_pred { idx } else { self.split(idx, inter, tx) };
-                self.move_ec(eid, moving, to_port, tx);
+            if self.elements[eid].port_of_ec[idx as usize] == to_port {
+                skips += 1;
+                continue;
             }
+            let ec_pred = self.ec_preds[idx as usize];
+            probes += 1;
+            let inter = self.preds.and(ec_pred, remaining);
+            if inter.is_false() {
+                continue;
+            }
+            remaining = self.preds.diff(remaining, inter);
+            let moving = if inter == ec_pred { idx } else { self.split(idx, inter, tx) };
+            self.move_ec(eid, moving, to_port, tx);
         }
         if let Some(tel) = &mut self.telemetry {
             tel.index_probes().add(probes);
@@ -1203,8 +1114,8 @@ struct Batch {
 // preserved — see `Preds::encode_state`), the EC partition, and every
 // element's rule table and port assignment. The dst-interval index,
 // the per-element inverted indexes, and the hash-consing tables are
-// all derivable and rebuilt on decode; telemetry and the thread
-// override are runtime attachments the restoring caller re-applies.
+// all derivable and rebuilt on decode; telemetry is a runtime
+// attachment the restoring caller re-applies.
 
 fn wire_err<T>(msg: impl Into<String>) -> Result<T, rc_store::WireError> {
     Err(rc_store::WireError(msg.into()))
@@ -1506,7 +1417,6 @@ impl ApkModel {
             elements,
             element_index,
             telemetry: None,
-            threads: 0,
         })
     }
 }

@@ -131,8 +131,8 @@ pub struct VerifierOptions {
     /// Predicate backend of the EC model. Defaults to the process
     /// default ([`rc_bdd::default_backend`]) when `default()` is called.
     pub backend: rc_bdd::PredKind,
-    /// Worker count for the parallel phases (policy walks, sharded
-    /// dataflow operators, EC scans). `None` is the process-global knob
+    /// Worker count for the parallel phases (policy walks and sharded
+    /// dataflow operators). `None` is the process-global knob
     /// ([`rc_par::threads`]); `Some(1)` forces the exact serial paths.
     /// Results are byte-identical for any worker count.
     pub threads: Option<usize>,
@@ -583,7 +583,7 @@ impl RealConfig {
 
     /// Whether any EC currently delivers traffic from `src` to `dst`.
     pub fn pair_reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        self.stages.checker.pair_ecs(src, dst).is_some()
+        self.stages.checker.reachable(src, dst)
     }
 
     /// Whether a policy currently holds.

@@ -85,7 +85,6 @@ impl Stages {
     ) -> Self {
         model.set_telemetry(telemetry);
         model.set_full_scan(!opts.ec_index);
-        model.set_threads(opts.threads);
         checker.set_telemetry(telemetry);
         checker.set_threads(opts.threads);
         Stages {
@@ -130,10 +129,11 @@ impl Stages {
         report.rules = s.model.num_rules();
         report.ecs = s.model.num_ecs();
 
-        for (policy, satisfied) in prior_policies {
-            let id = s.checker.add_policy(&mut s.model, policy.clone());
-            s.checker.restore_verdict(id, *satisfied);
+        for (policy, _) in prior_policies {
+            s.checker.add_policy(&mut s.model, policy.clone());
         }
+        let verdicts: Vec<bool> = prior_policies.iter().map(|&(_, ok)| ok).collect();
+        s.checker.restore_verdicts(&verdicts);
         let t = Instant::now();
         let check = s.checker.check_full(&mut s.model);
         report.policy_check = t.elapsed();

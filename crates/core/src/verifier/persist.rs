@@ -8,16 +8,24 @@
 //!
 //! | tag | section  | contents                                          |
 //! |-----|----------|---------------------------------------------------|
-//! | 1   | META     | update order, full-scan flag, auto-compact knob   |
+//! | 1   | META     | update order, full-scan flag, retired auto-compact field |
 //! | 2   | REGISTRY | interned node / interface names, in id order      |
 //! | 3   | CONFIGS  | last-good configurations as canonical printed text|
 //! | 4   | MODEL    | [`ApkModel::encode_state`] (includes the predicate store) |
-//! | 5   | CHECKER  | [`PolicyChecker::encode_state`]                   |
+//! | 5   | CHECKER  | [`PolicyChecker::encode_state`]: devices, links, one analysis per EC in EC order, policies with verdicts |
 //!
 //! The registry is serialized by name *in id order* because interning
 //! is append-only and history-dependent: rebuilding it verbatim keeps
 //! every `NodeId` / `IfaceId` embedded in the model and checker
 //! sections valid.
+//!
+//! Sections hold state, not what is derived from it: the model's
+//! indexes and the checker's pair counts and port index are rebuilt on
+//! decode, and the checker's analysis count must equal the model's EC
+//! count. META's last two fields (`1`, [`DEFAULT_AUTO_COMPACT`]) are
+//! vestigial — nothing reads them since compaction stopped being
+//! scheduled — but stay byte-for-byte, because the `perf` benchmark
+//! writes the section by hand and byte-compares whole snapshots.
 //!
 //! # Journal
 //!
@@ -507,7 +515,7 @@ impl RealConfig {
         // MODEL and CHECKER: handle-for-handle state restore.
         let model = section(&sections, (SEC_MODEL, "model"), ApkModel::decode_state)?;
         let checker = section(&sections, (SEC_CHECKER, "checker"), |r| {
-            PolicyChecker::decode_state(r, model.pred_slots())
+            PolicyChecker::decode_state(r, &model)
         })?;
         opts.backend = model.backend();
 

@@ -55,6 +55,10 @@ pub enum FaultPoint {
     /// Entry of `PolicyChecker::check_incremental` (stage 3,
     /// incremental policy checking). Stages 1 and 2 have committed.
     PolicyCheck,
+    /// End of a policy checking pass (full or incremental), after it
+    /// has overwritten the verdicts of the policies it re-evaluated —
+    /// the one fault after which the verifier must put verdicts back.
+    PolicyVerdicts,
     /// Inside `rc_store::atomic_write`: the destination is clobbered
     /// with a prefix of the new bytes and the write errors — the torn
     /// file a crashed *naive* writer would leave behind, which
@@ -76,11 +80,13 @@ pub enum FaultPoint {
 
 impl FaultPoint {
     /// All instrumented points: the three pipeline stage boundaries in
-    /// pipeline order, then the persistence I/O points.
-    pub const ALL: [FaultPoint; 7] = [
+    /// pipeline order, the end of stage 3, then the persistence I/O
+    /// points.
+    pub const ALL: [FaultPoint; 8] = [
         FaultPoint::EngineApply,
         FaultPoint::ApkBatch,
         FaultPoint::PolicyCheck,
+        FaultPoint::PolicyVerdicts,
         FaultPoint::StoreTornWrite,
         FaultPoint::StorePartialAppend,
         FaultPoint::StoreBitFlipRead,
@@ -106,10 +112,11 @@ impl FaultPoint {
             FaultPoint::EngineApply => 0,
             FaultPoint::ApkBatch => 1,
             FaultPoint::PolicyCheck => 2,
-            FaultPoint::StoreTornWrite => 3,
-            FaultPoint::StorePartialAppend => 4,
-            FaultPoint::StoreBitFlipRead => 5,
-            FaultPoint::StoreFsyncFail => 6,
+            FaultPoint::PolicyVerdicts => 3,
+            FaultPoint::StoreTornWrite => 4,
+            FaultPoint::StorePartialAppend => 5,
+            FaultPoint::StoreBitFlipRead => 6,
+            FaultPoint::StoreFsyncFail => 7,
         }
     }
 }
@@ -120,6 +127,7 @@ impl fmt::Display for FaultPoint {
             FaultPoint::EngineApply => write!(f, "engine apply (stage 1)"),
             FaultPoint::ApkBatch => write!(f, "apkeep batch (stage 2)"),
             FaultPoint::PolicyCheck => write!(f, "policy check (stage 3)"),
+            FaultPoint::PolicyVerdicts => write!(f, "policy verdicts written (stage 3)"),
             FaultPoint::StoreTornWrite => write!(f, "store torn write"),
             FaultPoint::StorePartialAppend => write!(f, "store partial journal append"),
             FaultPoint::StoreBitFlipRead => write!(f, "store bit flip on read"),
@@ -336,28 +344,24 @@ pub fn fire_walk(ec: u32) {
 pub enum ShardSite {
     /// A dataflow operator's per-shard step task (stage 1).
     Dataflow,
-    /// An APKeep transfer's candidate-chunk intersection task (stage 2).
-    ApkTransfer,
 }
 
 impl ShardSite {
     fn slot(self) -> &'static AtomicU64 {
         match self {
             ShardSite::Dataflow => &DATAFLOW_SHARD_PANIC,
-            ShardSite::ApkTransfer => &APK_SHARD_PANIC,
         }
     }
 }
 
-/// Process-global one-shot shard-panic points, one per sharded stage.
+/// Process-global one-shot shard-panic point, one per sharded stage.
 /// Same rationale as [`WALK_PANIC_TARGET`]: thread-local plans cannot
 /// reach pool workers, and the property under test is that a panic on
-/// *any* shard task — dataflow operator shard or APKeep transfer chunk —
-/// unwinds through the pool into the verifier's containment instead of
-/// deadlocking a barrier. `u64::MAX` means disarmed; any other value is
-/// "panic on the next shard task at this site".
+/// *any* shard task unwinds through the pool into the verifier's
+/// containment instead of deadlocking a barrier. `u64::MAX` means
+/// disarmed; any other value is "panic on the next shard task at this
+/// site".
 static DATAFLOW_SHARD_PANIC: AtomicU64 = AtomicU64::new(u64::MAX);
-static APK_SHARD_PANIC: AtomicU64 = AtomicU64::new(u64::MAX);
 
 /// Arm the one-shot shard-panic point at `site`: the next shard task
 /// that reaches [`fire_shard`] there panics, on whichever worker runs
@@ -373,7 +377,7 @@ pub fn disarm_shard_panic(site: ShardSite) {
 }
 
 /// The shard hook. Sharded stages call this at the top of each pool
-/// task, passing the shard (or chunk) index. Disarmed — the common case
+/// task, passing the shard index. Disarmed — the common case
 /// — it is one relaxed atomic load; armed, exactly one task wins the
 /// disarming compare-exchange and panics with the injected marker.
 pub fn fire_shard(site: ShardSite, shard: usize) {
@@ -472,12 +476,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_panic_is_one_shot_per_site() {
+    fn shard_panic_is_one_shot() {
         disarm_shard_panic(ShardSite::Dataflow);
-        disarm_shard_panic(ShardSite::ApkTransfer);
         fire_shard(ShardSite::Dataflow, 0); // disarmed: no-op
         arm_shard_panic(ShardSite::Dataflow);
-        fire_shard(ShardSite::ApkTransfer, 1); // other site: no-op
         let err = std::panic::catch_unwind(|| fire_shard(ShardSite::Dataflow, 3))
             .expect_err("must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();

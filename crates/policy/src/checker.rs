@@ -1,14 +1,18 @@
 //! The incremental network policy checker (paper §4.2, third stage).
 //!
-//! The checker keeps, per EC, the analysis of its forwarding graph, and
-//! the two maps the paper describes: EC → forwarding state (our
-//! [`EcAnalysis`] generalizes "set of paths") and (src, dst) pair → the
-//! ECs deliverable between them. After a batch of data plane model
-//! changes it re-analyzes **only the affected ECs**, updates the pair
-//! map for the pairs those ECs touch, and re-evaluates **only the
-//! policies registered on affected packets** — reporting both newly
-//! violated and newly satisfied policies (the latter lets an operator
-//! confirm a repair worked).
+//! The checker's state is, per EC, the analysis of its forwarding
+//! graph ([`EcAnalysis`], which generalizes the paper's "set of paths"),
+//! plus the registered policies with their verdicts. The paper's second
+//! map, (src, dst) pair → ECs deliverable between them, is kept only as
+//! a per-pair *count* of delivering ECs: every policy is evaluated from
+//! the EC side, so nothing needs the sets. That count and the port →
+//! ECs index link changes invalidate through are derived from the
+//! analyses (`Derived`) and never persisted. After a batch of data
+//! plane model changes the checker re-analyzes **only the affected
+//! ECs**, patches the derived indexes for what they changed, and
+//! re-evaluates **only the policies registered on affected packets** —
+//! reporting both newly violated and newly satisfied policies (the
+//! latter lets an operator confirm a repair worked).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -92,19 +96,84 @@ const WALK_INLINE_MIN: usize = 8;
 pub struct PolicyChecker {
     nodes: BTreeSet<NodeId>,
     topo: BTreeMap<Port, Port>,
-    ec_state: HashMap<EcId, EcAnalysis>,
-    pair_ecs: BTreeMap<(NodeId, NodeId), BTreeSet<EcId>>,
-    /// Reverse index: which ECs' forwarding uses a port.
-    port_users: HashMap<Port, BTreeSet<EcId>>,
+    /// Per-EC analysis, indexed by EC id: the model's ids are dense and
+    /// a split appends its child, so after every pass there is one entry
+    /// per model EC.
+    ec_state: Vec<EcAnalysis>,
+    derived: Derived,
     policies: Vec<Registered>,
     /// Per-checker worker-count override for the parallel walk phase
     /// (`None`: the process-global [`rc_par::threads`] knob).
     threads: Option<usize>,
-    /// Full passes that took the fresh fast path (no prior EC state to
-    /// diff against) — pinned by tests to prove a fresh `check_full`
-    /// does no redundant clearing work.
-    fresh_full_passes: u64,
     telemetry: Option<CheckerTelemetry>,
+}
+
+/// Everything the checker knows that is a function of `ec_state`:
+/// patched on every merge, rebuilt whole on decode, and compared with a
+/// rebuild by [`PolicyChecker::check_invariants`]. Neither map holds an
+/// empty entry.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Derived {
+    /// (src, dst) → how many ECs deliver from `src` to `dst`.
+    pairs: HashMap<(NodeId, NodeId), u32>,
+    /// port → the ECs whose forwarding uses it (what a link change
+    /// under the port invalidates).
+    port_users: HashMap<Port, BTreeSet<EcId>>,
+}
+
+impl Derived {
+    fn of(ec_state: &[EcAnalysis]) -> Self {
+        let mut d = Derived::default();
+        for (i, a) in ec_state.iter().enumerate() {
+            d.add(EcId(i as u32), a);
+        }
+        d
+    }
+
+    /// Count everything `a` contributes as EC `ec`'s.
+    fn add(&mut self, ec: EcId, a: &EcAnalysis) {
+        for pair in a.pairs() {
+            *self.pairs.entry(pair).or_default() += 1;
+        }
+        for &port in &a.ports_used {
+            self.port_users.entry(port).or_default().insert(ec);
+        }
+    }
+
+    /// Re-count EC `ec` from its `old` analysis to its `new` one, adding
+    /// to `changed` every pair whose count moved.
+    fn replace(
+        &mut self,
+        ec: EcId,
+        old: &EcAnalysis,
+        new: &EcAnalysis,
+        changed: &mut BTreeSet<(NodeId, NodeId)>,
+    ) {
+        for port in old.ports_used.difference(&new.ports_used) {
+            if let Some(users) = self.port_users.get_mut(port) {
+                users.remove(&ec);
+                if users.is_empty() {
+                    self.port_users.remove(port);
+                }
+            }
+        }
+        for &port in new.ports_used.difference(&old.ports_used) {
+            self.port_users.entry(port).or_default().insert(ec);
+        }
+        for pair in old.pairs().filter(|&(s, d)| !new.delivers(s, d)) {
+            changed.insert(pair);
+            if let Some(n) = self.pairs.get_mut(&pair) {
+                *n -= 1;
+                if *n == 0 {
+                    self.pairs.remove(&pair);
+                }
+            }
+        }
+        for pair in new.pairs().filter(|&(s, d)| !old.delivers(s, d)) {
+            changed.insert(pair);
+            *self.pairs.entry(pair).or_default() += 1;
+        }
+    }
 }
 
 /// Cached metric handles (name lookups happen once, at attach time).
@@ -183,12 +252,10 @@ impl PolicyChecker {
         PolicyChecker {
             nodes: BTreeSet::new(),
             topo: BTreeMap::new(),
-            ec_state: HashMap::new(),
-            pair_ecs: BTreeMap::new(),
-            port_users: HashMap::new(),
+            ec_state: Vec::new(),
+            derived: Derived::default(),
             policies: Vec::new(),
             threads: None,
-            fresh_full_passes: 0,
             telemetry: None,
         }
     }
@@ -199,17 +266,6 @@ impl PolicyChecker {
     /// parallelism); `Some(1)` forces the exact serial path.
     pub fn set_threads(&mut self, threads: Option<usize>) {
         self.threads = threads;
-    }
-
-    /// The per-checker worker-count override, if any.
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
-    /// How many full passes took the fresh fast path (no prior EC state
-    /// to diff against).
-    pub fn fresh_full_passes(&self) -> u64 {
-        self.fresh_full_passes
     }
 
     /// Attach a telemetry registry. Every checking pass records the ECs
@@ -238,7 +294,7 @@ impl PolicyChecker {
                 self.topo.remove(&src);
             }
             for port in [src, dst] {
-                if let Some(users) = self.port_users.get(&port) {
+                if let Some(users) = self.derived.port_users.get(&port) {
                     touched.extend(users.iter().copied());
                 }
             }
@@ -294,7 +350,7 @@ impl PolicyChecker {
     /// The registered policies with their current verdicts, in
     /// registration order (index = [`PolicyId`]). Rebuild support: a
     /// fresh checker fed these through [`PolicyChecker::add_policy`] +
-    /// [`PolicyChecker::restore_verdict`] preserves both the policy ids
+    /// [`PolicyChecker::restore_verdicts`] preserves both the policy ids
     /// and the satisfaction history, so newly-violated/newly-satisfied
     /// deltas stay correct across a full rebuild.
     pub fn policy_specs(&self) -> Vec<(Policy, bool)> {
@@ -306,31 +362,45 @@ impl PolicyChecker {
         self.policies.iter().map(|r| r.satisfied).collect()
     }
 
-    /// Overwrite one stored verdict without re-evaluating (rebuild and
-    /// rollback support).
-    pub fn restore_verdict(&mut self, id: PolicyId, satisfied: bool) {
-        if let Some(r) = self.policies.get_mut(id.0 as usize) {
-            r.satisfied = satisfied;
-        }
-    }
-
-    /// Overwrite the stored verdicts from a snapshot taken with
-    /// [`PolicyChecker::verdicts`] (transaction rollback: a failed
-    /// checking pass may have flipped some flags before dying).
+    /// Overwrite the stored verdicts, in id order, without re-evaluating:
+    /// transaction rollback from [`PolicyChecker::verdicts`] (a failed
+    /// checking pass may have flipped some flags before dying), and
+    /// rebuilds carrying the last-seen verdicts over.
     pub fn restore_verdicts(&mut self, snapshot: &[bool]) {
         for (r, &s) in self.policies.iter_mut().zip(snapshot) {
             r.satisfied = s;
         }
     }
 
-    /// The ECs currently deliverable from `src` to `dst`.
-    pub fn pair_ecs(&self, src: NodeId, dst: NodeId) -> Option<&BTreeSet<EcId>> {
-        self.pair_ecs.get(&(src, dst))
+    /// Whether any EC currently delivers traffic from `src` to `dst`.
+    pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
+        self.derived.pairs.contains_key(&(src, dst))
     }
 
     /// Number of (src, dst) pairs with at least one deliverable EC.
     pub fn num_pairs(&self) -> usize {
-        self.pair_ecs.len()
+        self.derived.pairs.len()
+    }
+
+    /// Test hook: the pair counts and port index, as patched pass by
+    /// pass, must equal what the per-EC analyses derive from scratch.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let rebuilt = Derived::of(&self.ec_state);
+        if rebuilt.pairs != self.derived.pairs {
+            return Err(format!(
+                "pair counts drifted: {} pairs maintained, {} derived",
+                self.derived.pairs.len(),
+                rebuilt.pairs.len()
+            ));
+        }
+        if rebuilt.port_users != self.derived.port_users {
+            return Err(format!(
+                "port index drifted: {} ports maintained, {} derived",
+                self.derived.port_users.len(),
+                rebuilt.port_users.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Build the forwarding graph of one EC over the checker's current
@@ -341,6 +411,7 @@ impl PolicyChecker {
 
     /// Check everything from scratch (initial verification).
     pub fn check_full(&mut self, model: &mut ApkModel) -> CheckReport {
+        self.ec_state.resize_with(model.num_ecs(), EcAnalysis::default);
         let all: BTreeSet<EcId> = model.ecs().collect();
         self.recheck(model, all, true)
     }
@@ -362,28 +433,25 @@ impl PolicyChecker {
                 rc_faults::INJECTED_PANIC_PREFIX
             );
         }
-        // Splits first: the child EC behaves exactly like its pre-split
-        // parent until a move says otherwise.
+        // Splits first. A split changes no EC's forwarding: the parent's
+        // analysis stays valid for its narrower predicate, and the child
+        // behaves exactly like its pre-split parent until a move says
+        // otherwise, so it inherits the parent's analysis, counts the
+        // parent's pairs and ports once more, and is invalidated with it
+        // by `extra` (which names pre-batch ids). Children are appended
+        // past the ECs the batch started with, in id order.
+        let mut affected: BTreeSet<EcId> = extra;
+        self.ec_state.resize_with(model.num_ecs() - summary.splits.len(), EcAnalysis::default);
         for &(parent, child) in &summary.splits {
-            if let Some(state) = self.ec_state.get(&parent).cloned() {
-                for port in &state.ports_used {
-                    self.port_users.entry(*port).or_default().insert(child);
-                }
-                for ecs in self.pair_ecs.values_mut() {
-                    if ecs.contains(&parent) {
-                        ecs.insert(child);
-                    }
-                }
-                self.ec_state.insert(child, state);
+            debug_assert_eq!(child.0 as usize, self.ec_state.len(), "split children append");
+            let state = self.ec_state[parent.0 as usize].clone();
+            self.derived.add(child, &state);
+            self.ec_state.push(state);
+            if affected.contains(&parent) {
+                affected.insert(child);
             }
         }
-        let mut affected: BTreeSet<EcId> = extra;
         affected.extend(summary.affected.iter().map(|a| a.ec));
-        // A split refines the parent's predicate: both halves need
-        // re-analysis only if a move happened, which `affected` already
-        // captures; but the *parent* keeps state computed for the wider
-        // predicate — its graph is unchanged (forwarding state was
-        // uniform), so nothing to redo.
         self.recheck(model, affected, false)
     }
 
@@ -392,18 +460,6 @@ impl PolicyChecker {
         let mut report = CheckReport { affected_ecs: affected.len(), ..Default::default() };
         let mut changed_pairs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
         let mut touched_pairs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-
-        // A fresh full pass has no prior state: every `old` below would
-        // be `Default`, the removal diffs are no-ops, and the path-sig
-        // touched pairs are a subset of the changed pairs — so the
-        // insert-only merge underneath is byte-identical and cheaper.
-        let fresh = full
-            && self.ec_state.is_empty()
-            && self.pair_ecs.is_empty()
-            && self.port_users.is_empty();
-        if fresh {
-            self.fresh_full_passes += 1;
-        }
 
         // Phase 1: walk the affected ECs' forwarding graphs. The walks
         // only read the model — through an immutable `EcView` snapshot —
@@ -437,57 +493,12 @@ impl PolicyChecker {
             }
         }
 
-        // Phase 2: merge per-EC analyses into the checker's state,
-        // strictly in ascending EC order.
+        // Phase 2: merge each new analysis over the old one, strictly in
+        // ascending EC order, patching the derived indexes by the
+        // difference.
         for (&ec, new) in affected_list.iter().zip(analyses) {
-            if fresh {
-                for port in &new.ports_used {
-                    self.port_users.entry(*port).or_default().insert(ec);
-                }
-                for (src, dsts) in &new.delivered {
-                    for d in dsts {
-                        changed_pairs.insert((*src, *d));
-                        self.pair_ecs.entry((*src, *d)).or_default().insert(ec);
-                    }
-                }
-                self.ec_state.insert(ec, new);
-                continue;
-            }
-            let old = self.ec_state.remove(&ec).unwrap_or_default();
-
-            // Update the port reverse index.
-            for port in old.ports_used.difference(&new.ports_used) {
-                if let Some(users) = self.port_users.get_mut(port) {
-                    users.remove(&ec);
-                }
-            }
-            for port in new.ports_used.difference(&old.ports_used) {
-                self.port_users.entry(*port).or_default().insert(ec);
-            }
-
-            // Update the pair map: the pairs (s, d) with d in
-            // delivered(s) changed where old and new disagree.
-            for (src, dsts) in &old.delivered {
-                for d in dsts {
-                    if !new.delivered.get(src).is_some_and(|nd| nd.contains(d)) {
-                        changed_pairs.insert((*src, *d));
-                        if let Some(set) = self.pair_ecs.get_mut(&(*src, *d)) {
-                            set.remove(&ec);
-                            if set.is_empty() {
-                                self.pair_ecs.remove(&(*src, *d));
-                            }
-                        }
-                    }
-                }
-            }
-            for (src, dsts) in &new.delivered {
-                for d in dsts {
-                    if !old.delivered.get(src).is_some_and(|od| od.contains(d)) {
-                        changed_pairs.insert((*src, *d));
-                        self.pair_ecs.entry((*src, *d)).or_default().insert(ec);
-                    }
-                }
-            }
+            let old = std::mem::take(&mut self.ec_state[ec.0 as usize]);
+            self.derived.replace(ec, &old, &new, &mut changed_pairs);
             // Pairs whose paths were modified: sources whose path
             // signature changed, paired with every delivery endpoint
             // they had before or have now.
@@ -499,18 +510,16 @@ impl PolicyChecker {
                     continue;
                 }
                 for dsts in [old.delivered.get(&s), new.delivered.get(&s)].into_iter().flatten() {
-                    for d in dsts {
-                        touched_pairs.insert((s, *d));
-                    }
+                    touched_pairs.extend(dsts.iter().map(|&d| (s, d)));
                 }
             }
-            self.ec_state.insert(ec, new);
+            self.ec_state[ec.0 as usize] = new;
         }
 
         touched_pairs.extend(changed_pairs.iter().copied());
         report.affected_pairs = touched_pairs.len();
         report.changed_pairs = changed_pairs.len();
-        report.total_pairs = self.pair_ecs.len();
+        report.total_pairs = self.derived.pairs.len();
 
         // Re-evaluate policies registered on affected packets.
         let affected_pred = if full {
@@ -539,11 +548,19 @@ impl PolicyChecker {
                 _ => {}
             }
         }
+        // Fault injection with this pass's verdicts already written:
+        // the caller must put them back (see `restore_verdicts`).
+        if rc_faults::fire(rc_faults::FaultPoint::PolicyVerdicts) {
+            panic!(
+                "{} error after policy verdicts escalated to panic (no error channel)",
+                rc_faults::INJECTED_PANIC_PREFIX
+            );
+        }
         if let Some(tel) = &self.telemetry {
             tel.affected_ecs.add(report.affected_ecs as u64);
             tel.policies_checked.add(report.policies_checked as u64);
             tel.policies_registered.set(self.policies.len() as i64);
-            tel.pairs.set(self.pair_ecs.len() as i64);
+            tel.pairs.set(self.derived.pairs.len() as i64);
             let us = start.elapsed().as_micros() as u64;
             if full {
                 tel.check_full_us.record(us);
@@ -585,35 +602,30 @@ impl PolicyChecker {
                 }
                 // Deliverable while avoiding the waypoint ⇒ violated.
                 let g = build_ec_graph(&model.ec_view(), ec, &self.nodes, &self.topo, Some(via));
-                let a = analyze(&g);
-                !a.delivered.get(&src).is_some_and(|d| d.contains(&dst))
+                !analyze(&g).delivers(src, dst)
             }),
-            Policy::LoopFree { .. } => ecs.iter().all(|&ec| {
-                self.ec_state.get(&ec).is_none_or(|s| s.looping.is_empty())
-            }),
-            Policy::BlackholeFree { src, .. } => ecs.iter().all(|&ec| {
-                self.ec_state
-                    .get(&ec)
-                    .is_none_or(|s| !s.dropped.contains_key(&src))
-            }),
+            Policy::LoopFree { .. } => {
+                ecs.iter().all(|&ec| self.ec_state[ec.0 as usize].looping.is_empty())
+            }
+            Policy::BlackholeFree { src, .. } => {
+                ecs.iter().all(|&ec| !self.ec_state[ec.0 as usize].dropped.contains(&src))
+            }
         }
     }
 
     fn delivers(&self, ec: EcId, src: NodeId, dst: NodeId) -> bool {
-        self.ec_state
-            .get(&ec)
-            .and_then(|s| s.delivered.get(&src))
-            .is_some_and(|d| d.contains(&dst))
+        self.ec_state[ec.0 as usize].delivers(src, dst)
     }
 }
 
 // ---------------------------------------------------------------------
 // Durable-state serialization.
 //
-// The checker's state is EC-keyed analysis plus registered policies;
-// its predicate handles point into the model's predicate store, which
-// the snapshot carries wholesale with arena indices preserved — so
-// handles serialize as raw indices and stay valid after restore.
+// The checker's state is the per-EC analyses plus the registered
+// policies; what is derived from the analyses is rebuilt on decode, not
+// stored. Predicate handles point into the model's predicate store,
+// which the snapshot carries wholesale with arena indices preserved —
+// so handles serialize as raw indices and stay valid after restore.
 
 fn wire_err<T>(msg: impl Into<String>) -> Result<T, rc_store::WireError> {
     Err(rc_store::WireError(msg.into()))
@@ -808,8 +820,7 @@ fn decode_policy(r: &mut rc_store::Reader<'_>) -> Result<Policy, rc_store::WireE
 
 fn encode_analysis(w: &mut rc_store::Writer, a: &EcAnalysis) {
     encode_node_set_map(w, &a.delivered);
-    encode_node_set_map(w, &a.dropped);
-    encode_node_set_map(w, &a.denied);
+    encode_node_set(w, &a.dropped);
     encode_node_set(w, &a.looping);
     w.len_prefix(a.ports_used.len());
     for &p in &a.ports_used {
@@ -824,8 +835,7 @@ fn encode_analysis(w: &mut rc_store::Writer, a: &EcAnalysis) {
 
 fn decode_analysis(r: &mut rc_store::Reader<'_>) -> Result<EcAnalysis, rc_store::WireError> {
     let delivered = decode_node_set_map(r)?;
-    let dropped = decode_node_set_map(r)?;
-    let denied = decode_node_set_map(r)?;
+    let dropped = decode_node_set(r)?;
     let looping = decode_node_set(r)?;
     let mut ports_used = BTreeSet::new();
     for _ in 0..r.len_prefix()? {
@@ -836,13 +846,13 @@ fn decode_analysis(r: &mut rc_store::Reader<'_>) -> Result<EcAnalysis, rc_store:
         let n = decode_node(r)?;
         path_sig.insert(n, r.u64()?);
     }
-    Ok(EcAnalysis { delivered, dropped, denied, looping, ports_used, path_sig })
+    Ok(EcAnalysis { delivered, dropped, looping, ports_used, path_sig })
 }
 
 impl PolicyChecker {
-    /// Serialize the full checker state — topology view, per-EC
-    /// analysis, reachability indexes, and registered policies with
-    /// their verdicts — for a durable snapshot.
+    /// Serialize the checker's state — topology view, the per-EC
+    /// analyses in EC order, and registered policies with their
+    /// verdicts — for a durable snapshot.
     pub fn encode_state(&self, w: &mut rc_store::Writer) {
         encode_node_set(w, &self.nodes);
         w.len_prefix(self.topo.len());
@@ -850,31 +860,9 @@ impl PolicyChecker {
             encode_port(w, a);
             encode_port(w, b);
         }
-        let mut ecs: Vec<_> = self.ec_state.iter().collect();
-        ecs.sort_by_key(|(ec, _)| **ec);
-        w.len_prefix(ecs.len());
-        for (&ec, analysis) in ecs {
-            w.u32(ec.0);
+        w.len_prefix(self.ec_state.len());
+        for analysis in &self.ec_state {
             encode_analysis(w, analysis);
-        }
-        w.len_prefix(self.pair_ecs.len());
-        for (&(a, b), ecs) in &self.pair_ecs {
-            encode_node(w, a);
-            encode_node(w, b);
-            w.len_prefix(ecs.len());
-            for &ec in ecs {
-                w.u32(ec.0);
-            }
-        }
-        w.len_prefix(self.port_users.len());
-        let mut users: Vec<_> = self.port_users.iter().collect();
-        users.sort_by_key(|(p, _)| **p);
-        for (&port, ecs) in users {
-            encode_port(w, port);
-            w.len_prefix(ecs.len());
-            for &ec in ecs {
-                w.u32(ec.0);
-            }
         }
         w.len_prefix(self.policies.len());
         for reg in &self.policies {
@@ -882,17 +870,17 @@ impl PolicyChecker {
             w.u32(reg.pred.index());
             w.u8(reg.satisfied as u8);
         }
-        w.u64(self.fresh_full_passes);
     }
 
-    /// Rebuild a checker from [`PolicyChecker::encode_state`] bytes.
-    /// `pred_slots` is the size of the restored predicate store the
-    /// policy handles point into, used to bounds-check every handle.
-    /// Telemetry and the worker-count override are not restored; the
-    /// caller re-attaches them.
+    /// Rebuild a checker from [`PolicyChecker::encode_state`] bytes,
+    /// against the restored `model`: it must have one EC per stored
+    /// analysis, and every policy handle must point into its predicate
+    /// store. The derived indexes are recomputed. Telemetry and the
+    /// worker-count override are not restored; the caller re-attaches
+    /// them.
     pub fn decode_state(
         r: &mut rc_store::Reader<'_>,
-        pred_slots: u32,
+        model: &ApkModel,
     ) -> Result<PolicyChecker, rc_store::WireError> {
         let nodes = decode_node_set(r)?;
         let mut topo = BTreeMap::new();
@@ -901,40 +889,19 @@ impl PolicyChecker {
             let b = decode_port(r)?;
             topo.insert(a, b);
         }
-        let mut ec_state = HashMap::new();
-        for _ in 0..r.len_prefix()? {
-            let ec = EcId(r.u32()?);
-            let analysis = decode_analysis(r)?;
-            if ec_state.insert(ec, analysis).is_some() {
-                return wire_err(format!("duplicate EC {} in checker state", ec.0));
-            }
+        let num_ecs = r.len_prefix()?;
+        if num_ecs != model.num_ecs() {
+            return wire_err(format!(
+                "checker state has {num_ecs} EC analyses, the model {} ECs",
+                model.num_ecs()
+            ));
         }
-        let mut pair_ecs = BTreeMap::new();
-        for _ in 0..r.len_prefix()? {
-            let a = decode_node(r)?;
-            let b = decode_node(r)?;
-            let mut ecs = BTreeSet::new();
-            for _ in 0..r.len_prefix()? {
-                ecs.insert(EcId(r.u32()?));
-            }
-            pair_ecs.insert((a, b), ecs);
-        }
-        let mut port_users = HashMap::new();
-        for _ in 0..r.len_prefix()? {
-            let port = decode_port(r)?;
-            let mut ecs = BTreeSet::new();
-            for _ in 0..r.len_prefix()? {
-                ecs.insert(EcId(r.u32()?));
-            }
-            if port_users.insert(port, ecs).is_some() {
-                return wire_err("duplicate port in port_users");
-            }
-        }
+        let ec_state = (0..num_ecs).map(|_| decode_analysis(r)).collect::<Result<Vec<_>, _>>()?;
         let mut policies = Vec::new();
         for i in 0..r.len_prefix()? {
             let policy = decode_policy(r)?;
             let pred = r.u32()?;
-            if pred >= pred_slots {
+            if pred >= model.pred_slots() {
                 return wire_err(format!("policy {i} has invalid predicate handle {pred}"));
             }
             let satisfied = match r.u8()? {
@@ -944,16 +911,13 @@ impl PolicyChecker {
             };
             policies.push(Registered { policy, pred: Ref::from_index(pred), satisfied });
         }
-        let fresh_full_passes = r.u64()?;
         Ok(PolicyChecker {
             nodes,
             topo,
+            derived: Derived::of(&ec_state),
             ec_state,
-            pair_ecs,
-            port_users,
             policies,
             threads: None,
-            fresh_full_passes,
             telemetry: None,
         })
     }

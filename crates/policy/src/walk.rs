@@ -6,9 +6,9 @@
 //! (an ACL denies the EC), or forwards to successor devices (several,
 //! under ECMP). [`analyze`] condenses that graph (Tarjan SCC) and
 //! propagates outcomes so that every device's fate — which delivery
-//! points it can reach, where its packets can be dropped or denied,
-//! whether they can loop — comes out of one linear-time pass, shared by
-//! all sources.
+//! points it can reach, whether its packets can be dropped, whether
+//! they can loop — comes out of one linear-time pass, shared by all
+//! sources.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -25,9 +25,6 @@ pub struct EcGraph {
     pub delivers: BTreeSet<NodeId>,
     /// Nodes where the EC is dropped (FIB drop action or no route).
     pub drops: BTreeSet<NodeId>,
-    /// Nodes at which an ACL denies the EC (egress ACL at the sending
-    /// node, ingress ACL recorded at the filtering node).
-    pub denies: BTreeSet<NodeId>,
     /// Link endpoints this EC's forwarding uses (for invalidation when
     /// links change).
     pub ports_used: BTreeSet<Port>,
@@ -74,7 +71,6 @@ pub fn build_ec_graph(
                     if model.action(ElementKey::Filter(n, i, Dir::Out), ec)
                         == Some(&PortAction::Deny)
                     {
-                        g.denies.insert(n);
                         g.blocked_edges.push((n, port, port, Dir::Out));
                     } else {
                         g.delivers.insert(n);
@@ -90,15 +86,16 @@ pub fn build_ec_graph(
             let port = Port { node: n, iface: i };
             // Egress ACL at the sending interface.
             if model.action(ElementKey::Filter(n, i, Dir::Out), ec) == Some(&PortAction::Deny) {
-                g.denies.insert(n);
                 g.blocked_edges.push((n, port, port, Dir::Out));
                 continue;
             }
             match topo.get(&port) {
                 None => {
                     // Host-facing interface: the packet leaves the
-                    // modeled network here.
+                    // modeled network here — until a link comes up
+                    // under the port, so the port is still a use.
                     g.delivers.insert(n);
+                    g.ports_used.insert(port);
                     g.node_ports.entry(n).or_default().insert(port);
                 }
                 Some(dst) => {
@@ -109,7 +106,6 @@ pub fn build_ec_graph(
                     if model.action(ElementKey::Filter(dst.node, dst.iface, Dir::In), ec)
                         == Some(&PortAction::Deny)
                     {
-                        g.denies.insert(dst.node);
                         g.blocked_edges.push((n, port, *dst, Dir::In));
                     } else if Some(dst.node) != exclude {
                         g.succ.entry(n).or_default().insert(dst.node);
@@ -121,17 +117,16 @@ pub fn build_ec_graph(
     g
 }
 
-/// Per-source outcome of one EC's forwarding graph. Because forwarding
-/// is source-independent, a "source" is just a starting node, and the
-/// answer for each start is the answer for its SCC.
+/// Per-source outcome of one EC's forwarding graph — what policies
+/// read, and the ports link changes invalidate it through. Because
+/// forwarding is source-independent, a "source" is just a starting
+/// node, and the answer for each start is the answer for its SCC.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EcAnalysis {
     /// start node → delivery nodes its packets can reach.
     pub delivered: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    /// start node → nodes where its packets can be dropped.
-    pub dropped: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    /// start node → nodes where its packets can be ACL-denied.
-    pub denied: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// Start nodes whose packets can be dropped (FIB drop or no route).
+    pub dropped: BTreeSet<NodeId>,
     /// Start nodes whose packets can enter a forwarding loop.
     pub looping: BTreeSet<NodeId>,
     pub ports_used: BTreeSet<Port>,
@@ -143,6 +138,18 @@ pub struct EcAnalysis {
     pub path_sig: BTreeMap<NodeId, u64>,
 }
 
+impl EcAnalysis {
+    /// Whether packets injected at `src` can be delivered at `dst`.
+    pub fn delivers(&self, src: NodeId, dst: NodeId) -> bool {
+        self.delivered.get(&src).is_some_and(|d| d.contains(&dst))
+    }
+
+    /// Every (src, dst) pair this EC delivers between.
+    pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.delivered.iter().flat_map(|(&s, dsts)| dsts.iter().map(move |&d| (s, d)))
+    }
+}
+
 /// Condense the graph and propagate outcomes to every start node.
 pub fn analyze(graph: &EcGraph) -> EcAnalysis {
     // Collect every node that appears anywhere.
@@ -151,7 +158,6 @@ pub fn analyze(graph: &EcGraph) -> EcAnalysis {
     nodes.extend(graph.succ.values().flatten().copied());
     nodes.extend(graph.delivers.iter().copied());
     nodes.extend(graph.drops.iter().copied());
-    nodes.extend(graph.denies.iter().copied());
     nodes.extend(graph.node_ports.keys().copied());
 
     // Iterative Tarjan SCC.
@@ -239,8 +245,7 @@ pub fn analyze(graph: &EcGraph) -> EcAnalysis {
     #[derive(Clone, Default)]
     struct CompData {
         delivered: BTreeSet<NodeId>,
-        dropped: BTreeSet<NodeId>,
-        denied: BTreeSet<NodeId>,
+        dropped: bool,
         looping: bool,
         ports: BTreeSet<Port>,
     }
@@ -256,12 +261,7 @@ pub fn analyze(graph: &EcGraph) -> EcAnalysis {
             if graph.delivers.contains(&node) {
                 d.delivered.insert(node);
             }
-            if graph.drops.contains(&node) {
-                d.dropped.insert(node);
-            }
-            if graph.denies.contains(&node) {
-                d.denied.insert(node);
-            }
+            d.dropped |= graph.drops.contains(&node);
             if let Some(ports) = graph.node_ports.get(&node) {
                 d.ports.extend(ports.iter().copied());
             }
@@ -270,8 +270,7 @@ pub fn analyze(graph: &EcGraph) -> EcAnalysis {
                 if cw != c {
                     debug_assert!(cw < c, "condensation order violated");
                     d.delivered.extend(data[cw].delivered.iter().copied());
-                    d.dropped.extend(data[cw].dropped.iter().copied());
-                    d.denied.extend(data[cw].denied.iter().copied());
+                    d.dropped |= data[cw].dropped;
                     d.looping |= data[cw].looping;
                     let other = data[cw].ports.clone();
                     d.ports.extend(other);
@@ -288,11 +287,8 @@ pub fn analyze(graph: &EcGraph) -> EcAnalysis {
         if !d.delivered.is_empty() {
             out.delivered.insert(node, d.delivered.clone());
         }
-        if !d.dropped.is_empty() {
-            out.dropped.insert(node, d.dropped.clone());
-        }
-        if !d.denied.is_empty() {
-            out.denied.insert(node, d.denied.clone());
+        if d.dropped {
+            out.dropped.insert(node);
         }
         if d.looping {
             out.looping.insert(node);
@@ -345,7 +341,7 @@ mod tests {
         let g = graph(&[(0, 1), (0, 2)], &[1], &[2]);
         let a = analyze(&g);
         assert_eq!(a.delivered[&n(0)], BTreeSet::from([n(1)]));
-        assert_eq!(a.dropped[&n(0)], BTreeSet::from([n(2)]));
+        assert_eq!(a.dropped, BTreeSet::from([n(0), n(2)]));
     }
 
     #[test]
@@ -381,13 +377,5 @@ mod tests {
         let a = analyze(&g);
         assert!(a.looping.is_empty(), "a diamond is not a loop");
         assert_eq!(a.delivered[&n(0)], BTreeSet::from([n(3)]));
-    }
-
-    #[test]
-    fn denies_propagate() {
-        let mut g = graph(&[(0, 1)], &[], &[]);
-        g.denies.insert(n(1));
-        let a = analyze(&g);
-        assert_eq!(a.denied[&n(0)], BTreeSet::from([n(1)]));
     }
 }

@@ -71,8 +71,8 @@ fn full_check_reachability() {
     assert!(checker.is_satisfied(reach));
     assert!(report.newly_violated.is_empty());
     // Pairs: every node delivers the prefix EC at node 2.
-    assert!(checker.pair_ecs(n(0), n(2)).is_some());
-    assert!(checker.pair_ecs(n(1), n(2)).is_some());
+    assert!(checker.reachable(n(0), n(2)));
+    assert!(checker.reachable(n(1), n(2)));
     assert_eq!(checker.num_pairs(), 3); // (0,2), (1,2), (2,2)
 }
 
@@ -313,12 +313,13 @@ fn split_children_inherit_state() {
     let summary = model.apply_batch(vec![RuleUpdate::Insert(acl)], UpdateOrder::InsertFirst);
     assert_eq!(summary.ec_splits, 1);
     checker.check_incremental(&mut model, &summary, BTreeSet::new());
-    assert!(checker.pair_ecs(n(0), n(2)).is_some(), "non-HTTP half still delivers");
+    assert!(checker.reachable(n(0), n(2)), "non-HTTP half still delivers");
     assert!(checker.num_pairs() >= pairs_before);
+    checker.check_invariants().expect("the child counts the pairs it inherited");
 }
 
 #[test]
-fn fresh_full_check_takes_the_insert_only_fast_path() {
+fn repeated_full_check_changes_nothing() {
     let Chain { mut model, mut checker } = chain();
     let reach = checker.add_policy(
         &mut model,
@@ -328,21 +329,17 @@ fn fresh_full_check_takes_the_insert_only_fast_path() {
             class: PacketClass::DstPrefix(PFX.parse().unwrap()),
         },
     );
-    assert_eq!(checker.fresh_full_passes(), 0);
 
-    // First full pass: nothing to diff against — the fast path fires,
-    // and its insert-only merge produced the same state a diffing pass
-    // would have.
+    // The first pass merges against empty state: every pair it finds is
+    // a changed pair.
     let first = checker.check_full(&mut model);
-    assert_eq!(checker.fresh_full_passes(), 1);
     assert!(checker.is_satisfied(reach));
     assert_eq!(checker.num_pairs(), 3);
+    assert_eq!(first.changed_pairs, 3);
 
-    // Second full pass over populated state must NOT take it (it has
-    // real diffs to compute), and, diffing against identical state,
-    // reports no pair changes.
+    // The second merges against identical state: no pair changes.
     let second = checker.check_full(&mut model);
-    assert_eq!(checker.fresh_full_passes(), 1, "fast path is fresh-only");
+    checker.check_invariants().expect("derived indexes match the analyses");
     assert_eq!(second.total_pairs, first.total_pairs);
     assert_eq!(second.changed_pairs, 0);
     assert!(second.newly_violated.is_empty() && second.newly_satisfied.is_empty());

@@ -14,7 +14,6 @@ struct RandomGraph {
     edges: Vec<(u32, u32)>,
     delivers: Vec<u32>,
     drops: Vec<u32>,
-    denies: Vec<u32>,
 }
 
 fn arb_graph() -> impl Strategy<Value = RandomGraph> {
@@ -22,14 +21,8 @@ fn arb_graph() -> impl Strategy<Value = RandomGraph> {
         prop::collection::vec((0..N, 0..N), 0..20),
         prop::collection::vec(0..N, 0..4),
         prop::collection::vec(0..N, 0..4),
-        prop::collection::vec(0..N, 0..4),
     )
-        .prop_map(|(edges, delivers, drops, denies)| RandomGraph {
-            edges,
-            delivers,
-            drops,
-            denies,
-        })
+        .prop_map(|(edges, delivers, drops)| RandomGraph { edges, delivers, drops })
 }
 
 fn to_ec_graph(g: &RandomGraph) -> EcGraph {
@@ -39,7 +32,6 @@ fn to_ec_graph(g: &RandomGraph) -> EcGraph {
     }
     eg.delivers.extend(g.delivers.iter().map(|&i| NodeId(i)));
     eg.drops.extend(g.drops.iter().map(|&i| NodeId(i)));
-    eg.denies.extend(g.denies.iter().map(|&i| NodeId(i)));
     eg
 }
 
@@ -48,7 +40,7 @@ fn to_ec_graph(g: &RandomGraph) -> EcGraph {
 /// "can loop" iff it reaches a node that lies on a cycle (which in a
 /// reachable-set formulation means: some reachable node can reach
 /// itself through at least one edge).
-fn naive(g: &RandomGraph, start: u32) -> (BTreeSet<u32>, BTreeSet<u32>, BTreeSet<u32>, bool) {
+fn naive(g: &RandomGraph, start: u32) -> (BTreeSet<u32>, bool, bool) {
     let mut adj: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     for &(a, b) in &g.edges {
         adj.entry(a).or_default().push(b);
@@ -63,9 +55,8 @@ fn naive(g: &RandomGraph, start: u32) -> (BTreeSet<u32>, BTreeSet<u32>, BTreeSet
             queue.push(w);
         }
     }
-    let filter = |set: &[u32]| -> BTreeSet<u32> {
-        set.iter().copied().filter(|v| reach.contains(v)).collect()
-    };
+    let delivered = g.delivers.iter().copied().filter(|v| reach.contains(v)).collect();
+    let dropped = g.drops.iter().any(|v| reach.contains(v));
     // Loop: some reachable node v reaches itself via ≥1 edge.
     let loops = reach.iter().any(|&v| {
         let mut seen = BTreeSet::new();
@@ -84,7 +75,7 @@ fn naive(g: &RandomGraph, start: u32) -> (BTreeSet<u32>, BTreeSet<u32>, BTreeSet
         }
         false
     });
-    (filter(&g.delivers), filter(&g.drops), filter(&g.denies), loops)
+    (delivered, dropped, loops)
 }
 
 proptest! {
@@ -94,15 +85,12 @@ proptest! {
     fn analysis_matches_naive_bfs(g in arb_graph(), start in 0..N) {
         let eg = to_ec_graph(&g);
         let a = analyze(&eg);
-        let (delivered, dropped, denied, loops) = naive(&g, start);
+        let (delivered, dropped, loops) = naive(&g, start);
         let s = NodeId(start);
 
         let got_del: BTreeSet<u32> =
             a.delivered.get(&s).map(|d| d.iter().map(|n| n.0).collect()).unwrap_or_default();
-        let got_drop: BTreeSet<u32> =
-            a.dropped.get(&s).map(|d| d.iter().map(|n| n.0).collect()).unwrap_or_default();
-        let got_deny: BTreeSet<u32> =
-            a.denied.get(&s).map(|d| d.iter().map(|n| n.0).collect()).unwrap_or_default();
+        let got_drop = a.dropped.contains(&s);
 
         // The analysis only reports nodes that appear in the graph; a
         // start node with no edges and no terminal flags is absent from
@@ -110,16 +98,14 @@ proptest! {
         let known = eg.succ.contains_key(&s)
             || eg.succ.values().any(|v| v.contains(&s))
             || eg.delivers.contains(&s)
-            || eg.drops.contains(&s)
-            || eg.denies.contains(&s);
+            || eg.drops.contains(&s);
         if known {
             prop_assert_eq!(&got_del, &delivered, "delivered from {}", start);
-            prop_assert_eq!(&got_drop, &dropped, "dropped from {}", start);
-            prop_assert_eq!(&got_deny, &denied, "denied from {}", start);
+            prop_assert_eq!(got_drop, dropped, "dropped from {}", start);
             prop_assert_eq!(a.looping.contains(&s), loops, "loops from {}", start);
         } else {
             prop_assert!(got_del.is_empty() && delivered.is_empty());
-            prop_assert!(got_drop.is_empty() && dropped.is_empty());
+            prop_assert!(!got_drop && !dropped);
             prop_assert!(!loops);
         }
     }

@@ -29,7 +29,9 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RCSNAP\x00\x01";
 
 /// Bumped on any incompatible layout change; readers reject other
 /// versions and the recovery ladder falls through to a rebuild.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version 2: the checker section stores only per-EC analyses and
+/// policies (its derived indexes are rebuilt on decode).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Encode `sections` (tag, payload) into a self-validating snapshot
 /// image, ready for [`crate::atomic_write`].

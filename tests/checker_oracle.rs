@@ -1,0 +1,302 @@
+//! Checker oracle, off the fat tree: the incremental policy checker must
+//! hold exactly the state a fresh checker computes from scratch over the
+//! same model. A proptest drives an `ApkModel` and a `PolicyChecker`
+//! through forwarding-rule, link, static-route and ACL churn on a ring
+//! and a grid; after every `check_incremental`, the checker's encoded
+//! state — per-EC analyses and policy verdicts — must equal that of a
+//! fresh checker (same devices, links and policies) after `check_full`
+//! on the same model, and `check_invariants()` must hold.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use proptest::prelude::*;
+use rc_apkeep::{ApkModel, ElementKey, ModelRule, PortAction, RuleMatch, RuleUpdate, UpdateOrder};
+use rc_bdd::PredKind;
+use rc_netcfg::facts::Dir;
+use rc_netcfg::topology::{grid, ring, Topology};
+use rc_netcfg::types::{IfaceId, NodeId, Port, Prefix};
+use rc_policy::{PacketClass, Policy, PolicyChecker};
+
+/// The interface every device uses towards hosts: never linked.
+const HOST: IfaceId = IfaceId(99);
+/// Route prefixes, nested so that rules on them split each other's ECs.
+const ROUTES: [&str; 4] = ["10.0.0.0/16", "10.0.1.0/24", "10.0.2.0/24", "10.0.1.128/25"];
+
+fn pfx(s: &str) -> Prefix {
+    s.parse().expect("prefix parses")
+}
+
+/// Devices as dense ids, links as port pairs (`ethN` is `IfaceId(N)`),
+/// and each device's linked interfaces.
+struct Net {
+    nodes: usize,
+    links: Vec<(Port, Port)>,
+    ifaces: Vec<Vec<IfaceId>>,
+}
+
+fn net(topo: &Topology) -> Net {
+    let id: BTreeMap<&str, u32> =
+        topo.devices.iter().enumerate().map(|(i, d)| (d.as_str(), i as u32)).collect();
+    let port = |device: &str, iface: &str| Port {
+        node: NodeId(id[device]),
+        iface: IfaceId(iface.trim_start_matches("eth").parse().expect("ethN interface")),
+    };
+    let links: Vec<(Port, Port)> = topo
+        .links
+        .iter()
+        .map(|l| (port(&l.a.device, &l.a.iface), port(&l.b.device, &l.b.iface)))
+        .collect();
+    let mut ifaces = vec![Vec::new(); topo.devices.len()];
+    for &(a, b) in &links {
+        ifaces[a.node.0 as usize].push(a.iface);
+        ifaces[b.node.0 as usize].push(b.iface);
+    }
+    Net { nodes: topo.devices.len(), links, ifaces }
+}
+
+/// One generated change. Indices are reduced modulo what they index.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Set (or, if already set, withdraw) the route for a prefix at a
+    /// device: out a linked interface, out the host port, delivered on
+    /// the host port, or dropped.
+    Route { node: usize, route: usize, action: usize },
+    /// Add or withdraw a static /32 inside `10.0.1.0/24`, out a linked
+    /// interface or to null.
+    Static { node: usize, host: u8, action: usize },
+    /// Take both directions of a link down, or bring them back up.
+    Link { idx: usize },
+    /// Bind or unbind an ACL entry denying tcp/80 to a route prefix, on
+    /// a linked interface in either direction.
+    Acl { node: usize, iface: usize, inbound: bool, route: usize },
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => (0usize..16, 0..ROUTES.len(), 0usize..6)
+            .prop_map(|(node, route, action)| Op::Route { node, route, action }),
+        2 => (0usize..16, 0u8..4, 0usize..4)
+            .prop_map(|(node, host, action)| Op::Static { node, host, action }),
+        2 => (0usize..16).prop_map(|idx| Op::Link { idx }),
+        1 => (0usize..16, 0usize..4, any::<bool>(), 0..ROUTES.len())
+            .prop_map(|(node, iface, inbound, route)| Op::Acl { node, iface, inbound, route }),
+    ]
+}
+
+/// The model-side state the ops edit: the rule installed per FIB key,
+/// the ACL entries bound, and the links that are down.
+#[derive(Default)]
+struct World {
+    fib: BTreeMap<(u32, Prefix), ModelRule>,
+    acls: BTreeSet<ModelRule>,
+    down: BTreeSet<usize>,
+}
+
+impl World {
+    /// Install `rule` as the one FIB rule for its (device, prefix), or
+    /// withdraw it if it is already the one installed.
+    fn set_route(
+        &mut self,
+        node: u32,
+        prefix: Prefix,
+        action: PortAction,
+        out: &mut Vec<RuleUpdate>,
+    ) {
+        let rule = ModelRule {
+            element: ElementKey::Forward(NodeId(node)),
+            priority: prefix.len() as u32,
+            rule_match: RuleMatch::DstPrefix(prefix),
+            action,
+        };
+        match self.fib.remove(&(node, prefix)) {
+            Some(old) if old == rule => {
+                out.push(RuleUpdate::Remove(old));
+                return;
+            }
+            Some(old) => out.push(RuleUpdate::Remove(old)),
+            None => {}
+        }
+        out.push(RuleUpdate::Insert(rule.clone()));
+        self.fib.insert((node, prefix), rule);
+    }
+
+    /// Apply one op: rule updates for the model, link changes for the
+    /// checker.
+    fn apply(
+        &mut self,
+        net: &Net,
+        op: &Op,
+        rules: &mut Vec<RuleUpdate>,
+        links: &mut Vec<(Port, Port, isize)>,
+    ) {
+        match *op {
+            Op::Route { node, route, action } => {
+                let node = node % net.nodes;
+                let ifaces = &net.ifaces[node];
+                let action = match action {
+                    0..=2 => PortAction::forward(vec![ifaces[action % ifaces.len()]]),
+                    3 => PortAction::forward(vec![HOST]),
+                    4 => PortAction::deliver(vec![HOST]),
+                    _ => PortAction::Drop,
+                };
+                self.set_route(node as u32, pfx(ROUTES[route]), action, rules);
+            }
+            Op::Static { node, host, action } => {
+                let node = node % net.nodes;
+                let ifaces = &net.ifaces[node];
+                let action = match action {
+                    0..=2 => PortAction::forward(vec![ifaces[action % ifaces.len()]]),
+                    _ => PortAction::Drop,
+                };
+                let prefix = pfx(&format!("10.0.1.{}/32", 130 + host));
+                self.set_route(node as u32, prefix, action, rules);
+            }
+            Op::Link { idx } => {
+                let idx = idx % net.links.len();
+                let diff = if self.down.insert(idx) {
+                    -1
+                } else {
+                    self.down.remove(&idx);
+                    1
+                };
+                let (a, b) = net.links[idx];
+                links.extend([(a, b, diff), (b, a, diff)]);
+            }
+            Op::Acl { node, iface, inbound, route } => {
+                let node = node % net.nodes;
+                let iface = net.ifaces[node][iface % net.ifaces[node].len()];
+                let dir = if inbound { Dir::In } else { Dir::Out };
+                let rule = ModelRule {
+                    element: ElementKey::Filter(NodeId(node as u32), iface, dir),
+                    priority: u32::MAX - route as u32,
+                    rule_match: RuleMatch::Acl {
+                        proto: Some(6),
+                        src: Prefix::DEFAULT,
+                        dst: pfx(ROUTES[route]),
+                        dst_ports: Some((80, 80)),
+                    },
+                    action: PortAction::Deny,
+                };
+                if self.acls.remove(&rule) {
+                    rules.push(RuleUpdate::Remove(rule));
+                } else {
+                    self.acls.insert(rule.clone());
+                    rules.push(RuleUpdate::Insert(rule));
+                }
+            }
+        }
+    }
+
+    /// Both directions of every link that is up.
+    fn links_up(&self, net: &Net) -> Vec<(Port, Port, isize)> {
+        (0..net.links.len())
+            .filter(|i| !self.down.contains(i))
+            .flat_map(|i| {
+                let (a, b) = net.links[i];
+                [(a, b, 1), (b, a, 1)]
+            })
+            .collect()
+    }
+}
+
+/// The standing policies: one of each kind, over the route prefixes.
+fn policies(net: &Net) -> Vec<Policy> {
+    let (first, last, mid) =
+        (NodeId(0), NodeId(net.nodes as u32 - 1), NodeId(net.nodes as u32 / 2));
+    let class = |i: usize| PacketClass::DstPrefix(pfx(ROUTES[i]));
+    vec![
+        Policy::Reachability { src: first, dst: last, class: class(1) },
+        Policy::Reachability {
+            src: mid,
+            dst: last,
+            class: PacketClass::Flow {
+                proto: Some(6),
+                dst_prefix: Some(pfx(ROUTES[1])),
+                dst_port: Some(80),
+            },
+        },
+        Policy::Isolation { src: NodeId(1), dst: last, class: class(2) },
+        Policy::Waypoint { src: first, dst: last, via: mid, class: class(0) },
+        Policy::LoopFree { class: PacketClass::All },
+        Policy::BlackholeFree { src: first, class: class(1) },
+    ]
+}
+
+/// A checker over `net`'s devices, the given links and the standing
+/// policies, after a full pass over `model`.
+fn checked_from_scratch(
+    model: &mut ApkModel,
+    net: &Net,
+    links: &[(Port, Port, isize)],
+) -> PolicyChecker {
+    let mut checker = PolicyChecker::new();
+    checker.set_nodes((0..net.nodes as u32).map(NodeId));
+    checker.apply_link_delta(links);
+    for policy in policies(net) {
+        checker.add_policy(model, policy);
+    }
+    checker.check_full(model);
+    checker
+}
+
+fn encoded(checker: &PolicyChecker) -> Vec<u8> {
+    let mut w = rc_store::Writer::new();
+    checker.encode_state(&mut w);
+    w.finish()
+}
+
+fn run(topo: Topology, steps: Vec<Vec<Op>>) {
+    let net = net(&topo);
+    let mut world = World::default();
+    let mut model = ApkModel::with_backend(PredKind::Bdd);
+    // Start with every device forwarding the covering /16 out its first
+    // link and the last one delivering `10.0.1.0/24`.
+    let mut rules = Vec::new();
+    for node in 0..net.nodes {
+        let op = Op::Route { node, route: 0, action: 0 };
+        world.apply(&net, &op, &mut rules, &mut Vec::new());
+    }
+    let op = Op::Route { node: net.nodes - 1, route: 1, action: 4 };
+    world.apply(&net, &op, &mut rules, &mut Vec::new());
+    model.apply_batch(rules, UpdateOrder::InsertFirst);
+    let mut checker = checked_from_scratch(&mut model, &net, &world.links_up(&net));
+
+    for (i, step) in steps.iter().enumerate() {
+        let (mut rules, mut links) = (Vec::new(), Vec::new());
+        for op in step {
+            world.apply(&net, op, &mut rules, &mut links);
+        }
+        let touched = checker.apply_link_delta(&links);
+        let summary = model.apply_batch(rules, UpdateOrder::InsertFirst);
+        let report = checker.check_incremental(&mut model, &summary, touched);
+
+        let fresh = checked_from_scratch(&mut model, &net, &world.links_up(&net));
+        prop_assert_eq!(checker.check_invariants(), Ok(()), "step {}: {:?}", i, step);
+        prop_assert_eq!(report.total_pairs, fresh.num_pairs(), "step {}: {:?}", i, step);
+        prop_assert_eq!(checker.verdicts(), fresh.verdicts(), "step {}: {:?}", i, step);
+        prop_assert!(
+            encoded(&checker) == encoded(&fresh),
+            "step {}: state differs after {:?}",
+            i,
+            step
+        );
+    }
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Vec<Op>>> {
+    prop::collection::vec(prop::collection::vec(arb_op(), 1..4), 1..10)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn incremental_checker_equals_a_fresh_one_on_a_ring(steps in arb_steps()) {
+        run(ring(5), steps);
+    }
+
+    #[test]
+    fn incremental_checker_equals_a_fresh_one_on_a_grid(steps in arb_steps()) {
+        run(grid(3, 3), steps);
+    }
+}

@@ -163,6 +163,9 @@ fn injected_model_panic_rolls_back_observables_and_poisons() {
     assert_pipeline_equal(&rc, &twin, id, tid, "after post-rebuild change");
 }
 
+/// The fault fires after stage 3 has overwritten the verdicts of the
+/// policies it re-evaluated, so only the verifier's own restore puts
+/// the last good value back.
 #[test]
 fn injected_policy_panic_restores_verdicts() {
     quiet_injected_panics();
@@ -170,12 +173,13 @@ fn injected_policy_panic_restores_verdicts() {
     let (mut twin, tid) = build();
 
     let guard = rc_faults::FaultPlan::new()
-        .panic_on(rc_faults::FaultPoint::PolicyCheck, 1)
+        .panic_on(rc_faults::FaultPoint::PolicyVerdicts, 1)
         .install();
-    // This change breaks r000→r002 reachability when committed; the
-    // injected stage 3 panic must leave the verdict at the last good
-    // value instead.
-    let change = ChangeSet::link_failure("r001", "eth1");
+    // This change cuts both of r000's paths to r002, so it flips the
+    // verdict when committed; the injected panic must leave it at the
+    // last good value instead.
+    let mut change = ChangeSet::link_failure("r001", "eth1");
+    change.ops.extend(ChangeSet::link_failure("r003", "eth0").ops);
     match rc.apply_change(&change) {
         Err(Error::Internal(_)) => {}
         other => panic!("expected Internal, got: {other:?}"),
@@ -193,6 +197,7 @@ fn injected_policy_panic_restores_verdicts() {
     rc.rebuild().expect("rebuild succeeds");
     rc.apply_change(&change).expect("change verifies after rebuild");
     twin.apply_change(&change).expect("change verifies on twin");
+    assert!(!twin.is_satisfied(tid), "the change breaks reachability");
     assert_pipeline_equal(&rc, &twin, id, tid, "after post-rebuild change");
 }
 

@@ -11,8 +11,10 @@ mod common;
 
 use common::{run, Cmd};
 use proptest::prelude::*;
+use rc_netcfg::ast::NextHop;
 use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::topology::{grid, ring};
+use realconfig::{ChangeOp, ChangeReport, ChangeSet, PacketClass, Policy, Prefix, RealConfig};
 
 fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
     prop::collection::vec(
@@ -56,4 +58,79 @@ proptest! {
     fn rip_ring(cmds in arb_cmds()) {
         run(ProtocolChoice::Rip, ring(5), cmds);
     }
+}
+
+/// ring(4) OSPF with a static route on r000 for 10.99.0.0/16 out eth0
+/// towards r001, whose end of that link is shut: the prefix leaves the
+/// network at r000. Registers `BlackholeFree { r000, class }`, which
+/// holds then, brings r001's end back up in one change with `more`, and
+/// returns that change's report, the incremental verdict and a
+/// from-scratch build's (violated: r001 has no route for the prefix).
+fn link_up_past_a_static_route(class: &str, more: Vec<ChangeOp>) -> (ChangeReport, bool, bool) {
+    let pfx = |s: &str| -> Prefix { s.parse().expect("prefix parses") };
+    let configs = rc_netcfg::gen::build_configs(&ring(4), ProtocolChoice::Ospf);
+    let (mut rc, _) = RealConfig::new(configs).expect("ring verifies");
+    let setup = ChangeSet {
+        ops: vec![
+            ChangeOp::AddStaticRoute {
+                device: "r000".into(),
+                prefix: pfx("10.99.0.0/16"),
+                next_hop: NextHop::Interface("eth0".into()),
+            },
+            ChangeOp::DisableInterface { device: "r001".into(), iface: "eth0".into() },
+        ],
+    };
+    rc.apply_change(&setup).expect("setup verifies");
+    let policy = Policy::BlackholeFree {
+        src: rc.node("r000").expect("r000 exists"),
+        class: PacketClass::DstPrefix(pfx(class)),
+    };
+    let id = rc.add_policy(policy.clone());
+    rc.recheck_policies();
+    assert!(rc.is_satisfied(id), "the route leaves the network at r000 while the link is down");
+
+    let mut ops = vec![ChangeOp::EnableInterface { device: "r001".into(), iface: "eth0".into() }];
+    ops.extend(more);
+    let report = rc.apply_change(&ChangeSet { ops }).expect("change verifies");
+
+    let (mut fresh, _) = RealConfig::new(rc.configs().clone()).expect("fresh build");
+    let fid = fresh.add_policy(policy);
+    fresh.recheck_policies();
+    (report, rc.is_satisfied(id), fresh.is_satisfied(fid))
+}
+
+/// Regression: an EC whose packets leave the network through a port
+/// with no link uses that port, so the link coming up under it must
+/// re-check the EC. The checker once left such ports out of its port
+/// index, and the verdict stayed at "satisfied" with no policy
+/// re-evaluated.
+#[test]
+fn link_up_under_a_forwarded_host_facing_port_rechecks_the_ec() {
+    let (report, incremental, fresh) = link_up_past_a_static_route("10.99.0.0/16", vec![]);
+    assert!(!fresh, "packets drop at r001");
+    assert_eq!(incremental, fresh, "incremental verdict is stale");
+    assert_eq!(report.newly_violated.len(), 1);
+}
+
+/// Regression: a link change invalidates ECs by their pre-batch ids,
+/// and an EC the same batch splits hands its analysis to the split-off
+/// part. Here r003 routes the /24 away and the /25 inside it back to
+/// null, where it was before: the /25 is split off twice and ends
+/// where it started, so no move marks it, yet its analysis predates
+/// the link coming up. It must be re-checked with its ancestor.
+#[test]
+fn split_child_of_a_link_invalidated_ec_is_rechecked() {
+    let route = |prefix: &str, next_hop| ChangeOp::AddStaticRoute {
+        device: "r003".into(),
+        prefix: prefix.parse().expect("prefix parses"),
+        next_hop,
+    };
+    let more = vec![
+        route("10.99.1.0/24", NextHop::Interface("eth0".into())),
+        route("10.99.1.0/25", NextHop::Drop),
+    ];
+    let (report, incremental, fresh) = link_up_past_a_static_route("10.99.1.0/25", more);
+    assert!(report.ec_splits >= 2, "the /24 and then the /25 are split off");
+    assert!(!fresh, "packets drop at r001");
+    assert_eq!(incremental, fresh, "incremental verdict is stale");
 }

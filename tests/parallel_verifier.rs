@@ -1,9 +1,9 @@
 //! Verifier-level contract of the parallel phases: a panic on a pool
-//! worker mid-change — in a policy walk, a dataflow operator shard, or
-//! an APKeep transfer chunk — is contained exactly like any other
-//! pipeline panic (rolled back + poisoned, never a deadlocked
-//! barrier), and a serial and a parallel verifier driven through the
-//! same change stream report identical non-timing results.
+//! worker mid-change — in a policy walk or a dataflow operator shard —
+//! is contained exactly like any other pipeline panic (rolled back +
+//! poisoned, never a deadlocked barrier), and a serial and a parallel
+//! verifier driven through the same change stream report identical
+//! non-timing results.
 
 use std::sync::{Mutex, Once};
 
@@ -36,10 +36,7 @@ fn quiet_injected_panics() {
 }
 
 fn build(threads: Option<usize>) -> (RealConfig, PolicyId) {
-    build_with(VerifierOptions { threads, ..Default::default() })
-}
-
-fn build_with(opts: VerifierOptions) -> (RealConfig, PolicyId) {
+    let opts = VerifierOptions { threads, ..Default::default() };
     let configs = build_configs(&fat_tree(4), ProtocolChoice::Bgp);
     let (mut rc, _) = RealConfig::with_options(configs, opts).expect("fat tree verifies");
     let id = rc
@@ -186,24 +183,4 @@ fn dataflow_shard_panic_poisons_and_rebuild_recovers() {
     // inlined, pool), so the stock harness reaches it on the first
     // operator step of the change.
     assert_shard_panic_contained(rc_faults::ShardSite::Dataflow, build(Some(4)), build(Some(4)));
-}
-
-#[test]
-fn apk_transfer_chunk_panic_poisons_and_rebuild_recovers() {
-    let _serial_tests = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // The parallel transfer prefilter only engages when the candidate
-    // scan is long enough; disable the EC index so transfers scan the
-    // full EC list, and check the workload actually clears the
-    // threshold — otherwise the armed point would never be reached and
-    // apply_change would succeed, failing the match above.
-    let full_scan =
-        VerifierOptions { threads: Some(4), ec_index: false, ..Default::default() };
-    let (rc, id) = build_with(full_scan);
-    let (twin, tid) = build_with(full_scan);
-    assert!(
-        rc.num_ecs() >= 32,
-        "workload too small to reach the parallel transfer path: {} ECs",
-        rc.num_ecs()
-    );
-    assert_shard_panic_contained(rc_faults::ShardSite::ApkTransfer, (rc, id), (twin, tid));
 }

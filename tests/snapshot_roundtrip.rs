@@ -307,8 +307,9 @@ fn reopen_keeps_options_the_snapshot_does_not_record() {
 
 /// The on-disk formats are a compatibility surface: for default
 /// options, snapshot and journal bytes must stay exactly what the
-/// format's first release wrote (length and CRC-32 of each file,
-/// recorded from that release on this scenario).
+/// current format versions write (length and CRC-32 of each file on
+/// this scenario; the snapshot pins were re-recorded at snapshot
+/// version 2, the journal's are the first release's).
 #[test]
 fn snapshot_and_journal_bytes_are_pinned() {
     let configs = build_configs(&ring(4), ProtocolChoice::Ospf);
@@ -329,10 +330,85 @@ fn snapshot_and_journal_bytes_are_pinned() {
         let bytes = std::fs::read(&path).expect("store file readable");
         (bytes.len(), rc_store::crc32(&bytes))
     };
-    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 1)), (11089, 0x1c71_153b));
+    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 1)), (10205, 0x2177_dc70));
     assert_eq!(pin(rc_store::journal_path(&dir.0)), (992, 0x3867_2ef9));
     rc.save_snapshot().expect("snapshot writes");
-    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 2)), (12484, 0xa714_ce26));
+    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 2)), (11624, 0x1efc_522b));
+}
+
+/// A snapshot whose header names format version 1 — whose checker
+/// section also carried the derived pair and port indexes — is not
+/// read: the verifier opens through the rebuild rung, and the report
+/// says why.
+#[test]
+fn version_one_snapshot_opens_through_the_rebuild_rung() {
+    let dir = StateDir::new("v1");
+    let live = live_with_snapshot(4, &dir);
+    let path = rc_store::snapshot_path(&dir.0, 1);
+    let mut bytes = std::fs::read(&path).expect("snapshot readable");
+    // The format version follows the 8-byte magic.
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("snapshot writable");
+
+    let (restored, report) = RealConfig::open(&dir.0, ring_configs(4)).expect("rebuild");
+    assert_eq!(report.source, RestoreSource::Rebuilt);
+    assert_eq!(report.snapshots_rejected, 1);
+    assert!(
+        report.notes.iter().any(|n| n.contains("format version 1")),
+        "no version note: {:?}",
+        report.notes
+    );
+    // Policies live in snapshots only; configs and what they compute
+    // come back from the fallback.
+    assert_eq!(restored.configs(), live.configs());
+    assert_eq!(restored.fib(), live.fib());
+    assert!(restored.journaling());
+}
+
+/// The checker decoder reads bytes it cannot trust. Every truncation of
+/// a real CHECKER section, and 256 seeded byte flips, must come back as
+/// an `Err` or as a checker whose derived indexes hold — never a panic.
+#[test]
+fn checker_decoder_survives_truncation_and_byte_flips() {
+    use rand::{Rng, SeedableRng};
+    use rc_store::{Reader, Writer};
+
+    let dir = StateDir::new("decoder");
+    let mut live = live_with_snapshot(5, &dir);
+    live.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("change verifies");
+    live.save_snapshot().expect("snapshot writes");
+    let image = std::fs::read(rc_store::snapshot_path(&dir.0, 2)).expect("snapshot readable");
+    let sections = rc_store::decode_snapshot(&image).expect("snapshot decodes");
+    // Section tags 4 (MODEL) and 5 (CHECKER), see `persist.rs`.
+    let section = |tag: u32| &sections.iter().find(|(t, _)| *t == tag).expect("section").1;
+    let model = rc_apkeep::ApkModel::decode_state(&mut Reader::new(section(4)))
+        .expect("model section decodes");
+    let checker = section(5);
+
+    let decode = |bytes: &[u8]| match rc_policy::PolicyChecker::decode_state(
+        &mut Reader::new(bytes),
+        &model,
+    ) {
+        Ok(c) => c.check_invariants().map(|()| c),
+        Err(e) => Err(e.to_string()),
+    };
+    // Intact, the section decodes and re-encodes to itself.
+    let mut w = Writer::new();
+    decode(checker).expect("intact section decodes").encode_state(&mut w);
+    assert_eq!(&w.finish(), checker, "decode ∘ encode is the identity");
+
+    for cut in 0..checker.len() {
+        assert!(decode(&checker[..cut]).is_err(), "truncation to {cut} bytes decoded");
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xdec0de);
+    for _ in 0..256 {
+        let mut bytes = checker.clone();
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] ^= rng.gen_range(1..=255u8);
+        if let Ok(c) = decode(&bytes) {
+            c.check_invariants().expect("a decoded checker is consistent");
+        }
+    }
 }
 
 fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
