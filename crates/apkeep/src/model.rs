@@ -157,11 +157,19 @@ impl<'a> EcView<'a> {
         (0..self.num_ecs as u32).map(EcId)
     }
 
-    /// The action an element applies to an EC (`None`: the element does
-    /// not exist — default behaviour). Mirrors [`ApkModel::action`].
-    pub fn action(&self, key: ElementKey, ec: EcId) -> Option<&'a PortAction> {
-        let e = &self.elements[*self.element_index.get(&key)?];
-        Some(&e.ports[e.port_of_ec[ec.0 as usize]])
+    /// The dense index of an element, for [`EcView::action_at`] (`None`:
+    /// the element does not exist — default behaviour). Indexes are
+    /// stable for the view's lifetime, so a walk over many ECs resolves
+    /// each element once instead of hashing its key per EC.
+    pub fn element(&self, key: ElementKey) -> Option<usize> {
+        self.element_index.get(&key).copied()
+    }
+
+    /// The action element `elem` (from [`EcView::element`]) applies to
+    /// an EC. Mirrors [`ApkModel::action`].
+    pub fn action_at(&self, elem: usize, ec: EcId) -> &'a PortAction {
+        let e = &self.elements[elem];
+        &e.ports[e.port_of_ec[ec.0 as usize]]
     }
 
     /// The ECs an element currently maps to the given action, if the

@@ -7,8 +7,15 @@
 //!   rule and also observes transient states nobody asked about.
 //! * **incremental vs full policy checking** — re-analyze only affected
 //!   ECs vs rebuild the whole pair map.
+//! * **the policy walk** — a full check of a k=8 OSPF fat tree, and the
+//!   incremental passes of one link failing and coming back, where most
+//!   ECs are re-walked.
+//!
+//! Set `BENCH_SMOKE=1` to run a reduced-iteration smoke pass (used by
+//! CI to keep the benches compiling and executing without paying for
+//! stable numbers).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rc_apkeep::{ApkModel, ElementKey, ModelRule, PortAction, RuleMatch, RuleUpdate, UpdateOrder};
@@ -16,25 +23,32 @@ use rc_netcfg::facts::{lower, Registry};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::fat_tree;
 use rc_netcfg::types::{IfaceId, NodeId, Port, Prefix};
+use rc_netcfg::{ChangeSet, Fact};
 use rc_policy::PolicyChecker;
 
-/// Build a data plane model + checker directly from a k=4 BGP fat
-/// tree's converged FIB (bypassing the routing engine so this bench
-/// isolates stages 2–3).
-fn build_stage23() -> (ApkModel, PolicyChecker, Vec<ModelRule>) {
-    let topo = fat_tree(4);
-    let configs = build_configs(&topo, ProtocolChoice::Bgp);
-    let mut reg = Registry::new();
-    let lowered = lower(&configs, &mut reg);
-    let dp = rc_routing::baseline::compute(&lowered.facts).expect("converges");
+fn smoke() -> bool {
+    std::env::var_os("BENCH_SMOKE").is_some()
+}
 
-    let mut model = ApkModel::new();
-    let mut by_group: std::collections::BTreeMap<(NodeId, Prefix), Vec<rc_routing::route::FibAction>> =
-        std::collections::BTreeMap::new();
+fn samples(normal: usize) -> usize {
+    if smoke() {
+        2
+    } else {
+        normal
+    }
+}
+
+/// The converged FIB of `facts` as grouped model rules, computed by the
+/// baseline simulator (bypassing the routing engine so these benches
+/// isolate stages 2–3).
+fn fib_rules(facts: &BTreeSet<Fact>) -> BTreeSet<ModelRule> {
+    let dp = rc_routing::baseline::compute(facts).expect("converges");
+    let mut by_group: BTreeMap<(NodeId, Prefix), Vec<rc_routing::route::FibAction>> =
+        BTreeMap::new();
     for e in &dp.fib {
         by_group.entry((e.node, e.prefix)).or_default().push(e.action);
     }
-    let mut rules = Vec::new();
+    let mut rules = BTreeSet::new();
     for ((node, prefix), actions) in by_group {
         let ifaces: Vec<IfaceId> = actions
             .iter()
@@ -48,7 +62,7 @@ fn build_stage23() -> (ApkModel, PolicyChecker, Vec<ModelRule>) {
             continue;
         }
         let local = matches!(actions[0], rc_routing::route::FibAction::Local(_));
-        rules.push(ModelRule {
+        rules.insert(ModelRule {
             element: ElementKey::Forward(node),
             priority: prefix.len() as u32,
             rule_match: RuleMatch::DstPrefix(prefix),
@@ -59,29 +73,40 @@ fn build_stage23() -> (ApkModel, PolicyChecker, Vec<ModelRule>) {
             },
         });
     }
-    model.apply_batch(rules.iter().cloned().map(RuleUpdate::Insert).collect(), UpdateOrder::AsGiven);
+    rules
+}
 
+fn links(facts: &BTreeSet<Fact>) -> BTreeSet<(Port, Port)> {
+    facts
+        .iter()
+        .filter_map(|f| match f {
+            Fact::Link { src, dst } => Some((*src, *dst)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A model and a fully checked checker over `facts`' data plane.
+fn stage23(facts: &BTreeSet<Fact>) -> (ApkModel, PolicyChecker, Vec<ModelRule>) {
+    let rules: Vec<ModelRule> = fib_rules(facts).into_iter().collect();
+    let mut model = ApkModel::new();
+    model.apply_batch(rules.iter().cloned().map(RuleUpdate::Insert).collect(), UpdateOrder::AsGiven);
     let mut checker = PolicyChecker::new();
-    let nodes: BTreeSet<NodeId> = lowered
-        .facts
-        .iter()
-        .filter_map(|f| match f {
-            rc_netcfg::Fact::Device(n) => Some(*n),
-            _ => None,
-        })
-        .collect();
-    checker.set_nodes(nodes);
-    let links: Vec<(Port, Port, isize)> = lowered
-        .facts
-        .iter()
-        .filter_map(|f| match f {
-            rc_netcfg::Fact::Link { src, dst } => Some((*src, *dst, 1)),
-            _ => None,
-        })
-        .collect();
-    checker.apply_link_delta(&links);
+    checker.set_nodes(facts.iter().filter_map(|f| match f {
+        Fact::Device(n) => Some(*n),
+        _ => None,
+    }));
+    let up: Vec<(Port, Port, isize)> = links(facts).into_iter().map(|(a, b)| (a, b, 1)).collect();
+    checker.apply_link_delta(&up);
     checker.check_full(&mut model);
     (model, checker, rules)
+}
+
+/// Build a data plane model + checker directly from a k=4 BGP fat
+/// tree's converged FIB.
+fn build_stage23() -> (ApkModel, PolicyChecker, Vec<ModelRule>) {
+    let configs = build_configs(&fat_tree(4), ProtocolChoice::Bgp);
+    stage23(&lower(&configs, &mut Registry::new()).facts)
 }
 
 /// A realistic batch: flip `n` forwarding rules to drop and back.
@@ -110,7 +135,7 @@ fn flip_batches(rules: &[ModelRule], n: usize) -> (Vec<RuleUpdate>, Vec<RuleUpda
 
 fn batch_vs_per_rule(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/batch-vs-per-rule");
-    group.sample_size(20);
+    group.sample_size(samples(20));
     let (mut model, mut checker, rules) = build_stage23();
     let (to_drop, back) = flip_batches(&rules, 12);
 
@@ -148,7 +173,7 @@ fn batch_vs_per_rule(c: &mut Criterion) {
 
 fn incremental_vs_full_check(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/policy-check");
-    group.sample_size(20);
+    group.sample_size(samples(20));
     let (mut model, mut checker, rules) = build_stage23();
     let (to_drop, back) = flip_batches(&rules, 4);
 
@@ -178,5 +203,50 @@ fn incremental_vs_full_check(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, batch_vs_per_rule, incremental_vs_full_check);
+/// One way of a link flip: the rule updates and link changes that take
+/// the data plane from `from` to `to`.
+fn flip(from: &BTreeSet<Fact>, to: &BTreeSet<Fact>) -> (Vec<RuleUpdate>, Vec<(Port, Port, isize)>) {
+    let (before, after) = (fib_rules(from), fib_rules(to));
+    let mut rules: Vec<RuleUpdate> =
+        before.difference(&after).cloned().map(RuleUpdate::Remove).collect();
+    rules.extend(after.difference(&before).cloned().map(RuleUpdate::Insert));
+    let (before, after) = (links(from), links(to));
+    let mut delta: Vec<(Port, Port, isize)> =
+        before.difference(&after).map(|&(a, b)| (a, b, -1)).collect();
+    delta.extend(after.difference(&before).map(|&(a, b)| (a, b, 1)));
+    (rules, delta)
+}
+
+fn policy_walk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("policy/walk");
+    group.sample_size(samples(20));
+    let topo = fat_tree(8);
+    let configs = build_configs(&topo, ProtocolChoice::Ospf);
+    let mut registry = Registry::new();
+    let base = lower(&configs, &mut registry).facts;
+    let mut failed = configs.clone();
+    let port = &topo.links[0].a;
+    ChangeSet::link_failure(&port.device, &port.iface).apply(&mut failed).expect("the port exists");
+    let down = lower(&failed, &mut registry).facts;
+    let (down, up) = (flip(&base, &down), flip(&down, &base));
+    let (mut model, mut checker, _) = stage23(&base);
+
+    group.bench_function("check_full/k8-ospf", |b| {
+        b.iter(|| checker.check_full(&mut model).total_pairs)
+    });
+    group.bench_function("link_flip/k8-ospf", |b| {
+        b.iter(|| {
+            let mut ecs = 0;
+            for (rules, links) in [&down, &up] {
+                let touched = checker.apply_link_delta(links);
+                let summary = model.apply_batch(rules.clone(), UpdateOrder::InsertFirst);
+                ecs += checker.check_incremental(&mut model, &summary, touched).affected_ecs;
+            }
+            ecs
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, batch_vs_per_rule, incremental_vs_full_check, policy_walk);
 criterion_main!(benches);

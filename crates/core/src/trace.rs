@@ -116,7 +116,7 @@ impl RealConfig {
         let start = self.node(src)?;
         let model = self.model();
         let ec = model.ec_of_packet(&packet);
-        let graph = self.checker().ec_graph(model, ec);
+        let graph = self.checker().forwarding(model, ec);
 
         let mut trace = PacketTrace {
             packet,
@@ -142,7 +142,7 @@ impl RealConfig {
 
             // Edges the ACLs removed at this node: show where the
             // packet (or one of its ECMP copies) gets denied.
-            for (from, _out, at, dir) in &graph.blocked_edges {
+            for (from, _out, at, dir) in graph.blocked_edges() {
                 if *from != n {
                     continue;
                 }
@@ -172,14 +172,10 @@ impl RealConfig {
                     });
                 }
                 Some(PortAction::Forward(ifaces)) => {
-                    let succs: Vec<NodeId> = graph
-                        .succ
-                        .get(&n)
-                        .map(|s| s.iter().copied().collect())
-                        .unwrap_or_default();
+                    let succs: Vec<NodeId> = graph.successors(n).collect();
                     let iface_names: Vec<String> =
                         ifaces.iter().map(|i| self.iface_name(*i).to_string()).collect();
-                    if succs.is_empty() && graph.delivers.contains(&n) {
+                    if succs.is_empty() && graph.delivers(n) {
                         // Host-facing forward: leaves the modeled network.
                         trace.delivered_at.push(device.clone());
                         trace.hops.push(TraceHop {
@@ -209,10 +205,9 @@ impl RealConfig {
         }
 
         // A revisit during BFS is only a loop if the EC's analysis says
-        // so (diamonds also revisit); defer to the SCC answer.
+        // so (diamonds also revisit); defer to the checker's SCC answer.
         if trace.loops {
-            let analysis = rc_policy::analyze(&graph);
-            trace.loops = analysis.looping.contains(&start);
+            trace.loops = self.checker().analysis(ec).is_some_and(|a| a.loops(start));
         }
         Some(trace)
     }

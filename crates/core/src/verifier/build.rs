@@ -144,7 +144,8 @@ impl Stages {
 }
 
 /// Update the checker's device set and link map from a fact delta that
-/// leads to `facts`; returns the ECs invalidated by link changes.
+/// leads to `facts`; returns the ECs invalidated by device and link
+/// changes.
 pub(super) fn sync_structure(
     checker: &mut PolicyChecker,
     delta: &[(Fact, isize)],
@@ -159,10 +160,12 @@ pub(super) fn sync_structure(
             _ => {}
         }
     }
+    let mut touched = BTreeSet::new();
     if devices_changed {
-        checker.set_nodes(
+        touched = checker.set_nodes(
             facts.iter().filter_map(|f| if let Fact::Device(n) = f { Some(*n) } else { None }),
         );
     }
-    checker.apply_link_delta(&link_delta)
+    touched.extend(checker.apply_link_delta(&link_delta));
+    touched
 }

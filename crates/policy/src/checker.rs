@@ -13,14 +13,19 @@
 //! re-evaluates **only the policies registered on affected packets** —
 //! reporting both newly violated and newly satisfied policies (the
 //! latter lets an operator confirm a repair worked).
+//!
+//! Analyses, pair counts and the per-pass pair marks are dense rows
+//! indexed by `NodeId.0` (see [`crate::walk`]), so a merge diffs an
+//! EC's old and new rows a word at a time.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::Instant;
 
 use rc_apkeep::{ApkModel, BatchSummary, EcId};
 use rc_bdd::{Predicate, Ref};
 use rc_netcfg::types::{NodeId, Port, Prefix};
 
-use crate::walk::{analyze, build_ec_graph, EcAnalysis};
+use crate::walk::{self, ones, words, EcAnalysis, Forwarding, Topology, Walker, MAX_NODES};
 
 /// Identifier of a registered policy.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -87,8 +92,11 @@ pub struct CheckReport {
 
 /// Minimum affected-EC count before the walk phase is dispatched to
 /// the pool; smaller passes run inline on the caller's thread (counted
-/// by `par.small_tasks_inlined`).
-const WALK_INLINE_MIN: usize = 8;
+/// by `par.small_tasks_inlined`). A walk costs 5–40 µs, so this is a
+/// few ms of work — several scheduler quanta, the size at which a pool
+/// call stops being a bet on the second CPU (EXPERIMENTS.md, "Dispatch
+/// thresholds").
+const WALK_INLINE_MIN: usize = 256;
 
 /// The incremental policy checker. Holds EC-keyed state; must be used
 /// with the *same* [`ApkModel`] across its lifetime (its predicates
@@ -96,6 +104,9 @@ const WALK_INLINE_MIN: usize = 8;
 pub struct PolicyChecker {
     nodes: BTreeSet<NodeId>,
     topo: BTreeMap<Port, Port>,
+    /// `nodes` and `topo` as the dense tables walks read; rebuilt
+    /// whenever either changes.
+    table: Topology,
     /// Per-EC analysis, indexed by EC id: the model's ids are dense and
     /// a split appends its child, so after every pass there is one entry
     /// per model EC.
@@ -110,12 +121,17 @@ pub struct PolicyChecker {
 
 /// Everything the checker knows that is a function of `ec_state`:
 /// patched on every merge, rebuilt whole on decode, and compared with a
-/// rebuild by [`PolicyChecker::check_invariants`]. Neither map holds an
+/// rebuild by [`PolicyChecker::check_invariants`]. `port_users` holds no
 /// empty entry.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 struct Derived {
-    /// (src, dst) → how many ECs deliver from `src` to `dst`.
-    pairs: HashMap<(NodeId, NodeId), u32>,
+    /// Side of the pair matrix: it covers node ids below `dim`, at least
+    /// every analysis's rows. Only grows.
+    dim: usize,
+    /// `pairs[src * dim + dst]`: how many ECs deliver from `src` to `dst`.
+    pairs: Vec<u32>,
+    /// Nonzero entries of `pairs`.
+    num_pairs: usize,
     /// port → the ECs whose forwarding uses it (what a link change
     /// under the port invalidates).
     port_users: HashMap<Port, BTreeSet<EcId>>,
@@ -124,55 +140,145 @@ struct Derived {
 impl Derived {
     fn of(ec_state: &[EcAnalysis]) -> Self {
         let mut d = Derived::default();
+        d.grow(ec_state.iter().map(|a| a.n).max().unwrap_or(0));
         for (i, a) in ec_state.iter().enumerate() {
             d.add(EcId(i as u32), a);
         }
         d
     }
 
-    /// Count everything `a` contributes as EC `ec`'s.
+    /// Widen the pair matrix to node ids below `n`.
+    fn grow(&mut self, n: usize) {
+        if n <= self.dim {
+            return;
+        }
+        let mut pairs = vec![0; n * n];
+        for s in 0..self.dim {
+            pairs[s * n..][..self.dim].copy_from_slice(&self.pairs[s * self.dim..][..self.dim]);
+        }
+        self.pairs = pairs;
+        self.dim = n;
+    }
+
+    /// Count one more (`up`) or one fewer EC delivering from `s` to `d`.
+    fn count(&mut self, s: usize, d: usize, up: bool) {
+        let c = &mut self.pairs[s * self.dim + d];
+        if up {
+            self.num_pairs += usize::from(*c == 0);
+            *c += 1;
+        } else {
+            *c -= 1;
+            self.num_pairs -= usize::from(*c == 0);
+        }
+    }
+
+    /// Every nonzero pair count, in (src, dst) order.
+    fn counts(&self) -> Vec<(usize, usize, u32)> {
+        let dim = self.dim;
+        (0..dim * dim)
+            .filter(|&i| self.pairs[i] > 0)
+            .map(|i| (i / dim, i % dim, self.pairs[i]))
+            .collect()
+    }
+
+    fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
+        let (s, d) = (src.0 as usize, dst.0 as usize);
+        s < self.dim && d < self.dim && self.pairs[s * self.dim + d] > 0
+    }
+
+    /// Count everything `a` contributes as EC `ec`'s (`a`'s rows must
+    /// fit the matrix).
     fn add(&mut self, ec: EcId, a: &EcAnalysis) {
-        for pair in a.pairs() {
-            *self.pairs.entry(pair).or_default() += 1;
+        for s in 0..a.n {
+            for d in ones(a.row(s)) {
+                self.count(s, d, true);
+            }
         }
         for &port in &a.ports_used {
             self.port_users.entry(port).or_default().insert(ec);
         }
     }
 
-    /// Re-count EC `ec` from its `old` analysis to its `new` one, adding
-    /// to `changed` every pair whose count moved.
-    fn replace(
-        &mut self,
-        ec: EcId,
-        old: &EcAnalysis,
-        new: &EcAnalysis,
-        changed: &mut BTreeSet<(NodeId, NodeId)>,
-    ) {
-        for port in old.ports_used.difference(&new.ports_used) {
-            if let Some(users) = self.port_users.get_mut(port) {
-                users.remove(&ec);
-                if users.is_empty() {
-                    self.port_users.remove(port);
+    /// Re-count EC `ec` from its `old` analysis to its `new` one (both
+    /// must fit the matrix), diffing their rows a word at a time, and
+    /// mark in `marks` the pairs whose count moved and the pairs whose
+    /// paths did.
+    fn replace(&mut self, ec: EcId, old: &EcAnalysis, new: &EcAnalysis, marks: &mut PairMarks) {
+        // One merge over both sorted port lists. An EC uses hundreds of
+        // ports on a fat tree: on the k=8 OSPF link churn a binary search
+        // per port made the policy pass ≈ 43 % slower, and two filtered
+        // passes ≈ 10 % (EXPERIMENTS.md, "The port-index merge").
+        let (mut o, mut n) = (old.ports_used.iter().peekable(), new.ports_used.iter().peekable());
+        loop {
+            let gone = match (o.peek(), n.peek()) {
+                (None, None) => break,
+                (Some(a), Some(b)) if a == b => {
+                    o.next();
+                    n.next();
+                    continue;
+                }
+                (Some(a), Some(b)) => a < b,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+            };
+            if gone {
+                let port = o.next().expect("peeked");
+                if let Some(users) = self.port_users.get_mut(port) {
+                    users.remove(&ec);
+                    if users.is_empty() {
+                        self.port_users.remove(port);
+                    }
+                }
+            } else {
+                let port = n.next().expect("peeked");
+                self.port_users.entry(*port).or_default().insert(ec);
+            }
+        }
+
+        for s in 0..old.n.max(new.n) {
+            let (before, after) = (old.row(s), new.row(s));
+            // Pairs whose paths were modified: a source whose path
+            // signature changed, with every delivery endpoint it had
+            // before or has now.
+            let rerouted = old.path_sig(NodeId(s as u32)) != new.path_sig(NodeId(s as u32));
+            for j in 0..before.len().max(after.len()) {
+                let b = before.get(j).copied().unwrap_or(0);
+                let a = after.get(j).copied().unwrap_or(0);
+                let moved = b ^ a;
+                for bit in ones(std::slice::from_ref(&moved)) {
+                    self.count(s, j * 64 + bit, a >> bit & 1 == 1);
+                }
+                let at = s * marks.words + j;
+                marks.changed[at] |= moved;
+                if rerouted {
+                    marks.touched[at] |= b | a;
                 }
             }
         }
-        for &port in new.ports_used.difference(&old.ports_used) {
-            self.port_users.entry(port).or_default().insert(ec);
-        }
-        for pair in old.pairs().filter(|&(s, d)| !new.delivers(s, d)) {
-            changed.insert(pair);
-            if let Some(n) = self.pairs.get_mut(&pair) {
-                *n -= 1;
-                if *n == 0 {
-                    self.pairs.remove(&pair);
-                }
-            }
-        }
-        for pair in new.pairs().filter(|&(s, d)| !old.delivers(s, d)) {
-            changed.insert(pair);
-            *self.pairs.entry(pair).or_default() += 1;
-        }
+    }
+}
+
+/// The (src, dst) pairs one pass changed, as bitset rows over the pair
+/// matrix: `changed` — the pair's EC count moved; `touched` — its
+/// source's paths moved while it delivered.
+struct PairMarks {
+    words: usize,
+    changed: Vec<u64>,
+    touched: Vec<u64>,
+}
+
+impl PairMarks {
+    fn new(dim: usize) -> Self {
+        let words = words(dim);
+        PairMarks { words, changed: vec![0; dim * words], touched: vec![0; dim * words] }
+    }
+
+    /// `(affected, changed)` pair counts: every marked pair, and the
+    /// pairs whose count moved.
+    fn counts(&self) -> (usize, usize) {
+        let affected = self.changed.iter().zip(&self.touched).map(|(c, t)| (c | t).count_ones());
+        let changed = self.changed.iter().map(|c| c.count_ones());
+        (affected.sum::<u32>() as usize, changed.sum::<u32>() as usize)
     }
 }
 
@@ -187,6 +293,11 @@ struct CheckerTelemetry {
     pairs: rc_telemetry::Gauge,
     check_incremental_us: rc_telemetry::Histogram,
     check_full_us: rc_telemetry::Histogram,
+    /// A pass's three phases, full and incremental alike: the walks
+    /// (with the element binding), the merge, the policy evaluation.
+    walk_us: rc_telemetry::Histogram,
+    merge_us: rc_telemetry::Histogram,
+    eval_us: rc_telemetry::Histogram,
     pool_workers: Option<rc_telemetry::Gauge>,
     pool_tasks: Option<rc_telemetry::Counter>,
     pool_steals: Option<rc_telemetry::Counter>,
@@ -204,6 +315,9 @@ impl CheckerTelemetry {
             pairs: registry.gauge("policy.pairs"),
             check_incremental_us: registry.histogram("policy.check_incremental_us"),
             check_full_us: registry.histogram("policy.check_full_us"),
+            walk_us: registry.histogram("policy.walk_us"),
+            merge_us: registry.histogram("policy.merge_us"),
+            eval_us: registry.histogram("policy.eval_us"),
             pool_workers: None,
             pool_tasks: None,
             pool_steals: None,
@@ -252,6 +366,7 @@ impl PolicyChecker {
         PolicyChecker {
             nodes: BTreeSet::new(),
             topo: BTreeMap::new(),
+            table: Topology::default(),
             ec_state: Vec::new(),
             derived: Derived::default(),
             policies: Vec::new(),
@@ -272,19 +387,35 @@ impl PolicyChecker {
     /// re-analyzed (`policy.affected_ecs`), policies re-evaluated vs
     /// registered (`policy.policies_checked` vs the
     /// `policy.policies_registered` gauge), and its latency — full and
-    /// incremental passes into separate histograms.
+    /// incremental passes into separate histograms, and each pass's
+    /// walk, merge and evaluation phases into `policy.walk_us`,
+    /// `policy.merge_us` and `policy.eval_us`.
     pub fn set_telemetry(&mut self, registry: &rc_telemetry::Telemetry) {
         self.telemetry = Some(CheckerTelemetry::new(registry));
     }
 
-    /// Add or remove devices.
-    pub fn set_nodes(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
-        self.nodes = nodes.into_iter().collect();
+    /// Add or remove devices. Returns the ECs to re-check: every EC when
+    /// the device set changed — a new device's fate is in no analysis
+    /// yet, and a removed one's is in all of them — and none otherwise.
+    ///
+    /// # Panics
+    /// If a node id is at least [`MAX_NODES`].
+    pub fn set_nodes(&mut self, nodes: impl IntoIterator<Item = NodeId>) -> BTreeSet<EcId> {
+        let nodes: BTreeSet<NodeId> = nodes.into_iter().collect();
+        if nodes == self.nodes {
+            return BTreeSet::new();
+        }
+        self.nodes = nodes;
+        self.table = Topology::new(&self.nodes, &self.topo);
+        (0..self.ec_state.len() as u32).map(EcId).collect()
     }
 
     /// Apply directed link changes (`+1` up, `-1` down). Returns the ECs
     /// whose forwarding used an affected port (they must be re-checked
     /// even if no FIB rule changed).
+    ///
+    /// # Panics
+    /// If a node id is at least [`MAX_NODES`].
     pub fn apply_link_delta(&mut self, delta: &[(Port, Port, isize)]) -> BTreeSet<EcId> {
         let mut touched = BTreeSet::new();
         for &(src, dst, diff) in delta {
@@ -298,6 +429,9 @@ impl PolicyChecker {
                     touched.extend(users.iter().copied());
                 }
             }
+        }
+        if !delta.is_empty() {
+            self.table = Topology::new(&self.nodes, &self.topo);
         }
         touched
     }
@@ -374,23 +508,25 @@ impl PolicyChecker {
 
     /// Whether any EC currently delivers traffic from `src` to `dst`.
     pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        self.derived.pairs.contains_key(&(src, dst))
+        self.derived.reachable(src, dst)
     }
 
     /// Number of (src, dst) pairs with at least one deliverable EC.
     pub fn num_pairs(&self) -> usize {
-        self.derived.pairs.len()
+        self.derived.num_pairs
     }
 
     /// Test hook: the pair counts and port index, as patched pass by
     /// pass, must equal what the per-EC analyses derive from scratch.
     pub fn check_invariants(&self) -> Result<(), String> {
         let rebuilt = Derived::of(&self.ec_state);
-        if rebuilt.pairs != self.derived.pairs {
+        let (kept, fresh) = (self.derived.counts(), rebuilt.counts());
+        if kept != fresh || self.derived.num_pairs != kept.len() {
             return Err(format!(
-                "pair counts drifted: {} pairs maintained, {} derived",
-                self.derived.pairs.len(),
-                rebuilt.pairs.len()
+                "pair counts drifted: {} pairs maintained ({} counted), {} derived",
+                kept.len(),
+                self.derived.num_pairs,
+                fresh.len()
             ));
         }
         if rebuilt.port_users != self.derived.port_users {
@@ -403,10 +539,15 @@ impl PolicyChecker {
         Ok(())
     }
 
-    /// Build the forwarding graph of one EC over the checker's current
-    /// topology (for tracing and ad-hoc queries).
-    pub fn ec_graph(&self, model: &ApkModel, ec: EcId) -> crate::walk::EcGraph {
-        crate::walk::build_ec_graph(&model.ec_view(), ec, &self.nodes, &self.topo, None)
+    /// The forwarding graph of one EC over the checker's current
+    /// topology (for packet tracing).
+    pub fn forwarding(&self, model: &ApkModel, ec: EcId) -> Forwarding {
+        Walker::new(&model.ec_view(), &self.table).forwarding(ec, None)
+    }
+
+    /// The analysis of `ec` as of the last checking pass.
+    pub fn analysis(&self, ec: EcId) -> Option<&EcAnalysis> {
+        self.ec_state.get(ec.0 as usize)
     }
 
     /// Check everything from scratch (initial verification).
@@ -456,17 +597,15 @@ impl PolicyChecker {
     }
 
     fn recheck(&mut self, model: &mut ApkModel, affected: BTreeSet<EcId>, full: bool) -> CheckReport {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let mut report = CheckReport { affected_ecs: affected.len(), ..Default::default() };
-        let mut changed_pairs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        let mut touched_pairs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
 
         // Phase 1: walk the affected ECs' forwarding graphs. The walks
         // only read the model — through an immutable `EcView` snapshot —
-        // and the checker's node/topology sets, so they fan out across
-        // the worker pool. Results come back in input (ascending-EC)
-        // order, so the serial merge in phase 2, and with it the report
-        // and the verdict history, is identical for any worker count.
+        // and the checker's topology tables, so they fan out across the
+        // worker pool. Results come back in input (ascending-EC) order,
+        // so the serial merge in phase 2, and with it the report and the
+        // verdict history, is identical for any worker count.
         let affected_list: Vec<EcId> = affected.iter().copied().collect();
         let mut nthreads = self.threads.unwrap_or_else(rc_par::threads);
         // Adaptive fallback: a handful of walks is cheaper on the
@@ -479,13 +618,13 @@ impl PolicyChecker {
         }
         let (analyses, pool_stats) = {
             let view = model.ec_view();
-            let nodes = &self.nodes;
-            let topo = &self.topo;
+            let walker = Walker::new(&view, &self.table);
             rc_par::par_map_indexed_in(nthreads, &affected_list, |_, &ec| {
                 rc_faults::fire_walk(ec.0);
-                analyze(&build_ec_graph(&view, ec, nodes, topo, None))
+                walker.analyze(ec, None)
             })
         };
+        let walked = start.elapsed();
         if let Some(tel) = &mut self.telemetry {
             tel.record_pool(&pool_stats);
             if inlined {
@@ -496,30 +635,16 @@ impl PolicyChecker {
         // Phase 2: merge each new analysis over the old one, strictly in
         // ascending EC order, patching the derived indexes by the
         // difference.
+        self.derived.grow(self.table.len());
+        let mut marks = PairMarks::new(self.derived.dim);
         for (&ec, new) in affected_list.iter().zip(analyses) {
-            let old = std::mem::take(&mut self.ec_state[ec.0 as usize]);
-            self.derived.replace(ec, &old, &new, &mut changed_pairs);
-            // Pairs whose paths were modified: sources whose path
-            // signature changed, paired with every delivery endpoint
-            // they had before or have now.
-            let mut srcs: BTreeSet<NodeId> = BTreeSet::new();
-            srcs.extend(old.path_sig.keys().copied());
-            srcs.extend(new.path_sig.keys().copied());
-            for s in srcs {
-                if old.path_sig.get(&s) == new.path_sig.get(&s) {
-                    continue;
-                }
-                for dsts in [old.delivered.get(&s), new.delivered.get(&s)].into_iter().flatten() {
-                    touched_pairs.extend(dsts.iter().map(|&d| (s, d)));
-                }
-            }
-            self.ec_state[ec.0 as usize] = new;
+            let slot = &mut self.ec_state[ec.0 as usize];
+            self.derived.replace(ec, slot, &new, &mut marks);
+            *slot = new;
         }
-
-        touched_pairs.extend(changed_pairs.iter().copied());
-        report.affected_pairs = touched_pairs.len();
-        report.changed_pairs = changed_pairs.len();
-        report.total_pairs = self.derived.pairs.len();
+        (report.affected_pairs, report.changed_pairs) = marks.counts();
+        report.total_pairs = self.derived.num_pairs;
+        let merged = start.elapsed();
 
         // Re-evaluate policies registered on affected packets.
         let affected_pred = if full {
@@ -560,8 +685,12 @@ impl PolicyChecker {
             tel.affected_ecs.add(report.affected_ecs as u64);
             tel.policies_checked.add(report.policies_checked as u64);
             tel.policies_registered.set(self.policies.len() as i64);
-            tel.pairs.set(self.derived.pairs.len() as i64);
-            let us = start.elapsed().as_micros() as u64;
+            tel.pairs.set(self.derived.num_pairs as i64);
+            let total = start.elapsed();
+            tel.walk_us.record(walked.as_micros() as u64);
+            tel.merge_us.record((merged - walked).as_micros() as u64);
+            tel.eval_us.record((total - merged).as_micros() as u64);
+            let us = total.as_micros() as u64;
             if full {
                 tel.check_full_us.record(us);
             } else {
@@ -596,19 +725,21 @@ impl PolicyChecker {
             Policy::Isolation { src, dst, .. } => {
                 ecs.iter().all(|&ec| !self.delivers(ec, src, dst))
             }
-            Policy::Waypoint { src, dst, via, .. } => ecs.iter().all(|&ec| {
-                if !self.delivers(ec, src, dst) {
-                    return true; // vacuous: nothing delivered
-                }
-                // Deliverable while avoiding the waypoint ⇒ violated.
-                let g = build_ec_graph(&model.ec_view(), ec, &self.nodes, &self.topo, Some(via));
-                !analyze(&g).delivers(src, dst)
-            }),
+            Policy::Waypoint { src, dst, via, .. } => {
+                let view = model.ec_view();
+                let walker = Walker::new(&view, &self.table);
+                ecs.iter().all(|&ec| {
+                    // Vacuous when nothing is delivered; deliverable while
+                    // avoiding the waypoint ⇒ violated.
+                    !self.delivers(ec, src, dst)
+                        || !walker.analyze(ec, Some(via)).delivers(src, dst)
+                })
+            }
             Policy::LoopFree { .. } => {
-                ecs.iter().all(|&ec| self.ec_state[ec.0 as usize].looping.is_empty())
+                ecs.iter().all(|&ec| !self.ec_state[ec.0 as usize].loops_anywhere())
             }
             Policy::BlackholeFree { src, .. } => {
-                ecs.iter().all(|&ec| !self.ec_state[ec.0 as usize].dropped.contains(&src))
+                ecs.iter().all(|&ec| !self.ec_state[ec.0 as usize].drops(src))
             }
         }
     }
@@ -635,17 +766,23 @@ fn encode_node(w: &mut rc_store::Writer, n: NodeId) {
     w.u32(n.0);
 }
 
+/// A node id, refused at or past [`MAX_NODES`] before anything sizes a
+/// table by it.
 fn decode_node(r: &mut rc_store::Reader<'_>) -> Result<NodeId, rc_store::WireError> {
-    Ok(NodeId(r.u32()?))
+    let n = r.u32()?;
+    if n as usize >= MAX_NODES {
+        return wire_err(format!("node id {n} past the dense tables' bound"));
+    }
+    Ok(NodeId(n))
 }
 
 fn encode_port(w: &mut rc_store::Writer, p: Port) {
-    w.u32(p.node.0);
+    encode_node(w, p.node);
     w.u32(p.iface.0);
 }
 
 fn decode_port(r: &mut rc_store::Reader<'_>) -> Result<Port, rc_store::WireError> {
-    let node = NodeId(r.u32()?);
+    let node = decode_node(r)?;
     let iface = rc_netcfg::types::IfaceId(r.u32()?);
     Ok(Port { node, iface })
 }
@@ -668,24 +805,12 @@ fn decode_node_set(
     Ok(out)
 }
 
-fn encode_node_set_map(w: &mut rc_store::Writer, m: &BTreeMap<NodeId, BTreeSet<NodeId>>) {
-    w.len_prefix(m.len());
-    for (&k, v) in m {
-        encode_node(w, k);
-        encode_node_set(w, v);
+/// A node bitset, as the ascending set of the ids it holds.
+fn encode_node_bits(w: &mut rc_store::Writer, bits: &[u64]) {
+    w.len_prefix(ones(bits).count());
+    for i in ones(bits) {
+        encode_node(w, NodeId(i as u32));
     }
-}
-
-fn decode_node_set_map(
-    r: &mut rc_store::Reader<'_>,
-) -> Result<BTreeMap<NodeId, BTreeSet<NodeId>>, rc_store::WireError> {
-    let n = r.len_prefix()?;
-    let mut out = BTreeMap::new();
-    for _ in 0..n {
-        let k = decode_node(r)?;
-        out.insert(k, decode_node_set(r)?);
-    }
-    Ok(out)
 }
 
 fn encode_prefix(w: &mut rc_store::Writer, p: Prefix) {
@@ -818,35 +943,84 @@ fn decode_policy(r: &mut rc_store::Reader<'_>) -> Result<Policy, rc_store::WireE
     }
 }
 
+/// An analysis on the wire: the sources with a nonempty delivered row
+/// and their rows, the dropping and the looping sources, the ports used,
+/// and the path signatures — each a set in ascending order, rows in
+/// ascending node-id order.
 fn encode_analysis(w: &mut rc_store::Writer, a: &EcAnalysis) {
-    encode_node_set_map(w, &a.delivered);
-    encode_node_set(w, &a.dropped);
-    encode_node_set(w, &a.looping);
+    let sources: Vec<usize> = (0..a.n).filter(|&s| a.row(s).iter().any(|&x| x != 0)).collect();
+    w.len_prefix(sources.len());
+    for s in sources {
+        encode_node(w, NodeId(s as u32));
+        encode_node_bits(w, a.row(s));
+    }
+    encode_node_bits(w, &a.dropped);
+    encode_node_bits(w, &a.looping);
     w.len_prefix(a.ports_used.len());
     for &p in &a.ports_used {
         encode_port(w, p);
     }
-    w.len_prefix(a.path_sig.len());
-    for (&n, &sig) in &a.path_sig {
-        encode_node(w, n);
-        w.u64(sig);
+    w.len_prefix(ones(&a.routed).count());
+    for s in ones(&a.routed) {
+        encode_node(w, NodeId(s as u32));
+        w.u64(a.path_sig[s]);
     }
 }
 
-fn decode_analysis(r: &mut rc_store::Reader<'_>) -> Result<EcAnalysis, rc_store::WireError> {
-    let delivered = decode_node_set_map(r)?;
-    let dropped = decode_node_set(r)?;
-    let looping = decode_node_set(r)?;
-    let mut ports_used = BTreeSet::new();
-    for _ in 0..r.len_prefix()? {
-        ports_used.insert(decode_port(r)?);
-    }
-    let mut path_sig = BTreeMap::new();
-    for _ in 0..r.len_prefix()? {
+/// Decode one analysis. Every node id it names must be a device of
+/// `nodes`, checked before the id sizes or indexes a row; the rows span
+/// the largest id named.
+fn decode_analysis(
+    r: &mut rc_store::Reader<'_>,
+    nodes: &BTreeSet<NodeId>,
+) -> Result<EcAnalysis, rc_store::WireError> {
+    let device = |r: &mut rc_store::Reader<'_>| -> Result<usize, rc_store::WireError> {
         let n = decode_node(r)?;
-        path_sig.insert(n, r.u64()?);
+        if !nodes.contains(&n) {
+            return wire_err(format!("analysis names node {}, not a device", n.0));
+        }
+        Ok(n.0 as usize)
+    };
+    let devices = |r: &mut rc_store::Reader<'_>| -> Result<Vec<usize>, rc_store::WireError> {
+        (0..r.len_prefix()?).map(|_| device(r)).collect()
+    };
+    let mut delivered = Vec::new();
+    for _ in 0..r.len_prefix()? {
+        let s = device(r)?;
+        delivered.push((s, devices(r)?));
     }
-    Ok(EcAnalysis { delivered, dropped, looping, ports_used, path_sig })
+    let dropped = devices(r)?;
+    let looping = devices(r)?;
+    let mut ports_used =
+        (0..r.len_prefix()?).map(|_| decode_port(r)).collect::<Result<Vec<_>, _>>()?;
+    ports_used.sort_unstable();
+    ports_used.dedup();
+    let mut sigs = Vec::new();
+    for _ in 0..r.len_prefix()? {
+        let s = device(r)?;
+        sigs.push((s, r.u64()?));
+    }
+
+    let named = delivered.iter().flat_map(|(s, ds)| std::iter::once(s).chain(ds));
+    let named = named.chain(&dropped).chain(&looping).chain(sigs.iter().map(|(s, _)| s));
+    let mut a = EcAnalysis::new(named.max().map_or(0, |&m| m + 1));
+    for (s, ds) in delivered {
+        for d in ds {
+            walk::set(a.row_mut(s), d);
+        }
+    }
+    for s in dropped {
+        walk::set(&mut a.dropped, s);
+    }
+    for s in looping {
+        walk::set(&mut a.looping, s);
+    }
+    for (s, sig) in sigs {
+        walk::set(&mut a.routed, s);
+        a.path_sig[s] = sig;
+    }
+    a.ports_used = ports_used;
+    Ok(a)
 }
 
 impl PolicyChecker {
@@ -896,7 +1070,8 @@ impl PolicyChecker {
                 model.num_ecs()
             ));
         }
-        let ec_state = (0..num_ecs).map(|_| decode_analysis(r)).collect::<Result<Vec<_>, _>>()?;
+        let ec_state =
+            (0..num_ecs).map(|_| decode_analysis(r, &nodes)).collect::<Result<Vec<_>, _>>()?;
         let mut policies = Vec::new();
         for i in 0..r.len_prefix()? {
             let policy = decode_policy(r)?;
@@ -912,6 +1087,7 @@ impl PolicyChecker {
             policies.push(Registered { policy, pred: Ref::from_index(pred), satisfied });
         }
         Ok(PolicyChecker {
+            table: Topology::new(&nodes, &topo),
             nodes,
             topo,
             derived: Derived::of(&ec_state),

@@ -11,4 +11,4 @@ pub mod checker;
 pub mod walk;
 
 pub use checker::{CheckReport, PacketClass, Policy, PolicyChecker, PolicyId};
-pub use walk::{analyze, build_ec_graph, EcAnalysis, EcGraph};
+pub use walk::{EcAnalysis, Forwarding, Topology, Walker};

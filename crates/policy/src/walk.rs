@@ -1,310 +1,569 @@
-//! Per-EC forwarding analysis.
+//! Per-EC forwarding analysis over dense tables.
 //!
 //! For one equivalence class, the network's forwarding behaviour is a
 //! small graph over devices: each node either delivers (forwards out a
 //! host-facing interface), drops (FIB drop or no route), is filtered
 //! (an ACL denies the EC), or forwards to successor devices (several,
-//! under ECMP). [`analyze`] condenses that graph (Tarjan SCC) and
-//! propagates outcomes so that every device's fate — which delivery
+//! under ECMP). [`Walker::analyze`] writes that graph as CSR successor
+//! lists (one flat array of successors plus one start offset per node),
+//! condenses it (Tarjan SCC) and propagates outcomes as word bitsets in
+//! condensation order, so that every device's fate — which delivery
 //! points it can reach, whether its packets can be dropped, whether
 //! they can loop — comes out of one linear-time pass, shared by all
 //! sources.
+//!
+//! Every table is indexed by `NodeId.0`. Registry ids are dense and
+//! never reused, so a row computed before a device was added still
+//! names the same nodes after.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rc_apkeep::{EcId, EcView, ElementKey, PortAction};
 use rc_netcfg::facts::Dir;
-use rc_netcfg::types::{NodeId, Port};
+use rc_netcfg::types::{IfaceId, NodeId, Port};
 
-/// The forwarding graph of one EC.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EcGraph {
-    pub succ: BTreeMap<NodeId, BTreeSet<NodeId>>,
-    /// Nodes that deliver the EC to an attached host network.
-    pub delivers: BTreeSet<NodeId>,
-    /// Nodes where the EC is dropped (FIB drop action or no route).
-    pub drops: BTreeSet<NodeId>,
-    /// Link endpoints this EC's forwarding uses (for invalidation when
-    /// links change).
-    pub ports_used: BTreeSet<Port>,
-    /// Out-ports each node sends this EC through (link-facing and
-    /// host-facing alike) — the raw material for path signatures.
-    pub node_ports: BTreeMap<NodeId, BTreeSet<Port>>,
-    /// Edges removed by ACLs: `(sender, out port, filtering port,
-    /// direction)` — `Out` blocked leaving the sender, `In` blocked
-    /// entering the filtering port's device. Used by packet tracing to
-    /// show *where* a packet was denied.
-    pub blocked_edges: Vec<(NodeId, Port, Port, Dir)>,
+/// Node ids the dense tables accept. The tables are sized by the largest
+/// id, not by the device count (ids are never reused): an analysis holds
+/// n² bits and the checker's pair counts 4·n² bytes, so this bound caps
+/// them at 2 MiB and 64 MiB. A larger id is refused — by a panic where
+/// the checker is told about devices or links, by an error on decode.
+pub const MAX_NODES: usize = 1 << 12;
+
+/// Words of a bitset over `n` indices.
+pub(crate) fn words(n: usize) -> usize {
+    n.div_ceil(64)
 }
 
-/// Build the forwarding graph of `ec` over the given nodes and links
-/// (`topo` maps each link's source port to its destination port).
-/// `exclude` removes one node (used for waypoint checks).
-///
-/// Takes an [`EcView`] — the model's read-only EC→port snapshot — not
-/// the model itself, so any number of per-EC walks can run concurrently
-/// over one borrowed view (see the checker's parallel recheck).
-pub fn build_ec_graph(
-    model: &EcView<'_>,
-    ec: EcId,
-    nodes: &BTreeSet<NodeId>,
-    topo: &BTreeMap<Port, Port>,
-    exclude: Option<NodeId>,
-) -> EcGraph {
-    let mut g = EcGraph::default();
-    for &n in nodes {
-        if Some(n) == exclude {
-            continue;
-        }
-        let action = model.action(ElementKey::Forward(n), ec);
-        let ifaces = match action {
-            None | Some(PortAction::Drop) => {
-                g.drops.insert(n);
-                continue;
-            }
-            Some(PortAction::Deliver(ifaces)) => {
-                // Connected routes: the packet terminates here (subject
-                // to the egress ACL of the delivering interface).
-                for i in ifaces.clone() {
-                    let port = Port { node: n, iface: i };
-                    if model.action(ElementKey::Filter(n, i, Dir::Out), ec)
-                        == Some(&PortAction::Deny)
-                    {
-                        g.blocked_edges.push((n, port, port, Dir::Out));
-                    } else {
-                        g.delivers.insert(n);
-                        g.node_ports.entry(n).or_default().insert(port);
-                    }
-                }
-                continue;
-            }
-            Some(PortAction::Forward(ifaces)) => ifaces.clone(),
-            Some(other) => unreachable!("filter action {other:?} on a forwarding element"),
-        };
-        for i in ifaces {
-            let port = Port { node: n, iface: i };
-            // Egress ACL at the sending interface.
-            if model.action(ElementKey::Filter(n, i, Dir::Out), ec) == Some(&PortAction::Deny) {
-                g.blocked_edges.push((n, port, port, Dir::Out));
-                continue;
-            }
-            match topo.get(&port) {
-                None => {
-                    // Host-facing interface: the packet leaves the
-                    // modeled network here — until a link comes up
-                    // under the port, so the port is still a use.
-                    g.delivers.insert(n);
-                    g.ports_used.insert(port);
-                    g.node_ports.entry(n).or_default().insert(port);
-                }
-                Some(dst) => {
-                    g.ports_used.insert(port);
-                    g.ports_used.insert(*dst);
-                    g.node_ports.entry(n).or_default().insert(port);
-                    // Ingress ACL at the receiving interface.
-                    if model.action(ElementKey::Filter(dst.node, dst.iface, Dir::In), ec)
-                        == Some(&PortAction::Deny)
-                    {
-                        g.blocked_edges.push((n, port, *dst, Dir::In));
-                    } else if Some(dst.node) != exclude {
-                        g.succ.entry(n).or_default().insert(dst.node);
-                    }
-                }
-            }
+pub(crate) fn set(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+/// Bit `i`; bits past the end of the slice are clear.
+pub(crate) fn test(bits: &[u64], i: usize) -> bool {
+    bits.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+/// Indices of the set bits, ascending.
+pub(crate) fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(j, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                j * 64 + b
+            })
+        })
+    })
+}
+
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// Sort and deduplicate `v[from..]` in place.
+fn sort_dedup_from<T: Ord + Copy>(v: &mut Vec<T>, from: usize) {
+    v[from..].sort_unstable();
+    let mut keep = from;
+    for i in from..v.len() {
+        if keep == from || v[keep - 1] != v[i] {
+            v[keep] = v[i];
+            keep += 1;
         }
     }
-    g
+    v.truncate(keep);
+}
+
+/// The checker's devices and links as tables indexed by `NodeId.0`:
+/// derived from its node set and link map, never persisted.
+#[derive(Debug, Default)]
+pub struct Topology {
+    /// Devices, ascending.
+    nodes: Vec<u32>,
+    /// `links[link_start[i]..link_start[i + 1]]`: node `i`'s linked
+    /// interfaces with the port at the other end, ascending by
+    /// interface. Covers every link endpoint, device or not.
+    link_start: Vec<u32>,
+    links: Vec<(IfaceId, Port)>,
+}
+
+impl Topology {
+    /// Tables over `nodes` and the directed `links` (source port →
+    /// destination port).
+    ///
+    /// # Panics
+    /// If a node id is at least [`MAX_NODES`].
+    pub fn new(nodes: &BTreeSet<NodeId>, links: &BTreeMap<Port, Port>) -> Self {
+        let ids = nodes.iter().chain(links.iter().flat_map(|(a, b)| [&a.node, &b.node]));
+        let len = ids.map(|n| n.0 as usize + 1).max().unwrap_or(0);
+        assert!(len <= MAX_NODES, "node id {} past the dense tables' bound", len - 1);
+        let mut link_start = vec![0u32; len + 1];
+        for src in links.keys() {
+            link_start[src.node.0 as usize + 1] += 1;
+        }
+        for i in 0..len {
+            link_start[i + 1] += link_start[i];
+        }
+        // A `BTreeMap<Port, _>` iterates by (node, iface): already grouped
+        // by node and sorted within each group.
+        Topology {
+            nodes: nodes.iter().map(|n| n.0).collect(),
+            link_start,
+            links: links.iter().map(|(src, dst)| (src.iface, *dst)).collect(),
+        }
+    }
+
+    /// Rows of every table: one past the largest node id named.
+    pub(crate) fn len(&self) -> usize {
+        self.link_start.len().saturating_sub(1)
+    }
+
+    fn links_of(&self, node: usize) -> std::ops::Range<usize> {
+        self.link_start[node] as usize..self.link_start[node + 1] as usize
+    }
+
+    /// The link under `(node, iface)`, as an index into `links`.
+    fn link(&self, node: usize, iface: IfaceId) -> Option<usize> {
+        self.links_of(node).find(|&l| self.links[l].0 == iface)
+    }
+}
+
+/// A [`Topology`] bound to one model snapshot. The element ids of every
+/// FIB and of the filters on every linked port are resolved once, so a
+/// walk indexes tables instead of hashing a key per node and port.
+/// `Sync`: one walker serves every worker of a parallel pass.
+pub struct Walker<'a> {
+    view: &'a EcView<'a>,
+    topo: &'a Topology,
+    /// Per node id: its FIB element.
+    fwd: Vec<Option<usize>>,
+    /// Parallel to `topo.links`: the egress filter of the local port and
+    /// the ingress filter of the peer port.
+    filters: Vec<(Option<usize>, Option<usize>)>,
+}
+
+impl<'a> Walker<'a> {
+    pub fn new(view: &'a EcView<'a>, topo: &'a Topology) -> Self {
+        let mut fwd = vec![None; topo.len()];
+        for &n in &topo.nodes {
+            fwd[n as usize] = view.element(ElementKey::Forward(NodeId(n)));
+        }
+        let mut filters = Vec::with_capacity(topo.links.len());
+        for node in 0..topo.len() {
+            for &(iface, peer) in &topo.links[topo.links_of(node)] {
+                filters.push((
+                    view.element(ElementKey::Filter(NodeId(node as u32), iface, Dir::Out)),
+                    view.element(ElementKey::Filter(peer.node, peer.iface, Dir::In)),
+                ));
+            }
+        }
+        Walker { view, topo, fwd, filters }
+    }
+
+    fn denies(&self, filter: Option<usize>, ec: EcId) -> bool {
+        filter.is_some_and(|f| *self.view.action_at(f, ec) == PortAction::Deny)
+    }
+
+    /// The egress filter of `port`, resolved through its link when it has
+    /// one (host-facing ports are few: looked up by key).
+    fn egress(&self, port: Port, link: Option<usize>) -> Option<usize> {
+        match link {
+            Some(l) => self.filters[l].0,
+            None => self.view.element(ElementKey::Filter(port.node, port.iface, Dir::Out)),
+        }
+    }
+
+    /// The forwarding graph of `ec`. `exclude` removes one node (used
+    /// for waypoint checks).
+    pub fn forwarding(&self, ec: EcId, exclude: Option<NodeId>) -> Forwarding {
+        let n = self.topo.len();
+        let mut f = Forwarding {
+            succ_start: vec![0; n + 1],
+            succ: Vec::new(),
+            delivers: vec![0; words(n)],
+            drops: vec![0; words(n)],
+            port_start: vec![0; n + 1],
+            ports: Vec::new(),
+            ports_used: Vec::new(),
+            blocked_edges: Vec::new(),
+        };
+        for &u in &self.topo.nodes {
+            let (u, node) = (u as usize, NodeId(u));
+            let (first_succ, first_port) = (f.succ.len(), f.ports.len());
+            let action = self.fwd[u].map(|e| self.view.action_at(e, ec));
+            match action {
+                _ if Some(node) == exclude => {}
+                None | Some(PortAction::Drop) => set(&mut f.drops, u),
+                Some(PortAction::Deliver(ifaces)) => {
+                    // Connected routes: the packet terminates here (subject
+                    // to the egress ACL of the delivering interface).
+                    for &iface in ifaces {
+                        let port = Port { node, iface };
+                        if self.denies(self.egress(port, self.topo.link(u, iface)), ec) {
+                            f.blocked_edges.push((node, port, port, Dir::Out));
+                        } else {
+                            set(&mut f.delivers, u);
+                            f.ports.push(port);
+                        }
+                    }
+                }
+                Some(PortAction::Forward(ifaces)) => {
+                    for &iface in ifaces {
+                        let port = Port { node, iface };
+                        let link = self.topo.link(u, iface);
+                        // Egress ACL at the sending interface.
+                        if self.denies(self.egress(port, link), ec) {
+                            f.blocked_edges.push((node, port, port, Dir::Out));
+                            continue;
+                        }
+                        f.ports.push(port);
+                        f.ports_used.push(port);
+                        let Some(l) = link else {
+                            // Host-facing interface: the packet leaves the
+                            // modeled network here — until a link comes up
+                            // under the port, so the port is still a use.
+                            set(&mut f.delivers, u);
+                            continue;
+                        };
+                        let peer = self.topo.links[l].1;
+                        f.ports_used.push(peer);
+                        // Ingress ACL at the receiving interface. An edge
+                        // into `exclude` stays: that node does nothing.
+                        if self.denies(self.filters[l].1, ec) {
+                            f.blocked_edges.push((node, port, peer, Dir::In));
+                        } else {
+                            f.succ.push(peer.node.0);
+                        }
+                    }
+                }
+                Some(other) => unreachable!("filter action {other:?} on a forwarding element"),
+            }
+            sort_dedup_from(&mut f.succ, first_succ);
+            sort_dedup_from(&mut f.ports, first_port);
+            f.succ_start[u + 1] = f.succ.len() as u32;
+            f.port_start[u + 1] = f.ports.len() as u32;
+        }
+        // Rows of non-devices are empty: carry each offset forward.
+        for i in 1..=n {
+            f.succ_start[i] = f.succ_start[i].max(f.succ_start[i - 1]);
+            f.port_start[i] = f.port_start[i].max(f.port_start[i - 1]);
+        }
+        f.ports_used.sort_unstable();
+        f.ports_used.dedup();
+        f
+    }
+
+    /// The analysis of `ec`'s forwarding graph, `exclude` removed.
+    pub fn analyze(&self, ec: EcId, exclude: Option<NodeId>) -> EcAnalysis {
+        self.forwarding(ec, exclude).analyze()
+    }
+}
+
+/// One EC's forwarding graph over a [`Topology`], as a walk writes it:
+/// CSR successor lists, terminal bits, and the out-ports each node sends
+/// the EC through. Packet tracing reads it directly.
+#[derive(Debug)]
+pub struct Forwarding {
+    /// `succ[succ_start[i]..succ_start[i + 1]]`: node `i`'s successors,
+    /// ascending.
+    succ_start: Vec<u32>,
+    succ: Vec<u32>,
+    /// Nodes that deliver the EC to an attached host network.
+    delivers: Vec<u64>,
+    /// Nodes where the EC is dropped (FIB drop action or no route).
+    drops: Vec<u64>,
+    /// `ports[port_start[i]..port_start[i + 1]]`: the out-ports node `i`
+    /// sends the EC through, link-facing and host-facing alike. `ports`
+    /// is sorted, so a port's index numbers it in `Port` order — the
+    /// order path signatures hash in.
+    port_start: Vec<u32>,
+    ports: Vec<Port>,
+    /// Link endpoints the forwarding uses, sorted (for invalidation when
+    /// links change).
+    ports_used: Vec<Port>,
+    /// Edges removed by ACLs: `(sender, out port, filtering port,
+    /// direction)` — `Out` blocked leaving the sender, `In` blocked
+    /// entering the filtering port's device.
+    blocked_edges: Vec<(NodeId, Port, Port, Dir)>,
+}
+
+impl Forwarding {
+    fn len(&self) -> usize {
+        self.succ_start.len() - 1
+    }
+
+    fn succ(&self, v: usize) -> &[u32] {
+        &self.succ[self.succ_start[v] as usize..self.succ_start[v + 1] as usize]
+    }
+
+    /// The devices `node` forwards the EC to, ascending.
+    pub fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let v = node.0 as usize;
+        let succ = if v < self.len() { self.succ(v) } else { &[] };
+        succ.iter().map(|&w| NodeId(w))
+    }
+
+    /// Whether `node` delivers the EC off the modeled network.
+    pub fn delivers(&self, node: NodeId) -> bool {
+        test(&self.delivers, node.0 as usize)
+    }
+
+    /// Edges the ACLs removed, in node order (see the field docs).
+    pub fn blocked_edges(&self) -> &[(NodeId, Port, Port, Dir)] {
+        &self.blocked_edges
+    }
+
+    /// Condense the graph and propagate outcomes to every start node.
+    pub fn analyze(&self) -> EcAnalysis {
+        let n = self.len();
+        let (comp_of, num_comps) = self.components();
+        // Members of each component, by counting sort.
+        let mut comp_start = vec![0u32; num_comps + 1];
+        for &c in &comp_of {
+            comp_start[c as usize + 1] += 1;
+        }
+        for c in 0..num_comps {
+            comp_start[c + 1] += comp_start[c];
+        }
+        let mut fill = comp_start.clone();
+        let mut members = vec![0u32; n];
+        for (v, &c) in comp_of.iter().enumerate() {
+            members[fill[c as usize] as usize] = v as u32;
+            fill[c as usize] += 1;
+        }
+
+        // Per component: the delivery nodes and out-ports it reaches, as
+        // bitset rows, and whether it can drop or loop. Components come
+        // in reverse topological order, so every successor's row is
+        // final before it is read.
+        let (w, pw) = (words(n), words(self.ports.len()));
+        let mut reach = vec![0u64; num_comps * w];
+        let mut used = vec![0u64; num_comps * pw];
+        let mut dropped = vec![false; num_comps];
+        let mut looping = vec![false; num_comps];
+        for c in 0..num_comps {
+            let (done, rest) = reach.split_at_mut(c * w);
+            let row = &mut rest[..w];
+            let (pdone, prest) = used.split_at_mut(c * pw);
+            let prow = &mut prest[..pw];
+            let vs = &members[comp_start[c] as usize..comp_start[c + 1] as usize];
+            // Cyclic component: more than one node, or a self-loop.
+            let mut cyclic = vs.len() > 1;
+            for &v in vs {
+                let v = v as usize;
+                if test(&self.delivers, v) {
+                    set(row, v);
+                }
+                dropped[c] |= test(&self.drops, v);
+                for p in self.port_start[v]..self.port_start[v + 1] {
+                    set(prow, p as usize);
+                }
+                for &x in self.succ(v) {
+                    let cx = comp_of[x as usize] as usize;
+                    if cx == c {
+                        cyclic |= x as usize == v;
+                        continue;
+                    }
+                    debug_assert!(cx < c, "condensation order violated");
+                    or_into(row, &done[cx * w..][..w]);
+                    or_into(prow, &pdone[cx * pw..][..pw]);
+                    dropped[c] |= dropped[cx];
+                    looping[c] |= looping[cx];
+                }
+            }
+            looping[c] |= cyclic;
+        }
+
+        // FNV-1a over each component's out-ports, in `Port` order.
+        let sig: Vec<Option<u64>> = (0..num_comps)
+            .map(|c| {
+                let mut ports = ones(&used[c * pw..][..pw]).map(|p| self.ports[p]).peekable();
+                ports.peek()?;
+                Some(ports.fold(0xcbf29ce484222325, |h, p| {
+                    [p.node.0 as u64, p.iface.0 as u64]
+                        .into_iter()
+                        .fold(h, |h, word| (h ^ word).wrapping_mul(0x100000001b3))
+                }))
+            })
+            .collect();
+
+        let mut out = EcAnalysis::new(n);
+        out.ports_used = self.ports_used.clone();
+        for (v, &c) in comp_of.iter().enumerate() {
+            let c = c as usize;
+            out.delivered[v * w..][..w].copy_from_slice(&reach[c * w..][..w]);
+            if dropped[c] {
+                set(&mut out.dropped, v);
+            }
+            if looping[c] {
+                set(&mut out.looping, v);
+            }
+            if let Some(s) = sig[c] {
+                set(&mut out.routed, v);
+                out.path_sig[v] = s;
+            }
+        }
+        out
+    }
+
+    /// Strongly connected components (iterative Tarjan): each node's
+    /// component id, and the count. Components are numbered in reverse
+    /// topological order — one is finished only after everything it
+    /// reaches — so ascending ids visit successors first.
+    fn components(&self) -> (Vec<u32>, usize) {
+        const NONE: u32 = u32::MAX;
+        let n = self.len();
+        let mut comp = vec![NONE; n];
+        let mut disc = vec![NONE; n];
+        let mut low = vec![0u32; n];
+        // A discovered node without a component is on the Tarjan stack.
+        let mut stack: Vec<u32> = Vec::new();
+        // DFS frames: (node, offset of its next successor in `succ`).
+        let mut call: Vec<(u32, u32)> = Vec::new();
+        let (mut next, mut comps) = (0u32, 0u32);
+        for root in 0..n as u32 {
+            if disc[root as usize] != NONE {
+                continue;
+            }
+            disc[root as usize] = next;
+            low[root as usize] = next;
+            next += 1;
+            stack.push(root);
+            call.push((root, self.succ_start[root as usize]));
+            while let Some(&(v, child)) = call.last() {
+                let vi = v as usize;
+                if child < self.succ_start[vi + 1] {
+                    call.last_mut().expect("frame").1 += 1;
+                    let w = self.succ[child as usize];
+                    let wi = w as usize;
+                    if disc[wi] == NONE {
+                        disc[wi] = next;
+                        low[wi] = next;
+                        next += 1;
+                        stack.push(w);
+                        call.push((w, self.succ_start[wi]));
+                    } else if comp[wi] == NONE {
+                        low[vi] = low[vi].min(disc[wi]);
+                    }
+                    continue;
+                }
+                if low[vi] == disc[vi] {
+                    loop {
+                        let w = stack.pop().expect("tarjan stack");
+                        comp[w as usize] = comps;
+                        if w == v {
+                            break;
+                        }
+                    }
+                    comps += 1;
+                }
+                call.pop();
+                if let Some(&(p, _)) = call.last() {
+                    low[p as usize] = low[p as usize].min(low[vi]);
+                }
+            }
+        }
+        (comp, comps as usize)
+    }
 }
 
 /// Per-source outcome of one EC's forwarding graph — what policies
 /// read, and the ports link changes invalidate it through. Because
 /// forwarding is source-independent, a "source" is just a starting
 /// node, and the answer for each start is the answer for its SCC.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Rows are indexed by `NodeId.0` below `n`; past it every row is empty.
+#[derive(Clone, Debug, Default)]
 pub struct EcAnalysis {
-    /// start node → delivery nodes its packets can reach.
-    pub delivered: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    pub(crate) n: usize,
+    /// `delivered[s * words(n)..][..words(n)]`: the delivery nodes start
+    /// node `s`'s packets can reach.
+    pub(crate) delivered: Vec<u64>,
     /// Start nodes whose packets can be dropped (FIB drop or no route).
-    pub dropped: BTreeSet<NodeId>,
+    pub(crate) dropped: Vec<u64>,
     /// Start nodes whose packets can enter a forwarding loop.
-    pub looping: BTreeSet<NodeId>,
-    pub ports_used: BTreeSet<Port>,
-    /// Per start node, a hash of the set of out-ports its packets can
-    /// traverse — a cheap "which paths does this source use" signature.
-    /// A changed signature means the source's paths were modified even
-    /// if delivery outcomes did not change (the paper counts such pairs
-    /// as affected).
-    pub path_sig: BTreeMap<NodeId, u64>,
+    pub(crate) looping: Vec<u64>,
+    /// Start nodes whose packets traverse an out-port: those with a path
+    /// signature.
+    pub(crate) routed: Vec<u64>,
+    /// Per start node in `routed`, a hash of the out-ports its packets
+    /// can traverse — a cheap "which paths does this source use"
+    /// signature. A changed signature means the source's paths were
+    /// modified even if delivery outcomes did not change (the paper
+    /// counts such pairs as affected). Zero elsewhere.
+    pub(crate) path_sig: Vec<u64>,
+    /// Link endpoints this EC's forwarding uses, sorted.
+    pub(crate) ports_used: Vec<Port>,
 }
 
 impl EcAnalysis {
+    /// Empty rows over node ids below `n`.
+    pub(crate) fn new(n: usize) -> Self {
+        let w = words(n);
+        EcAnalysis {
+            n,
+            delivered: vec![0; n * w],
+            dropped: vec![0; w],
+            looping: vec![0; w],
+            routed: vec![0; w],
+            path_sig: vec![0; n],
+            ports_used: Vec::new(),
+        }
+    }
+
+    /// Start node `s`'s delivery bitset (empty past `n`).
+    pub(crate) fn row(&self, s: usize) -> &[u64] {
+        let w = words(self.n);
+        if s < self.n {
+            &self.delivered[s * w..][..w]
+        } else {
+            &[]
+        }
+    }
+
+    pub(crate) fn row_mut(&mut self, s: usize) -> &mut [u64] {
+        let w = words(self.n);
+        &mut self.delivered[s * w..][..w]
+    }
+
     /// Whether packets injected at `src` can be delivered at `dst`.
     pub fn delivers(&self, src: NodeId, dst: NodeId) -> bool {
-        self.delivered.get(&src).is_some_and(|d| d.contains(&dst))
+        test(self.row(src.0 as usize), dst.0 as usize)
     }
 
-    /// Every (src, dst) pair this EC delivers between.
-    pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.delivered.iter().flat_map(|(&s, dsts)| dsts.iter().map(move |&d| (s, d)))
-    }
-}
-
-/// Condense the graph and propagate outcomes to every start node.
-pub fn analyze(graph: &EcGraph) -> EcAnalysis {
-    // Collect every node that appears anywhere.
-    let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
-    nodes.extend(graph.succ.keys().copied());
-    nodes.extend(graph.succ.values().flatten().copied());
-    nodes.extend(graph.delivers.iter().copied());
-    nodes.extend(graph.drops.iter().copied());
-    nodes.extend(graph.node_ports.keys().copied());
-
-    // Iterative Tarjan SCC.
-    let index_of: BTreeMap<NodeId, usize> =
-        nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let node_list: Vec<NodeId> = nodes.iter().copied().collect();
-    let n = node_list.len();
-    let succ_idx: Vec<Vec<usize>> = node_list
-        .iter()
-        .map(|u| {
-            graph
-                .succ
-                .get(u)
-                .map(|s| s.iter().map(|v| index_of[v]).collect())
-                .unwrap_or_default()
-        })
-        .collect();
-
-    let mut comp_of = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut disc = vec![usize::MAX; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_disc = 0usize;
-    let mut num_comps = 0usize;
-
-    #[derive(Clone, Copy)]
-    struct Frame {
-        v: usize,
-        child: usize,
-    }
-    for root in 0..n {
-        if disc[root] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<Frame> = vec![Frame { v: root, child: 0 }];
-        disc[root] = next_disc;
-        low[root] = next_disc;
-        next_disc += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(frame) = call.last_mut() {
-            let v = frame.v;
-            if frame.child < succ_idx[v].len() {
-                let w = succ_idx[v][frame.child];
-                frame.child += 1;
-                if disc[w] == usize::MAX {
-                    disc[w] = next_disc;
-                    low[w] = next_disc;
-                    next_disc += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push(Frame { v: w, child: 0 });
-                } else if on_stack[w] {
-                    low[v] = low[v].min(disc[w]);
-                }
-            } else {
-                if low[v] == disc[v] {
-                    loop {
-                        let w = stack.pop().expect("tarjan stack");
-                        on_stack[w] = false;
-                        comp_of[w] = num_comps;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    num_comps += 1;
-                }
-                call.pop();
-                if let Some(parent) = call.last() {
-                    let pv = parent.v;
-                    low[pv] = low[pv].min(low[v]);
-                }
-            }
-        }
+    /// The delivery nodes packets injected at `src` can reach, ascending.
+    pub fn delivered(&self, src: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        ones(self.row(src.0 as usize)).map(|d| NodeId(d as u32))
     }
 
-    // Component data. Tarjan numbers components in reverse topological
-    // order (a component is finished only after everything it reaches),
-    // so iterating comp 0..num_comps processes successors first.
-    let mut comp_nodes: Vec<Vec<usize>> = vec![Vec::new(); num_comps];
-    for v in 0..n {
-        comp_nodes[comp_of[v]].push(v);
-    }
-    #[derive(Clone, Default)]
-    struct CompData {
-        delivered: BTreeSet<NodeId>,
-        dropped: bool,
-        looping: bool,
-        ports: BTreeSet<Port>,
-    }
-    let mut data: Vec<CompData> = vec![CompData::default(); num_comps];
-    for c in 0..num_comps {
-        let mut d = CompData::default();
-        // Cyclic component: more than one node, or a self-loop.
-        let cyclic = comp_nodes[c].len() > 1
-            || comp_nodes[c].iter().any(|&v| succ_idx[v].contains(&v));
-        d.looping = cyclic;
-        for &v in &comp_nodes[c] {
-            let node = node_list[v];
-            if graph.delivers.contains(&node) {
-                d.delivered.insert(node);
-            }
-            d.dropped |= graph.drops.contains(&node);
-            if let Some(ports) = graph.node_ports.get(&node) {
-                d.ports.extend(ports.iter().copied());
-            }
-            for &w in &succ_idx[v] {
-                let cw = comp_of[w];
-                if cw != c {
-                    debug_assert!(cw < c, "condensation order violated");
-                    d.delivered.extend(data[cw].delivered.iter().copied());
-                    d.dropped |= data[cw].dropped;
-                    d.looping |= data[cw].looping;
-                    let other = data[cw].ports.clone();
-                    d.ports.extend(other);
-                }
-            }
-        }
-        data[c] = d;
+    /// Whether packets injected at `src` can be dropped.
+    pub fn drops(&self, src: NodeId) -> bool {
+        test(&self.dropped, src.0 as usize)
     }
 
-    let mut out = EcAnalysis { ports_used: graph.ports_used.clone(), ..Default::default() };
-    for v in 0..n {
-        let node = node_list[v];
-        let d = &data[comp_of[v]];
-        if !d.delivered.is_empty() {
-            out.delivered.insert(node, d.delivered.clone());
-        }
-        if d.dropped {
-            out.dropped.insert(node);
-        }
-        if d.looping {
-            out.looping.insert(node);
-        }
-        if !d.ports.is_empty() {
-            // FNV-1a over the sorted port set.
-            let mut h: u64 = 0xcbf29ce484222325;
-            for p in &d.ports {
-                for word in [p.node.0 as u64, p.iface.0 as u64] {
-                    h = (h ^ word).wrapping_mul(0x100000001b3);
-                }
-            }
-            out.path_sig.insert(node, h);
-        }
+    /// Whether packets injected at `src` can enter a forwarding loop.
+    pub fn loops(&self, src: NodeId) -> bool {
+        test(&self.looping, src.0 as usize)
     }
-    out
+
+    /// Whether packets of this EC can loop from any start.
+    pub fn loops_anywhere(&self) -> bool {
+        self.looping.iter().any(|&w| w != 0)
+    }
+
+    /// The path signature of `src` (`None`: its packets leave through no
+    /// port).
+    pub fn path_sig(&self, src: NodeId) -> Option<u64> {
+        let s = src.0 as usize;
+        test(&self.routed, s).then(|| self.path_sig[s])
+    }
+
+    /// Link endpoints this EC's forwarding uses, sorted.
+    pub fn ports_used(&self) -> &[Port] {
+        &self.ports_used
+    }
 }
 
 #[cfg(test)]
@@ -315,67 +574,88 @@ mod tests {
         NodeId(i)
     }
 
-    fn graph(edges: &[(u32, u32)], delivers: &[u32], drops: &[u32]) -> EcGraph {
-        let mut g = EcGraph::default();
-        for &(a, b) in edges {
-            g.succ.entry(n(a)).or_default().insert(n(b));
+    /// A graph over nodes `0..len`: `edges` as successor lists, the
+    /// rest as terminal bits, no ports.
+    fn graph(len: usize, edges: &[(u32, u32)], delivers: &[u32], drops: &[u32]) -> Forwarding {
+        let mut f = Forwarding {
+            succ_start: vec![0; len + 1],
+            succ: Vec::new(),
+            delivers: vec![0; words(len)],
+            drops: vec![0; words(len)],
+            port_start: vec![0; len + 1],
+            ports: Vec::new(),
+            ports_used: Vec::new(),
+            blocked_edges: Vec::new(),
+        };
+        for u in 0..len as u32 {
+            f.succ.extend(edges.iter().filter(|e| e.0 == u).map(|e| e.1));
+            f.succ_start[u as usize + 1] = f.succ.len() as u32;
         }
-        g.delivers.extend(delivers.iter().map(|&i| n(i)));
-        g.drops.extend(drops.iter().map(|&i| n(i)));
-        g
+        for &d in delivers {
+            set(&mut f.delivers, d as usize);
+        }
+        for &d in drops {
+            set(&mut f.drops, d as usize);
+        }
+        f
+    }
+
+    fn delivered(a: &EcAnalysis, src: u32) -> Vec<u32> {
+        a.delivered(n(src)).map(|d| d.0).collect()
     }
 
     #[test]
     fn chain_delivers() {
-        let g = graph(&[(0, 1), (1, 2)], &[2], &[]);
-        let a = analyze(&g);
-        assert_eq!(a.delivered[&n(0)], BTreeSet::from([n(2)]));
-        assert_eq!(a.delivered[&n(1)], BTreeSet::from([n(2)]));
-        assert!(a.looping.is_empty());
-        assert!(a.dropped.is_empty());
+        let a = graph(3, &[(0, 1), (1, 2)], &[2], &[]).analyze();
+        assert_eq!(delivered(&a, 0), [2]);
+        assert_eq!(delivered(&a, 1), [2]);
+        assert!(!a.loops_anywhere());
+        assert!((0..3).all(|i| !a.drops(n(i))));
     }
 
     #[test]
     fn ecmp_reaches_both_outcomes() {
         // 0 → {1, 2}; 1 delivers, 2 drops.
-        let g = graph(&[(0, 1), (0, 2)], &[1], &[2]);
-        let a = analyze(&g);
-        assert_eq!(a.delivered[&n(0)], BTreeSet::from([n(1)]));
-        assert_eq!(a.dropped, BTreeSet::from([n(0), n(2)]));
+        let a = graph(3, &[(0, 1), (0, 2)], &[1], &[2]).analyze();
+        assert_eq!(delivered(&a, 0), [1]);
+        assert!(a.drops(n(0)) && !a.drops(n(1)) && a.drops(n(2)));
     }
 
     #[test]
     fn cycle_is_detected() {
-        let g = graph(&[(0, 1), (1, 2), (2, 0)], &[], &[]);
-        let a = analyze(&g);
-        assert_eq!(a.looping, BTreeSet::from([n(0), n(1), n(2)]));
+        let a = graph(3, &[(0, 1), (1, 2), (2, 0)], &[], &[]).analyze();
+        assert!((0..3).all(|i| a.loops(n(i))));
         // A node feeding the cycle also loops.
-        let g = graph(&[(9, 0), (0, 1), (1, 0)], &[], &[]);
-        let a = analyze(&g);
-        assert!(a.looping.contains(&n(9)));
+        let a = graph(10, &[(9, 0), (0, 1), (1, 0)], &[], &[]).analyze();
+        assert!(a.loops(n(9)));
+        assert!(!a.loops(n(5)));
     }
 
     #[test]
     fn self_loop_is_a_loop() {
-        let g = graph(&[(0, 0)], &[], &[]);
-        let a = analyze(&g);
-        assert_eq!(a.looping, BTreeSet::from([n(0)]));
+        let a = graph(2, &[(0, 0)], &[], &[]).analyze();
+        assert!(a.loops(n(0)) && !a.loops(n(1)));
     }
 
     #[test]
     fn cycle_with_exit_both_loops_and_delivers() {
         // 0 ↔ 1, and 1 → 2 which delivers: packets may loop or exit.
-        let g = graph(&[(0, 1), (1, 0), (1, 2)], &[2], &[]);
-        let a = analyze(&g);
-        assert!(a.looping.contains(&n(0)));
-        assert_eq!(a.delivered[&n(0)], BTreeSet::from([n(2)]));
+        let a = graph(3, &[(0, 1), (1, 0), (1, 2)], &[2], &[]).analyze();
+        assert!(a.loops(n(0)));
+        assert_eq!(delivered(&a, 0), [2]);
     }
 
     #[test]
     fn diamond_no_false_loop() {
-        let g = graph(&[(0, 1), (0, 2), (1, 3), (2, 3)], &[3], &[]);
-        let a = analyze(&g);
-        assert!(a.looping.is_empty(), "a diamond is not a loop");
-        assert_eq!(a.delivered[&n(0)], BTreeSet::from([n(3)]));
+        let a = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3], &[]).analyze();
+        assert!(!a.loops_anywhere(), "a diamond is not a loop");
+        assert_eq!(delivered(&a, 0), [3]);
+    }
+
+    #[test]
+    fn sort_dedup_from_leaves_the_prefix() {
+        let mut v = vec![9, 1, 5, 3, 5, 1];
+        sort_dedup_from(&mut v, 2);
+        assert_eq!(v, [9, 1, 1, 3, 5]);
     }
 }

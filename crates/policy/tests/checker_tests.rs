@@ -392,3 +392,25 @@ fn only_net_affected_drives_recheck() {
     assert!(report.newly_violated.is_empty() && report.newly_satisfied.is_empty());
     assert!(checker.is_satisfied(reach));
 }
+
+/// `set_nodes` names what a device change invalidates, as
+/// `apply_link_delta` does: every EC when the set changed, nothing when
+/// it did not.
+#[test]
+fn a_device_change_invalidates_every_ec() {
+    let Chain { mut model, mut checker } = chain();
+    checker.check_full(&mut model);
+    let all: BTreeSet<EcId> = model.ecs().collect();
+    assert!(all.len() > 1, "the prefix splits the header space");
+    assert!(checker.set_nodes([n(0), n(1), n(2)]).is_empty(), "same devices");
+    assert_eq!(checker.set_nodes([n(0), n(1), n(2), n(3)]), all, "a device added");
+    assert_eq!(checker.set_nodes([n(0), n(1), n(2)]), all, "a device removed");
+}
+
+/// The dense tables grow with the square of the largest node id; an id
+/// past their bound is refused before anything is sized by it.
+#[test]
+#[should_panic(expected = "past the dense tables' bound")]
+fn a_node_id_past_the_dense_bound_is_refused() {
+    PolicyChecker::new().set_nodes([n(rc_policy::walk::MAX_NODES as u32)]);
+}

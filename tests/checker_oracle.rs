@@ -1,8 +1,8 @@
 //! Checker oracle, off the fat tree: the incremental policy checker must
 //! hold exactly the state a fresh checker computes from scratch over the
 //! same model. A proptest drives an `ApkModel` and a `PolicyChecker`
-//! through forwarding-rule, link, static-route and ACL churn on a ring
-//! and a grid; after every `check_incremental`, the checker's encoded
+//! through forwarding-rule, link, static-route, ACL and device churn on a
+//! ring and a grid; after every `check_incremental`, the checker's encoded
 //! state — per-EC analyses and policy verdicts — must equal that of a
 //! fresh checker (same devices, links and policies) after `check_full`
 //! on the same model, and `check_invariants()` must hold.
@@ -19,6 +19,8 @@ use rc_policy::{PacketClass, Policy, PolicyChecker};
 
 /// The interface every device uses towards hosts: never linked.
 const HOST: IfaceId = IfaceId(99);
+/// The interface a device links the spare device under.
+const SPARE: IfaceId = IfaceId(50);
 /// Route prefixes, nested so that rules on them split each other's ECs.
 const ROUTES: [&str; 4] = ["10.0.0.0/16", "10.0.1.0/24", "10.0.2.0/24", "10.0.1.128/25"];
 
@@ -69,6 +71,9 @@ enum Op {
     /// Bind or unbind an ACL entry denying tcp/80 to a route prefix, on
     /// a linked interface in either direction.
     Acl { node: usize, iface: usize, inbound: bool, route: usize },
+    /// Add the spare device (id past the network's) with its link to
+    /// `attach` and its routes, or remove it with them.
+    Device { attach: usize },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -80,16 +85,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
         2 => (0usize..16).prop_map(|idx| Op::Link { idx }),
         1 => (0usize..16, 0usize..4, any::<bool>(), 0..ROUTES.len())
             .prop_map(|(node, iface, inbound, route)| Op::Acl { node, iface, inbound, route }),
+        1 => (0usize..16).prop_map(|attach| Op::Device { attach }),
     ]
 }
 
 /// The model-side state the ops edit: the rule installed per FIB key,
-/// the ACL entries bound, and the links that are down.
+/// the ACL entries bound, the links that are down, and where the spare
+/// device is attached, if it is present.
 #[derive(Default)]
 struct World {
     fib: BTreeMap<(u32, Prefix), ModelRule>,
     acls: BTreeSet<ModelRule>,
     down: BTreeSet<usize>,
+    spare: Option<usize>,
 }
 
 impl World {
@@ -162,6 +170,26 @@ impl World {
                 let (a, b) = net.links[idx];
                 links.extend([(a, b, diff), (b, a, diff)]);
             }
+            Op::Device { attach } => {
+                // The spare device forwards the covering /16 back over its
+                // link and delivers the /25; its neighbour sends it
+                // `10.0.3.0/24`, which therefore loops.
+                let spare = net.nodes as u32;
+                let (attach, diff) = match self.spare.take() {
+                    Some(attach) => (attach, -1),
+                    None => {
+                        self.spare = Some(attach % net.nodes);
+                        (attach % net.nodes, 1)
+                    }
+                };
+                let out = PortAction::forward(vec![IfaceId(0)]);
+                self.set_route(spare, pfx(ROUTES[0]), out, rules);
+                self.set_route(spare, pfx(ROUTES[3]), PortAction::deliver(vec![HOST]), rules);
+                let towards = PortAction::forward(vec![SPARE]);
+                self.set_route(attach as u32, pfx("10.0.3.0/24"), towards, rules);
+                let (a, b) = Self::spare_link(net, attach);
+                links.extend([(a, b, diff), (b, a, diff)]);
+            }
             Op::Acl { node, iface, inbound, route } => {
                 let node = node % net.nodes;
                 let iface = net.ifaces[node][iface % net.ifaces[node].len()];
@@ -187,15 +215,27 @@ impl World {
         }
     }
 
+    /// The link between `attach` and the spare device.
+    fn spare_link(net: &Net, attach: usize) -> (Port, Port) {
+        let spare = Port { node: NodeId(net.nodes as u32), iface: IfaceId(0) };
+        (Port { node: NodeId(attach as u32), iface: SPARE }, spare)
+    }
+
     /// Both directions of every link that is up.
     fn links_up(&self, net: &Net) -> Vec<(Port, Port, isize)> {
+        let spare = self.spare.map(|attach| Self::spare_link(net, attach));
         (0..net.links.len())
             .filter(|i| !self.down.contains(i))
-            .flat_map(|i| {
-                let (a, b) = net.links[i];
-                [(a, b, 1), (b, a, 1)]
-            })
+            .map(|i| net.links[i])
+            .chain(spare)
+            .flat_map(|(a, b)| [(a, b, 1), (b, a, 1)])
             .collect()
+    }
+
+    /// The devices present: the network's, and the spare one if added.
+    fn nodes(&self, net: &Net) -> Vec<NodeId> {
+        let count = net.nodes + usize::from(self.spare.is_some());
+        (0..count as u32).map(NodeId).collect()
     }
 }
 
@@ -219,19 +259,16 @@ fn policies(net: &Net) -> Vec<Policy> {
         Policy::Waypoint { src: first, dst: last, via: mid, class: class(0) },
         Policy::LoopFree { class: PacketClass::All },
         Policy::BlackholeFree { src: first, class: class(1) },
+        Policy::BlackholeFree { src: NodeId(net.nodes as u32), class: class(3) },
     ]
 }
 
-/// A checker over `net`'s devices, the given links and the standing
+/// A checker over `world`'s devices and links and the standing
 /// policies, after a full pass over `model`.
-fn checked_from_scratch(
-    model: &mut ApkModel,
-    net: &Net,
-    links: &[(Port, Port, isize)],
-) -> PolicyChecker {
+fn checked_from_scratch(model: &mut ApkModel, net: &Net, world: &World) -> PolicyChecker {
     let mut checker = PolicyChecker::new();
-    checker.set_nodes((0..net.nodes as u32).map(NodeId));
-    checker.apply_link_delta(links);
+    checker.set_nodes(world.nodes(net));
+    checker.apply_link_delta(&world.links_up(net));
     for policy in policies(net) {
         checker.add_policy(model, policy);
     }
@@ -259,18 +296,19 @@ fn run(topo: Topology, steps: Vec<Vec<Op>>) {
     let op = Op::Route { node: net.nodes - 1, route: 1, action: 4 };
     world.apply(&net, &op, &mut rules, &mut Vec::new());
     model.apply_batch(rules, UpdateOrder::InsertFirst);
-    let mut checker = checked_from_scratch(&mut model, &net, &world.links_up(&net));
+    let mut checker = checked_from_scratch(&mut model, &net, &world);
 
     for (i, step) in steps.iter().enumerate() {
         let (mut rules, mut links) = (Vec::new(), Vec::new());
         for op in step {
             world.apply(&net, op, &mut rules, &mut links);
         }
-        let touched = checker.apply_link_delta(&links);
+        let mut touched = checker.set_nodes(world.nodes(&net));
+        touched.extend(checker.apply_link_delta(&links));
         let summary = model.apply_batch(rules, UpdateOrder::InsertFirst);
         let report = checker.check_incremental(&mut model, &summary, touched);
 
-        let fresh = checked_from_scratch(&mut model, &net, &world.links_up(&net));
+        let fresh = checked_from_scratch(&mut model, &net, &world);
         prop_assert_eq!(checker.check_invariants(), Ok(()), "step {}: {:?}", i, step);
         prop_assert_eq!(report.total_pairs, fresh.num_pairs(), "step {}: {:?}", i, step);
         prop_assert_eq!(checker.verdicts(), fresh.verdicts(), "step {}: {:?}", i, step);

@@ -134,3 +134,117 @@ fn split_child_of_a_link_invalidated_ec_is_rechecked() {
     assert!(!fresh, "packets drop at r001");
     assert_eq!(incremental, fresh, "incremental verdict is stale");
 }
+
+/// Device-set changes, at the checker: a changed device set must
+/// re-analyze every EC, even when no rule and no used port changed.
+mod device_change {
+    use std::collections::BTreeSet;
+
+    use rc_apkeep::{
+        ApkModel, BatchSummary, ElementKey, ModelRule, PortAction, RuleMatch, RuleUpdate,
+        UpdateOrder,
+    };
+    use rc_netcfg::types::{IfaceId, NodeId, Port, Prefix};
+    use rc_policy::{PacketClass, Policy, PolicyChecker, PolicyId};
+
+    fn port(node: u32, iface: u32) -> Port {
+        Port { node: NodeId(node), iface: IfaceId(iface) }
+    }
+
+    fn prefix() -> Prefix {
+        "10.0.1.0/24".parse().expect("prefix parses")
+    }
+
+    /// Both directions of each chain link, and of the link to node 3.
+    fn links(with_spare: bool, diff: isize) -> Vec<(Port, Port, isize)> {
+        let mut pairs = vec![(port(0, 1), port(1, 0)), (port(1, 1), port(2, 0))];
+        if with_spare {
+            pairs.push((port(2, 2), port(3, 0)));
+        }
+        pairs.into_iter().flat_map(|(a, b)| [(a, b, diff), (b, a, diff)]).collect()
+    }
+
+    fn nodes(with_spare: bool) -> BTreeSet<NodeId> {
+        (0..3 + u32::from(with_spare)).map(NodeId).collect()
+    }
+
+    /// A checker over the chain's devices and links after a full pass,
+    /// with `BlackholeFree { src: 3, class: 10.0.1.0/24 }` registered.
+    fn checked(model: &mut ApkModel, with_spare: bool) -> (PolicyChecker, PolicyId) {
+        let mut checker = PolicyChecker::new();
+        checker.set_nodes(nodes(with_spare));
+        checker.apply_link_delta(&links(with_spare, 1));
+        let policy =
+            Policy::BlackholeFree { src: NodeId(3), class: PacketClass::DstPrefix(prefix()) };
+        let id = checker.add_policy(model, policy);
+        checker.check_full(model);
+        (checker, id)
+    }
+
+    /// A chain 0 → 1 → 2 where node 2 delivers 10.0.1.0/24, plus node 3
+    /// linked to node 2 under its eth2 with no route of its own —
+    /// present when `with_spare` — and its checker.
+    fn chain(with_spare: bool) -> (ApkModel, PolicyChecker, PolicyId) {
+        let rule = |node, action| {
+            RuleUpdate::Insert(ModelRule {
+                element: ElementKey::Forward(NodeId(node)),
+                priority: 24,
+                rule_match: RuleMatch::DstPrefix(prefix()),
+                action,
+            })
+        };
+        let mut model = ApkModel::new();
+        model.apply_batch(
+            vec![
+                rule(0, PortAction::forward(vec![IfaceId(1)])),
+                rule(1, PortAction::forward(vec![IfaceId(1)])),
+                rule(2, PortAction::deliver(vec![IfaceId(9)])),
+            ],
+            UpdateOrder::InsertFirst,
+        );
+        let (checker, id) = checked(&mut model, with_spare);
+        (model, checker, id)
+    }
+
+    fn encoded(checker: &PolicyChecker) -> Vec<u8> {
+        let mut w = rc_store::Writer::new();
+        checker.encode_state(&mut w);
+        w.finish()
+    }
+
+    /// Regression: node 3 comes up with no route, so its packets for
+    /// the prefix drop. No rule moved and no port any EC used changed,
+    /// and the checker once re-analyzed nothing: the policy stayed
+    /// "satisfied".
+    #[test]
+    fn added_device_without_a_route_violates_blackhole_freedom() {
+        let (mut model, mut checker, id) = chain(false);
+        assert!(checker.is_satisfied(id), "node 3 is not a device yet");
+        let mut touched = checker.set_nodes(nodes(true));
+        touched.extend(checker.apply_link_delta(&links(true, 1)[4..]));
+        checker.check_incremental(&mut model, &BatchSummary::default(), touched);
+
+        let (fresh, fid) = checked(&mut model, true);
+        assert!(!fresh.is_satisfied(fid), "node 3 drops the prefix");
+        let (incremental, fresh_verdict) = (checker.is_satisfied(id), fresh.is_satisfied(fid));
+        assert_eq!(incremental, fresh_verdict, "incremental verdict is stale");
+        assert!(encoded(&checker) == encoded(&fresh), "state differs from a fresh check");
+    }
+
+    /// Regression: removing node 3 must take it out of the `dropped`
+    /// rows of the ECs it dropped by default.
+    #[test]
+    fn removed_device_leaves_no_analysis_behind() {
+        let (mut model, mut checker, id) = chain(true);
+        assert!(!checker.is_satisfied(id), "node 3 drops the prefix");
+        let mut touched = checker.set_nodes(nodes(false));
+        touched.extend(checker.apply_link_delta(&links(true, -1)[4..]));
+        checker.check_incremental(&mut model, &BatchSummary::default(), touched);
+
+        let (fresh, fid) = checked(&mut model, false);
+        assert!(fresh.is_satisfied(fid), "node 3 is gone");
+        let (incremental, fresh_verdict) = (checker.is_satisfied(id), fresh.is_satisfied(fid));
+        assert_eq!(incremental, fresh_verdict, "incremental verdict is stale");
+        assert!(encoded(&checker) == encoded(&fresh), "state differs from a fresh check");
+    }
+}

@@ -9,6 +9,7 @@ use std::sync::{Mutex, Once};
 
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, host_prefix};
+use rc_netcfg::DeviceConfig;
 use realconfig::{
     ChangeOp, ChangeReport, ChangeSet, Error, PolicyId, RealConfig, VerifierOptions,
 };
@@ -35,9 +36,9 @@ fn quiet_injected_panics() {
     });
 }
 
-fn build(threads: Option<usize>) -> (RealConfig, PolicyId) {
+fn build(k: u32, threads: Option<usize>) -> (RealConfig, PolicyId) {
     let opts = VerifierOptions { threads, ..Default::default() };
-    let configs = build_configs(&fat_tree(4), ProtocolChoice::Bgp);
+    let configs = build_configs(&fat_tree(k), ProtocolChoice::Bgp);
     let (mut rc, _) = RealConfig::with_options(configs, opts).expect("fat tree verifies");
     let id = rc
         .require_reachability("pod00-edge00", "pod01-edge00", host_prefix(2))
@@ -50,6 +51,21 @@ fn link_restore(device: &str, iface: &str) -> ChangeSet {
     ChangeSet {
         ops: vec![ChangeOp::EnableInterface { device: device.into(), iface: iface.into() }],
     }
+}
+
+/// A device with no interfaces and no routes joins. No rule moves, but
+/// every EC must be re-analyzed (its packets drop at the new device):
+/// on a k=8 fat tree that is 289 ECs, a pass large enough for the pool.
+/// (Every pass on a k=4 tree walks on the caller's thread.)
+fn add_spare_device(rc: &mut RealConfig) -> Result<ChangeReport, Error> {
+    let mut configs = rc.configs().clone();
+    configs.insert("spare".into(), DeviceConfig::new("spare"));
+    rc.apply_configs(configs)
+}
+
+/// Policy walks dispatched to the pool so far.
+fn pool_tasks(rc: &RealConfig) -> u64 {
+    rc.metrics_snapshot().counters.get("pool.tasks").copied().unwrap_or(0)
 }
 
 /// Everything in a [`ChangeReport`] except wall-clock timings and the
@@ -66,8 +82,18 @@ fn shape(r: &ChangeReport) -> impl PartialEq + std::fmt::Debug {
 #[test]
 fn serial_and_parallel_verifiers_agree() {
     let _serial_tests = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (mut serial, sid) = build(Some(1));
-    let (mut par, pid) = build(Some(4));
+    let (mut serial, sid) = build(8, Some(1));
+    let (mut par, pid) = build(8, Some(4));
+    let agree = |serial: &RealConfig,
+                 par: &RealConfig,
+                 rs: &ChangeReport,
+                 rp: &ChangeReport,
+                 what: &str| {
+        assert_eq!(shape(rs), shape(rp), "{what}: report shape");
+        assert_eq!(serial.is_satisfied(sid), par.is_satisfied(pid), "{what}: verdict");
+        assert_eq!(serial.fib(), par.fib(), "{what}: FIB");
+        assert_eq!(serial.num_pairs(), par.num_pairs(), "{what}: pairs");
+    };
 
     let changes = [
         ChangeSet::link_failure("pod00-edge00", "eth0"),
@@ -80,11 +106,17 @@ fn serial_and_parallel_verifiers_agree() {
     for (i, cs) in changes.iter().enumerate() {
         let rs = serial.apply_change(cs).expect("serial change verifies");
         let rp = par.apply_change(cs).expect("parallel change verifies");
-        assert_eq!(shape(&rs), shape(&rp), "change {i}: report shape");
-        assert_eq!(serial.is_satisfied(sid), par.is_satisfied(pid), "change {i}: verdict");
-        assert_eq!(serial.fib(), par.fib(), "change {i}: FIB");
-        assert_eq!(serial.num_pairs(), par.num_pairs(), "change {i}: pairs");
+        agree(&serial, &par, &rs, &rp, &format!("change {i}"));
     }
+
+    // A pass over every EC, which the 4-worker verifier must walk on the
+    // pool — or this test compares the serial path with itself.
+    let tasks = pool_tasks(&par);
+    let rs = add_spare_device(&mut serial).expect("serial device change verifies");
+    let rp = add_spare_device(&mut par).expect("parallel device change verifies");
+    assert!(pool_tasks(&par) > tasks, "a pass over every EC must reach the pool");
+    assert_eq!(pool_tasks(&serial), 0, "one worker never dispatches");
+    agree(&serial, &par, &rs, &rp, "device change");
 }
 
 #[test]
@@ -92,19 +124,19 @@ fn worker_panic_poisons_and_rebuild_recovers() {
     let _serial_tests = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     quiet_injected_panics();
 
-    let (mut rc, id) = build(Some(4));
-    let (mut twin, tid) = build(Some(4));
+    let (mut rc, id) = build(8, Some(4));
+    let (mut twin, tid) = build(8, Some(4));
 
     // Arm for whatever EC the change walks first — on whichever pool
     // worker the scheduler picks.
     rc_faults::arm_walk_panic_any();
-    let change = ChangeSet::link_failure("pod00-edge00", "eth0");
-    let msg = match rc.apply_change(&change) {
+    let result = add_spare_device(&mut rc);
+    rc_faults::disarm_walk_panic();
+    let msg = match result {
         Err(Error::Internal(msg)) => msg,
         other => panic!("expected Internal from worker panic, got: {other:?}"),
     };
     assert!(msg.starts_with(rc_faults::INJECTED_PANIC_PREFIX), "got: {msg:?}");
-    rc_faults::disarm_walk_panic();
 
     // Contained like any stage panic: observables rolled back, verifier
     // poisoned; a rebuild (whose walks run on the pool again) recovers.
@@ -113,8 +145,12 @@ fn worker_panic_poisons_and_rebuild_recovers() {
     assert!(rc.needs_rebuild(), "worker panic must poison");
     rc.rebuild().expect("rebuild succeeds");
 
-    rc.apply_change(&change).expect("change verifies after rebuild");
-    twin.apply_change(&change).expect("change verifies on twin");
+    // The same change, now going through, is walked on the pool: so was
+    // the one that panicked.
+    let tasks = pool_tasks(&rc);
+    add_spare_device(&mut rc).expect("change verifies after rebuild");
+    assert!(pool_tasks(&rc) > tasks, "the panicking pass must have been on the pool");
+    add_spare_device(&mut twin).expect("change verifies on twin");
     assert_eq!(rc.fib(), twin.fib(), "after post-rebuild change: FIB");
     assert_eq!(rc.is_satisfied(id), twin.is_satisfied(tid), "after post-rebuild change");
 }
@@ -166,7 +202,7 @@ fn assert_shard_panic_contained(
 #[test]
 fn small_work_items_are_inlined_not_dispatched() {
     let _serial_tests = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (mut rc, _) = build(Some(4));
+    let (mut rc, _) = build(4, Some(4));
 
     let change = ChangeSet::link_failure("pod00-edge00", "eth0");
     rc.apply_change(&change).expect("change verifies");
@@ -182,5 +218,9 @@ fn dataflow_shard_panic_poisons_and_rebuild_recovers() {
     // The dataflow shard hook fires in every dispatch mode (serial,
     // inlined, pool), so the stock harness reaches it on the first
     // operator step of the change.
-    assert_shard_panic_contained(rc_faults::ShardSite::Dataflow, build(Some(4)), build(Some(4)));
+    assert_shard_panic_contained(
+        rc_faults::ShardSite::Dataflow,
+        build(4, Some(4)),
+        build(4, Some(4)),
+    );
 }

@@ -400,6 +400,35 @@ fn checker_decoder_survives_truncation_and_byte_flips() {
     for cut in 0..checker.len() {
         assert!(decode(&checker[..cut]).is_err(), "truncation to {cut} bytes decoded");
     }
+    // Targeted: the first node id EC 0's analysis names, rewritten to an
+    // id no device has — one past the devices, and the largest the wire
+    // holds (a 4-Gbit row if it sized one); and the last device id,
+    // rewritten to the first id past the dense tables' bound (the pair
+    // matrix grows with the square of the largest device id). All are
+    // refused.
+    let mut r = Reader::new(checker);
+    let devices = r.len_prefix().expect("device count");
+    r.raw(4 * devices).expect("device ids");
+    let links = r.len_prefix().expect("link count");
+    r.raw(16 * links).expect("links");
+    r.len_prefix().expect("EC count");
+    if r.len_prefix().expect("delivering sources") == 0 {
+        assert!(r.len_prefix().expect("dropping sources") > 0, "EC 0 names no node");
+    }
+    let at = checker.len() - r.remaining();
+    let last_device = 8 + 4 * (devices - 1);
+    let bound = rc_policy::walk::MAX_NODES as u32;
+    let foreign = [
+        (at, devices as u32, "not a device"),
+        (at, u32::MAX, "past the dense tables' bound"),
+        (last_device, bound, "past the dense tables' bound"),
+    ];
+    for (at, id, why) in foreign {
+        let mut bytes = checker.clone();
+        bytes[at..at + 4].copy_from_slice(&id.to_le_bytes());
+        let err = decode(&bytes).err().expect("a foreign node id decoded");
+        assert!(err.contains(why), "node id {id}: {err}");
+    }
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xdec0de);
     for _ in 0..256 {
         let mut bytes = checker.clone();

@@ -35,6 +35,10 @@ fn full_report_has_metrics_from_every_stage() {
     assert!(m.counters.contains_key("policy.affected_ecs"));
     assert!(m.gauges["policy.pairs"] > 0);
     assert_eq!(m.histograms["policy.check_full_us"].count, 1);
+    // Its three phases, one sample each.
+    for phase in ["policy.walk_us", "policy.merge_us", "policy.eval_us"] {
+        assert_eq!(m.histograms[phase].count, 1, "{phase}");
+    }
 }
 
 #[test]
@@ -50,6 +54,16 @@ fn change_report_metrics_accumulate() {
     assert!(m.counters["apkeep.rules_applied"] >= full.metrics.counters["apkeep.rules_applied"]);
     // The incremental check path was timed exactly once.
     assert_eq!(m.histograms["policy.check_incremental_us"].count, 1);
+    // Phases are timed on full and incremental passes alike: two each,
+    // and the full pass's phases fit inside it.
+    for phase in ["policy.walk_us", "policy.merge_us", "policy.eval_us"] {
+        assert_eq!(m.histograms[phase].count, 2, "{phase}");
+    }
+    let phases: u64 = ["policy.walk_us", "policy.merge_us", "policy.eval_us"]
+        .iter()
+        .map(|p| full.metrics.histograms[*p].sum)
+        .sum();
+    assert!(phases <= full.metrics.histograms["policy.check_full_us"].sum);
     // The live snapshot accessor agrees with the report.
     assert_eq!(rc.metrics_snapshot(), report.metrics);
 }
