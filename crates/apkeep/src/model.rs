@@ -40,6 +40,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// predicates hit the cap.
 const INTERVAL_CAP: usize = 16;
 
+/// The dst prefix a match is confined to. Rules whose dst prefixes do
+/// not overlap match disjoint packets.
+fn dst_of(m: &RuleMatch) -> Prefix {
+    match *m {
+        RuleMatch::DstPrefix(p) | RuleMatch::Acl { dst: p, .. } => p,
+    }
+}
+
 struct StoredRule {
     priority: u32,
     rule_match: RuleMatch,
@@ -104,6 +112,15 @@ impl Element {
             self.ecs_on_port[to].insert(ec);
         }
         from
+    }
+
+    /// Where `(priority, match, action)` sits in the table: `Ok` at the
+    /// stored identical rule, `Err` at its insertion point.
+    fn locate(&self, priority: u32, m: RuleMatch, action: &PortAction) -> Result<usize, usize> {
+        self.rules.binary_search_by(|r| {
+            (std::cmp::Reverse(r.priority), r.rule_match, &self.ports[r.port])
+                .cmp(&(std::cmp::Reverse(priority), m, action))
+        })
     }
 
     /// Register a split child on its parent's port. Returns that port.
@@ -338,6 +355,7 @@ struct ApkTelemetry {
     elements: rc_telemetry::Gauge,
     rules: rc_telemetry::Gauge,
     rules_applied: rc_telemetry::Counter,
+    shadow_ops: rc_telemetry::Counter,
     ec_moves: rc_telemetry::Counter,
     ec_splits: rc_telemetry::Counter,
     ec_merges: rc_telemetry::Counter,
@@ -362,6 +380,7 @@ impl ApkTelemetry {
             elements: registry.gauge("apkeep.elements"),
             rules: registry.gauge("apkeep.rules"),
             rules_applied: registry.counter("apkeep.rules_applied"),
+            shadow_ops: registry.counter("apkeep.shadow_ops"),
             ec_moves: registry.counter("apkeep.ec_moves"),
             ec_splits: registry.counter("apkeep.ec_splits"),
             ec_merges: registry.counter("apkeep.ec_merges"),
@@ -449,10 +468,11 @@ impl ApkModel {
     /// Attach a telemetry registry. Every batch records the transfer
     /// size (`apkeep.batch_rules`, `apkeep.rules_applied`), EC churn
     /// (`apkeep.ec_moves`/`ec_splits`/`ec_merges`), net affected ECs,
-    /// and the post-batch EC/element/rule totals as gauges. Indexed
-    /// queries additionally record `apkeep.index_probes` /
-    /// `index_skipped` / `index_fallbacks` (registered lazily, on first
-    /// indexed query).
+    /// the predicate operations of the hit and fall-through chains
+    /// (`apkeep.shadow_ops`), and the post-batch EC/element/rule totals
+    /// as gauges. Indexed queries additionally record
+    /// `apkeep.index_probes` / `index_skipped` / `index_fallbacks`
+    /// (registered lazily, on first indexed query).
     pub fn set_telemetry(&mut self, registry: &rc_telemetry::Telemetry) {
         self.telemetry = Some(ApkTelemetry::new(registry));
     }
@@ -714,101 +734,81 @@ impl ApkModel {
     }
 
     fn insert_rule(&mut self, rule: ModelRule, tx: &mut Batch) {
-        let pred = self.compile(rule.rule_match);
         let eid = self.element_id(rule.element);
-        let port;
-        let hit;
-        {
-            let elem = &mut self.elements[eid];
-            port = elem.port_id(rule.action.clone());
-            // Packets this rule newly captures: its match minus
-            // higher-priority coverage.
-            let higher: Vec<Ref> = elem
-                .rules
-                .iter()
-                .filter(|r| r.priority > rule.priority)
-                .map(|r| r.pred)
-                .collect();
-            let mut h = pred;
-            for hp in higher {
-                h = self.preds.diff(h, hp);
-                if h.is_false() {
-                    break;
-                }
-            }
-            hit = h;
-            let elem = &mut self.elements[eid];
-            let stored =
-                StoredRule { priority: rule.priority, rule_match: rule.rule_match, pred, port };
-            let pos = match elem.rules.binary_search_by(|r| {
-                (std::cmp::Reverse(r.priority), r.rule_match, &elem.ports[r.port])
-                    .cmp(&(std::cmp::Reverse(rule.priority), rule.rule_match, &rule.action))
-            }) {
-                // Identical rule already stored (same priority, match
-                // and action): inserting it again is a no-op — its
-                // packets are already on its port. Storing a second
-                // copy would leave a phantom rule behind after one
-                // matching Remove.
-                Ok(_) => return,
-                Err(p) => p,
-            };
-            elem.rules.insert(pos, stored);
-        }
+        let elem = &mut self.elements[eid];
+        let port = elem.port_id(rule.action.clone());
+        let pos = match elem.locate(rule.priority, rule.rule_match, &rule.action) {
+            // Identical rule already stored (same priority, match and
+            // action): inserting it again is a no-op — its packets are
+            // already on its port. Storing a second copy would leave a
+            // phantom rule behind after one matching Remove.
+            Ok(_) => return,
+            Err(p) => p,
+        };
+        // The other half of a replacement (same priority and match,
+        // another action) sits next to `pos` and holds the predicate
+        // compiled already.
+        let twin = [pos.wrapping_sub(1), pos]
+            .into_iter()
+            .filter_map(|i| elem.rules.get(i))
+            .find(|r| r.priority == rule.priority && r.rule_match == rule.rule_match)
+            .map(|r| r.pred);
+        let pred = match twin {
+            Some(pred) => pred,
+            None => self.compile(rule.rule_match),
+        };
+        let stored = StoredRule { priority: rule.priority, rule_match: rule.rule_match, pred, port };
+        self.elements[eid].rules.insert(pos, stored);
+        // Packets this rule newly captures: its match minus
+        // higher-priority coverage.
+        let hit = self.unshadowed(eid, pred, rule.priority, dst_of(&rule.rule_match), tx);
         self.transfer(eid, hit, port, tx);
     }
 
-    fn remove_rule(&mut self, rule: ModelRule, tx: &mut Batch) {
-        let pred = self.compile(rule.rule_match);
-        let eid = self.element_id(rule.element);
-        // Locate and remove the stored rule.
-        let (hit, redistribution) = {
-            let elem = &mut self.elements[eid];
-            let pos = elem
-                .rules
-                .iter()
-                .position(|r| {
-                    r.priority == rule.priority
-                        && r.pred == pred
-                        && elem.ports[r.port] == rule.action
-                })
-                .unwrap_or_else(|| {
-                    panic!("removing a rule that is not in the model: {rule:?}")
-                });
-            elem.rules.remove(pos);
-            // What the rule was actually covering.
-            let higher: Vec<Ref> = elem
-                .rules
-                .iter()
-                .filter(|r| r.priority > rule.priority)
-                .map(|r| r.pred)
-                .collect();
-            let mut h = pred;
-            for hp in higher {
-                h = self.preds.diff(h, hp);
-                if h.is_false() {
-                    break;
-                }
+    /// `pred` minus every rule of element `eid` above `priority`.
+    /// Rules whose dst prefix misses `dst` match packets disjoint from
+    /// `pred`; they are skipped, since each such diff would return its
+    /// left operand without creating a node.
+    fn unshadowed(&mut self, eid: usize, pred: Ref, priority: u32, dst: Prefix, tx: &mut Batch) -> Ref {
+        let mut h = pred;
+        for r in self.elements[eid].rules.iter().take_while(|r| r.priority > priority) {
+            if h.is_false() {
+                break;
             }
-            // Where those packets fall now: the remaining rules at
-            // lower (or equal) priority, in table order, then default.
-            let lower: Vec<(Ref, usize)> = elem
-                .rules
-                .iter()
-                .filter(|r| r.priority <= rule.priority)
-                .map(|r| (r.pred, r.port))
-                .collect();
-            (h, lower)
-        };
-        let mut rest = hit;
+            if dst_of(&r.rule_match).overlaps(dst) {
+                h = self.preds.diff(h, r.pred);
+                tx.shadow_ops += 1;
+            }
+        }
+        h
+    }
+
+    fn remove_rule(&mut self, rule: ModelRule, tx: &mut Batch) {
+        let eid = self.element_id(rule.element);
+        let elem = &mut self.elements[eid];
+        let pos = elem
+            .locate(rule.priority, rule.rule_match, &rule.action)
+            .unwrap_or_else(|_| panic!("removing a rule that is not in the model: {rule:?}"));
+        let pred = elem.rules.remove(pos).pred;
+        // What the rule was actually covering.
+        let dst = dst_of(&rule.rule_match);
+        let mut rest = self.unshadowed(eid, pred, rule.priority, dst, tx);
+        // Where those packets fall now: the remaining overlapping rules
+        // at lower (or equal) priority, in table order, then default.
         let mut moves: Vec<(Ref, usize)> = Vec::new();
-        for (rpred, rport) in redistribution {
+        for r in &self.elements[eid].rules {
             if rest.is_false() {
                 break;
             }
-            let take = self.preds.and(rest, rpred);
+            if r.priority > rule.priority || !dst_of(&r.rule_match).overlaps(dst) {
+                continue;
+            }
+            let take = self.preds.and(rest, r.pred);
+            tx.shadow_ops += 1;
             if !take.is_false() {
-                moves.push((take, rport));
+                moves.push((take, r.port));
                 rest = self.preds.diff(rest, take);
+                tx.shadow_ops += 1;
             }
         }
         if !rest.is_false() {
@@ -923,6 +923,7 @@ impl ApkModel {
         affected.sort_by_key(|a| (a.ec, a.element));
         if let Some(tel) = &self.telemetry {
             tel.rules_applied.add(tx.rules as u64);
+            tel.shadow_ops.add(tx.shadow_ops);
             tel.batch_rules.record(tx.rules as u64);
             tel.ec_moves.add(tx.moves as u64);
             tel.ec_splits.add(tx.splits.len() as u64);
@@ -1113,6 +1114,8 @@ struct Batch {
     moves: usize,
     splits: Vec<(EcId, EcId)>,
     rules: usize,
+    /// Predicate operations spent on hit and fall-through chains.
+    shadow_ops: u64,
 }
 
 // ---------------------------------------------------------------------

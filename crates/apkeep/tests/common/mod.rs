@@ -11,7 +11,7 @@ use rc_bdd::pkt::Packet;
 use rc_bdd::Predicate;
 use rc_netcfg::facts::Dir;
 use rc_netcfg::types::{IfaceId, Ip, NodeId, Prefix};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Clone, Debug)]
 pub struct AbstractRule {
@@ -224,6 +224,175 @@ pub fn check_indexed_matches_full_scan(seq: &[AbstractRule], order_bits: u64) {
                 "ecs_intersecting diverges on {p:?}"
             );
         }
+    }
+}
+
+/// One step of a replacement-shaped rule stream. The rule named by
+/// `(device, dst, acl)` is inserted when absent; when present it is
+/// removed or, with `replace`, removed and re-inserted with another
+/// action in the same batch — the Remove + Insert pair with equal
+/// element, priority and match that `FibGrouper` emits whenever an ECMP
+/// group changes.
+#[derive(Clone, Copy, Debug)]
+pub struct RuleOp {
+    pub device: u32,
+    /// Dst prefix `10.hi.lo.0/len`: the octets nest /8 ⊃ /16 ⊃ /24, and
+    /// `len == 0` is the `0.0.0.0/0` default.
+    pub hi: u8,
+    pub lo: u8,
+    pub len: u8,
+    /// `Some((src, ports))` makes it an ACL entry that differs from its
+    /// dst-overlapping neighbours in source prefix or port range.
+    pub acl: Option<(u8, u8)>,
+    pub action: u8,
+    pub replace: bool,
+}
+
+impl RuleOp {
+    /// The rule with action number `action`. Priorities are a function
+    /// of the match (prefix length for FIB rules, a sequence number
+    /// derived from every match field for ACL entries), so no table
+    /// persistently holds two overlapping matches of equal priority.
+    pub fn rule(&self, action: u8) -> ModelRule {
+        let dst = Prefix::new(Ip::new(10, self.hi, self.lo, 0), self.len);
+        let Some((src, ports)) = self.acl else {
+            return ModelRule {
+                element: ElementKey::Forward(NodeId(self.device)),
+                priority: dst.len() as u32,
+                rule_match: RuleMatch::DstPrefix(dst),
+                action: match action % 4 {
+                    0 => PortAction::forward(vec![IfaceId(1)]),
+                    1 => PortAction::forward(vec![IfaceId(1), IfaceId(2)]),
+                    2 => PortAction::forward(vec![IfaceId(3)]),
+                    _ => PortAction::Drop,
+                },
+            };
+        };
+        let (src, ports) = (src % 3, ports % 3);
+        // Canonical octets: a short mask strips them.
+        let [_, hi, lo, _] = dst.addr().0.to_be_bytes();
+        let seq = dst.len() as u32 * 100
+            + hi as u32 * 50
+            + lo as u32 * 25
+            + src as u32 * 3
+            + ports as u32;
+        ModelRule {
+            element: ElementKey::Filter(NodeId(self.device), IfaceId(0), Dir::In),
+            priority: u32::MAX - seq,
+            rule_match: RuleMatch::Acl {
+                proto: if ports == 0 { None } else { Some(6) },
+                src: match src {
+                    0 => Prefix::DEFAULT,
+                    1 => Prefix::new(Ip::new(192, 168, 0, 0), 16),
+                    _ => Prefix::new(Ip::new(192, 168, 1, 0), 24),
+                },
+                dst,
+                dst_ports: match ports {
+                    0 => None,
+                    1 => Some((80, 80)),
+                    _ => Some((0, 1023)),
+                },
+            },
+            action: if action.is_multiple_of(2) { PortAction::Permit } else { PortAction::Deny },
+        }
+    }
+}
+
+/// Probe packets for [`check_replacements`]: inside each /24, inside
+/// each /16 but outside its /24s, inside the /8 only, and outside it
+/// (the default route's share), each with sources and ports that the
+/// ACL entries tell apart.
+fn replacement_probes() -> Vec<Packet> {
+    let dsts = [
+        [10, 0, 0, 7],
+        [10, 0, 1, 7],
+        [10, 1, 0, 7],
+        [10, 1, 1, 7],
+        [10, 0, 200, 1],
+        [10, 1, 200, 1],
+        [10, 200, 0, 1],
+        [11, 0, 0, 1],
+    ];
+    let flows = [([1, 2, 3, 4], 17, 5000), ([192, 168, 1, 5], 6, 80), ([192, 168, 2, 5], 6, 443)];
+    dsts.iter()
+        .flat_map(|&dst| {
+            flows.iter().map(move |&(src, proto, dst_port)| Packet {
+                dst_ip: u32::from_be_bytes(dst),
+                src_ip: u32::from_be_bytes(src),
+                proto,
+                dst_port,
+                ..Default::default()
+            })
+        })
+        .collect()
+}
+
+/// Property body: drive `batches` of [`RuleOp`]s through an indexed
+/// model and a full-scan oracle under each of the three update orders.
+/// After every batch the two summaries agree, `check_invariants` (the
+/// unpruned first-match evaluation of every table) holds, and every
+/// probe packet gets the naive oracle's action at every element.
+pub fn check_replacements(batches: &[Vec<RuleOp>]) {
+    let elements: Vec<ElementKey> = (0..2)
+        .flat_map(|d| [ElementKey::Forward(NodeId(d)), ElementKey::Filter(NodeId(d), IfaceId(0), Dir::In)])
+        .collect();
+    let probes = replacement_probes();
+    for order in [UpdateOrder::InsertFirst, UpdateOrder::DeleteFirst, UpdateOrder::AsGiven] {
+        let mut indexed = ApkModel::new();
+        let mut oracle = ApkModel::new();
+        oracle.set_full_scan(true);
+        // Rule identity → its current action.
+        let mut live: BTreeMap<(ElementKey, u32, RuleMatch), PortAction> = BTreeMap::new();
+        for (i, ops) in batches.iter().enumerate() {
+            let mut batch = Vec::new();
+            let mut touched = BTreeSet::new();
+            for op in ops {
+                let fresh = op.rule(op.action);
+                let id = (fresh.element, fresh.priority, fresh.rule_match);
+                // Batches derive from set deltas: one update pair per
+                // rule identity.
+                if !touched.insert(id) {
+                    continue;
+                }
+                let Some(old) = live.remove(&id) else {
+                    live.insert(id, fresh.action.clone());
+                    batch.push(RuleUpdate::Insert(fresh));
+                    continue;
+                };
+                batch.push(RuleUpdate::Remove(ModelRule { action: old.clone(), ..fresh.clone() }));
+                if op.replace {
+                    let new = if fresh.action != old { fresh } else { op.rule(op.action.wrapping_add(1)) };
+                    live.insert(id, new.action.clone());
+                    batch.push(RuleUpdate::Insert(new));
+                }
+            }
+            let s_indexed = indexed.apply_batch(batch.clone(), order);
+            let s_oracle = oracle.apply_batch(batch, order);
+            assert_eq!(s_indexed, s_oracle, "{order:?}: summaries diverge at batch {i}");
+            indexed.check_invariants();
+
+            let rules: BTreeSet<ModelRule> = live
+                .iter()
+                .map(|(&(element, priority, rule_match), action)| ModelRule {
+                    element,
+                    priority,
+                    rule_match,
+                    action: action.clone(),
+                })
+                .collect();
+            for pkt in &probes {
+                let ec = indexed.ec_of_packet(pkt);
+                for &key in &elements {
+                    let got = indexed.action(key, ec).cloned().unwrap_or(match key {
+                        ElementKey::Forward(_) => PortAction::Drop,
+                        ElementKey::Filter(..) => PortAction::Permit,
+                    });
+                    let want = naive_action(&rules, key, pkt);
+                    assert_eq!(got, want, "{order:?}, batch {i}: {key:?} on {pkt:?}");
+                }
+            }
+        }
+        oracle.check_invariants();
     }
 }
 

@@ -8,7 +8,9 @@
 
 mod common;
 
-use common::{check_model_matches_naive, check_order_independent, AbstractRule};
+use common::{
+    check_model_matches_naive, check_order_independent, check_replacements, AbstractRule, RuleOp,
+};
 use proptest::prelude::*;
 
 fn arb_rules() -> impl Strategy<Value = Vec<AbstractRule>> {
@@ -18,6 +20,30 @@ fn arb_rules() -> impl Strategy<Value = Vec<AbstractRule>> {
         ),
         1..20,
     )
+}
+
+/// Batches of 1–3 ops over two devices: the default route and nested
+/// /8–/24 prefixes, FIB rules and ACL entries, with replacements.
+fn arb_replacement_batches() -> impl Strategy<Value = Vec<Vec<RuleOp>>> {
+    let op = (
+        0u32..2,
+        0u8..2,
+        0u8..2,
+        0usize..5,
+        prop::option::of((0u8..3, 0u8..3)),
+        any::<u8>(),
+        any::<bool>(),
+    )
+        .prop_map(|(device, hi, lo, len, acl, action, replace)| RuleOp {
+            device,
+            hi,
+            lo,
+            len: [0, 8, 16, 20, 24][len],
+            acl,
+            action,
+            replace,
+        });
+    prop::collection::vec(prop::collection::vec(op, 1..=3), 1..12)
 }
 
 proptest! {
@@ -36,5 +62,19 @@ proptest! {
     #[test]
     fn final_state_is_order_independent(seq in arb_rules()) {
         check_order_independent(&seq);
+    }
+}
+
+proptest! {
+    // Each case runs three update orders and probes the naive oracle
+    // after every batch.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Action swaps of a live rule (Remove + Insert of the same match),
+    /// removals and insertions under every update order: the packet
+    /// behaviour matches the naive oracle and the full-scan model.
+    #[test]
+    fn replacements_match_naive_and_full_scan(batches in arb_replacement_batches()) {
+        check_replacements(&batches);
     }
 }

@@ -9,7 +9,53 @@
 
 mod common;
 
-use common::{check_model_matches_naive, check_order_independent, AbstractRule};
+use common::{
+    check_model_matches_naive, check_order_independent, check_replacements, AbstractRule, RuleOp,
+};
+
+/// A FIB rule on device 0 for `10.hi.lo.0/len`.
+fn fib(hi: u8, lo: u8, len: u8, action: u8, replace: bool) -> RuleOp {
+    RuleOp { device: 0, hi, lo, len, acl: None, action, replace }
+}
+
+/// An ACL entry on device 0's filter for `10.1.lo.0/len`.
+fn acl(lo: u8, len: u8, src: u8, ports: u8, action: u8, replace: bool) -> RuleOp {
+    RuleOp { acl: Some((src, ports)), ..fib(1, lo, len, action, replace) }
+}
+
+/// The `FibGrouper` shape: `10.1.0.0/16` swaps its action (Remove +
+/// Insert of the same match) under a live /24 and a /0; then the /24
+/// goes, and its packets must fall through to the /16's *new* port —
+/// under every update order. Under insert-first the two /16 rules
+/// coexist mid-batch and the new one must reuse its twin's predicate,
+/// not that of `10.0.0.0/16`, which has the same priority and sits
+/// right before it in table order (the new action sorts first).
+#[test]
+fn replaced_rule_catches_what_a_removed_more_specific_drops() {
+    check_replacements(&[
+        vec![
+            fib(0, 0, 0, 0, false),
+            fib(0, 0, 16, 1, false),
+            fib(1, 0, 16, 2, false),
+            fib(1, 1, 24, 1, false),
+        ],
+        vec![fib(1, 0, 16, 0, true)],
+        vec![fib(1, 1, 24, 1, false)],
+    ]);
+}
+
+/// The ACL analogue: entries whose dst prefixes overlap but whose
+/// source prefixes and port ranges differ — a dst-prefix test alone
+/// cannot tell them apart, so none of them may be pruned from the
+/// other's chains.
+#[test]
+fn replaced_acl_entry_catches_what_a_removed_overlapping_entry_drops() {
+    check_replacements(&[
+        vec![acl(0, 0, 2, 2, 0, false), acl(0, 16, 1, 0, 1, false), acl(1, 24, 0, 1, 1, false)],
+        vec![acl(0, 16, 1, 0, 0, true)],
+        vec![acl(1, 24, 0, 1, 1, false)],
+    ]);
+}
 
 /// `cc 384f6ea2…`: a single ACL rule. Historically the filter element
 /// was created with an EC table that disagreed with the naive oracle's

@@ -7,6 +7,9 @@
 //!   rule and also observes transient states nobody asked about.
 //! * **incremental vs full policy checking** — re-analyze only affected
 //!   ECs vs rebuild the whole pair map.
+//! * **the model update** — the rule batches of one k=8 OSPF link flip
+//!   through APKeep alone, where a rule pays only for the rules its dst
+//!   prefix overlaps.
 //! * **the policy walk** — a full check of a k=8 OSPF fat tree, and the
 //!   incremental passes of one link failing and coming back, where most
 //!   ECs are re-walked.
@@ -217,9 +220,10 @@ fn flip(from: &BTreeSet<Fact>, to: &BTreeSet<Fact>) -> (Vec<RuleUpdate>, Vec<(Po
     (rules, delta)
 }
 
-fn policy_walk(c: &mut Criterion) {
-    let mut group = c.benchmark_group("policy/walk");
-    group.sample_size(samples(20));
+/// A k=8 OSPF fat tree's facts, and both ways of one of its links
+/// failing and coming back.
+type Flip = (Vec<RuleUpdate>, Vec<(Port, Port, isize)>);
+fn k8_ospf_link_flip() -> (BTreeSet<Fact>, Flip, Flip) {
     let topo = fat_tree(8);
     let configs = build_configs(&topo, ProtocolChoice::Ospf);
     let mut registry = Registry::new();
@@ -228,7 +232,34 @@ fn policy_walk(c: &mut Criterion) {
     let port = &topo.links[0].a;
     ChangeSet::link_failure(&port.device, &port.iface).apply(&mut failed).expect("the port exists");
     let down = lower(&failed, &mut registry).facts;
-    let (down, up) = (flip(&base, &down), flip(&down, &base));
+    let (to_down, to_up) = (flip(&base, &down), flip(&down, &base));
+    (base, to_down, to_up)
+}
+
+/// The model update alone (Table 3's T1): the two rule batches of one
+/// k=8 OSPF link flip, no policy checker.
+fn apkeep_update(c: &mut Criterion) {
+    let mut group = c.benchmark_group("apkeep/update");
+    group.sample_size(samples(20));
+    let (base, down, up) = k8_ospf_link_flip();
+    let mut model = ApkModel::new();
+    let rules = fib_rules(&base).into_iter().map(RuleUpdate::Insert).collect();
+    model.apply_batch(rules, UpdateOrder::AsGiven);
+    group.bench_function("link_flip/k8-ospf", |b| {
+        b.iter(|| {
+            [&down, &up]
+                .iter()
+                .map(|(rules, _)| model.apply_batch(rules.clone(), UpdateOrder::InsertFirst).ec_moves)
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
+fn policy_walk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("policy/walk");
+    group.sample_size(samples(20));
+    let (base, down, up) = k8_ospf_link_flip();
     let (mut model, mut checker, _) = stage23(&base);
 
     group.bench_function("check_full/k8-ospf", |b| {
@@ -248,5 +279,5 @@ fn policy_walk(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, batch_vs_per_rule, incremental_vs_full_check, policy_walk);
+criterion_group!(benches, batch_vs_per_rule, incremental_vs_full_check, apkeep_update, policy_walk);
 criterion_main!(benches);

@@ -4,8 +4,8 @@
 //! CLI's `--metrics` dump and the bench result files rely on it).
 
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
-use rc_netcfg::topology::ring;
-use realconfig::{ChangeSet, RealConfig};
+use rc_netcfg::topology::{fat_tree, ring};
+use realconfig::{ChangeOp, ChangeSet, RealConfig};
 
 fn build() -> (RealConfig, realconfig::FullReport) {
     let configs = build_configs(&ring(4), ProtocolChoice::Ospf);
@@ -98,6 +98,27 @@ fn fold_counters_track_the_change() {
         "one link failure folded {records} records of a {}-record trace",
         rc.trace_records()
     );
+}
+
+/// A rule update pays only for the rules its dst prefix overlaps: over
+/// one link failing and coming back on a k=4 OSPF fat tree, the hit and
+/// fall-through chains spend at most two predicate operations per rule
+/// applied. Chains that pair every rule with every rule above or below it
+/// on its device cost 91–146 per rule on a k=8 flip (EXPERIMENTS.md,
+/// "Rule updates pay for their overlaps").
+#[test]
+fn shadow_ops_stay_within_two_per_rule_applied() {
+    let topo = fat_tree(4);
+    let (mut rc, full) =
+        RealConfig::new(build_configs(&topo, ProtocolChoice::Ospf)).expect("fat tree verifies");
+    let port = &topo.links[0].a;
+    rc.apply_change(&ChangeSet::link_failure(&port.device, &port.iface)).expect("verifies");
+    let up = ChangeOp::EnableInterface { device: port.device.clone(), iface: port.iface.clone() };
+    let m = rc.apply_change(&ChangeSet { ops: vec![up] }).expect("verifies").metrics;
+    let delta = |key: &str| m.counters[key] - full.metrics.counters[key];
+    let (ops, rules) = (delta("apkeep.shadow_ops"), delta("apkeep.rules_applied"));
+    assert!(rules > 0, "the flip applied no rule");
+    assert!(ops <= 2 * rules, "{ops} shadow ops for {rules} rules applied");
 }
 
 /// Telemetry keys are registered lazily inside the paths that produce
