@@ -13,6 +13,9 @@
 //! * **the policy walk** — a full check of a k=8 OSPF fat tree, and the
 //!   incremental passes of one link failing and coming back, where most
 //!   ECs are re-walked.
+//! * **the routing engine** — one folded maintenance window on a k=6
+//!   OSPF fat tree and its inverse, through the dataflow alone: SPF over
+//!   routers, prefixes attached outside the fixpoint.
 //!
 //! Set `BENCH_SMOKE=1` to run a reduced-iteration smoke pass (used by
 //! CI to keep the benches compiling and executing without paying for
@@ -22,12 +25,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rc_apkeep::{ApkModel, ElementKey, ModelRule, PortAction, RuleMatch, RuleUpdate, UpdateOrder};
-use rc_netcfg::facts::{lower, Registry};
+use rc_netcfg::facts::{fact_delta, lower, Registry};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::fat_tree;
 use rc_netcfg::types::{IfaceId, NodeId, Port, Prefix};
-use rc_netcfg::{ChangeSet, Fact};
+use rc_netcfg::{ChangeOp, ChangeSet, Fact};
 use rc_policy::PolicyChecker;
+use rc_routing::engine::RoutingEngine;
 
 fn smoke() -> bool {
     std::env::var_os("BENCH_SMOKE").is_some()
@@ -279,5 +283,77 @@ fn policy_walk(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, batch_vs_per_rule, incremental_vs_full_check, apkeep_update, policy_walk);
+type Delta = Vec<(Fact, isize)>;
+
+/// A k=6 OSPF fat tree and one maintenance window of the shape the
+/// `ospf6_windows` benchmark workload folds: one aggregation switch's
+/// drained edge links come back, a second switch's are drained, and a
+/// third's go through a storm of cost flips that ends at 100. Returns
+/// the facts before the window and the fact deltas of the folded window
+/// and of its inverse.
+fn k6_ospf_window() -> (BTreeSet<Fact>, Delta, Delta) {
+    let topo = fat_tree(6);
+    let is_edge = |d: &str| topo.host_prefixes.contains_key(d);
+    let mut groups: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for l in &topo.links {
+        for (end, peer) in [(&l.a, &l.b), (&l.b, &l.a)] {
+            if !is_edge(&end.device) && is_edge(&peer.device) {
+                groups.entry(&end.device).or_default().push(&end.iface);
+            }
+        }
+    }
+    let groups: Vec<(&str, Vec<&str>)> = groups.into_iter().take(3).collect();
+    let enable = |device: &str, iface: &str| ChangeSet {
+        ops: vec![ChangeOp::EnableInterface { device: device.into(), iface: iface.into() }],
+    };
+
+    let mut configs = build_configs(&topo, ProtocolChoice::Ospf);
+    for cs in per_iface(&groups[0], ChangeSet::link_failure) {
+        cs.apply(&mut configs).expect("the port exists");
+    }
+    let mut registry = Registry::new();
+    let before = lower(&configs, &mut registry).facts;
+    let mut window = per_iface(&groups[0], enable);
+    window.extend(per_iface(&groups[1], ChangeSet::link_failure));
+    for cost in [100, 1, 100] {
+        window.extend(per_iface(&groups[2], |dev, iface| ChangeSet::link_cost(dev, iface, cost)));
+    }
+    ChangeSet::coalesce(&window).0.apply(&mut configs).expect("the window applies");
+    let after = lower(&configs, &mut registry).facts;
+    let (forward, back) = (fact_delta(&before, &after), fact_delta(&after, &before));
+    (before, forward, back)
+}
+
+/// One single-change set per interface of a `(device, interfaces)` group.
+fn per_iface(group: &(&str, Vec<&str>), f: impl Fn(&str, &str) -> ChangeSet) -> Vec<ChangeSet> {
+    group.1.iter().map(|iface| f(group.0, iface)).collect()
+}
+
+/// The routing engine alone: a k=6 OSPF network built once, then one
+/// folded window and its inverse per iteration.
+fn routing_ospf_window(c: &mut Criterion) {
+    let mut group = c.benchmark_group("routing/ospf_window");
+    group.sample_size(samples(20));
+    let (base, window, inverse) = k6_ospf_window();
+    let mut engine = RoutingEngine::new();
+    engine.apply(base.into_iter().map(|f| (f, 1))).expect("converges");
+    group.bench_function("drain+recost/k6-ospf", |b| {
+        b.iter(|| {
+            [&window, &inverse]
+                .iter()
+                .map(|delta| engine.apply(delta.iter().cloned()).expect("converges").fib_changes)
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    batch_vs_per_rule,
+    incremental_vs_full_check,
+    apkeep_update,
+    policy_walk,
+    routing_ospf_window
+);
 criterion_main!(benches);

@@ -58,6 +58,27 @@ pub struct InterfaceConfig {
     pub acl_out: Option<String>,
 }
 
+/// Check an `ip ospf cost`: RFC 2328 interface costs are 16-bit and
+/// positive. This bound and [`check_ospf_metric`]'s keep every OSPF
+/// distance sum far inside `u32`.
+pub(crate) fn check_ospf_cost(cost: u32) -> Result<(), String> {
+    if (1..=65_535).contains(&cost) {
+        Ok(())
+    } else {
+        Err(format!("ospf cost {cost} outside 1..=65535"))
+    }
+}
+
+/// Check a `redistribute … metric` under `router ospf`: OSPF external
+/// metrics are 24-bit.
+pub(crate) fn check_ospf_metric(metric: u32) -> Result<(), String> {
+    if metric <= 16_777_215 {
+        Ok(())
+    } else {
+        Err(format!("ospf metric {metric} above 16777215"))
+    }
+}
+
 impl InterfaceConfig {
     pub fn new(name: impl Into<String>) -> Self {
         InterfaceConfig { name: name.into(), ..Default::default() }

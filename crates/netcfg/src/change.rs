@@ -157,7 +157,9 @@ impl ChangeSet {
     /// have identical error conditions, and no retained operation reads
     /// state that a cancelled one writes, so applying the folded set
     /// yields exactly the configurations — and exactly the success or
-    /// failure — of applying the originals in sequence.
+    /// failure — of applying the originals in sequence. An OSPF cost out
+    /// of range is the one value-dependent error, so such an operation
+    /// is kept in place and never folded.
     pub fn coalesce(sets: &[ChangeSet]) -> (ChangeSet, usize) {
         // Key: (op discriminant, device, iface, ACL direction).
         let mut slot: BTreeMap<(u8, String, String, u8), usize> = BTreeMap::new();
@@ -169,7 +171,7 @@ impl ChangeSet {
                 | ChangeOp::EnableInterface { device, iface } => {
                     Some((0, device.clone(), iface.clone(), 0))
                 }
-                ChangeOp::SetOspfCost { device, iface, .. } => {
+                ChangeOp::SetOspfCost { device, iface, cost } if check_ospf_cost(*cost).is_ok() => {
                     Some((1, device.clone(), iface.clone(), 0))
                 }
                 ChangeOp::SetLocalPref { device, iface, .. } => {
@@ -227,6 +229,7 @@ fn apply_op(op: &ChangeOp, configs: &mut BTreeMap<String, DeviceConfig>) -> Resu
             if cfg.ospf.is_none() {
                 return Err(format!("{d:?} does not run OSPF"));
             }
+            check_ospf_cost(*cost)?;
             iface(cfg, i)?.ospf_cost = Some(*cost);
         }
         ChangeOp::SetLocalPref { device: d, iface: i, pref } => {
@@ -386,12 +389,12 @@ fn apply_op(op: &ChangeOp, configs: &mut BTreeMap<String, DeviceConfig>) -> Resu
             let cfg = device(configs, d)?;
             let r = Redistribution { source: *source, metric: *metric };
             match into {
-                RedistTarget::Ospf => cfg
-                    .ospf
-                    .as_mut()
-                    .ok_or_else(|| format!("{d:?} does not run OSPF"))?
-                    .redistribute
-                    .push(r),
+                RedistTarget::Ospf => {
+                    let ospf =
+                        cfg.ospf.as_mut().ok_or_else(|| format!("{d:?} does not run OSPF"))?;
+                    check_ospf_metric(*metric)?;
+                    ospf.redistribute.push(r)
+                }
                 RedistTarget::Bgp => cfg
                     .bgp
                     .as_mut()
@@ -427,6 +430,26 @@ mod tests {
         let mut cfgs = build_configs(&ring(3), ProtocolChoice::Ospf);
         ChangeSet::link_cost("r000", "eth0", 100).apply(&mut cfgs).unwrap();
         assert_eq!(cfgs["r000"].interface("eth0").unwrap().ospf_cost, Some(100));
+    }
+
+    #[test]
+    fn out_of_range_ospf_cost_and_metric_are_refused() {
+        let mut cfgs = build_configs(&ring(3), ProtocolChoice::Ospf);
+        let before = cfgs.clone();
+        for cost in [0, 70_000] {
+            let e = ChangeSet::link_cost("r000", "eth0", cost).apply(&mut cfgs).unwrap_err();
+            assert!(e.msg.contains("outside 1..=65535"), "{e}");
+        }
+        let mut cs = ChangeSet::new();
+        cs.push(ChangeOp::AddRedistribution {
+            device: "r000".into(),
+            into: RedistTarget::Ospf,
+            source: RedistSource::Static,
+            metric: 16_777_216,
+        });
+        assert!(cs.apply(&mut cfgs).unwrap_err().msg.contains("above 16777215"));
+        assert_eq!(cfgs, before);
+        ChangeSet::link_cost("r000", "eth0", 65_535).apply(&mut cfgs).unwrap();
     }
 
     #[test]
@@ -537,6 +560,16 @@ mod tests {
         let (folded, cancelled) = ChangeSet::coalesce(&sets);
         assert_eq!(cancelled, 0, "add/remove pairs must not be folded");
         assert_eq!(folded.ops, sets[0].ops);
+    }
+
+    #[test]
+    fn coalesce_keeps_an_out_of_range_cost_failing() {
+        let sets: Vec<ChangeSet> =
+            [5, 70_000, 7].iter().map(|&c| ChangeSet::link_cost("r000", "eth0", c)).collect();
+        let (folded, cancelled) = ChangeSet::coalesce(&sets);
+        assert_eq!(cancelled, 1, "the two valid costs fold, the invalid one stays");
+        let mut cfgs = build_configs(&ring(3), ProtocolChoice::Ospf);
+        assert!(folded.apply(&mut cfgs).is_err(), "the sequence fails, so must its fold");
     }
 
     #[test]

@@ -122,7 +122,9 @@ pub fn parse_config(text: &str) -> Result<DeviceConfig, ParseError> {
                             iface.address = Some((ip, len));
                         }
                         ["ip", "ospf", "cost", c] => {
-                            iface.ospf_cost = Some(parse_u32(c, bn, bl)?);
+                            let cost = parse_u32(c, bn, bl)?;
+                            check_ospf_cost(cost).map_err(|msg| err(bn, bl, msg))?;
+                            iface.ospf_cost = Some(cost);
                         }
                         ["ip", "access-group", name, "in"] => {
                             iface.acl_in = Some(name.to_string());
@@ -148,9 +150,11 @@ pub fn parse_config(text: &str) -> Result<DeviceConfig, ParseError> {
                             ospf.networks.push(parse_prefix(p, bn, bl)?);
                         }
                         ["redistribute", src, "metric", m] => {
+                            let metric = parse_u32(m, bn, bl)?;
+                            check_ospf_metric(metric).map_err(|msg| err(bn, bl, msg))?;
                             ospf.redistribute.push(Redistribution {
                                 source: parse_redist_source(src, bn, bl)?,
-                                metric: parse_u32(m, bn, bl)?,
+                                metric,
                             });
                         }
                         _ => return Err(err(bn, bl, "unknown ospf statement")),
@@ -410,6 +414,20 @@ ip access-list extended BLOCK
     fn unknown_interface_statement_is_an_error() {
         let e = parse_config("interface eth0\n speed 1000\n").unwrap_err();
         assert_eq!(e.line_no, 2);
+    }
+
+    #[test]
+    fn out_of_range_ospf_cost_and_metric_rejected() {
+        let e = parse_config("interface eth0\n ip ospf cost 4294967295\n").unwrap_err();
+        assert_eq!(e.line_no, 2);
+        assert!(e.msg.contains("outside 1..=65535"), "{e}");
+        assert!(parse_config("interface eth0\n ip ospf cost 0\n").is_err());
+        assert!(parse_config("interface eth0\n ip ospf cost 65535\n").is_ok());
+        let text = "router ospf 1\n redistribute static metric 16777216\n";
+        let e = parse_config(text).unwrap_err();
+        assert_eq!(e.line_no, 2);
+        assert!(e.msg.contains("above 16777215"), "{e}");
+        assert!(parse_config("router ospf 1\n redistribute static metric 16777215\n").is_ok());
     }
 
     #[test]

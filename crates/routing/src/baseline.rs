@@ -1,7 +1,10 @@
 //! The from-scratch baseline simulator ("batfish-like" in the paper's
-//! Table 2): custom, non-incremental algorithms — Dijkstra for OSPF,
-//! synchronous path-vector iteration for BGP — over the same fact
-//! relations and with identical semantics to the dataflow engine.
+//! Table 2): custom, non-incremental algorithms — for OSPF and RIP a
+//! multi-source Dijkstra per prefix, from all of its originators at
+//! once; for BGP synchronous path-vector iteration — over the same fact
+//! relations and with identical semantics to the dataflow engine. The
+//! engine runs SPF over routers instead; the two formulations agreeing
+//! is what the differential tests check.
 //!
 //! It serves two purposes: the full-recomputation baseline for the
 //! benchmarks, and a differential-testing oracle for the incremental

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeSet;
 
-use rc_dataflow::{Dataflow, EvalError, InputHandle, OutputHandle};
+use rc_dataflow::{Collection, Dataflow, EvalError, InputHandle, OutputHandle};
 use rc_netcfg::facts::{Action, Fact};
 use rc_netcfg::types::{IfaceId, NodeId, Port, Prefix, Proto};
 
@@ -143,35 +143,15 @@ impl RoutingEngine {
             .map(|(n, (m, p))| ((n, p), m));
         let ospf_origins =
             ospf_origin.map(|(n, p, c)| ((n, p), c)).concat_many(&[&ro_conn, &ro_static]);
-
-        // dist(n, p): min cost from n to prefix p.
-        let dist = ospf_origins.iterate_capped(max_iters, |inner| {
-            let relaxed = inner
-                .map(|((v, p), c)| (v, (p, c)))
-                .join(&edges_by_dst)
-                .map(|(_v, ((p, c), (u, _i, w)))| ((u, p), c + w));
-            ospf_origins.concat(&relaxed).reduce_min()
-        });
-
-        // ECMP next hops: interfaces on shortest paths.
-        let cand = edges_by_dst
-            .join(&dist.map(|((v, p), c)| (v, (p, c))))
-            .map(|(_v, ((u, i, w), (p, c)))| ((u, p), (w + c, i)));
-        let ospf_rib = cand
-            .join(&dist)
-            .filter(|(_, ((through, _i), best))| through == best)
-            .map(|((u, p), ((_t, i), _))| {
-                ((u, p), RibValue { admin: Proto::Ospf.admin_distance(), action: FibAction::Forward(i) })
-            });
+        let (dist, ospf_rib) = igp(&ospf_origins, &edges_by_dst, u32::MAX, Proto::Ospf, max_iters);
 
         // ---------- RIP (hop-count distance vector, infinity at 16) ----------
-        let rip_ports = rip_iface.map(|(n, i)| (n, i));
         let rip_edges_by_dst = links
             .map(|(a, b)| ((a.node, a.iface), b))
-            .semijoin(&rip_ports.clone())
+            .semijoin(&rip_iface)
             .map(|((n, i), b)| ((b.node, b.iface), (n, i)))
-            .semijoin(&rip_ports)
-            .map(|((bn, _bi), (n, i))| (bn, (n, i)));
+            .semijoin(&rip_iface)
+            .map(|((bn, _bi), (n, i))| (bn, (n, i, 1)));
         let rr_conn = redist_pair(Proto::Connected, Proto::Rip)
             .join(&conn_prefixes)
             .map(|(n, (m, p))| ((n, p), m.clamp(1, 15)));
@@ -181,23 +161,7 @@ impl RoutingEngine {
         let rip_origins = rip_origin
             .map(|(n, p, m)| ((n, p), m.clamp(1, 15)))
             .concat_many(&[&rr_conn, &rr_static]);
-        let rip_dist = rip_origins.iterate_capped(max_iters, |inner| {
-            let relaxed = inner
-                .map(|((v, p), c)| (v, (p, c)))
-                .join(&rip_edges_by_dst)
-                .map(|(_v, ((p, c), (u, _i)))| ((u, p), c + 1))
-                .filter(|(_, c)| *c <= 15);
-            rip_origins.concat(&relaxed).reduce_min()
-        });
-        let rip_cand = rip_edges_by_dst
-            .join(&rip_dist.map(|((v, p), c)| (v, (p, c))))
-            .map(|(_v, ((u, i), (p, c)))| ((u, p), (c + 1, i)));
-        let rip_rib = rip_cand
-            .join(&rip_dist)
-            .filter(|(_, ((through, _i), best))| through == best)
-            .map(|((u, p), ((_t, i), _))| {
-                ((u, p), RibValue { admin: Proto::Rip.admin_distance(), action: FibAction::Forward(i) })
-            });
+        let (rip_dist, rip_rib) = igp(&rip_origins, &rip_edges_by_dst, 15, Proto::Rip, max_iters);
 
         // ---------- BGP ----------
         let rb_conn = redist_pair(Proto::Connected, Proto::Bgp)
@@ -396,25 +360,14 @@ impl RoutingEngine {
             self.push_fact(f, r);
         }
         let stats = self.df.advance()?;
-        let fib_changes = self.fib_out.drain();
         let mut fd = FibDelta::default();
-        for (e, r) in fib_changes {
+        for (e, r) in self.fib_out.drain() {
             debug_assert!(r.abs() == 1, "FIB multiplicity change {r} for {e:?}");
-            if r > 0 {
-                fd.inserted.push(e);
-            } else {
-                fd.removed.push(e);
-            }
+            if r > 0 { &mut fd.inserted } else { &mut fd.removed }.push(e);
         }
-        let filter_changes = self.acl_out.drain();
-        let mut inserted = Vec::new();
-        let mut removed = Vec::new();
-        for (e, r) in filter_changes {
-            if r > 0 {
-                inserted.push(e);
-            } else {
-                removed.push(e);
-            }
+        let (mut inserted, mut removed) = (Vec::new(), Vec::new());
+        for (e, r) in self.acl_out.drain() {
+            if r > 0 { &mut inserted } else { &mut removed }.push(e);
         }
         let stats = ApplyStats {
             records: stats.records,
@@ -485,4 +438,50 @@ impl RoutingEngine {
     pub fn trace_records(&self) -> usize {
         self.df.trace_records()
     }
+}
+
+type Costs = Collection<((NodeId, Prefix), u32)>;
+type Edges = Collection<(NodeId, (NodeId, IfaceId, u32))>;
+type Rib = Collection<((NodeId, Prefix), RibValue)>;
+
+/// One IGP: the least cost `((u, p), c)` from router `u` to prefix `p`,
+/// at most `limit`, and the ECMP next hops attaining it as `proto` RIB
+/// entries. SPF runs over routers — `d(u, o)` to every originating
+/// router `o` — so a cost change moves each shortest-path tree once, not
+/// once per prefix. Prefixes are attached outside the loop:
+/// `dist(u, p) = min over o of d(u, o) + c(o, p)`. That is a fixpoint,
+/// so `dist(u, p)` is also the least of `u`'s own origin costs and the
+/// `w + dist(v, p)` through its neighbours: one reduce per `(u, p)` over
+/// those values picks the neighbour interfaces that attain it.
+fn igp(origins: &Costs, edges: &Edges, limit: u32, proto: Proto, max_iters: u32) -> (Costs, Rib) {
+    let seeds = origins.map(|((o, _p), _c)| o).distinct().map(|o| ((o, o), 0u32));
+    let spf = seeds.iterate_capped(max_iters, |inner| {
+        let relaxed = inner
+            .map(|((v, o), d)| (v, (o, d)))
+            .join(edges)
+            .map(|(_v, ((o, d), (u, _i, w)))| ((u, o), d + w))
+            .filter(move |(_, d)| *d < limit);
+        seeds.concat(&relaxed).reduce_min()
+    });
+    let dist = spf
+        .map(|((u, o), d)| (o, (u, d)))
+        .join(&origins.map(|((o, p), c)| (o, (p, c))))
+        .map(|(_o, ((u, d), (p, c)))| ((u, p), d + c))
+        .filter(move |(_, c)| *c <= limit)
+        .reduce_min();
+    let admin = proto.admin_distance();
+    let rib = edges
+        .join(&dist.map(|((v, p), c)| (v, (p, c))))
+        .map(|(_v, ((u, i, w), (p, c)))| ((u, p), (w + c, Some(i))))
+        .filter(move |(_, (c, _))| *c <= limit)
+        .concat(&origins.map(|((u, p), c)| ((u, p), (c, None))))
+        .reduce_named("next-hops", move |_, vals| {
+            let best = vals[0].0 .0;
+            vals.iter()
+                .take_while(|((c, _), _)| *c == best)
+                .filter_map(|((_, i), _)| *i)
+                .map(|i| (RibValue { admin, action: FibAction::Forward(i) }, 1))
+                .collect()
+        });
+    (dist, rib)
 }

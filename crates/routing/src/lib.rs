@@ -6,7 +6,7 @@
 //!   generator: protocol behaviour written once as a differential
 //!   dataflow; any configuration change is just a fact delta.
 //! * [`baseline`] — a from-scratch simulator with custom algorithms
-//!   (Dijkstra, synchronous path vector), standing in for Batfish as
+//!   (Dijkstra per prefix, synchronous path vector), standing in for Batfish as
 //!   the non-incremental comparison point and serving as the
 //!   differential-testing oracle.
 //!

@@ -9,7 +9,7 @@ use rc_netcfg::ast::{AclAction, AclEntry, NextHop, RedistSource};
 use rc_netcfg::change::{AclDir, ChangeOp, ChangeSet, RedistTarget};
 use rc_netcfg::facts::{fact_delta, lower, Registry};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
-use rc_netcfg::topology::{grid, host_prefix, random_connected, ring};
+use rc_netcfg::topology::{fat_tree, grid, host_prefix, random_connected, ring};
 use rc_netcfg::types::Prefix;
 use rc_netcfg::DeviceConfig;
 use rc_routing::baseline;
@@ -28,8 +28,8 @@ enum Cmd {
     RedistStatic { dev: usize },
 }
 
-fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
-    let cmd = prop_oneof![
+fn arb_cmd() -> impl Strategy<Value = Cmd> {
+    prop_oneof![
         3 => (0usize..20, 0usize..4).prop_map(|(dev, iface)| Cmd::ToggleIface { dev, iface }),
         2 => (0usize..20, 0usize..4, prop_oneof![Just(1u32), Just(10), Just(100)])
             .prop_map(|(dev, iface, cost)| Cmd::SetCost { dev, iface, cost }),
@@ -40,8 +40,16 @@ fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
         1 => (0usize..20, 0usize..4, 0u32..8)
             .prop_map(|(dev, iface, pfx)| Cmd::AddAclDeny { dev, iface, pfx }),
         1 => (0usize..20).prop_map(|dev| Cmd::RedistStatic { dev }),
-    ];
-    prop::collection::vec(cmd, 1..12)
+    ]
+}
+
+fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
+    prop::collection::vec(arb_cmd(), 1..12)
+}
+
+/// One to three batches of 2..=6 commands each.
+fn arb_batches() -> impl Strategy<Value = Vec<Vec<Cmd>>> {
+    prop::collection::vec(prop::collection::vec(arb_cmd(), 2..=6), 1..4)
 }
 
 /// Translate an abstract command into concrete change ops; returns None
@@ -198,12 +206,85 @@ fn run_sequence(mut configs: BTreeMap<String, DeviceConfig>, cmds: Vec<Cmd>) {
     }
 }
 
+/// Like [`run_sequence`], but each batch of commands is applied to the
+/// configs one after the other and reaches the engine as ONE epoch, the
+/// way a coalesced maintenance window does.
+fn run_batches(mut configs: BTreeMap<String, DeviceConfig>, batches: Vec<Vec<Cmd>>) {
+    let mut reg = Registry::new();
+    let mut facts = lower(&configs, &mut reg).facts;
+    let mut engine = RoutingEngine::new();
+    engine.apply(facts.iter().map(|f| (f.clone(), 1))).unwrap();
+    for (step, batch) in batches.iter().enumerate() {
+        for cmd in batch {
+            if let Some(cs) = concretize(cmd, &configs) {
+                // A command that does not apply leaves the configs as
+                // they were; the rest of the batch still goes in.
+                let _ = cs.apply(&mut configs);
+            }
+        }
+        let lowered = lower(&configs, &mut reg);
+        let delta = fact_delta(&facts, &lowered.facts);
+        facts = lowered.facts;
+        if engine.apply(delta).is_err() {
+            return;
+        }
+        let oracle = baseline::compute(&facts).unwrap();
+        assert_eq!(engine.fib(), oracle.fib, "FIB mismatch after batch {step} ({batch:?})");
+        assert_eq!(engine.filters(), oracle.filters, "filter mismatch after batch {step}");
+    }
+}
+
+/// A link prefix is originated by both ends of the link, each at its
+/// own interface cost. Raising one end's cost must leave the prefix
+/// reachable through the other end only, where both were equal before.
+#[test]
+fn ospf_link_prefix_with_unequal_stub_costs_matches_baseline() {
+    // ring(5): link 0 joins r000 (eth0) and r001 (eth0); r003 is two
+    // hops from either end.
+    let mut configs = build_configs(&ring(5), ProtocolChoice::Ospf);
+    let link0 = configs["r000"].interface("eth0").unwrap().prefix().unwrap();
+    let mut reg = Registry::new();
+    let mut facts = lower(&configs, &mut reg).facts;
+    let mut engine = RoutingEngine::new();
+    engine.apply(facts.iter().map(|f| (f.clone(), 1))).unwrap();
+    let r003 = reg.try_node("r003").unwrap();
+    let hops = |engine: &RoutingEngine| {
+        engine.fib().iter().filter(|e| e.node == r003 && e.prefix == link0).count()
+    };
+    assert_eq!(hops(&engine), 2, "equal stub costs: ECMP toward both originators");
+
+    ChangeSet::link_cost("r000", "eth0", 7).apply(&mut configs).unwrap();
+    let lowered = lower(&configs, &mut reg);
+    engine.apply(fact_delta(&facts, &lowered.facts)).unwrap();
+    facts = lowered.facts;
+    assert_eq!(hops(&engine), 1, "r000's stub cost 7 loses to r001's 1");
+    assert_eq!(engine.fib(), baseline::compute(&facts).unwrap().fib);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn ospf_ring_incremental_equals_baseline(cmds in arb_cmds()) {
         run_sequence(build_configs(&ring(5), ProtocolChoice::Ospf), cmds);
+    }
+
+    #[test]
+    fn ospf_random_incremental_equals_baseline(cmds in arb_cmds(), seed in 0u64..50) {
+        run_sequence(
+            build_configs(&random_connected(8, 0.3, seed), ProtocolChoice::Ospf),
+            cmds,
+        );
+    }
+
+    #[test]
+    fn ospf_fat_tree_multi_change_epochs_equal_baseline(batches in arb_batches()) {
+        run_batches(build_configs(&fat_tree(4), ProtocolChoice::Ospf), batches);
+    }
+
+    #[test]
+    fn rip_fat_tree_multi_change_epochs_equal_baseline(batches in arb_batches()) {
+        run_batches(build_configs(&fat_tree(4), ProtocolChoice::Rip), batches);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 
 use std::collections::BTreeMap;
 
+use rc_netcfg::ast::{BgpConfig, BgpNeighbor, RedistSource, Redistribution};
 use rc_netcfg::change::{ChangeOp, ChangeSet};
 use rc_netcfg::facts::{fact_delta, lower, Registry};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, host_prefix, ring};
-use rc_netcfg::types::Prefix;
+use rc_netcfg::types::{Ip, Prefix};
 use rc_netcfg::DeviceConfig;
 use rc_routing::baseline;
 use rc_routing::engine::RoutingEngine;
@@ -310,6 +311,83 @@ fn incremental_change_work_is_small_on_fat_tree() {
         inc_work * 5 < full_work,
         "incremental work {inc_work} not ≪ full work {full_work} (changed {changed} rules)"
     );
+    h.check_against_baseline();
+}
+
+#[test]
+fn incremental_ospf_change_work_is_small_on_fat_tree() {
+    // A cost flip and a link flip on a k=4 OSPF fat tree. SPF runs over
+    // routers and next hops are picked by one reduce per (router,
+    // prefix), so the four changes cost at most half the join work of
+    // the per-prefix fixpoint with its next-hop join, which spent
+    // PER_PREFIX_JOIN_WORK join records on them.
+    const PER_PREFIX_JOIN_WORK: u64 = 7764;
+    let mut h = Harness::new(build_configs(&fat_tree(4), ProtocolChoice::Ospf));
+    let join_work = |h: &Harness| h.engine.op_stats()["join"].work;
+    let before = join_work(&h);
+    let mut link_up = ChangeSet::new();
+    link_up.push(ChangeOp::EnableInterface { device: "pod01-edge00".into(), iface: "eth0".into() });
+    for cs in [
+        ChangeSet::link_cost("pod00-aggr00", "eth0", 10),
+        ChangeSet::link_cost("pod00-aggr00", "eth0", 1),
+        ChangeSet::link_failure("pod01-edge00", "eth0"),
+        link_up,
+    ] {
+        assert!(h.change(&cs) > 0, "{cs:?} moved no FIB entry");
+        h.check_against_baseline();
+    }
+    let work = join_work(&h) - before;
+    assert!(
+        work * 2 <= PER_PREFIX_JOIN_WORK,
+        "join work {work} over the two flips exceeds half of {PER_PREFIX_JOIN_WORK}"
+    );
+}
+
+#[test]
+fn redistribution_through_the_igp_into_bgp() {
+    // ring(4) r000–r001–r002–r003–r000 runs OSPF everywhere except on
+    // link 0 (r000 eth0 – r001 eth0), readdressed outside the OSPF
+    // networks: r000 and r001 peer in eBGP over it instead, and r001
+    // redistributes its OSPF routes and its connected subnets into BGP.
+    // BGP's admin distance loses to OSPF's, so r000 forwards by OSPF
+    // while it has OSPF routes and by what r001's IGP reaches once it
+    // has not.
+    let mut configs = build_configs(&ring(4), ProtocolChoice::Ospf);
+    let (a0, a1): (Ip, Ip) = ("192.168.0.1".parse().unwrap(), "192.168.0.2".parse().unwrap());
+    for (dev, addr) in [("r000", a0), ("r001", a1)] {
+        configs.get_mut(dev).unwrap().interface_mut("eth0").unwrap().address = Some((addr, 30));
+    }
+    let bgp = |asn, addr, remote_as, redistribute| {
+        let peer = BgpNeighbor { addr, remote_as, route_map_in: None, route_map_out: None };
+        BgpConfig { asn, networks: Vec::new(), neighbors: vec![peer], redistribute }
+    };
+    configs.get_mut("r000").unwrap().bgp = Some(bgp(65000, a1, 65001, Vec::new()));
+    let redistribute = vec![
+        Redistribution { source: RedistSource::Ospf, metric: 20 },
+        Redistribution { source: RedistSource::Connected, metric: 0 },
+    ];
+    configs.get_mut("r001").unwrap().bgp = Some(bgp(65001, a0, 65000, redistribute));
+    let mut h = Harness::new(configs);
+    let (p1, p2, p3) = (host_prefix(1), host_prefix(2), host_prefix(3));
+    assert_eq!(h.nexthops("r000", p2), vec!["eth1".to_string()], "OSPF, via r003");
+    h.check_against_baseline();
+
+    // A cost change moves the IGP distances the redistribution reads.
+    h.change(&ChangeSet::link_cost("r001", "eth1", 50));
+    h.check_against_baseline();
+
+    // Cut r000 off from OSPF: every remote route is now the BGP one,
+    // r001's OSPF routes and its connected subnets.
+    h.change(&ChangeSet::link_failure("r000", "eth1"));
+    for p in [p1, p2, p3] {
+        assert_eq!(h.nexthops("r000", p), vec!["eth0".to_string()], "{p} via BGP");
+    }
+    h.check_against_baseline();
+
+    // r001's IGP loses r003: the redistributed route is withdrawn.
+    h.change(&ChangeSet::link_failure("r002", "eth1"));
+    assert!(h.nexthops("r000", p3).is_empty());
+    assert_eq!(h.nexthops("r000", p2), vec!["eth0".to_string()]);
     h.check_against_baseline();
 }
 
