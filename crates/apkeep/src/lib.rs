@@ -30,6 +30,8 @@
 //! assert_eq!(summary.affected[0].new, PortAction::forward(vec![IfaceId(3)]));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod model;
 mod types;
 

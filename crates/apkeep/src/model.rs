@@ -479,8 +479,8 @@ impl ApkModel {
 
     /// Disable (or re-enable) the dst-interval candidate index,
     /// reverting queries to the full O(#ECs) scan. The index is still
-    /// maintained while disabled. Test/ablation support: both paths
-    /// must produce byte-identical results.
+    /// maintained while disabled. The property tests' reference oracle:
+    /// both paths must produce byte-identical results.
     pub fn set_full_scan(&mut self, full_scan: bool) {
         self.full_scan = full_scan;
     }

@@ -45,6 +45,8 @@
 //! assert_eq!(bdd.sat_count(ab, 2), 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod analysis;
 pub mod atoms;
 mod backend;

@@ -14,6 +14,8 @@
 //! the acceptance gate uses: atoms is expected at parity or better on
 //! this dst-prefix-only workload.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 
 use realconfig::{PredKind, RealConfig, VerifierOptions};

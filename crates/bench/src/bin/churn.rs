@@ -13,6 +13,8 @@
 //! [`OnFailure::Rebuild`] policy, recording full-rebuild latency
 //! alongside the incremental percentiles.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use rc_netcfg::gen::ProtocolChoice;

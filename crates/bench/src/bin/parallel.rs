@@ -16,6 +16,8 @@
 //! actually available (on a single-core host the >1-thread legs
 //! measure overhead, not speedup).
 
+#![forbid(unsafe_code)]
+
 use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::topology::host_prefix;
 use realconfig::{RealConfig, VerifierOptions};

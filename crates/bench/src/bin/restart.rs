@@ -25,6 +25,8 @@
 //! timings are medians. `--check` gates the non-timing fields against
 //! a committed baseline.
 
+#![forbid(unsafe_code)]
+
 use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::topology::host_prefix;
 use realconfig::{RealConfig, RestoreSource};

@@ -6,6 +6,8 @@
 //!
 //! Results are written to `bench_results/specmine.json`.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use rc_netcfg::facts::{fact_delta, lower, Registry};

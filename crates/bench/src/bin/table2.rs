@@ -10,6 +10,8 @@
 //! sample count — everything a perf knob must not change) against a
 //! committed baseline and exits non-zero on mismatch.
 
+#![forbid(unsafe_code)]
+
 use rc_netcfg::gen::ProtocolChoice;
 use realconfig_bench::{check_gate, fmt_us, run_table2};
 

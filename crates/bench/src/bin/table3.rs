@@ -3,23 +3,24 @@
 //!
 //! Usage: `cargo run --release -p realconfig-bench --bin table3 \
 //!   [-- --k 12 --samples 10 --out bench_results/table3.json \
-//!       --check <baseline.json> --full-scan --backend bdd|atoms]`
+//!       --check <baseline.json> --backend bdd|atoms]`
 //!
 //! `--check` compares this run's rows against a committed baseline on
-//! every non-timing field (the equivalence gate: a perf knob — the EC
-//! index, the predicate backend — must not change *what* the model
-//! computes, only how fast) and exits non-zero on any mismatch.
-//! `--full-scan` disables the EC candidate index — the ablation leg of
-//! the T1 A/B. `--backend` selects the predicate backend (default:
-//! `RC_BACKEND`, then BDDs); an atoms run gates cleanly against a bdd
-//! baseline because `backend` is not a gate field.
+//! every non-timing field (the equivalence gate: a perf knob — the
+//! predicate backend, the worker count — must not change *what* the
+//! model computes, only how fast) and exits non-zero on any mismatch.
+//! `--backend` selects the predicate backend (default: `RC_BACKEND`,
+//! then BDDs); an atoms run gates cleanly against a bdd baseline
+//! because `backend` is not a gate field.
+
+#![forbid(unsafe_code)]
 
 use realconfig_bench::{check_gate, fmt_us, run_table3_opts, Table3Row};
 
-/// Fields of a Table3Row that must be byte-identical between an indexed
-/// and a full-scan run, and between a bdd and an atoms run (everything
-/// except timings, the telemetry snapshot — which embeds timing
-/// histograms and index counters — and the backend label itself).
+/// Fields of a Table3Row that must be byte-identical between a bdd and
+/// an atoms run, and at any worker count (everything except timings,
+/// the telemetry snapshot — which embeds timing histograms and index
+/// counters — and the backend label itself).
 const GATE_FIELDS: &[&str] = &[
     "change",
     "order",
@@ -36,14 +37,13 @@ const GATE_FIELDS: &[&str] = &[
 fn main() {
     let args = parse_args();
     println!(
-        "Table 3 reproduction: BGP fat tree k={}, {} sampled changes per type, {} backend{}.\n",
+        "Table 3 reproduction: BGP fat tree k={}, {} sampled changes per type, {} backend.\n",
         args.k,
         args.samples,
         args.backend.label(),
-        if args.full_scan { " [EC index DISABLED: full-scan ablation]" } else { "" }
     );
     eprintln!("building two verifiers per change type (insert-first / delete-first)…");
-    let rows = run_table3_opts(args.k, args.samples, 0xC0FFEE, args.full_scan, args.backend);
+    let rows = run_table3_opts(args.k, args.samples, 0xC0FFEE, args.backend);
 
     println!(
         "== Measured (this machine; #Rules total {}, #Pairs total {}) ==",
@@ -124,7 +124,6 @@ struct Args {
     samples: usize,
     out: String,
     check: Option<String>,
-    full_scan: bool,
     backend: realconfig::PredKind,
 }
 
@@ -134,7 +133,6 @@ fn parse_args() -> Args {
         samples: 10,
         out: "bench_results/table3.json".into(),
         check: None,
-        full_scan: false,
         backend: realconfig::default_backend(),
     };
     let args: Vec<String> = std::env::args().collect();
@@ -157,16 +155,12 @@ fn parse_args() -> Args {
                 parsed.check = Some(args[i + 1].clone());
                 i += 2;
             }
-            "--full-scan" => {
-                parsed.full_scan = true;
-                i += 1;
-            }
             "--backend" => {
                 parsed.backend = args[i + 1].parse().expect("--backend bdd|atoms");
                 i += 2;
             }
             other => panic!(
-                "unknown argument {other:?} (expected --k / --samples / --out / --check / --full-scan / --backend)"
+                "unknown argument {other:?} (expected --k / --samples / --out / --check / --backend)"
             ),
         }
     }

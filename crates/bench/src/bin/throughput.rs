@@ -30,6 +30,8 @@
 //!   [-- --k 8 --windows 24 --changes 240 --out bench_results/throughput.json \
 //!       --check <baseline.json>]`
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 
 use rc_netcfg::gen::ProtocolChoice;

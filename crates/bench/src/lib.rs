@@ -14,6 +14,8 @@
 //! affected, insertion-first beating deletion-first, policy checking on
 //! a few percent of pairs.
 
+#![forbid(unsafe_code)]
+
 pub mod stream;
 
 use std::collections::BTreeMap;
@@ -280,21 +282,18 @@ pub struct Table3Row {
 /// Regenerate Table 3: model update + policy checking on the BGP fat
 /// tree, for both update orders, averaged over sampled changes.
 pub fn run_table3(k: u32, samples: usize, seed: u64) -> Vec<Table3Row> {
-    run_table3_opts(k, samples, seed, false, realconfig::default_backend())
+    run_table3_opts(k, samples, seed, realconfig::default_backend())
 }
 
-/// [`run_table3`] with an ablation switch and an explicit predicate
-/// backend. `full_scan` disables the EC model's dst-interval candidate
-/// index, reverting every rule transfer to the O(#ECs) scan; `backend`
-/// selects BDDs or Delta-net interval atoms (the fat-tree workload is
-/// pure dst-prefix routing, so both encode it). All non-timing fields
-/// are identical across every combination (the property suite and CI's
-/// equivalence gate enforce this); only T1/T2 move.
+/// [`run_table3`] with an explicit predicate backend: BDDs or Delta-net
+/// interval atoms (the fat-tree workload is pure dst-prefix routing, so
+/// both encode it). All non-timing fields are identical across both
+/// (the property suite and CI's equivalence gate enforce this); only
+/// T1/T2 move.
 pub fn run_table3_opts(
     k: u32,
     samples: usize,
     seed: u64,
-    full_scan: bool,
     backend: realconfig::PredKind,
 ) -> Vec<Table3Row> {
     let w = Workload::fat_tree(k, ProtocolChoice::Bgp);
@@ -303,8 +302,7 @@ pub fn run_table3_opts(
 
     for change in [PaperChange::LinkFailure, PaperChange::LocalPref] {
         for order in [UpdateOrder::InsertFirst, UpdateOrder::DeleteFirst] {
-            let opts =
-                VerifierOptions { order, backend, ec_index: !full_scan, ..Default::default() };
+            let opts = VerifierOptions { order, backend, ..Default::default() };
             let (mut rc, _) =
                 RealConfig::with_options(w.configs.clone(), opts).expect("workload verifies");
             let mut acc = Table3Row {

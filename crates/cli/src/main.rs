@@ -57,6 +57,7 @@
 //! | 4 | internal pipeline failure (contained panic / poisoned verifier) |
 //! | 5 | durable state unrecoverable; verifier rebuilt from configs (degraded, running) |
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;

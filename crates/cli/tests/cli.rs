@@ -227,3 +227,18 @@ fn threads_and_backend_flags_reach_the_verifier() {
         assert_eq!(out.status.code(), Some(2), "{bad:?}");
     }
 }
+
+/// A configuration the atoms backend cannot encode (a TCP port match)
+/// is an internal error with the documented exit code, not a crash.
+#[test]
+fn unencodable_acl_on_atoms_exits_internal() {
+    let acl = R1.replace("interface eth0\n", "interface eth0\n ip access-group WEB in\n")
+        + "ip access-list extended WEB\n 10 deny tcp any 10.0.0.0/8 eq 80\n";
+    let net = TempNet::new("atoms-acl", &[("r1", &acl), ("r2", R2), ("r3", R3)]);
+    let out = run(&["verify", net.path(), "--backend", "atoms"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("--backend bdd"), "{stderr}");
+    let out = run(&["verify", net.path(), "--backend", "bdd"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}

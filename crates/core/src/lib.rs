@@ -47,6 +47,7 @@
 //! assert_eq!(report.newly_violated, vec![policy.0]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 mod convert;

@@ -136,9 +136,6 @@ pub struct VerifierOptions {
     /// ([`rc_par::threads`]); `Some(1)` forces the exact serial paths.
     /// Results are byte-identical for any worker count.
     pub threads: Option<usize>,
-    /// Use the EC model's dst-interval candidate index. `false` is the
-    /// full O(#ECs) scan — same results; for A/B ablation and tests.
-    pub ec_index: bool,
     pub on_failure: OnFailure,
 }
 
@@ -148,7 +145,6 @@ impl Default for VerifierOptions {
             order: UpdateOrder::InsertFirst,
             backend: rc_bdd::default_backend(),
             threads: None,
-            ec_index: true,
             on_failure: OnFailure::Poison,
         }
     }
@@ -192,7 +188,8 @@ impl RealConfig {
         Self::with_options(configs, VerifierOptions::default())
     }
 
-    /// Build the verifier and run the initial full verification.
+    /// Build the verifier and run the initial full verification. A
+    /// panic in any stage is contained as [`Error::Internal`].
     pub fn with_options(
         configs: BTreeMap<String, DeviceConfig>,
         opts: VerifierOptions,
@@ -200,7 +197,7 @@ impl RealConfig {
         let telemetry = rc_telemetry::Telemetry::new();
         let mut registry = Registry::new();
         let (stages, mut report, _) =
-            Stages::build(&configs, &mut registry, &opts, &telemetry, &[])?;
+            contained(|| Stages::build(&configs, &mut registry, &opts, &telemetry, &[]))?;
         report.metrics = telemetry.snapshot();
         let rc = RealConfig {
             configs,

@@ -84,7 +84,6 @@ impl Stages {
         telemetry: &Telemetry,
     ) -> Self {
         model.set_telemetry(telemetry);
-        model.set_full_scan(!opts.ec_index);
         checker.set_telemetry(telemetry);
         checker.set_threads(opts.threads);
         Stages {

@@ -8,7 +8,7 @@
 //!
 //! | tag | section  | contents                                          |
 //! |-----|----------|---------------------------------------------------|
-//! | 1   | META     | update order, full-scan flag, retired auto-compact field |
+//! | 1   | META     | update order, retired full-scan flag, retired auto-compact field |
 //! | 2   | REGISTRY | interned node / interface names, in id order      |
 //! | 3   | CONFIGS  | last-good configurations as canonical printed text|
 //! | 4   | MODEL    | [`ApkModel::encode_state`] (includes the predicate store) |
@@ -22,10 +22,12 @@
 //! Sections hold state, not what is derived from it: the model's
 //! indexes and the checker's pair counts and port index are rebuilt on
 //! decode, and the checker's analysis count must equal the model's EC
-//! count. META's last two fields (`1`, [`DEFAULT_AUTO_COMPACT`]) are
-//! vestigial — nothing reads them since compaction stopped being
-//! scheduled — but stay byte-for-byte, because the `perf` benchmark
-//! writes the section by hand and byte-compares whole snapshots.
+//! count. META's last three fields (`0`, `1`, [`DEFAULT_AUTO_COMPACT`])
+//! are vestigial — nothing reads the full-scan flag since the EC index
+//! stopped being optional, nor the auto-compact field since compaction
+//! stopped being scheduled — but stay byte-for-byte, because the `perf`
+//! benchmark writes the section by hand and byte-compares whole
+//! snapshots.
 //!
 //! # Journal
 //!
@@ -244,9 +246,9 @@ impl RealConfig {
             UpdateOrder::DeleteFirst => 1,
             UpdateOrder::AsGiven => 2,
         });
-        meta.u8(!self.opts.ec_index as u8);
-        // The retired auto-compaction field, kept so snapshot bytes do
-        // not move.
+        // The retired full-scan flag and auto-compaction field, kept so
+        // snapshot bytes do not move.
+        meta.u8(0);
         meta.u8(1);
         meta.u32(DEFAULT_AUTO_COMPACT);
 
@@ -377,9 +379,9 @@ impl RealConfig {
     }
 
     /// [`RealConfig::open`] with explicit options. A restored snapshot
-    /// overrides `opts` with what it records — update order, EC-index
-    /// flag and the model's predicate backend; everything else
-    /// (`threads`, `on_failure`) is the caller's.
+    /// overrides `opts` with what it records — update order and the
+    /// model's predicate backend; everything else (`threads`,
+    /// `on_failure`) is the caller's.
     pub fn open_with(
         state_dir: &Path,
         fallback: BTreeMap<String, DeviceConfig>,
@@ -488,8 +490,12 @@ impl RealConfig {
                 2 => UpdateOrder::AsGiven,
                 t => return Err(WireError(format!("bad update-order tag {t}"))),
             };
-            opts.ec_index = r.u8()? == 0;
-            // The retired auto-compaction field: validated, not used.
+            // The retired full-scan flag and auto-compaction field:
+            // validated, not used.
+            match r.u8()? {
+                0 | 1 => {}
+                t => return Err(WireError(format!("bad full-scan flag {t}"))),
+            }
             match r.u8()? {
                 0 => {}
                 1 => drop(r.u32()?),

@@ -130,8 +130,8 @@ pub(crate) enum ShardMode {
     Serial,
 }
 
-/// Step every shard of a stateful operator, dispatching to the
-/// work-stealing pool when `records` (the step's freshly routed input)
+/// Step every shard of a stateful operator, fanning the shards out
+/// over scoped workers when `records` (the step's freshly routed input)
 /// crosses [`SHARD_DISPATCH_MIN`] and more than one worker is
 /// configured. Results always come back in shard order — merge order,
 /// and therefore operator output, is identical in all three modes.

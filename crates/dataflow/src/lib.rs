@@ -47,6 +47,8 @@
 //! assert!(!out.contains(&(1, 3)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod collection;
 mod delta;
 mod error;

@@ -35,6 +35,8 @@
 //! assert!(!rc_faults::fire(FaultPoint::EngineApply)); // one-shot
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

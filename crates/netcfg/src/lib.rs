@@ -27,6 +27,8 @@
 //! assert!(!lowered.facts.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod change;
 pub mod facts;

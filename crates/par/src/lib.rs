@@ -1,51 +1,40 @@
-//! A dependency-free scoped work-stealing thread pool.
+//! A dependency-free scoped fan-out.
 //!
 //! Built on [`std::thread::scope`], so parallel closures may borrow
-//! from the caller's stack — exactly what the policy checker needs to
-//! fan read-only per-EC walks over an `EcView` snapshot without any
-//! `'static` bound or reference counting.
+//! from the caller's stack: the policy checker fans read-only per-EC
+//! walks over an `EcView` snapshot, and the dataflow engine hands each
+//! of its 8 operator shards to a worker as `&mut`, with no `'static`
+//! bound, reference counting or `unsafe`.
 //!
-//! Design:
+//! One primitive, [`par_map_mut_in`]:
 //!
-//! * **Chunked, order-preserving map.** [`par_map_indexed`] splits the
-//!   input into contiguous index ranges (several chunks per worker, so
-//!   stealing has something to steal), runs `f(i, &items[i])` on pool
-//!   workers, and reassembles the results **in input order** — callers
-//!   observe exactly the serial output, independent of scheduling.
-//! * **Per-worker deques.** Each worker owns a deque of chunk ranges,
-//!   dealt contiguously for locality; it pops its own work from the
-//!   front (ascending ranges) and steals from the *back* of the next
-//!   busy neighbour (the range farthest from the victim's working set).
-//! * **Panic propagation.** Each item runs under `catch_unwind`; the
-//!   first observed panic poisons the pool (other workers drain and
-//!   stop at the next item boundary) and the payload with the lowest
-//!   item index is re-thrown on the caller's thread by
-//!   [`std::panic::resume_unwind`]. To a `catch_unwind`-ing caller — the
-//!   verifier's transactional apply — a worker panic is
-//!   indistinguishable from a panic in serial code, so the PR 3
-//!   poisoning contract composes unchanged.
-//! * **Thread-count knob.** [`threads`] resolves, in order:
-//!   [`set_threads`] (process-global override), the `RC_THREADS`
-//!   environment variable (read once), and
-//!   [`std::thread::available_parallelism`]. `1` takes an exact serial
-//!   path: `f` runs on the caller's thread, in input order, with no
-//!   pool machinery at all.
-//!
-//! Determinism: the *results* of a map are always deterministic (input
-//! order, pure reassembly). The *stats* (steal counts, per-worker busy
-//! time) are scheduling-dependent by nature and are exposed only as
-//! telemetry, never folded into results.
+//! * **Chunks in ascending order.** The input is cut with
+//!   [`slice::chunks_mut`] into about [`CHUNKS_PER_WORKER`] chunks per
+//!   worker; one mutex-guarded iterator hands them out in ascending
+//!   order to the workers, the caller's thread among them.
+//! * **Order-preserving results.** Results are reassembled by chunk
+//!   index: callers observe exactly the serial output.
+//! * **Deterministic panics.** Each chunk runs under one `catch_unwind`.
+//!   A panic stops the handing out, but a chunk that has started runs
+//!   to its end or its own panic, so every chunk below a panicking one
+//!   has run: the payload re-thrown on the caller's thread is always
+//!   the lowest-index one, the one a serial loop raises. To a
+//!   `catch_unwind`-ing caller (the verifier's transactional apply) a
+//!   worker panic looks exactly like a panic in serial code.
+//! * **Thread-count knob.** [`threads`] resolves [`set_threads`], else
+//!   `RC_THREADS`, else [`std::thread::available_parallelism`]. `1` is
+//!   the exact serial path: `f` runs on the caller's thread, in input
+//!   order, with no threads, locks or `catch_unwind`.
 
-use std::any::Any;
-use std::collections::VecDeque;
+#![forbid(unsafe_code)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Aim for this many chunks per worker, so a worker that finishes early
-/// has ranges left to steal without making chunks so small that deque
-/// traffic dominates.
+/// has chunks left to take without making chunks so small that the
+/// shared iterator's lock dominates.
 const CHUNKS_PER_WORKER: usize = 8;
 
 /// Process-global thread-count override; 0 means "not set".
@@ -77,221 +66,95 @@ pub fn threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Scheduling statistics of one [`par_map_indexed_in`] call — telemetry
-/// material only (results never depend on them).
+/// How one map ran — telemetry material only (results never depend on
+/// it).
 #[derive(Clone, Debug, Default)]
 pub struct PoolStats {
-    /// Workers that actually ran (1 on the serial path).
+    /// Workers that ran (1 on the serial path).
     pub workers: usize,
-    /// Chunk tasks executed.
+    /// Chunks run (items, on the serial path).
     pub tasks: u64,
-    /// Tasks a worker took from another worker's deque.
-    pub steals: u64,
-    /// Wall-clock each worker spent in its run loop, µs.
-    pub busy_us: Vec<u64>,
-}
-
-/// `(lowest item index, panic payload)` of the first panic kept.
-type PanicSlot = Mutex<Option<(usize, Box<dyn Any + Send>)>>;
-
-/// Map `f` over `items` on the global worker count ([`threads`]),
-/// returning results in input order. See [`par_map_indexed_in`].
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_in(threads(), items, f).0
 }
 
 /// Map `f` over `items` on `nthreads` workers, returning results in
-/// input order plus the run's [`PoolStats`].
-///
-/// `nthreads <= 1` (or fewer than two items) is the exact serial path:
-/// `f(0, ..), f(1, ..), …` on the caller's thread. Otherwise the
-/// caller's thread participates as worker 0 and `nthreads − 1` scoped
-/// threads are spawned for the duration of the call.
-///
-/// If any invocation of `f` panics, the panic with the lowest item
-/// index among those observed is re-thrown on the caller's thread after
-/// all workers have stopped (serial semantics pick the lowest index
-/// deterministically; under stealing, later-indexed panics may win the
-/// race when earlier items were never reached before the pool poisoned
-/// itself).
+/// input order plus the run's [`PoolStats`]. [`par_map_mut_in`] over a
+/// vector of references; see there for the serial path, ordering and
+/// panics.
 pub fn par_map_indexed_in<T, R, F>(nthreads: usize, items: &[T], f: F) -> (Vec<R>, PoolStats)
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_run(nthreads, items.len(), |i| f(i, &items[i]))
+    let mut refs: Vec<&T> = items.iter().collect();
+    par_map_mut_in(nthreads, &mut refs, |i, item| f(i, item))
 }
 
-/// Map `f` over `items` with **exclusive** access to each element, on
+/// Map `f` over `items` with exclusive access to each element, on
 /// `nthreads` workers, returning results in input order plus the run's
-/// [`PoolStats`]. This is the mutable sibling of [`par_map_indexed_in`]
-/// for per-worker state that must be updated in place — e.g. the
-/// dataflow engine's per-shard operator traces.
+/// [`PoolStats`]. `T` only needs `Send`: each element crosses to one
+/// worker, inside the one chunk that holds it.
 ///
-/// Each index is visited exactly once (disjoint contiguous chunks,
-/// handed out under a mutex), so handing worker `w` a `&mut items[i]`
-/// aliases nothing — the `unsafe` below is the standard disjoint-slice
-/// split, just expressed per index instead of per subslice. `T` only
-/// needs `Send` (the element crosses to one worker), not `Sync`.
+/// `nthreads <= 1` (or fewer than two items) is the exact serial path:
+/// `f(0, ..), f(1, ..), …` on the caller's thread. Otherwise
+/// `min(nthreads, items.len())` workers — the caller's thread and
+/// scoped threads spawned for the duration of the call — take chunks
+/// in ascending order.
 ///
-/// Serial path, ordering, and panic propagation are identical to
-/// [`par_map_indexed_in`].
+/// If any invocation of `f` panics, the panic with the lowest item
+/// index is re-thrown on the caller's thread after all workers have
+/// stopped: the same payload the serial path raises.
 pub fn par_map_mut_in<T, R, F>(nthreads: usize, items: &mut [T], f: F) -> (Vec<R>, PoolStats)
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    /// Raw base pointer that may cross threads. Sound to share because
-    /// the runner visits every index at most once, so no two workers
-    /// ever materialize `&mut` to the same element.
-    struct SendPtr<T>(*mut T);
-    unsafe impl<T: Send> Sync for SendPtr<T> {}
-    impl<T> SendPtr<T> {
-        // A method (not field access) so closures capture the Sync
-        // wrapper, not the raw pointer inside it.
-        fn get(&self) -> *mut T {
-            self.0
-        }
-    }
-
     let n = items.len();
-    let base = SendPtr(items.as_mut_ptr());
-    par_run(nthreads, n, |i| {
-        debug_assert!(i < n);
-        // SAFETY: `i < n` and `par_run` dispatches each index exactly
-        // once across all workers, so this `&mut` is unaliased.
-        let item = unsafe { &mut *base.get().add(i) };
-        f(i, item)
-    })
-}
-
-/// The shared pool body: run `run_item(i)` for every `i in 0..n` on
-/// `nthreads` workers and reassemble results in index order. All of
-/// the chunk dealing, stealing, panic poisoning, and stats collection
-/// lives here; the public maps only differ in how they turn an index
-/// into an item reference.
-fn par_run<R, F>(nthreads: usize, n: usize, run_item: F) -> (Vec<R>, PoolStats)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
     if nthreads <= 1 || n < 2 {
-        let t0 = Instant::now();
-        let out: Vec<R> = (0..n).map(&run_item).collect();
-        let stats = PoolStats {
-            workers: 1,
-            tasks: n as u64,
-            steals: 0,
-            busy_us: vec![t0.elapsed().as_micros() as u64],
-        };
-        return (out, stats);
+        let out = items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect();
+        return (out, PoolStats { workers: 1, tasks: n as u64 });
     }
 
     let workers = nthreads.min(n);
-    let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-    let tasks: Vec<(usize, usize)> =
-        (0..n).step_by(chunk).map(|s| (s, (s + chunk).min(n))).collect();
-    let num_tasks = tasks.len() as u64;
-
-    // Deal contiguous runs of chunks to the workers' deques.
-    let deques: Vec<Mutex<VecDeque<(usize, usize)>>> = {
-        let per = tasks.len().div_ceil(workers);
-        let mut dq: Vec<Mutex<VecDeque<(usize, usize)>>> = Vec::with_capacity(workers);
-        for block in tasks.chunks(per) {
-            dq.push(Mutex::new(block.iter().copied().collect()));
+    let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER);
+    let queue = Mutex::new(items.chunks_mut(chunk).enumerate());
+    let stop = AtomicBool::new(false);
+    let worker = || {
+        let mut done = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            // Only `next()` runs under the lock and it cannot panic, so
+            // a poisoned lock still holds a whole iterator.
+            let next = queue.lock().unwrap_or_else(|e| e.into_inner()).next();
+            let Some((c, part)) = next else { break };
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                let base = c * chunk;
+                part.iter_mut().enumerate().map(|(j, item)| f(base + j, item)).collect::<Vec<R>>()
+            }));
+            stop.fetch_or(ran.is_err(), Ordering::Relaxed);
+            done.push((c, ran));
         }
-        while dq.len() < workers {
-            dq.push(Mutex::new(VecDeque::new()));
-        }
-        dq
+        done
     };
 
-    let steals = AtomicU64::new(0);
-    let poisoned = AtomicBool::new(false);
-    let panic_slot: PanicSlot = Mutex::new(None);
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-
-    let run_worker = |w: usize| {
-        let t0 = Instant::now();
-        let mut local: Vec<(usize, R)> = Vec::new();
-        'run: while !poisoned.load(Ordering::Relaxed) {
-            // Own work first (front: ascending index order, good
-            // locality), then steal from the back of the next busy
-            // neighbour.
-            let mut task = lock_clean(&deques[w]).pop_front();
-            if task.is_none() {
-                for off in 1..workers {
-                    let victim = (w + off) % workers;
-                    if let Some(t) = lock_clean(&deques[victim]).pop_back() {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                        task = Some(t);
-                        break;
-                    }
-                }
-            }
-            let Some((start, end)) = task else { break };
-            for i in start..end {
-                if poisoned.load(Ordering::Relaxed) {
-                    break 'run;
-                }
-                match catch_unwind(AssertUnwindSafe(|| run_item(i))) {
-                    Ok(r) => local.push((i, r)),
-                    Err(payload) => {
-                        let mut slot = lock_clean(&panic_slot);
-                        if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-                            *slot = Some((i, payload));
-                        }
-                        poisoned.store(true, Ordering::Relaxed);
-                        break 'run;
-                    }
-                }
-            }
+    let mut chunks = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers).map(|_| s.spawn(worker)).collect();
+        let mut all = worker();
+        for handle in spawned {
+            all.extend(handle.join().unwrap_or_else(|payload| resume_unwind(payload)));
         }
-        busy[w].store(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-        lock_clean(&results).append(&mut local);
-    };
-
-    std::thread::scope(|s| {
-        let worker = &run_worker;
-        for w in 1..workers {
-            s.spawn(move || worker(w));
-        }
-        run_worker(0);
+        all
     });
 
-    if let Some((_, payload)) = lock_clean(&panic_slot).take() {
-        resume_unwind(payload);
+    // Reassemble in chunk order: scheduling order never leaks out, and
+    // the first failed chunk holds the lowest panicking index.
+    chunks.sort_unstable_by_key(|&(c, _)| c);
+    let stats = PoolStats { workers, tasks: chunks.len() as u64 };
+    let mut out = Vec::with_capacity(n);
+    for (_, ran) in chunks {
+        out.extend(ran.unwrap_or_else(|payload| resume_unwind(payload)));
     }
-
-    // Reassemble in input order: scheduling order never leaks out.
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in results.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        slots[i] = Some(r);
-    }
-    let out: Vec<R> =
-        slots.into_iter().map(|o| o.expect("pool completed without all results")).collect();
-    let stats = PoolStats {
-        workers,
-        tasks: num_tasks,
-        steals: steals.load(Ordering::Relaxed),
-        busy_us: busy.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-    };
     (out, stats)
-}
-
-/// Lock a mutex, ignoring poisoning: every critical section here is
-/// panic-free (pure queue/slot manipulation), and `f`'s panics are
-/// caught before they can unwind through a lock.
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -299,17 +162,48 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// Expected `PoolStats::tasks` of a completed map.
+    fn expected_tasks(nthreads: usize, n: usize) -> u64 {
+        if nthreads <= 1 || n < 2 {
+            return n as u64;
+        }
+        let chunk = n.div_ceil(nthreads.min(n) * CHUNKS_PER_WORKER);
+        n.div_ceil(chunk) as u64
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
-    fn results_are_in_input_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        for nthreads in [1, 2, 4, 7] {
-            let (out, stats) = par_map_indexed_in(nthreads, &items, |i, &x| {
-                assert_eq!(i as u64, x);
-                x * 2
-            });
-            assert_eq!(out, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-            assert_eq!(stats.workers, if nthreads == 1 { 1 } else { nthreads });
-            assert!(stats.tasks > 0);
+    fn sweep_order_exactly_once_and_task_count() {
+        for n in 0..=70usize {
+            for nthreads in 1..=6 {
+                let workers = if nthreads <= 1 || n < 2 { 1 } else { nthreads.min(n) };
+
+                let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+                let items: Vec<usize> = (0..n).map(|i| i * 3).collect();
+                let (out, stats) = par_map_indexed_in(nthreads, &items, |i, &x| {
+                    assert_eq!(x, i * 3);
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                    x + 1
+                });
+                assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>(), "n={n}");
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "n={n} t={nthreads}");
+                assert_eq!(stats.workers, workers, "n={n} t={nthreads}");
+                assert_eq!(stats.tasks, expected_tasks(nthreads, n), "n={n} t={nthreads}");
+
+                let mut items: Vec<u64> = (0..n as u64).collect();
+                let (out, stats) = par_map_mut_in(nthreads, &mut items, |i, x| {
+                    assert_eq!(*x, i as u64);
+                    *x += 100;
+                    i
+                });
+                assert_eq!(items, (100..100 + n as u64).collect::<Vec<_>>(), "n={n}");
+                assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} t={nthreads}");
+                assert_eq!(stats.workers, workers, "n={n} t={nthreads}");
+                assert_eq!(stats.tasks, expected_tasks(nthreads, n), "n={n} t={nthreads}");
+            }
         }
     }
 
@@ -323,29 +217,18 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_single_inputs() {
-        let empty: Vec<u8> = Vec::new();
-        let (out, stats) = par_map_indexed_in(4, &empty, |_, &x| x);
-        assert!(out.is_empty());
-        assert_eq!(stats.workers, 1, "nothing to parallelize");
-        let (out, _) = par_map_indexed_in(4, &[7u8], |_, &x| x + 1);
-        assert_eq!(out, vec![8]);
-    }
-
-    #[test]
     fn worker_panic_propagates_to_caller() {
-        let items: Vec<u32> = (0..100).collect();
+        let mut items: Vec<u32> = (0..100).collect();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            par_map_indexed_in(4, &items, |_, &x| {
-                if x == 57 {
+            par_map_mut_in(4, &mut items, |_, x| {
+                if *x == 57 {
                     panic!("boom at {x}");
                 }
-                x
+                *x
             })
         }))
         .expect_err("panic must cross the pool");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("boom at 57"), "got: {msg}");
+        assert!(panic_message(err).contains("boom at 57"));
     }
 
     #[test]
@@ -360,49 +243,34 @@ mod tests {
             })
         }))
         .expect_err("panics");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("first hit 30"), "serial order: got {msg}");
+        assert!(panic_message(err).contains("first hit 30"));
     }
 
+    /// Items 1 and `n − 1` sit in different chunks. Item 0 is slow, so
+    /// item `n − 1` usually panics first in wall-clock time; item 1's
+    /// payload must be the one re-thrown every time.
     #[test]
-    fn all_items_run_exactly_once() {
-        let hits: Vec<AtomicU32> = (0..317).map(|_| AtomicU32::new(0)).collect();
-        let items: Vec<usize> = (0..317).collect();
-        let (_, _) = par_map_indexed_in(4, &items, |i, _| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "item {i}");
+    fn lowest_index_panic_wins_every_time() {
+        let n = 64;
+        let items: Vec<usize> = (0..n).collect();
+        for nthreads in [2, 4] {
+            for rep in 0..200 {
+                let err = catch_unwind(AssertUnwindSafe(|| {
+                    par_map_indexed_in(nthreads, &items, |i, _| {
+                        if i == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                        if i == 1 || i == n - 1 {
+                            panic!("boom at {i}");
+                        }
+                        i
+                    })
+                }))
+                .expect_err("panics");
+                let msg = panic_message(err);
+                assert_eq!(msg, "boom at 1", "t={nthreads} rep={rep}");
+            }
         }
-    }
-
-    #[test]
-    fn mut_map_updates_every_element_once() {
-        for nthreads in [1, 2, 4] {
-            let mut items: Vec<u64> = (0..733).collect();
-            let (out, _) = par_map_mut_in(nthreads, &mut items, |i, x| {
-                *x += 1;
-                (i as u64) + *x
-            });
-            assert_eq!(items, (1..=733).collect::<Vec<u64>>());
-            assert_eq!(out, (0..733).map(|i| 2 * i + 1).collect::<Vec<u64>>());
-        }
-    }
-
-    #[test]
-    fn mut_map_panic_propagates_and_poisons() {
-        let mut items: Vec<u32> = (0..64).collect();
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            par_map_mut_in(4, &mut items, |_, x| {
-                if *x == 13 {
-                    panic!("mut boom {x}");
-                }
-                *x
-            })
-        }))
-        .expect_err("panic must cross the pool");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("mut boom 13"), "got: {msg}");
     }
 
     #[test]

@@ -300,8 +300,6 @@ struct CheckerTelemetry {
     eval_us: rc_telemetry::Histogram,
     pool_workers: Option<rc_telemetry::Gauge>,
     pool_tasks: Option<rc_telemetry::Counter>,
-    pool_steals: Option<rc_telemetry::Counter>,
-    pool_busy_us: Option<rc_telemetry::Histogram>,
     small_tasks_inlined: Option<rc_telemetry::Counter>,
 }
 
@@ -320,8 +318,6 @@ impl CheckerTelemetry {
             eval_us: registry.histogram("policy.eval_us"),
             pool_workers: None,
             pool_tasks: None,
-            pool_steals: None,
-            pool_busy_us: None,
             small_tasks_inlined: None,
         }
     }
@@ -347,11 +343,6 @@ impl CheckerTelemetry {
             .get_or_insert_with(|| reg.gauge("pool.workers"))
             .set(stats.workers as i64);
         self.pool_tasks.get_or_insert_with(|| reg.counter("pool.tasks")).add(stats.tasks);
-        self.pool_steals.get_or_insert_with(|| reg.counter("pool.steals")).add(stats.steals);
-        let busy = self.pool_busy_us.get_or_insert_with(|| reg.histogram("pool.busy_us"));
-        for &us in &stats.busy_us {
-            busy.record(us);
-        }
     }
 }
 

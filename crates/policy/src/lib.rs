@@ -7,6 +7,8 @@
 //! behaviour. Supported policies: reachability, isolation, waypoint,
 //! loop freedom, and blackhole freedom.
 
+#![forbid(unsafe_code)]
+
 pub mod checker;
 pub mod walk;
 

@@ -29,6 +29,8 @@
 //! assert_eq!(fib, oracle.fib);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod engine;
 pub mod route;

@@ -27,6 +27,8 @@
 //! partial append, bit flip on read, fsync failure), so chaos tests
 //! can kill persistence at any byte boundary deterministically.
 
+#![forbid(unsafe_code)]
+
 mod atomic;
 mod journal;
 mod snapshot;

@@ -19,6 +19,8 @@
 //! `dataflow.work.join`, `apkeep.ecs`, `policy.affected_ecs`. The
 //! registry imposes nothing; the convention keeps snapshots greppable.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

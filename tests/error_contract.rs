@@ -308,3 +308,49 @@ fn rebuild_after_any_pipeline_fault_tracks_the_never_failed_twin() {
         }
     }
 }
+
+/// `net()` with a `deny tcp any 10.0.0.0/8 eq 80` ACL on r000's first
+/// interface: a port match the interval-atoms backend cannot encode.
+fn net_with_port_acl() -> BTreeMap<String, DeviceConfig> {
+    use rc_netcfg::ast::{Acl, AclAction, AclEntry};
+    let mut configs = net();
+    let r0 = configs.get_mut("r000").expect("ring has r000");
+    r0.acls.push(Acl {
+        name: "WEB".into(),
+        entries: vec![AclEntry {
+            seq: 10,
+            action: AclAction::Deny,
+            proto: Some(6),
+            src: "0.0.0.0/0".parse().unwrap(),
+            dst: "10.0.0.0/8".parse().unwrap(),
+            dst_ports: Some((80, 80)),
+        }],
+    });
+    r0.interfaces[0].acl_in = Some("WEB".into());
+    configs
+}
+
+#[test]
+fn construction_panic_is_an_internal_error() {
+    let atoms = VerifierOptions { backend: realconfig::PredKind::Atoms, ..Default::default() };
+    let expect_internal = |result: Result<RealConfig, Error>, ctx: &str| match result {
+        Err(Error::Internal(msg)) => assert!(msg.contains("--backend bdd"), "{ctx}: {msg}"),
+        Err(e) => panic!("{ctx}: expected Error::Internal, got {e:?}"),
+        Ok(_) => panic!("{ctx}: atoms cannot encode a port match"),
+    };
+    expect_internal(
+        RealConfig::with_options(net_with_port_acl(), atoms).map(|(rc, _)| rc),
+        "with_options",
+    );
+
+    // The bottom rung of the restore ladder is the same build.
+    let dir = std::env::temp_dir().join(format!("rc-error-contract-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opened = RealConfig::open_with(&dir, net_with_port_acl(), atoms).map(|(rc, _)| rc);
+    let _ = std::fs::remove_dir_all(&dir);
+    expect_internal(opened, "open_with");
+
+    // The BDD backend encodes the same network.
+    let bdd = VerifierOptions { backend: realconfig::PredKind::Bdd, ..atoms };
+    RealConfig::with_options(net_with_port_acl(), bdd).expect("BDDs encode port matches");
+}
