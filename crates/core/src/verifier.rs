@@ -228,8 +228,8 @@ impl RealConfig {
     /// with `cs` applied. A change that does not apply is
     /// [`Error::Change`] and nothing ran.
     pub fn apply_change(&mut self, cs: &ChangeSet) -> Result<ChangeReport, Error> {
-        let (new_configs, delta) = self.candidate(cs)?;
-        self.apply_delta(new_configs, delta)
+        let delta = self.candidate(cs)?;
+        self.apply_delta(delta)
     }
 
     /// Fold a burst of pending changes ([`ChangeSet::coalesce`]:
@@ -242,7 +242,7 @@ impl RealConfig {
     /// first use only.
     pub fn apply_coalesced(&mut self, burst: &[ChangeSet]) -> Result<ChangeReport, Error> {
         let (folded, cancelled) = ChangeSet::coalesce(burst);
-        let (new_configs, delta) = self.candidate(&folded)?;
+        let delta = self.candidate(&folded)?;
         self.telemetry.counter("coalesce.batches").incr();
         self.telemetry.counter("coalesce.changes").add(burst.len() as u64);
         self.telemetry.histogram("coalesce.batch_size").record(burst.len() as u64);
@@ -257,28 +257,29 @@ impl RealConfig {
                 ..Default::default()
             }
         } else {
-            self.apply_delta(new_configs, delta)?
+            self.apply_delta(delta)?
         };
         report.coalesced_changes = burst.len();
         report.cancelled_ops = cancelled;
         Ok(report)
     }
 
-    /// The current configurations with `cs` applied, and what that
-    /// changes — the candidate of both change front-ends.
-    fn candidate(
-        &mut self,
-        cs: &ChangeSet,
-    ) -> Result<(BTreeMap<String, DeviceConfig>, ConfigDelta), Error> {
+    /// What `cs` changes — the candidate of both change front-ends.
+    /// Every operation edits one existing device, so only those are
+    /// cloned and edited; the ones that end up different are upserts.
+    fn candidate(&mut self, cs: &ChangeSet) -> Result<ConfigDelta, Error> {
         self.ensure_usable()?;
-        let mut new_configs = self.configs.clone();
-        if let Err(e) = cs.apply(&mut new_configs) {
+        let mut edited = BTreeMap::new();
+        for (name, cfg) in cs.ops.iter().filter_map(|op| self.configs.get_key_value(op.device())) {
+            edited.entry(name.clone()).or_insert_with(|| cfg.clone());
+        }
+        if let Err(e) = cs.apply(&mut edited) {
             // Nothing ran: a pure rollback (the cheapest kind).
             self.telemetry.counter("verifier.rollbacks").incr();
             return Err(Error::Change(e));
         }
-        let delta = ConfigDelta::between(&self.configs, &new_configs);
-        Ok((new_configs, delta))
+        edited.retain(|name, cfg| self.configs[name] != *cfg);
+        Ok(ConfigDelta { upserts: edited.into_iter().collect(), removes: vec![] })
     }
 
     /// Entry gate of every apply: a poisoned verifier refuses
@@ -309,39 +310,40 @@ impl RealConfig {
     /// rebuild, which replaces every stage wholesale. What happens next
     /// is [`VerifierOptions::on_failure`].
     ///
-    /// Lowering the *candidate* configurations interns names into the
-    /// shared registry before anything can fail: the registry is
-    /// append-only (existing ids never change meaning), so a failed
-    /// change can at worst leave unused names interned — benign, and
-    /// invisible through every accessor.
+    /// Lowering the changed devices interns names into the shared
+    /// registry before anything can fail: the registry is append-only
+    /// (existing ids never change meaning), so a failed change can at
+    /// worst leave unused names interned — benign, and invisible
+    /// through every accessor.
     pub fn apply_configs(
         &mut self,
         new_configs: BTreeMap<String, DeviceConfig>,
     ) -> Result<ChangeReport, Error> {
         self.ensure_usable()?;
         let delta = ConfigDelta::between(&self.configs, &new_configs);
-        self.apply_delta(new_configs, delta)
+        self.apply_delta(delta)
     }
 
-    /// The transaction behind every front-end: lend the candidate to
-    /// the stages, then commit it or apply the failure policy.
-    fn apply_delta(
-        &mut self,
-        new_configs: BTreeMap<String, DeviceConfig>,
-        delta: ConfigDelta,
-    ) -> Result<ChangeReport, Error> {
+    /// The transaction behind every front-end: run the stages on the
+    /// delta, then commit it or apply the failure policy.
+    fn apply_delta(&mut self, delta: ConfigDelta) -> Result<ChangeReport, Error> {
         // The one piece of stage state a rebuild reads back (through
         // `policy_specs`), and callers may read while poisoned.
         let verdicts = self.stages.checker.verdicts();
-        let err = match contained(|| self.run_stages(&new_configs, &delta)) {
+        let err = match contained(|| self.run_stages(&delta)) {
             Ok(mut report) => {
-                // Commit point, begun by the last two moves of
-                // `run_stages`. The journal record is appended only
-                // after the in-memory commit — a crash between the two
-                // loses at most the change that was never reported as
-                // applied.
-                self.configs = new_configs;
-                self.journal_append(&delta);
+                // Commit point, begun by the last move of `run_stages`:
+                // the changed devices move into the configurations. The
+                // journal record is appended only after the in-memory
+                // commit — a crash between the two loses at most the
+                // change that was never reported as applied.
+                let record = self.journaling().then(|| persist::encode_delta(&delta));
+                delta.apply_to(&mut self.configs);
+                self.journal_append(record);
+                debug_assert!(
+                    self.stages.lowering.agrees_with(&self.configs, &self.registry),
+                    "incremental lowering diverged from a whole-set lower"
+                );
                 report.metrics = self.telemetry.snapshot();
                 return Ok(report);
             }
@@ -354,38 +356,35 @@ impl RealConfig {
         self.telemetry.counter("verifier.poison_events").incr();
         match self.opts.on_failure {
             OnFailure::Poison => Err(err),
-            OnFailure::Rebuild => self.verify_from_scratch(new_configs, &delta, err),
+            OnFailure::Rebuild => self.verify_from_scratch(delta, err),
         }
     }
 
-    /// The transaction body: all three stages over `new_configs`.
-    /// Mutates the stage engines as it goes; once nothing can fail any
-    /// more it commits the facts and warnings it lowered, and
-    /// `apply_delta` commits the configurations they belong to.
-    fn run_stages(
-        &mut self,
-        new_configs: &BTreeMap<String, DeviceConfig>,
-        delta: &ConfigDelta,
-    ) -> Result<ChangeReport, Error> {
+    /// The transaction body: all three stages over the current
+    /// configurations with `delta` applied. Mutates the stage engines
+    /// (the lowering index included) as it goes; once nothing can fail
+    /// any more it commits the facts and warnings, and `apply_delta`
+    /// commits the configurations they belong to.
+    fn run_stages(&mut self, delta: &ConfigDelta) -> Result<ChangeReport, Error> {
         let mut report = ChangeReport::default();
         (report.lines_inserted, report.lines_deleted) = delta.line_counts(&self.configs);
 
-        // Semantic view: fact delta.
-        let lowered = lower(new_configs, &mut self.registry);
-        let new_warnings: BTreeSet<String> =
-            lowered.warnings.iter().map(|w| w.to_string()).collect();
-        report.warnings = new_warnings.difference(&self.stages.warnings).cloned().collect();
-        let facts = fact_delta(&self.stages.facts, &lowered.facts);
-        report.fact_changes = facts.len();
+        // Semantic view: the fact delta of the devices the change
+        // can affect.
+        let s = &mut self.stages;
+        let lowered =
+            s.lowering.relower(&self.configs, &delta.upserts, &delta.removes, &mut self.registry);
+        self.telemetry.histogram("netcfg.relowered_devices").record(lowered.relowered as u64);
+        report.warnings = lowered.warnings_added.clone();
+        report.fact_changes = lowered.facts.len();
 
         // Stage 1: incremental data plane generation.
-        let s = &mut self.stages;
         let t = Instant::now();
-        let stats = s.engine.apply(facts.iter().cloned())?;
+        let stats = s.engine.apply(lowered.facts.iter().cloned())?;
         report.dp_gen = t.elapsed();
         report.dp_records = stats.records;
 
-        let touched = build::sync_structure(&mut s.checker, &facts, &lowered.facts);
+        let touched = build::sync_structure(&mut s.checker, &lowered.facts, s.lowering.nodes());
 
         // Stage 2: incremental model update.
         let t = Instant::now();
@@ -412,8 +411,7 @@ impl RealConfig {
         report.newly_violated = check.newly_violated.iter().map(|p| p.0).collect();
         report.newly_satisfied = check.newly_satisfied.iter().map(|p| p.0).collect();
 
-        self.stages.facts = lowered.facts;
-        self.stages.warnings = new_warnings;
+        s.lowering.commit(lowered);
         Ok(report)
     }
 
@@ -421,18 +419,19 @@ impl RealConfig {
     /// with `first`; verify `new_configs` from scratch instead.
     fn verify_from_scratch(
         &mut self,
-        new_configs: BTreeMap<String, DeviceConfig>,
-        delta: &ConfigDelta,
+        delta: ConfigDelta,
         first: Error,
     ) -> Result<ChangeReport, Error> {
         let mut report = ChangeReport { recovered: true, ..Default::default() };
         (report.lines_inserted, report.lines_deleted) = delta.line_counts(&self.configs);
-        let old_facts = self.stages.facts.clone();
-        let old_warnings = self.stages.warnings.clone();
+        let old_facts = self.facts().clone();
+        let old_warnings = self.warnings().clone();
+        let mut new_configs = self.configs.clone();
+        delta.apply_to(&mut new_configs);
         match contained(|| self.rebuild_from(new_configs)) {
             Ok((full, check)) => {
                 self.telemetry.counter("verifier.recoveries").incr();
-                report.fact_changes = fact_delta(&old_facts, &self.stages.facts).len();
+                report.fact_changes = fact_delta(&old_facts, self.facts()).len();
                 report.dp_gen = full.dp_gen;
                 report.dp_records = full.dp_records;
                 report.model_update = full.model_update;
@@ -441,8 +440,7 @@ impl RealConfig {
                 report.policies_checked = check.policies_checked;
                 report.newly_violated = check.newly_violated.iter().map(|p| p.0).collect();
                 report.newly_satisfied = check.newly_satisfied.iter().map(|p| p.0).collect();
-                report.warnings =
-                    self.stages.warnings.difference(&old_warnings).cloned().collect();
+                report.warnings = self.warnings().difference(&old_warnings).cloned().collect();
                 report.metrics = self.telemetry.snapshot();
                 Ok(report)
             }
@@ -484,8 +482,9 @@ impl RealConfig {
     ) -> Result<(FullReport, rc_policy::CheckReport), Error> {
         let t0 = Instant::now();
         let policies = self.stages.checker.policy_specs();
-        let (stages, mut report, check) =
+        let (mut stages, mut report, check) =
             Stages::build(&configs, &mut self.registry, &self.opts, &self.telemetry, &policies)?;
+        self.stages.lowering.notes().iter().for_each(|w| stages.lowering.note(w.clone()));
 
         let configs_changed = self.configs != configs;
         self.stages = stages;
@@ -590,12 +589,14 @@ impl RealConfig {
 
     /// Current input fact set (for external oracles).
     pub fn facts(&self) -> &BTreeSet<Fact> {
-        &self.stages.facts
+        self.stages.lowering.facts()
     }
 
-    /// Current lowering warnings (formatted, deduplicated).
+    /// Current lowering warnings (formatted, deduplicated), and any
+    /// persistence warning not yet cleared by a successful
+    /// [`RealConfig::save_snapshot`].
     pub fn warnings(&self) -> &BTreeSet<String> {
-        &self.stages.warnings
+        self.stages.lowering.warnings()
     }
 
     /// Interface name for an interned id.

@@ -6,8 +6,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use rc_apkeep::{ApkModel, EcId, RuleUpdate};
-use rc_netcfg::facts::{lower, Fact, Registry};
-use rc_netcfg::types::Port;
+use rc_netcfg::facts::{Fact, Lowering, Registry};
+use rc_netcfg::types::{NodeId, Port};
 use rc_netcfg::DeviceConfig;
 use rc_policy::{CheckReport, Policy, PolicyChecker};
 use rc_routing::engine::RoutingEngine;
@@ -22,8 +22,7 @@ use crate::report::FullReport;
 pub(super) struct DataPlane {
     pub engine: RoutingEngine,
     pub grouper: FibGrouper,
-    pub facts: BTreeSet<Fact>,
-    pub warnings: BTreeSet<String>,
+    pub lowering: Lowering,
     /// Every data plane rule (grouped FIB + filters), as inserts.
     pub rules: Vec<RuleUpdate>,
     pub dp_gen: Duration,
@@ -37,12 +36,12 @@ impl DataPlane {
         opts: &VerifierOptions,
         telemetry: &Telemetry,
     ) -> Result<Self, Error> {
-        let lowered = lower(configs, registry);
+        let lowering = Lowering::new(configs, registry);
         let mut engine = RoutingEngine::new();
         engine.set_telemetry(telemetry.clone());
         engine.set_threads(opts.threads);
         let t = Instant::now();
-        let stats = engine.apply(lowered.facts.iter().map(|f| (f.clone(), 1)))?;
+        let stats = engine.apply(lowering.facts().iter().map(|f| (f.clone(), 1)))?;
         let dp_gen = t.elapsed();
 
         let mut grouper = FibGrouper::default();
@@ -52,8 +51,7 @@ impl DataPlane {
         Ok(DataPlane {
             engine,
             grouper,
-            warnings: lowered.warnings.iter().map(|w| w.to_string()).collect(),
-            facts: lowered.facts,
+            lowering,
             rules,
             dp_gen,
             dp_records: stats.records,
@@ -61,15 +59,14 @@ impl DataPlane {
     }
 }
 
-/// The incremental pipeline's state: the three stage engines plus the
-/// inputs they were last fed. Replaced wholesale by a rebuild.
+/// The incremental pipeline's state: the lowering index and the three
+/// stage engines it feeds. Replaced wholesale by a rebuild.
 pub(super) struct Stages {
+    pub lowering: Lowering,
     pub engine: RoutingEngine,
     pub grouper: FibGrouper,
     pub model: ApkModel,
     pub checker: PolicyChecker,
-    pub facts: BTreeSet<Fact>,
-    pub warnings: BTreeSet<String>,
 }
 
 impl Stages {
@@ -86,14 +83,7 @@ impl Stages {
         model.set_telemetry(telemetry);
         checker.set_telemetry(telemetry);
         checker.set_threads(opts.threads);
-        Stages {
-            engine: dp.engine,
-            grouper: dp.grouper,
-            model,
-            checker,
-            facts: dp.facts,
-            warnings: dp.warnings,
-        }
+        Stages { lowering: dp.lowering, engine: dp.engine, grouper: dp.grouper, model, checker }
     }
 
     /// Build all three stages over `configs` and run the full
@@ -113,13 +103,14 @@ impl Stages {
         let mut report = FullReport {
             dp_gen: dp.dp_gen,
             dp_records: dp.dp_records,
-            warnings: dp.warnings.iter().cloned().collect(),
+            warnings: dp.lowering.warnings().iter().cloned().collect(),
             ..Default::default()
         };
         let model = ApkModel::with_backend(opts.backend);
         let mut s = Stages::assemble(dp, model, PolicyChecker::new(), opts, telemetry);
-        let all_facts: Vec<(Fact, isize)> = s.facts.iter().map(|f| (f.clone(), 1)).collect();
-        sync_structure(&mut s.checker, &all_facts, &s.facts);
+        let all_facts: Vec<(Fact, isize)> =
+            s.lowering.facts().iter().map(|f| (f.clone(), 1)).collect();
+        sync_structure(&mut s.checker, &all_facts, s.lowering.nodes());
 
         let t = Instant::now();
         s.model.apply_batch(rules, opts.order);
@@ -143,12 +134,12 @@ impl Stages {
 }
 
 /// Update the checker's device set and link map from a fact delta that
-/// leads to `facts`; returns the ECs invalidated by device and link
-/// changes.
+/// leads to the device set `nodes`; returns the ECs invalidated by
+/// device and link changes.
 pub(super) fn sync_structure(
     checker: &mut PolicyChecker,
     delta: &[(Fact, isize)],
-    facts: &BTreeSet<Fact>,
+    nodes: impl Iterator<Item = NodeId>,
 ) -> BTreeSet<EcId> {
     let mut link_delta: Vec<(Port, Port, isize)> = Vec::new();
     let mut devices_changed = false;
@@ -161,9 +152,7 @@ pub(super) fn sync_structure(
     }
     let mut touched = BTreeSet::new();
     if devices_changed {
-        touched = checker.set_nodes(
-            facts.iter().filter_map(|f| if let Fact::Device(n) = f { Some(*n) } else { None }),
-        );
+        touched = checker.set_nodes(nodes);
     }
     touched.extend(checker.apply_link_delta(&link_delta));
     touched

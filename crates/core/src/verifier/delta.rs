@@ -42,11 +42,10 @@ impl ConfigDelta {
         self.upserts.is_empty() && self.removes.is_empty()
     }
 
-    /// Apply the delta to a configuration set in place.
-    pub fn apply_to(&self, configs: &mut BTreeMap<String, DeviceConfig>) {
-        for (name, cfg) in &self.upserts {
-            configs.insert(name.clone(), cfg.clone());
-        }
+    /// Apply the delta to a configuration set in place, moving the
+    /// upserted devices into it.
+    pub fn apply_to(self, configs: &mut BTreeMap<String, DeviceConfig>) {
+        configs.extend(self.upserts);
         for name in &self.removes {
             configs.remove(name);
         }
@@ -94,9 +93,6 @@ mod tests {
         assert_eq!(upserted, ["r001", "r900"]);
         assert_eq!(delta.removes, ["r003"]);
 
-        let mut applied = old.clone();
-        delta.apply_to(&mut applied);
-        assert_eq!(applied, new);
         assert!(!delta.is_empty());
         assert!(ConfigDelta::between(&new, &new).is_empty());
 
@@ -105,5 +101,9 @@ mod tests {
         let (inserted, deleted) = delta.line_counts(&old);
         assert_eq!(inserted, 1 + lines("r004"));
         assert_eq!(deleted, 1 + lines("r003"));
+
+        let mut applied = old.clone();
+        delta.apply_to(&mut applied);
+        assert_eq!(applied, new);
     }
 }

@@ -186,7 +186,7 @@ fn read_configs(r: &mut Reader<'_>) -> Result<Vec<(String, DeviceConfig)>, WireE
 }
 
 /// One journal record: upserted devices, then removed device names.
-fn encode_delta(delta: &ConfigDelta) -> Vec<u8> {
+pub(super) fn encode_delta(delta: &ConfigDelta) -> Vec<u8> {
     let mut w = Writer::new();
     write_configs(&mut w, delta.upserts.iter().map(|(name, cfg)| (name, cfg)));
     write_names(&mut w, &delta.removes);
@@ -296,10 +296,15 @@ impl RealConfig {
         // journal fails, restore finds `seq` intact (an old journal
         // naming an older seq is rejected by the seq cross-check).
         let journal = match Journal::create(&journal_path(&dir), seq) {
-            Ok(j) => Some(j),
+            Ok(j) => {
+                // Journaling is back on: earlier persistence warnings
+                // no longer hold.
+                self.stages.lowering.clear_notes();
+                Some(j)
+            }
             Err(e) => {
                 self.telemetry.counter("store.journal_open_failures").incr();
-                self.stages.warnings.insert(format!(
+                self.stages.lowering.note(format!(
                     "persistence: journal create failed after snapshot {seq}: {e} \
                      (journaling disabled until next snapshot)"
                 ));
@@ -321,15 +326,16 @@ impl RealConfig {
         Ok(seq)
     }
 
-    /// Append a committed change's record to the journal (a no-op
-    /// unless journaling is on — the no-persistence case pays one
-    /// `Option` check and nothing else). On failure, journaling is
-    /// disabled until the next snapshot — the journal on disk stays a
-    /// checksummed exact prefix of the committed changes, with no gaps.
-    pub(super) fn journal_append(&mut self, delta: &ConfigDelta) {
+    /// Append a committed change's record ([`encode_delta`], made
+    /// only while journaling is on) to the journal. On failure,
+    /// journaling is disabled until the next snapshot — the journal on
+    /// disk stays a checksummed exact prefix of the committed changes,
+    /// with no gaps.
+    pub(super) fn journal_append(&mut self, record: Option<Vec<u8>>) {
+        let Some(record) = record else { return };
         let Some(store) = self.store.as_mut() else { return };
         let Some(journal) = store.journal.as_mut() else { return };
-        match journal.append(&encode_delta(delta)) {
+        match journal.append(&record) {
             Ok(()) => {
                 store.appended += 1;
                 self.telemetry.counter("store.journal_appends").incr();
@@ -337,7 +343,7 @@ impl RealConfig {
             Err(e) => {
                 store.journal = None;
                 self.telemetry.counter("store.journal_append_failures").incr();
-                self.stages.warnings.insert(format!(
+                self.stages.lowering.note(format!(
                     "persistence: journal append failed: {e} \
                      (journaling disabled until next snapshot)"
                 ));
@@ -357,7 +363,7 @@ impl RealConfig {
         store.journal = None;
         if let Err(e) = self.save_snapshot() {
             self.telemetry.counter("store.snapshot_failures").incr();
-            self.stages.warnings.insert(format!(
+            self.stages.lowering.note(format!(
                 "persistence: snapshot after rebuild failed: {e} \
                  (journaling disabled until next snapshot)"
             ));

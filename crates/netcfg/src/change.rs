@@ -81,6 +81,28 @@ pub struct ChangeError {
     pub msg: String,
 }
 
+impl ChangeOp {
+    /// The one device this operation edits.
+    pub fn device(&self) -> &str {
+        match self {
+            ChangeOp::DisableInterface { device, .. }
+            | ChangeOp::EnableInterface { device, .. }
+            | ChangeOp::SetOspfCost { device, .. }
+            | ChangeOp::SetLocalPref { device, .. }
+            | ChangeOp::SetMed { device, .. }
+            | ChangeOp::AddStaticRoute { device, .. }
+            | ChangeOp::RemoveStaticRoute { device, .. }
+            | ChangeOp::AddAclEntry { device, .. }
+            | ChangeOp::RemoveAclEntry { device, .. }
+            | ChangeOp::BindAcl { device, .. }
+            | ChangeOp::UnbindAcl { device, .. }
+            | ChangeOp::AddBgpNetwork { device, .. }
+            | ChangeOp::RemoveBgpNetwork { device, .. }
+            | ChangeOp::AddRedistribution { device, .. } => device,
+        }
+    }
+}
+
 impl std::fmt::Display for ChangeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "cannot apply {:?}: {}", self.op, self.msg)

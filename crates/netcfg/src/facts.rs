@@ -4,9 +4,11 @@
 //! changes as *relation deltas*. This module defines those relations
 //! ([`Fact`]) and the lowering pass that derives them from a set of
 //! parsed device configurations. Incremental verification then reduces
-//! to: lower old and new configurations, diff the fact sets
-//! ([`fact_delta`]), and feed the delta to the dataflow — the engine
-//! works out everything downstream, whatever kind of change it was.
+//! to: re-lower the devices a change can affect ([`Lowering::relower`]),
+//! take the difference of their old and new facts, and feed that delta
+//! to the dataflow — the engine works out everything downstream,
+//! whatever kind of change it was. [`lower`] and [`fact_delta`] are the
+//! same computation over whole sets.
 //!
 //! Identifiers are interned in an append-only [`Registry`] owned by the
 //! caller, so facts from successive configuration versions share an id
@@ -246,55 +248,268 @@ fn redist_proto(s: RedistSource) -> Proto {
     }
 }
 
-/// Lower a full configuration set to input facts.
+/// Lower a full configuration set to input facts: every device through
+/// [`Lowering`]'s per-device pass, warnings in hostname order.
 pub fn lower(configs: &BTreeMap<String, DeviceConfig>, reg: &mut Registry) -> Lowered {
-    let mut out = Lowered::default();
+    let index = Lowering::new(configs, reg);
+    let warnings = index.devices.values().flat_map(|d| d.warnings.iter().cloned()).collect();
+    Lowered { facts: index.facts, warnings }
+}
 
-    // Intern every name upfront (shutdown interfaces included) so that
-    // identifier assignment is a deterministic function of the
-    // configuration set — two registries fed the same configurations
-    // agree, whatever state the interfaces are in.
-    for (name, cfg) in configs {
-        reg.node_id(name);
-        for iface in &cfg.interfaces {
-            reg.iface_id(&iface.name);
-        }
+/// One device's share of a lowering.
+#[derive(Debug)]
+struct DeviceLowering {
+    node: NodeId,
+    /// The facts this device owns.
+    facts: BTreeSet<Fact>,
+    /// Its warnings, in lowering order.
+    warnings: Vec<Warning>,
+}
+
+/// What one [`Lowering::relower`] changes.
+#[derive(Debug, Default)]
+pub struct LowerDelta {
+    /// Signed fact changes: removals, then additions, each in fact
+    /// order — [`fact_delta`]'s order.
+    pub facts: Vec<(Fact, isize)>,
+    /// Formatted warnings that appear, sorted.
+    pub warnings_added: Vec<String>,
+    /// Formatted warnings that disappear, sorted.
+    pub warnings_removed: Vec<String>,
+    /// Devices lowered again (removed devices are not counted).
+    pub relowered: usize,
+}
+
+/// The lowering of a configuration set, kept per device so that a
+/// change re-lowers only the devices it can affect.
+///
+/// Every [`Fact`] names its owning device first (a `Link` belongs to
+/// `src.node`), so the per-device fact sets partition the whole set,
+/// and every warning names its device. A device's facts read, besides
+/// its own configuration, only two things about other devices: the
+/// ports on its connected subnets (its `Link`s) and, for each BGP
+/// neighbor statement, the device owning the neighbor address and the
+/// owner of its own address (session resolution, reciprocity, AS
+/// checks). The index keeps those relations, so when some devices
+/// change, the dirty set is: those devices; every device with a port
+/// on a subnet of their old or new up interfaces; and every device
+/// that owns, or names as a BGP neighbor, one of their old or new
+/// addresses.
+#[derive(Debug, Default)]
+pub struct Lowering {
+    devices: BTreeMap<String, DeviceLowering>,
+    /// Up interface address → its owners, `(device, interface index)`.
+    /// The greatest owns it — what a pass in hostname and interface
+    /// order that overwrites would leave.
+    addr_owner: BTreeMap<Ip, BTreeSet<(String, usize)>>,
+    /// Connected subnet → the up ports on it.
+    subnet_ports: BTreeMap<Prefix, BTreeSet<Port>>,
+    /// BGP neighbor address → the devices naming it.
+    neighbor_of: BTreeMap<Ip, BTreeSet<String>>,
+    /// The union of every device's facts.
+    facts: BTreeSet<Fact>,
+    /// Every device's warnings, formatted, plus the notes.
+    warnings: BTreeSet<String>,
+    /// Warnings no device owns (see [`Lowering::note`]).
+    notes: BTreeSet<String>,
+}
+
+impl Lowering {
+    /// Lower every device of `configs`.
+    pub fn new(configs: &BTreeMap<String, DeviceConfig>, reg: &mut Registry) -> Self {
+        let mut index = Lowering::default();
+        let names: Vec<&str> = configs.keys().map(String::as_str).collect();
+        let delta = index.update(&names, |_| None, |name| configs.get(name), reg);
+        index.commit(delta);
+        index
     }
 
-    // Pass 1: devices, up interfaces, connected subnets, address owners.
-    // `addr_owner` maps every assigned interface address to its port.
-    let mut addr_owner: BTreeMap<Ip, (NodeId, IfaceId, &DeviceConfig, &InterfaceConfig)> =
-        BTreeMap::new();
-    let mut subnet_ports: BTreeMap<Prefix, Vec<Port>> = BTreeMap::new();
-    for (name, cfg) in configs {
-        let node = reg.node_id(name);
-        out.facts.insert(Fact::Device(node));
-        for iface in &cfg.interfaces {
-            if iface.shutdown {
-                continue;
+    /// Re-lower the devices a change can affect. The index must hold
+    /// the lowering of `configs`; the new set is `configs` with
+    /// `upserts` added or replaced and `removes` taken out. Names are
+    /// interned in hostname order, device then interfaces, as a
+    /// whole-set [`lower`] of the new set would intern them.
+    ///
+    /// The per-device state moves to the new set at once; the whole-set
+    /// views ([`Lowering::facts`], [`Lowering::warnings`]) only at
+    /// [`Lowering::commit`].
+    pub fn relower(
+        &mut self,
+        configs: &BTreeMap<String, DeviceConfig>,
+        upserts: &[(String, DeviceConfig)],
+        removes: &[String],
+        reg: &mut Registry,
+    ) -> LowerDelta {
+        let mut next: BTreeMap<&str, Option<&DeviceConfig>> =
+            upserts.iter().map(|(name, cfg)| (name.as_str(), Some(cfg))).collect();
+        next.extend(removes.iter().map(|name| (name.as_str(), None)));
+        let changed: Vec<&str> = next.keys().copied().collect();
+        let new = |name: &str| next.get(name).copied().unwrap_or_else(|| configs.get(name));
+        let mut delta = self.update(&changed, |name| configs.get(name), new, reg);
+        delta.facts.sort_by(|(a, ra), (b, rb)| ra.cmp(rb).then_with(|| a.cmp(b)));
+        delta.warnings_added.sort();
+        delta.warnings_removed.sort();
+        delta
+    }
+
+    /// Fold a [`Lowering::relower`] delta into the whole-set views.
+    pub fn commit(&mut self, delta: LowerDelta) {
+        for (fact, diff) in delta.facts {
+            if diff > 0 {
+                self.facts.insert(fact);
+            } else {
+                self.facts.remove(&fact);
             }
-            let Some(prefix) = iface.prefix() else { continue };
-            let ifid = reg.iface_id(&iface.name);
-            out.facts.insert(Fact::IfacePrefix { node, iface: ifid, prefix });
-            addr_owner.insert(iface.ip().expect("addressed"), (node, ifid, cfg, iface));
-            subnet_ports.entry(prefix).or_default().push(Port { node, iface: ifid });
+        }
+        for w in &delta.warnings_removed {
+            self.warnings.remove(w);
+        }
+        self.warnings.extend(delta.warnings_added);
+    }
+
+    /// The whole fact set.
+    pub fn facts(&self) -> &BTreeSet<Fact> {
+        &self.facts
+    }
+
+    /// Every device's warnings, formatted, and the notes.
+    pub fn warnings(&self) -> &BTreeSet<String> {
+        &self.warnings
+    }
+
+    /// Whether the index equals a whole-set [`lower`] of `configs` —
+    /// facts, warnings (notes aside) and interned names alike: the
+    /// oracle for a caller that keeps the index up to date with
+    /// [`Lowering::relower`].
+    pub fn agrees_with(&self, configs: &BTreeMap<String, DeviceConfig>, reg: &Registry) -> bool {
+        let mut whole_reg = reg.clone();
+        let whole = lower(configs, &mut whole_reg);
+        let mut warnings = self.notes.clone();
+        warnings.extend(whole.warnings.iter().map(ToString::to_string));
+        let names = whole_reg.export_names() == reg.export_names();
+        whole.facts == self.facts && warnings == self.warnings && names
+    }
+
+    /// The lowered devices.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.devices.values().map(|d| d.node)
+    }
+
+    /// Add a warning no device owns (a caller's own diagnostic). It
+    /// stays in [`Lowering::warnings`] across re-lowerings until
+    /// [`Lowering::clear_notes`].
+    pub fn note(&mut self, warning: String) {
+        self.warnings.insert(warning.clone());
+        self.notes.insert(warning);
+    }
+
+    /// The warnings added by [`Lowering::note`].
+    pub fn notes(&self) -> &BTreeSet<String> {
+        &self.notes
+    }
+
+    /// Drop every note.
+    pub fn clear_notes(&mut self) {
+        for w in std::mem::take(&mut self.notes) {
+            self.warnings.remove(&w);
         }
     }
 
-    // Pass 2: links — all port pairs sharing a subnet, both directions.
-    for ports in subnet_ports.values() {
-        for a in ports {
-            for b in ports {
-                if a.node != b.node {
-                    out.facts.insert(Fact::Link { src: *a, dst: *b });
+    /// Move the devices in `changed` (hostname order) from their `old`
+    /// to their `new` configuration, and re-lower the dirty set against
+    /// `new`. The delta comes back unsorted.
+    fn update<'c>(
+        &mut self,
+        changed: &[&str],
+        old: impl Fn(&str) -> Option<&'c DeviceConfig>,
+        new: impl Fn(&str) -> Option<&'c DeviceConfig>,
+        reg: &mut Registry,
+    ) -> LowerDelta {
+        // Shut interfaces included, so that ids are a function of the
+        // configuration history, whatever state the interfaces are in.
+        for &name in changed {
+            let Some(cfg) = new(name) else { continue };
+            reg.node_id(name);
+            for iface in &cfg.interfaces {
+                reg.iface_id(&iface.name);
+            }
+        }
+
+        let (mut addrs, mut subnets) = (BTreeSet::new(), BTreeSet::new());
+        for &name in changed {
+            for (cfg, add) in [(old(name), false), (new(name), true)] {
+                let Some(cfg) = cfg else { continue };
+                let node = reg.node_id(name);
+                for (idx, ip, prefix) in up_addresses(cfg) {
+                    let port = Port { node, iface: reg.iface_id(&cfg.interfaces[idx].name) };
+                    toggle(&mut self.addr_owner, ip, (name.to_string(), idx), add);
+                    toggle(&mut self.subnet_ports, prefix, port, add);
+                    addrs.insert(ip);
+                    subnets.insert(prefix);
+                }
+                for nb in cfg.bgp.iter().flat_map(|b| &b.neighbors) {
+                    toggle(&mut self.neighbor_of, nb.addr, name.to_string(), add);
                 }
             }
         }
+
+        let mut dirty: BTreeSet<String> = changed.iter().map(|name| name.to_string()).collect();
+        for prefix in &subnets {
+            let ports = self.subnet_ports.get(prefix).into_iter().flatten();
+            dirty.extend(ports.map(|port| reg.node_name(port.node).to_string()));
+        }
+        for ip in &addrs {
+            dirty.extend(self.addr_owner.get(ip).into_iter().flatten().map(|(d, _)| d.clone()));
+            dirty.extend(self.neighbor_of.get(ip).into_iter().flatten().cloned());
+        }
+
+        let mut delta = LowerDelta::default();
+        let empty = DeviceLowering { node: NodeId(0), facts: BTreeSet::new(), warnings: vec![] };
+        for name in dirty {
+            let fresh = new(&name).map(|cfg| self.lower_device(&name, cfg, &new, reg));
+            delta.relowered += usize::from(fresh.is_some());
+            let stale = match fresh {
+                Some(d) => self.devices.insert(name.clone(), d),
+                None => self.devices.remove(&name),
+            };
+            let (was, now) = (stale.as_ref().unwrap_or(&empty), self.devices.get(&name));
+            let now = now.unwrap_or(&empty);
+            delta.facts.extend(was.facts.difference(&now.facts).map(|f| (f.clone(), -1)));
+            delta.facts.extend(now.facts.difference(&was.facts).map(|f| (f.clone(), 1)));
+            let text = |d: &DeviceLowering| -> BTreeSet<String> {
+                d.warnings.iter().map(ToString::to_string).collect()
+            };
+            let (was, now) = (text(was), text(now));
+            delta.warnings_removed.extend(was.difference(&now).cloned());
+            delta.warnings_added.extend(now.difference(&was).cloned());
+        }
+        delta
     }
 
-    // Pass 3: per-device protocol facts.
-    for (name, cfg) in configs {
+    /// Lower one device of the configuration set `new` against the
+    /// index's (already updated) subnet and address maps.
+    fn lower_device<'c>(
+        &self,
+        name: &str,
+        cfg: &DeviceConfig,
+        new: &impl Fn(&str) -> Option<&'c DeviceConfig>,
+        reg: &mut Registry,
+    ) -> DeviceLowering {
         let node = reg.node_id(name);
+        let mut out = DeviceLowering { node, facts: BTreeSet::new(), warnings: Vec::new() };
+        out.facts.insert(Fact::Device(node));
+
+        // Up interfaces and their connected subnets, and a link from
+        // each to every other device's port on the same subnet.
+        for (idx, _, prefix) in up_addresses(cfg) {
+            let src = Port { node, iface: reg.iface_id(&cfg.interfaces[idx].name) };
+            out.facts.insert(Fact::IfacePrefix { node, iface: src.iface, prefix });
+            for &dst in self.subnet_ports.get(&prefix).into_iter().flatten() {
+                if dst.node != node {
+                    out.facts.insert(Fact::Link { src, dst });
+                }
+            }
+        }
 
         if let Some(ospf) = &cfg.ospf {
             for iface in &cfg.interfaces {
@@ -355,8 +570,13 @@ pub fn lower(configs: &BTreeMap<String, DeviceConfig>, reg: &mut Registry) -> Lo
                     metric: r.metric,
                 });
             }
+            let owner = |ip: Ip| {
+                let (device, idx) = self.addr_owner.get(&ip)?.last()?;
+                let owner_cfg = new(device)?;
+                Some((device.as_str(), owner_cfg, &owner_cfg.interfaces[*idx]))
+            };
             for nb in &bgp.neighbors {
-                match resolve_session(name, cfg, nb, &addr_owner, configs) {
+                match resolve_session(name, cfg, nb, owner) {
                     Ok((local_iface, peer_name, peer_iface)) => {
                         let iface = reg.iface_id(local_iface);
                         let peer = reg.node_id(peer_name);
@@ -367,8 +587,8 @@ pub fn lower(configs: &BTreeMap<String, DeviceConfig>, reg: &mut Registry) -> Lo
                             peer,
                             peer_iface: peer_if,
                         });
-                        lower_import_policy(&mut out, cfg, name, nb, node, iface, reg);
-                        lower_export_policy(&mut out, cfg, name, nb, node, iface, reg);
+                        lower_import_policy(&mut out, cfg, name, nb, node, iface);
+                        lower_export_policy(&mut out, cfg, name, nb, node, iface);
                     }
                     Err(w) => out.warnings.push(w),
                 }
@@ -396,7 +616,7 @@ pub fn lower(configs: &BTreeMap<String, DeviceConfig>, reg: &mut Registry) -> Lo
                     out.facts.insert(Fact::StaticRoute { node, prefix: sr.prefix, out: out_iface });
                 }
                 None => out.warnings.push(Warning::UnresolvedNextHop {
-                    device: name.clone(),
+                    device: name.to_string(),
                     prefix: sr.prefix,
                 }),
             }
@@ -412,7 +632,7 @@ pub fn lower(configs: &BTreeMap<String, DeviceConfig>, reg: &mut Registry) -> Lo
                 let Some(aclname) = aclname else { continue };
                 let Some(acl) = cfg.acl(aclname) else {
                     out.warnings.push(Warning::UnknownAcl {
-                        device: name.clone(),
+                        device: name.to_string(),
                         acl: aclname.clone(),
                     });
                     continue;
@@ -448,22 +668,40 @@ pub fn lower(configs: &BTreeMap<String, DeviceConfig>, reg: &mut Registry) -> Lo
                 });
             }
         }
-    }
 
-    out
+        out
+    }
 }
 
-/// Resolve a neighbor statement to an established session:
-/// returns (local interface, peer device, peer interface).
+/// The up, addressed interfaces of `cfg`: (index, address, connected
+/// subnet).
+fn up_addresses(cfg: &DeviceConfig) -> impl Iterator<Item = (usize, Ip, Prefix)> + '_ {
+    let up = cfg.interfaces.iter().enumerate().filter(|(_, i)| !i.shutdown);
+    up.filter_map(|(idx, i)| Some((idx, i.ip()?, i.prefix()?)))
+}
+
+/// Add `v` to the set under `k`, or take it out (dropping the set once
+/// empty).
+fn toggle<K: Ord, V: Ord>(map: &mut BTreeMap<K, BTreeSet<V>>, k: K, v: V, add: bool) {
+    if add {
+        map.entry(k).or_default().insert(v);
+    } else if let Some(set) = map.get_mut(&k) {
+        set.remove(&v);
+        if set.is_empty() {
+            map.remove(&k);
+        }
+    }
+}
+
+/// Resolve a neighbor statement to an established session: returns
+/// (local interface, peer device, peer interface). `owner` maps an
+/// address to the device, configuration and interface owning it.
 fn resolve_session<'a>(
     device: &str,
     cfg: &DeviceConfig,
     nb: &BgpNeighbor,
-    addr_owner: &'a BTreeMap<Ip, (NodeId, IfaceId, &'a DeviceConfig, &'a InterfaceConfig)>,
-    _configs: &BTreeMap<String, DeviceConfig>,
-) -> Result<(&'a str, &'a str, &'a str), Warning>
-where
-{
+    owner: impl Fn(Ip) -> Option<(&'a str, &'a DeviceConfig, &'a InterfaceConfig)>,
+) -> Result<(&'a str, &'a str, &'a str), Warning> {
     let dead = |reason: &str| Warning::DeadBgpNeighbor {
         device: device.to_string(),
         addr: nb.addr,
@@ -479,8 +717,8 @@ where
         .ok_or_else(|| dead("peer address not on a connected subnet"))?;
     let local_ip = local.ip().expect("addressed");
     // The peer device actually owning that address.
-    let (_pn, _pi, peer_cfg, peer_iface) =
-        addr_owner.get(&nb.addr).ok_or_else(|| dead("no device owns the peer address"))?;
+    let (peer, peer_cfg, peer_iface) =
+        owner(nb.addr).ok_or_else(|| dead("no device owns the peer address"))?;
     let peer_bgp = peer_cfg.bgp.as_ref().ok_or_else(|| dead("peer does not run BGP"))?;
     if peer_bgp.asn != nb.remote_as {
         return Err(dead(&format!(
@@ -500,21 +738,18 @@ where
     if !reciprocal {
         return Err(dead("peer has no matching reciprocal neighbor statement"));
     }
-    // Resolve local iface name from the owner map of our own address
-    // (gives us 'a-lifetime strings, avoiding clones).
-    let (_, _, _, own_iface) =
-        addr_owner.get(&local_ip).ok_or_else(|| dead("local address not registered"))?;
-    Ok((&own_iface.name, &peer_cfg.hostname, &peer_iface.name))
+    // The local interface name, from the owner of our own address.
+    let (_, _, own_iface) = owner(local_ip).ok_or_else(|| dead("local address not registered"))?;
+    Ok((&own_iface.name, peer, &peer_iface.name))
 }
 
 fn lower_import_policy(
-    out: &mut Lowered,
+    out: &mut DeviceLowering,
     cfg: &DeviceConfig,
     device: &str,
     nb: &BgpNeighbor,
     node: NodeId,
     iface: IfaceId,
-    _reg: &mut Registry,
 ) {
     match &nb.route_map_in {
         None => {
@@ -574,13 +809,12 @@ fn lower_import_policy(
 }
 
 fn lower_export_policy(
-    out: &mut Lowered,
+    out: &mut DeviceLowering,
     cfg: &DeviceConfig,
     device: &str,
     nb: &BgpNeighbor,
     node: NodeId,
     iface: IfaceId,
-    _reg: &mut Registry,
 ) {
     match &nb.route_map_out {
         None => {

@@ -41,5 +41,5 @@ pub mod types;
 
 pub use ast::DeviceConfig;
 pub use change::{ChangeOp, ChangeSet};
-pub use facts::{fact_delta, lower, Fact, Lowered, Registry, Warning};
+pub use facts::{fact_delta, lower, Fact, LowerDelta, Lowered, Lowering, Registry, Warning};
 pub use types::{IfaceId, Ip, NodeId, Port, Prefix, Proto};

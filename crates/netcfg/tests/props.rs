@@ -1,15 +1,17 @@
 //! Property tests for the configuration substrate: parser/printer
-//! round trips on arbitrary configurations, line-diff laws, and
-//! lowering determinism.
+//! round trips on arbitrary configurations, line-diff laws, lowering
+//! determinism, and incremental re-lowering against whole lowering.
 
 use proptest::prelude::*;
 use rc_netcfg::ast::*;
-use rc_netcfg::facts::{fact_delta, lower, Registry};
+use rc_netcfg::facts::{fact_delta, lower, Lowering, Registry};
+use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::linediff::diff_lines;
 use rc_netcfg::parser::parse_config;
 use rc_netcfg::printer::print_config;
+use rc_netcfg::topology::{grid, ring};
 use rc_netcfg::types::{Ip, Prefix};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Prefix::new(Ip(a), l))
@@ -226,5 +228,167 @@ proptest! {
                 .unwrap_or_else(|e| panic!("canonical text must reparse: {e}\n{printed}"));
             prop_assert_eq!(reparsed, cfg);
         }
+    }
+}
+
+/// One per-device edit for the incremental-lowering property. Indices
+/// are taken modulo what exists.
+#[derive(Clone, Debug)]
+enum Edit {
+    /// Flip an interface's shutdown flag.
+    Shutdown { dev: usize, iface: usize },
+    /// Move an interface into link subnet `subnet`, as host `host`,
+    /// with prefix length `len` (29 or 30: may mismatch its peer's).
+    Readdress { dev: usize, iface: usize, subnet: u32, host: u32, len: u8 },
+    /// Give an interface another device's interface address, with a
+    /// prefix length one shorter when `widen`.
+    CopyAddress { from: usize, from_iface: usize, dev: usize, iface: usize, widen: bool },
+    /// Set a neighbor's `remote-as` to the AS of device `asn_of` (wrong,
+    /// right, or the local AS).
+    RemoteAs { dev: usize, nb: usize, asn_of: u32 },
+    /// Delete a neighbor statement on one side.
+    RemoveNeighbor { dev: usize, nb: usize },
+    /// Remove a device, or put its original configuration back.
+    ToggleDevice { dev: usize },
+    /// Add a copy of a device under a new name (its addresses become
+    /// duplicates).
+    AddCopy { dev: usize, tag: u8 },
+}
+
+fn arb_edit() -> impl Strategy<Value = Edit> {
+    let ix = || 0usize..16;
+    prop_oneof![
+        (ix(), ix()).prop_map(|(dev, iface)| Edit::Shutdown { dev, iface }),
+        (ix(), ix(), 0u32..8, 1u32..4, prop_oneof![Just(29u8), Just(30)]).prop_map(
+            |(dev, iface, subnet, host, len)| Edit::Readdress { dev, iface, subnet, host, len }
+        ),
+        (ix(), ix(), ix(), ix(), any::<bool>()).prop_map(|(from, from_iface, dev, iface, widen)| {
+            Edit::CopyAddress { from, from_iface, dev, iface, widen }
+        }),
+        (ix(), ix(), 0u32..6).prop_map(|(dev, nb, asn_of)| Edit::RemoteAs { dev, nb, asn_of }),
+        (ix(), ix()).prop_map(|(dev, nb)| Edit::RemoveNeighbor { dev, nb }),
+        ix().prop_map(|dev| Edit::ToggleDevice { dev }),
+        (ix(), 0u8..3).prop_map(|(dev, tag)| Edit::AddCopy { dev, tag }),
+    ]
+}
+
+/// The edit as a device-granularity delta against `configs`: upserted
+/// devices and removed names. `base` holds the original devices.
+fn edit_delta(
+    edit: &Edit,
+    configs: &BTreeMap<String, DeviceConfig>,
+    base: &BTreeMap<String, DeviceConfig>,
+) -> (Vec<(String, DeviceConfig)>, Vec<String>) {
+    let names: Vec<&String> = configs.keys().collect();
+    if names.is_empty() {
+        return (base.clone().into_iter().collect(), vec![]);
+    }
+    let pick = |i: usize| names[i % names.len()].clone();
+    let edited = |i: usize, f: &dyn Fn(&mut DeviceConfig)| {
+        let name = pick(i);
+        let mut cfg = configs[&name].clone();
+        f(&mut cfg);
+        (vec![(name, cfg)], vec![])
+    };
+    let iface = |cfg: &mut DeviceConfig, i: usize| -> Option<usize> {
+        (!cfg.interfaces.is_empty()).then(|| i % cfg.interfaces.len())
+    };
+    match edit.clone() {
+        Edit::Shutdown { dev, iface: i } => edited(dev, &|c| {
+            if let Some(i) = iface(c, i) {
+                c.interfaces[i].shutdown = !c.interfaces[i].shutdown;
+            }
+        }),
+        Edit::Readdress { dev, iface: i, subnet, host, len } => edited(dev, &|c| {
+            if let Some(i) = iface(c, i) {
+                let ip = rc_netcfg::gen::link_subnet(subnet).host(host);
+                c.interfaces[i].address = Some((ip, len));
+            }
+        }),
+        Edit::CopyAddress { from, from_iface, dev, iface: i, widen } => {
+            let src = &configs[&pick(from)];
+            let addr = (!src.interfaces.is_empty())
+                .then(|| src.interfaces[from_iface % src.interfaces.len()].address)
+                .flatten()
+                .map(|(ip, len)| (ip, len - u8::from(widen && len > 0)));
+            edited(dev, &|c| {
+                if let Some(i) = iface(c, i) {
+                    c.interfaces[i].address = addr;
+                }
+            })
+        }
+        Edit::RemoteAs { dev, nb, asn_of } => edited(dev, &|c| {
+            if let Some(bgp) = c.bgp.as_mut().filter(|b| !b.neighbors.is_empty()) {
+                let n = nb % bgp.neighbors.len();
+                bgp.neighbors[n].remote_as = rc_netcfg::gen::device_asn(asn_of);
+            }
+        }),
+        Edit::RemoveNeighbor { dev, nb } => edited(dev, &|c| {
+            if let Some(bgp) = c.bgp.as_mut().filter(|b| !b.neighbors.is_empty()) {
+                let n = nb % bgp.neighbors.len();
+                bgp.neighbors.remove(n);
+            }
+        }),
+        Edit::ToggleDevice { dev } => {
+            let (name, cfg) = base.iter().nth(dev % base.len()).expect("non-empty");
+            if configs.contains_key(name) {
+                (vec![], vec![name.clone()])
+            } else {
+                (vec![(name.clone(), cfg.clone())], vec![])
+            }
+        }
+        Edit::AddCopy { dev, tag } => {
+            let mut cfg = configs[&pick(dev)].clone();
+            cfg.hostname = format!("x{tag}-{}", cfg.hostname);
+            (vec![(cfg.hostname.clone(), cfg)], vec![])
+        }
+    }
+}
+
+/// Drive `Lowering::relower` through `edits` and compare every step
+/// with a whole-set `lower` over a copy of the registry as it was.
+fn relower_matches_whole(
+    base: BTreeMap<String, DeviceConfig>,
+    edits: &[Edit],
+) {
+    let mut configs = base.clone();
+    let mut reg = Registry::new();
+    let mut index = Lowering::new(&configs, &mut reg);
+    for edit in edits {
+        let (upserts, removes) = edit_delta(edit, &configs, &base);
+        let mut whole_reg = reg.clone();
+        let old_facts = index.facts().clone();
+        let old_warnings = index.warnings().clone();
+        let delta = index.relower(&configs, &upserts, &removes, &mut reg);
+        configs.extend(upserts);
+        for name in &removes {
+            configs.remove(name);
+        }
+        let whole = lower(&configs, &mut whole_reg);
+        let warnings: BTreeSet<String> = whole.warnings.iter().map(|w| w.to_string()).collect();
+        prop_assert_eq!(&delta.facts, &fact_delta(&old_facts, &whole.facts), "after {:?}", edit);
+        let added: Vec<String> = warnings.difference(&old_warnings).cloned().collect();
+        prop_assert_eq!(&delta.warnings_added, &added, "after {:?}", edit);
+        index.commit(delta);
+        prop_assert_eq!(index.facts(), &whole.facts, "after {:?}", edit);
+        prop_assert_eq!(index.warnings(), &warnings, "after {:?}", edit);
+        prop_assert_eq!(reg.export_names(), whole_reg.export_names(), "after {:?}", edit);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Re-lowering only the dirty devices after random per-device edits
+    /// gives exactly what lowering the whole new set gives: the same
+    /// fact delta, facts, warnings and interned names.
+    #[test]
+    fn relowering_equals_whole_lower_bgp(edits in prop::collection::vec(arb_edit(), 1..8)) {
+        relower_matches_whole(build_configs(&grid(2, 3), ProtocolChoice::Bgp), &edits);
+    }
+
+    #[test]
+    fn relowering_equals_whole_lower_ospf(edits in prop::collection::vec(arb_edit(), 1..8)) {
+        relower_matches_whole(build_configs(&ring(4), ProtocolChoice::Ospf), &edits);
     }
 }

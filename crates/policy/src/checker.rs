@@ -103,7 +103,10 @@ const WALK_INLINE_MIN: usize = 256;
 /// live in that model's BDD manager).
 pub struct PolicyChecker {
     nodes: BTreeSet<NodeId>,
-    topo: BTreeMap<Port, Port>,
+    /// Every directed link, by source port. A port on a multi-access
+    /// subnet links to several; walks follow the greatest, as a
+    /// whole build that inserts links in order would keep it.
+    topo: BTreeMap<Port, BTreeSet<Port>>,
     /// `nodes` and `topo` as the dense tables walks read; rebuilt
     /// whenever either changes.
     table: Topology,
@@ -397,7 +400,7 @@ impl PolicyChecker {
             return BTreeSet::new();
         }
         self.nodes = nodes;
-        self.table = Topology::new(&self.nodes, &self.topo);
+        self.table = table(&self.nodes, &self.topo);
         (0..self.ec_state.len() as u32).map(EcId).collect()
     }
 
@@ -410,10 +413,14 @@ impl PolicyChecker {
     pub fn apply_link_delta(&mut self, delta: &[(Port, Port, isize)]) -> BTreeSet<EcId> {
         let mut touched = BTreeSet::new();
         for &(src, dst, diff) in delta {
+            let peers = self.topo.entry(src).or_default();
             if diff > 0 {
-                self.topo.insert(src, dst);
+                peers.insert(dst);
             } else {
-                self.topo.remove(&src);
+                peers.remove(&dst);
+                if peers.is_empty() {
+                    self.topo.remove(&src);
+                }
             }
             for port in [src, dst] {
                 if let Some(users) = self.derived.port_users.get(&port) {
@@ -422,7 +429,7 @@ impl PolicyChecker {
             }
         }
         if !delta.is_empty() {
-            self.table = Topology::new(&self.nodes, &self.topo);
+            self.table = table(&self.nodes, &self.topo);
         }
         touched
     }
@@ -1014,16 +1021,24 @@ fn decode_analysis(
     Ok(a)
 }
 
+/// The walk tables over `nodes` and each port's greatest link.
+fn table(nodes: &BTreeSet<NodeId>, topo: &BTreeMap<Port, BTreeSet<Port>>) -> Topology {
+    let links = topo.iter().filter_map(|(&src, peers)| Some((src, *peers.last()?))).collect();
+    Topology::new(nodes, &links)
+}
+
 impl PolicyChecker {
     /// Serialize the checker's state — topology view, the per-EC
     /// analyses in EC order, and registered policies with their
     /// verdicts — for a durable snapshot.
     pub fn encode_state(&self, w: &mut rc_store::Writer) {
         encode_node_set(w, &self.nodes);
-        w.len_prefix(self.topo.len());
-        for (&a, &b) in &self.topo {
-            encode_port(w, a);
-            encode_port(w, b);
+        w.len_prefix(self.topo.values().map(BTreeSet::len).sum());
+        for (&a, peers) in &self.topo {
+            for &b in peers {
+                encode_port(w, a);
+                encode_port(w, b);
+            }
         }
         w.len_prefix(self.ec_state.len());
         for analysis in &self.ec_state {
@@ -1048,11 +1063,11 @@ impl PolicyChecker {
         model: &ApkModel,
     ) -> Result<PolicyChecker, rc_store::WireError> {
         let nodes = decode_node_set(r)?;
-        let mut topo = BTreeMap::new();
+        let mut topo: BTreeMap<Port, BTreeSet<Port>> = BTreeMap::new();
         for _ in 0..r.len_prefix()? {
             let a = decode_port(r)?;
             let b = decode_port(r)?;
-            topo.insert(a, b);
+            topo.entry(a).or_default().insert(b);
         }
         let num_ecs = r.len_prefix()?;
         if num_ecs != model.num_ecs() {
@@ -1078,7 +1093,7 @@ impl PolicyChecker {
             policies.push(Registered { policy, pred: Ref::from_index(pred), satisfied });
         }
         Ok(PolicyChecker {
-            table: Topology::new(&nodes, &topo),
+            table: table(&nodes, &topo),
             nodes,
             topo,
             derived: Derived::of(&ec_state),

@@ -26,6 +26,12 @@ fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
                 .prop_map(|(dev, iface, pref)| Cmd::SetLp { dev, iface, pref }),
             1 => (0usize..16, 0u32..6).prop_map(|(dev, pfx)| Cmd::StaticDrop { dev, pfx }),
             1 => (0usize..16, 0u32..6).prop_map(|(dev, pfx)| Cmd::UnStatic { dev, pfx }),
+            1 => (0usize..16, 0usize..4, 0u32..6, 1u32..3, prop_oneof![Just(29u8), Just(30)])
+                .prop_map(|(dev, iface, subnet, host, len)| {
+                    Cmd::Readdress { dev, iface, subnet, host, len }
+                }),
+            1 => (0usize..16).prop_map(|dev| Cmd::ToggleDevice { dev }),
+            1 => (0usize..16, 0usize..4).prop_map(|(dev, nb)| Cmd::ToggleRemoteAs { dev, nb }),
         ],
         1..8,
     )
@@ -58,6 +64,21 @@ proptest! {
     fn rip_ring(cmds in arb_cmds()) {
         run(ProtocolChoice::Rip, ring(5), cmds);
     }
+}
+
+/// Regression: r003's eth0 takes r001's address, so the subnet of the
+/// r001–r002 link gets a third port, then eth0 goes down. The checker
+/// kept one peer per port, so removing r002's link to r003 dropped its
+/// link to r001 as well, and the pair count fell short of a fresh
+/// build's.
+#[test]
+fn a_port_leaving_a_multi_access_subnet_keeps_the_other_links() {
+    let cmds = vec![
+        Cmd::Readdress { dev: 3, iface: 0, subnet: 1, host: 1, len: 30 },
+        Cmd::ToggleIface { dev: 3, iface: 0 },
+    ];
+    run(ProtocolChoice::Bgp, ring(5), cmds.clone());
+    run(ProtocolChoice::Ospf, ring(5), cmds);
 }
 
 /// ring(4) OSPF with a static route on r000 for 10.99.0.0/16 out eth0

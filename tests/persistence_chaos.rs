@@ -274,6 +274,38 @@ fn torn_append_mid_burst_reopens_to_pre_burst_state() {
     assert_matches_twin(&mut reopened, "torn append mid-burst");
 }
 
+/// Regression: a failed journal append leaves a persistence warning,
+/// and the next successful apply — which re-lowers and reports its own
+/// warnings — once replaced the whole warning set, dropping it while
+/// journaling was still off. It stays until a snapshot re-enables
+/// journaling.
+#[test]
+fn persistence_warning_outlives_later_applies_until_a_snapshot() {
+    use realconfig::ChangeSet;
+    let configs = build_configs(&ring(5), ProtocolChoice::Ospf);
+    let dir = StateDir::new("warning");
+    let (mut rc, _) = RealConfig::new(configs).expect("ring verifies");
+    rc.attach_state_dir(&dir.0).expect("state dir creatable");
+    rc.save_snapshot().expect("initial snapshot writes");
+    let persistence = |rc: &RealConfig| {
+        rc.warnings().iter().filter(|w| w.starts_with("persistence: ")).count()
+    };
+
+    let guard = FaultPlan::new().error_on(FaultPoint::StorePartialAppend, 1).install();
+    rc.apply_change(&ChangeSet::link_cost("r000", "eth0", 50)).expect("first change verifies");
+    drop(guard);
+    assert!(!rc.journaling(), "a failed append turns journaling off");
+    assert_eq!(persistence(&rc), 1, "the failed append is reported: {:?}", rc.warnings());
+
+    rc.apply_change(&ChangeSet::link_cost("r001", "eth0", 60)).expect("second change verifies");
+    assert!(!rc.journaling(), "journaling stays off until the next snapshot");
+    assert_eq!(persistence(&rc), 1, "the warning outlives the apply: {:?}", rc.warnings());
+
+    rc.save_snapshot().expect("snapshot writes");
+    assert!(rc.journaling(), "a snapshot starts a fresh journal");
+    assert_eq!(persistence(&rc), 0, "journaling is back on: {:?}", rc.warnings());
+}
+
 fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
     prop::collection::vec(
         prop_oneof![

@@ -5,6 +5,7 @@
 
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, ring};
+use rc_netcfg::DeviceConfig;
 use realconfig::{ChangeOp, ChangeSet, RealConfig};
 
 fn build() -> (RealConfig, realconfig::FullReport) {
@@ -119,6 +120,41 @@ fn shadow_ops_stay_within_two_per_rule_applied() {
     let (ops, rules) = (delta("apkeep.shadow_ops"), delta("apkeep.rules_applied"));
     assert!(rules > 0, "the flip applied no rule");
     assert!(ops <= 2 * rules, "{ops} shadow ops for {rules} rules applied");
+}
+
+/// A change re-lowers only the devices it can affect: the changed
+/// device, the devices with a port on one of its subnets, and the
+/// devices naming one of its addresses as a BGP neighbor. On the k=4 BGP
+/// fat tree that is an edge switch and its 2 aggregation switches, or
+/// an aggregation or core switch and its 4 linked switches — never the
+/// other 15 of the 20 devices.
+#[test]
+fn a_local_pref_change_relowers_the_device_and_its_peers() {
+    let configs = build_configs(&fat_tree(4), ProtocolChoice::Bgp);
+    let peers = |dev: &str| {
+        let own = &configs[dev].interfaces;
+        let subnets: Vec<_> = own.iter().filter_map(|i| i.prefix()).collect();
+        let addrs: Vec<_> = own.iter().filter_map(|i| i.ip()).collect();
+        let on_subnet = |c: &DeviceConfig| {
+            c.interfaces.iter().any(|i| i.prefix().is_some_and(|p| subnets.contains(&p)))
+        };
+        let names_us = |c: &DeviceConfig| {
+            c.bgp.iter().flat_map(|b| &b.neighbors).any(|n| addrs.contains(&n.addr))
+        };
+        let others = configs.iter().filter(|(name, _)| name.as_str() != dev);
+        others.filter(|(_, c)| on_subnet(c) || names_us(c)).count()
+    };
+    let (mut rc, full) = RealConfig::new(configs.clone()).expect("fat tree verifies");
+    assert!(!full.metrics.histograms.contains_key("netcfg.relowered_devices"), "builds add none");
+    let (mut applies, mut relowered) = (0, 0);
+    for (dev, expected) in [("pod00-edge00", 3u64), ("pod01-aggr01", 5), ("core002", 5)] {
+        assert_eq!(1 + peers(dev) as u64, expected, "{dev}'s subnet and session peers");
+        let cs = ChangeSet::local_pref(dev, "eth0", 150);
+        let m = rc.apply_change(&cs).expect("verifies").metrics;
+        let h = &m.histograms["netcfg.relowered_devices"];
+        (applies, relowered) = (applies + 1, relowered + expected);
+        assert_eq!((h.count, h.sum), (applies, relowered), "{dev}: one sample, the dirty set");
+    }
 }
 
 /// Telemetry keys are registered lazily inside the paths that produce
