@@ -11,14 +11,15 @@
 //! The model covers OSPF (SPF with ECMP), RIP (hop-count distance
 //! vector with infinity at 16), eBGP (path-vector best-path with
 //! local-pref / path-length / neighbor-id selection, AS-path loop
-//! rejection, import and export route-maps), static routes, connected
-//! routes, admin-distance RIB→FIB merging, and redistribution of
-//! connected/static into OSPF/RIP and connected/static/OSPF/RIP into
-//! BGP.
+//! rejection, import and export route-maps compiled per session outside
+//! the path-vector loop), static and connected routes, admin-distance
+//! RIB→FIB merging, and redistribution of connected/static into OSPF/RIP
+//! and connected/static/OSPF/RIP into BGP.
 //! Mutual BGP↔OSPF redistribution would make the two fixpoints
 //! circularly dependent and is reported via [`RoutingEngine::ignored`].
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use rc_dataflow::{Collection, Dataflow, EvalError, InputHandle, OutputHandle};
 use rc_netcfg::facts::{Action, Fact};
@@ -181,51 +182,42 @@ impl RoutingEngine {
             .concat_many(&[&rb_conn, &rb_static, &rb_ospf, &rb_rip])
             .distinct();
 
-        let sessions_by_peer = sessions.map(|(n, i, m, j)| (m, (n, i, j)));
-        let import_pol = bgp_import
-            .map(|(n, i, seq, permit, mtch, lp, med)| ((n, i), (seq, permit, mtch, lp, med)));
-        let export_pol =
-            bgp_export.map(|(n, i, seq, permit, mtch, med)| ((n, i), (seq, permit, mtch, med)));
+        // Each session end's route-map, compiled once outside the loop:
+        // its entries in first-match order as one shared slice. A verdict
+        // depends only on the session and the prefix, never on the route.
+        let export_maps = bgp_export
+            .map(|(n, i, seq, permit, mtch, med)| ((n, i), (seq, permit, mtch, med)))
+            .reduce_named("export-map", |_, vals| vec![(compile(vals), 1)]);
+        let import_maps = bgp_import
+            .map(|(n, i, seq, permit, mtch, lp, med)| ((n, i), (seq, permit, mtch, lp, med)))
+            .reduce_named("import-map", |_, vals| vec![(compile(vals), 1)]);
+        let session_maps = sessions
+            .map(|(n, i, m, j)| ((m, j), (n, i)))
+            .join(&export_maps)
+            .map(|((m, _j), ((n, i), emap))| ((n, i), (m, emap)))
+            .join(&import_maps)
+            .map(|((n, i), ((m, emap), imap))| (m, (n, i, emap, imap)));
 
         let best = bgp_origins.iterate_capped(max_iters, |inner| {
-            // Peers' current best routes, visible over sessions, minus
-            // anything whose path already contains the receiver.
-            let adverts = sessions_by_peer
-                .join(&inner.map(|((m, p), r)| (m, (p, r))))
-                .map(|(m, ((n, i, j), (p, r)))| ((n, i, j, m, p), r))
-                .filter(|((n, _i, _j, _m, _p), r)| !r.path.contains(n));
-            // Export policy at the peer's interface: lowest-seq matching
-            // entry decides.
-            let exported = adverts
-                .map(|((n, i, j, m, p), r)| ((m, j), (n, i, p, r)))
-                .join(&export_pol)
-                .filter(|(_, ((_n, _i, p, _r), (_seq, _permit, mtch, _med)))| {
-                    mtch.is_none_or(|mp| mp.contains(*p))
-                })
-                .map(|((m, _j), ((n, i, p, r), (seq, permit, _mtch, med)))| {
-                    (((n, i, m, p), r), (seq, permit, med))
-                })
-                .reduce_named("export-first-match", |_, vals| vec![(vals[0].0, 1)])
-                .filter(|(_, (_seq, permit, _med))| *permit)
-                .map(|(((n, i, m, p), r), (_seq, _permit, med))| ((n, i), (m, p, r, med)));
-            // Import policy at the receiver's interface.
-            let imported = exported
-                .join(&import_pol)
-                .filter(|(_, ((_m, p, _r, _emed), (_seq, _permit, mtch, _lp, _imed)))| {
-                    mtch.is_none_or(|mp| mp.contains(*p))
-                })
-                .map(|((n, i), ((m, p, r, emed), (seq, permit, _mtch, lp, imed)))| {
-                    (((n, i, m, p), r), (seq, permit, lp, emed, imed))
-                })
-                .reduce_named("import-first-match", |_, vals| vec![(vals[0].0, 1)])
-                .filter(|(_, (_seq, permit, _lp, _emed, _imed))| *permit)
-                .map(|(((n, i, m, p), r), (_seq, _permit, lp, emed, imed))| {
-                    // The import policy's MED, if set, overrides the
-                    // exporter's; otherwise the advertisement carries
-                    // the exporter's MED (or the default).
+            // Peers' current best routes, offered over each session, minus
+            // anything whose path already contains the receiver. The first
+            // matching export entry, then the first matching import entry,
+            // must permit.
+            let imported = session_maps.join(&inner.map(|((m, p), r)| (m, (p, r)))).flat_map(
+                |(m, ((n, i, emap, imap), (p, r)))| {
+                    let hit = |mtch: Option<Prefix>| mtch.is_none_or(|mp| mp.contains(p));
+                    let &(_, epermit, _, emed) = emap.iter().find(|e| hit(e.2))?;
+                    let &(_, ipermit, _, lp, imed) = imap.iter().find(|e| hit(e.2))?;
+                    if !epermit || !ipermit || r.path.contains(&n) {
+                        return None;
+                    }
+                    // An import MED overrides the exporter's, which
+                    // overrides the default.
                     let med = imed.or(emed).unwrap_or(BgpRoute::DEFAULT_MED);
-                    ((n, p), r.import(n, m, i, lp.unwrap_or(BgpRoute::DEFAULT_LOCAL_PREF), med))
-                });
+                    let lp = lp.unwrap_or(BgpRoute::DEFAULT_LOCAL_PREF);
+                    Some(((n, p), r.import(n, m, i, lp, med)))
+                },
+            );
             bgp_origins.concat(&imported).reduce_min()
         });
         let bgp_rib = best
@@ -484,4 +476,10 @@ fn igp(origins: &Costs, edges: &Edges, limit: u32, proto: Proto, max_iters: u32)
                 .collect()
         });
     (dist, rib)
+}
+
+/// A session end's route-map: its entries (values ascending, so `seq`
+/// first) as one slice every advertisement over the session shares.
+fn compile<E: Copy>(entries: &[(E, isize)]) -> Arc<[E]> {
+    entries.iter().map(|e| e.0).collect()
 }

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use rc_netcfg::types::{IfaceId, NodeId, Prefix};
 
 /// An interned, immutable node path. BGP route values are the hottest
-/// tuples in the dataflow traces — every import clones the route into
-/// join and reduce spines — so the path is stored as a shared
+/// tuples in the dataflow traces — the session join holds every best
+/// route, the `min` reduce every import — so the path is stored as a shared
 /// `Arc<[NodeId]>`: cloning a route bumps a refcount instead of
 /// reallocating a `Vec`, and every trace layer holding the same route
 /// shares one allocation. Comparison, ordering and hashing delegate to

@@ -5,7 +5,9 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use rc_netcfg::ast::{AclAction, AclEntry, NextHop, RedistSource};
+use rc_netcfg::ast::{
+    AclAction, AclEntry, NextHop, RedistSource, RouteMap, RouteMapAction, RouteMapEntry,
+};
 use rc_netcfg::change::{AclDir, ChangeOp, ChangeSet, RedistTarget};
 use rc_netcfg::facts::{fact_delta, lower, Registry};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
@@ -50,6 +52,61 @@ fn arb_cmds() -> impl Strategy<Value = Vec<Cmd>> {
 /// One to three batches of 2..=6 commands each.
 fn arb_batches() -> impl Strategy<Value = Vec<Vec<Cmd>>> {
     prop::collection::vec(prop::collection::vec(arb_cmd(), 2..=6), 1..4)
+}
+
+/// A generated route-map entry: `(permit, origin, widen to /16,
+/// local-pref, MED)`.
+type EntrySpec = (bool, usize, bool, Option<u32>, Option<u32>);
+
+/// A generated route-map on one BGP session end: the device, its
+/// neighbor, the direction (`out` for export) and 1–4 entries.
+#[derive(Clone, Debug)]
+struct MapSpec {
+    dev: usize,
+    nb: usize,
+    out: bool,
+    entries: Vec<EntrySpec>,
+}
+
+fn arb_maps() -> impl Strategy<Value = Vec<MapSpec>> {
+    let lp = prop::option::of(prop_oneof![Just(50u32), Just(150), Just(200)]);
+    let med = prop::option::of(prop_oneof![Just(0u32), Just(20), Just(50)]);
+    let entry = (any::<bool>(), 0usize..16, any::<bool>(), lp, med);
+    let spec = (0usize..20, 0usize..4, any::<bool>(), prop::collection::vec(entry, 1..=4))
+        .prop_map(|(dev, nb, out, entries)| MapSpec { dev, nb, out, entries });
+    prop::collection::vec(spec, 1..6)
+}
+
+/// Point the chosen session ends at the generated route-maps. Each entry
+/// matches one of the network's originated prefixes or the /16 around
+/// it; entries are numbered 10, 20, … in generation order.
+fn with_route_maps(
+    mut configs: BTreeMap<String, DeviceConfig>,
+    maps: &[MapSpec],
+) -> BTreeMap<String, DeviceConfig> {
+    let origins: Vec<Prefix> =
+        configs.values().filter_map(|c| c.bgp.as_ref()).flat_map(|b| b.networks.clone()).collect();
+    let devices: Vec<String> = configs.keys().cloned().collect();
+    for (k, m) in maps.iter().enumerate() {
+        let cfg = configs.get_mut(&devices[m.dev % devices.len()]).unwrap();
+        let Some(bgp) = cfg.bgp.as_mut().filter(|b| !b.neighbors.is_empty()) else { continue };
+        let n = bgp.neighbors.len();
+        let nb = &mut bgp.neighbors[m.nb % n];
+        let name = format!("GEN-{k}");
+        *if m.out { &mut nb.route_map_out } else { &mut nb.route_map_in } = Some(name.clone());
+        let entries = (10..).step_by(10).zip(&m.entries).map(|(seq, &(permit, o, wide, lp, med))| {
+            let p = origins[o % origins.len()];
+            RouteMapEntry {
+                seq,
+                action: if permit { RouteMapAction::Permit } else { RouteMapAction::Deny },
+                match_prefix: Some(if wide { Prefix::new(p.addr(), 16) } else { p }),
+                set_local_pref: lp,
+                set_metric: med,
+            }
+        });
+        cfg.route_maps.push(RouteMap { name, entries: entries.collect() });
+    }
+    configs
 }
 
 /// Translate an abstract command into concrete change ops; returns None
@@ -285,6 +342,26 @@ proptest! {
     #[test]
     fn rip_fat_tree_multi_change_epochs_equal_baseline(batches in arb_batches()) {
         run_batches(build_configs(&fat_tree(4), ProtocolChoice::Rip), batches);
+    }
+
+    #[test]
+    fn bgp_fat_tree_multi_change_epochs_equal_baseline(batches in arb_batches()) {
+        run_batches(build_configs(&fat_tree(4), ProtocolChoice::Bgp), batches);
+    }
+
+    #[test]
+    fn bgp_route_maps_with_match_prefixes_equal_baseline(
+        maps in arb_maps(),
+        cmds in arb_cmds(),
+        seed in 0u64..50,
+    ) {
+        let topo = random_connected(8, 0.3, seed);
+        let configs = with_route_maps(build_configs(&topo, ProtocolChoice::Bgp), &maps);
+        // Random local-prefs can build a preference cycle that no model
+        // converges on; such starts are skipped.
+        if baseline::compute(&lower(&configs, &mut Registry::new()).facts).is_ok() {
+            run_sequence(configs, cmds);
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use rc_netcfg::ast::{BgpConfig, BgpNeighbor, RedistSource, Redistribution};
+use rc_netcfg::ast::{
+    BgpConfig, BgpNeighbor, RedistSource, Redistribution, RouteMap, RouteMapAction, RouteMapEntry,
+};
 use rc_netcfg::change::{ChangeOp, ChangeSet};
 use rc_netcfg::facts::{fact_delta, lower, Registry};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
@@ -35,7 +37,13 @@ impl Harness {
     /// Apply a change set incrementally; returns the number of FIB
     /// changes.
     fn change(&mut self, cs: &ChangeSet) -> usize {
-        cs.apply(&mut self.configs).unwrap();
+        self.edit(|configs| cs.apply(configs).unwrap())
+    }
+
+    /// Edit the configs directly and apply the resulting fact delta
+    /// incrementally; returns the number of FIB changes.
+    fn edit(&mut self, f: impl FnOnce(&mut BTreeMap<String, DeviceConfig>)) -> usize {
+        f(&mut self.configs);
         let lowered = lower(&self.configs, &mut self.reg);
         let delta = fact_delta(&self.facts, &lowered.facts);
         self.facts = lowered.facts;
@@ -67,6 +75,52 @@ impl Harness {
         out.sort();
         out
     }
+}
+
+/// The interface of `dev` on its link to `peer`.
+fn facing(configs: &BTreeMap<String, DeviceConfig>, dev: &str, peer: &str) -> String {
+    let subnets: Vec<Prefix> =
+        configs[peer].interfaces.iter().filter_map(|f| f.prefix()).collect();
+    let mut ifaces = configs[dev].interfaces.iter();
+    let iface = ifaces.find(|f| f.prefix().is_some_and(|p| subnets.contains(&p)));
+    iface.unwrap_or_else(|| panic!("{dev} has no link to {peer}")).name.clone()
+}
+
+/// Replace the route-map of `dev`'s session with `peer` in one direction
+/// (`out` for export) with `entries`.
+fn set_route_map(
+    configs: &mut BTreeMap<String, DeviceConfig>,
+    dev: &str,
+    peer: &str,
+    out: bool,
+    entries: Vec<RouteMapEntry>,
+) {
+    let iface = facing(configs, dev, peer);
+    let cfg = configs.get_mut(dev).unwrap();
+    let subnet = cfg.interface(&iface).unwrap().prefix().unwrap();
+    let nbs = &mut cfg.bgp.as_mut().unwrap().neighbors;
+    let nb = nbs.iter_mut().find(|n| subnet.contains_ip(n.addr)).unwrap();
+    let slot = if out { &mut nb.route_map_out } else { &mut nb.route_map_in };
+    let name = slot.get_or_insert_with(|| format!("SCN-{dev}-{peer}-{out}")).clone();
+    cfg.route_maps.retain(|m| m.name != name);
+    cfg.route_maps.push(RouteMap { name, entries });
+}
+
+/// One route-map entry; `mtch: None` matches every prefix.
+fn entry(
+    seq: u32,
+    permit: bool,
+    mtch: Option<Prefix>,
+    lp: Option<u32>,
+    med: Option<u32>,
+) -> RouteMapEntry {
+    let action = if permit { RouteMapAction::Permit } else { RouteMapAction::Deny };
+    RouteMapEntry { seq, action, match_prefix: mtch, set_local_pref: lp, set_metric: med }
+}
+
+/// `172.16.0.0/16`, around every generated host prefix.
+fn hosts16() -> Option<Prefix> {
+    Some(Prefix::new(host_prefix(0).addr(), 16))
 }
 
 #[test]
@@ -315,6 +369,29 @@ fn incremental_change_work_is_small_on_fat_tree() {
 }
 
 #[test]
+fn bgp_policy_state_and_work_are_small_on_fat_tree() {
+    // Route-maps are compiled once per session end, outside the
+    // path-vector loop. With an export join, an import join and two
+    // first-match reduces per advertisement inside the loop, the engine
+    // held FIRST_MATCH_RECORDS trace records after this build and spent
+    // FIRST_MATCH_WORK records on the local-pref change; now it holds
+    // 2 136 and spends 327. Both must stay at most 0.6 of the old counts.
+    const FIRST_MATCH_RECORDS: usize = 4272;
+    const FIRST_MATCH_WORK: u64 = 699;
+    let mut h = Harness::new(build_configs(&fat_tree(4), ProtocolChoice::Bgp));
+    let records = h.engine.trace_records();
+    let before = h.engine.total_work();
+    assert!(h.change(&ChangeSet::local_pref("pod00-edge00", "eth1", 150)) > 0);
+    let work = h.engine.total_work() - before;
+    h.check_against_baseline();
+    assert!(
+        records * 5 <= FIRST_MATCH_RECORDS * 3,
+        "{records} trace records exceed 0.6 of {FIRST_MATCH_RECORDS}"
+    );
+    assert!(work * 5 <= FIRST_MATCH_WORK * 3, "work {work} exceeds 0.6 of {FIRST_MATCH_WORK}");
+}
+
+#[test]
 fn incremental_ospf_change_work_is_small_on_fat_tree() {
     // A cost flip and a link flip on a k=4 OSPF fat tree. SPF runs over
     // routers and next hops are picked by one reduce per (router,
@@ -515,4 +592,95 @@ fn bgp_med_steers_peer_choice() {
     let after = h.nexthops("r000", p2);
     assert_ne!(after, before, "higher MED on the used entry must repel traffic");
     h.check_against_baseline();
+}
+
+#[test]
+fn import_route_map_with_nested_match_prefixes_matches_baseline() {
+    // Ring of 4: r000 hears every host prefix from r001 and from r003.
+    // Its import map from r001 permits r002's /24 at local-pref 200,
+    // denies the rest of 172.16.0.0/16 and so shadows the permit of
+    // r003's /24 at local-pref 300 below it: the first match decides.
+    let mut configs = build_configs(&ring(4), ProtocolChoice::Bgp);
+    let (p1, p2, p3) = (host_prefix(1), host_prefix(2), host_prefix(3));
+    set_route_map(&mut configs, "r000", "r001", false, vec![
+        entry(10, true, Some(p2), Some(200), None),
+        entry(20, false, hosts16(), None, None),
+        entry(30, true, Some(p3), Some(300), None),
+    ]);
+    let (to_r001, to_r003) = (facing(&configs, "r000", "r001"), facing(&configs, "r000", "r003"));
+    let mut h = Harness::new(configs);
+    h.check_against_baseline();
+    assert_eq!(h.nexthops("r000", p2), [to_r001.as_str()], "local-pref 200 wins");
+    assert_eq!(h.nexthops("r000", p1), [to_r003.as_str()], "the /16 deny");
+    assert_eq!(h.nexthops("r000", p3), [to_r003.as_str()], "the /16 deny shadows the /24 permit");
+
+    // Local-pref 50 on every permit entry: r002's /24 moves to r003.
+    assert!(h.change(&ChangeSet::local_pref("r000", &to_r001, 50)) > 0);
+    h.check_against_baseline();
+    assert_eq!(h.nexthops("r000", p2), [to_r003.as_str()]);
+
+    // Cut r000 off r003: only the /24 permit is left.
+    h.change(&ChangeSet::link_failure("r000", &to_r003));
+    h.check_against_baseline();
+    assert_eq!(h.nexthops("r000", p2), [to_r001.as_str()]);
+    assert!(h.nexthops("r000", p1).is_empty() && h.nexthops("r000", p3).is_empty());
+}
+
+#[test]
+fn export_route_map_with_nested_match_prefixes_matches_baseline() {
+    // Ring of 4: r001's export map toward r000 advertises r002's /24 at
+    // MED 50, denies the rest of 172.16.0.0/16 and so shadows the permit
+    // of its own /24 below it.
+    let mut configs = build_configs(&ring(4), ProtocolChoice::Bgp);
+    let (p1, p2) = (host_prefix(1), host_prefix(2));
+    set_route_map(&mut configs, "r001", "r000", true, vec![
+        entry(10, true, Some(p2), None, Some(50)),
+        entry(20, false, hosts16(), None, None),
+        entry(30, true, Some(p1), None, None),
+    ]);
+    let (to_r001, to_r003) = (facing(&configs, "r000", "r001"), facing(&configs, "r000", "r003"));
+    let mut h = Harness::new(configs);
+    h.check_against_baseline();
+    assert_eq!(h.nexthops("r000", p2), [to_r003.as_str()], "MED 0 through r003 beats 50");
+    assert_eq!(h.nexthops("r000", p1), [to_r003.as_str()], "r001's own /24 goes the long way");
+
+    // An import MED of 0 at r000 overrides the exporter's 50: the tie
+    // goes to the lower neighbor id, r001.
+    assert!(h.edit(|c| {
+        set_route_map(c, "r000", "r001", false, vec![entry(10, true, None, None, Some(0))])
+    }) > 0);
+    h.check_against_baseline();
+    assert_eq!(h.nexthops("r000", p2), [to_r001.as_str()]);
+
+    // A new export MED changes nothing while the import MED overrides it.
+    let fib = h.engine.fib();
+    let to_r000 = facing(&h.configs, "r001", "r000");
+    let mut cs = ChangeSet::new();
+    cs.push(ChangeOp::SetMed { device: "r001".into(), iface: to_r000, med: 70 });
+    h.change(&cs);
+    h.check_against_baseline();
+    assert_eq!(h.engine.fib(), fib);
+
+    // Cut r000 off r001: everything comes through r003.
+    h.change(&ChangeSet::link_failure("r000", &to_r001));
+    h.check_against_baseline();
+    assert_eq!(h.nexthops("r000", p2), [to_r003.as_str()]);
+    assert_eq!(h.nexthops("r000", p1), [to_r003.as_str()]);
+}
+
+#[test]
+fn route_map_entries_sharing_a_seq_match_baseline() {
+    // Two permits with one seq both match r002's /24. Like the baseline,
+    // the engine orders entries as whole tuples, so the one matching
+    // 172.16.0.0/16 (the lower match prefix) decides: local-pref 200.
+    let mut configs = build_configs(&ring(4), ProtocolChoice::Bgp);
+    let p2 = host_prefix(2);
+    set_route_map(&mut configs, "r000", "r001", false, vec![
+        entry(10, true, Some(p2), Some(50), None),
+        entry(10, true, hosts16(), Some(200), None),
+    ]);
+    let to_r001 = facing(&configs, "r000", "r001");
+    let h = Harness::new(configs);
+    h.check_against_baseline();
+    assert_eq!(h.nexthops("r000", p2), [to_r001.as_str()]);
 }
