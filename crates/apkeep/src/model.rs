@@ -27,7 +27,7 @@
 //! unique sequence numbers. Transient duplicates mid-batch (a rule
 //! replacement applied insert-first) are fine.
 
-use rc_bdd::{PredKind, Predicate, Preds, Ref};
+use rc_bdd::{PredKind, Preds, Ref};
 use rc_netcfg::types::Prefix;
 
 use crate::types::*;
@@ -145,8 +145,8 @@ impl Element {
 ///
 /// Invariants inherited from the model at snapshot time and unchanged
 /// for the view's lifetime (the borrow prevents any mutation):
-/// EC ids are dense in `0..num_ecs`, every element's `port_of_ec` has
-/// exactly `num_ecs` entries, and `ecs_on_port` inverts it.
+/// EC ids are dense in `0..num_ecs`, and every element's `port_of_ec`
+/// has exactly `num_ecs` entries.
 pub struct EcView<'a> {
     num_ecs: usize,
     element_index: &'a HashMap<ElementKey, usize>,
@@ -159,8 +159,6 @@ struct ElemView<'a> {
     ports: &'a [PortAction],
     /// EC id → port id.
     port_of_ec: &'a [usize],
-    /// Inverted index: port id → ECs currently on it.
-    ecs_on_port: &'a [BTreeSet<u32>],
 }
 
 impl<'a> EcView<'a> {
@@ -187,14 +185,6 @@ impl<'a> EcView<'a> {
     pub fn action_at(&self, elem: usize, ec: EcId) -> &'a PortAction {
         let e = &self.elements[elem];
         &e.ports[e.port_of_ec[ec.0 as usize]]
-    }
-
-    /// The ECs an element currently maps to the given action, if the
-    /// element has such a port (inverted-index passthrough).
-    pub fn ecs_with_action(&self, key: ElementKey, action: &PortAction) -> Option<&'a BTreeSet<u32>> {
-        let e = &self.elements[*self.element_index.get(&key)?];
-        let port = e.ports.iter().position(|p| p == action)?;
-        Some(&e.ecs_on_port[port])
     }
 }
 
@@ -490,11 +480,6 @@ impl ApkModel {
         self.ec_preds.len()
     }
 
-    /// Number of elements (devices' FIBs + ACL bindings seen so far).
-    pub fn num_elements(&self) -> usize {
-        self.elements.len()
-    }
-
     /// Total rules across all elements.
     pub fn num_rules(&self) -> usize {
         self.elements.iter().map(|e| e.rules.len()).sum()
@@ -511,8 +496,8 @@ impl ApkModel {
     }
 
     /// The predicate store (for witness extraction and custom
-    /// predicates). Callers use the [`rc_bdd::Predicate`] trait surface;
-    /// `Ref`s obtained here belong to this model's store only.
+    /// predicates). `Ref`s obtained here belong to this model's store
+    /// only.
     pub fn preds(&mut self) -> &mut Preds {
         &mut self.preds
     }
@@ -527,11 +512,7 @@ impl ApkModel {
             elements: self
                 .elements
                 .iter()
-                .map(|e| ElemView {
-                    ports: &e.ports,
-                    port_of_ec: &e.port_of_ec,
-                    ecs_on_port: &e.ecs_on_port,
-                })
+                .map(|e| ElemView { ports: &e.ports, port_of_ec: &e.port_of_ec })
                 .collect(),
         }
     }
@@ -633,7 +614,7 @@ impl ApkModel {
     /// ECs whose predicate intersects `pred`.
     ///
     /// Read-only: the intersection test is the store's non-interning
-    /// [`Predicate::intersects`] and the telemetry counters are
+    /// [`Preds::intersects`] and the telemetry counters are
     /// interior-mutable handles, so the method shares `&self` with e.g.
     /// a live [`EcView`] instead of demanding an exclusive borrow.
     pub fn ecs_intersecting(&self, pred: Ref) -> Vec<EcId> {

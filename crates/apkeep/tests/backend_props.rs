@@ -15,7 +15,7 @@ mod common;
 use common::{check_backends_agree, coalesce, AbstractRule};
 use proptest::prelude::*;
 use rc_apkeep::*;
-use rc_bdd::{PredKind, Predicate};
+use rc_bdd::PredKind;
 use rc_netcfg::types::{IfaceId, Ip, NodeId, Prefix};
 
 fn arb_dst_rules() -> impl Strategy<Value = Vec<AbstractRule>> {

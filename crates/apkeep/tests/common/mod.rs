@@ -8,7 +8,6 @@
 
 use rc_apkeep::*;
 use rc_bdd::pkt::Packet;
-use rc_bdd::Predicate;
 use rc_netcfg::facts::Dir;
 use rc_netcfg::types::{IfaceId, Ip, NodeId, Prefix};
 use std::collections::{BTreeMap, BTreeSet};

@@ -2,8 +2,7 @@
 //!
 //! The pipeline touches predicates through a small algebra — boolean
 //! ops, packet-field encoders, evaluation, witnesses, and dst-interval
-//! projection — captured here as the [`Predicate`] trait. Two stores
-//! implement it:
+//! projection — which [`Preds`] exposes. Two stores implement it:
 //!
 //! * [`Bdd`] — full 5-tuple semantics; the default and the only choice
 //!   for workloads with ACLs or per-port/proto policies;
@@ -95,148 +94,6 @@ pub fn default_backend() -> PredKind {
     env.unwrap_or_default()
 }
 
-/// The predicate-store operations the RealConfig pipeline uses.
-///
-/// Implementations hash-cons, so semantic equality is [`Ref`] equality
-/// and `Ref` works directly as a map key; `is_false`/`is_true` need no
-/// store access. Mutating methods may intern new predicates; `&self`
-/// methods are read-only and usable from shared snapshots.
-pub trait Predicate {
-    /// Conjunction (packet-set intersection).
-    fn and(&mut self, a: Ref, b: Ref) -> Ref;
-    /// Disjunction (packet-set union).
-    fn or(&mut self, a: Ref, b: Ref) -> Ref;
-    /// Negation (header-space complement).
-    fn not(&mut self, a: Ref) -> Ref;
-    /// Set difference `a ∧ ¬b`.
-    fn diff(&mut self, a: Ref, b: Ref) -> Ref;
-    /// Whether `a ∧ b` is satisfiable, without interning anything.
-    fn intersects(&self, a: Ref, b: Ref) -> bool;
-    /// Prefix match on `field` (`len == 0` matches all).
-    fn pkt_prefix(&mut self, field: Field, value: u32, len: u32) -> Ref;
-    /// Exact-value match on `field`.
-    fn pkt_value(&mut self, field: Field, value: u32) -> Ref;
-    /// Inclusive range match on `field`.
-    fn pkt_range(&mut self, field: Field, lo: u32, hi: u32) -> Ref;
-    /// Evaluate a predicate on a concrete packet.
-    fn pkt_eval(&self, pred: Ref, pkt: &Packet) -> bool;
-    /// One satisfying packet, if any.
-    fn pkt_witness(&self, pred: Ref) -> Option<Packet>;
-    /// The dst-IP projection as a [`Cover`] of at most `cap` exact
-    /// intervals (hull past that — see `Cover` for the soundness rule).
-    fn pkt_dst_cover(&self, pred: Ref, cap: usize) -> Cover;
-    /// Store size (BDD nodes / interned interval sets).
-    fn node_count(&self) -> usize;
-    /// Cumulative op-cache `(hits, misses)`; `(0, 0)` for stores
-    /// without an op cache.
-    fn apply_cache_stats(&self) -> (u64, u64);
-
-    /// Whether `a ⊆ b` as packet sets.
-    fn subset(&mut self, a: Ref, b: Ref) -> bool {
-        self.diff(a, b).is_false()
-    }
-
-    /// Conjunction of a sequence (true for the empty sequence).
-    fn and_all<I: IntoIterator<Item = Ref>>(&mut self, items: I) -> Ref
-    where
-        Self: Sized,
-    {
-        items.into_iter().fold(Ref::TRUE, |acc, x| self.and(acc, x))
-    }
-
-    /// Disjunction of a sequence (false for the empty sequence).
-    fn or_all<I: IntoIterator<Item = Ref>>(&mut self, items: I) -> Ref
-    where
-        Self: Sized,
-    {
-        items.into_iter().fold(Ref::FALSE, |acc, x| self.or(acc, x))
-    }
-}
-
-impl Predicate for Bdd {
-    fn and(&mut self, a: Ref, b: Ref) -> Ref {
-        Bdd::and(self, a, b)
-    }
-    fn or(&mut self, a: Ref, b: Ref) -> Ref {
-        Bdd::or(self, a, b)
-    }
-    fn not(&mut self, a: Ref) -> Ref {
-        Bdd::not(self, a)
-    }
-    fn diff(&mut self, a: Ref, b: Ref) -> Ref {
-        Bdd::diff(self, a, b)
-    }
-    fn intersects(&self, a: Ref, b: Ref) -> bool {
-        Bdd::intersects(self, a, b)
-    }
-    fn pkt_prefix(&mut self, field: Field, value: u32, len: u32) -> Ref {
-        Bdd::pkt_prefix(self, field, value, len)
-    }
-    fn pkt_value(&mut self, field: Field, value: u32) -> Ref {
-        Bdd::pkt_value(self, field, value)
-    }
-    fn pkt_range(&mut self, field: Field, lo: u32, hi: u32) -> Ref {
-        Bdd::pkt_range(self, field, lo, hi)
-    }
-    fn pkt_eval(&self, pred: Ref, pkt: &Packet) -> bool {
-        Bdd::pkt_eval(self, pred, pkt)
-    }
-    fn pkt_witness(&self, pred: Ref) -> Option<Packet> {
-        Bdd::pkt_witness(self, pred)
-    }
-    fn pkt_dst_cover(&self, pred: Ref, cap: usize) -> Cover {
-        Bdd::pkt_dst_cover(self, pred, cap)
-    }
-    fn node_count(&self) -> usize {
-        Bdd::node_count(self)
-    }
-    fn apply_cache_stats(&self) -> (u64, u64) {
-        Bdd::apply_cache_stats(self)
-    }
-}
-
-impl Predicate for Atoms {
-    fn and(&mut self, a: Ref, b: Ref) -> Ref {
-        Atoms::and(self, a, b)
-    }
-    fn or(&mut self, a: Ref, b: Ref) -> Ref {
-        Atoms::or(self, a, b)
-    }
-    fn not(&mut self, a: Ref) -> Ref {
-        Atoms::not(self, a)
-    }
-    fn diff(&mut self, a: Ref, b: Ref) -> Ref {
-        Atoms::diff(self, a, b)
-    }
-    fn intersects(&self, a: Ref, b: Ref) -> bool {
-        Atoms::intersects(self, a, b)
-    }
-    fn pkt_prefix(&mut self, field: Field, value: u32, len: u32) -> Ref {
-        Atoms::pkt_prefix(self, field, value, len)
-    }
-    fn pkt_value(&mut self, field: Field, value: u32) -> Ref {
-        Atoms::pkt_value(self, field, value)
-    }
-    fn pkt_range(&mut self, field: Field, lo: u32, hi: u32) -> Ref {
-        Atoms::pkt_range(self, field, lo, hi)
-    }
-    fn pkt_eval(&self, pred: Ref, pkt: &Packet) -> bool {
-        Atoms::pkt_eval(self, pred, pkt)
-    }
-    fn pkt_witness(&self, pred: Ref) -> Option<Packet> {
-        Atoms::pkt_witness(self, pred)
-    }
-    fn pkt_dst_cover(&self, pred: Ref, cap: usize) -> Cover {
-        Atoms::pkt_dst_cover(self, pred, cap)
-    }
-    fn node_count(&self) -> usize {
-        Atoms::node_count(self)
-    }
-    fn apply_cache_stats(&self) -> (u64, u64) {
-        Atoms::apply_cache_stats(self)
-    }
-}
-
 /// A predicate store of either backend, dispatched per call.
 ///
 /// One model owns one `Preds`; as with a single `Bdd`, `Ref`s from
@@ -246,9 +103,9 @@ pub enum Preds {
     Atoms(Atoms),
 }
 
-/// Parallel readers (e.g. APKeep's sharded transfer prefilter) share a
-/// `&Preds` across pool workers and call the non-interning read methods
-/// ([`Predicate::intersects`], [`Predicate::eval`]). Neither store has
+/// The policy walk shares `&ApkModel`, and with it this store, across
+/// pool workers, which call the non-interning read methods
+/// ([`Preds::intersects`], [`Preds::pkt_eval`]). Neither store has
 /// interior mutability, so both are `Sync` automatically — this pins
 /// that property at compile time so a future `Cell`/`RefCell` cache in
 /// a store is caught here, not as a heisenbug in the pool.
@@ -257,6 +114,15 @@ const _: () = {
     assert_send_sync::<Preds>();
     assert_send_sync::<Ref>();
 };
+
+macro_rules! dispatch {
+    ($self:ident, $store:ident, $e:expr) => {
+        match $self {
+            Preds::Bdd($store) => $e,
+            Preds::Atoms($store) => $e,
+        }
+    };
+}
 
 impl Preds {
     /// Create an empty store of the given kind.
@@ -299,56 +165,75 @@ impl Preds {
             k => Err(rc_store::WireError(format!("unknown predicate backend tag {k}"))),
         }
     }
-}
 
-macro_rules! dispatch {
-    ($self:ident, $store:ident, $e:expr) => {
-        match $self {
-            Preds::Bdd($store) => $e,
-            Preds::Atoms($store) => $e,
-        }
-    };
-}
-
-impl Predicate for Preds {
-    fn and(&mut self, a: Ref, b: Ref) -> Ref {
+    /// Conjunction (packet-set intersection).
+    pub fn and(&mut self, a: Ref, b: Ref) -> Ref {
         dispatch!(self, s, s.and(a, b))
     }
-    fn or(&mut self, a: Ref, b: Ref) -> Ref {
+    /// Disjunction (packet-set union).
+    pub fn or(&mut self, a: Ref, b: Ref) -> Ref {
         dispatch!(self, s, s.or(a, b))
     }
-    fn not(&mut self, a: Ref) -> Ref {
+    /// Negation (header-space complement).
+    pub fn not(&mut self, a: Ref) -> Ref {
         dispatch!(self, s, s.not(a))
     }
-    fn diff(&mut self, a: Ref, b: Ref) -> Ref {
+    /// Set difference `a ∧ ¬b`.
+    pub fn diff(&mut self, a: Ref, b: Ref) -> Ref {
         dispatch!(self, s, s.diff(a, b))
     }
-    fn intersects(&self, a: Ref, b: Ref) -> bool {
+    /// Whether `a ∧ b` is satisfiable, without interning anything.
+    pub fn intersects(&self, a: Ref, b: Ref) -> bool {
         dispatch!(self, s, s.intersects(a, b))
     }
-    fn pkt_prefix(&mut self, field: Field, value: u32, len: u32) -> Ref {
+    /// Prefix match on `field` (`len == 0` matches all).
+    pub fn pkt_prefix(&mut self, field: Field, value: u32, len: u32) -> Ref {
         dispatch!(self, s, s.pkt_prefix(field, value, len))
     }
-    fn pkt_value(&mut self, field: Field, value: u32) -> Ref {
+    /// Exact-value match on `field`.
+    pub fn pkt_value(&mut self, field: Field, value: u32) -> Ref {
         dispatch!(self, s, s.pkt_value(field, value))
     }
-    fn pkt_range(&mut self, field: Field, lo: u32, hi: u32) -> Ref {
+    /// Inclusive range match on `field`.
+    pub fn pkt_range(&mut self, field: Field, lo: u32, hi: u32) -> Ref {
         dispatch!(self, s, s.pkt_range(field, lo, hi))
     }
-    fn pkt_eval(&self, pred: Ref, pkt: &Packet) -> bool {
+    /// Evaluate a predicate on a concrete packet.
+    pub fn pkt_eval(&self, pred: Ref, pkt: &Packet) -> bool {
         dispatch!(self, s, s.pkt_eval(pred, pkt))
     }
-    fn pkt_witness(&self, pred: Ref) -> Option<Packet> {
+    /// One satisfying packet, if any.
+    pub fn pkt_witness(&self, pred: Ref) -> Option<Packet> {
         dispatch!(self, s, s.pkt_witness(pred))
     }
-    fn pkt_dst_cover(&self, pred: Ref, cap: usize) -> Cover {
+    /// The dst-IP projection as a [`Cover`] of at most `cap` exact
+    /// intervals (hull past that — see `Cover` for the soundness rule).
+    pub fn pkt_dst_cover(&self, pred: Ref, cap: usize) -> Cover {
         dispatch!(self, s, s.pkt_dst_cover(pred, cap))
     }
-    fn node_count(&self) -> usize {
+    /// Store size (BDD nodes / interned interval sets).
+    pub fn node_count(&self) -> usize {
         dispatch!(self, s, s.node_count())
     }
-    fn apply_cache_stats(&self) -> (u64, u64) {
+    /// Cumulative op-cache `(hits, misses)`; `(0, 0)` for stores
+    /// without an op cache.
+    pub fn apply_cache_stats(&self) -> (u64, u64) {
         dispatch!(self, s, s.apply_cache_stats())
+    }
+
+    /// Whether `a ⊆ b` as packet sets.
+    pub fn subset(&mut self, a: Ref, b: Ref) -> bool {
+        self.diff(a, b).is_false()
+    }
+
+    /// Conjunction of a sequence (true for the empty sequence).
+    pub fn and_all<I: IntoIterator<Item = Ref>>(&mut self, items: I) -> Ref {
+        items.into_iter().fold(Ref::TRUE, |acc, x| self.and(acc, x))
+    }
+
+    /// Disjunction of a sequence (false for the empty sequence).
+    pub fn or_all<I: IntoIterator<Item = Ref>>(&mut self, items: I) -> Ref {
+        items.into_iter().fold(Ref::FALSE, |acc, x| self.or(acc, x))
     }
 }
 

@@ -20,11 +20,10 @@
 //! with the model. This keeps `Ref` a `Copy` integer and the hot paths
 //! free of reference counting.
 //!
-//! The BDD manager is one of two predicate stores behind the
-//! [`Predicate`] trait; the [`atoms`] module provides a Delta-net-style
-//! dst-IP interval backend for dst-prefix-only workloads, and [`Preds`]
-//! enum-dispatches between them (selected by [`PredKind`] /
-//! `RC_BACKEND` / `--backend`).
+//! The BDD manager is one of two predicate stores; the [`atoms`] module
+//! provides a Delta-net-style dst-IP interval backend for
+//! dst-prefix-only workloads, and [`Preds`] enum-dispatches between
+//! them (selected by [`PredKind`] / `RC_BACKEND` / `--backend`).
 //!
 //! # Example
 //!
@@ -55,7 +54,7 @@ mod node;
 pub mod pkt;
 
 pub use atoms::Atoms;
-pub use backend::{default_backend, set_default_backend, PredKind, Predicate, Preds};
+pub use backend::{default_backend, set_default_backend, PredKind, Preds};
 pub use manager::Bdd;
 pub use node::{Node, Ref, Var};
 pub use pkt::Cover;

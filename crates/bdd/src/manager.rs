@@ -274,12 +274,6 @@ impl Bdd {
         self.apply(Op::Diff, a, b)
     }
 
-    /// Implication `¬a ∨ b`.
-    pub fn implies(&mut self, a: Ref, b: Ref) -> Ref {
-        let d = self.diff(a, b);
-        self.not(d)
-    }
-
     /// Negation (header-space complement).
     pub fn not(&mut self, a: Ref) -> Ref {
         if a.is_false() {

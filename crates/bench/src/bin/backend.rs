@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use realconfig::{PredKind, RealConfig, VerifierOptions};
-use realconfig_bench::{fmt_us, PaperChange, Workload};
+use realconfig_bench::{fmt_us, Flags, PaperChange, Workload};
 use rc_netcfg::gen::ProtocolChoice;
 use serde::Serialize;
 
@@ -61,13 +61,16 @@ fn median(mut v: Vec<u128>) -> u128 {
 }
 
 fn main() {
-    let args = parse_args();
+    let flags = Flags::parse(&["--k", "--samples", "--out"]);
+    let k: u32 = flags.get("--k", 8);
+    let samples: usize = flags.get("--samples", 10);
+    let out_path: String = flags.get("--out", "bench_results/backend.json".into());
     println!(
-        "Backend A/B: BGP fat tree k={}, {} sampled changes per type, interleaved bdd/atoms.\n",
-        args.k, args.samples
+        "Backend A/B: BGP fat tree k={k}, {samples} sampled changes per type, \
+         interleaved bdd/atoms.\n"
     );
-    let w = Workload::fat_tree(args.k, ProtocolChoice::Bgp);
-    let ports = w.sample_ports(args.samples, 0xC0FFEE);
+    let w = Workload::fat_tree(k, ProtocolChoice::Bgp);
+    let ports = w.sample_ports(samples, 0xC0FFEE);
 
     eprintln!("building one verifier per backend…");
     let build = |backend| {
@@ -155,7 +158,7 @@ fn main() {
     );
 
     let out = Output {
-        k: args.k,
+        k,
         samples: ports.len(),
         rules_total: rc_bdd.num_rules(),
         total_pairs: rc_bdd.num_pairs(),
@@ -165,37 +168,6 @@ fn main() {
         reports_compared,
     };
     let json = serde_json::to_string_pretty(&out).expect("serializes");
-    realconfig_bench::write_results(&args.out, &json);
-    println!("Raw results: {}", args.out);
-}
-
-struct Args {
-    k: u32,
-    samples: usize,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut parsed =
-        Args { k: 8, samples: 10, out: "bench_results/backend.json".into() };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--k" => {
-                parsed.k = args[i + 1].parse().expect("--k N");
-                i += 2;
-            }
-            "--samples" => {
-                parsed.samples = args[i + 1].parse().expect("--samples N");
-                i += 2;
-            }
-            "--out" => {
-                parsed.out = args[i + 1].clone();
-                i += 2;
-            }
-            other => panic!("unknown argument {other:?} (expected --k / --samples / --out)"),
-        }
-    }
-    parsed
+    realconfig_bench::write_results(&out_path, &json);
+    println!("Raw results: {out_path}");
 }

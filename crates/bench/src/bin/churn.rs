@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use rc_netcfg::gen::ProtocolChoice;
 use realconfig::{OnFailure, RealConfig, VerifierOptions};
-use realconfig_bench::{stream, Workload};
+use realconfig_bench::{stream, Flags, Workload};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -128,7 +128,10 @@ fn run_stream(w: &Workload, changes: usize, seed: u64, fault_every: usize) -> Ch
 }
 
 fn main() {
-    let (k, changes, fault_every) = parse_args();
+    let flags = Flags::parse(&["--k", "--changes", "--fault-every"]);
+    let k: u32 = flags.get("--k", 6);
+    let changes: usize = flags.get("--changes", 400);
+    let fault_every: usize = flags.get("--fault-every", 0);
     let w = Workload::fat_tree(k, ProtocolChoice::Ospf);
     println!(
         "Churn stream: k={k} fat tree OSPF ({} devices), {changes} link fail/restore changes{}.\n",
@@ -170,32 +173,4 @@ fn main() {
         &serde_json::to_string_pretty([r].as_slice()).expect("serializes"),
     );
     println!("Raw results: bench_results/churn.json");
-}
-
-fn parse_args() -> (u32, usize, usize) {
-    let mut k = 6;
-    let mut changes = 400;
-    let mut fault_every = 0;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--k" => {
-                k = args[i + 1].parse().expect("--k N");
-                i += 2;
-            }
-            "--changes" => {
-                changes = args[i + 1].parse().expect("--changes N");
-                i += 2;
-            }
-            "--fault-every" => {
-                fault_every = args[i + 1].parse().expect("--fault-every N");
-                i += 2;
-            }
-            other => {
-                panic!("unknown argument {other:?} (expected --k / --changes / --fault-every)")
-            }
-        }
-    }
-    (k, changes, fault_every)
 }

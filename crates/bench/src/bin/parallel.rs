@@ -21,7 +21,7 @@
 use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::topology::host_prefix;
 use realconfig::{RealConfig, VerifierOptions};
-use realconfig_bench::{check_gate, fmt_us, PaperChange, Workload};
+use realconfig_bench::{check_gate, fmt_us, Flags, PaperChange, Workload};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -60,20 +60,29 @@ fn median(mut v: Vec<u128>) -> u128 {
 }
 
 fn main() {
-    let args = parse_args();
+    let flags = Flags::parse(&["--k", "--samples", "--reps", "--threads", "--out", "--check"]);
+    let k: u32 = flags.get("--k", 6);
+    let samples: usize = flags.get("--samples", 4);
+    let reps: usize = flags.get("--reps", 3);
+    let threads: Vec<usize> = flags
+        .get("--threads", String::from("1,2,4"))
+        .split(',')
+        .map(|s| s.trim().parse().expect("--threads N,N,…"))
+        .collect();
+    let out: String = flags.get("--out", "bench_results/parallel.json".into());
+    let check: Option<String> = flags.opt("--check");
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
-        "Parallel policy-check scaling: BGP fat tree k={}, {} changes × {} reps, \
-         worker counts {:?}, host cores {}.\n",
-        args.k, args.samples, args.reps, args.threads, host_cores
+        "Parallel policy-check scaling: BGP fat tree k={k}, {samples} changes × {reps} reps, \
+         worker counts {threads:?}, host cores {host_cores}.\n"
     );
 
-    let w = Workload::fat_tree(args.k, ProtocolChoice::Bgp);
-    let ports = w.sample_ports(args.samples, 0xC0FFEE);
+    let w = Workload::fat_tree(k, ProtocolChoice::Bgp);
+    let ports = w.sample_ports(samples, 0xC0FFEE);
 
     // One verifier per worker count, identical workload and policies.
     let mut rcs: Vec<(usize, RealConfig)> = Vec::new();
-    for &t in &args.threads {
+    for &t in &threads {
         eprintln!("[threads={t}] building verifier…");
         let opts = VerifierOptions { threads: Some(t), ..Default::default() };
         let (mut rc, _) =
@@ -100,7 +109,7 @@ fn main() {
     // against the first fresh build, not against the policy-bearing
     // verifiers above.
     let mut build_ecs: Option<usize> = None;
-    for rep in 0..args.reps {
+    for rep in 0..reps {
         for (i, (t, rc)) in rcs.iter_mut().enumerate() {
             let start = Instant::now();
             rc.recheck_policies();
@@ -137,11 +146,11 @@ fn main() {
         .enumerate()
         .map(|(i, (t, rc))| ParallelRow {
             threads: *t,
-            k: args.k,
+            k,
             nodes: w.topo.num_devices(),
             links: w.topo.num_links(),
             samples: ports.len(),
-            reps: args.reps,
+            reps,
             ecs: rc.num_ecs(),
             pairs: rc.num_pairs(),
             check_full_us: median(full_us[i].clone()),
@@ -187,7 +196,7 @@ fn main() {
     }
 
     let rows_json = serde_json::to_string_pretty(&rows).expect("serializes");
-    if let Some(baseline) = &args.check {
+    if let Some(baseline) = &check {
         match check_gate(&rows_json, baseline, GATE_FIELDS) {
             Ok(n) => println!(
                 "\nEquivalence gate vs {baseline}: {n} structural fields byte-identical — PASS"
@@ -198,64 +207,6 @@ fn main() {
             }
         }
     }
-    realconfig_bench::write_results(&args.out, &rows_json);
-    println!("Raw results: {}", args.out);
-}
-
-struct Args {
-    k: u32,
-    samples: usize,
-    reps: usize,
-    threads: Vec<usize>,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        k: 6,
-        samples: 4,
-        reps: 3,
-        threads: vec![1, 2, 4],
-        out: "bench_results/parallel.json".into(),
-        check: None,
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--k" => {
-                parsed.k = args[i + 1].parse().expect("--k N");
-                i += 2;
-            }
-            "--samples" => {
-                parsed.samples = args[i + 1].parse().expect("--samples N");
-                i += 2;
-            }
-            "--reps" => {
-                parsed.reps = args[i + 1].parse().expect("--reps N");
-                i += 2;
-            }
-            "--threads" => {
-                parsed.threads = args[i + 1]
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads N,N,…"))
-                    .collect();
-                i += 2;
-            }
-            "--out" => {
-                parsed.out = args[i + 1].clone();
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!(
-                "unknown argument {other:?} (expected --k / --samples / --reps / --threads / --out / --check)"
-            ),
-        }
-    }
-    assert!(!parsed.threads.is_empty(), "--threads needs at least one worker count");
-    parsed
+    realconfig_bench::write_results(&out, &rows_json);
+    println!("Raw results: {out}");
 }

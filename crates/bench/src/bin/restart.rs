@@ -30,7 +30,7 @@
 use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::topology::host_prefix;
 use realconfig::{RealConfig, RestoreSource};
-use realconfig_bench::{check_gate, fmt_us, PaperChange, Workload};
+use realconfig_bench::{check_gate, fmt_us, Flags, PaperChange, Workload};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -91,14 +91,16 @@ impl Drop for ScratchDir {
 }
 
 fn main() {
-    let args = parse_args();
-    println!(
-        "Warm-restart A/B: BGP fat tree k={}, {} churn changes, {} reps.\n",
-        args.k, args.samples, args.reps
-    );
+    let flags = Flags::parse(&["--k", "--samples", "--reps", "--out", "--check"]);
+    let k: u32 = flags.get("--k", 8);
+    let samples: usize = flags.get("--samples", 4);
+    let reps: usize = flags.get("--reps", 5);
+    let out: String = flags.get("--out", "bench_results/restart.json".into());
+    let check: Option<String> = flags.opt("--check");
+    println!("Warm-restart A/B: BGP fat tree k={k}, {samples} churn changes, {reps} reps.\n");
 
-    let w = Workload::fat_tree(args.k, ProtocolChoice::Bgp);
-    let ports = w.sample_ports(args.samples, 0xC0FFEE);
+    let w = Workload::fat_tree(k, ProtocolChoice::Bgp);
+    let ports = w.sample_ports(samples, 0xC0FFEE);
     let policies = |rc: &mut RealConfig| {
         rc.require_reachability("pod00-edge00", "pod01-edge00", host_prefix(2))
             .expect("devices exist");
@@ -154,7 +156,7 @@ fn main() {
     let mut cold_us = Vec::new();
     let mut restore_us = Vec::new();
     let mut replay_us = Vec::new();
-    for rep in 0..args.reps {
+    for rep in 0..reps {
         let start = Instant::now();
         let (mut cold, _) = RealConfig::new(w.configs.clone()).expect("cold build verifies");
         policies(&mut cold);
@@ -197,11 +199,11 @@ fn main() {
     }
 
     let row = RestartRow {
-        k: args.k,
+        k,
         nodes: w.topo.num_devices(),
         links: w.topo.num_links(),
         samples: ports.len(),
-        reps: args.reps,
+        reps,
         ecs: reference.num_ecs(),
         pairs: reference.num_pairs(),
         fib_rules: reference.num_fib_rules(),
@@ -232,7 +234,7 @@ fn main() {
     );
 
     let rows_json = serde_json::to_string_pretty(std::slice::from_ref(&row)).expect("serializes");
-    if let Some(baseline) = &args.check {
+    if let Some(baseline) = &check {
         match check_gate(&rows_json, baseline, GATE_FIELDS) {
             Ok(n) => println!(
                 "\nEquivalence gate vs {baseline}: {n} structural fields byte-identical — PASS"
@@ -243,54 +245,6 @@ fn main() {
             }
         }
     }
-    realconfig_bench::write_results(&args.out, &rows_json);
-    println!("Raw results: {}", args.out);
-}
-
-struct Args {
-    k: u32,
-    samples: usize,
-    reps: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        k: 8,
-        samples: 4,
-        reps: 5,
-        out: "bench_results/restart.json".into(),
-        check: None,
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--k" => {
-                parsed.k = args[i + 1].parse().expect("--k N");
-                i += 2;
-            }
-            "--samples" => {
-                parsed.samples = args[i + 1].parse().expect("--samples N");
-                i += 2;
-            }
-            "--reps" => {
-                parsed.reps = args[i + 1].parse().expect("--reps N");
-                i += 2;
-            }
-            "--out" => {
-                parsed.out = args[i + 1].clone();
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!(
-                "unknown argument {other:?} (expected --k / --samples / --reps / --out / --check)"
-            ),
-        }
-    }
-    parsed
+    realconfig_bench::write_results(&out, &rows_json);
+    println!("Raw results: {out}");
 }

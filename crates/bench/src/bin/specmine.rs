@@ -8,13 +8,11 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rc_netcfg::facts::{fact_delta, lower, Registry};
 use rc_netcfg::gen::ProtocolChoice;
-use rc_netcfg::ChangeOp;
-use rc_routing::engine::RoutingEngine;
-use realconfig_bench::Workload;
+use realconfig::RealConfig;
+use realconfig_bench::{Flags, PaperChange, Workload};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -27,7 +25,9 @@ struct SpecmineResult {
 }
 
 fn main() {
-    let (k, max_scenarios) = parse_args();
+    let flags = Flags::parse(&["--k", "--scenarios"]);
+    let k: u32 = flags.get("--k", 12);
+    let max_scenarios: usize = flags.get("--scenarios", 40);
     let w = Workload::fat_tree(k, ProtocolChoice::Ospf);
     println!(
         "Spec-mining sweep: k={k} fat tree ({} devices, {} links, OSPF), single-link failures.",
@@ -35,42 +35,18 @@ fn main() {
         w.topo.num_links()
     );
 
-    // Incremental: one warm engine; per scenario apply failure +
+    // Incremental: one warm verifier; per scenario apply failure +
     // restore (two incremental epochs, both counted).
-    let mut reg = Registry::new();
-    let lowered = lower(&w.configs, &mut reg);
-    let mut engine = RoutingEngine::new();
-    let t = Instant::now();
-    engine.apply(lowered.facts.iter().map(|f| (f.clone(), 1))).expect("converges");
-    let full_build = t.elapsed();
-    println!("full (from-scratch) generation: {full_build:?}");
+    let (mut rc, full) = RealConfig::new(w.configs.clone()).expect("verifies");
+    println!("full (from-scratch) generation: {:?}", full.dp_gen);
 
     let scenarios: Vec<_> = w.topo.links.iter().take(max_scenarios).collect();
-    let mut configs = w.configs.clone();
-    let mut facts = lowered.facts.clone();
     let mut incremental = Duration::ZERO;
     for link in &scenarios {
-        for shutdown in [true, false] {
-            let op = if shutdown {
-                ChangeOp::DisableInterface {
-                    device: link.a.device.clone(),
-                    iface: link.a.iface.clone(),
-                }
-            } else {
-                ChangeOp::EnableInterface {
-                    device: link.a.device.clone(),
-                    iface: link.a.iface.clone(),
-                }
-            };
-            rc_netcfg::ChangeSet { ops: vec![op] }.apply(&mut configs).expect("applies");
-            let lowered = lower(&configs, &mut reg);
-            let delta = fact_delta(&facts, &lowered.facts);
-            facts = lowered.facts;
-            let t = Instant::now();
-            engine.apply(delta).expect("converges");
-            incremental += t.elapsed();
-        }
-        engine.compact();
+        let port = (link.a.device.clone(), link.a.iface.clone());
+        let (fail, restore) = w.change_at(PaperChange::LinkFailure, &port);
+        incremental += rc.apply_change(&fail).expect("failure verifies").dp_gen;
+        incremental += rc.apply_change(&restore).expect("restore verifies").dp_gen;
     }
     println!(
         "incremental: {} scenarios (fail + restore) in {incremental:?} \
@@ -88,12 +64,7 @@ fn main() {
         rc_netcfg::ChangeSet::link_failure(&link.a.device, &link.a.iface)
             .apply(&mut failed)
             .expect("applies");
-        let mut reg = Registry::new();
-        let lowered = lower(&failed, &mut reg);
-        let mut engine = RoutingEngine::new();
-        let t = Instant::now();
-        engine.apply(lowered.facts.iter().map(|f| (f.clone(), 1))).expect("converges");
-        scratch_sample += t.elapsed();
+        scratch_sample += realconfig::full_dataplane_realconfig(&failed).expect("converges").0;
     }
     let scratch = scratch_sample * scenarios.len() as u32 / sample as u32;
     println!(
@@ -117,25 +88,4 @@ fn main() {
         &serde_json::to_string_pretty(&result).expect("serializes"),
     );
     println!("Raw results: bench_results/specmine.json");
-}
-
-fn parse_args() -> (u32, usize) {
-    let mut k = 12;
-    let mut scenarios = 40;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--k" => {
-                k = args[i + 1].parse().expect("--k N");
-                i += 2;
-            }
-            "--scenarios" => {
-                scenarios = args[i + 1].parse().expect("--scenarios N");
-                i += 2;
-            }
-            other => panic!("unknown argument {other:?} (expected --k / --scenarios)"),
-        }
-    }
-    (k, scenarios)
 }

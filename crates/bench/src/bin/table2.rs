@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use rc_netcfg::gen::ProtocolChoice;
-use realconfig_bench::{check_gate, fmt_us, run_table2};
+use realconfig_bench::{check_gate, fmt_us, run_table2, Flags};
 
 /// Fields of a Table2Row that must be byte-identical across perf knobs
 /// (worker count, EC index): everything except timings and the
@@ -21,17 +21,18 @@ use realconfig_bench::{check_gate, fmt_us, run_table2};
 const GATE_FIELDS: &[&str] = &["proto", "k", "nodes", "links", "samples"];
 
 fn main() {
-    let args = parse_args();
-    println!(
-        "Table 2 reproduction: fat tree k={}, {} sampled changes per type.\n",
-        args.k, args.samples
-    );
+    let flags = Flags::parse(&["--k", "--samples", "--out", "--check"]);
+    let k: u32 = flags.get("--k", 12);
+    let samples: usize = flags.get("--samples", 10);
+    let out: String = flags.get("--out", "bench_results/table2.json".into());
+    let check: Option<String> = flags.opt("--check");
+    println!("Table 2 reproduction: fat tree k={k}, {samples} sampled changes per type.\n");
 
     let mut rows = Vec::new();
     for proto in [ProtocolChoice::Ospf, ProtocolChoice::Bgp] {
         let label = if proto == ProtocolChoice::Ospf { "OSPF" } else { "BGP" };
         eprintln!("[{label}] building and measuring…");
-        let row = run_table2(args.k, proto, args.samples, 0xC0FFEE);
+        let row = run_table2(k, proto, samples, 0xC0FFEE);
         eprintln!(
             "[{label}] done: full={} incremental: LinkFailure={} LC/LP={}",
             fmt_us(row.rc_full_us),
@@ -82,7 +83,7 @@ fn main() {
 
     // The equivalence gate runs before the output is written, so a
     // baseline can double as the output path.
-    if let Some(baseline) = &args.check {
+    if let Some(baseline) = &check {
         match check_gate(&rows_json, baseline, GATE_FIELDS) {
             Ok(n) => println!(
                 "\nEquivalence gate vs {baseline}: {n} structural fields byte-identical — PASS"
@@ -94,44 +95,6 @@ fn main() {
         }
     }
 
-    realconfig_bench::write_results(&args.out, &rows_json);
-    println!("Raw results: {}", args.out);
-}
-
-struct Args {
-    k: u32,
-    samples: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed =
-        Args { k: 12, samples: 10, out: "bench_results/table2.json".into(), check: None };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--k" => {
-                parsed.k = args[i + 1].parse().expect("--k N");
-                i += 2;
-            }
-            "--samples" => {
-                parsed.samples = args[i + 1].parse().expect("--samples N");
-                i += 2;
-            }
-            "--out" => {
-                parsed.out = args[i + 1].clone();
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!(
-                "unknown argument {other:?} (expected --k / --samples / --out / --check)"
-            ),
-        }
-    }
-    parsed
+    realconfig_bench::write_results(&out, &rows_json);
+    println!("Raw results: {out}");
 }

@@ -15,7 +15,7 @@
 
 #![forbid(unsafe_code)]
 
-use realconfig_bench::{check_gate, fmt_us, run_table3_opts, Table3Row};
+use realconfig_bench::{check_gate, fmt_us, run_table3_opts, Flags, Table3Row};
 
 /// Fields of a Table3Row that must be byte-identical between a bdd and
 /// an atoms run, and at any worker count (everything except timings,
@@ -35,15 +35,19 @@ const GATE_FIELDS: &[&str] = &[
 ];
 
 fn main() {
-    let args = parse_args();
+    let flags = Flags::parse(&["--k", "--samples", "--out", "--check", "--backend"]);
+    let k: u32 = flags.get("--k", 12);
+    let samples: usize = flags.get("--samples", 10);
+    let out: String = flags.get("--out", "bench_results/table3.json".into());
+    let check: Option<String> = flags.opt("--check");
+    let backend: realconfig::PredKind = flags.get("--backend", realconfig::default_backend());
     println!(
-        "Table 3 reproduction: BGP fat tree k={}, {} sampled changes per type, {} backend.\n",
-        args.k,
-        args.samples,
-        args.backend.label(),
+        "Table 3 reproduction: BGP fat tree k={k}, {samples} sampled changes per type, \
+         {} backend.\n",
+        backend.label(),
     );
     eprintln!("building two verifiers per change type (insert-first / delete-first)…");
-    let rows = run_table3_opts(args.k, args.samples, 0xC0FFEE, args.backend);
+    let rows = run_table3_opts(k, samples, 0xC0FFEE, backend);
 
     println!(
         "== Measured (this machine; #Rules total {}, #Pairs total {}) ==",
@@ -103,7 +107,7 @@ fn main() {
 
     // The equivalence gate runs before the output is written, so a
     // baseline can double as the output path.
-    if let Some(baseline) = &args.check {
+    if let Some(baseline) = &check {
         match check_gate(&rows_json, baseline, GATE_FIELDS) {
             Ok(n) => println!(
                 "\nEquivalence gate vs {baseline}: {n} non-timing fields byte-identical — PASS"
@@ -115,54 +119,6 @@ fn main() {
         }
     }
 
-    realconfig_bench::write_results(&args.out, &rows_json);
-    println!("Raw results: {}", args.out);
-}
-
-struct Args {
-    k: u32,
-    samples: usize,
-    out: String,
-    check: Option<String>,
-    backend: realconfig::PredKind,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        k: 12,
-        samples: 10,
-        out: "bench_results/table3.json".into(),
-        check: None,
-        backend: realconfig::default_backend(),
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--k" => {
-                parsed.k = args[i + 1].parse().expect("--k N");
-                i += 2;
-            }
-            "--samples" => {
-                parsed.samples = args[i + 1].parse().expect("--samples N");
-                i += 2;
-            }
-            "--out" => {
-                parsed.out = args[i + 1].clone();
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--backend" => {
-                parsed.backend = args[i + 1].parse().expect("--backend bdd|atoms");
-                i += 2;
-            }
-            other => panic!(
-                "unknown argument {other:?} (expected --k / --samples / --out / --check / --backend)"
-            ),
-        }
-    }
-    parsed
+    realconfig_bench::write_results(&out, &rows_json);
+    println!("Raw results: {out}");
 }

@@ -12,18 +12,15 @@
 //! - **poisson**: the uniform churn stream with memoryless arrivals —
 //!   the steady-state feed.
 //!
-//! For each profile the A/B legs run *interleaved in this one binary*
-//! on identical streams: one-at-a-time application (the degenerate
-//! `CoalescePolicy::one_at_a_time`, same code path), coalescing under
-//! insertion-first ordering, and coalescing under deletion-first
-//! ordering. A fourth leg re-runs the coalesced burst profile with the
-//! threshold-driven compaction policy replacing the per-change sweep,
-//! measuring records fed through compaction and records retained.
+//! For each profile three A/B legs run *interleaved in this one
+//! binary* on identical streams: one-at-a-time application (the
+//! degenerate `CoalescePolicy::one_at_a_time`, same code path),
+//! coalescing under insertion-first ordering, and coalescing under
+//! deletion-first ordering.
 //!
 //! Every leg must converge to the identical final state
 //! (`ab_identical`: FIB set, rule and pair counts equal to the serial
-//! leg's) — coalescing and compaction change speed and memory, never
-//! results. `--check` gates the deterministic fields against a
+//! leg's) — coalescing changes speed and memory, never results. `--check` gates the deterministic fields against a
 //! committed baseline, like the table2/table3 bins.
 //!
 //! Usage: `cargo run --release -p realconfig-bench --bin throughput \
@@ -38,7 +35,7 @@ use rc_netcfg::gen::ProtocolChoice;
 use rc_netcfg::ChangeSet;
 use realconfig::{RealConfig, UpdateOrder, VerifierOptions};
 use realconfig_bench::stream::{self, CoalescePolicy};
-use realconfig_bench::{check_gate, fmt_us, Workload};
+use realconfig_bench::{check_gate, fmt_us, Flags, Workload};
 use serde::Serialize;
 
 /// Fields that must be byte-identical between a run and the committed
@@ -161,20 +158,22 @@ fn run_leg(
 }
 
 fn main() {
-    let args = parse_args();
-    let w = Workload::fat_tree(args.k, ProtocolChoice::Ospf);
+    let flags = Flags::parse(&["--k", "--windows", "--changes", "--out", "--check"]);
+    let k: u32 = flags.get("--k", 8);
+    let windows: usize = flags.get("--windows", 24);
+    let changes: usize = flags.get("--changes", 240);
+    let out: String = flags.get("--out", "bench_results/throughput.json".into());
+    let check: Option<String> = flags.opt("--check");
+    let w = Workload::fat_tree(k, ProtocolChoice::Ospf);
     println!(
-        "Throughput harness: k={} fat tree OSPF ({} devices), {} maintenance windows (burst), \
-         {} churn events (poisson).\n",
-        args.k,
+        "Throughput harness: k={k} fat tree OSPF ({} devices), {windows} maintenance windows \
+         (burst), {changes} churn events (poisson).\n",
         w.topo.num_devices(),
-        args.windows,
-        args.changes,
     );
 
     // Burst profile: maintenance windows, near-simultaneous arrivals
     // inside each window, 20ms quiet periods between windows.
-    let bursts = stream::maintenance_bursts(&w, args.windows, 0xB07);
+    let bursts = stream::maintenance_bursts(&w, windows, 0xB07);
     let sizes: Vec<usize> = bursts.iter().map(|b| b.len()).collect();
     let times = stream::burst_arrivals(&sizes, 1, 20_000);
     let burst_stream: Vec<(u64, ChangeSet)> = times
@@ -185,7 +184,7 @@ fn main() {
     // Poisson profile: uniform churn with a 500µs mean inter-arrival
     // gap — well below the per-change pipeline latency at k≥8, so the
     // queue deepens and coalescing has something to fold.
-    let churn = stream::uniform_churn(&w, args.changes, 0xFEED);
+    let churn = stream::uniform_churn(&w, changes, 0xFEED);
     let churn_stream: Vec<(u64, ChangeSet)> = stream::poisson_arrivals(churn.len(), 500.0, 0x9015)
         .into_iter()
         .zip(churn)
@@ -236,7 +235,7 @@ fn main() {
     );
 
     let rows_json = serde_json::to_string_pretty(&rows).expect("serializes");
-    if let Some(baseline) = &args.check {
+    if let Some(baseline) = &check {
         match check_gate(&rows_json, baseline, GATE_FIELDS) {
             Ok(n) => println!(
                 "Equivalence gate vs {baseline}: {n} non-timing fields byte-identical — PASS"
@@ -252,8 +251,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    realconfig_bench::write_results(&args.out, &rows_json);
-    println!("Raw results: {}", args.out);
+    realconfig_bench::write_results(&out, &rows_json);
+    println!("Raw results: {out}");
 }
 
 fn print_row(r: &ThroughputRow) {
@@ -270,52 +269,4 @@ fn print_row(r: &ThroughputRow) {
         r.noop_batches,
         r.peak_rss_kb,
     );
-}
-
-struct Args {
-    k: u32,
-    windows: usize,
-    changes: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        k: 8,
-        windows: 24,
-        changes: 240,
-        out: "bench_results/throughput.json".into(),
-        check: None,
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--k" => {
-                parsed.k = args[i + 1].parse().expect("--k N");
-                i += 2;
-            }
-            "--windows" => {
-                parsed.windows = args[i + 1].parse().expect("--windows N");
-                i += 2;
-            }
-            "--changes" => {
-                parsed.changes = args[i + 1].parse().expect("--changes N");
-                i += 2;
-            }
-            "--out" => {
-                parsed.out = args[i + 1].clone();
-                i += 2;
-            }
-            "--check" => {
-                parsed.check = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!(
-                "unknown argument {other:?} (expected --k / --windows / --changes / --out / --check)"
-            ),
-        }
-    }
-    parsed
 }

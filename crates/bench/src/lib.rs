@@ -19,6 +19,7 @@
 pub mod stream;
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -26,11 +27,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use rc_netcfg::facts::{fact_delta, lower, Registry};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, Topology};
 use rc_netcfg::{ChangeSet, DeviceConfig};
-use rc_routing::engine::RoutingEngine;
 use realconfig::{RealConfig, UpdateOrder, VerifierOptions};
 
 /// The paper's change types.
@@ -141,10 +140,12 @@ pub struct Table2Row {
     /// the timing columns; not a gate field).
     pub host_cores: usize,
     /// Process peak RSS in KiB when the row was finalized (not a gate
-    /// field; cumulative across rows of one run).
+    /// field; cumulative across rows of one run). It covers the whole
+    /// verifier — EC model and policy checker as well as the routing
+    /// engine.
     pub peak_rss_kb: u64,
-    /// Engine telemetry at the end of the run (per-operator work,
-    /// queue depths, compaction counters).
+    /// Pipeline-wide telemetry at the end of the run (per-operator
+    /// work, queue depths, compaction counters).
     pub metrics: rc_telemetry::MetricsSnapshot,
 }
 
@@ -158,52 +159,18 @@ impl Table2Row {
     }
 }
 
-/// Time one incremental change (apply only), restoring afterwards.
-/// Uses a bare routing engine — Table 2 measures data plane
-/// *generation*, the pipeline's first stage.
-struct EngineHarness {
-    engine: RoutingEngine,
-    reg: Registry,
-    configs: BTreeMap<String, DeviceConfig>,
-    facts: std::collections::BTreeSet<rc_netcfg::Fact>,
-    telemetry: rc_telemetry::Telemetry,
-}
-
-impl EngineHarness {
-    fn new(configs: BTreeMap<String, DeviceConfig>) -> (Self, Duration) {
-        let mut reg = Registry::new();
-        let lowered = lower(&configs, &mut reg);
-        let mut engine = RoutingEngine::new();
-        let telemetry = rc_telemetry::Telemetry::new();
-        engine.set_telemetry(telemetry.clone());
-        let t = Instant::now();
-        engine
-            .apply(lowered.facts.iter().map(|f| (f.clone(), 1)))
-            .expect("workload converges");
-        let full = t.elapsed();
-        (EngineHarness { engine, reg, configs, facts: lowered.facts, telemetry }, full)
-    }
-
-    /// Apply a change set; returns the data plane generation time.
-    fn apply(&mut self, cs: &ChangeSet) -> Duration {
-        cs.apply(&mut self.configs).expect("change applies");
-        let lowered = lower(&self.configs, &mut self.reg);
-        let delta = fact_delta(&self.facts, &lowered.facts);
-        self.facts = lowered.facts;
-        let t = Instant::now();
-        self.engine.apply(delta).expect("workload converges");
-        t.elapsed()
-    }
-}
-
-/// Regenerate Table 2 for one protocol.
+/// Regenerate Table 2 for one protocol. Table 2 measures data plane
+/// *generation*, the pipeline's first stage: the verifier's
+/// `dp_gen` times the routing engine's apply alone, from scratch and
+/// per change.
 pub fn run_table2(k: u32, proto: ProtocolChoice, samples: usize, seed: u64) -> Table2Row {
     let w = Workload::fat_tree(k, proto);
 
     let (baseline_full, _) =
         realconfig::full_dataplane_baseline(&w.configs).expect("baseline converges");
 
-    let (mut harness, rc_full) = EngineHarness::new(w.configs.clone());
+    let (mut rc, full) = RealConfig::with_options(w.configs.clone(), VerifierOptions::default())
+        .expect("workload verifies");
 
     let ports = w.sample_ports(samples, seed);
     let mut avg = BTreeMap::new();
@@ -211,8 +178,8 @@ pub fn run_table2(k: u32, proto: ProtocolChoice, samples: usize, seed: u64) -> T
         let mut total = Duration::ZERO;
         for port in &ports {
             let (apply, restore) = w.change_at(change, port);
-            total += harness.apply(&apply);
-            harness.apply(&restore);
+            total += rc.apply_change(&apply).expect("change verifies").dp_gen;
+            rc.apply_change(&restore).expect("restore verifies");
         }
         avg.insert(change.label(), total / ports.len() as u32);
     }
@@ -227,7 +194,7 @@ pub fn run_table2(k: u32, proto: ProtocolChoice, samples: usize, seed: u64) -> T
         nodes: w.topo.num_devices(),
         links: w.topo.num_links(),
         baseline_full_us: baseline_full.as_micros(),
-        rc_full_us: rc_full.as_micros(),
+        rc_full_us: full.dp_gen.as_micros(),
         link_failure_us: avg["LinkFailure"].as_micros(),
         lc_lp_us: avg
             .iter()
@@ -237,7 +204,7 @@ pub fn run_table2(k: u32, proto: ProtocolChoice, samples: usize, seed: u64) -> T
         samples: ports.len(),
         host_cores: host_cores(),
         peak_rss_kb: peak_rss_kb(),
-        metrics: harness.telemetry.snapshot(),
+        metrics: rc.metrics_snapshot(),
     }
 }
 
@@ -406,6 +373,62 @@ pub fn check_gate(rows_json: &str, baseline_path: &str, fields: &[&str]) -> Resu
     }
 }
 
+/// A bench binary's command line: `--flag value` pairs, each flag one
+/// of the names the binary accepts; a repeated flag keeps its last
+/// value. An unknown flag, a missing value or a value that does not
+/// parse exits with status 2 and a message listing the accepted flags.
+pub struct Flags {
+    values: BTreeMap<String, String>,
+    expected: String,
+}
+
+impl Flags {
+    /// Parse this process's arguments against `accepted`.
+    pub fn parse(accepted: &[&str]) -> Flags {
+        Flags::from_args(accepted, std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e))
+    }
+
+    fn from_args(
+        accepted: &[&str],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Flags, String> {
+        let expected = format!("expected {}", accepted.join(" / "));
+        let mut values = BTreeMap::new();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            if !accepted.contains(&flag.as_str()) {
+                return Err(format!("unknown argument {flag:?} ({expected})"));
+            }
+            let Some(value) = args.next() else {
+                return Err(format!("{flag} needs a value ({expected})"));
+            };
+            values.insert(flag, value);
+        }
+        Ok(Flags { values, expected })
+    }
+
+    /// The value of `flag`, or `default` when it was not given.
+    pub fn get<T: FromStr>(&self, flag: &str, default: T) -> T {
+        self.opt(flag).unwrap_or(default)
+    }
+
+    /// The value of `flag`, if it was given.
+    pub fn opt<T: FromStr>(&self, flag: &str) -> Option<T> {
+        let value = self.values.get(flag)?;
+        match value.parse() {
+            Ok(v) => Some(v),
+            Err(_) => {
+                usage_exit(&format!("invalid value {value:?} for {flag} ({})", self.expected))
+            }
+        }
+    }
+}
+
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
 /// Write a results file under `bench_results/` atomically (write-temp,
 /// fsync, rename via [`rc_store::atomic_write`]): an interrupted or
 /// panicking bench run never clobbers a previously committed baseline
@@ -471,6 +494,21 @@ mod tests {
         assert!(row.link_failure_us > 0);
         // Incremental must be cheaper than full even at toy scale.
         assert!(row.link_failure_us < row.rc_full_us);
+    }
+
+    #[test]
+    fn flags_parse_values_and_reject_unknown_or_valueless_flags() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let accepted = ["--k", "--out"];
+        let f = Flags::from_args(&accepted, args(&["--k", "4", "--k", "6"])).unwrap();
+        assert_eq!(f.get("--k", 12u32), 6);
+        assert_eq!(f.get("--out", String::from("default.json")), "default.json");
+        assert_eq!(f.opt::<String>("--out"), None);
+
+        let err = Flags::from_args(&accepted, args(&["--samples", "2"])).err().unwrap();
+        assert_eq!(err, "unknown argument \"--samples\" (expected --k / --out)");
+        let err = Flags::from_args(&accepted, args(&["--out"])).err().unwrap();
+        assert_eq!(err, "--out needs a value (expected --k / --out)");
     }
 
     #[test]

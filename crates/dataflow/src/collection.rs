@@ -143,23 +143,6 @@ impl<D: Data> Collection<D> {
         self.derived(out)
     }
 
-    /// Observe every difference flowing through (for debugging); the
-    /// collection passes through unchanged.
-    pub fn inspect<F: FnMut(&D, Time, Diff) + 'static>(&self, mut f: F) -> Collection<D> {
-        let out = Fanout::new();
-        let node = LinearNode::new(
-            "inspect",
-            self.fanout.subscribe(),
-            out.clone(),
-            Box::new(move |d: D, t, r, staging: &mut Vec<(D, Time, Diff)>| {
-                f(&d, t, r);
-                staging.push((d, t, r));
-            }),
-        );
-        self.register(Box::new(node));
-        self.derived(out)
-    }
-
     /// Create a client-side observer of this collection.
     pub fn output(&self) -> OutputHandle<D> {
         OutputHandle::new(self.fanout.subscribe())
@@ -243,14 +226,6 @@ impl<K: Data, V: Data> Collection<(K, V)> {
         let node = JoinNode::new(self.fanout.subscribe(), other.fanout.subscribe(), out.clone());
         self.register(Box::new(node));
         self.derived(out)
-    }
-
-    /// Equi-join followed by a per-match map.
-    pub fn join_map<W: Data, E: Data, F>(&self, other: &Collection<(K, W)>, f: F) -> Collection<E>
-    where
-        F: Fn(&K, &V, &W) -> E + 'static,
-    {
-        self.join(other).map(move |(k, (v, w))| f(&k, &v, &w))
     }
 
     /// Keep pairs whose key appears in `keys` (which is `distinct`ed

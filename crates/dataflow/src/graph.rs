@@ -617,11 +617,6 @@ impl Dataflow {
         self.epoch
     }
 
-    /// Cumulative scheduler decisions: `(steps_run, steps_skipped)`.
-    pub fn sched_counts(&self) -> (u64, u64) {
-        self.state.borrow().sched.step_counts()
-    }
-
     /// Run one epoch: all changes pushed into input handles since the
     /// previous `advance` take effect atomically, and all derived state
     /// is updated incrementally. Only nodes that are dirty (received

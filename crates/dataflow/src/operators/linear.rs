@@ -1,7 +1,7 @@
 //! The generic linear (per-record) operator.
 //!
-//! `map`, `flat_map`, `filter`, `negate` and `inspect` are all instances
-//! of one node type: a function from an input record to zero or more
+//! `map`, `flat_map`, `filter` and `negate` are all instances of one
+//! node type: a function from an input record to zero or more
 //! output records, applied difference-by-difference. Linear operators
 //! keep no state, so they are incremental for free.
 

@@ -3,7 +3,7 @@
 //! Operators fall into three groups:
 //!
 //! * **stateless / linear**: `map`, `filter`, `flat_map`, `negate`,
-//!   `inspect`, `concat` — differences pass straight through;
+//!   `concat` — differences pass straight through;
 //! * **stateful**: `join` and `reduce` keep full keyed difference
 //!   traces so they can emit *corrections* when inputs change;
 //! * **structural**: input, output, and the `iterate` scope machinery

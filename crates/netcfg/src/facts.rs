@@ -191,10 +191,6 @@ impl Registry {
         &self.iface_names[id.0 as usize]
     }
 
-    pub fn num_nodes(&self) -> usize {
-        self.node_names.len()
-    }
-
     /// Export the interning history — every device and interface name
     /// in id order. Interning is append-only and history-dependent, so
     /// a durable snapshot must carry these lists verbatim: every

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 use rc_apkeep::{ApkModel, BatchSummary, EcId};
-use rc_bdd::{Predicate, Ref};
+use rc_bdd::Ref;
 use rc_netcfg::types::{NodeId, Port, Prefix};
 
 use crate::walk::{self, ones, words, EcAnalysis, Forwarding, Topology, Walker, MAX_NODES};
