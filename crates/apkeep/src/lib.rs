@@ -37,6 +37,6 @@ mod types;
 
 pub use model::{ApkModel, EcView};
 pub use types::{
-    AffectedEc, BatchSummary, EcId, ElementKey, MergeReport, ModelRule, PortAction, RuleMatch,
-    RuleUpdate, UpdateOrder,
+    AffectedEc, BatchSummary, EcId, ElementKey, ModelRule, PortAction, RuleMatch, RuleUpdate,
+    UpdateOrder,
 };

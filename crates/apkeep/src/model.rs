@@ -11,7 +11,9 @@
 //! Batch mode (the paper's extension): a whole set of rule updates is
 //! applied under a chosen order, and the model reports the net set of
 //! affected ECs with their old and new actions — the input to the
-//! incremental policy checker.
+//! incremental policy checker. Each batch ends with APKeep's merge step,
+//! so between batches no two ECs share a port vector: the partition is
+//! the coarsest one, whatever the history.
 //!
 //! Candidate narrowing (Delta-net-style): every EC keeps the interval
 //! cover of the destination-IP projection of its predicate in a sorted
@@ -64,7 +66,7 @@ struct Element {
     ports: Vec<PortAction>,
     port_index: HashMap<PortAction, usize>,
     /// Which port each EC is assigned to, indexed by EC id (EC ids are
-    /// dense: splits append, merge compaction renumbers).
+    /// dense: splits append, a merge swap-removes).
     port_of_ec: Vec<usize>,
     /// Inverted index: the ECs currently assigned to each port.
     ecs_on_port: Vec<BTreeSet<u32>>,
@@ -131,6 +133,17 @@ impl Element {
         self.ecs_on_port[port].insert(child);
         port
     }
+
+    /// Drop `ec`; the last EC, `last`, takes its id.
+    fn swap_remove(&mut self, ec: u32, last: u32) {
+        self.ecs_on_port[self.port_of_ec[ec as usize]].remove(&ec);
+        if ec != last {
+            let port = self.port_of_ec[last as usize];
+            self.ecs_on_port[port].remove(&last);
+            self.ecs_on_port[port].insert(ec);
+        }
+        self.port_of_ec.swap_remove(ec as usize);
+    }
 }
 
 /// A read-only snapshot view of the model's EC→port tables, detached
@@ -145,10 +158,8 @@ impl Element {
 ///
 /// Invariants inherited from the model at snapshot time and unchanged
 /// for the view's lifetime (the borrow prevents any mutation):
-/// EC ids are dense in `0..num_ecs`, and every element's `port_of_ec`
-/// has exactly `num_ecs` entries.
+/// EC ids are dense, and each element's `port_of_ec` covers them all.
 pub struct EcView<'a> {
-    num_ecs: usize,
     element_index: &'a HashMap<ElementKey, usize>,
     elements: Vec<ElemView<'a>>,
 }
@@ -162,16 +173,6 @@ struct ElemView<'a> {
 }
 
 impl<'a> EcView<'a> {
-    /// Number of live ECs at snapshot time.
-    pub fn num_ecs(&self) -> usize {
-        self.num_ecs
-    }
-
-    /// All live EC ids, ascending.
-    pub fn ecs(&self) -> impl Iterator<Item = EcId> + 'a {
-        (0..self.num_ecs as u32).map(EcId)
-    }
-
     /// The dense index of an element, for [`EcView::action_at`] (`None`:
     /// the element does not exist — default behaviour). Indexes are
     /// stable for the view's lifetime, so a walk over many ECs resolves
@@ -203,7 +204,7 @@ impl<'a> EcView<'a> {
 /// Together those are exactly the intervals intersecting the query.
 /// Atom boundaries are created as interval endpoints appear and never
 /// removed (covers churn on the same prefix endpoints, so boundaries
-/// saturate quickly); merge compaction rebuilds from scratch.
+/// saturate quickly).
 struct DstIndex {
     by_lo: BTreeSet<(u32, u32, u32)>,
     stabs: BTreeMap<u32, Vec<u32>>,
@@ -212,17 +213,6 @@ struct DstIndex {
 }
 
 impl DstIndex {
-    /// An index over the initial single full-space EC.
-    fn new_full_space() -> Self {
-        let mut ix = DstIndex {
-            by_lo: BTreeSet::new(),
-            stabs: BTreeMap::from([(0u32, Vec::new())]),
-            covers: Vec::new(),
-        };
-        ix.push_ec(vec![(0, u32::MAX)]);
-        ix
-    }
-
     /// The dst cover of `pred`: exact intervals when small, else the
     /// projection hull. Both variants over-approximate-or-equal the
     /// projection, which is all the index needs — covers feed candidate
@@ -285,14 +275,29 @@ impl DstIndex {
         self.covers[ec as usize] = cover;
     }
 
-    /// Rebuild from scratch (after merge compaction renumbers ECs).
-    fn rebuild(&mut self, covers: Vec<Vec<(u32, u32)>>) {
-        self.by_lo.clear();
-        self.stabs = BTreeMap::from([(0u32, Vec::new())]);
-        self.covers.clear();
+    /// An index over ECs with these covers, in id order.
+    fn of(covers: Vec<Vec<(u32, u32)>>) -> Self {
+        let mut ix = DstIndex {
+            by_lo: BTreeSet::new(),
+            stabs: BTreeMap::from([(0u32, Vec::new())]),
+            covers: Vec::new(),
+        };
         for cover in covers {
-            self.push_ec(cover);
+            ix.push_ec(cover);
         }
+        ix
+    }
+
+    /// Drop `ec`; the last EC takes its id.
+    fn swap_remove(&mut self, ec: u32) {
+        let last = self.covers.len() as u32 - 1;
+        self.set_cover(ec, Vec::new());
+        if ec != last {
+            let cover = self.covers[last as usize].clone();
+            self.set_cover(last, Vec::new());
+            self.set_cover(ec, cover);
+        }
+        self.covers.pop();
     }
 
     /// ECs whose cover intersects any interval of `query` — a superset
@@ -442,7 +447,7 @@ impl ApkModel {
         ApkModel {
             preds: Preds::new(kind),
             ec_preds: vec![Ref::TRUE],
-            dst_index: DstIndex::new_full_space(),
+            dst_index: DstIndex::of(vec![vec![(0, u32::MAX)]]),
             full_scan: false,
             elements: Vec::new(),
             element_index: HashMap::new(),
@@ -507,7 +512,6 @@ impl ApkModel {
     /// no batch or BDD operation can run while it is alive.
     pub fn ec_view(&self) -> EcView<'_> {
         EcView {
-            num_ecs: self.ec_preds.len(),
             element_index: &self.element_index,
             elements: self
                 .elements
@@ -694,13 +698,13 @@ impl ApkModel {
                 rc_faults::INJECTED_PANIC_PREFIX
             );
         }
+        // Removals in ascending priority: a removed packet falls straight
+        // to its final port, never onto a lower rule removed next (as
+        // `permit any` would onto an ACL's implicit deny).
+        let removal = |u: &RuleUpdate| if u.is_insert() { 0 } else { u.rule().priority };
         match order {
-            UpdateOrder::InsertFirst => {
-                updates.sort_by_key(|u| !u.is_insert());
-            }
-            UpdateOrder::DeleteFirst => {
-                updates.sort_by_key(|u| u.is_insert());
-            }
+            UpdateOrder::InsertFirst => updates.sort_by_key(|u| (!u.is_insert(), removal(u))),
+            UpdateOrder::DeleteFirst => updates.sort_by_key(|u| (u.is_insert(), removal(u))),
             UpdateOrder::AsGiven => {}
         }
         let mut tx = Batch::default();
@@ -901,13 +905,24 @@ impl ApkModel {
                 });
             }
         }
-        affected.sort_by_key(|a| (a.ec, a.element));
+        // The ECs the batch moved, and its split children (each has a
+        // baseline entry per element).
+        let touched: BTreeSet<u32> = tx.baseline.keys().map(|&(ec, _)| ec).collect();
+        let merges = self.merge_touched(&touched);
+        if !merges.is_empty() {
+            let renumber = renumbering(self.ec_preds.len() + merges.len(), &merges);
+            for a in &mut affected {
+                a.ec = renumber[a.ec.0 as usize];
+            }
+        }
+        affected.sort_unstable();
         if let Some(tel) = &self.telemetry {
             tel.rules_applied.add(tx.rules as u64);
             tel.shadow_ops.add(tx.shadow_ops);
             tel.batch_rules.record(tx.rules as u64);
             tel.ec_moves.add(tx.moves as u64);
             tel.ec_splits.add(tx.splits.len() as u64);
+            tel.ec_merges.add(merges.len() as u64);
             tel.affected_ecs.add(affected.len() as u64);
             tel.ecs.set(self.ec_preds.len() as i64);
             tel.elements.set(self.elements.len() as i64);
@@ -919,96 +934,64 @@ impl ApkModel {
             ec_moves: tx.moves,
             ec_splits: tx.splits.len(),
             splits: tx.splits,
+            merges,
             rules_applied: tx.rules,
         }
     }
 
-    /// Merge ECs that receive identical treatment at every element
-    /// (APKeep's minimality maintenance) and compact the EC table.
-    ///
-    /// Compaction renumbers **every** EC, not just merged ones. The
-    /// report carries the `(survivor, absorbed)` pairs in
-    /// pre-compaction ids *and* the full old→new remap; callers keeping
-    /// EC-keyed state must re-key it through
-    /// [`MergeReport::new_id`]/`remap`.
-    pub fn merge_equivalent(&mut self) -> MergeReport {
-        let num_ecs = self.ec_preds.len();
-        // Group by signature — the port assignment vector across
-        // elements — walking each element's inverted index once
-        // instead of probing per (EC, element).
-        let mut sig_of: Vec<Vec<usize>> = vec![Vec::with_capacity(self.elements.len()); num_ecs];
-        for elem in &self.elements {
-            for (port, ecs) in elem.ecs_on_port.iter().enumerate() {
-                for &ec in ecs {
-                    sig_of[ec as usize].push(port);
-                }
+    /// APKeep's merge step: fold the ECs sharing a port vector with one
+    /// of `touched` into that vector's lowest id. No two ECs shared one
+    /// before the batch, so only ECs it moved or created can have gained
+    /// a twin. Returns the merges as performed (see
+    /// [`BatchSummary::merges`]).
+    fn merge_touched(&mut self, touched: &BTreeSet<u32>) -> Vec<(EcId, EcId)> {
+        // absorbed → survivor, in pre-merge ids.
+        let mut absorbed = BTreeMap::new();
+        for &ec in touched {
+            if absorbed.contains_key(&ec) {
+                continue;
             }
+            let mut group = self.twins(ec);
+            group.push(ec);
+            let keep = *group.iter().min().expect("ec is in its group");
+            absorbed.extend(group.into_iter().filter(|&other| other != keep).map(|o| (o, keep)));
         }
-        let mut groups: HashMap<Vec<usize>, Vec<u32>> = HashMap::new();
-        for (ec, sig) in sig_of.into_iter().enumerate() {
-            groups.entry(sig).or_default().push(ec as u32);
-        }
-        let mut merges = Vec::new();
-        // survivor_of[ec]: the pre-compaction id carrying ec's packets.
-        let mut survivor_of: Vec<u32> = (0..num_ecs as u32).collect();
-        for (_, mut group) in groups {
-            group.sort_unstable();
-            let survivor = group[0];
-            for &ec in &group[1..] {
-                let merged =
-                    self.preds.or(self.ec_preds[survivor as usize], self.ec_preds[ec as usize]);
-                self.ec_preds[survivor as usize] = merged;
-                merges.push((EcId(survivor), EcId(ec)));
-                survivor_of[ec as usize] = survivor;
-            }
-        }
-        // HashMap group order is unstable; report deterministically.
-        merges.sort_unstable();
-        // Compact: survivors keep their relative order under new ids.
-        let mut new_id: Vec<u32> = vec![u32::MAX; num_ecs];
-        let mut new_preds = Vec::new();
-        for ec in 0..num_ecs {
-            if survivor_of[ec] == ec as u32 {
-                new_id[ec] = new_preds.len() as u32;
-                new_preds.push(self.ec_preds[ec]);
-            }
-        }
-        let remap: Vec<EcId> =
-            (0..num_ecs).map(|ec| EcId(new_id[survivor_of[ec] as usize])).collect();
-        if !merges.is_empty() {
-            self.ec_preds = new_preds;
+        // Highest absorbed id first: the EC a swap-remove moves sits
+        // above every id still to merge, so pre-merge ids stay valid.
+        let mut merges = Vec::with_capacity(absorbed.len());
+        for (&gone, &keep) in absorbed.iter().rev() {
+            let merged = self.preds.or(self.ec_preds[keep as usize], self.ec_preds[gone as usize]);
+            self.ec_preds[keep as usize] = merged;
+            let cover = DstIndex::cover_of(&self.preds, merged);
+            self.dst_index.set_cover(keep, cover);
+            let last = self.ec_preds.len() as u32 - 1;
+            self.ec_preds.swap_remove(gone as usize);
+            self.dst_index.swap_remove(gone);
             for elem in &mut self.elements {
-                let old_ports = std::mem::take(&mut elem.port_of_ec);
-                elem.port_of_ec = vec![0; self.ec_preds.len()];
-                for s in &mut elem.ecs_on_port {
-                    s.clear();
-                }
-                for (old, port) in old_ports.into_iter().enumerate() {
-                    if survivor_of[old] == old as u32 {
-                        let new = new_id[old] as usize;
-                        elem.port_of_ec[new] = port;
-                        elem.ecs_on_port[port].insert(new as u32);
-                    }
-                }
+                elem.swap_remove(gone, last);
             }
-            // Survivor predicates grew and every id moved: rebuild the
-            // dst index outright.
-            let covers: Vec<Vec<(u32, u32)>> =
-                self.ec_preds.iter().map(|&p| DstIndex::cover_of(&self.preds, p)).collect();
-            self.dst_index.rebuild(covers);
+            merges.push((EcId(keep), EcId(gone)));
         }
-        if let Some(tel) = &self.telemetry {
-            tel.ec_merges.add(merges.len() as u64);
-            tel.ecs.set(self.ec_preds.len() as i64);
-        }
-        MergeReport { merges, remap }
+        merges
+    }
+
+    /// The other ECs on `ec`'s port at every element. Each of them is in
+    /// `ec`'s bucket of every element's inverted index, so the smallest
+    /// such bucket holds them all.
+    fn twins(&self, ec: u32) -> Vec<u32> {
+        let ports = |other: u32| self.elements.iter().map(move |e| e.port_of_ec[other as usize]);
+        let buckets = self.elements.iter().map(|e| &e.ecs_on_port[e.port_of_ec[ec as usize]]);
+        let Some(fewest) = buckets.min_by_key(|b| b.len()) else {
+            return Vec::new();
+        };
+        fewest.iter().copied().filter(|&other| other != ec && ports(other).eq(ports(ec))).collect()
     }
 
     /// Verify internal invariants (test support): EC predicates are
     /// nonempty, pairwise disjoint, cover the space; every element's
     /// inverted port index partitions the ECs consistently with its
-    /// rule table; and the dst index mirrors each EC's projection
-    /// cover.
+    /// rule table; no two ECs share a port vector (the partition is
+    /// minimal); and the dst index mirrors each EC's projection cover.
     pub fn check_invariants(&mut self) {
         let mut union = Ref::FALSE;
         for i in 0..self.ec_preds.len() {
@@ -1068,6 +1051,15 @@ impl ApkModel {
             assert_eq!(seen, self.ec_preds.len(), "inverted index misses ECs at element {eidx}");
         }
 
+        // Minimal: every EC has its own port vector.
+        let mut vectors = HashMap::new();
+        for ec in 0..self.ec_preds.len() {
+            let vector: Vec<usize> = self.elements.iter().map(|e| e.port_of_ec[ec]).collect();
+            if let Some(twin) = vectors.insert(vector, ec) {
+                panic!("ECs {twin} and {ec} share a port vector");
+            }
+        }
+
         // The dst index mirrors each EC's current projection cover.
         assert_eq!(self.dst_index.covers.len(), self.ec_preds.len(), "dst index out of sync");
         for ec in 0..self.ec_preds.len() {
@@ -1084,6 +1076,23 @@ impl ApkModel {
             }
         }
     }
+}
+
+/// Where each of `num_ecs` pre-merge ids ends after `merges` (see
+/// [`BatchSummary::merges`]): an absorbed EC at its survivor. `at[id]`
+/// is the pre-merge EC holding `id`, `pos` its inverse, and `into[ec]`
+/// the pre-merge EC carrying `ec`'s packets.
+fn renumbering(num_ecs: usize, merges: &[(EcId, EcId)]) -> Vec<EcId> {
+    let mut at: Vec<u32> = (0..num_ecs as u32).collect();
+    let mut pos = at.clone();
+    let mut into = at.clone();
+    for &(keep, gone) in merges {
+        into[at[gone.0 as usize] as usize] = at[keep.0 as usize];
+        let moved = *at.last().expect("an EC to merge");
+        at.swap_remove(gone.0 as usize);
+        pos[moved as usize] = gone.0;
+    }
+    into.iter().map(|&ec| EcId(pos[ec as usize])).collect()
 }
 
 /// In-flight batch bookkeeping.
@@ -1397,9 +1406,8 @@ impl ApkModel {
             });
         }
 
-        let mut dst_index = DstIndex::new_full_space();
-        let covers = ec_preds.iter().map(|&p| DstIndex::cover_of(&preds, p)).collect();
-        dst_index.rebuild(covers);
+        let dst_index =
+            DstIndex::of(ec_preds.iter().map(|&p| DstIndex::cover_of(&preds, p)).collect());
 
         Ok(ApkModel {
             preds,

@@ -128,7 +128,7 @@ impl UpdateOrder {
 
 /// An EC whose treatment changed somewhere during a batch: net change
 /// from the pre-batch port action to the post-batch one.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct AffectedEc {
     pub ec: EcId,
     pub element: ElementKey,
@@ -145,11 +145,16 @@ pub struct AffectedEc {
 /// removed within one batch). Only `affected` — the net set — feeds
 /// incremental policy re-checking; a batch can split ECs and still
 /// report `affected` empty, in which case no policy work is required
-/// beyond registering the new EC ids from `splits`.
+/// beyond replaying `splits` and `merges` on EC-keyed state.
+///
+/// Ids: a batch splits (appending children), then merges. `splits` names
+/// pre-merge ids, and `affected` the ECs after the merges.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct BatchSummary {
     /// Net port changes per (EC, element), excluding transients that
-    /// returned to their original port.
+    /// returned to their original port, sorted.
+    /// Entries are per pre-merge EC: an absorbed EC's entries name its
+    /// survivor, so an (EC, element) pair can repeat.
     pub affected: Vec<AffectedEc>,
     /// EC move *events*, including transient moves (this is the "#ECs"
     /// churn measure that differs between update orders in Table 3).
@@ -159,28 +164,11 @@ pub struct BatchSummary {
     pub ec_splits: usize,
     /// `(parent, child)` pairs for every split, in order.
     pub splits: Vec<(EcId, EcId)>,
+    /// `(survivor, absorbed)` pairs, in the order performed, each in ids
+    /// as they are when it runs: the absorbed EC's packets join the
+    /// survivor (the lower id), then the highest id takes the absorbed
+    /// one (a swap-remove).
+    pub merges: Vec<(EcId, EcId)>,
     /// Rule updates applied.
     pub rules_applied: usize,
-}
-
-/// Result of [`merge_equivalent`](crate::ApkModel::merge_equivalent):
-/// which ECs merged, and how every pre-merge id maps into the
-/// compacted table.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct MergeReport {
-    /// `(survivor, absorbed)` pairs in **pre-compaction** ids, sorted.
-    pub merges: Vec<(EcId, EcId)>,
-    /// Old id → post-compaction id for every pre-merge EC (its length is
-    /// the pre-merge EC count). An absorbed EC maps to its survivor's
-    /// new id, so EC-keyed caller state can be re-keyed directly without
-    /// consulting `merges`. Compaction renumbers even unmerged ECs —
-    /// always re-key through this table after a merge.
-    pub remap: Vec<EcId>,
-}
-
-impl MergeReport {
-    /// The post-compaction id now carrying `old`'s packets.
-    pub fn new_id(&self, old: EcId) -> EcId {
-        self.remap[old.0 as usize]
-    }
 }

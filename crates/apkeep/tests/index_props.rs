@@ -1,7 +1,7 @@
 //! Property tests of the dst-interval EC index: across random rule
-//! batches (with interleaved split/merge/index maintenance), the
-//! indexed model must produce byte-identical `BatchSummary` and
-//! `MergeReport` output to a full-scan oracle model, agree on
+//! batches (with the splits and merges they make), the indexed model
+//! must produce byte-identical `BatchSummary` output to a full-scan
+//! oracle model, agree on
 //! `ecs_intersecting`, and keep `check_invariants` green — which
 //! verifies the interval map and the per-element inverted port index
 //! against the ground-truth EC table.

@@ -28,8 +28,10 @@ fn insert_then_remove_returns_to_drop() {
     assert_eq!(s.affected.len(), 1);
     assert_eq!(s.affected[0].old, PortAction::forward(vec![IfaceId(1)]));
     assert_eq!(s.affected[0].new, PortAction::Drop);
-    // The EC table never shrinks without an explicit merge.
-    assert_eq!(m.num_ecs(), 2);
+    // The /8's EC drops like the rest again: the batch merges it back.
+    assert_eq!(s.merges, vec![(EcId(0), EcId(1))]);
+    assert_eq!(s.affected[0].ec, EcId(0));
+    assert_eq!(m.num_ecs(), 1);
 }
 
 #[test]
@@ -173,17 +175,20 @@ fn ecmp_groups_are_single_ports() {
 }
 
 #[test]
-fn merge_equivalent_restores_minimality() {
+fn insert_and_remove_in_one_batch_leaves_one_ec() {
+    // The insert splits the full-space EC; the remove moves the child
+    // back, and the same batch merges it into its parent.
     let mut m = ApkModel::new();
     let r = fwd(0, "10.0.0.0/8", 1);
-    m.apply_batch(vec![RuleUpdate::Insert(r.clone())], UpdateOrder::AsGiven);
-    m.apply_batch(vec![RuleUpdate::Remove(r)], UpdateOrder::AsGiven);
-    // Two ECs with identical all-drop behaviour.
-    assert_eq!(m.num_ecs(), 2);
-    let report = m.merge_equivalent();
-    assert_eq!(report.merges.len(), 1);
-    assert_eq!(m.num_ecs(), 1);
+    let s = m.apply_batch(
+        vec![RuleUpdate::Insert(r.clone()), RuleUpdate::Remove(r)],
+        UpdateOrder::InsertFirst,
+    );
     m.check_invariants();
+    assert_eq!(s.ec_splits, 1);
+    assert_eq!(s.merges, vec![(EcId(0), EcId(1))]);
+    assert!(s.affected.is_empty());
+    assert_eq!(m.num_ecs(), 1);
 }
 
 #[test]
@@ -210,48 +215,118 @@ fn duplicate_insert_is_idempotent() {
 }
 
 #[test]
-fn merge_report_remap_tracks_renumbering() {
-    // Regression: merge pairs alone are not enough to re-key EC state —
-    // compaction renumbers even unmerged ECs. The remap must map every
-    // pre-merge id to the live id now carrying its packets.
+fn merge_renumbers_by_swap_remove() {
+    // Five ECs: everything else, the /8, 11/8, the /16 (carved out of
+    // the /8) and 12/8.
     let mut m = ApkModel::new();
-    // Three ECs: the /16 (forwards), the /8 remainder (forwards
-    // elsewhere), everything else (drops).
-    m.apply_batch(
-        vec![
-            RuleUpdate::Insert(fwd(0, "10.0.0.0/8", 1)),
-            RuleUpdate::Insert(fwd(0, "10.1.0.0/16", 2)),
-        ],
-        UpdateOrder::AsGiven,
-    );
-    // Drop the /16 rule: its EC joins the /8 remainder behaviourally.
-    m.apply_batch(vec![RuleUpdate::Remove(fwd(0, "10.1.0.0/16", 2))], UpdateOrder::AsGiven);
-    assert_eq!(m.num_ecs(), 3);
-    let pkt_in_16 = rc_bdd::pkt::Packet { dst_ip: 0x0A010203, ..Default::default() };
-    let pkt_in_8 = rc_bdd::pkt::Packet { dst_ip: 0x0A800001, ..Default::default() };
-    let old_16 = m.ec_of_packet(&pkt_in_16);
-    let old_8 = m.ec_of_packet(&pkt_in_8);
-    assert_ne!(old_16, old_8);
-
-    let report = m.merge_equivalent();
-    m.check_invariants();
-    assert_eq!(report.merges.len(), 1);
-    assert_eq!(report.remap.len(), 3);
-    assert_eq!(m.num_ecs(), 2);
-    // Querying through the remap lands on the EC that carries each old
-    // id's packets now.
-    assert_eq!(report.new_id(old_16), m.ec_of_packet(&pkt_in_16));
-    assert_eq!(report.new_id(old_8), m.ec_of_packet(&pkt_in_8));
-    assert_eq!(report.new_id(old_16), report.new_id(old_8), "merged ids share a survivor");
-    // Every remapped id is live.
-    for old in 0..3u32 {
-        assert!((report.new_id(EcId(old)).0 as usize) < m.num_ecs());
+    for r in [
+        fwd(0, "10.0.0.0/8", 1),
+        fwd(0, "11.0.0.0/8", 3),
+        fwd(0, "10.1.0.0/16", 2),
+        fwd(0, "12.0.0.0/8", 4),
+    ] {
+        m.apply_batch(vec![RuleUpdate::Insert(r)], UpdateOrder::AsGiven);
     }
+    assert_eq!(m.num_ecs(), 5);
+    let pkt_in_16 = rc_bdd::pkt::Packet { dst_ip: 0x0A010203, ..Default::default() };
+    let pkt_in_12 = rc_bdd::pkt::Packet { dst_ip: 0x0C000001, ..Default::default() };
+    assert_eq!(m.ec_of_packet(&pkt_in_16), EcId(3));
+    assert_eq!(m.ec_of_packet(&pkt_in_12), EcId(4));
+
+    // Dropping the /16 rule returns its EC to the /8's port: EC 3 is
+    // absorbed by EC 1, and the last EC, 4, takes id 3.
+    let s = m.apply_batch(vec![RuleUpdate::Remove(fwd(0, "10.1.0.0/16", 2))], UpdateOrder::AsGiven);
+    m.check_invariants();
+    assert_eq!(s.merges, vec![(EcId(1), EcId(3))]);
+    assert_eq!(m.num_ecs(), 4);
+    assert_eq!(m.ec_of_packet(&pkt_in_16), EcId(1));
+    assert_eq!(m.ec_of_packet(&pkt_in_12), EcId(3));
+    // The absorbed EC's change names its survivor.
+    assert_eq!(s.affected.len(), 1);
+    assert_eq!(s.affected[0].ec, EcId(1));
+    assert_eq!(s.affected[0].old, PortAction::forward(vec![IfaceId(2)]));
+    assert_eq!(s.affected[0].new, PortAction::forward(vec![IfaceId(1)]));
     let k = ElementKey::Forward(NodeId(0));
-    assert_eq!(
-        m.action(k, report.new_id(old_16)),
-        Some(&PortAction::forward(vec![IfaceId(1)]))
+    assert_eq!(m.action(k, EcId(3)), Some(&PortAction::forward(vec![IfaceId(4)])));
+}
+
+#[test]
+fn a_survivor_moved_by_a_later_merge_keeps_its_entries() {
+    // Four ECs: everything else, 10/8, 11/8, and 11.1/16 carved out of
+    // 11/8. One batch removes the 11.1/16 and the 10/8 rules: EC 3
+    // folds into EC 2 (3 is the last id, so nothing moves), then EC 1
+    // into EC 0, and the last EC — survivor 2 — takes id 1.
+    let mut m = ApkModel::new();
+    let rules = [fwd(0, "10.0.0.0/8", 1), fwd(0, "11.0.0.0/8", 3), fwd(0, "11.1.0.0/16", 5)];
+    for r in &rules {
+        m.apply_batch(vec![RuleUpdate::Insert(r.clone())], UpdateOrder::AsGiven);
+    }
+    let s = m.apply_batch(
+        vec![RuleUpdate::Remove(rules[2].clone()), RuleUpdate::Remove(rules[0].clone())],
+        UpdateOrder::InsertFirst,
     );
+    m.check_invariants();
+    assert_eq!(s.merges, vec![(EcId(2), EcId(3)), (EcId(0), EcId(1))]);
+    assert_eq!(m.num_ecs(), 2);
+    let in_11_1 = rc_bdd::pkt::Packet { dst_ip: 0x0B010001, ..Default::default() };
+    assert_eq!(m.ec_of_packet(&in_11_1), EcId(1));
+    let k = ElementKey::Forward(NodeId(0));
+    let entry = |ec: u32, old: PortAction, new: PortAction| AffectedEc {
+        ec: EcId(ec),
+        element: k,
+        old,
+        new,
+    };
+    let fwd_on = |iface: u32| PortAction::forward(vec![IfaceId(iface)]);
+    assert_eq!(
+        s.affected,
+        vec![entry(0, fwd_on(1), PortAction::Drop), entry(1, fwd_on(5), fwd_on(3))]
+    );
+}
+
+#[test]
+fn acl_unbind_moves_each_packet_once() {
+    // An ACL over nested routes with an implicit priority-0 deny, bound
+    // and then unbound, one batch each. Removals run in ascending
+    // priority, so the unbind never parks every packet on the implicit
+    // deny; and each batch merges what it made equal, so the partition
+    // returns to its start.
+    let acl = |seq: u32, dst: &str, port: Option<u16>, action: PortAction| ModelRule {
+        element: ElementKey::Filter(NodeId(0), IfaceId(1), Dir::In),
+        priority: u32::MAX - seq,
+        rule_match: RuleMatch::Acl {
+            proto: port.map(|_| 6),
+            src: Prefix::DEFAULT,
+            dst: dst.parse().unwrap(),
+            dst_ports: port.map(|p| (p, p)),
+        },
+        action,
+    };
+    let rules = [
+        acl(10, "10.1.1.0/24", Some(80), PortAction::Deny),
+        acl(20, "10.1.0.0/16", Some(443), PortAction::Deny),
+        acl(30, "0.0.0.0/0", None, PortAction::Permit),
+        acl(u32::MAX, "0.0.0.0/0", None, PortAction::Deny),
+    ];
+    for order in [UpdateOrder::InsertFirst, UpdateOrder::DeleteFirst] {
+        let mut m = ApkModel::new();
+        let routes = ["10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24"].iter().enumerate();
+        let routes = routes.map(|(i, p)| RuleUpdate::Insert(fwd(0, p, i as u32)));
+        m.apply_batch(routes.collect(), order);
+        let start = m.num_ecs();
+        assert_eq!(start, 4);
+        for bind in [true, false] {
+            let update = |r: &ModelRule| match bind {
+                true => RuleUpdate::Insert(r.clone()),
+                false => RuleUpdate::Remove(r.clone()),
+            };
+            let batch = rules.iter().map(update).collect();
+            let s = m.apply_batch(batch, order);
+            m.check_invariants();
+            assert_eq!(s.ec_moves, s.affected.len(), "{order:?}, bind {bind}: {s:?}");
+        }
+        assert_eq!(m.num_ecs(), start, "{order:?}");
+    }
 }
 
 #[test]

@@ -110,9 +110,9 @@ pub struct PolicyChecker {
     /// `nodes` and `topo` as the dense tables walks read; rebuilt
     /// whenever either changes.
     table: Topology,
-    /// Per-EC analysis, indexed by EC id: the model's ids are dense and
-    /// a split appends its child, so after every pass there is one entry
-    /// per model EC.
+    /// Per-EC analysis, indexed by EC id: the model's ids are dense, a
+    /// split appends its child and a merge swap-removes, so after every
+    /// pass there is one entry per model EC.
     ec_state: Vec<EcAnalysis>,
     derived: Derived,
     policies: Vec<Registered>,
@@ -202,6 +202,38 @@ impl Derived {
         }
     }
 
+    /// Uncount everything `a` contributes as EC `ec`'s: the inverse of
+    /// [`Derived::add`].
+    fn remove(&mut self, ec: EcId, a: &EcAnalysis) {
+        for s in 0..a.n {
+            for d in ones(a.row(s)) {
+                self.count(s, d, false);
+            }
+        }
+        for port in &a.ports_used {
+            self.unuse(port, ec);
+        }
+    }
+
+    /// EC `from`, whose analysis is `a`, is renumbered `to`.
+    fn rename(&mut self, from: EcId, to: EcId, a: &EcAnalysis) {
+        for port in &a.ports_used {
+            let users = self.port_users.get_mut(port).expect("a used port has users");
+            users.remove(&from);
+            users.insert(to);
+        }
+    }
+
+    /// `ec` no longer uses `port`.
+    fn unuse(&mut self, port: &Port, ec: EcId) {
+        if let Some(users) = self.port_users.get_mut(port) {
+            users.remove(&ec);
+            if users.is_empty() {
+                self.port_users.remove(port);
+            }
+        }
+    }
+
     /// Re-count EC `ec` from its `old` analysis to its `new` one (both
     /// must fit the matrix), diffing their rows a word at a time, and
     /// mark in `marks` the pairs whose count moved and the pairs whose
@@ -226,12 +258,7 @@ impl Derived {
             };
             if gone {
                 let port = o.next().expect("peeked");
-                if let Some(users) = self.port_users.get_mut(port) {
-                    users.remove(&ec);
-                    if users.is_empty() {
-                        self.port_users.remove(port);
-                    }
-                }
+                self.unuse(port, ec);
             } else {
                 let port = n.next().expect("peeked");
                 self.port_users.entry(*port).or_default().insert(ec);
@@ -580,7 +607,8 @@ impl PolicyChecker {
         // by `extra` (which names pre-batch ids). Children are appended
         // past the ECs the batch started with, in id order.
         let mut affected: BTreeSet<EcId> = extra;
-        self.ec_state.resize_with(model.num_ecs() - summary.splits.len(), EcAnalysis::default);
+        let before = model.num_ecs() + summary.merges.len() - summary.splits.len();
+        self.ec_state.resize_with(before, EcAnalysis::default);
         for &(parent, child) in &summary.splits {
             debug_assert_eq!(child.0 as usize, self.ec_state.len(), "split children append");
             let state = self.ec_state[parent.0 as usize].clone();
@@ -590,6 +618,26 @@ impl PolicyChecker {
                 affected.insert(child);
             }
         }
+        // Then merges, in the model's order. The absorbed EC's analysis
+        // is uncounted and the last EC takes its id. The survivor keeps
+        // its own: the two share a port vector, so if neither changed
+        // behaviour both analyses are current, and otherwise one of them
+        // is affected and names the survivor.
+        for &(keep, gone) in &summary.merges {
+            let old = self.ec_state.swap_remove(gone.0 as usize);
+            self.derived.remove(gone, &old);
+            let last = EcId(self.ec_state.len() as u32);
+            if gone != last {
+                self.derived.rename(last, gone, &self.ec_state[gone.0 as usize]);
+            }
+            if affected.remove(&gone) {
+                affected.insert(keep);
+            }
+            if gone != last && affected.remove(&last) {
+                affected.insert(gone);
+            }
+        }
+        debug_assert_eq!(self.ec_state.len(), model.num_ecs());
         affected.extend(summary.affected.iter().map(|a| a.ec));
         self.recheck(model, affected, false)
     }

@@ -1,13 +1,8 @@
 //! Coalescing soundness: folding a burst of changes into one
 //! transactional apply ([`RealConfig::apply_coalesced`]) must reach
 //! exactly the state of applying the same changes one at a time —
-//! configurations, FIB, grouped rules, pair counts and policy verdicts
-//! alike, on both predicate backends.
-//!
-//! EC *counts* are deliberately not compared: the partition's
-//! refinement is history-dependent (transient splits differ with batch
-//! boundaries) while the behaviour it encodes — FIB, rules, reachable
-//! pairs, verdicts — must not be.
+//! configurations, FIB, grouped rules, EC counts, pair counts and
+//! policy verdicts alike, on both predicate backends.
 
 mod common;
 
@@ -72,6 +67,7 @@ fn run_pair(proto: ProtocolChoice, topo: Topology, cmds: Vec<Cmd>, backend: Pred
         "grouped rule count diverges after {cmds:?}"
     );
     assert_eq!(serial.num_rules(), batch.num_rules(), "model rules diverge after {cmds:?}");
+    assert_eq!(serial.num_ecs(), batch.num_ecs(), "EC count diverges after {cmds:?}");
     assert_eq!(serial.num_pairs(), batch.num_pairs(), "pair count diverges after {cmds:?}");
     for (a, b) in &policies {
         assert_eq!(

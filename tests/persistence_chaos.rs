@@ -63,12 +63,9 @@ fn assert_matches_twin(rc: &mut RealConfig, ctx: &str) {
         standing_policies(rc);
     }
     rc.recheck_policies();
-    // EC counts are deliberately not compared: they are
-    // history-dependent (churn splits re-merge only on compaction), so
-    // a verifier restored mid-history legitimately differs from a
-    // fresh build — behaviour (FIB, rules, verdicts) must not.
     assert_eq!(rc.fib(), twin.fib(), "{ctx}: FIB diverged from never-crashed twin");
     assert_eq!(rc.num_fib_rules(), twin.num_fib_rules(), "{ctx}: rule count diverged");
+    assert_eq!(rc.num_ecs(), twin.num_ecs(), "{ctx}: EC count diverged");
     assert_eq!(rc.num_pairs(), twin.num_pairs(), "{ctx}: pair count diverged");
     assert_eq!(rc.policy_specs(), twin.policy_specs(), "{ctx}: verdicts diverged");
 }
