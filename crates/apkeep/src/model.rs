@@ -1111,312 +1111,26 @@ struct Batch {
 // ---------------------------------------------------------------------
 // Durable-state serialization.
 //
-// A snapshot carries the predicate store wholesale (arena indices
-// preserved — see `Preds::encode_state`), the EC partition, and every
-// element's rule table and port assignment. The dst-interval index,
-// the per-element inverted indexes, and the hash-consing tables are
-// all derivable and rebuilt on decode; telemetry is a runtime
-// attachment the restoring caller re-applies.
-
-fn wire_err<T>(msg: impl Into<String>) -> Result<T, rc_store::WireError> {
-    Err(rc_store::WireError(msg.into()))
-}
-
-fn encode_prefix(w: &mut rc_store::Writer, p: Prefix) {
-    w.u32(p.addr().0);
-    w.u8(p.len());
-}
-
-fn decode_prefix(r: &mut rc_store::Reader<'_>) -> Result<Prefix, rc_store::WireError> {
-    let addr = r.u32()?;
-    let len = r.u8()?;
-    if len > 32 {
-        return wire_err(format!("prefix length {len} > 32"));
-    }
-    Ok(Prefix::new(rc_netcfg::types::Ip(addr), len))
-}
-
-fn encode_iface_list(w: &mut rc_store::Writer, ifaces: &[rc_netcfg::types::IfaceId]) {
-    w.len_prefix(ifaces.len());
-    for i in ifaces {
-        w.u32(i.0);
-    }
-}
-
-fn decode_iface_list(
-    r: &mut rc_store::Reader<'_>,
-) -> Result<Vec<rc_netcfg::types::IfaceId>, rc_store::WireError> {
-    let n = r.len_prefix()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(rc_netcfg::types::IfaceId(r.u32()?));
-    }
-    Ok(out)
-}
-
-fn encode_port_action(w: &mut rc_store::Writer, a: &PortAction) {
-    match a {
-        PortAction::Forward(ifaces) => {
-            w.u8(0);
-            encode_iface_list(w, ifaces);
-        }
-        PortAction::Deliver(ifaces) => {
-            w.u8(1);
-            encode_iface_list(w, ifaces);
-        }
-        PortAction::Drop => w.u8(2),
-        PortAction::Permit => w.u8(3),
-        PortAction::Deny => w.u8(4),
-    }
-}
-
-fn decode_port_action(
-    r: &mut rc_store::Reader<'_>,
-) -> Result<PortAction, rc_store::WireError> {
-    match r.u8()? {
-        0 => Ok(PortAction::Forward(decode_iface_list(r)?)),
-        1 => Ok(PortAction::Deliver(decode_iface_list(r)?)),
-        2 => Ok(PortAction::Drop),
-        3 => Ok(PortAction::Permit),
-        4 => Ok(PortAction::Deny),
-        t => wire_err(format!("unknown port action tag {t}")),
-    }
-}
-
-fn encode_rule_match(w: &mut rc_store::Writer, m: &RuleMatch) {
-    match m {
-        RuleMatch::DstPrefix(p) => {
-            w.u8(0);
-            encode_prefix(w, *p);
-        }
-        RuleMatch::Acl { proto, src, dst, dst_ports } => {
-            w.u8(1);
-            match proto {
-                Some(p) => {
-                    w.u8(1);
-                    w.u8(*p);
-                }
-                None => w.u8(0),
-            }
-            encode_prefix(w, *src);
-            encode_prefix(w, *dst);
-            match dst_ports {
-                Some((lo, hi)) => {
-                    w.u8(1);
-                    w.u16(*lo);
-                    w.u16(*hi);
-                }
-                None => w.u8(0),
-            }
-        }
-    }
-}
-
-fn decode_rule_match(r: &mut rc_store::Reader<'_>) -> Result<RuleMatch, rc_store::WireError> {
-    match r.u8()? {
-        0 => Ok(RuleMatch::DstPrefix(decode_prefix(r)?)),
-        1 => {
-            let proto = match r.u8()? {
-                0 => None,
-                1 => Some(r.u8()?),
-                t => return wire_err(format!("bad proto option tag {t}")),
-            };
-            let src = decode_prefix(r)?;
-            let dst = decode_prefix(r)?;
-            let dst_ports = match r.u8()? {
-                0 => None,
-                1 => Some((r.u16()?, r.u16()?)),
-                t => return wire_err(format!("bad dst_ports option tag {t}")),
-            };
-            Ok(RuleMatch::Acl { proto, src, dst, dst_ports })
-        }
-        t => wire_err(format!("unknown rule match tag {t}")),
-    }
-}
-
-fn encode_element_key(w: &mut rc_store::Writer, k: ElementKey) {
-    match k {
-        ElementKey::Forward(n) => {
-            w.u8(0);
-            w.u32(n.0);
-        }
-        ElementKey::Filter(n, i, dir) => {
-            w.u8(1);
-            w.u32(n.0);
-            w.u32(i.0);
-            w.u8(match dir {
-                rc_netcfg::facts::Dir::In => 0,
-                rc_netcfg::facts::Dir::Out => 1,
-            });
-        }
-    }
-}
-
-fn decode_element_key(r: &mut rc_store::Reader<'_>) -> Result<ElementKey, rc_store::WireError> {
-    match r.u8()? {
-        0 => Ok(ElementKey::Forward(rc_netcfg::types::NodeId(r.u32()?))),
-        1 => {
-            let n = rc_netcfg::types::NodeId(r.u32()?);
-            let i = rc_netcfg::types::IfaceId(r.u32()?);
-            let dir = match r.u8()? {
-                0 => rc_netcfg::facts::Dir::In,
-                1 => rc_netcfg::facts::Dir::Out,
-                t => return wire_err(format!("bad direction tag {t}")),
-            };
-            Ok(ElementKey::Filter(n, i, dir))
-        }
-        t => wire_err(format!("unknown element key tag {t}")),
-    }
-}
+// A snapshot keeps the configurations the model was built from, not the
+// model: restore builds it again. What the configurations cannot say is
+// which predicate backend the model used, so that is all it records.
 
 impl ApkModel {
-    /// Number of slots in the predicate store; any [`Ref`] handed out
-    /// by this model indexes below it. Snapshot restore passes this to
-    /// [`rc_policy`]'s decoder so checker-held handles can be
-    /// bounds-checked against the store they will be used with.
-    pub fn pred_slots(&self) -> u32 {
-        self.preds.node_count() as u32
-    }
-
-    /// Serialize the full model — predicate store, EC partition, and
-    /// every element — for a durable snapshot.
+    /// Serialize the model's durable state for a snapshot: its
+    /// predicate backend, as one tag byte.
     pub fn encode_state(&self, w: &mut rc_store::Writer) {
-        self.preds.encode_state(w);
-        w.u8(self.full_scan as u8);
-        w.len_prefix(self.ec_preds.len());
-        for p in &self.ec_preds {
-            w.u32(p.index());
-        }
-        w.len_prefix(self.elements.len());
-        for e in &self.elements {
-            encode_element_key(w, e.key);
-            w.u64(e.default_port as u64);
-            w.len_prefix(e.ports.len());
-            for p in &e.ports {
-                encode_port_action(w, p);
-            }
-            w.len_prefix(e.rules.len());
-            for rule in &e.rules {
-                w.u32(rule.priority);
-                encode_rule_match(w, &rule.rule_match);
-                w.u32(rule.pred.index());
-                w.u64(rule.port as u64);
-            }
-            w.len_prefix(e.port_of_ec.len());
-            for &port in &e.port_of_ec {
-                w.u64(port as u64);
-            }
-        }
+        w.u8(match self.backend() {
+            PredKind::Bdd => 0,
+            PredKind::Atoms => 1,
+        });
     }
 
-    /// Rebuild a model from [`ApkModel::encode_state`] bytes. All
-    /// derived structures — the dst-interval candidate index, each
-    /// element's inverted `port → ECs` index and port-interning table,
-    /// the element lookup map — are recomputed; every cross-reference
-    /// (predicate handles, port ids, EC counts) is bounds-checked so
-    /// corrupt input is an error, never a model that miscomputes.
-    /// Telemetry and the worker-count override are not restored; the
-    /// caller re-attaches them.
-    pub fn decode_state(r: &mut rc_store::Reader<'_>) -> Result<ApkModel, rc_store::WireError> {
-        let preds = Preds::decode_state(r)?;
-        let pred_slots = preds.node_count() as u32;
-        let full_scan = r.u8()? != 0;
-
-        let n_ecs = r.len_prefix()?;
-        if n_ecs == 0 {
-            return wire_err("model has no ECs");
+    /// The predicate backend [`ApkModel::encode_state`] recorded.
+    pub fn decode_backend(r: &mut rc_store::Reader<'_>) -> Result<PredKind, rc_store::WireError> {
+        match r.u8()? {
+            0 => Ok(PredKind::Bdd),
+            1 => Ok(PredKind::Atoms),
+            t => Err(rc_store::WireError(format!("unknown predicate backend tag {t}"))),
         }
-        let mut ec_preds = Vec::with_capacity(n_ecs);
-        for i in 0..n_ecs {
-            let idx = r.u32()?;
-            if idx >= pred_slots || idx == Ref::FALSE.index() {
-                return wire_err(format!("EC {i} has invalid predicate handle {idx}"));
-            }
-            ec_preds.push(Ref::from_index(idx));
-        }
-
-        let n_elements = r.len_prefix()?;
-        let mut elements = Vec::with_capacity(n_elements);
-        let mut element_index = HashMap::with_capacity(n_elements);
-        for eidx in 0..n_elements {
-            let key = decode_element_key(r)?;
-            let default_port = r.u64()? as usize;
-            let n_ports = r.len_prefix()?;
-            let mut ports = Vec::with_capacity(n_ports);
-            let mut port_index = HashMap::with_capacity(n_ports);
-            for pid in 0..n_ports {
-                let action = decode_port_action(r)?;
-                if port_index.insert(action.clone(), pid).is_some() {
-                    return wire_err(format!("element {eidx} interns a port twice"));
-                }
-                ports.push(action);
-            }
-            if default_port >= ports.len() {
-                return wire_err(format!("element {eidx} default port out of range"));
-            }
-            let n_rules = r.len_prefix()?;
-            let mut rules = Vec::with_capacity(n_rules);
-            for ridx in 0..n_rules {
-                let priority = r.u32()?;
-                let rule_match = decode_rule_match(r)?;
-                let pred = r.u32()?;
-                let port = r.u64()? as usize;
-                if pred >= pred_slots {
-                    return wire_err(format!(
-                        "element {eidx} rule {ridx} has invalid predicate handle {pred}"
-                    ));
-                }
-                if port >= ports.len() {
-                    return wire_err(format!("element {eidx} rule {ridx} port out of range"));
-                }
-                rules.push(StoredRule {
-                    priority,
-                    rule_match,
-                    pred: Ref::from_index(pred),
-                    port,
-                });
-            }
-            let n_assign = r.len_prefix()?;
-            if n_assign != n_ecs {
-                return wire_err(format!(
-                    "element {eidx} EC table holds {n_assign} entries for {n_ecs} ECs"
-                ));
-            }
-            let mut port_of_ec = Vec::with_capacity(n_assign);
-            let mut ecs_on_port = vec![BTreeSet::new(); ports.len()];
-            for ec in 0..n_assign {
-                let port = r.u64()? as usize;
-                if port >= ports.len() {
-                    return wire_err(format!("element {eidx} assigns EC {ec} out of range"));
-                }
-                ecs_on_port[port].insert(ec as u32);
-                port_of_ec.push(port);
-            }
-            if element_index.insert(key, eidx).is_some() {
-                return wire_err(format!("duplicate element key {key:?}"));
-            }
-            elements.push(Element {
-                key,
-                rules,
-                ports,
-                port_index,
-                port_of_ec,
-                ecs_on_port,
-                default_port,
-            });
-        }
-
-        let dst_index =
-            DstIndex::of(ec_preds.iter().map(|&p| DstIndex::cover_of(&preds, p)).collect());
-
-        Ok(ApkModel {
-            preds,
-            ec_preds,
-            dst_index,
-            full_scan,
-            elements,
-            element_index,
-            telemetry: None,
-        })
     }
 }

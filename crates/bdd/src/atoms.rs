@@ -165,49 +165,6 @@ impl Atoms {
         (0, 0)
     }
 
-    /// Serialize the interned interval sets for a durable snapshot.
-    /// Slot order (and therefore every [`Ref`]) is preserved exactly.
-    pub fn encode_state(&self, w: &mut rc_store::Writer) {
-        w.len_prefix(self.sets.len() - 2);
-        for set in &self.sets[2..] {
-            w.len_prefix(set.len());
-            for &(lo, hi) in set {
-                w.u32(lo);
-                w.u32(hi);
-            }
-        }
-    }
-
-    /// Rebuild a store from [`Atoms::encode_state`] bytes, re-deriving
-    /// the hash-consing table and validating canonical form (sorted,
-    /// disjoint, non-adjacent, neither terminal's set) so corrupt
-    /// input is an error, never a store that miscomputes.
-    pub fn decode_state(r: &mut rc_store::Reader<'_>) -> Result<Atoms, rc_store::WireError> {
-        let count = r.len_prefix()?;
-        let mut atoms = Atoms::new();
-        atoms.sets.reserve(count);
-        atoms.unique.reserve(count);
-        for i in 0..count {
-            let n = r.len_prefix()?;
-            let mut set: IntervalSet = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (lo, hi) = (r.u32()?, r.u32()?);
-                set.push((lo, hi));
-            }
-            let slot = (i + 2) as u32;
-            if set.is_empty() || set == [(0, u32::MAX)] || !is_canonical(&set) {
-                return Err(rc_store::WireError(format!(
-                    "non-canonical interval set at slot {slot}"
-                )));
-            }
-            if atoms.unique.insert(set.clone(), Ref::from_index(slot)).is_some() {
-                return Err(rc_store::WireError(format!("duplicate interval set at slot {slot}")));
-            }
-            atoms.sets.push(set);
-        }
-        Ok(atoms)
-    }
-
     fn intern(&mut self, set: IntervalSet) -> Ref {
         debug_assert!(is_canonical(&set), "non-canonical interval set {set:?}");
         if set.is_empty() {

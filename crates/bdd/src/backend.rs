@@ -141,31 +141,6 @@ impl Preds {
         }
     }
 
-    /// Serialize the store (backend tag + full arena, indices
-    /// preserved) for a durable snapshot.
-    pub fn encode_state(&self, w: &mut rc_store::Writer) {
-        match self {
-            Preds::Bdd(b) => {
-                w.u8(0);
-                b.encode_state(w);
-            }
-            Preds::Atoms(a) => {
-                w.u8(1);
-                a.encode_state(w);
-            }
-        }
-    }
-
-    /// Rebuild a store from [`Preds::encode_state`] bytes; every
-    /// previously exported [`Ref`] index is valid against the result.
-    pub fn decode_state(r: &mut rc_store::Reader<'_>) -> Result<Preds, rc_store::WireError> {
-        match r.u8()? {
-            0 => Ok(Preds::Bdd(Bdd::decode_state(r)?)),
-            1 => Ok(Preds::Atoms(Atoms::decode_state(r)?)),
-            k => Err(rc_store::WireError(format!("unknown predicate backend tag {k}"))),
-        }
-    }
-
     /// Conjunction (packet-set intersection).
     pub fn and(&mut self, a: Ref, b: Ref) -> Ref {
         dispatch!(self, s, s.and(a, b))
@@ -287,43 +262,5 @@ mod tests {
         check(Preds::new(PredKind::Bdd));
         check(Preds::new(PredKind::Atoms));
         assert_eq!(Preds::new(PredKind::Atoms).kind(), PredKind::Atoms);
-    }
-
-    #[test]
-    fn state_round_trips_with_identical_refs_for_both_backends() {
-        for kind in [PredKind::Bdd, PredKind::Atoms] {
-            let mut p = Preds::new(kind);
-            let a = p.pkt_prefix(Field::DstIp, 0x0A000000, 8);
-            let b = p.pkt_prefix(Field::DstIp, 0x0A400000, 10);
-            let d = p.diff(a, b);
-            let n = p.not(d);
-
-            let mut w = rc_store::Writer::new();
-            p.encode_state(&mut w);
-            let bytes = w.finish();
-            let mut r = rc_store::Reader::new(&bytes);
-            let mut q = Preds::decode_state(&mut r).expect("decodes");
-            r.done().expect("fully consumed");
-
-            assert_eq!(q.kind(), kind);
-            assert_eq!(q.node_count(), p.node_count(), "{kind}: arena size changed");
-            // Handles survive verbatim: re-deriving the same predicates
-            // in the decoded store interns nothing new and returns the
-            // same Refs, and the algebra still agrees.
-            assert_eq!(q.pkt_prefix(Field::DstIp, 0x0A000000, 8), a, "{kind}");
-            assert_eq!(q.diff(a, b), d, "{kind}");
-            assert_eq!(q.not(d), n, "{kind}");
-            assert_eq!(q.node_count(), p.node_count(), "{kind}: decode lost interning");
-            assert!(!q.intersects(d, b), "{kind}");
-
-            // Corrupt payloads are rejected, never mis-decoded.
-            for cut in [0, bytes.len() / 2, bytes.len().saturating_sub(1)] {
-                let mut rr = rc_store::Reader::new(&bytes[..cut]);
-                assert!(
-                    Preds::decode_state(&mut rr).is_err() || cut == bytes.len(),
-                    "{kind}: truncation to {cut} accepted"
-                );
-            }
-        }
     }
 }

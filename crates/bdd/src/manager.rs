@@ -402,53 +402,6 @@ impl Bdd {
     pub fn or_all<I: IntoIterator<Item = Ref>>(&mut self, items: I) -> Ref {
         items.into_iter().fold(Ref::FALSE, |acc, x| self.or(acc, x))
     }
-
-    /// Serialize the node arena for a durable snapshot. Arena indices
-    /// are preserved exactly, so [`Ref`]s held by other serialized
-    /// state (EC predicates, rule predicates, policy predicates)
-    /// remain valid against the decoded manager. Op caches and their
-    /// hit counters are transient and not serialized.
-    pub fn encode_state(&self, w: &mut rc_store::Writer) {
-        w.len_prefix(self.nodes.len() - 2);
-        for n in &self.nodes[2..] {
-            w.u32(n.var);
-            w.u32(n.lo.index());
-            w.u32(n.hi.index());
-        }
-    }
-
-    /// Rebuild a manager from [`Bdd::encode_state`] bytes, re-deriving
-    /// the hash-consing table and validating every structural
-    /// invariant (children precede parents, reduction `lo != hi`,
-    /// variable order strictly increasing toward the terminals, no
-    /// duplicate nodes) so corrupt input is an error, never a manager
-    /// that miscomputes.
-    pub fn decode_state(r: &mut rc_store::Reader<'_>) -> Result<Bdd, rc_store::WireError> {
-        let count = r.len_prefix()?;
-        let mut bdd = Bdd::new();
-        bdd.nodes.reserve(count);
-        bdd.unique.reserve(count);
-        for i in 0..count {
-            let var = r.u32()?;
-            let (lo, hi) = (r.u32()?, r.u32()?);
-            let idx = (i + 2) as u32;
-            let ordered = |child: u32| var < bdd.nodes[child as usize].var;
-            if var == TERMINAL_VAR || lo >= idx || hi >= idx || lo == hi {
-                return Err(rc_store::WireError(format!("invalid BDD node at slot {idx}")));
-            }
-            if !ordered(lo) || !ordered(hi) {
-                return Err(rc_store::WireError(format!(
-                    "variable order violated at BDD slot {idx}"
-                )));
-            }
-            let node = Node { var, lo: Ref::from_index(lo), hi: Ref::from_index(hi) };
-            if bdd.unique.insert(node, Ref::from_index(idx)).is_some() {
-                return Err(rc_store::WireError(format!("duplicate BDD node at slot {idx}")));
-            }
-            bdd.nodes.push(node);
-        }
-        Ok(bdd)
-    }
 }
 
 #[cfg(test)]

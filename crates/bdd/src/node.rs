@@ -42,16 +42,6 @@ impl Ref {
     pub fn index(self) -> u32 {
         self.0
     }
-
-    /// Rebuild a handle from an index previously exported with
-    /// [`Ref::index`]. Only meaningful against the same store the index
-    /// came from (or a faithfully restored copy of it — the durable
-    /// snapshot path preserves arena indices exactly); state decoders
-    /// must bounds-check the index against the restored store.
-    #[inline]
-    pub fn from_index(i: u32) -> Ref {
-        Ref(i)
-    }
 }
 
 impl std::fmt::Debug for Ref {

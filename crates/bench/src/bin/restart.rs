@@ -13,7 +13,10 @@
 //!    a full policy pass.
 //! 2. **snapshot restore** — `RealConfig::open` against a state
 //!    directory whose newest snapshot already describes the target
-//!    state (empty journal, zero records replayed).
+//!    state (empty journal, zero records replayed). A snapshot holds
+//!    the configurations and the policies with their verdicts, so this
+//!    is leg 1's build run over decoded sections: it measures what
+//!    reading and decoding the snapshot adds to a cold build.
 //! 3. **restore + replay** — `RealConfig::open` against a state
 //!    directory whose snapshot is `2 × samples` committed changes
 //!    behind the target state, so the journal tail is replayed on top.

@@ -1,6 +1,7 @@
 //! The one full build: configurations in, a wired three-stage pipeline
-//! out ([`Stages::build`]). Snapshot restore and
-//! `full_dataplane_realconfig` run its first half, [`DataPlane::build`].
+//! out ([`Stages::build`]). Construction, rebuilds and snapshot restore
+//! all run the whole of it; `full_dataplane_realconfig` runs its first
+//! half, [`DataPlane::build`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -70,22 +71,6 @@ pub(super) struct Stages {
 }
 
 impl Stages {
-    /// Join a data plane with a model and checker — fresh on a full
-    /// build, decoded on snapshot restore — and wire the options into
-    /// them.
-    pub fn assemble(
-        dp: DataPlane,
-        mut model: ApkModel,
-        mut checker: PolicyChecker,
-        opts: &VerifierOptions,
-        telemetry: &Telemetry,
-    ) -> Self {
-        model.set_telemetry(telemetry);
-        checker.set_telemetry(telemetry);
-        checker.set_threads(opts.threads);
-        Stages { lowering: dp.lowering, engine: dp.engine, grouper: dp.grouper, model, checker }
-    }
-
     /// Build all three stages over `configs` and run the full
     /// verification. `prior_policies` are re-registered in id order
     /// with their last-seen verdicts, so the returned check reports
@@ -106,8 +91,16 @@ impl Stages {
             warnings: dp.lowering.warnings().iter().cloned().collect(),
             ..Default::default()
         };
-        let model = ApkModel::with_backend(opts.backend);
-        let mut s = Stages::assemble(dp, model, PolicyChecker::new(), opts, telemetry);
+        let mut s = Stages {
+            lowering: dp.lowering,
+            engine: dp.engine,
+            grouper: dp.grouper,
+            model: ApkModel::with_backend(opts.backend),
+            checker: PolicyChecker::new(),
+        };
+        s.model.set_telemetry(telemetry);
+        s.checker.set_telemetry(telemetry);
+        s.checker.set_threads(opts.threads);
         let all_facts: Vec<(Fact, isize)> =
             s.lowering.facts().iter().map(|f| (f.clone(), 1)).collect();
         sync_structure(&mut s.checker, &all_facts, s.lowering.nodes());

@@ -11,23 +11,24 @@
 //! | 1   | META     | update order, retired full-scan flag, retired auto-compact field |
 //! | 2   | REGISTRY | interned node / interface names, in id order      |
 //! | 3   | CONFIGS  | last-good configurations as canonical printed text|
-//! | 4   | MODEL    | [`ApkModel::encode_state`] (includes the predicate store) |
-//! | 5   | CHECKER  | [`PolicyChecker::encode_state`]: devices, links, one analysis per EC in EC order, policies with verdicts |
+//! | 4   | MODEL    | [`ApkModel::encode_state`]: the predicate backend tag |
+//! | 5   | CHECKER  | [`PolicyChecker::encode_state`]: policies with verdicts, in id order |
 //!
 //! The registry is serialized by name *in id order* because interning
 //! is append-only and history-dependent: rebuilding it verbatim keeps
-//! every `NodeId` / `IfaceId` embedded in the model and checker
-//! sections valid.
+//! every `NodeId` a stored policy names pointing at the same device.
 //!
-//! Sections hold state, not what is derived from it: the model's
-//! indexes and the checker's pair counts and port index are rebuilt on
-//! decode, and the checker's analysis count must equal the model's EC
-//! count. META's last three fields (`0`, `1`, [`DEFAULT_AUTO_COMPACT`])
-//! are vestigial — nothing reads the full-scan flag since the EC index
-//! stopped being optional, nor the auto-compact field since compaction
-//! stopped being scheduled — but stay byte-for-byte, because the `perf`
-//! benchmark writes the section by hand and byte-compares whole
-//! snapshots.
+//! Sections hold only what the configurations cannot say: the
+//! configurations themselves, the options a build reads, and the
+//! policies with their last-seen verdicts. Restore is a cold build —
+//! the same `Stages::build` a construction or a rebuild runs — over
+//! the restored registry, so a restored verifier equals a from-scratch
+//! one by construction. META's last three fields (`0`, `1`,
+//! [`DEFAULT_AUTO_COMPACT`]) are vestigial — nothing reads the
+//! full-scan flag since the EC index stopped being optional, nor the
+//! auto-compact field since compaction stopped being scheduled — but
+//! stay byte-for-byte, because the `perf` benchmark writes the section
+//! by hand and byte-compares whole snapshots.
 //!
 //! # Journal
 //!
@@ -70,8 +71,8 @@ use rc_store::{
     prune_snapshots, read_journal, snapshot_path, Journal, Reader, StoreError, WireError, Writer,
 };
 
-use super::build::{DataPlane, Stages};
-use super::{ConfigDelta, Error, RealConfig, VerifierOptions, DEFAULT_AUTO_COMPACT};
+use super::build::Stages;
+use super::{contained, ConfigDelta, Error, RealConfig, VerifierOptions, DEFAULT_AUTO_COMPACT};
 
 /// Section tags inside a snapshot container.
 const SEC_META: u32 = 1;
@@ -466,10 +467,12 @@ impl RealConfig {
         Ok((rc, report))
     }
 
-    /// Decode one snapshot file into a fully wired verifier. Any
-    /// defect — bad CRC, truncation, cross-reference out of bounds,
-    /// facts that no longer lower — is an `Err`, never a verifier that
-    /// miscomputes.
+    /// Decode one snapshot file and build the verifier it records: its
+    /// configurations and policies go through the full build a
+    /// construction or a rebuild runs, and the policies keep their
+    /// stored verdicts. Any defect — bad CRC, truncation, a reference
+    /// out of bounds, configurations that no longer verify, a panic in
+    /// the build — is an `Err`, never a verifier that miscomputes.
     fn restore_from_file(path: &Path, mut opts: VerifierOptions) -> Result<Self, String> {
         let bytes = rc_store::read_file(path).map_err(|e| e.to_string())?;
         let sections = decode_snapshot(&bytes).map_err(|e| e.to_string())?;
@@ -510,10 +513,11 @@ impl RealConfig {
             Ok(())
         })?;
 
-        // REGISTRY: names in id order, so every id in the model /
-        // checker sections resolves to the same name it had live.
+        // REGISTRY: names in id order, so every node id a stored policy
+        // names resolves to the same device it did live.
         let (node_names, iface_names) =
             section(&sections, (SEC_REGISTRY, "registry"), |r| Ok((read_names(r)?, read_names(r)?)))?;
+        let registered = node_names.len();
         let mut registry = Registry::from_names(node_names, iface_names)?;
 
         // CONFIGS: canonical printed text, re-parsed.
@@ -524,38 +528,25 @@ impl RealConfig {
             }
         }
 
-        // MODEL and CHECKER: handle-for-handle state restore.
-        let model = section(&sections, (SEC_MODEL, "model"), ApkModel::decode_state)?;
-        let checker = section(&sections, (SEC_CHECKER, "checker"), |r| {
-            PolicyChecker::decode_state(r, &model)
+        opts.backend = section(&sections, (SEC_MODEL, "model"), ApkModel::decode_backend)?;
+        let policies = section(&sections, (SEC_CHECKER, "checker"), |r| {
+            PolicyChecker::decode_policies(r, registered)
         })?;
-        opts.backend = model.backend();
 
-        // Re-derive everything that is cheaper to recompute than to
-        // store: lowering is deterministic and all names are already
-        // interned, so facts and warnings come back exactly as they
-        // were; the routing engine is rebuilt by replaying the full
-        // fact set (the paper's dp-gen stage, minus model and check),
-        // which also primes the FIB grouper so the next incremental
-        // convert diffs against the right baseline.
+        // Everything else is derived: the full build over the restored
+        // registry re-lowers the configurations (all names are already
+        // interned, so ids come back as they were) and re-verifies the
+        // policies. A stored policy the backend cannot compile panics
+        // here, and is contained like any other build failure.
         let telemetry = rc_telemetry::Telemetry::new();
-        let dp = DataPlane::build(&configs, &mut registry, &opts, &telemetry)
-            .map_err(|e| format!("restored facts no longer evaluate: {e}"))?;
-        // Cross-check the restored model against the rebuilt data
-        // plane: the rule count must line up or the snapshot and
-        // configs disagree.
-        if model.num_rules() != dp.rules.len() {
-            return Err(format!(
-                "snapshot model has {} rules but configs lower to {}",
-                model.num_rules(),
-                dp.rules.len()
-            ));
-        }
-
+        let (stages, _, _) = contained(|| {
+            Stages::build(&configs, &mut registry, &opts, &telemetry, &policies)
+        })
+        .map_err(|e| format!("restored configurations no longer verify: {e}"))?;
         Ok(RealConfig {
             configs,
             registry,
-            stages: Stages::assemble(dp, model, checker, &opts, &telemetry),
+            stages,
             opts,
             telemetry,
             poisoned: false,

@@ -7,7 +7,8 @@
 //! a per-pair *count* of delivering ECs: every policy is evaluated from
 //! the EC side, so nothing needs the sets. That count and the port →
 //! ECs index link changes invalidate through are derived from the
-//! analyses (`Derived`) and never persisted. After a batch of data
+//! analyses (`Derived`). Snapshots keep only the policies and their
+//! verdicts; a restore builds the rest again. After a batch of data
 //! plane model changes the checker re-analyzes **only the affected
 //! ECs**, patches the derived indexes for what they changed, and
 //! re-evaluates **only the policies registered on affected packets** —
@@ -25,7 +26,7 @@ use rc_apkeep::{ApkModel, BatchSummary, EcId};
 use rc_bdd::Ref;
 use rc_netcfg::types::{NodeId, Port, Prefix};
 
-use crate::walk::{self, ones, words, EcAnalysis, Forwarding, Topology, Walker, MAX_NODES};
+use crate::walk::{ones, words, EcAnalysis, Forwarding, Topology, Walker, MAX_NODES};
 
 /// Identifier of a registered policy.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -62,6 +63,7 @@ pub enum Policy {
     BlackholeFree { src: NodeId, class: PacketClass },
 }
 
+#[derive(PartialEq)]
 struct Registered {
     policy: Policy,
     pred: Ref,
@@ -123,8 +125,8 @@ pub struct PolicyChecker {
 }
 
 /// Everything the checker knows that is a function of `ec_state`:
-/// patched on every merge, rebuilt whole on decode, and compared with a
-/// rebuild by [`PolicyChecker::check_invariants`]. `port_users` holds no
+/// patched on every merge and compared with a rebuild by
+/// [`PolicyChecker::check_invariants`]. `port_users` holds no
 /// empty entry.
 #[derive(Debug, Default)]
 struct Derived {
@@ -373,6 +375,20 @@ impl CheckerTelemetry {
             .get_or_insert_with(|| reg.gauge("pool.workers"))
             .set(stats.workers as i64);
         self.pool_tasks.get_or_insert_with(|| reg.counter("pool.tasks")).add(stats.tasks);
+    }
+}
+
+/// Checkers are equal when they hold the same state: devices, links,
+/// one analysis per EC in EC order, and each policy with its predicate
+/// handle and verdict. What is derived from those (walk tables, pair
+/// counts, port index) and the runtime attachments (telemetry, worker
+/// count) are not compared.
+impl PartialEq for PolicyChecker {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes
+            && self.topo == other.topo
+            && self.ec_state == other.ec_state
+            && self.policies == other.policies
     }
 }
 
@@ -798,11 +814,10 @@ impl PolicyChecker {
 // ---------------------------------------------------------------------
 // Durable-state serialization.
 //
-// The checker's state is the per-EC analyses plus the registered
-// policies; what is derived from the analyses is rebuilt on decode, not
-// stored. Predicate handles point into the model's predicate store,
-// which the snapshot carries wholesale with arena indices preserved —
-// so handles serialize as raw indices and stay valid after restore.
+// A snapshot keeps the registered policies with their verdicts and
+// nothing else of the checker: restore builds the checker again from
+// the configurations, registers the policies in id order and carries
+// the verdicts over, as a rebuild does.
 
 fn wire_err<T>(msg: impl Into<String>) -> Result<T, rc_store::WireError> {
     Err(rc_store::WireError(msg.into()))
@@ -813,50 +828,20 @@ fn encode_node(w: &mut rc_store::Writer, n: NodeId) {
 }
 
 /// A node id, refused at or past [`MAX_NODES`] before anything sizes a
-/// table by it.
-fn decode_node(r: &mut rc_store::Reader<'_>) -> Result<NodeId, rc_store::WireError> {
+/// table by it, and unless it is one of the `registered` ids the
+/// restored registry names.
+fn decode_node(
+    r: &mut rc_store::Reader<'_>,
+    registered: usize,
+) -> Result<NodeId, rc_store::WireError> {
     let n = r.u32()?;
     if n as usize >= MAX_NODES {
         return wire_err(format!("node id {n} past the dense tables' bound"));
     }
+    if n as usize >= registered {
+        return wire_err(format!("node id {n} not in the registry ({registered} nodes)"));
+    }
     Ok(NodeId(n))
-}
-
-fn encode_port(w: &mut rc_store::Writer, p: Port) {
-    encode_node(w, p.node);
-    w.u32(p.iface.0);
-}
-
-fn decode_port(r: &mut rc_store::Reader<'_>) -> Result<Port, rc_store::WireError> {
-    let node = decode_node(r)?;
-    let iface = rc_netcfg::types::IfaceId(r.u32()?);
-    Ok(Port { node, iface })
-}
-
-fn encode_node_set(w: &mut rc_store::Writer, s: &BTreeSet<NodeId>) {
-    w.len_prefix(s.len());
-    for &n in s {
-        encode_node(w, n);
-    }
-}
-
-fn decode_node_set(
-    r: &mut rc_store::Reader<'_>,
-) -> Result<BTreeSet<NodeId>, rc_store::WireError> {
-    let n = r.len_prefix()?;
-    let mut out = BTreeSet::new();
-    for _ in 0..n {
-        out.insert(decode_node(r)?);
-    }
-    Ok(out)
-}
-
-/// A node bitset, as the ascending set of the ids it holds.
-fn encode_node_bits(w: &mut rc_store::Writer, bits: &[u64]) {
-    w.len_prefix(ones(bits).count());
-    for i in ones(bits) {
-        encode_node(w, NodeId(i as u32));
-    }
 }
 
 fn encode_prefix(w: &mut rc_store::Writer, p: Prefix) {
@@ -966,107 +951,30 @@ fn encode_policy(w: &mut rc_store::Writer, p: &Policy) {
     }
 }
 
-fn decode_policy(r: &mut rc_store::Reader<'_>) -> Result<Policy, rc_store::WireError> {
+fn decode_policy(
+    r: &mut rc_store::Reader<'_>,
+    registered: usize,
+) -> Result<Policy, rc_store::WireError> {
     match r.u8()? {
         0 => {
-            let (src, dst) = (decode_node(r)?, decode_node(r)?);
+            let (src, dst) = (decode_node(r, registered)?, decode_node(r, registered)?);
             Ok(Policy::Reachability { src, dst, class: decode_class(r)? })
         }
         1 => {
-            let (src, dst) = (decode_node(r)?, decode_node(r)?);
+            let (src, dst) = (decode_node(r, registered)?, decode_node(r, registered)?);
             Ok(Policy::Isolation { src, dst, class: decode_class(r)? })
         }
         2 => {
-            let (src, dst, via) = (decode_node(r)?, decode_node(r)?, decode_node(r)?);
+            let (src, dst, via) = (decode_node(r, registered)?, decode_node(r, registered)?, decode_node(r, registered)?);
             Ok(Policy::Waypoint { src, dst, via, class: decode_class(r)? })
         }
         3 => Ok(Policy::LoopFree { class: decode_class(r)? }),
         4 => {
-            let src = decode_node(r)?;
+            let src = decode_node(r, registered)?;
             Ok(Policy::BlackholeFree { src, class: decode_class(r)? })
         }
         t => wire_err(format!("unknown policy tag {t}")),
     }
-}
-
-/// An analysis on the wire: the sources with a nonempty delivered row
-/// and their rows, the dropping and the looping sources, the ports used,
-/// and the path signatures — each a set in ascending order, rows in
-/// ascending node-id order.
-fn encode_analysis(w: &mut rc_store::Writer, a: &EcAnalysis) {
-    let sources: Vec<usize> = (0..a.n).filter(|&s| a.row(s).iter().any(|&x| x != 0)).collect();
-    w.len_prefix(sources.len());
-    for s in sources {
-        encode_node(w, NodeId(s as u32));
-        encode_node_bits(w, a.row(s));
-    }
-    encode_node_bits(w, &a.dropped);
-    encode_node_bits(w, &a.looping);
-    w.len_prefix(a.ports_used.len());
-    for &p in &a.ports_used {
-        encode_port(w, p);
-    }
-    w.len_prefix(ones(&a.routed).count());
-    for s in ones(&a.routed) {
-        encode_node(w, NodeId(s as u32));
-        w.u64(a.path_sig[s]);
-    }
-}
-
-/// Decode one analysis. Every node id it names must be a device of
-/// `nodes`, checked before the id sizes or indexes a row; the rows span
-/// the largest id named.
-fn decode_analysis(
-    r: &mut rc_store::Reader<'_>,
-    nodes: &BTreeSet<NodeId>,
-) -> Result<EcAnalysis, rc_store::WireError> {
-    let device = |r: &mut rc_store::Reader<'_>| -> Result<usize, rc_store::WireError> {
-        let n = decode_node(r)?;
-        if !nodes.contains(&n) {
-            return wire_err(format!("analysis names node {}, not a device", n.0));
-        }
-        Ok(n.0 as usize)
-    };
-    let devices = |r: &mut rc_store::Reader<'_>| -> Result<Vec<usize>, rc_store::WireError> {
-        (0..r.len_prefix()?).map(|_| device(r)).collect()
-    };
-    let mut delivered = Vec::new();
-    for _ in 0..r.len_prefix()? {
-        let s = device(r)?;
-        delivered.push((s, devices(r)?));
-    }
-    let dropped = devices(r)?;
-    let looping = devices(r)?;
-    let mut ports_used =
-        (0..r.len_prefix()?).map(|_| decode_port(r)).collect::<Result<Vec<_>, _>>()?;
-    ports_used.sort_unstable();
-    ports_used.dedup();
-    let mut sigs = Vec::new();
-    for _ in 0..r.len_prefix()? {
-        let s = device(r)?;
-        sigs.push((s, r.u64()?));
-    }
-
-    let named = delivered.iter().flat_map(|(s, ds)| std::iter::once(s).chain(ds));
-    let named = named.chain(&dropped).chain(&looping).chain(sigs.iter().map(|(s, _)| s));
-    let mut a = EcAnalysis::new(named.max().map_or(0, |&m| m + 1));
-    for (s, ds) in delivered {
-        for d in ds {
-            walk::set(a.row_mut(s), d);
-        }
-    }
-    for s in dropped {
-        walk::set(&mut a.dropped, s);
-    }
-    for s in looping {
-        walk::set(&mut a.looping, s);
-    }
-    for (s, sig) in sigs {
-        walk::set(&mut a.routed, s);
-        a.path_sig[s] = sig;
-    }
-    a.ports_used = ports_used;
-    Ok(a)
 }
 
 /// The walk tables over `nodes` and each port's greatest link.
@@ -1076,79 +984,93 @@ fn table(nodes: &BTreeSet<NodeId>, topo: &BTreeMap<Port, BTreeSet<Port>>) -> Top
 }
 
 impl PolicyChecker {
-    /// Serialize the checker's state — topology view, the per-EC
-    /// analyses in EC order, and registered policies with their
-    /// verdicts — for a durable snapshot.
+    /// Serialize the checker's durable state for a snapshot: the
+    /// registered policies in id order, each with its verdict.
     pub fn encode_state(&self, w: &mut rc_store::Writer) {
-        encode_node_set(w, &self.nodes);
-        w.len_prefix(self.topo.values().map(BTreeSet::len).sum());
-        for (&a, peers) in &self.topo {
-            for &b in peers {
-                encode_port(w, a);
-                encode_port(w, b);
-            }
-        }
-        w.len_prefix(self.ec_state.len());
-        for analysis in &self.ec_state {
-            encode_analysis(w, analysis);
-        }
         w.len_prefix(self.policies.len());
         for reg in &self.policies {
             encode_policy(w, &reg.policy);
-            w.u32(reg.pred.index());
             w.u8(reg.satisfied as u8);
         }
     }
 
-    /// Rebuild a checker from [`PolicyChecker::encode_state`] bytes,
-    /// against the restored `model`: it must have one EC per stored
-    /// analysis, and every policy handle must point into its predicate
-    /// store. The derived indexes are recomputed. Telemetry and the
-    /// worker-count override are not restored; the caller re-attaches
-    /// them.
-    pub fn decode_state(
+    /// The policies and verdicts [`PolicyChecker::encode_state`]
+    /// recorded, in id order. Every node id a policy names must be one
+    /// of the `registered` ids of the registry restored beside it.
+    pub fn decode_policies(
         r: &mut rc_store::Reader<'_>,
-        model: &ApkModel,
-    ) -> Result<PolicyChecker, rc_store::WireError> {
-        let nodes = decode_node_set(r)?;
-        let mut topo: BTreeMap<Port, BTreeSet<Port>> = BTreeMap::new();
-        for _ in 0..r.len_prefix()? {
-            let a = decode_port(r)?;
-            let b = decode_port(r)?;
-            topo.entry(a).or_default().insert(b);
-        }
-        let num_ecs = r.len_prefix()?;
-        if num_ecs != model.num_ecs() {
-            return wire_err(format!(
-                "checker state has {num_ecs} EC analyses, the model {} ECs",
-                model.num_ecs()
-            ));
-        }
-        let ec_state =
-            (0..num_ecs).map(|_| decode_analysis(r, &nodes)).collect::<Result<Vec<_>, _>>()?;
-        let mut policies = Vec::new();
-        for i in 0..r.len_prefix()? {
-            let policy = decode_policy(r)?;
-            let pred = r.u32()?;
-            if pred >= model.pred_slots() {
-                return wire_err(format!("policy {i} has invalid predicate handle {pred}"));
+        registered: usize,
+    ) -> Result<Vec<(Policy, bool)>, rc_store::WireError> {
+        (0..r.len_prefix()?)
+            .map(|_| {
+                let policy = decode_policy(r, registered)?;
+                match r.u8()? {
+                    0 => Ok((policy, false)),
+                    1 => Ok((policy, true)),
+                    t => wire_err(format!("bad verdict tag {t}")),
+                }
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rc_apkeep::{ElementKey, ModelRule, PortAction, RuleMatch, RuleUpdate, UpdateOrder};
+    use rc_netcfg::types::IfaceId;
+
+    /// Node 0 delivers 10.0.1.0/24; node 1 has no route. A checker over
+    /// both, with one policy, after a full pass.
+    fn checked(model: &mut ApkModel) -> PolicyChecker {
+        let mut checker = PolicyChecker::new();
+        checker.set_nodes([NodeId(0), NodeId(1)]);
+        let class = PacketClass::DstPrefix("10.0.1.0/24".parse().expect("prefix"));
+        checker.add_policy(model, Policy::BlackholeFree { src: NodeId(1), class });
+        checker.check_full(model);
+        checker
+    }
+
+    #[test]
+    fn one_differing_analysis_makes_checkers_unequal() {
+        let mut model = ApkModel::new();
+        model.apply_batch(
+            vec![RuleUpdate::Insert(ModelRule {
+                element: ElementKey::Forward(NodeId(0)),
+                priority: 24,
+                rule_match: RuleMatch::DstPrefix("10.0.1.0/24".parse().expect("prefix")),
+                action: PortAction::deliver(vec![IfaceId(9)]),
+            })],
+            UpdateOrder::InsertFirst,
+        );
+        let a = checked(&mut model);
+        let mut b = checked(&mut model);
+        assert!(a == b, "two full passes over one model agree");
+
+        // The same sets over wider rows say the same thing.
+        let widened = &mut b.ec_state[0];
+        let mut wide = EcAnalysis::new(widened.n + 64);
+        wide.ports_used = widened.ports_used.clone();
+        for s in 0..widened.n {
+            let w = words(wide.n);
+            for d in ones(widened.row(s)) {
+                crate::walk::set(&mut wide.delivered[s * w..][..w], d);
             }
-            let satisfied = match r.u8()? {
-                0 => false,
-                1 => true,
-                t => return wire_err(format!("bad verdict tag {t}")),
-            };
-            policies.push(Registered { policy, pred: Ref::from_index(pred), satisfied });
         }
-        Ok(PolicyChecker {
-            table: table(&nodes, &topo),
-            nodes,
-            topo,
-            derived: Derived::of(&ec_state),
-            ec_state,
-            policies,
-            threads: None,
-            telemetry: None,
-        })
+        for (to, from) in [
+            (&mut wide.dropped, &widened.dropped),
+            (&mut wide.looping, &widened.looping),
+            (&mut wide.routed, &widened.routed),
+        ] {
+            ones(from).for_each(|i| crate::walk::set(to, i));
+        }
+        ones(&widened.routed).for_each(|s| wide.path_sig[s] = widened.path_sig[s]);
+        *widened = wide;
+        assert!(a == b, "row width is not state");
+
+        // One source of one EC loops in `b` only.
+        let last = b.ec_state.len() - 1;
+        crate::walk::set(&mut b.ec_state[last].looping, 1);
+        assert!(a != b, "a differing analysis went unnoticed");
     }
 }

@@ -523,11 +523,6 @@ impl EcAnalysis {
         }
     }
 
-    pub(crate) fn row_mut(&mut self, s: usize) -> &mut [u64] {
-        let w = words(self.n);
-        &mut self.delivered[s * w..][..w]
-    }
-
     /// Whether packets injected at `src` can be delivered at `dst`.
     pub fn delivers(&self, src: NodeId, dst: NodeId) -> bool {
         test(self.row(src.0 as usize), dst.0 as usize)
@@ -563,6 +558,21 @@ impl EcAnalysis {
     /// Link endpoints this EC's forwarding uses, sorted.
     pub fn ports_used(&self) -> &[Port] {
         &self.ports_used
+    }
+}
+
+/// Analyses are equal when they say the same thing: each bitset
+/// compares as the set of ids it holds, whatever width `n` it was sized
+/// for, and path signatures compare where a source is routed.
+impl PartialEq for EcAnalysis {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &[u64], b: &[u64]| ones(a).eq(ones(b));
+        same(&self.dropped, &other.dropped)
+            && same(&self.looping, &other.looping)
+            && same(&self.routed, &other.routed)
+            && (0..self.n.max(other.n)).all(|s| same(self.row(s), other.row(s)))
+            && ones(&self.routed).all(|s| self.path_sig[s] == other.path_sig[s])
+            && self.ports_used == other.ports_used
     }
 }
 

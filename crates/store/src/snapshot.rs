@@ -14,10 +14,10 @@
 //! ```
 //!
 //! Each section is independently checksummed so a bit flip anywhere is
-//! pinned to a section and the whole file is rejected (state sections
-//! cross-reference each other — predicate handles into the predicate
-//! arena, EC ids into the partition — so a partially-valid snapshot is
-//! not worth salvaging; the recovery ladder's next rung is).
+//! pinned to a section and the whole file is rejected (sections
+//! cross-reference each other — stored policies name node ids the
+//! registry section interns — so a partially-valid snapshot is not
+//! worth salvaging; the recovery ladder's next rung is).
 
 use crate::wire::{Reader, Writer};
 use crate::{crc32, StoreError};
@@ -30,8 +30,11 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RCSNAP\x00\x01";
 /// Bumped on any incompatible layout change; readers reject other
 /// versions and the recovery ladder falls through to a rebuild.
 /// Version 2: the checker section stores only per-EC analyses and
-/// policies (its derived indexes are rebuilt on decode).
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// policies (its derived indexes are rebuilt on decode). Version 3: the
+/// model section stores only the predicate backend and the checker
+/// section only the policies with their verdicts; restore rebuilds the
+/// rest from the configurations.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Encode `sections` (tag, payload) into a self-validating snapshot
 /// image, ready for [`crate::atomic_write`].

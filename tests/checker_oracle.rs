@@ -2,9 +2,9 @@
 //! hold exactly the state a fresh checker computes from scratch over the
 //! same model. A proptest drives an `ApkModel` and a `PolicyChecker`
 //! through forwarding-rule, link, static-route, ACL and device churn on a
-//! ring and a grid; after every `check_incremental`, the checker's encoded
-//! state — per-EC analyses and policy verdicts — must equal that of a
-//! fresh checker (same devices, links and policies) after `check_full`
+//! ring and a grid; after every `check_incremental`, the checker's state
+//! — devices, links, per-EC analyses, policy predicates and verdicts —
+//! must equal that of a fresh checker (same devices, links and policies) after `check_full`
 //! on the same model, and `check_invariants()` must hold. The model
 //! merges ECs within a batch, and the churn must reach the checker's
 //! replay of those merges: each suite counts them and asserts some ran.
@@ -279,12 +279,6 @@ fn checked_from_scratch(model: &mut ApkModel, net: &Net, world: &World) -> Polic
     checker
 }
 
-fn encoded(checker: &PolicyChecker) -> Vec<u8> {
-    let mut w = rc_store::Writer::new();
-    checker.encode_state(&mut w);
-    w.finish()
-}
-
 /// Drive `steps` and compare with a fresh checker after each; returns
 /// how many EC merges the model reported.
 fn run(topo: Topology, steps: Vec<Vec<Op>>) -> usize {
@@ -320,7 +314,7 @@ fn run(topo: Topology, steps: Vec<Vec<Op>>) -> usize {
         prop_assert_eq!(report.total_pairs, fresh.num_pairs(), "step {}: {:?}", i, step);
         prop_assert_eq!(checker.verdicts(), fresh.verdicts(), "step {}: {:?}", i, step);
         prop_assert!(
-            encoded(&checker) == encoded(&fresh),
+            checker == fresh,
             "step {}: state differs after {:?}",
             i,
             step

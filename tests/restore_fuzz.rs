@@ -3,7 +3,8 @@
 //! feed the recovery ladder whole garbage snapshots and CRC-valid
 //! journal records whose payloads are well framed but carry mangled
 //! configuration text, so the record decoder and the config parser see
-//! input no checksum will catch.
+//! input no checksum will catch; and a CRC-valid snapshot whose stored
+//! policy the recorded predicate backend cannot compile.
 
 use proptest::prelude::*;
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
@@ -12,7 +13,7 @@ use rc_netcfg::topology::fat_tree;
 use rc_netcfg::types::Prefix;
 use rc_netcfg::DeviceConfig;
 use rc_routing::route::FibAction;
-use rc_store::{journal_path, snapshot_path, Journal, Writer};
+use rc_store::{decode_snapshot, encode_snapshot, journal_path, snapshot_path, Journal, Writer};
 use realconfig::{ChangeSet, RealConfig, RestoreSource};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -184,6 +185,43 @@ fn delta_payload(name: &str, text: &str) -> Vec<u8> {
 
 fn open(dir: &Path) -> (RealConfig, realconfig::RestoreReport) {
     RealConfig::open(dir, fixture().configs.clone()).expect("open never refuses to start")
+}
+
+/// A well-formed snapshot that records the atoms backend and a flow
+/// policy with a protocol: restore compiles the policy, the atoms store
+/// panics on any non-destination field, and the panic must step the
+/// ladder down instead of escaping.
+#[test]
+fn a_policy_the_backend_cannot_compile_falls_to_the_next_rung() {
+    let dir = state_dir("uncompilable");
+    let path = snapshot_path(&dir.0, 2);
+    let mut sections = decode_snapshot(&std::fs::read(&path).expect("snapshot reads"))
+        .expect("snapshot decodes");
+    let mut checker = Writer::new();
+    checker.len_prefix(1);
+    checker.u8(3); // LoopFree
+    checker.u8(2); // Flow { proto: Some(6), dst_prefix: None, dst_port: None }
+    checker.raw(&[1, 6, 0, 0]);
+    checker.u8(1); // satisfied
+    let checker = checker.finish();
+    // Section tags 4 (MODEL: backend tag 1 is atoms) and 5 (CHECKER).
+    for (tag, payload) in &mut sections {
+        match *tag {
+            4 => *payload = vec![1],
+            5 => *payload = checker.clone(),
+            _ => {}
+        }
+    }
+    std::fs::write(&path, encode_snapshot(&sections)).expect("snapshot overwrites");
+
+    let (_, report) = open(&dir.0);
+    assert!(
+        matches!(report.source, RestoreSource::PreviousSnapshot { .. } | RestoreSource::Rebuilt),
+        "{:?}: {:?}",
+        report.source,
+        report.notes
+    );
+    assert_eq!(report.snapshots_rejected, 1, "{:?}", report.notes);
 }
 
 proptest! {

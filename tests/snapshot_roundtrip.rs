@@ -309,7 +309,7 @@ fn reopen_keeps_options_the_snapshot_does_not_record() {
 /// options, snapshot and journal bytes must stay exactly what the
 /// current format versions write (length and CRC-32 of each file on
 /// this scenario; the snapshot pins were re-recorded at snapshot
-/// version 2, the journal's are the first release's).
+/// version 3, the journal's are the first release's).
 #[test]
 fn snapshot_and_journal_bytes_are_pinned() {
     let configs = build_configs(&ring(4), ProtocolChoice::Ospf);
@@ -330,48 +330,53 @@ fn snapshot_and_journal_bytes_are_pinned() {
         let bytes = std::fs::read(&path).expect("store file readable");
         (bytes.len(), rc_store::crc32(&bytes))
     };
-    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 1)), (10205, 0x2177_dc70));
+    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 1)), (1456, 0x5894_a9a9));
     assert_eq!(pin(rc_store::journal_path(&dir.0)), (992, 0x3867_2ef9));
     rc.save_snapshot().expect("snapshot writes");
-    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 2)), (11624, 0x1efc_522b));
+    assert_eq!(pin(rc_store::snapshot_path(&dir.0, 2)), (1467, 0xae0e_ebef));
 }
 
-/// A snapshot whose header names format version 1 — whose checker
-/// section also carried the derived pair and port indexes — is not
-/// read: the verifier opens through the rebuild rung, and the report
-/// says why.
+/// Snapshots whose header names an older format version are not read:
+/// version 1's checker section also carried the derived pair and port
+/// indexes, and version 2's model and checker sections carried the whole
+/// model, checker and predicate arena. The verifier opens through the
+/// rebuild rung, and the report says why.
 #[test]
 fn version_one_snapshot_opens_through_the_rebuild_rung() {
-    let dir = StateDir::new("v1");
-    let live = live_with_snapshot(4, &dir);
-    let path = rc_store::snapshot_path(&dir.0, 1);
-    let mut bytes = std::fs::read(&path).expect("snapshot readable");
-    // The format version follows the 8-byte magic.
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("snapshot writable");
+    for version in [1u32, 2] {
+        let dir = StateDir::new(&format!("v{version}"));
+        let live = live_with_snapshot(4, &dir);
+        let path = rc_store::snapshot_path(&dir.0, 1);
+        let mut bytes = std::fs::read(&path).expect("snapshot readable");
+        // The format version follows the 8-byte magic.
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("snapshot writable");
 
-    let (restored, report) = RealConfig::open(&dir.0, ring_configs(4)).expect("rebuild");
-    assert_eq!(report.source, RestoreSource::Rebuilt);
-    assert_eq!(report.snapshots_rejected, 1);
-    assert!(
-        report.notes.iter().any(|n| n.contains("format version 1")),
-        "no version note: {:?}",
-        report.notes
-    );
-    // Policies live in snapshots only; configs and what they compute
-    // come back from the fallback.
-    assert_eq!(restored.configs(), live.configs());
-    assert_eq!(restored.fib(), live.fib());
-    assert!(restored.journaling());
+        let (restored, report) = RealConfig::open(&dir.0, ring_configs(4)).expect("rebuild");
+        assert_eq!(report.source, RestoreSource::Rebuilt, "version {version}");
+        assert_eq!(report.snapshots_rejected, 1, "version {version}");
+        let why = format!("format version {version}");
+        assert!(
+            report.notes.iter().any(|n| n.contains(&why)),
+            "no version note: {:?}",
+            report.notes
+        );
+        // Policies live in snapshots only; configs and what they compute
+        // come back from the fallback.
+        assert_eq!(restored.configs(), live.configs(), "version {version}");
+        assert_eq!(restored.fib(), live.fib(), "version {version}");
+        assert!(restored.journaling(), "version {version}");
+    }
 }
 
-/// The checker decoder reads bytes it cannot trust. Every truncation of
-/// a real CHECKER section, and 256 seeded byte flips, must come back as
-/// an `Err` or as a checker whose derived indexes hold — never a panic.
+/// The policies decoder reads bytes it cannot trust. Every truncation
+/// of a real CHECKER section must come back as an `Err`, a policy naming
+/// a node the registry does not hold is refused, and 256 seeded byte
+/// flips must never panic.
 #[test]
 fn checker_decoder_survives_truncation_and_byte_flips() {
     use rand::{Rng, SeedableRng};
-    use rc_store::{Reader, Writer};
+    use rc_store::Reader;
 
     let dir = StateDir::new("decoder");
     let mut live = live_with_snapshot(5, &dir);
@@ -379,64 +384,40 @@ fn checker_decoder_survives_truncation_and_byte_flips() {
     live.save_snapshot().expect("snapshot writes");
     let image = std::fs::read(rc_store::snapshot_path(&dir.0, 2)).expect("snapshot readable");
     let sections = rc_store::decode_snapshot(&image).expect("snapshot decodes");
-    // Section tags 4 (MODEL) and 5 (CHECKER), see `persist.rs`.
+    // Section tags 2 (REGISTRY) and 5 (CHECKER), see `persist.rs`.
     let section = |tag: u32| &sections.iter().find(|(t, _)| *t == tag).expect("section").1;
-    let model = rc_apkeep::ApkModel::decode_state(&mut Reader::new(section(4)))
-        .expect("model section decodes");
+    let registered = Reader::new(section(2)).len_prefix().expect("node name count");
     let checker = section(5);
 
-    let decode = |bytes: &[u8]| match rc_policy::PolicyChecker::decode_state(
-        &mut Reader::new(bytes),
-        &model,
-    ) {
-        Ok(c) => c.check_invariants().map(|()| c),
-        Err(e) => Err(e.to_string()),
+    let decode = |bytes: &[u8]| {
+        let mut r = Reader::new(bytes);
+        let policies = rc_policy::PolicyChecker::decode_policies(&mut r, registered)?;
+        r.done().map(|()| policies)
     };
-    // Intact, the section decodes and re-encodes to itself.
-    let mut w = Writer::new();
-    decode(checker).expect("intact section decodes").encode_state(&mut w);
-    assert_eq!(&w.finish(), checker, "decode ∘ encode is the identity");
+    assert_eq!(decode(checker).expect("intact section decodes"), live.policy_specs());
 
     for cut in 0..checker.len() {
         assert!(decode(&checker[..cut]).is_err(), "truncation to {cut} bytes decoded");
     }
-    // Targeted: the first node id EC 0's analysis names, rewritten to an
-    // id no device has — one past the devices, and the largest the wire
-    // holds (a 4-Gbit row if it sized one); and the last device id,
-    // rewritten to the first id past the dense tables' bound (the pair
-    // matrix grows with the square of the largest device id). All are
-    // refused.
-    let mut r = Reader::new(checker);
-    let devices = r.len_prefix().expect("device count");
-    r.raw(4 * devices).expect("device ids");
-    let links = r.len_prefix().expect("link count");
-    r.raw(16 * links).expect("links");
-    r.len_prefix().expect("EC count");
-    if r.len_prefix().expect("delivering sources") == 0 {
-        assert!(r.len_prefix().expect("dropping sources") > 0, "EC 0 names no node");
-    }
-    let at = checker.len() - r.remaining();
-    let last_device = 8 + 4 * (devices - 1);
-    let bound = rc_policy::walk::MAX_NODES as u32;
+    // Targeted: the first policy's source (after the count and the
+    // policy tag), rewritten to the first id the registry does not hold
+    // and to the largest the wire holds. Both are refused.
     let foreign = [
-        (at, devices as u32, "not a device"),
-        (at, u32::MAX, "past the dense tables' bound"),
-        (last_device, bound, "past the dense tables' bound"),
+        (registered as u32, "not in the registry"),
+        (u32::MAX, "past the dense tables' bound"),
     ];
-    for (at, id, why) in foreign {
+    for (id, why) in foreign {
         let mut bytes = checker.clone();
-        bytes[at..at + 4].copy_from_slice(&id.to_le_bytes());
-        let err = decode(&bytes).err().expect("a foreign node id decoded");
-        assert!(err.contains(why), "node id {id}: {err}");
+        bytes[9..13].copy_from_slice(&id.to_le_bytes());
+        let err = decode(&bytes).expect_err("a foreign node id decoded");
+        assert!(err.0.contains(why), "node id {id}: {err}");
     }
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xdec0de);
     for _ in 0..256 {
         let mut bytes = checker.clone();
         let at = rng.gen_range(0..bytes.len());
         bytes[at] ^= rng.gen_range(1..=255u8);
-        if let Ok(c) = decode(&bytes) {
-            c.check_invariants().expect("a decoded checker is consistent");
-        }
+        let _ = decode(&bytes);
     }
 }
 
