@@ -35,7 +35,7 @@
 mod model;
 mod types;
 
-pub use model::{ApkModel, EcView};
+pub use model::{ApkModel, EcView, PredKind};
 pub use types::{
     AffectedEc, BatchSummary, EcId, ElementKey, ModelRule, PortAction, RuleMatch, RuleUpdate,
     UpdateOrder,

@@ -29,7 +29,7 @@
 //! unique sequence numbers. Transient duplicates mid-batch (a rule
 //! replacement applied insert-first) are fine.
 
-use rc_bdd::{PredKind, Preds, Ref};
+use rc_bdd::{Bdd, Ref};
 use rc_netcfg::types::Prefix;
 
 use crate::types::*;
@@ -217,7 +217,7 @@ impl DstIndex {
     /// projection hull. Both variants over-approximate-or-equal the
     /// projection, which is all the index needs — covers feed candidate
     /// generation only, never pruning (see [`DstIndex::candidates`]).
-    fn cover_of(preds: &Preds, pred: Ref) -> Vec<(u32, u32)> {
+    fn cover_of(preds: &Bdd, pred: Ref) -> Vec<(u32, u32)> {
         preds.pkt_dst_cover(pred, INTERVAL_CAP).into_intervals()
     }
 
@@ -325,7 +325,7 @@ impl DstIndex {
 /// The data plane model. Owns the predicate store and the global EC
 /// table.
 pub struct ApkModel {
-    preds: Preds,
+    preds: Bdd,
     /// `ec_preds[i]` is the predicate of EC `i`. Never empty, never
     /// overlapping; their union is the full space.
     ec_preds: Vec<Ref>,
@@ -433,19 +433,11 @@ impl Default for ApkModel {
 }
 
 impl ApkModel {
-    /// A fresh model on the process-default predicate backend
-    /// ([`rc_bdd::default_backend`]): one EC covering the whole header
-    /// space, no elements.
+    /// A fresh model: one EC covering the whole header space, no
+    /// elements.
     pub fn new() -> Self {
-        Self::with_backend(rc_bdd::default_backend())
-    }
-
-    /// A fresh model on an explicit predicate backend. `PredKind::Atoms`
-    /// is only valid for dst-prefix-only workloads: compiling any other
-    /// match field panics (see [`rc_bdd::Atoms`]).
-    pub fn with_backend(kind: PredKind) -> Self {
         ApkModel {
-            preds: Preds::new(kind),
+            preds: Bdd::new(),
             ec_preds: vec![Ref::TRUE],
             dst_index: DstIndex::of(vec![vec![(0, u32::MAX)]]),
             full_scan: false,
@@ -453,11 +445,6 @@ impl ApkModel {
             element_index: HashMap::new(),
             telemetry: None,
         }
-    }
-
-    /// Which predicate backend this model runs on.
-    pub fn backend(&self) -> PredKind {
-        self.preds.kind()
     }
 
     /// Attach a telemetry registry. Every batch records the transfer
@@ -503,7 +490,7 @@ impl ApkModel {
     /// The predicate store (for witness extraction and custom
     /// predicates). `Ref`s obtained here belong to this model's store
     /// only.
-    pub fn preds(&mut self) -> &mut Preds {
+    pub fn preds(&mut self) -> &mut Bdd {
         &mut self.preds
     }
 
@@ -524,8 +511,7 @@ impl ApkModel {
     /// Mirror the predicate store's op-cache hit/miss totals into the
     /// attached telemetry registry as `bdd.apply_hits` /
     /// `bdd.apply_misses` (registered lazily, on the first sync that
-    /// observes BDD work — the atoms backend has no op cache and thus
-    /// registers nothing). Called at natural sync points — batch end
+    /// observes BDD work). Called at natural sync points — batch end
     /// and the end of each policy checking pass — so the counters lag
     /// live BDD activity by at most one pipeline stage.
     pub fn sync_bdd_telemetry(&mut self) {
@@ -618,7 +604,7 @@ impl ApkModel {
     /// ECs whose predicate intersects `pred`.
     ///
     /// Read-only: the intersection test is the store's non-interning
-    /// [`Preds::intersects`] and the telemetry counters are
+    /// [`Bdd::intersects`] and the telemetry counters are
     /// interior-mutable handles, so the method shares `&self` with e.g.
     /// a live [`EcView`] instead of demanding an exclusive borrow.
     pub fn ecs_intersecting(&self, pred: Ref) -> Vec<EcId> {
@@ -649,14 +635,11 @@ impl ApkModel {
 
     fn compile(&mut self, m: RuleMatch) -> Ref {
         use rc_bdd::pkt::Field;
-        let prefix_pred = |preds: &mut Preds, f: Field, p: Prefix| {
+        let prefix_pred = |preds: &mut Bdd, f: Field, p: Prefix| {
             preds.pkt_prefix(f, p.addr().0, p.len() as u32)
         };
         match m {
             RuleMatch::DstPrefix(p) => prefix_pred(&mut self.preds, Field::DstIp, p),
-            // Non-dst constraints are only encodable on the BDD backend;
-            // on atoms the store panics with a pointer at `--backend bdd`
-            // rather than silently widening the match.
             RuleMatch::Acl { proto, src, dst, dst_ports } => {
                 let mut acc = prefix_pred(&mut self.preds, Field::SrcIp, src);
                 let d = prefix_pred(&mut self.preds, Field::DstIp, dst);
@@ -1112,25 +1095,37 @@ struct Batch {
 // Durable-state serialization.
 //
 // A snapshot keeps the configurations the model was built from, not the
-// model: restore builds it again. What the configurations cannot say is
-// which predicate backend the model used, so that is all it records.
+// model: restore builds it again. The MODEL section is one tag byte from
+// when a second predicate store existed (0 = BDDs, 1 = dst-IP interval
+// atoms); both restore onto BDDs.
+
+/// The predicate store a model runs on. BDDs are the only one; the
+/// type and [`ApkModel::with_backend`] stay because the benchmark
+/// harness names them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PredKind {
+    Bdd,
+}
 
 impl ApkModel {
-    /// Serialize the model's durable state for a snapshot: its
-    /// predicate backend, as one tag byte.
-    pub fn encode_state(&self, w: &mut rc_store::Writer) {
-        w.u8(match self.backend() {
-            PredKind::Bdd => 0,
-            PredKind::Atoms => 1,
-        });
+    /// [`ApkModel::new`], under the name the benchmark harness calls.
+    pub fn with_backend(_: PredKind) -> Self {
+        Self::new()
     }
 
-    /// The predicate backend [`ApkModel::encode_state`] recorded.
-    pub fn decode_backend(r: &mut rc_store::Reader<'_>) -> Result<PredKind, rc_store::WireError> {
+    /// Serialize the model's durable state for a snapshot: the
+    /// predicate-store tag byte, always `0`.
+    pub fn encode_state(&self, w: &mut rc_store::Writer) {
+        w.u8(0);
+    }
+
+    /// Validate the tag byte [`ApkModel::encode_state`] wrote. Tag `1`
+    /// (the retired atoms store) is accepted: the snapshot holds no
+    /// predicate state, so it restores onto BDDs like tag `0`.
+    pub fn decode_state(r: &mut rc_store::Reader<'_>) -> Result<(), rc_store::WireError> {
         match r.u8()? {
-            0 => Ok(PredKind::Bdd),
-            1 => Ok(PredKind::Atoms),
-            t => Err(rc_store::WireError(format!("unknown predicate backend tag {t}"))),
+            0 | 1 => Ok(()),
+            t => Err(rc_store::WireError(format!("unknown predicate store tag {t}"))),
         }
     }
 }

@@ -163,8 +163,9 @@ pub fn check_model_matches_naive(seq: &[AbstractRule], order_bits: u64, probes: 
 /// minimality) holding throughout.
 ///
 /// EC ids line up because both models probe candidates in ascending id
-/// order, so splits allocate identical child ids.
-pub fn check_indexed_matches_full_scan(seq: &[AbstractRule], order_bits: u64) {
+/// order, so splits allocate identical child ids. Returns the indexed
+/// model for further checks.
+pub fn check_indexed_matches_full_scan(seq: &[AbstractRule], order_bits: u64) -> ApkModel {
     let mut indexed = ApkModel::new();
     let mut oracle = ApkModel::new();
     oracle.set_full_scan(true);
@@ -215,6 +216,7 @@ pub fn check_indexed_matches_full_scan(seq: &[AbstractRule], order_bits: u64) {
             );
         }
     }
+    indexed
 }
 
 /// One step of a replacement-shaped rule stream. The rule named by
@@ -386,10 +388,8 @@ pub fn check_replacements(batches: &[Vec<RuleOp>]) {
     }
 }
 
-/// Coalesce sorted disjoint intervals that touch, so covers extracted
-/// from the two predicate backends compare canonically (the BDD walk
-/// may legally report `[a,b],[b+1,c]` where the atom store keeps one
-/// merged interval).
+/// Coalesce disjoint intervals that touch, so covers compare
+/// canonically whatever shape the BDD walk reports them in.
 pub fn coalesce(mut v: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
     v.sort_unstable();
     let mut out: Vec<(u32, u32)> = Vec::with_capacity(v.len());
@@ -400,95 +400,6 @@ pub fn coalesce(mut v: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
         }
     }
     out
-}
-
-/// Property body: the Delta-net interval-atom backend must be
-/// observationally identical to the BDD backend on a dst-prefix-only
-/// workload — byte-identical `BatchSummary` per batch, in-batch merges
-/// included, identical EC partitions
-/// (compared as canonical dst-interval covers), identical per-EC
-/// actions, and identical `ecs_intersecting` answers — with invariants
-/// holding throughout on both sides.
-///
-/// EC ids line up for the same reason as in
-/// [`check_indexed_matches_full_scan`]: split/merge decisions depend
-/// only on predicate *semantics*, which the backends share on this
-/// workload, and candidates are probed in ascending id order.
-pub fn check_backends_agree(seq: &[AbstractRule], order_bits: u64) {
-    let mut with_bdd = ApkModel::with_backend(rc_bdd::PredKind::Bdd);
-    let mut with_atoms = ApkModel::with_backend(rc_bdd::PredKind::Atoms);
-    assert_eq!(with_atoms.backend(), rc_bdd::PredKind::Atoms);
-    let mut live: BTreeSet<ModelRule> = BTreeSet::new();
-
-    for (i, chunk) in seq.chunks(3).enumerate() {
-        let mut batch = Vec::new();
-        let mut touched: BTreeSet<ModelRule> = BTreeSet::new();
-        for a in chunk {
-            // The atoms backend encodes destination-IP matches only:
-            // force the FIB (non-ACL) shape of every abstract rule.
-            let r = rule_of(&AbstractRule { acl: false, ..a.clone() });
-            if !touched.insert(r.clone()) {
-                continue;
-            }
-            if live.contains(&r) {
-                live.remove(&r);
-                batch.push(RuleUpdate::Remove(r));
-            } else {
-                live.insert(r.clone());
-                batch.push(RuleUpdate::Insert(r));
-            }
-        }
-        let order = match (order_bits >> (2 * i)) & 3 {
-            0 => UpdateOrder::InsertFirst,
-            1 => UpdateOrder::DeleteFirst,
-            _ => UpdateOrder::AsGiven,
-        };
-        let s_bdd = with_bdd.apply_batch(batch.clone(), order);
-        let s_atoms = with_atoms.apply_batch(batch, order);
-        assert_eq!(s_bdd, s_atoms, "backend summaries diverge at batch {i}");
-        assert_eq!(with_bdd.num_ecs(), with_atoms.num_ecs());
-        with_bdd.check_invariants();
-        with_atoms.check_invariants();
-    }
-
-    // Identical EC partitions: same ids, and per id the same packet
-    // set, compared as canonical dst-interval covers (a cap of
-    // usize::MAX makes the BDD cover exact too).
-    let ecs: Vec<EcId> = with_bdd.ecs().collect();
-    assert_eq!(ecs, with_atoms.ecs().collect::<Vec<_>>());
-    for &ec in &ecs {
-        let p_bdd = with_bdd.ec_pred(ec);
-        let p_atoms = with_atoms.ec_pred(ec);
-        let c_bdd =
-            coalesce(with_bdd.preds().pkt_dst_cover(p_bdd, usize::MAX).into_intervals());
-        let c_atoms =
-            coalesce(with_atoms.preds().pkt_dst_cover(p_atoms, usize::MAX).into_intervals());
-        assert_eq!(c_bdd, c_atoms, "EC {ec:?} covers diverge");
-    }
-
-    // Identical actions per (element, EC).
-    let elements: BTreeSet<ElementKey> = live.iter().map(|r| r.element).collect();
-    for &key in &elements {
-        for &ec in &ecs {
-            assert_eq!(with_bdd.action(key, ec), with_atoms.action(key, ec));
-        }
-    }
-
-    // Identical candidate-narrowed intersection answers across the
-    // generated prefix space.
-    for base in 0u8..4 {
-        for len in [8u32, 12, 16, 24] {
-            let p = Prefix::new(Ip::new(10, base, 0, 0), len as u8);
-            let q_bdd = with_bdd.preds().pkt_prefix(rc_bdd::pkt::Field::DstIp, p.addr().0, len);
-            let q_atoms =
-                with_atoms.preds().pkt_prefix(rc_bdd::pkt::Field::DstIp, p.addr().0, len);
-            assert_eq!(
-                with_bdd.ecs_intersecting(q_bdd),
-                with_atoms.ecs_intersecting(q_atoms),
-                "ecs_intersecting diverges on {p:?}"
-            );
-        }
-    }
 }
 
 /// Property body: inserting the deduplicated `seq` under each of the

@@ -1,5 +1,5 @@
-//! Analysis operations on BDDs: satisfying-assignment counting, support
-//! computation, evaluation, and witness extraction.
+//! Analysis operations on BDDs: satisfying-assignment counting,
+//! evaluation, and witness extraction.
 
 use std::collections::HashMap;
 
@@ -71,23 +71,6 @@ impl Bdd {
         c
     }
 
-    /// The set of variables appearing in `a`, sorted ascending.
-    pub fn support(&self, a: Ref) -> Vec<Var> {
-        let mut seen = std::collections::HashSet::new();
-        let mut vars = std::collections::BTreeSet::new();
-        let mut stack = vec![a];
-        while let Some(r) = stack.pop() {
-            if r.is_terminal() || !seen.insert(r) {
-                continue;
-            }
-            let n = self.node(r);
-            vars.insert(n.var);
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        vars.into_iter().collect()
-    }
-
     /// Evaluate `a` under a total assignment: `assignment(v)` gives the
     /// value of variable `v`.
     pub fn eval<F: Fn(Var) -> bool>(&self, a: Ref, assignment: F) -> bool {
@@ -121,11 +104,6 @@ impl Bdd {
         }
         debug_assert!(r.is_true());
         Some(cube)
-    }
-
-    /// Whether `a` and `b` denote disjoint packet sets.
-    pub fn disjoint(&mut self, a: Ref, b: Ref) -> bool {
-        self.and(a, b).is_false()
     }
 
     /// Whether `a ⊆ b` as packet sets.
@@ -184,16 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn support_lists_vars() {
-        let mut b = Bdd::new();
-        let x = b.var(2);
-        let y = b.var(5);
-        let f = b.xor(x, y);
-        assert_eq!(b.support(f), vec![2, 5]);
-        assert!(b.support(Ref::TRUE).is_empty());
-    }
-
-    #[test]
     fn eval_follows_assignment() {
         let mut b = Bdd::new();
         let x = b.var(0);
@@ -216,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn subset_and_disjoint() {
+    fn subset_and_intersects() {
         let mut b = Bdd::new();
         let x = b.var(0);
         let y = b.var(1);
@@ -224,7 +192,7 @@ mod tests {
         assert!(b.subset(xy, x));
         assert!(!b.subset(x, xy));
         let nx = b.not(x);
-        assert!(b.disjoint(x, nx));
-        assert!(!b.disjoint(x, y));
+        assert!(!b.intersects(x, nx));
+        assert!(b.intersects(x, y));
     }
 }

@@ -20,11 +20,6 @@
 //! with the model. This keeps `Ref` a `Copy` integer and the hot paths
 //! free of reference counting.
 //!
-//! The BDD manager is one of two predicate stores; the [`atoms`] module
-//! provides a Delta-net-style dst-IP interval backend for
-//! dst-prefix-only workloads, and [`Preds`] enum-dispatches between
-//! them (selected by [`PredKind`] / `RC_BACKEND` / `--backend`).
-//!
 //! # Example
 //!
 //! ```
@@ -47,14 +42,10 @@
 #![forbid(unsafe_code)]
 
 mod analysis;
-pub mod atoms;
-mod backend;
 mod manager;
 mod node;
 pub mod pkt;
 
-pub use atoms::Atoms;
-pub use backend::{default_backend, set_default_backend, PredKind, Preds};
 pub use manager::Bdd;
 pub use node::{Node, Ref, Var};
 pub use pkt::Cover;

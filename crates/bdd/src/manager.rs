@@ -93,6 +93,18 @@ pub struct Bdd {
     apply_misses: u64,
 }
 
+/// The policy walk shares `&ApkModel`, and with it this manager, across
+/// pool workers, which call the non-interning read methods
+/// ([`Bdd::intersects`], [`Bdd::pkt_eval`]). The manager has no
+/// interior mutability, so it is `Sync` automatically — this pins that
+/// property at compile time so a future `Cell`/`RefCell` cache is
+/// caught here, not as a heisenbug in the pool.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Bdd>();
+    assert_send_sync::<Ref>();
+};
+
 impl Default for Bdd {
     fn default() -> Self {
         Self::new()
@@ -355,13 +367,6 @@ impl Bdd {
         r
     }
 
-    /// Universal quantification over `vars`.
-    pub fn forall(&mut self, a: Ref, vars: &[Var]) -> Ref {
-        let na = self.not(a);
-        let e = self.exists(na, vars);
-        self.not(e)
-    }
-
     /// Restrict: substitute constant `value` for variable `v`.
     pub fn restrict(&mut self, a: Ref, v: Var, value: bool) -> Ref {
         let mut memo = HashMap::new();
@@ -480,11 +485,9 @@ mod tests {
         let xy = b.and(x, y);
         // ∃x. x∧y == y
         assert_eq!(b.exists(xy, &[0]), y);
-        // ∀x. x∧y == false
-        assert_eq!(b.forall(xy, &[0]), Ref::FALSE);
         let xoy = b.or(x, y);
-        // ∀x. x∨y == y
-        assert_eq!(b.forall(xoy, &[0]), y);
+        // ∃x. x∨y == true
+        assert_eq!(b.exists(xoy, &[0]), Ref::TRUE);
     }
 
     #[test]

@@ -534,7 +534,7 @@ mod tests {
         let mut b = Bdd::new();
         let p0 = b.pkt_prefix(Field::DstIp, 0x00000000, 1);
         let p1 = b.pkt_prefix(Field::DstIp, 0x80000000, 1);
-        assert!(b.disjoint(p0, p1));
+        assert!(!b.intersects(p0, p1));
         assert_eq!(b.or(p0, p1), Ref::TRUE);
     }
 }

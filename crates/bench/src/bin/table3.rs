@@ -3,24 +3,20 @@
 //!
 //! Usage: `cargo run --release -p realconfig-bench --bin table3 \
 //!   [-- --k 12 --samples 10 --out bench_results/table3.json \
-//!       --check <baseline.json> --backend bdd|atoms]`
+//!       --check <baseline.json>]`
 //!
 //! `--check` compares this run's rows against a committed baseline on
-//! every non-timing field (the equivalence gate: a perf knob — the
-//! predicate backend, the worker count — must not change *what* the
-//! model computes, only how fast) and exits non-zero on any mismatch.
-//! `--backend` selects the predicate backend (default: `RC_BACKEND`,
-//! then BDDs); an atoms run gates cleanly against a bdd baseline
-//! because `backend` is not a gate field.
+//! every non-timing field (the equivalence gate: a perf knob such as
+//! the worker count must not change *what* the model computes, only
+//! how fast) and exits non-zero on any mismatch.
 
 #![forbid(unsafe_code)]
 
-use realconfig_bench::{check_gate, fmt_us, run_table3_opts, Flags, Table3Row};
+use realconfig_bench::{check_gate, fmt_us, run_table3, Flags, Table3Row};
 
-/// Fields of a Table3Row that must be byte-identical between a bdd and
-/// an atoms run, and at any worker count (everything except timings,
-/// the telemetry snapshot — which embeds timing histograms and index
-/// counters — and the backend label itself).
+/// Fields of a Table3Row that must be byte-identical to the baseline at
+/// any worker count (everything except timings and the telemetry
+/// snapshot, which embeds timing histograms and index counters).
 const GATE_FIELDS: &[&str] = &[
     "change",
     "order",
@@ -35,19 +31,16 @@ const GATE_FIELDS: &[&str] = &[
 ];
 
 fn main() {
-    let flags = Flags::parse(&["--k", "--samples", "--out", "--check", "--backend"]);
+    let flags = Flags::parse(&["--k", "--samples", "--out", "--check"]);
     let k: u32 = flags.get("--k", 12);
     let samples: usize = flags.get("--samples", 10);
     let out: String = flags.get("--out", "bench_results/table3.json".into());
     let check: Option<String> = flags.opt("--check");
-    let backend: realconfig::PredKind = flags.get("--backend", realconfig::default_backend());
     println!(
-        "Table 3 reproduction: BGP fat tree k={k}, {samples} sampled changes per type, \
-         {} backend.\n",
-        backend.label(),
+        "Table 3 reproduction: BGP fat tree k={k}, {samples} sampled changes per type.\n"
     );
     eprintln!("building two verifiers per change type (insert-first / delete-first)…");
-    let rows = run_table3_opts(k, samples, 0xC0FFEE, backend);
+    let rows = run_table3(k, samples, 0xC0FFEE);
 
     println!(
         "== Measured (this machine; #Rules total {}, #Pairs total {}) ==",

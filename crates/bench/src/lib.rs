@@ -213,10 +213,6 @@ pub fn run_table2(k: u32, proto: ProtocolChoice, samples: usize, seed: u64) -> T
 pub struct Table3Row {
     pub change: String,
     pub order: String,
-    /// Predicate backend the run used ("bdd" or "atoms"). Deliberately
-    /// not a gate field: the equivalence gate compares an atoms run
-    /// against the committed (bdd) baseline on everything else.
-    pub backend: String,
     pub rules_inserted: usize,
     pub rules_removed: usize,
     pub rules_total: usize,
@@ -249,32 +245,17 @@ pub struct Table3Row {
 /// Regenerate Table 3: model update + policy checking on the BGP fat
 /// tree, for both update orders, averaged over sampled changes.
 pub fn run_table3(k: u32, samples: usize, seed: u64) -> Vec<Table3Row> {
-    run_table3_opts(k, samples, seed, realconfig::default_backend())
-}
-
-/// [`run_table3`] with an explicit predicate backend: BDDs or Delta-net
-/// interval atoms (the fat-tree workload is pure dst-prefix routing, so
-/// both encode it). All non-timing fields are identical across both
-/// (the property suite and CI's equivalence gate enforce this); only
-/// T1/T2 move.
-pub fn run_table3_opts(
-    k: u32,
-    samples: usize,
-    seed: u64,
-    backend: realconfig::PredKind,
-) -> Vec<Table3Row> {
     let w = Workload::fat_tree(k, ProtocolChoice::Bgp);
     let ports = w.sample_ports(samples, seed);
     let mut rows = Vec::new();
 
     for change in [PaperChange::LinkFailure, PaperChange::LocalPref] {
         for order in [UpdateOrder::InsertFirst, UpdateOrder::DeleteFirst] {
-            let opts = VerifierOptions { order, backend, ..Default::default() };
+            let opts = VerifierOptions { order, ..Default::default() };
             let (mut rc, _) =
                 RealConfig::with_options(w.configs.clone(), opts).expect("workload verifies");
             let mut acc = Table3Row {
                 change: change.label().into(),
-                backend: backend.label().into(),
                 order: match order {
                     UpdateOrder::InsertFirst => "+,-".into(),
                     UpdateOrder::DeleteFirst => "-,+".into(),

@@ -2,10 +2,10 @@
 //! verifier.
 //!
 //! ```text
-//! realconfig verify <dir> [--policy reach:SRC:DST:PREFIX]... [--threads N] [--backend bdd|atoms] [--metrics FILE] [--state-dir DIR]
-//! realconfig diff <old-dir> <new-dir> [--policy ...]... [--json] [--recover] [--threads N] [--backend bdd|atoms] [--metrics FILE]
-//! realconfig trace <dir> --from DEV --dst A.B.C.D [--proto N] [--dport N] [--backend bdd|atoms]
-//! realconfig snapshot <dir> --state-dir DIR [--policy ...]... [--threads N] [--backend bdd|atoms]
+//! realconfig verify <dir> [--policy reach:SRC:DST:PREFIX]... [--threads N] [--metrics FILE] [--state-dir DIR]
+//! realconfig diff <old-dir> <new-dir> [--policy ...]... [--json] [--recover] [--threads N] [--metrics FILE]
+//! realconfig trace <dir> --from DEV --dst A.B.C.D [--proto N] [--dport N]
+//! realconfig snapshot <dir> --state-dir DIR [--policy ...]... [--threads N]
 //! realconfig restore <dir> --state-dir DIR
 //! ```
 //!
@@ -18,19 +18,13 @@
 //! telemetry snapshot (per-operator dataflow work, EC model state,
 //! policy checker latencies) as JSON after the run — on failure, the
 //! snapshot-so-far is still written, for post-mortem inspection.
+//! Every subcommand rejects a flag it does not take (exit 2 with the
+//! usage text).
 //!
 //! `--threads N` sets the verifier's worker count for its parallel
 //! phases (default: the `RC_THREADS` environment variable, then the
 //! machine's available parallelism; `1` forces the serial paths).
 //! Reports are byte-identical for any worker count.
-//!
-//! `--backend bdd|atoms` selects the predicate backend of the EC model
-//! (default: the `RC_BACKEND` environment variable, then BDDs). The
-//! `atoms` backend stores predicates as destination-IP interval sets
-//! (Delta-net style) — faster on pure dst-prefix routing workloads, but
-//! it cannot encode ACL matches on other header fields; configurations
-//! that need 5-tuple semantics must use `bdd`. Verdicts and reports are
-//! identical between backends on workloads both support.
 //!
 //! `diff --recover` verifies the change with the self-healing failure
 //! policy ([`OnFailure::Rebuild`]): if the incremental pipeline fails
@@ -71,14 +65,11 @@ use realconfig::{
 };
 
 const USAGE: &str = "usage:\n  \
-    realconfig verify <dir> [--policy reach:SRC:DST:PREFIX]... [--threads N] [--backend bdd|atoms] [--state-dir DIR]\n  \
-    realconfig diff <old-dir> <new-dir> [--policy ...]... [--json] [--recover] [--threads N] [--backend bdd|atoms]\n  \
-    realconfig trace <dir> --from DEV --dst A.B.C.D [--proto N] [--dport N] [--backend bdd|atoms]\n  \
-    realconfig snapshot <dir> --state-dir DIR [--policy ...]... [--threads N] [--backend bdd|atoms]\n  \
+    realconfig verify <dir> [--policy reach:SRC:DST:PREFIX]... [--threads N] [--metrics FILE] [--state-dir DIR]\n  \
+    realconfig diff <old-dir> <new-dir> [--policy ...]... [--json] [--recover] [--threads N] [--metrics FILE]\n  \
+    realconfig trace <dir> --from DEV --dst A.B.C.D [--proto N] [--dport N]\n  \
+    realconfig snapshot <dir> --state-dir DIR [--policy ...]... [--threads N]\n  \
     realconfig restore <dir> --state-dir DIR";
-
-/// The flags `verify` takes; each is followed by its value.
-const VERIFY_FLAGS: [&str; 5] = ["--policy", "--threads", "--backend", "--metrics", "--state-dir"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -222,14 +213,79 @@ fn load_dir(dir: &str) -> Result<BTreeMap<String, DeviceConfig>, CliError> {
 /// A parsed `--policy` flag: (label, src, dst, prefix, is_reach).
 type PolicySpec = (String, String, String, Prefix, bool);
 
-/// Parse repeated `--policy reach:SRC:DST:PREFIX` /
-/// `--policy isolate:SRC:DST:PREFIX` flags.
-fn parse_policies(args: &[String]) -> Result<Vec<PolicySpec>, CliError> {
-    let mut policies = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--policy" {
-            let spec = args.get(i + 1).ok_or("--policy needs an argument")?;
+/// One subcommand's arguments, scanned once: its positional arguments,
+/// then flags. A value flag is followed by its value (`--policy`
+/// repeats); a switch stands alone. Any other argument is a usage
+/// error.
+struct Args {
+    positional: Vec<String>,
+    flags: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    /// Scan `args` for subcommand `cmd`: `need` names its positional
+    /// arguments (one word each), `valued` and `switches` its flags.
+    fn scan(
+        cmd: &str,
+        args: &[String],
+        need: &[&str],
+        valued: &[&'static str],
+        switches: &[&'static str],
+    ) -> Result<Self, CliError> {
+        let n = need.len();
+        if args.len() < n || args[..n].iter().any(|a| a.starts_with("--")) {
+            return Err(format!("{cmd} needs {}\n{USAGE}", need.join(" ")).into());
+        }
+        let mut flags = Vec::new();
+        let mut rest = args[n..].iter();
+        while let Some(arg) = rest.next() {
+            if let Some(&flag) = valued.iter().find(|f| **f == arg) {
+                let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                flags.push((flag, value.clone()));
+            } else if let Some(&flag) = switches.iter().find(|f| **f == arg) {
+                flags.push((flag, String::new()));
+            } else {
+                return Err(format!("unknown {cmd} argument {arg:?}\n{USAGE}").into());
+            }
+        }
+        Ok(Args { positional: args[..n].to_vec(), flags })
+    }
+
+    /// Every value given for `flag`, in order.
+    fn values<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> {
+        self.flags.iter().filter(move |(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+
+    /// The first value given for `flag`.
+    fn value<'a>(&'a self, flag: &'a str) -> Option<&'a str> {
+        self.values(flag).next()
+    }
+
+    /// Whether switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The verifier options from the optional `--threads N` flag.
+    /// Without it the process default applies (`RC_THREADS`, then
+    /// available parallelism).
+    fn options(&self) -> Result<VerifierOptions, CliError> {
+        let mut opts = VerifierOptions::default();
+        if let Some(n) = self.value("--threads") {
+            let n: usize = n.parse()?;
+            if n == 0 {
+                return Err("--threads must be at least 1".into());
+            }
+            opts.threads = Some(n);
+        }
+        Ok(opts)
+    }
+
+    /// The `--policy reach:SRC:DST:PREFIX` / `--policy
+    /// isolate:SRC:DST:PREFIX` flags.
+    fn policies(&self) -> Result<Vec<PolicySpec>, CliError> {
+        let mut policies = Vec::new();
+        for spec in self.values("--policy") {
             let parts: Vec<&str> = spec.split(':').collect();
             match parts.as_slice() {
                 [kind @ ("reach" | "isolate"), src, dst, prefix] => {
@@ -245,12 +301,9 @@ fn parse_policies(args: &[String]) -> Result<Vec<PolicySpec>, CliError> {
                 }
                 _ => return Err(format!("bad policy spec {spec:?}").into()),
             }
-            i += 2;
-        } else {
-            i += 1;
         }
+        Ok(policies)
     }
-    Ok(policies)
 }
 
 fn register_policies(
@@ -280,47 +333,6 @@ fn register_policies(
     }
     rc.recheck_policies();
     Ok(out)
-}
-
-/// Build the verifier options from the optional `--threads N` and
-/// `--backend bdd|atoms` flags. Without a flag the process defaults
-/// apply (`RC_THREADS` / available parallelism; `RC_BACKEND` / BDDs).
-fn parse_options(args: &[String]) -> Result<VerifierOptions, CliError> {
-    let mut opts = VerifierOptions::default();
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n: usize = args.get(i + 1).ok_or("--threads needs a worker count")?.parse()?;
-        if n == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        opts.threads = Some(n);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--backend") {
-        let name = args.get(i + 1).ok_or("--backend needs a value: \"bdd\" or \"atoms\"")?;
-        opts.backend = name.parse().map_err(CliError::from)?;
-    }
-    Ok(opts)
-}
-
-/// Parse an optional `--metrics <path>` flag.
-fn parse_metrics_path(args: &[String]) -> Result<Option<String>, CliError> {
-    match args.iter().position(|a| a == "--metrics") {
-        Some(i) => {
-            let path = args.get(i + 1).ok_or("--metrics needs a file path")?;
-            Ok(Some(path.clone()))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Parse an optional `--state-dir <dir>` flag.
-fn parse_state_dir(args: &[String]) -> Result<Option<String>, CliError> {
-    match args.iter().position(|a| a == "--state-dir") {
-        Some(i) => {
-            let dir = args.get(i + 1).ok_or("--state-dir needs a directory")?;
-            Ok(Some(dir.clone()))
-        }
-        None => Ok(None),
-    }
 }
 
 /// One-line summary of a restore outcome for operators.
@@ -361,16 +373,19 @@ fn dump_metrics_on_failure(rc: &RealConfig, path: Option<&str>) {
 }
 
 fn cmd_verify(args: &[String]) -> Result<bool, CliError> {
-    let dir = args.first().ok_or("verify needs a config directory")?;
-    if let Some(pair) = args[1..].chunks(2).find(|pair| !VERIFY_FLAGS.contains(&pair[0].as_str())) {
-        return Err(format!("unknown verify argument {:?}\n{USAGE}", pair[0]).into());
-    }
+    let args = Args::scan(
+        "verify",
+        args,
+        &["<dir>"],
+        &["--policy", "--threads", "--metrics", "--state-dir"],
+        &[],
+    )?;
     // Drift since the snapshot is verified self-healing.
-    let opts = VerifierOptions { on_failure: OnFailure::Rebuild, ..parse_options(args)? };
-    let state_dir = parse_state_dir(args)?;
-    let configs = load_dir(dir)?;
+    let opts = VerifierOptions { on_failure: OnFailure::Rebuild, ..args.options()? };
+    let state_dir = args.value("--state-dir");
+    let configs = load_dir(&args.positional[0])?;
     let n = configs.len();
-    let mut rc = match &state_dir {
+    let mut rc = match state_dir {
         Some(sd) => {
             let (mut rc, restore) = RealConfig::open_with(Path::new(sd), configs.clone(), opts)?;
             println!("{n} devices verified ({}).", describe_restore(&restore));
@@ -402,11 +417,11 @@ fn cmd_verify(args: &[String]) -> Result<bool, CliError> {
             rc
         }
     };
-    let policies = register_policies(&mut rc, &parse_policies(args)?)?;
-    if state_dir.is_some() {
+    let policies = register_policies(&mut rc, &args.policies()?)?;
+    if let Some(sd) = state_dir {
         // Persist the post-policy state so the next start is warm.
         let seq = rc.save_snapshot().map_err(|e| format!("cannot save snapshot: {e}"))?;
-        println!("  snapshot {seq} written to {}", state_dir.as_deref().unwrap_or("?"));
+        println!("  snapshot {seq} written to {sd}");
     }
     let mut violated = false;
     for (name, id) in &policies {
@@ -414,24 +429,29 @@ fn cmd_verify(args: &[String]) -> Result<bool, CliError> {
         violated |= !ok;
         println!("  policy {name}: {}", if ok { "SATISFIED" } else { "VIOLATED" });
     }
-    if let Some(path) = parse_metrics_path(args)? {
-        dump_metrics(&rc, &path)?;
+    if let Some(path) = args.value("--metrics") {
+        dump_metrics(&rc, path)?;
         println!("  metrics written to {path}");
     }
     Ok(violated)
 }
 
 fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
-    let old_dir = args.first().ok_or("diff needs <old-dir> <new-dir>")?;
-    let new_dir = args.get(1).ok_or("diff needs <old-dir> <new-dir>")?;
-    let json = args.iter().any(|a| a == "--json");
-    let mut opts = parse_options(args)?;
-    if args.iter().any(|a| a == "--recover") {
+    let args = Args::scan(
+        "diff",
+        args,
+        &["<old-dir>", "<new-dir>"],
+        &["--policy", "--threads", "--metrics"],
+        &["--json", "--recover"],
+    )?;
+    let json = args.has("--json");
+    let mut opts = args.options()?;
+    if args.has("--recover") {
         opts.on_failure = OnFailure::Rebuild;
     }
-    let metrics_path = parse_metrics_path(args)?;
-    let old = load_dir(old_dir)?;
-    let new = load_dir(new_dir)?;
+    let metrics_path = args.value("--metrics");
+    let old = load_dir(&args.positional[0])?;
+    let new = load_dir(&args.positional[1])?;
 
     let (mut rc, _) = match RealConfig::with_options(old, opts) {
         Ok(built) => built,
@@ -439,12 +459,12 @@ fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
             return Err(CliError { msg: format!("old configs do not verify: {e}"), ..e.into() })
         }
     };
-    let policies = register_policies(&mut rc, &parse_policies(args)?)?;
+    let policies = register_policies(&mut rc, &args.policies()?)?;
 
     let report = match rc.apply_configs(new) {
         Ok(report) => report,
         Err(e) => {
-            dump_metrics_on_failure(&rc, metrics_path.as_deref());
+            dump_metrics_on_failure(&rc, metrics_path);
             return Err(CliError { msg: format!("change verification failed: {e}"), ..e.into() });
         }
     };
@@ -488,7 +508,7 @@ fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
         };
         println!("policy {name}: {}{newly}", if ok { "SATISFIED" } else { "VIOLATED" });
     }
-    if let Some(path) = &metrics_path {
+    if let Some(path) = metrics_path {
         dump_metrics(&rc, path)?;
         if !json {
             println!("metrics written to {path}");
@@ -498,47 +518,22 @@ fn cmd_diff(args: &[String]) -> Result<bool, CliError> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<bool, CliError> {
-    let dir = args.first().ok_or("trace needs a config directory")?;
-    let opts = parse_options(args)?;
-    let mut from = None;
-    let mut dst = None;
-    let mut proto = 6u8;
-    let mut dport = 0u16;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--from" => {
-                from = Some(args.get(i + 1).ok_or("--from needs a device")?.clone());
-                i += 2;
-            }
-            "--dst" => {
-                dst = Some(args.get(i + 1).ok_or("--dst needs an address")?.clone());
-                i += 2;
-            }
-            "--proto" => {
-                proto = args.get(i + 1).ok_or("--proto needs a number")?.parse()?;
-                i += 2;
-            }
-            "--dport" => {
-                dport = args.get(i + 1).ok_or("--dport needs a number")?.parse()?;
-                i += 2;
-            }
-            "--backend" => {
-                // Parsed by parse_options above; step over the value.
-                i += 2;
-            }
-            other => return Err(format!("unknown trace argument {other:?}").into()),
-        }
-    }
-    let from = from.ok_or("trace needs --from DEV")?;
-    let dst: rc_netcfg::Ip =
-        dst.ok_or("trace needs --dst A.B.C.D")?.parse().map_err(|e| format!("{e}"))?;
+    let args =
+        Args::scan("trace", args, &["<dir>"], &["--from", "--dst", "--proto", "--dport"], &[])?;
+    let from = args.value("--from").ok_or("trace needs --from DEV")?;
+    let dst: rc_netcfg::Ip = args
+        .value("--dst")
+        .ok_or("trace needs --dst A.B.C.D")?
+        .parse()
+        .map_err(|e| format!("{e}"))?;
+    let proto: u8 = args.value("--proto").map_or(Ok(6), str::parse)?;
+    let dport: u16 = args.value("--dport").map_or(Ok(0), str::parse)?;
 
-    let configs = load_dir(dir)?;
-    let (rc, _) = RealConfig::with_options(configs, opts)?;
+    let configs = load_dir(&args.positional[0])?;
+    let (rc, _) = RealConfig::new(configs)?;
     let packet = Packet { dst_ip: dst.0, proto, dst_port: dport, ..Default::default() };
     let trace =
-        rc.trace_packet(&from, packet).ok_or_else(|| format!("unknown device {from:?}"))?;
+        rc.trace_packet(from, packet).ok_or_else(|| format!("unknown device {from:?}"))?;
     print!("{trace}");
     if trace.loops {
         println!("warning: the packet can LOOP");
@@ -549,15 +544,19 @@ fn cmd_trace(args: &[String]) -> Result<bool, CliError> {
 /// Build from configs and persist a snapshot — the explicit way to
 /// seed a state directory (e.g. from CI, before a maintenance window).
 fn cmd_snapshot(args: &[String]) -> Result<bool, CliError> {
-    let dir = args.first().ok_or("snapshot needs a config directory")?;
-    let state_dir =
-        parse_state_dir(args)?.ok_or("snapshot needs --state-dir DIR")?;
-    let opts = parse_options(args)?;
-    let configs = load_dir(dir)?;
+    let args = Args::scan(
+        "snapshot",
+        args,
+        &["<dir>"],
+        &["--state-dir", "--policy", "--threads"],
+        &[],
+    )?;
+    let state_dir = args.value("--state-dir").ok_or("snapshot needs --state-dir DIR")?;
+    let configs = load_dir(&args.positional[0])?;
     let n = configs.len();
-    let (mut rc, _) = RealConfig::with_options(configs, opts)?;
-    register_policies(&mut rc, &parse_policies(args)?)?;
-    rc.attach_state_dir(Path::new(&state_dir))
+    let (mut rc, _) = RealConfig::with_options(configs, args.options()?)?;
+    register_policies(&mut rc, &args.policies()?)?;
+    rc.attach_state_dir(Path::new(state_dir))
         .map_err(|e| format!("cannot use state dir {state_dir}: {e}"))?;
     let seq = rc.save_snapshot().map_err(|e| format!("cannot save snapshot: {e}"))?;
     println!(
@@ -571,11 +570,10 @@ fn cmd_snapshot(args: &[String]) -> Result<bool, CliError> {
 /// signals "state was unrecoverable, verifier rebuilt from configs" —
 /// running, but the warm state was lost.
 fn cmd_restore(args: &[String]) -> Result<bool, CliError> {
-    let dir = args.first().ok_or("restore needs a config directory (rebuild fallback)")?;
-    let state_dir =
-        parse_state_dir(args)?.ok_or("restore needs --state-dir DIR")?;
-    let configs = load_dir(dir)?;
-    let (rc, report) = RealConfig::open(Path::new(&state_dir), configs)?;
+    let args = Args::scan("restore", args, &["<dir>"], &["--state-dir"], &[])?;
+    let state_dir = args.value("--state-dir").ok_or("restore needs --state-dir DIR")?;
+    let configs = load_dir(&args.positional[0])?;
+    let (rc, report) = RealConfig::open(Path::new(state_dir), configs)?;
     println!("{}", describe_restore(&report));
     for note in &report.notes {
         println!("  note: {note}");

@@ -186,22 +186,51 @@ fn verify_rejects_the_removed_coalesce_flag() {
     assert!(stderr.contains("--coalesce") && stderr.contains("usage"), "{stderr}");
 }
 
-/// `--threads` and `--backend` travel through `VerifierOptions`: the
-/// verification reported is the same under every setting (everything
-/// but wall-clock timings and the metrics snapshot), the metrics show
-/// the setting took effect, and a bad value is a usage error.
+/// Every subcommand rejects a flag it does not take, with the usage
+/// text: a misspelt `--policy` must not verify with no policy, and
+/// `--backend` (BDDs are the only predicate store) is unknown
+/// everywhere.
 #[test]
-fn threads_and_backend_flags_reach_the_verifier() {
+fn every_subcommand_rejects_unknown_flags() {
+    let net = TempNet::new("unknown", &[("r1", R1), ("r2", R2), ("r3", R3)]);
+    let state = TempNet::new("unknown-state", &[]);
+    let (dir, sd) = (net.path(), state.path());
+    let (diff, snapshot): (&[&str], &[&str]) =
+        (&["diff", dir, dir], &["snapshot", dir, "--state-dir", sd]);
+    let cases: [(&[&str], &str); 7] = [
+        (&["verify", dir], "--backend"),
+        (diff, "--backend"),
+        (&["trace", dir, "--from", "r1", "--dst", "172.16.3.9"], "--backend"),
+        (snapshot, "--backend"),
+        (&["restore", dir, "--state-dir", sd], "--backend"),
+        (diff, "--polcy"),
+        (snapshot, "--polcy"),
+    ];
+    for (cmd, flag) in cases {
+        let out = run(&[cmd, &[flag, "reach:r1:r3:172.16.3.0/24"][..]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd:?} {flag}: {stderr}");
+        assert!(stderr.contains(flag) && stderr.contains("usage"), "{cmd:?} {flag}: {stderr}");
+    }
+}
+
+/// `--threads` travels through `VerifierOptions`: the verification
+/// reported is the same under every setting (everything but wall-clock
+/// timings and the metrics snapshot), the metrics show the setting
+/// took effect, and a bad value is a usage error.
+#[test]
+fn threads_flag_reaches_the_verifier() {
     let old = TempNet::new("flags-old", &[("r1", R1), ("r2", R2), ("r3", R3)]);
     let cheap = R1.replace("ip ospf cost 1", "ip ospf cost 7");
     let new = TempNet::new("flags-new", &[("r1", &cheap), ("r2", R2), ("r3", R3)]);
-    // (non-timing report fields, whether counter `probe` was registered)
-    let report = |flags: [&str; 2], probe: &str| {
-        let out = run(&[&["diff", old.path(), new.path(), "--json"], &flags[..]].concat());
+    // (non-timing report fields, whether counter `par.small_tasks_inlined`
+    // was registered)
+    let report = |threads: &str| {
+        let out = run(&["diff", old.path(), new.path(), "--json", "--threads", threads]);
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         let v: serde_json::Value =
             serde_json::from_slice(&out.stdout).expect("valid JSON report");
-        let probed = v["metrics"]["counters"].get(probe).is_some();
+        let probed = v["metrics"]["counters"].get("par.small_tasks_inlined").is_some();
         let mut fields = v.as_object().expect("report object").clone();
         for timing in ["dp_gen", "model_update", "policy_check", "metrics"] {
             assert!(fields.remove(timing).is_some(), "report lost its {timing} field");
@@ -209,36 +238,28 @@ fn threads_and_backend_flags_reach_the_verifier() {
         (fields, probed)
     };
     // The pool's small-task fallback only exists with more than one
-    // worker; BDD operation counters only with the BDD backend.
-    let (serial, inlined) = report(["--threads", "1"], "par.small_tasks_inlined");
+    // worker.
+    let (serial, inlined) = report("1");
     assert!(!inlined, "--threads 1 must take the serial paths");
-    let (pooled, inlined) = report(["--threads", "4"], "par.small_tasks_inlined");
+    let (pooled, inlined) = report("4");
     assert!(inlined, "--threads 4 must reach the pool dispatcher");
-    let (bdd, bdd_ops) = report(["--backend", "bdd"], "bdd.apply_hits");
-    assert!(bdd_ops);
-    let (atoms, bdd_ops) = report(["--backend", "atoms"], "bdd.apply_hits");
-    assert!(!bdd_ops, "--backend atoms must not build BDDs");
     assert_eq!(serial, pooled);
-    assert_eq!(serial, bdd);
-    assert_eq!(serial, atoms, "dst-prefix-only network: both backends encode it");
 
-    for bad in [["--backend", "nonsense"], ["--threads", "0"]] {
-        let out = run(&[&["diff", old.path(), new.path()], &bad[..]].concat());
-        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+    for bad in ["0", "many"] {
+        let out = run(&["diff", old.path(), new.path(), "--threads", bad]);
+        assert_eq!(out.status.code(), Some(2), "--threads {bad}");
     }
 }
 
-/// A configuration the atoms backend cannot encode (a TCP port match)
-/// is an internal error with the documented exit code, not a crash.
+/// An ACL that matches a TCP port needs the full 5-tuple predicate
+/// space; it verifies like any other configuration.
 #[test]
-fn unencodable_acl_on_atoms_exits_internal() {
+fn a_port_matching_acl_verifies() {
     let acl = R1.replace("interface eth0\n", "interface eth0\n ip access-group WEB in\n")
         + "ip access-list extended WEB\n 10 deny tcp any 10.0.0.0/8 eq 80\n";
-    let net = TempNet::new("atoms-acl", &[("r1", &acl), ("r2", R2), ("r3", R3)]);
-    let out = run(&["verify", net.path(), "--backend", "atoms"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(4), "{stderr}");
-    assert!(stderr.contains("--backend bdd"), "{stderr}");
-    let out = run(&["verify", net.path(), "--backend", "bdd"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let net = TempNet::new("port-acl", &[("r1", &acl), ("r2", R2), ("r3", R3)]);
+    let out = run(&["verify", net.path(), "--policy", "reach:r1:r3:172.16.3.0/24"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("SATISFIED"), "{stdout}");
 }

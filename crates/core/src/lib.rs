@@ -71,10 +71,16 @@ pub use rc_routing::route::FibEntry;
 // Re-export the pieces a downstream user needs to drive the verifier.
 // `set_threads`/`threads` are the process-global worker-count knob for
 // the parallel phases (per-verifier override: `VerifierOptions::threads`).
-pub use rc_bdd::{default_backend, set_default_backend, PredKind};
 pub use rc_par::{set_threads, threads};
 pub use rc_apkeep::UpdateOrder;
 pub use rc_telemetry::{MetricsSnapshot, Telemetry};
 pub use rc_netcfg::change::{AclDir, ChangeOp, ChangeSet, RedistTarget};
 pub use rc_netcfg::types::{IfaceId, Ip, NodeId, Port, Prefix, Proto};
 pub use rc_policy::{PacketClass, Policy, PolicyId};
+
+// BDDs are the only predicate store. `PredKind` (one variant) and this
+// no-op stay because the benchmark harness still names them.
+pub use rc_apkeep::PredKind;
+
+/// Does nothing: BDDs are the only predicate store.
+pub fn set_default_backend(_: Option<PredKind>) {}

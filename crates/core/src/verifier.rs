@@ -128,9 +128,6 @@ pub struct VerifierOptions {
     /// Data plane model update order (insertion-first is the fast one;
     /// Table 3 quantifies why).
     pub order: UpdateOrder,
-    /// Predicate backend of the EC model. Defaults to the process
-    /// default ([`rc_bdd::default_backend`]) when `default()` is called.
-    pub backend: rc_bdd::PredKind,
     /// Worker count for the parallel phases (policy walks and sharded
     /// dataflow operators). `None` is the process-global knob
     /// ([`rc_par::threads`]); `Some(1)` forces the exact serial paths.
@@ -143,7 +140,6 @@ impl Default for VerifierOptions {
     fn default() -> Self {
         VerifierOptions {
             order: UpdateOrder::InsertFirst,
-            backend: rc_bdd::default_backend(),
             threads: None,
             on_failure: OnFailure::Poison,
         }

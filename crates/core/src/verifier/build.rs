@@ -95,7 +95,7 @@ impl Stages {
             lowering: dp.lowering,
             engine: dp.engine,
             grouper: dp.grouper,
-            model: ApkModel::with_backend(opts.backend),
+            model: ApkModel::new(),
             checker: PolicyChecker::new(),
         };
         s.model.set_telemetry(telemetry);

@@ -11,7 +11,7 @@
 //! | 1   | META     | update order, retired full-scan flag, retired auto-compact field |
 //! | 2   | REGISTRY | interned node / interface names, in id order      |
 //! | 3   | CONFIGS  | last-good configurations as canonical printed text|
-//! | 4   | MODEL    | [`ApkModel::encode_state`]: the predicate backend tag |
+//! | 4   | MODEL    | [`ApkModel::encode_state`]: the predicate-store tag |
 //! | 5   | CHECKER  | [`PolicyChecker::encode_state`]: policies with verdicts, in id order |
 //!
 //! The registry is serialized by name *in id order* because interning
@@ -386,9 +386,8 @@ impl RealConfig {
     }
 
     /// [`RealConfig::open`] with explicit options. A restored snapshot
-    /// overrides `opts` with what it records — update order and the
-    /// model's predicate backend; everything else (`threads`,
-    /// `on_failure`) is the caller's.
+    /// overrides `opts` with what it records — the update order;
+    /// everything else (`threads`, `on_failure`) is the caller's.
     pub fn open_with(
         state_dir: &Path,
         fallback: BTreeMap<String, DeviceConfig>,
@@ -528,7 +527,7 @@ impl RealConfig {
             }
         }
 
-        opts.backend = section(&sections, (SEC_MODEL, "model"), ApkModel::decode_backend)?;
+        section(&sections, (SEC_MODEL, "model"), ApkModel::decode_state)?;
         let policies = section(&sections, (SEC_CHECKER, "checker"), |r| {
             PolicyChecker::decode_policies(r, registered)
         })?;
@@ -536,8 +535,8 @@ impl RealConfig {
         // Everything else is derived: the full build over the restored
         // registry re-lowers the configurations (all names are already
         // interned, so ids come back as they were) and re-verifies the
-        // policies. A stored policy the backend cannot compile panics
-        // here, and is contained like any other build failure.
+        // policies. A panic in the build is contained like any other
+        // build failure.
         let telemetry = rc_telemetry::Telemetry::new();
         let (stages, _, _) = contained(|| {
             Stages::build(&configs, &mut registry, &opts, &telemetry, &policies)

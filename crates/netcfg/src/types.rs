@@ -182,7 +182,7 @@ impl fmt::Debug for NodeId {
 }
 
 /// A globally interned interface identifier (see
-/// [`crate::facts::Interner`]).
+/// [`crate::facts::Registry`]).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct IfaceId(pub u32);
 

@@ -9,7 +9,7 @@
 //! One primitive, [`par_map_mut_in`]:
 //!
 //! * **Chunks in ascending order.** The input is cut with
-//!   [`slice::chunks_mut`] into about [`CHUNKS_PER_WORKER`] chunks per
+//!   [`slice::chunks_mut`] into about `CHUNKS_PER_WORKER` (8) chunks per
 //!   worker; one mutex-guarded iterator hands them out in ascending
 //!   order to the workers, the caller's thread among them.
 //! * **Order-preserving results.** Results are reassembled by chunk

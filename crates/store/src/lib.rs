@@ -9,13 +9,15 @@
 //!   artifact goes through (`write temp → fsync file → rename →
 //!   fsync dir`), so a reader never observes a half-written file under
 //!   the final name.
-//! - [`snapshot`] — a versioned, length-prefixed container with a
-//!   CRC32 per section. Corruption anywhere (bit flip, truncation,
-//!   version skew) is detected on read, never silently deserialized.
-//! - [`journal`] — an append-only record log for state *newer* than
-//!   the last snapshot. Each record carries its own length and CRC;
-//!   a torn tail (the expected artifact of a crash mid-append) is
-//!   detected and discarded, everything before it replays.
+//! - snapshots ([`encode_snapshot`] / [`decode_snapshot`]) — a
+//!   versioned, length-prefixed container with a CRC32 per section.
+//!   Corruption anywhere (bit flip, truncation, version skew) is
+//!   detected on read, never silently deserialized.
+//! - the journal ([`Journal`], [`read_journal`]) — an append-only
+//!   record log for state *newer* than the last snapshot. Each record
+//!   carries its own length and CRC; a torn tail (the expected artifact
+//!   of a crash mid-append) is detected and discarded, everything
+//!   before it replays.
 //!
 //! The crate is deliberately policy-free: it moves bytes and checks
 //! checksums. What goes *in* the sections and records — and what to do

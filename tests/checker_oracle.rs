@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use rc_apkeep::{ApkModel, ElementKey, ModelRule, PortAction, RuleMatch, RuleUpdate, UpdateOrder};
-use rc_bdd::PredKind;
 use rc_netcfg::facts::Dir;
 use rc_netcfg::topology::{grid, ring, Topology};
 use rc_netcfg::types::{IfaceId, NodeId, Port, Prefix};
@@ -284,7 +283,7 @@ fn checked_from_scratch(model: &mut ApkModel, net: &Net, world: &World) -> Polic
 fn run(topo: Topology, steps: Vec<Vec<Op>>) -> usize {
     let net = net(&topo);
     let mut world = World::default();
-    let mut model = ApkModel::with_backend(PredKind::Bdd);
+    let mut model = ApkModel::new();
     // Start with every device forwarding the covering /16 out its first
     // link and the last one delivering `10.0.1.0/24`.
     let mut rules = Vec::new();

@@ -2,7 +2,7 @@
 //! transactional apply ([`RealConfig::apply_coalesced`]) must reach
 //! exactly the state of applying the same changes one at a time —
 //! configurations, FIB, grouped rules, EC counts, pair counts and
-//! policy verdicts alike, on both predicate backends.
+//! policy verdicts alike.
 
 mod common;
 
@@ -10,16 +10,15 @@ use common::{to_changeset, Cmd};
 use proptest::prelude::*;
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, grid, host_prefix, ring, Topology};
-use realconfig::{ChangeOp, ChangeSet, PredKind, RealConfig, VerifierOptions};
+use realconfig::{ChangeOp, ChangeSet, RealConfig};
 use std::collections::BTreeMap;
 
-fn run_pair(proto: ProtocolChoice, topo: Topology, cmds: Vec<Cmd>, backend: PredKind) {
+fn run_pair(proto: ProtocolChoice, topo: Topology, cmds: Vec<Cmd>) {
     let configs = build_configs(&topo, proto);
-    let opts = VerifierOptions { backend, ..Default::default() };
-    let Ok((mut serial, _)) = RealConfig::with_options(configs.clone(), opts) else {
+    let Ok((mut serial, _)) = RealConfig::new(configs.clone()) else {
         return;
     };
-    let Ok((mut batch, _)) = RealConfig::with_options(configs, opts) else {
+    let Ok((mut batch, _)) = RealConfig::new(configs) else {
         return;
     };
 
@@ -98,22 +97,22 @@ proptest! {
 
     #[test]
     fn ospf_ring_bdd(cmds in arb_cmds()) {
-        run_pair(ProtocolChoice::Ospf, ring(5), cmds, PredKind::Bdd);
+        run_pair(ProtocolChoice::Ospf, ring(5), cmds);
     }
 
     #[test]
-    fn ospf_grid_atoms(cmds in arb_cmds()) {
-        run_pair(ProtocolChoice::Ospf, grid(3, 3), cmds, PredKind::Atoms);
+    fn ospf_grid_bdd(cmds in arb_cmds()) {
+        run_pair(ProtocolChoice::Ospf, grid(3, 3), cmds);
     }
 
     #[test]
     fn bgp_ring_bdd(cmds in arb_cmds()) {
-        run_pair(ProtocolChoice::Bgp, ring(5), cmds, PredKind::Bdd);
+        run_pair(ProtocolChoice::Bgp, ring(5), cmds);
     }
 
     #[test]
-    fn bgp_grid_atoms(cmds in arb_cmds()) {
-        run_pair(ProtocolChoice::Bgp, grid(3, 3), cmds, PredKind::Atoms);
+    fn bgp_grid_bdd(cmds in arb_cmds()) {
+        run_pair(ProtocolChoice::Bgp, grid(3, 3), cmds);
     }
 }
 

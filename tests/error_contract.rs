@@ -310,7 +310,8 @@ fn rebuild_after_any_pipeline_fault_tracks_the_never_failed_twin() {
 }
 
 /// `net()` with a `deny tcp any 10.0.0.0/8 eq 80` ACL on r000's first
-/// interface: a port match the interval-atoms backend cannot encode.
+/// interface: a match on the protocol and port fields as well as the
+/// destination.
 fn net_with_port_acl() -> BTreeMap<String, DeviceConfig> {
     use rc_netcfg::ast::{Acl, AclAction, AclEntry};
     let mut configs = net();
@@ -330,27 +331,35 @@ fn net_with_port_acl() -> BTreeMap<String, DeviceConfig> {
     configs
 }
 
+/// A panic while building — here one injected into the model's first
+/// batch — is an internal error, both from a constructor and from the
+/// restore ladder's bottom rung, which runs the same build.
 #[test]
 fn construction_panic_is_an_internal_error() {
-    let atoms = VerifierOptions { backend: realconfig::PredKind::Atoms, ..Default::default() };
+    quiet_injected_panics();
     let expect_internal = |result: Result<RealConfig, Error>, ctx: &str| match result {
-        Err(Error::Internal(msg)) => assert!(msg.contains("--backend bdd"), "{ctx}: {msg}"),
+        Err(Error::Internal(msg)) => {
+            assert!(msg.contains(rc_faults::INJECTED_PANIC_PREFIX), "{ctx}: {msg}")
+        }
         Err(e) => panic!("{ctx}: expected Error::Internal, got {e:?}"),
-        Ok(_) => panic!("{ctx}: atoms cannot encode a port match"),
+        Ok(_) => panic!("{ctx}: the injected panic must fail the build"),
     };
-    expect_internal(
-        RealConfig::with_options(net_with_port_acl(), atoms).map(|(rc, _)| rc),
-        "with_options",
-    );
+    let panic_in_build =
+        || rc_faults::FaultPlan::new().panic_on(rc_faults::FaultPoint::ApkBatch, 1).install();
 
-    // The bottom rung of the restore ladder is the same build.
+    let guard = panic_in_build();
+    let built = RealConfig::new(net_with_port_acl()).map(|(rc, _)| rc);
+    drop(guard);
+    expect_internal(built, "new");
+
     let dir = std::env::temp_dir().join(format!("rc-error-contract-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opened = RealConfig::open_with(&dir, net_with_port_acl(), atoms).map(|(rc, _)| rc);
+    let guard = panic_in_build();
+    let opened = RealConfig::open(&dir, net_with_port_acl()).map(|(rc, _)| rc);
+    drop(guard);
     let _ = std::fs::remove_dir_all(&dir);
-    expect_internal(opened, "open_with");
+    expect_internal(opened, "open");
 
-    // The BDD backend encodes the same network.
-    let bdd = VerifierOptions { backend: realconfig::PredKind::Bdd, ..atoms };
-    RealConfig::with_options(net_with_port_acl(), bdd).expect("BDDs encode port matches");
+    // Without the fault the same network, port match included, builds.
+    RealConfig::new(net_with_port_acl()).expect("BDDs encode port matches");
 }

@@ -3,8 +3,9 @@
 //! feed the recovery ladder whole garbage snapshots and CRC-valid
 //! journal records whose payloads are well framed but carry mangled
 //! configuration text, so the record decoder and the config parser see
-//! input no checksum will catch; and a CRC-valid snapshot whose stored
-//! policy the recorded predicate backend cannot compile.
+//! input no checksum will catch. Two CRC-valid snapshots pin the
+//! MODEL section's predicate-store tag: the retired atoms tag restores
+//! onto BDDs, and an unknown tag steps the ladder down.
 
 use proptest::prelude::*;
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
@@ -14,7 +15,7 @@ use rc_netcfg::types::Prefix;
 use rc_netcfg::DeviceConfig;
 use rc_routing::route::FibAction;
 use rc_store::{decode_snapshot, encode_snapshot, journal_path, snapshot_path, Journal, Writer};
-use realconfig::{ChangeSet, RealConfig, RestoreSource};
+use realconfig::{ChangeSet, PacketClass, Policy, RealConfig, RestoreSource};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -187,40 +188,60 @@ fn open(dir: &Path) -> (RealConfig, realconfig::RestoreReport) {
     RealConfig::open(dir, fixture().configs.clone()).expect("open never refuses to start")
 }
 
-/// A well-formed snapshot that records the atoms backend and a flow
-/// policy with a protocol: restore compiles the policy, the atoms store
-/// panics on any non-destination field, and the panic must step the
-/// ladder down instead of escaping.
-#[test]
-fn a_policy_the_backend_cannot_compile_falls_to_the_next_rung() {
-    let dir = state_dir("uncompilable");
-    let path = snapshot_path(&dir.0, 2);
+/// Overwrite snapshot 2's MODEL section (tag 4) with `model` and, if
+/// given, its CHECKER section (tag 5) with `checker`.
+fn rewrite_snapshot_2(dir: &Path, model: u8, checker: Option<Vec<u8>>) {
+    let path = snapshot_path(dir, 2);
     let mut sections = decode_snapshot(&std::fs::read(&path).expect("snapshot reads"))
         .expect("snapshot decodes");
+    for (tag, payload) in &mut sections {
+        match (*tag, &checker) {
+            (4, _) => *payload = vec![model],
+            (5, Some(checker)) => *payload = checker.clone(),
+            _ => {}
+        }
+    }
+    std::fs::write(&path, encode_snapshot(&sections)).expect("snapshot overwrites");
+}
+
+/// A snapshot written when the dst-IP interval "atoms" store existed
+/// records MODEL tag 1. It holds no predicate state, so it restores
+/// onto BDDs like tag 0 — including a flow policy with a protocol,
+/// which the atoms store could not compile — and equals a fresh
+/// verifier with the same policy.
+#[test]
+fn a_snapshot_tagged_with_the_atoms_store_restores_onto_bdds() {
+    let dir = state_dir("atoms-tag");
     let mut checker = Writer::new();
     checker.len_prefix(1);
     checker.u8(3); // LoopFree
     checker.u8(2); // Flow { proto: Some(6), dst_prefix: None, dst_port: None }
     checker.raw(&[1, 6, 0, 0]);
     checker.u8(1); // satisfied
-    let checker = checker.finish();
-    // Section tags 4 (MODEL: backend tag 1 is atoms) and 5 (CHECKER).
-    for (tag, payload) in &mut sections {
-        match *tag {
-            4 => *payload = vec![1],
-            5 => *payload = checker.clone(),
-            _ => {}
-        }
-    }
-    std::fs::write(&path, encode_snapshot(&sections)).expect("snapshot overwrites");
+    rewrite_snapshot_2(&dir.0, 1, Some(checker.finish()));
 
+    let (rc, report) = open(&dir.0);
+    assert_eq!(report.source, RestoreSource::Snapshot { seq: 2 }, "{:?}", report.notes);
+    assert_eq!(report.snapshots_rejected, 0, "{:?}", report.notes);
+    let policy = Policy::LoopFree {
+        class: PacketClass::Flow { proto: Some(6), dst_prefix: None, dst_port: None },
+    };
+    let (mut fresh, _) = RealConfig::new(fixture().newest.clone()).expect("verifies");
+    fresh.add_policy(policy.clone());
+    fresh.recheck_policies();
+    assert_eq!(rc.policy_specs(), vec![(policy, true)]);
+    assert_eq!(rc.policy_specs(), fresh.policy_specs());
+    assert_eq!(outcome(&rc), outcome(&fresh));
+}
+
+/// A MODEL tag no version wrote is a decode error: the newest snapshot
+/// is rejected and the ladder restores the previous one.
+#[test]
+fn an_unknown_predicate_store_tag_falls_to_the_previous_snapshot() {
+    let dir = state_dir("unknown-tag");
+    rewrite_snapshot_2(&dir.0, 2, None);
     let (_, report) = open(&dir.0);
-    assert!(
-        matches!(report.source, RestoreSource::PreviousSnapshot { .. } | RestoreSource::Rebuilt),
-        "{:?}: {:?}",
-        report.source,
-        report.notes
-    );
+    assert_eq!(report.source, RestoreSource::PreviousSnapshot { seq: 1 }, "{:?}", report.notes);
     assert_eq!(report.snapshots_rejected, 1, "{:?}", report.notes);
 }
 

@@ -1,9 +1,9 @@
 //! Snapshot round-trip soundness: a verifier restored from its own
 //! durable state must be indistinguishable from the live verifier that
 //! wrote it — same configurations, FIB, model shape, policy verdicts —
-//! and must keep verifying identically afterwards. Exercised across
-//! both predicate backends and, property-style, across arbitrary churn
-//! prefixes split between the snapshot and the journal.
+//! and must keep verifying identically afterwards. Exercised on a ring
+//! and, property-style, across arbitrary churn prefixes split between
+//! the snapshot and the journal.
 
 mod common;
 
@@ -11,7 +11,7 @@ use common::{to_changeset, Cmd};
 use proptest::prelude::*;
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{host_prefix, ring};
-use realconfig::{ChangeSet, PredKind, RealConfig, RestoreSource, VerifierOptions};
+use realconfig::{ChangeSet, RealConfig, RestoreSource, VerifierOptions};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,14 +63,14 @@ fn assert_equivalent(live: &RealConfig, restored: &RealConfig, ctx: &str) {
     assert_eq!(live.options(), restored.options(), "{ctx}: options diverged");
 }
 
-/// Snapshot → restore → continue verifying, on one backend.
-fn roundtrip_on(backend: PredKind) {
+/// Snapshot → restore → continue verifying.
+#[test]
+fn snapshot_roundtrip_is_lossless_on_the_bdd_backend() {
     let configs = build_configs(&ring(6), ProtocolChoice::Ospf);
-    let opts = VerifierOptions { backend, ..Default::default() };
-    let (mut live, _) = RealConfig::with_options(configs.clone(), opts).expect("ring verifies");
+    let (mut live, _) = RealConfig::new(configs.clone()).expect("ring verifies");
     standing_policies(&mut live);
 
-    let dir = StateDir::new(&format!("{backend:?}"));
+    let dir = StateDir::new("roundtrip");
     live.attach_state_dir(&dir.0).expect("state dir creatable");
     live.save_snapshot().expect("snapshot writes");
 
@@ -110,16 +110,6 @@ fn roundtrip_on(backend: PredKind) {
         );
         assert_equivalent(&live, &restored, &format!("after change {i}"));
     }
-}
-
-#[test]
-fn snapshot_roundtrip_is_lossless_on_the_bdd_backend() {
-    roundtrip_on(PredKind::Bdd);
-}
-
-#[test]
-fn snapshot_roundtrip_is_lossless_on_the_atoms_backend() {
-    roundtrip_on(PredKind::Atoms);
 }
 
 // ---- The recovery ladder, rung by rung ----
@@ -280,7 +270,6 @@ fn reopen_keeps_options_the_snapshot_does_not_record() {
         order: realconfig::UpdateOrder::DeleteFirst,
         threads: Some(1),
         on_failure: realconfig::OnFailure::Rebuild,
-        ..Default::default()
     };
     let (mut live, _) = RealConfig::with_options(configs.clone(), opts).expect("ring verifies");
     let dir = StateDir::new("options");
@@ -301,8 +290,7 @@ fn reopen_keeps_options_the_snapshot_does_not_record() {
     // A plain `open` has nothing to reinstate them from: defaults,
     // except what the snapshot records.
     let (plain, _) = RealConfig::open(&dir.0, configs).expect("restore never refuses to start");
-    let defaults = VerifierOptions { backend: opts.backend, ..Default::default() };
-    assert_eq!(plain.options(), &VerifierOptions { order: opts.order, ..defaults });
+    assert_eq!(plain.options(), &VerifierOptions { order: opts.order, ..Default::default() });
 }
 
 /// The on-disk formats are a compatibility surface: for default
@@ -313,8 +301,7 @@ fn reopen_keeps_options_the_snapshot_does_not_record() {
 #[test]
 fn snapshot_and_journal_bytes_are_pinned() {
     let configs = build_configs(&ring(4), ProtocolChoice::Ospf);
-    let opts = VerifierOptions { backend: PredKind::Bdd, ..Default::default() };
-    let (mut rc, _) = RealConfig::with_options(configs, opts).expect("ring verifies");
+    let (mut rc, _) = RealConfig::new(configs).expect("ring verifies");
     rc.require_reachability("r000", "r002", host_prefix(2)).expect("devices exist");
     rc.recheck_policies();
     let dir = StateDir::new("golden");
@@ -439,19 +426,14 @@ proptest! {
 
     /// For ANY churn stream and ANY split point: snapshot after the
     /// prefix, journal the suffix, and a restore (snapshot + replay)
-    /// must equal the live verifier that never went down — on either
-    /// predicate backend.
+    /// must equal the live verifier that never went down.
     #[test]
     fn restore_replays_any_churn_split_losslessly(
         cmds in arb_cmds(),
         split_seed in 0usize..64,
-        atoms in any::<bool>(),
     ) {
-        let backend = if atoms { PredKind::Atoms } else { PredKind::Bdd };
         let configs = build_configs(&ring(5), ProtocolChoice::Ospf);
-        let opts = VerifierOptions { backend, ..Default::default() };
-        let (mut live, _) =
-            RealConfig::with_options(configs.clone(), opts).expect("ring verifies");
+        let (mut live, _) = RealConfig::new(configs.clone()).expect("ring verifies");
         standing_policies(&mut live);
 
         let dir = StateDir::new("prop");
