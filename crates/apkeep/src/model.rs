@@ -634,25 +634,13 @@ impl ApkModel {
     }
 
     fn compile(&mut self, m: RuleMatch) -> Ref {
-        use rc_bdd::pkt::Field;
-        let prefix_pred = |preds: &mut Bdd, f: Field, p: Prefix| {
-            preds.pkt_prefix(f, p.addr().0, p.len() as u32)
-        };
+        let bits = |p: Prefix| (p.addr().0, p.len() as u32);
         match m {
-            RuleMatch::DstPrefix(p) => prefix_pred(&mut self.preds, Field::DstIp, p),
+            RuleMatch::DstPrefix(p) => {
+                self.preds.pkt_prefix(rc_bdd::pkt::Field::DstIp, p.addr().0, p.len() as u32)
+            }
             RuleMatch::Acl { proto, src, dst, dst_ports } => {
-                let mut acc = prefix_pred(&mut self.preds, Field::SrcIp, src);
-                let d = prefix_pred(&mut self.preds, Field::DstIp, dst);
-                acc = self.preds.and(acc, d);
-                if let Some(pr) = proto {
-                    let p = self.preds.pkt_value(Field::Proto, pr as u32);
-                    acc = self.preds.and(acc, p);
-                }
-                if let Some((lo, hi)) = dst_ports {
-                    let r = self.preds.pkt_range(Field::DstPort, lo as u32, hi as u32);
-                    acc = self.preds.and(acc, r);
-                }
-                acc
+                self.preds.pkt_match(proto, bits(src), bits(dst), dst_ports)
             }
         }
     }

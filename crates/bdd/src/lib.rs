@@ -10,8 +10,8 @@
 //!
 //! * nodes are stored in an arena and deduplicated, so semantic equality
 //!   is pointer ([`Ref`]) equality;
-//! * binary operations go through a memoized `apply`, negation and
-//!   if-then-else have their own caches;
+//! * the binary operations (`and`, `or`, `diff`) go through one
+//!   memoized `apply`, the manager's only op cache;
 //! * variables are `u32` indices; the variable with the smallest index is
 //!   tested closest to the root.
 //!
@@ -29,23 +29,19 @@
 //! let a = bdd.var(0);
 //! let b = bdd.var(1);
 //! let ab = bdd.and(a, b);
-//! let not_ab = bdd.not(ab);
-//! let de_morgan = {
-//!     let na = bdd.not(a);
-//!     let nb = bdd.not(b);
-//!     bdd.or(na, nb)
-//! };
-//! assert_eq!(not_ab, de_morgan);
-//! assert_eq!(bdd.sat_count(ab, 2), 1.0);
+//! let a_only = bdd.diff(a, b);
+//! // Hash-consing: equal functions are equal `Ref`s.
+//! assert_eq!(bdd.or(ab, a_only), a);
+//! assert!(bdd.subset(ab, a));
+//! assert!(!bdd.intersects(ab, a_only));
 //! ```
 
 #![forbid(unsafe_code)]
 
-mod analysis;
 mod manager;
 mod node;
 pub mod pkt;
 
 pub use manager::Bdd;
-pub use node::{Node, Ref, Var};
+pub use node::{Ref, Var};
 pub use pkt::Cover;

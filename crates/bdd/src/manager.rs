@@ -9,7 +9,6 @@ use crate::node::{Node, Ref, Var, TERMINAL_VAR};
 enum Op {
     And,
     Or,
-    Xor,
     /// Set difference, `a ∧ ¬b`.
     Diff,
 }
@@ -38,17 +37,6 @@ impl Op {
                 } else if a.is_false() {
                     Some(b)
                 } else if b.is_false() || a == b {
-                    Some(a)
-                } else {
-                    None
-                }
-            }
-            Op::Xor => {
-                if a == b {
-                    Some(Ref::FALSE)
-                } else if a.is_false() {
-                    Some(b)
-                } else if b.is_false() {
                     Some(a)
                 } else {
                     None
@@ -83,9 +71,8 @@ pub struct Bdd {
     nodes: Vec<Node>,
     /// Hash-consing table: (var, lo, hi) -> existing node.
     unique: HashMap<Node, Ref>,
+    /// The one op memo: (op, a, b) -> result.
     apply_cache: HashMap<(Op, Ref, Ref), Ref>,
-    not_cache: HashMap<Ref, Ref>,
-    ite_cache: HashMap<(Ref, Ref, Ref), Ref>,
     /// Op-cache lookups that found a memoized result.
     apply_hits: u64,
     /// Op-cache lookups that missed and recursed (terminal shortcuts
@@ -119,8 +106,6 @@ impl Bdd {
             nodes: vec![terminal(0), terminal(1)],
             unique: HashMap::new(),
             apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
-            ite_cache: HashMap::new(),
             apply_hits: 0,
             apply_misses: 0,
         }
@@ -174,15 +159,6 @@ impl Bdd {
     /// The predicate "variable `v` is 0".
     pub fn nvar(&mut self, v: Var) -> Ref {
         self.mk(v, Ref::TRUE, Ref::FALSE)
-    }
-
-    /// Constant predicate for a boolean.
-    pub fn constant(&mut self, b: bool) -> Ref {
-        if b {
-            Ref::TRUE
-        } else {
-            Ref::FALSE
-        }
     }
 
     fn apply(&mut self, op: Op, a: Ref, b: Ref) -> Ref {
@@ -276,131 +252,16 @@ impl Bdd {
         self.apply(Op::Or, a, b)
     }
 
-    /// Exclusive or (symmetric difference).
-    pub fn xor(&mut self, a: Ref, b: Ref) -> Ref {
-        self.apply(Op::Xor, a, b)
-    }
-
     /// Set difference `a ∧ ¬b`.
     pub fn diff(&mut self, a: Ref, b: Ref) -> Ref {
         self.apply(Op::Diff, a, b)
     }
 
-    /// Negation (header-space complement).
-    pub fn not(&mut self, a: Ref) -> Ref {
-        if a.is_false() {
-            return Ref::TRUE;
-        }
-        if a.is_true() {
-            return Ref::FALSE;
-        }
-        if let Some(&r) = self.not_cache.get(&a) {
-            return r;
-        }
-        let n = self.node(a);
-        let lo = self.not(n.lo);
-        let hi = self.not(n.hi);
-        let r = self.mk(n.var, lo, hi);
-        self.not_cache.insert(a, r);
-        self.not_cache.insert(r, a);
-        r
+    /// Whether `a ⊆ b` as packet sets.
+    pub fn subset(&mut self, a: Ref, b: Ref) -> bool {
+        self.diff(a, b).is_false()
     }
 
-    /// If-then-else: `(f ∧ g) ∨ (¬f ∧ h)`.
-    pub fn ite(&mut self, f: Ref, g: Ref, h: Ref) -> Ref {
-        if f.is_true() {
-            return g;
-        }
-        if f.is_false() {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g.is_true() && h.is_false() {
-            return f;
-        }
-        if let Some(&r) = self.ite_cache.get(&(f, g, h)) {
-            return r;
-        }
-        let v = self.var_of(f).min(self.var_of(g)).min(self.var_of(h));
-        let split = |bdd: &Bdd, x: Ref| -> (Ref, Ref) {
-            if bdd.var_of(x) == v {
-                let n = bdd.node(x);
-                (n.lo, n.hi)
-            } else {
-                (x, x)
-            }
-        };
-        let (f_lo, f_hi) = split(self, f);
-        let (g_lo, g_hi) = split(self, g);
-        let (h_lo, h_hi) = split(self, h);
-        let lo = self.ite(f_lo, g_lo, h_lo);
-        let hi = self.ite(f_hi, g_hi, h_hi);
-        let r = self.mk(v, lo, hi);
-        self.ite_cache.insert((f, g, h), r);
-        r
-    }
-
-    /// Existential quantification over the (sorted or unsorted) set of
-    /// variables `vars`.
-    pub fn exists(&mut self, a: Ref, vars: &[Var]) -> Ref {
-        if vars.is_empty() || a.is_terminal() {
-            return a;
-        }
-        let mut memo = HashMap::new();
-        self.exists_rec(a, vars, &mut memo)
-    }
-
-    fn exists_rec(&mut self, a: Ref, vars: &[Var], memo: &mut HashMap<Ref, Ref>) -> Ref {
-        if a.is_terminal() {
-            return a;
-        }
-        if let Some(&r) = memo.get(&a) {
-            return r;
-        }
-        let n = self.node(a);
-        let lo = self.exists_rec(n.lo, vars, memo);
-        let hi = self.exists_rec(n.hi, vars, memo);
-        let r = if vars.contains(&n.var) { self.or(lo, hi) } else { self.mk(n.var, lo, hi) };
-        memo.insert(a, r);
-        r
-    }
-
-    /// Restrict: substitute constant `value` for variable `v`.
-    pub fn restrict(&mut self, a: Ref, v: Var, value: bool) -> Ref {
-        let mut memo = HashMap::new();
-        self.restrict_rec(a, v, value, &mut memo)
-    }
-
-    fn restrict_rec(&mut self, a: Ref, v: Var, value: bool, memo: &mut HashMap<Ref, Ref>) -> Ref {
-        if a.is_terminal() || self.var_of(a) > v {
-            return a;
-        }
-        if let Some(&r) = memo.get(&a) {
-            return r;
-        }
-        let n = self.node(a);
-        let r = if n.var == v {
-            if value {
-                n.hi
-            } else {
-                n.lo
-            }
-        } else {
-            let lo = self.restrict_rec(n.lo, v, value, memo);
-            let hi = self.restrict_rec(n.hi, v, value, memo);
-            self.mk(n.var, lo, hi)
-        };
-        memo.insert(a, r);
-        r
-    }
-
-    /// Conjunction of a sequence of predicates (true for the empty
-    /// sequence).
-    pub fn and_all<I: IntoIterator<Item = Ref>>(&mut self, items: I) -> Ref {
-        items.into_iter().fold(Ref::TRUE, |acc, x| self.and(acc, x))
-    }
 
     /// Disjunction of a sequence of predicates (false for the empty
     /// sequence).
@@ -418,9 +279,10 @@ mod tests {
         let mut b = Bdd::new();
         assert!(Ref::TRUE.is_true());
         assert!(Ref::FALSE.is_false());
-        assert_eq!(b.constant(true), Ref::TRUE);
-        assert_eq!(b.constant(false), Ref::FALSE);
         assert_eq!(b.node_count(), 2);
+        let x = b.var(0);
+        assert_eq!(b.and(x, Ref::FALSE), Ref::FALSE);
+        assert_eq!(b.or(x, Ref::TRUE), Ref::TRUE);
     }
 
     #[test]
@@ -437,10 +299,10 @@ mod tests {
         let mut b = Bdd::new();
         let x = b.var(0);
         let y = b.var(1);
-        let nx = b.not(x);
+        let nx = b.nvar(0);
         assert_eq!(b.and(x, nx), Ref::FALSE);
         assert_eq!(b.or(x, nx), Ref::TRUE);
-        assert_eq!(b.not(nx), x);
+        assert_eq!(b.diff(Ref::TRUE, nx), x);
         let xy = b.and(x, y);
         let yx = b.and(y, x);
         assert_eq!(xy, yx);
@@ -450,55 +312,20 @@ mod tests {
     }
 
     #[test]
-    fn xor_and_diff() {
+    fn diff_and_subset() {
         let mut b = Bdd::new();
         let x = b.var(0);
         let y = b.var(1);
-        let lhs = b.xor(x, y);
         let d1 = b.diff(x, y);
         let d2 = b.diff(y, x);
-        let rhs = b.or(d1, d2);
-        assert_eq!(lhs, rhs);
-        assert_eq!(b.xor(x, x), Ref::FALSE);
+        let sym = b.or(d1, d2);
+        let (o, a) = (b.or(x, y), b.and(x, y));
+        assert_eq!(sym, b.diff(o, a));
+        assert_eq!(b.diff(x, x), Ref::FALSE);
         assert_eq!(b.diff(x, Ref::FALSE), x);
-    }
-
-    #[test]
-    fn ite_matches_expansion() {
-        let mut b = Bdd::new();
-        let f = b.var(0);
-        let g = b.var(1);
-        let h = b.var(2);
-        let ite = b.ite(f, g, h);
-        let fg = b.and(f, g);
-        let nf = b.not(f);
-        let nfh = b.and(nf, h);
-        let expect = b.or(fg, nfh);
-        assert_eq!(ite, expect);
-    }
-
-    #[test]
-    fn quantification() {
-        let mut b = Bdd::new();
-        let x = b.var(0);
-        let y = b.var(1);
-        let xy = b.and(x, y);
-        // ∃x. x∧y == y
-        assert_eq!(b.exists(xy, &[0]), y);
-        let xoy = b.or(x, y);
-        // ∃x. x∨y == true
-        assert_eq!(b.exists(xoy, &[0]), Ref::TRUE);
-    }
-
-    #[test]
-    fn restrict_substitutes() {
-        let mut b = Bdd::new();
-        let x = b.var(0);
-        let y = b.var(1);
-        let xy = b.and(x, y);
-        assert_eq!(b.restrict(xy, 0, true), y);
-        assert_eq!(b.restrict(xy, 0, false), Ref::FALSE);
-        assert_eq!(b.restrict(xy, 5, true), xy);
+        assert!(b.subset(a, x));
+        assert!(!b.subset(x, a));
+        assert!(b.subset(Ref::FALSE, a));
     }
 
     #[test]
@@ -517,7 +344,7 @@ mod tests {
         let mut preds = vec![Ref::FALSE, Ref::TRUE];
         for v in 0..6 {
             let x = b.var(v);
-            let nx = b.not(x);
+            let nx = b.nvar(v);
             preds.push(x);
             preds.push(nx);
         }

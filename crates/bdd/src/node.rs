@@ -35,13 +35,6 @@ impl Ref {
     pub fn is_true(self) -> bool {
         self == Ref::TRUE
     }
-
-    /// The raw arena index, exposed for use as a map key by callers that
-    /// want dense indexing.
-    #[inline]
-    pub fn index(self) -> u32 {
-        self.0
-    }
 }
 
 impl std::fmt::Debug for Ref {
@@ -57,7 +50,7 @@ impl std::fmt::Debug for Ref {
 /// An internal decision node: tests `var`, continuing to `lo` when the
 /// variable is 0 and `hi` when it is 1.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct Node {
+pub(crate) struct Node {
     pub var: Var,
     pub lo: Ref,
     pub hi: Ref,

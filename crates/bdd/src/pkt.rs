@@ -41,9 +41,6 @@ impl Field {
     }
 }
 
-/// Total number of BDD variables in the packet header space.
-pub const TOTAL_VARS: u32 = 104;
-
 /// The destination-IP projection of a predicate.
 ///
 /// An address is *covered* when some satisfying packet carries it. The
@@ -64,11 +61,6 @@ pub enum Cover {
 }
 
 impl Cover {
-    /// Whether this cover is exact (usable for pruning).
-    pub fn is_exact(&self) -> bool {
-        matches!(self, Cover::Exact(_))
-    }
-
     /// The cover as an interval list. For a hull this is the single
     /// `[min, max]` interval — an over-approximation of the projection.
     pub fn into_intervals(self) -> Vec<(u32, u32)> {
@@ -79,7 +71,7 @@ impl Cover {
     }
 }
 
-/// A concrete packet, used to evaluate predicates and produce witnesses.
+/// A concrete packet, used to evaluate predicates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Packet {
     pub dst_ip: u32,
@@ -151,22 +143,49 @@ impl Bdd {
         for i in (0..width).rev() {
             let bit = (value >> (width - 1 - i)) & 1 == 1;
             let v = off + i;
-            let x = self.var(v);
-            acc = match (lower, bit) {
-                // x >= v, v-bit 1: need x-bit 1 and rest >= ; x-bit 0 fails.
-                (true, true) => self.and(x, acc),
-                // x >= v, v-bit 0: x-bit 1 always wins; x-bit 0 recurses.
-                (true, false) => self.ite(x, Ref::TRUE, acc),
-                // x <= v, v-bit 1: x-bit 0 always wins; x-bit 1 recurses.
-                (false, true) => self.ite(x, acc, Ref::TRUE),
-                // x <= v, v-bit 0: need x-bit 0 and rest <=.
-                (false, false) => {
-                    let nx = self.not(x);
-                    self.and(nx, acc)
-                }
-            };
+            // For `x >= value` the literal is "x-bit 1": where the value
+            // bit is 1 it is required (and), where it is 0 it wins
+            // outright (or). `x <= value` mirrors this on "x-bit 0".
+            let lit = if lower { self.var(v) } else { self.nvar(v) };
+            acc = if bit == lower { self.and(lit, acc) } else { self.or(lit, acc) };
         }
         acc
+    }
+
+    /// The header match `proto ∧ src ∧ dst ∧ dst_ports` that ACL rules
+    /// and flow policy classes compile to. `src` and `dst` are
+    /// `(address, length)` prefixes (length 0 matches all); a single
+    /// port is the range `(p, p)`.
+    pub fn pkt_match(
+        &mut self,
+        proto: Option<u8>,
+        src: (u32, u32),
+        dst: (u32, u32),
+        dst_ports: Option<(u16, u16)>,
+    ) -> Ref {
+        let mut acc = self.pkt_prefix(Field::SrcIp, src.0, src.1);
+        let d = self.pkt_prefix(Field::DstIp, dst.0, dst.1);
+        acc = self.and(acc, d);
+        if let Some(pr) = proto {
+            let p = self.pkt_value(Field::Proto, pr as u32);
+            acc = self.and(acc, p);
+        }
+        if let Some((lo, hi)) = dst_ports {
+            let r = self.pkt_range(Field::DstPort, lo as u32, hi as u32);
+            acc = self.and(acc, r);
+        }
+        acc
+    }
+
+    /// Evaluate `a` under a total assignment: `assignment(v)` gives the
+    /// value of variable `v`.
+    pub fn eval<F: Fn(Var) -> bool>(&self, a: Ref, assignment: F) -> bool {
+        let mut r = a;
+        while !r.is_terminal() {
+            let n = self.node(r);
+            r = if assignment(n.var) { n.hi } else { n.lo };
+        }
+        r.is_true()
     }
 
     /// Evaluate a predicate on a concrete packet.
@@ -184,7 +203,7 @@ impl Bdd {
     /// block the extreme is found greedily (prefer the hi/lo branch, fall
     /// back to the sibling when it is FALSE; skipped variables are free
     /// and take the extreme value).
-    pub fn pkt_dst_bounds(&self, pred: Ref) -> Option<(u32, u32)> {
+    fn pkt_dst_bounds(&self, pred: Ref) -> Option<(u32, u32)> {
         if pred.is_false() {
             return None;
         }
@@ -221,7 +240,7 @@ impl Bdd {
     /// Returns `None` (caller falls back to [`Self::pkt_dst_bounds`])
     /// when the exact cover needs more than `cap` intervals — bounded
     /// work: the walk aborts after `cap + 1` emissions.
-    pub fn pkt_dst_intervals(&self, pred: Ref, cap: usize) -> Option<Vec<(u32, u32)>> {
+    fn pkt_dst_intervals(&self, pred: Ref, cap: usize) -> Option<Vec<(u32, u32)>> {
         let mut out = Vec::new();
         if self.dst_intervals_rec(pred, 0, 0, cap, &mut out) {
             Some(out)
@@ -281,9 +300,8 @@ impl Bdd {
 
     /// The destination-IP projection of `pred` as a [`Cover`]: the exact
     /// interval list when it fits in `cap` intervals, otherwise the
-    /// `[min, max]` hull. Unlike [`Self::pkt_dst_intervals`], the
-    /// approximation is explicit in the return type, so callers cannot
-    /// mistake a hull for an exact cover.
+    /// `[min, max]` hull. The approximation is explicit in the return
+    /// type, so callers cannot mistake a hull for an exact cover.
     pub fn pkt_dst_cover(&self, pred: Ref, cap: usize) -> Cover {
         if pred.is_false() {
             return Cover::Exact(Vec::new());
@@ -300,39 +318,6 @@ impl Bdd {
             }
         }
     }
-
-    /// Produce one packet satisfying `pred`, if any. Free bits are zero.
-    pub fn pkt_witness(&self, pred: Ref) -> Option<Packet> {
-        let cube = self.pick_cube(pred)?;
-        let mut pkt = Packet::default();
-        for (v, bit) in cube {
-            if !bit {
-                continue;
-            }
-            let set = |value: &mut u32, width: u32, idx: u32| *value |= 1 << (width - 1 - idx);
-            match v {
-                0..=31 => set(&mut pkt.dst_ip, 32, v),
-                32..=63 => set(&mut pkt.src_ip, 32, v - 32),
-                64..=71 => {
-                    let mut p = pkt.proto as u32;
-                    set(&mut p, 8, v - 64);
-                    pkt.proto = p as u8;
-                }
-                72..=87 => {
-                    let mut p = pkt.src_port as u32;
-                    set(&mut p, 16, v - 72);
-                    pkt.src_port = p as u16;
-                }
-                88..=103 => {
-                    let mut p = pkt.dst_port as u32;
-                    set(&mut p, 16, v - 88);
-                    pkt.dst_port = p as u16;
-                }
-                _ => unreachable!("witness bit out of packet range"),
-            }
-        }
-        Some(pkt)
-    }
 }
 
 #[cfg(test)]
@@ -346,8 +331,9 @@ mod tests {
         let p = b.pkt_prefix(Field::DstIp, 0x0A000000, 8);
         assert!(b.pkt_eval(p, &Packet { dst_ip: 0x0A123456, ..Default::default() }));
         assert!(!b.pkt_eval(p, &Packet { dst_ip: 0x0B000000, ..Default::default() }));
-        // sat count: dst 24 free bits, all other 72 bits free.
-        assert_eq!(b.sat_count(p, TOTAL_VARS), 2f64.powi(96));
+        // The other fields are free.
+        let other = Packet { dst_ip: 0x0A000001, src_ip: 7, proto: 17, src_port: 9, dst_port: 443 };
+        assert!(b.pkt_eval(p, &other));
     }
 
     #[test]
@@ -362,15 +348,14 @@ mod tests {
         let p = b.pkt_value(Field::Proto, 6);
         assert!(b.pkt_eval(p, &Packet { proto: 6, ..Default::default() }));
         assert!(!b.pkt_eval(p, &Packet { proto: 17, ..Default::default() }));
-        assert_eq!(b.sat_count(p, TOTAL_VARS), 2f64.powi(96));
     }
 
     #[test]
-    fn range_counts() {
+    fn range_bounds_are_inclusive() {
         let mut b = Bdd::new();
-        // 100 values in [1000, 1099].
         let p = b.pkt_range(Field::DstPort, 1000, 1099);
-        assert_eq!(b.sat_count(p, TOTAL_VARS), 100.0 * 2f64.powi(88));
+        assert!(b.pkt_eval(p, &Packet { dst_port: 1000, ..Default::default() }));
+        assert!(b.pkt_eval(p, &Packet { dst_port: 1099, ..Default::default() }));
         assert!(b.pkt_eval(p, &Packet { dst_port: 1050, ..Default::default() }));
         assert!(!b.pkt_eval(p, &Packet { dst_port: 1100, ..Default::default() }));
         assert!(!b.pkt_eval(p, &Packet { dst_port: 999, ..Default::default() }));
@@ -391,18 +376,34 @@ mod tests {
     }
 
     #[test]
-    fn witness_round_trips() {
+    fn header_match_conjoins_its_fields() {
         let mut b = Bdd::new();
-        let pfx = b.pkt_prefix(Field::DstIp, 0xC0A80000, 16); // 192.168/16
-        let tcp = b.pkt_value(Field::Proto, 6);
-        let http = b.pkt_value(Field::DstPort, 80);
-        let t = b.and(pfx, tcp);
-        let pred = b.and(t, http);
-        let w = b.pkt_witness(pred).unwrap();
-        assert!(b.pkt_eval(pred, &w));
-        assert_eq!(w.proto, 6);
-        assert_eq!(w.dst_port, 80);
-        assert_eq!(w.dst_ip >> 16, 0xC0A8);
+        // tcp 10/8 -> 192.168/16 ports 80..=88
+        let m = b.pkt_match(Some(6), (0x0A000000, 8), (0xC0A80000, 16), Some((80, 88)));
+        let hit =
+            Packet { dst_ip: 0xC0A80101, src_ip: 0x0A010101, proto: 6, src_port: 5, dst_port: 88 };
+        assert!(b.pkt_eval(m, &hit));
+        assert!(!b.pkt_eval(m, &Packet { proto: 17, ..hit }));
+        assert!(!b.pkt_eval(m, &Packet { dst_port: 89, ..hit }));
+        assert!(!b.pkt_eval(m, &Packet { src_ip: 0x0B000000, ..hit }));
+        assert!(!b.pkt_eval(m, &Packet { dst_ip: 0xC0A90000, ..hit }));
+        // No field constrained: every packet.
+        assert_eq!(b.pkt_match(None, (0, 0), (0, 0), None), Ref::TRUE);
+        // A single port is the range (p, p).
+        let one = b.pkt_match(Some(17), (0, 0), (0, 0), Some((53, 53)));
+        let p = b.pkt_value(Field::Proto, 17);
+        let v = b.pkt_value(Field::DstPort, 53);
+        assert_eq!(one, b.and(p, v));
+    }
+
+    #[test]
+    fn eval_follows_assignment() {
+        let mut b = Bdd::new();
+        let x = b.var(0);
+        let y = b.var(1);
+        let f = b.and(x, y);
+        assert!(b.eval(f, |_| true));
+        assert!(!b.eval(f, |v| v == 0));
     }
 
     #[test]
@@ -425,7 +426,7 @@ mod tests {
         let u = b.or(p1, p2);
         assert_eq!(b.pkt_dst_bounds(u), Some((0x0A000000, 0xC0A8FFFF)));
         // Complement of 10/8 still spans the full address range.
-        let n = b.not(p1);
+        let n = b.diff(Ref::TRUE, p1);
         assert_eq!(b.pkt_dst_bounds(n), Some((0, u32::MAX)));
     }
 
@@ -436,7 +437,7 @@ mod tests {
         assert_eq!(b.pkt_dst_intervals(p, 4), Some(vec![(0x0A000000, 0x0AFFFFFF)]));
         // The complement is exactly two intervals (below and above 10/8)
         // even though its hull is the whole space.
-        let n = b.not(p);
+        let n = b.diff(Ref::TRUE, p);
         assert_eq!(
             b.pkt_dst_intervals(n, 4),
             Some(vec![(0, 0x09FFFFFF), (0x0B000000, u32::MAX)])
@@ -492,7 +493,6 @@ mod tests {
         assert_eq!(b.pkt_dst_cover(p, 4), Cover::Exact(vec![(0x0A000000, 0x0AFFFFFF)]));
         assert_eq!(b.pkt_dst_cover(Ref::FALSE, 4), Cover::Exact(vec![]));
         assert_eq!(b.pkt_dst_cover(Ref::TRUE, 4), Cover::Exact(vec![(0, u32::MAX)]));
-        assert!(b.pkt_dst_cover(p, 4).is_exact());
     }
 
     #[test]
@@ -503,7 +503,6 @@ mod tests {
         let odd = b.var(31);
         let c = b.pkt_dst_cover(odd, 16);
         assert_eq!(c, Cover::Hull(1, u32::MAX));
-        assert!(!c.is_exact());
         assert_eq!(c.into_intervals(), vec![(1, u32::MAX)]);
     }
 

@@ -216,23 +216,30 @@ fn every_subcommand_rejects_unknown_flags() {
 
 /// `--threads` travels through `VerifierOptions`: the verification
 /// reported is the same under every setting (everything but wall-clock
-/// timings and the metrics snapshot), the metrics show the setting
-/// took effect, and a bad value is a usage error.
+/// timings), the `--metrics` dump shows the setting took effect, and a
+/// bad value is a usage error.
 #[test]
 fn threads_flag_reaches_the_verifier() {
     let old = TempNet::new("flags-old", &[("r1", R1), ("r2", R2), ("r3", R3)]);
     let cheap = R1.replace("ip ospf cost 1", "ip ospf cost 7");
     let new = TempNet::new("flags-new", &[("r1", &cheap), ("r2", R2), ("r3", R3)]);
+    let metrics = TempNet::new("flags-metrics", &[]);
     // (non-timing report fields, whether counter `par.small_tasks_inlined`
     // was registered)
     let report = |threads: &str| {
-        let out = run(&["diff", old.path(), new.path(), "--json", "--threads", threads]);
+        let dump = format!("{}/threads-{threads}.json", metrics.path());
+        let args = ["diff", old.path(), new.path(), "--json", "--threads", threads];
+        let out = run(&[&args[..], &["--metrics", &dump]].concat());
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         let v: serde_json::Value =
             serde_json::from_slice(&out.stdout).expect("valid JSON report");
-        let probed = v["metrics"]["counters"].get("par.small_tasks_inlined").is_some();
+        let m: serde_json::Value =
+            serde_json::from_slice(&std::fs::read(&dump).expect("metrics dump written"))
+                .expect("valid JSON metrics");
+        let probed = m["counters"].get("par.small_tasks_inlined").is_some();
         let mut fields = v.as_object().expect("report object").clone();
-        for timing in ["dp_gen", "model_update", "policy_check", "metrics"] {
+        assert!(!fields.contains_key("metrics"), "reports carry no metrics snapshot");
+        for timing in ["dp_gen", "model_update", "policy_check"] {
             assert!(fields.remove(timing).is_some(), "report lost its {timing} field");
         }
         (fields, probed)

@@ -30,9 +30,6 @@ pub struct FullReport {
     pub violated: Vec<u32>,
     /// Lowering warnings, formatted.
     pub warnings: Vec<String>,
-    /// Pipeline-wide telemetry at the end of the full verification
-    /// (cumulative counters, current gauges, latency histograms).
-    pub metrics: rc_telemetry::MetricsSnapshot,
 }
 
 /// Report of one incremental change verification — the paper's
@@ -101,9 +98,6 @@ pub struct ChangeReport {
     /// (`OnFailure::Rebuild`). The per-stage timings then measure the
     /// rebuild, not incremental work.
     pub recovered: bool,
-    /// Pipeline-wide telemetry at the end of this change. Counters are
-    /// cumulative since the verifier was built, gauges are current.
-    pub metrics: rc_telemetry::MetricsSnapshot,
 }
 
 impl ChangeReport {

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use rc_apkeep::{ApkModel, RuleUpdate, UpdateOrder};
-use rc_netcfg::change::{ChangeError, ChangeSet};
+use rc_netcfg::change::{check_device, ChangeError, ChangeSet};
 use rc_netcfg::facts::{fact_delta, lower, Fact, Registry};
 use rc_netcfg::parser::{parse_config, ParseError};
 use rc_netcfg::types::{NodeId, Prefix};
@@ -192,9 +192,8 @@ impl RealConfig {
     ) -> Result<(Self, FullReport), Error> {
         let telemetry = rc_telemetry::Telemetry::new();
         let mut registry = Registry::new();
-        let (stages, mut report, _) =
+        let (stages, report, _) =
             contained(|| Stages::build(&configs, &mut registry, &opts, &telemetry, &[]))?;
-        report.metrics = telemetry.snapshot();
         let rc = RealConfig {
             configs,
             registry,
@@ -247,11 +246,7 @@ impl RealConfig {
         }
         let mut report = if delta.is_empty() {
             self.telemetry.counter("coalesce.noop_batches").incr();
-            ChangeReport {
-                coalesced_noop: true,
-                metrics: self.telemetry.snapshot(),
-                ..Default::default()
-            }
+            ChangeReport { coalesced_noop: true, ..Default::default() }
         } else {
             self.apply_delta(delta)?
         };
@@ -293,7 +288,10 @@ impl RealConfig {
     /// may be added or removed; whatever differs is derived from the
     /// fact delta. This is the verifier's only transaction;
     /// [`RealConfig::apply_change`] and [`RealConfig::apply_coalesced`]
-    /// are front-ends that compute the new configuration set.
+    /// are front-ends that compute the new configuration set. A changed
+    /// device holding a value that a change operation would be refused
+    /// for ([`check_device`]: one the parser could not read back) is
+    /// [`Error::Change`] and nothing ran.
     ///
     /// # Transaction contract
     ///
@@ -317,6 +315,11 @@ impl RealConfig {
     ) -> Result<ChangeReport, Error> {
         self.ensure_usable()?;
         let delta = ConfigDelta::between(&self.configs, &new_configs);
+        if let Err(e) = delta.upserts.iter().try_for_each(|(name, cfg)| check_device(name, cfg)) {
+            // Nothing ran, as when a change operation is refused.
+            self.telemetry.counter("verifier.rollbacks").incr();
+            return Err(Error::Change(e));
+        }
         self.apply_delta(delta)
     }
 
@@ -327,7 +330,7 @@ impl RealConfig {
         // `policy_specs`), and callers may read while poisoned.
         let verdicts = self.stages.checker.verdicts();
         let err = match contained(|| self.run_stages(&delta)) {
-            Ok(mut report) => {
+            Ok(report) => {
                 // Commit point, begun by the last move of `run_stages`:
                 // the changed devices move into the configurations. The
                 // journal record is appended only after the in-memory
@@ -340,7 +343,6 @@ impl RealConfig {
                     self.stages.lowering.agrees_with(&self.configs, &self.registry),
                     "incremental lowering diverged from a whole-set lower"
                 );
-                report.metrics = self.telemetry.snapshot();
                 return Ok(report);
             }
             Err(e) => e,
@@ -437,7 +439,6 @@ impl RealConfig {
                 report.newly_violated = check.newly_violated.iter().map(|p| p.0).collect();
                 report.newly_satisfied = check.newly_satisfied.iter().map(|p| p.0).collect();
                 report.warnings = self.warnings().difference(&old_warnings).cloned().collect();
-                report.metrics = self.telemetry.snapshot();
                 Ok(report)
             }
             // The new configurations do not verify even from scratch.
@@ -478,7 +479,7 @@ impl RealConfig {
     ) -> Result<(FullReport, rc_policy::CheckReport), Error> {
         let t0 = Instant::now();
         let policies = self.stages.checker.policy_specs();
-        let (mut stages, mut report, check) =
+        let (mut stages, report, check) =
             Stages::build(&configs, &mut self.registry, &self.opts, &self.telemetry, &policies)?;
         self.stages.lowering.notes().iter().for_each(|w| stages.lowering.note(w.clone()));
 
@@ -496,7 +497,6 @@ impl RealConfig {
         self.telemetry
             .histogram("verifier.rebuild_us")
             .record(t0.elapsed().as_micros() as u64);
-        report.metrics = self.telemetry.snapshot();
         Ok((report, check))
     }
 

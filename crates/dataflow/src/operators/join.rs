@@ -155,7 +155,7 @@ impl<K: Data, V: Data, W: Data> OpNode for JoinNode<K, V, W> {
         }
 
         let (results, mode) = run_shards(self.sched.as_ref(), records, &mut self.shards, |i, sh| {
-            rc_faults::fire_shard(rc_faults::ShardSite::Dataflow, i);
+            rc_faults::fire_shard(i);
             sh.step(now)
         });
         match mode {

@@ -204,7 +204,7 @@ impl<K: Data, V: Data, W: Data> OpNode for ReduceNode<K, V, W> {
         let name = self.name;
         let logic = Arc::clone(&self.logic);
         let (results, mode) = run_shards(self.sched.as_ref(), records, &mut self.shards, |i, sh| {
-            rc_faults::fire_shard(rc_faults::ShardSite::Dataflow, i);
+            rc_faults::fire_shard(i);
             sh.step(name, now, &*logic)
         });
         match mode {

@@ -39,7 +39,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// An instrumented point in the verification pipeline. One per stage
 /// boundary of the paper's three-stage pipeline.
@@ -340,56 +340,34 @@ pub fn fire_walk(ec: u32) {
     }
 }
 
-/// A sharded pipeline stage whose pool tasks carry a global one-shot
-/// panic point (the shard sibling of [`fire_walk`]'s).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ShardSite {
-    /// A dataflow operator's per-shard step task (stage 1).
-    Dataflow,
+/// Process-global one-shot panic point for the dataflow operators'
+/// per-shard step tasks (the shard sibling of [`fire_walk`]'s). Same
+/// rationale as [`WALK_PANIC_TARGET`]: thread-local plans cannot reach
+/// pool workers, and the property under test is that a panic on *any*
+/// shard task unwinds through the pool into the verifier's containment
+/// instead of deadlocking a barrier.
+static SHARD_PANIC: AtomicBool = AtomicBool::new(false);
+
+/// Arm the one-shot shard-panic point: the next shard task that
+/// reaches [`fire_shard`] panics, on whichever worker runs it, then the
+/// point disarms itself.
+pub fn arm_shard_panic() {
+    SHARD_PANIC.store(true, Ordering::SeqCst);
 }
 
-impl ShardSite {
-    fn slot(self) -> &'static AtomicU64 {
-        match self {
-            ShardSite::Dataflow => &DATAFLOW_SHARD_PANIC,
-        }
-    }
+/// Disarm the shard-panic point (idempotent; for test cleanup when the
+/// armed point was never reached).
+pub fn disarm_shard_panic() {
+    SHARD_PANIC.store(false, Ordering::SeqCst);
 }
 
-/// Process-global one-shot shard-panic point, one per sharded stage.
-/// Same rationale as [`WALK_PANIC_TARGET`]: thread-local plans cannot
-/// reach pool workers, and the property under test is that a panic on
-/// *any* shard task unwinds through the pool into the verifier's
-/// containment instead of deadlocking a barrier. `u64::MAX` means
-/// disarmed; any other value is "panic on the next shard task at this
-/// site".
-static DATAFLOW_SHARD_PANIC: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Arm the one-shot shard-panic point at `site`: the next shard task
-/// that reaches [`fire_shard`] there panics, on whichever worker runs
-/// it, then the point disarms itself.
-pub fn arm_shard_panic(site: ShardSite) {
-    site.slot().store(0, Ordering::SeqCst);
-}
-
-/// Disarm a shard-panic point (idempotent; for test cleanup when the
-/// armed site was never reached).
-pub fn disarm_shard_panic(site: ShardSite) {
-    site.slot().store(u64::MAX, Ordering::SeqCst);
-}
-
-/// The shard hook. Sharded stages call this at the top of each pool
-/// task, passing the shard index. Disarmed — the common case
-/// — it is one relaxed atomic load; armed, exactly one task wins the
-/// disarming compare-exchange and panics with the injected marker.
-pub fn fire_shard(site: ShardSite, shard: usize) {
-    let slot = site.slot();
-    let armed = slot.load(Ordering::Relaxed);
-    if armed == u64::MAX {
-        return;
-    }
-    if slot.compare_exchange(armed, u64::MAX, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
-        panic!("{INJECTED_PANIC_PREFIX} panic in {site:?} shard task {shard}");
+/// The shard hook. Dataflow operators call this at the top of each
+/// pool task, passing the shard index. Disarmed — the common case — it
+/// is one relaxed atomic load; armed, exactly one task wins the
+/// disarming swap and panics with the injected marker.
+pub fn fire_shard(shard: usize) {
+    if SHARD_PANIC.load(Ordering::Relaxed) && SHARD_PANIC.swap(false, Ordering::SeqCst) {
+        panic!("{INJECTED_PANIC_PREFIX} panic in dataflow shard task {shard}");
     }
 }
 
@@ -479,15 +457,15 @@ mod tests {
 
     #[test]
     fn shard_panic_is_one_shot() {
-        disarm_shard_panic(ShardSite::Dataflow);
-        fire_shard(ShardSite::Dataflow, 0); // disarmed: no-op
-        arm_shard_panic(ShardSite::Dataflow);
-        let err = std::panic::catch_unwind(|| fire_shard(ShardSite::Dataflow, 3))
+        disarm_shard_panic();
+        fire_shard(0); // disarmed: no-op
+        arm_shard_panic();
+        let err = std::panic::catch_unwind(|| fire_shard(3))
             .expect_err("must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.starts_with(INJECTED_PANIC_PREFIX), "got: {msg}");
         assert!(msg.contains("shard task 3"), "got: {msg}");
-        fire_shard(ShardSite::Dataflow, 3); // self-disarmed: no-op
+        fire_shard(3); // self-disarmed: no-op
     }
 
     #[test]

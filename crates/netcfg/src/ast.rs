@@ -79,6 +79,41 @@ pub(crate) fn check_ospf_metric(metric: u32) -> Result<(), String> {
     }
 }
 
+/// Check an ACL entry's port match the way the parser reads one: the
+/// range must not be empty, and only TCP and UDP carry ports.
+pub(crate) fn check_acl_entry(entry: &AclEntry) -> Result<(), String> {
+    match entry.dst_ports {
+        Some((lo, hi)) if lo > hi => Err("empty port range".to_string()),
+        Some(_) if !matches!(entry.proto, Some(6) | Some(17)) => {
+            Err("port match requires tcp or udp".to_string())
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Check a name the printer writes as one word of a statement (an ACL
+/// name, an interface next hop): the parser splits statements on
+/// whitespace, so the name must be one non-empty word.
+pub(crate) fn check_word(what: &str, name: &str) -> Result<(), String> {
+    if !name.is_empty() && !name.contains(char::is_whitespace) {
+        Ok(())
+    } else {
+        Err(format!("{what} {name:?} is not one word"))
+    }
+}
+
+/// Check that an interface next hop reads back as one: the parser takes
+/// `null0` for a discard and a word that starts with a digit for an
+/// address.
+pub(crate) fn check_next_hop(next_hop: &NextHop) -> Result<(), String> {
+    let NextHop::Interface(name) = next_hop else { return Ok(()) };
+    check_word("next-hop interface", name)?;
+    if name == "null0" || name.starts_with(|c: char| c.is_ascii_digit()) {
+        return Err(format!("next-hop interface {name:?} reads back as a discard or an address"));
+    }
+    Ok(())
+}
+
 impl InterfaceConfig {
     pub fn new(name: impl Into<String>) -> Self {
         InterfaceConfig { name: name.into(), ..Default::default() }

@@ -180,8 +180,9 @@ impl ChangeSet {
     /// state that a cancelled one writes, so applying the folded set
     /// yields exactly the configurations — and exactly the success or
     /// failure — of applying the originals in sequence. An OSPF cost out
-    /// of range is the one value-dependent error, so such an operation
-    /// is kept in place and never folded.
+    /// of range and an ACL name that is not one word are the two
+    /// value-dependent errors, so such an operation is kept in place and
+    /// never folded.
     pub fn coalesce(sets: &[ChangeSet]) -> (ChangeSet, usize) {
         // Key: (op discriminant, device, iface, ACL direction).
         let mut slot: BTreeMap<(u8, String, String, u8), usize> = BTreeMap::new();
@@ -202,8 +203,12 @@ impl ChangeSet {
                 ChangeOp::SetMed { device, iface, .. } => {
                     Some((3, device.clone(), iface.clone(), 0))
                 }
-                ChangeOp::BindAcl { device, iface, dir, .. }
-                | ChangeOp::UnbindAcl { device, iface, dir } => {
+                ChangeOp::BindAcl { device, iface, dir, acl }
+                    if check_word("ACL name", acl).is_ok() =>
+                {
+                    Some((4, device.clone(), iface.clone(), *dir as u8))
+                }
+                ChangeOp::UnbindAcl { device, iface, dir } => {
                     Some((4, device.clone(), iface.clone(), *dir as u8))
                 }
                 _ => None,
@@ -335,6 +340,7 @@ fn apply_op(op: &ChangeOp, configs: &mut BTreeMap<String, DeviceConfig>) -> Resu
             }
         }
         ChangeOp::AddStaticRoute { device: d, prefix, next_hop } => {
+            check_next_hop(next_hop)?;
             device(configs, d)?
                 .static_routes
                 .push(StaticRoute { prefix: *prefix, next_hop: next_hop.clone() });
@@ -348,6 +354,8 @@ fn apply_op(op: &ChangeOp, configs: &mut BTreeMap<String, DeviceConfig>) -> Resu
             }
         }
         ChangeOp::AddAclEntry { device: d, acl, entry } => {
+            check_word("ACL name", acl)?;
+            check_acl_entry(entry)?;
             let cfg = device(configs, d)?;
             match cfg.acls.iter_mut().find(|a| a.name == *acl) {
                 Some(a) => {
@@ -374,6 +382,7 @@ fn apply_op(op: &ChangeOp, configs: &mut BTreeMap<String, DeviceConfig>) -> Resu
             }
         }
         ChangeOp::BindAcl { device: d, iface: i, dir, acl } => {
+            check_word("ACL name", acl)?;
             let f = iface(device(configs, d)?, i)?;
             match dir {
                 AclDir::In => f.acl_in = Some(acl.clone()),
@@ -425,6 +434,54 @@ fn apply_op(op: &ChangeOp, configs: &mut BTreeMap<String, DeviceConfig>) -> Resu
                     .push(r),
             }
         }
+    }
+    Ok(())
+}
+
+/// Check a whole device the way [`ChangeSet::apply`] checks each edit,
+/// so a configuration set handed over whole meets the rules of one
+/// built edit by edit. The first value an edit would be refused for
+/// comes back as the error of the edit that writes it.
+pub fn check_device(name: &str, cfg: &DeviceConfig) -> Result<(), ChangeError> {
+    let refuse = |op: ChangeOp, check: Result<(), String>| {
+        check.map_err(|msg| ChangeError { op, msg })
+    };
+    let device = || name.to_string();
+    for f in &cfg.interfaces {
+        if let Some(cost) = f.ospf_cost {
+            let op = ChangeOp::SetOspfCost { device: device(), iface: f.name.clone(), cost };
+            refuse(op, check_ospf_cost(cost))?;
+        }
+        for (dir, acl) in [(AclDir::In, &f.acl_in), (AclDir::Out, &f.acl_out)] {
+            let Some(acl) = acl else { continue };
+            let iface = f.name.clone();
+            let op = ChangeOp::BindAcl { device: device(), iface, dir, acl: acl.clone() };
+            refuse(op, check_word("ACL name", acl))?;
+        }
+    }
+    for r in &cfg.static_routes {
+        let op = ChangeOp::AddStaticRoute {
+            device: device(),
+            prefix: r.prefix,
+            next_hop: r.next_hop.clone(),
+        };
+        refuse(op, check_next_hop(&r.next_hop))?;
+    }
+    for a in &cfg.acls {
+        for e in &a.entries {
+            let (acl, entry) = (a.name.clone(), e.clone());
+            let op = ChangeOp::AddAclEntry { device: device(), acl, entry };
+            refuse(op, check_word("ACL name", &a.name).and_then(|()| check_acl_entry(e)))?;
+        }
+    }
+    for r in cfg.ospf.iter().flat_map(|o| &o.redistribute) {
+        let op = ChangeOp::AddRedistribution {
+            device: device(),
+            into: RedistTarget::Ospf,
+            source: r.source,
+            metric: r.metric,
+        };
+        refuse(op, check_ospf_metric(r.metric))?;
     }
     Ok(())
 }
@@ -592,6 +649,118 @@ mod tests {
         assert_eq!(cancelled, 1, "the two valid costs fold, the invalid one stays");
         let mut cfgs = build_configs(&ring(3), ProtocolChoice::Ospf);
         assert!(folded.apply(&mut cfgs).is_err(), "the sequence fails, so must its fold");
+    }
+
+    #[test]
+    fn coalesce_keeps_a_bad_acl_name_failing() {
+        let bind = |acl: &str| ChangeSet {
+            ops: vec![ChangeOp::BindAcl {
+                device: "r000".into(),
+                iface: "eth0".into(),
+                dir: AclDir::In,
+                acl: acl.into(),
+            }],
+        };
+        let (folded, cancelled) = ChangeSet::coalesce(&[bind("A"), bind("NO GOOD"), bind("B")]);
+        assert_eq!(cancelled, 1, "the two valid bindings fold, the invalid one stays");
+        let mut cfgs = build_configs(&ring(3), ProtocolChoice::Ospf);
+        assert!(folded.apply(&mut cfgs).is_err(), "the sequence fails, so must its fold");
+    }
+
+    /// Every edit the parser could not read back is refused, with the
+    /// parser's own message where it has one, and leaves the
+    /// configurations as they were.
+    #[test]
+    fn edits_the_parser_refuses_are_refused() {
+        let entry = |proto, dst_ports| AclEntry {
+            seq: 10,
+            action: AclAction::Deny,
+            proto,
+            src: Prefix::DEFAULT,
+            dst: Prefix::DEFAULT,
+            dst_ports,
+        };
+        let add = |acl: &str, entry| ChangeOp::AddAclEntry {
+            device: "r000".into(),
+            acl: acl.into(),
+            entry,
+        };
+        let route = |name: &str| ChangeOp::AddStaticRoute {
+            device: "r000".into(),
+            prefix: Prefix::DEFAULT,
+            next_hop: NextHop::Interface(name.into()),
+        };
+        let bind = |acl: &str| ChangeOp::BindAcl {
+            device: "r000".into(),
+            iface: "eth0".into(),
+            dir: AclDir::Out,
+            acl: acl.into(),
+        };
+        let cases = [
+            (add("A", entry(Some(6), Some((90, 80)))), "empty port range"),
+            (add("A", entry(None, Some((80, 90)))), "port match requires tcp or udp"),
+            (add("A", entry(Some(1), Some((80, 80)))), "port match requires tcp or udp"),
+            (add("", entry(None, None)), "not one word"),
+            (add("MY ACL", entry(None, None)), "not one word"),
+            (bind("MY ACL"), "not one word"),
+            (route("null0"), "reads back as"),
+            (route("10.0.0.1"), "reads back as"),
+            (route("eth 0"), "not one word"),
+        ];
+        let mut cfgs = build_configs(&ring(3), ProtocolChoice::Ospf);
+        let before = cfgs.clone();
+        for (op, msg) in cases {
+            let e = ChangeSet { ops: vec![op] }.apply(&mut cfgs).unwrap_err();
+            assert!(e.msg.contains(msg), "{e}");
+            assert_eq!(cfgs, before, "{e}");
+        }
+        let ok = [add("A", entry(Some(17), Some((80, 90)))), bind("A"), route("eth1")];
+        ChangeSet { ops: ok.to_vec() }.apply(&mut cfgs).unwrap();
+    }
+
+    /// A whole device is refused for what an edit would be refused for,
+    /// and the error names the edit that would have written it.
+    #[test]
+    fn check_device_refuses_what_an_edit_would() {
+        let cfgs = build_configs(&ring(3), ProtocolChoice::Ospf);
+        for (name, cfg) in &cfgs {
+            check_device(name, cfg).unwrap();
+        }
+        let acl = |c: &mut DeviceConfig| {
+            let entry = AclEntry {
+                seq: 10,
+                action: AclAction::Deny,
+                proto: None,
+                src: Prefix::DEFAULT,
+                dst: Prefix::DEFAULT,
+                dst_ports: Some((80, 80)),
+            };
+            c.acls.push(Acl { name: "A".into(), entries: vec![entry] })
+        };
+        let route = |c: &mut DeviceConfig| {
+            let next_hop = NextHop::Interface("null0".into());
+            c.static_routes.push(StaticRoute { prefix: Prefix::DEFAULT, next_hop })
+        };
+        let redist = |c: &mut DeviceConfig| {
+            let r = Redistribution { source: RedistSource::Static, metric: 1 << 24 };
+            c.ospf.as_mut().unwrap().redistribute.push(r)
+        };
+        let edits: [(fn(&mut DeviceConfig), _); 5] = [
+            (|c| c.interfaces[0].ospf_cost = Some(0), "outside 1..=65535"),
+            (|c| c.interfaces[0].acl_out = Some("MY ACL".into()), "not one word"),
+            (route, "reads back as"),
+            (acl, "port match requires tcp or udp"),
+            (redist, "above 16777215"),
+        ];
+        for (edit, msg) in edits {
+            let mut cfg = cfgs["r000"].clone();
+            edit(&mut cfg);
+            let e = check_device("r000", &cfg).unwrap_err();
+            assert!(e.msg.contains(msg), "{e}");
+            let mut edited = BTreeMap::from([("r000".to_string(), cfgs["r000"].clone())]);
+            let refused = ChangeSet { ops: vec![e.op.clone()] }.apply(&mut edited);
+            assert_eq!(refused.unwrap_err().msg, e.msg, "the named edit is refused alike");
+        }
     }
 
     #[test]

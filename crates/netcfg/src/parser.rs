@@ -311,26 +311,19 @@ fn parse_acl_entry(n: usize, line: &str) -> Result<AclEntry, ParseError> {
     };
     let src = parse_prefix(w[3], n, line)?;
     let dst = parse_prefix(w[4], n, line)?;
+    let port = |p: &str| p.parse::<u16>().map_err(|_| err(n, line, "invalid port"));
     let dst_ports = match w.get(5..) {
         None | Some([]) => None,
         Some(["eq", p]) => {
-            let p: u16 = p.parse().map_err(|_| err(n, line, "invalid port"))?;
+            let p = port(p)?;
             Some((p, p))
         }
-        Some(["range", lo, hi]) => {
-            let lo: u16 = lo.parse().map_err(|_| err(n, line, "invalid port"))?;
-            let hi: u16 = hi.parse().map_err(|_| err(n, line, "invalid port"))?;
-            if lo > hi {
-                return Err(err(n, line, "empty port range"));
-            }
-            Some((lo, hi))
-        }
+        Some(["range", lo, hi]) => Some((port(lo)?, port(hi)?)),
         _ => return Err(err(n, line, "unknown acl qualifier")),
     };
-    if dst_ports.is_some() && !matches!(proto, Some(6) | Some(17)) {
-        return Err(err(n, line, "port match requires tcp or udp"));
-    }
-    Ok(AclEntry { seq, action, proto, src, dst, dst_ports })
+    let entry = AclEntry { seq, action, proto, src, dst, dst_ports };
+    check_acl_entry(&entry).map_err(|msg| err(n, line, msg))?;
+    Ok(entry)
 }
 
 #[cfg(test)]

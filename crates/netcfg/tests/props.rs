@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use rc_netcfg::ast::*;
+use rc_netcfg::change::{AclDir, ChangeOp, ChangeSet, RedistTarget};
 use rc_netcfg::facts::{fact_delta, lower, Lowering, Registry};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::linediff::diff_lines;
@@ -57,6 +58,8 @@ fn arb_route_map_entry() -> impl Strategy<Value = RouteMapEntry> {
         })
 }
 
+/// Any ACL entry, including ones the parser refuses (an empty port
+/// range, a port match on a protocol without ports).
 fn arb_acl_entry() -> impl Strategy<Value = AclEntry> {
     (
         1u32..100,
@@ -66,15 +69,26 @@ fn arb_acl_entry() -> impl Strategy<Value = AclEntry> {
         arb_prefix(),
         prop::option::of((any::<u16>(), any::<u16>())),
     )
-        .prop_map(|(seq, permit, proto, src, dst, ports)| AclEntry {
+        .prop_map(|(seq, permit, proto, src, dst, dst_ports)| AclEntry {
             seq,
             action: if permit { AclAction::Permit } else { AclAction::Deny },
-            // Port matches require TCP/UDP.
-            proto: if ports.is_some() { Some(6) } else { proto },
+            proto,
             src,
             dst,
-            dst_ports: ports.map(|(a, b)| (a.min(b), a.max(b))),
+            dst_ports,
         })
+}
+
+/// The entry made readable: ports sorted, and a port match on TCP.
+fn readable(e: AclEntry) -> AclEntry {
+    match e.dst_ports {
+        Some((a, b)) => AclEntry {
+            proto: if matches!(e.proto, Some(6) | Some(17)) { e.proto } else { Some(6) },
+            dst_ports: Some((a.min(b), a.max(b))),
+            ..e
+        },
+        None => e,
+    }
 }
 
 prop_compose! {
@@ -125,7 +139,7 @@ prop_compose! {
         let mut entries: Vec<AclEntry> = Vec::new();
         for e in acl_entries {
             if seen.insert(e.seq) {
-                entries.push(e);
+                entries.push(readable(e));
             }
         }
         entries.sort_by_key(|e| e.seq);
@@ -228,6 +242,82 @@ proptest! {
                 .unwrap_or_else(|e| panic!("canonical text must reparse: {e}\n{printed}"));
             prop_assert_eq!(reparsed, cfg);
         }
+    }
+}
+
+/// A name as a change might carry it: mostly usable, sometimes one the
+/// parser reads as something else or cannot read at all.
+fn arb_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        4 => prop_oneof![Just("ACL-A"), Just("eth1"), Just("x")].prop_map(String::from),
+        1 => prop_oneof![Just(""), Just("two words"), Just("null0"), Just("1x")]
+            .prop_map(String::from),
+    ]
+}
+
+fn arb_change_op() -> impl Strategy<Value = ChangeOp> {
+    let dev = || (0u32..3).prop_map(|i| format!("r{i:03}"));
+    let eth = || (0u32..3).prop_map(|i| format!("eth{i}"));
+    let dir = || prop_oneof![Just(AclDir::In), Just(AclDir::Out)];
+    prop_oneof![
+        (dev(), arb_name(), arb_acl_entry())
+            .prop_map(|(device, acl, entry)| ChangeOp::AddAclEntry { device, acl, entry }),
+        (dev(), arb_name(), 1u32..100)
+            .prop_map(|(device, acl, seq)| ChangeOp::RemoveAclEntry { device, acl, seq }),
+        (dev(), eth(), dir(), arb_name())
+            .prop_map(|(device, iface, dir, acl)| ChangeOp::BindAcl { device, iface, dir, acl }),
+        (dev(), eth(), dir())
+            .prop_map(|(device, iface, dir)| ChangeOp::UnbindAcl { device, iface, dir }),
+        (dev(), arb_prefix(), arb_name()).prop_map(|(device, prefix, name)| {
+            ChangeOp::AddStaticRoute { device, prefix, next_hop: NextHop::Interface(name) }
+        }),
+        (dev(), eth(), any::<u32>())
+            .prop_map(|(device, iface, cost)| ChangeOp::SetOspfCost { device, iface, cost }),
+        (dev(), eth(), any::<u32>())
+            .prop_map(|(device, iface, pref)| ChangeOp::SetLocalPref { device, iface, pref }),
+        (dev(), eth(), any::<u32>())
+            .prop_map(|(device, iface, med)| ChangeOp::SetMed { device, iface, med }),
+        (dev(), arb_prefix())
+            .prop_map(|(device, prefix)| ChangeOp::AddBgpNetwork { device, prefix }),
+        (dev(), any::<bool>(), any::<u32>()).prop_map(|(device, ospf, metric)| {
+            let into = if ospf { RedistTarget::Ospf } else { RedistTarget::Bgp };
+            ChangeOp::AddRedistribution { device, into, source: RedistSource::Static, metric }
+        }),
+    ]
+}
+
+/// Apply `ops` one change set at a time; after every one that commits,
+/// each edited device must print to text that parses back to it.
+fn committed_changes_read_back(mut configs: BTreeMap<String, DeviceConfig>, ops: Vec<ChangeOp>) {
+    for op in ops {
+        let device = op.device().to_string();
+        let cs = ChangeSet { ops: vec![op] };
+        let mut next = configs.clone();
+        if cs.apply(&mut next).is_err() {
+            continue;
+        }
+        let cfg = &next[&device];
+        let text = print_config(cfg);
+        let reparsed = parse_config(&text)
+            .unwrap_or_else(|e| panic!("{cs:?} committed text the parser refuses: {e}\n{text}"));
+        prop_assert_eq!(&reparsed, cfg, "after {:?}", cs);
+        configs = next;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A committed change always reads back: `parse(print(cfg)) == cfg`
+    /// for every device a successful `ChangeSet::apply` edited.
+    #[test]
+    fn committed_changes_read_back_ospf(ops in prop::collection::vec(arb_change_op(), 1..12)) {
+        committed_changes_read_back(build_configs(&ring(3), ProtocolChoice::Ospf), ops);
+    }
+
+    #[test]
+    fn committed_changes_read_back_bgp(ops in prop::collection::vec(arb_change_op(), 1..12)) {
+        committed_changes_read_back(build_configs(&ring(3), ProtocolChoice::Bgp), ops);
     }
 }
 

@@ -494,22 +494,8 @@ impl PolicyChecker {
                 model.preds().pkt_prefix(rc_bdd::pkt::Field::DstIp, p.addr().0, p.len() as u32)
             }
             PacketClass::Flow { proto, dst_prefix, dst_port } => {
-                use rc_bdd::pkt::Field;
-                let preds = model.preds();
-                let mut acc = Ref::TRUE;
-                if let Some(pr) = proto {
-                    let p = preds.pkt_value(Field::Proto, pr as u32);
-                    acc = preds.and(acc, p);
-                }
-                if let Some(p) = dst_prefix {
-                    let d = preds.pkt_prefix(Field::DstIp, p.addr().0, p.len() as u32);
-                    acc = preds.and(acc, d);
-                }
-                if let Some(pt) = dst_port {
-                    let d = preds.pkt_value(Field::DstPort, pt as u32);
-                    acc = preds.and(acc, d);
-                }
-                acc
+                let dst = dst_prefix.map_or((0, 0), |p| (p.addr().0, p.len() as u32));
+                model.preds().pkt_match(proto, (0, 0), dst, dst_port.map(|p| (p, p)))
             }
         };
         let id = PolicyId(self.policies.len() as u32);

@@ -1,7 +1,9 @@
 //! Shared harness for the whole-verifier soundness tests: the abstract
 //! change-command language, its lowering to `ChangeSet`s (or, for
 //! edits no `ChangeOp` expresses, to whole configuration sets) against
-//! a live verifier, and the incremental-vs-fresh oracle loop. Used by
+//! a live verifier, the incremental-vs-fresh oracle loop, and the one
+//! "equals a fresh build" comparison ([`assert_same_state`]) every
+//! suite checks a verifier against its twin with. The loop is used by
 //! `incremental_soundness.rs` (random command sequences) and
 //! `regression_counterexamples.rs` (pinned inputs from
 //! `incremental_soundness.proptest-regressions`).
@@ -14,7 +16,7 @@ use rc_netcfg::gen::{build_configs, link_subnet, ProtocolChoice};
 use rc_netcfg::topology::host_prefix;
 use rc_netcfg::types::Prefix;
 use rc_routing::route::FibAction;
-use realconfig::{ChangeOp, ChangeReport, ChangeSet, Error, RealConfig};
+use realconfig::{ChangeOp, ChangeReport, ChangeSet, Error, Policy, RealConfig};
 
 /// Suppress the default panic hook's noise for injected-fault panics
 /// (they are expected and contained); everything else still prints.
@@ -160,6 +162,57 @@ pub fn apply(
         Some(cs) => Some(rc.apply_change(&cs)),
         None => to_configs(cmd, rc, base).map(|configs| rc.apply_configs(configs)),
     }
+}
+
+/// A field a call site of [`assert_same_state`] cannot compare; the
+/// call site says why.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Skip {
+    /// The `persistence: ` warnings of the first verifier: store faults
+    /// leave them on it until the next snapshot, and a twin with no
+    /// state directory never has any. Its other warnings still compare.
+    PersistenceWarnings,
+}
+
+/// The one "equals a fresh build" oracle: configurations, facts,
+/// warnings, FIB, grouped FIB and model rule counts, ECs, pairs and
+/// policy verdicts of `rc` must equal `twin`'s, except the fields in
+/// `skip`.
+pub fn assert_same_state(rc: &RealConfig, twin: &RealConfig, skip: &[Skip], ctx: &str) {
+    assert_eq!(rc.configs(), twin.configs(), "{ctx}: configs");
+    assert_eq!(rc.facts(), twin.facts(), "{ctx}: facts");
+    let skipped =
+        |w: &&String| skip.contains(&Skip::PersistenceWarnings) && w.starts_with("persistence: ");
+    let warnings: BTreeSet<&String> = rc.warnings().iter().filter(|w| !skipped(w)).collect();
+    assert_eq!(warnings, twin.warnings().iter().collect(), "{ctx}: warnings");
+    assert_eq!(rc.fib(), twin.fib(), "{ctx}: FIB");
+    assert_eq!(rc.num_fib_rules(), twin.num_fib_rules(), "{ctx}: grouped FIB rules");
+    assert_eq!(rc.num_rules(), twin.num_rules(), "{ctx}: model rules");
+    assert_eq!(rc.num_ecs(), twin.num_ecs(), "{ctx}: ECs");
+    assert_eq!(rc.num_pairs(), twin.num_pairs(), "{ctx}: pairs");
+    assert_eq!(rc.policy_specs(), twin.policy_specs(), "{ctx}: verdicts");
+}
+
+/// A never-failed twin of `rc`: a fresh build over its configurations,
+/// with its options and its policies checked from scratch. It copies
+/// the policies of `rc`, so use it only where nothing can drop or alter
+/// one; a recovery path takes [`fresh_twin_with`] and a list of its own.
+pub fn fresh_twin(rc: &RealConfig) -> RealConfig {
+    let policies: Vec<Policy> = rc.policy_specs().into_iter().map(|(p, _)| p).collect();
+    fresh_twin_with(rc, &policies)
+}
+
+/// A fresh build over the configurations and options of `rc` that checks
+/// `policies`, kept apart from `rc`: [`assert_same_state`] then catches
+/// a policy that `rc` lost or changed.
+pub fn fresh_twin_with(rc: &RealConfig, policies: &[Policy]) -> RealConfig {
+    let (mut twin, _) = RealConfig::with_options(rc.configs().clone(), *rc.options())
+        .expect("fresh build from committed configs");
+    for policy in policies {
+        twin.add_policy(policy.clone());
+    }
+    twin.recheck_policies();
+    twin
 }
 
 /// The FIB with ids replaced by names: verifiers whose registries

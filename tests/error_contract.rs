@@ -6,13 +6,18 @@
 //! those four, with the pipeline accessors following once the poisoned
 //! verifier is rebuilt (a rebuild is the only rollback of stage state).
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{assert_same_state, quiet_injected_panics};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{host_prefix, ring};
+use rc_netcfg::ast::{Acl, AclAction, AclEntry};
 use rc_netcfg::DeviceConfig;
 use realconfig::{
-    ChangeReport, ChangeSet, Error, OnFailure, PolicyId, RealConfig, VerifierOptions,
+    AclDir, ChangeOp, ChangeReport, ChangeSet, Error, OnFailure, PolicyId, Prefix, RealConfig,
+    VerifierOptions,
 };
 
 fn net() -> BTreeMap<String, DeviceConfig> {
@@ -30,25 +35,6 @@ fn build_with(on_failure: OnFailure) -> (RealConfig, PolicyId) {
     let id = rc.require_reachability("r000", "r002", host_prefix(2)).expect("devices exist");
     rc.recheck_policies();
     (rc, id)
-}
-
-/// Suppress the default panic hook's noise for injected-fault panics
-/// (they are expected and contained); everything else still prints.
-fn quiet_injected_panics() {
-    let default = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<String>()
-            .is_some_and(|s| s.starts_with(rc_faults::INJECTED_PANIC_PREFIX))
-            || info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.starts_with(rc_faults::INJECTED_PANIC_PREFIX));
-        if !injected {
-            default(info);
-        }
-    }));
 }
 
 /// Observable state must match the twin byte-for-byte.
@@ -89,6 +75,78 @@ fn change_error_leaves_everything_untouched() {
 
     // Still fully operational.
     rc.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("good change verifies");
+}
+
+/// A bound ACL entry with an empty port range is a change error, like
+/// every edit the parser would refuse — not an internal error from the
+/// predicate compiler that poisons the verifier.
+#[test]
+fn an_empty_port_range_is_a_change_error_not_a_poison() {
+    let (mut rc, _) = build();
+    let (twin, _) = build();
+
+    let entry = AclEntry {
+        seq: 10,
+        action: AclAction::Deny,
+        proto: Some(6),
+        src: Prefix::DEFAULT,
+        dst: host_prefix(2),
+        dst_ports: Some((90, 80)),
+    };
+    let mut bad = ChangeSet::new();
+    bad.push(ChangeOp::AddAclEntry { device: "r000".into(), acl: "WEB".into(), entry });
+    bad.push(ChangeOp::BindAcl {
+        device: "r000".into(),
+        iface: "eth0".into(),
+        dir: AclDir::In,
+        acl: "WEB".into(),
+    });
+    match rc.apply_change(&bad) {
+        Err(Error::Change(e)) => assert!(e.msg.contains("empty port range"), "{e}"),
+        other => panic!("expected Change error, got: {other:?}"),
+    }
+    assert!(!rc.needs_rebuild(), "a change error must not poison");
+    assert_same_state(&rc, &twin, &[], "after the refused ACL entry");
+}
+
+/// The same rule holds for a whole configuration set handed over with
+/// `apply_configs`: an empty port range on a bound ACL is a change
+/// error, not a poison, and a port match without TCP or UDP is refused
+/// rather than committed into a snapshot the parser cannot read back.
+#[test]
+fn an_unreadable_acl_entry_through_apply_configs_is_a_change_error() {
+    let (mut rc, _) = build();
+    let (twin, _) = build();
+
+    let base = rc.configs().clone();
+    let with_entry = |proto, dst_ports| {
+        let mut configs = base.clone();
+        let cfg = configs.get_mut("r000").expect("device exists");
+        let entry = AclEntry {
+            seq: 10,
+            action: AclAction::Deny,
+            proto,
+            src: Prefix::DEFAULT,
+            dst: host_prefix(2),
+            dst_ports,
+        };
+        cfg.acls.push(Acl { name: "WEB".into(), entries: vec![entry] });
+        cfg.interfaces[0].acl_in = Some("WEB".into());
+        configs
+    };
+    let cases = [
+        (with_entry(Some(6), Some((90, 80))), "empty port range"),
+        (with_entry(None, Some((80, 90))), "port match requires tcp or udp"),
+    ];
+    for (configs, msg) in cases {
+        match rc.apply_configs(configs) {
+            Err(Error::Change(e)) => assert!(e.msg.contains(msg), "{e}"),
+            other => panic!("expected Change error, got: {other:?}"),
+        }
+        assert!(!rc.needs_rebuild(), "a change error must not poison");
+        assert_same_state(&rc, &twin, &[], &format!("after the refused {msg:?} entry"));
+    }
+    rc.apply_configs(with_entry(Some(6), Some((80, 90)))).expect("a valid entry verifies");
 }
 
 #[test]
@@ -226,20 +284,8 @@ fn poisoned_error_is_itself_stateless() {
     }
 }
 
-/// Every accessor must match the twin — only guaranteed when no apply
-/// has failed since the last (re)build.
-fn assert_every_accessor_equal(rc: &RealConfig, twin: &RealConfig, ctx: &str) {
-    assert_observables_equal(rc, twin, ctx);
-    assert_eq!(rc.fib(), twin.fib(), "{ctx}: FIB");
-    assert_eq!(rc.num_fib_rules(), twin.num_fib_rules(), "{ctx}: grouped FIB rules");
-    assert_eq!(rc.num_rules(), twin.num_rules(), "{ctx}: model rules");
-    assert_eq!(rc.num_ecs(), twin.num_ecs(), "{ctx}: ECs");
-    assert_eq!(rc.num_pairs(), twin.num_pairs(), "{ctx}: pairs");
-    assert_eq!(rc.policy_specs(), twin.policy_specs(), "{ctx}: verdicts");
-}
-
-/// A [`ChangeReport`] minus wall-clock timings, the metrics snapshot
-/// and the dataflow record count (work, not result: an engine rebuilt
+/// A [`ChangeReport`] minus wall-clock timings and the dataflow record
+/// count (work, not result: an engine rebuilt
 /// over newer configurations has a shorter history than its twin's).
 fn shape(r: &ChangeReport) -> impl PartialEq + std::fmt::Debug {
     (
@@ -296,13 +342,13 @@ fn rebuild_after_any_pipeline_fault_tracks_the_never_failed_twin() {
                     }
                 }
                 assert!(!rc.needs_rebuild(), "{ctx}: still poisoned");
-                assert_every_accessor_equal(&rc, &twin, &format!("{ctx}, rebuilt"));
+                assert_same_state(&rc, &twin, &[], &format!("{ctx}, rebuilt"));
 
                 for (i, change) in next_three.iter().enumerate() {
                     let got = rc.apply_change(change).expect("change verifies after rebuild");
                     let want = twin.apply_change(change).expect("change verifies on twin");
                     assert_eq!(shape(&got), shape(&want), "{ctx}: report of change {i}");
-                    assert_every_accessor_equal(&rc, &twin, &format!("{ctx}, change {i}"));
+                    assert_same_state(&rc, &twin, &[], &format!("{ctx}, change {i}"));
                 }
             }
         }

@@ -155,7 +155,7 @@ fn worker_panic_poisons_and_rebuild_recovers() {
     assert_eq!(rc.is_satisfied(id), twin.is_satisfied(tid), "after post-rebuild change");
 }
 
-/// Drive `rc` into the armed one-shot shard panic at `site` and assert
+/// Drive `rc` into the armed one-shot dataflow shard panic and assert
 /// the containment contract end to end: the panic surfaces as
 /// [`Error::Internal`] carrying the injected marker (so the test fails
 /// loudly if the parallel path never engaged), observables roll back to
@@ -163,21 +163,20 @@ fn worker_panic_poisons_and_rebuild_recovers() {
 /// barrier, and a rebuild — whose shards run on the pool again —
 /// recovers to full agreement with the twin.
 fn assert_shard_panic_contained(
-    site: rc_faults::ShardSite,
     (mut rc, id): (RealConfig, PolicyId),
     (mut twin, tid): (RealConfig, PolicyId),
 ) {
     quiet_injected_panics();
 
-    rc_faults::arm_shard_panic(site);
+    rc_faults::arm_shard_panic();
     let change = ChangeSet::link_failure("pod00-edge00", "eth0");
     let result = rc.apply_change(&change);
     // The point disarms itself when it fires; disarm defensively so a
     // failing assertion below cannot leave it armed for other tests.
-    rc_faults::disarm_shard_panic(site);
+    rc_faults::disarm_shard_panic();
     let msg = match result {
         Err(Error::Internal(msg)) => msg,
-        other => panic!("expected Internal from {site:?} shard panic, got: {other:?}"),
+        other => panic!("expected Internal from a shard panic, got: {other:?}"),
     };
     assert!(msg.starts_with(rc_faults::INJECTED_PANIC_PREFIX), "got: {msg:?}");
 
@@ -185,7 +184,7 @@ fn assert_shard_panic_contained(
     // poisoned, and the pool barrier was released (we got here at all).
     assert_eq!(rc.configs(), twin.configs(), "configs rolled back");
     assert_eq!(rc.is_satisfied(id), twin.is_satisfied(tid), "verdict rolled back");
-    assert!(rc.needs_rebuild(), "{site:?} shard panic must poison");
+    assert!(rc.needs_rebuild(), "a shard panic must poison");
     rc.rebuild().expect("rebuild succeeds");
 
     rc.apply_change(&change).expect("change verifies after rebuild");
@@ -218,9 +217,5 @@ fn dataflow_shard_panic_poisons_and_rebuild_recovers() {
     // The dataflow shard hook fires in every dispatch mode (serial,
     // inlined, pool), so the stock harness reaches it on the first
     // operator step of the change.
-    assert_shard_panic_contained(
-        rc_faults::ShardSite::Dataflow,
-        build(4, Some(4)),
-        build(4, Some(4)),
-    );
+    assert_shard_panic_contained(build(4, Some(4)), build(4, Some(4)));
 }

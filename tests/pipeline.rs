@@ -3,6 +3,9 @@
 //! consistent with a from-scratch rebuild after every change, and its
 //! reports must show the incrementality the paper claims.
 
+mod common;
+
+use common::{assert_same_state, fresh_twin};
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, host_prefix};
 use realconfig::{ChangeReport, ChangeSet, PacketClass, Policy, RealConfig};
@@ -12,14 +15,6 @@ use realconfig::{ChangeReport, ChangeSet, PacketClass, Policy, RealConfig};
 /// must count exactly what diffing every device counted.
 fn lines(r: &ChangeReport) -> (usize, usize) {
     (r.lines_inserted, r.lines_deleted)
-}
-
-/// Rebuild a fresh verifier from the same configurations and compare
-/// all externally visible state.
-fn assert_matches_fresh(rc: &RealConfig) {
-    let (fresh, _) = RealConfig::new(rc.configs().clone()).expect("fresh build");
-    assert_eq!(rc.fib(), fresh.fib(), "incremental FIB diverged from a fresh build");
-    assert_eq!(rc.num_pairs(), fresh.num_pairs(), "pair map diverged");
 }
 
 #[test]
@@ -35,12 +30,12 @@ fn fat_tree_ospf_change_sequence() {
     assert!(report.fact_changes > 0);
     assert!(report.rules_inserted + report.rules_removed > 0);
     assert_eq!(lines(&report), (1, 0), "one `shutdown` line added");
-    assert_matches_fresh(&rc);
+    assert_same_state(&rc, &fresh_twin(&rc), &[], "after the link failure");
 
     // The paper's LC: cost 1 → 100.
     let report = rc.apply_change(&ChangeSet::link_cost("pod01-edge00", "eth0", 100)).unwrap();
     assert_eq!(lines(&report), (1, 1), "one line modified");
-    assert_matches_fresh(&rc);
+    assert_same_state(&rc, &fresh_twin(&rc), &[], "after the cost change");
 
     // Restore both.
     let report = rc
@@ -54,7 +49,7 @@ fn fat_tree_ospf_change_sequence() {
     assert_eq!(lines(&report), (0, 1));
     let report = rc.apply_change(&ChangeSet::link_cost("pod01-edge00", "eth0", 1)).unwrap();
     assert_eq!(lines(&report), (1, 1));
-    assert_matches_fresh(&rc);
+    assert_same_state(&rc, &fresh_twin(&rc), &[], "after both are restored");
 }
 
 #[test]
@@ -67,13 +62,13 @@ fn fat_tree_bgp_change_sequence() {
     let report = rc.apply_change(&ChangeSet::link_failure("pod00-edge00", "eth0")).unwrap();
     assert!(report.rules_inserted + report.rules_removed > 0);
     assert_eq!(lines(&report), (1, 0));
-    assert_matches_fresh(&rc);
+    assert_same_state(&rc, &fresh_twin(&rc), &[], "after the link failure");
 
     // LP: 100 → 150 on one interface's imports.
     let report = rc.apply_change(&ChangeSet::local_pref("pod02-edge01", "eth1", 150)).unwrap();
     assert_eq!(lines(&report), (1, 1));
     assert!(report.affected_ecs > 0 || report.rules_inserted + report.rules_removed == 0);
-    assert_matches_fresh(&rc);
+    assert_same_state(&rc, &fresh_twin(&rc), &[], "after the local-pref change");
 
     // Only a small fraction of rules is affected (paper: < 1%).
     let total = rc.num_rules();
@@ -138,6 +133,7 @@ fn policies_track_changes_incrementally() {
     for (_, id) in &policies {
         assert!(rc.is_satisfied(*id), "all policies restored");
     }
+    assert_same_state(&rc, &fresh_twin(&rc), &[], "after the repair");
 }
 
 #[test]
@@ -182,6 +178,7 @@ fn acl_changes_flow_through_to_policies() {
     assert_eq!(lines(&report), (4, 0), "ACL header, entry, and one binding per interface");
     assert!(report.newly_satisfied.contains(&http_blocked.0));
     assert!(rc.is_satisfied(http_blocked));
+    assert_same_state(&rc, &fresh_twin(&rc), &[], "after the ACL change");
 }
 
 #[test]
@@ -225,5 +222,5 @@ fn bad_change_leaves_verifier_untouched() {
     // Still usable afterwards.
     let report = rc.apply_change(&ChangeSet::link_failure("pod00-edge00", "eth0")).unwrap();
     assert_eq!(lines(&report), (1, 0));
-    assert_matches_fresh(&rc);
+    assert_same_state(&rc, &fresh_twin(&rc), &[], "after the good change");
 }

@@ -7,11 +7,14 @@
 
 mod common;
 
-use common::{to_changeset, Cmd};
+use common::{assert_same_state, to_changeset, Cmd};
 use proptest::prelude::*;
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{host_prefix, ring};
-use realconfig::{ChangeSet, RealConfig, RestoreSource, VerifierOptions};
+use rc_netcfg::ast::{AclAction, AclEntry};
+use realconfig::{
+    ChangeOp, ChangeSet, Error, Prefix, RealConfig, RestoreSource, VerifierOptions,
+};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,17 +53,43 @@ fn standing_policies(rc: &mut RealConfig) {
     rc.recheck_policies();
 }
 
-/// Everything observable through the public API must match.
-fn assert_equivalent(live: &RealConfig, restored: &RealConfig, ctx: &str) {
-    assert_eq!(live.configs(), restored.configs(), "{ctx}: configs diverged");
-    assert_eq!(live.facts(), restored.facts(), "{ctx}: facts diverged");
-    assert_eq!(live.fib(), restored.fib(), "{ctx}: FIB diverged");
-    assert_eq!(live.warnings(), restored.warnings(), "{ctx}: warnings diverged");
-    assert_eq!(live.num_fib_rules(), restored.num_fib_rules(), "{ctx}: rule count diverged");
-    assert_eq!(live.num_ecs(), restored.num_ecs(), "{ctx}: EC count diverged");
-    assert_eq!(live.num_pairs(), restored.num_pairs(), "{ctx}: pair count diverged");
-    assert_eq!(live.policy_specs(), restored.policy_specs(), "{ctx}: verdicts diverged");
-    assert_eq!(live.options(), restored.options(), "{ctx}: options diverged");
+/// An ACL entry the parser refuses is refused by the change path too,
+/// so it never reaches a snapshot. Unbound (nothing compiles it) or
+/// matching ports on a protocol without them, it used to commit, and
+/// the snapshot after it held configurations that read back only as
+/// the snapshot before.
+#[test]
+fn an_acl_entry_the_parser_refuses_never_reaches_a_snapshot() {
+    let configs = build_configs(&ring(4), ProtocolChoice::Ospf);
+    let (mut live, _) = RealConfig::new(configs.clone()).expect("ring verifies");
+    let dir = StateDir::new("refused-acl");
+    live.attach_state_dir(&dir.0).expect("state dir creatable");
+    live.save_snapshot().expect("snapshot writes");
+
+    for (proto, ports) in [(Some(6), (90, 80)), (None, (80, 90))] {
+        let entry = AclEntry {
+            seq: 10,
+            action: AclAction::Deny,
+            proto,
+            src: Prefix::DEFAULT,
+            dst: host_prefix(2),
+            dst_ports: Some(ports),
+        };
+        let op = ChangeOp::AddAclEntry { device: "r000".into(), acl: "WEB".into(), entry };
+        match live.apply_change(&ChangeSet { ops: vec![op] }) {
+            Err(Error::Change(_)) => {}
+            other => panic!("{proto:?} {ports:?}: expected Change error, got: {other:?}"),
+        }
+    }
+    let seq = live.save_snapshot().expect("snapshot writes");
+    let (restored, report) = RealConfig::open(&dir.0, configs).expect("restore starts");
+    assert!(
+        matches!(report.source, RestoreSource::Snapshot { seq: s } if s == seq),
+        "expected snapshot {seq}, got {:?} (notes: {:?})",
+        report.source,
+        report.notes
+    );
+    assert_same_state(&live, &restored, &[], "after restore");
 }
 
 /// Snapshot → restore → continue verifying.
@@ -83,7 +112,8 @@ fn snapshot_roundtrip_is_lossless_on_the_bdd_backend() {
         report.notes
     );
     assert_eq!(report.replayed, 0, "fresh journal has nothing to replay");
-    assert_equivalent(&live, &restored, "after restore");
+    assert_same_state(&live, &restored, &[], "after restore");
+    assert_eq!(live.options(), restored.options(), "after restore: options");
 
     // The restored verifier is not a dead copy: the same churn applied
     // to both sides must keep them in lockstep, reports included.
@@ -108,7 +138,7 @@ fn snapshot_roundtrip_is_lossless_on_the_bdd_backend() {
             shape(&restored_report),
             "change {i}: incremental reports diverged after restore"
         );
-        assert_equivalent(&live, &restored, &format!("after change {i}"));
+        assert_same_state(&live, &restored, &[], &format!("after change {i}"));
     }
 }
 
@@ -158,7 +188,7 @@ fn snapshot_restores_identically_and_replays_the_journal() {
     assert_eq!(report.source, RestoreSource::Snapshot { seq: 1 });
     assert_eq!(report.replayed, 2);
     assert_eq!(report.discarded_corrupt, 0);
-    assert_equivalent(&live, &restored, "after replay");
+    assert_same_state(&live, &restored, &[], "after replay");
     assert!(restored.journaling());
 }
 
@@ -181,7 +211,7 @@ fn a_long_journal_tail_replays_as_one_apply() {
     assert_eq!((report.replayed, report.discarded_corrupt), (12, 0), "{:?}", report.notes);
     let checks = &restored.metrics_snapshot().histograms["policy.check_incremental_us"];
     assert_eq!(checks.count, 1, "12 records fold into one verified apply");
-    assert_equivalent(&live, &restored, "after a 12-record replay");
+    assert_same_state(&live, &restored, &[], "after a 12-record replay");
     assert!(restored.journaling());
 }
 
@@ -240,7 +270,7 @@ fn torn_journal_tail_is_discarded_and_rebased() {
     assert_eq!(report.source, RestoreSource::Snapshot { seq: 1 });
     assert_eq!(report.replayed, 1);
     assert_eq!(report.discarded_corrupt, 1);
-    assert_equivalent(&twin, &restored, "after torn-tail restore");
+    assert_same_state(&twin, &restored, &[], "after torn-tail restore");
     // Journal no longer matches state: re-based on snapshot 2.
     assert_eq!(restored.snapshot_seq(), 2);
     assert!(restored.journaling());
@@ -282,7 +312,7 @@ fn reopen_keeps_options_the_snapshot_does_not_record() {
     let (mut reopened, report) = RealConfig::open_with(&dir.0, configs.clone(), asked)
         .expect("restore never refuses to start");
     assert!(matches!(report.source, RestoreSource::Snapshot { .. }), "{:?}", report.notes);
-    assert_equivalent(&live, &reopened, "after reopen");
+    assert_same_state(&live, &reopened, &[], "after reopen");
     reopened.rebuild().expect("rebuild succeeds");
     assert_eq!(reopened.options(), &opts, "a rebuild reads the same options");
     assert_eq!(reopened.fib(), live.fib(), "after rebuild");
@@ -474,6 +504,6 @@ proptest! {
         );
         prop_assert_eq!(report.replayed, journaled, "replay covers exactly the journaled suffix");
         prop_assert_eq!(report.discarded_corrupt, 0, "fault-free journal has no corrupt records");
-        assert_equivalent(&live, &restored, "after split restore");
+        assert_same_state(&live, &restored, &[], "after split restore");
     }
 }

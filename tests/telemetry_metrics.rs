@@ -1,7 +1,8 @@
 //! End-to-end checks of the telemetry layer: every pipeline stage must
-//! contribute at least one metric to the snapshot that comes back in
-//! verification reports, and the snapshot must serialize to JSON (the
-//! CLI's `--metrics` dump and the bench result files rely on it).
+//! contribute at least one metric to `RealConfig::metrics_snapshot`, the
+//! one channel for metrics (reports carry none), and the snapshot must
+//! serialize to JSON (the CLI's `--metrics` dump and the bench result
+//! files rely on it).
 
 use rc_netcfg::gen::{build_configs, ProtocolChoice};
 use rc_netcfg::topology::{fat_tree, ring};
@@ -15,8 +16,8 @@ fn build() -> (RealConfig, realconfig::FullReport) {
 
 #[test]
 fn full_report_has_metrics_from_every_stage() {
-    let (_rc, full) = build();
-    let m = &full.metrics;
+    let (rc, _) = build();
+    let m = &rc.metrics_snapshot();
 
     // Stage 1: per-operator dataflow work counters.
     assert!(
@@ -44,15 +45,16 @@ fn full_report_has_metrics_from_every_stage() {
 
 #[test]
 fn change_report_metrics_accumulate() {
-    let (mut rc, full) = build();
-    let report = rc.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("verifies");
-    let m = &report.metrics;
+    let (mut rc, _) = build();
+    let full = rc.metrics_snapshot();
+    rc.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("verifies");
+    let m = &rc.metrics_snapshot();
 
     // Counters are cumulative since construction: the change's work
     // lands on top of the initial build's.
-    assert!(m.counters["dataflow.records"] > full.metrics.counters["dataflow.records"]);
-    assert!(m.counters["dataflow.epochs"] > full.metrics.counters["dataflow.epochs"]);
-    assert!(m.counters["apkeep.rules_applied"] >= full.metrics.counters["apkeep.rules_applied"]);
+    assert!(m.counters["dataflow.records"] > full.counters["dataflow.records"]);
+    assert!(m.counters["dataflow.epochs"] > full.counters["dataflow.epochs"]);
+    assert!(m.counters["apkeep.rules_applied"] >= full.counters["apkeep.rules_applied"]);
     // The incremental check path was timed exactly once.
     assert_eq!(m.histograms["policy.check_incremental_us"].count, 1);
     // Phases are timed on full and incremental passes alike: two each,
@@ -62,11 +64,9 @@ fn change_report_metrics_accumulate() {
     }
     let phases: u64 = ["policy.walk_us", "policy.merge_us", "policy.eval_us"]
         .iter()
-        .map(|p| full.metrics.histograms[*p].sum)
+        .map(|p| full.histograms[*p].sum)
         .sum();
-    assert!(phases <= full.metrics.histograms["policy.check_full_us"].sum);
-    // The live snapshot accessor agrees with the report.
-    assert_eq!(rc.metrics_snapshot(), report.metrics);
+    assert!(phases <= full.histograms["policy.check_full_us"].sum);
 }
 
 #[test]
@@ -86,10 +86,12 @@ fn compaction_records_before_and_after_trace_sizes() {
 /// folds only the keys it touches — a small fraction of the trace.
 #[test]
 fn fold_counters_track_the_change() {
-    let (mut rc, full) = build();
-    assert_eq!(full.metrics.counters["dataflow.trace.folded_keys"], 0);
-    assert_eq!(full.metrics.counters["dataflow.trace.folded_records"], 0);
-    let m = rc.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("verifies").metrics;
+    let (mut rc, _) = build();
+    let full = rc.metrics_snapshot();
+    assert_eq!(full.counters["dataflow.trace.folded_keys"], 0);
+    assert_eq!(full.counters["dataflow.trace.folded_records"], 0);
+    rc.apply_change(&ChangeSet::link_failure("r001", "eth1")).expect("verifies");
+    let m = rc.metrics_snapshot();
     let (keys, records) =
         (m.counters["dataflow.trace.folded_keys"], m.counters["dataflow.trace.folded_records"]);
     assert!(keys > 0, "the change touched no key with history");
@@ -110,13 +112,15 @@ fn fold_counters_track_the_change() {
 #[test]
 fn shadow_ops_stay_within_two_per_rule_applied() {
     let topo = fat_tree(4);
-    let (mut rc, full) =
+    let (mut rc, _) =
         RealConfig::new(build_configs(&topo, ProtocolChoice::Ospf)).expect("fat tree verifies");
+    let full = rc.metrics_snapshot();
     let port = &topo.links[0].a;
     rc.apply_change(&ChangeSet::link_failure(&port.device, &port.iface)).expect("verifies");
     let up = ChangeOp::EnableInterface { device: port.device.clone(), iface: port.iface.clone() };
-    let m = rc.apply_change(&ChangeSet { ops: vec![up] }).expect("verifies").metrics;
-    let delta = |key: &str| m.counters[key] - full.metrics.counters[key];
+    rc.apply_change(&ChangeSet { ops: vec![up] }).expect("verifies");
+    let m = rc.metrics_snapshot();
+    let delta = |key: &str| m.counters[key] - full.counters[key];
     let (ops, rules) = (delta("apkeep.shadow_ops"), delta("apkeep.rules_applied"));
     assert!(rules > 0, "the flip applied no rule");
     assert!(ops <= 2 * rules, "{ops} shadow ops for {rules} rules applied");
@@ -144,13 +148,15 @@ fn a_local_pref_change_relowers_the_device_and_its_peers() {
         let others = configs.iter().filter(|(name, _)| name.as_str() != dev);
         others.filter(|(_, c)| on_subnet(c) || names_us(c)).count()
     };
-    let (mut rc, full) = RealConfig::new(configs.clone()).expect("fat tree verifies");
-    assert!(!full.metrics.histograms.contains_key("netcfg.relowered_devices"), "builds add none");
+    let (mut rc, _) = RealConfig::new(configs.clone()).expect("fat tree verifies");
+    let built = rc.metrics_snapshot();
+    assert!(!built.histograms.contains_key("netcfg.relowered_devices"), "builds add none");
     let (mut applies, mut relowered) = (0, 0);
     for (dev, expected) in [("pod00-edge00", 3u64), ("pod01-aggr01", 5), ("core002", 5)] {
         assert_eq!(1 + peers(dev) as u64, expected, "{dev}'s subnet and session peers");
         let cs = ChangeSet::local_pref(dev, "eth0", 150);
-        let m = rc.apply_change(&cs).expect("verifies").metrics;
+        rc.apply_change(&cs).expect("verifies");
+        let m = rc.metrics_snapshot();
         let h = &m.histograms["netcfg.relowered_devices"];
         (applies, relowered) = (applies + 1, relowered + expected);
         assert_eq!((h.count, h.sum), (applies, relowered), "{dev}: one sample, the dirty set");
