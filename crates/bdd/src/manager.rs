@@ -262,12 +262,6 @@ impl Bdd {
         self.diff(a, b).is_false()
     }
 
-
-    /// Disjunction of a sequence of predicates (false for the empty
-    /// sequence).
-    pub fn or_all<I: IntoIterator<Item = Ref>>(&mut self, items: I) -> Ref {
-        items.into_iter().fold(Ref::FALSE, |acc, x| self.or(acc, x))
-    }
 }
 
 #[cfg(test)]

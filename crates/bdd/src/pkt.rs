@@ -512,7 +512,7 @@ mod tests {
         // 20 disjoint, non-adjacent /24s: exact cover needs 20 intervals.
         let preds: Vec<Ref> =
             (0u32..20).map(|i| b.pkt_prefix(Field::DstIp, 0x0A000000 + ((i * 2) << 8), 24)).collect();
-        let u = b.or_all(preds);
+        let u = preds.into_iter().fold(Ref::FALSE, |acc, p| b.or(acc, p));
         let exact = b.pkt_dst_intervals(u, 64).expect("20 intervals fit in 64");
         assert_eq!(exact.len(), 20);
         // With the production cap the cover is a hull, and the hull

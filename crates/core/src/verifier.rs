@@ -185,11 +185,14 @@ impl RealConfig {
     }
 
     /// Build the verifier and run the initial full verification. A
+    /// configuration holding a value an edit would be refused for
+    /// ([`check_device`]) is [`Error::Change`] and nothing is built; a
     /// panic in any stage is contained as [`Error::Internal`].
     pub fn with_options(
         configs: BTreeMap<String, DeviceConfig>,
         opts: VerifierOptions,
     ) -> Result<(Self, FullReport), Error> {
+        configs.iter().try_for_each(|(name, cfg)| check_device(name, cfg)).map_err(Error::Change)?;
         let telemetry = rc_telemetry::Telemetry::new();
         let mut registry = Registry::new();
         let (stages, report, _) =

@@ -22,11 +22,13 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
-use rc_apkeep::{ApkModel, BatchSummary, EcId};
+use rc_apkeep::{AffectedEc, ApkModel, BatchSummary, EcId};
 use rc_bdd::Ref;
 use rc_netcfg::types::{NodeId, Port, Prefix};
 
-use crate::walk::{ones, words, EcAnalysis, Forwarding, Topology, Walker, MAX_NODES};
+use crate::walk::{
+    ones, set, test, words, Cone, EcAnalysis, Forwarding, Topology, Walker, MAX_NODES,
+};
 
 /// Identifier of a registered policy.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -94,10 +96,11 @@ pub struct CheckReport {
 
 /// Minimum affected-EC count before the walk phase is dispatched to
 /// the pool; smaller passes run inline on the caller's thread (counted
-/// by `par.small_tasks_inlined`). A walk costs 5–40 µs, so this is a
-/// few ms of work — several scheduler quanta, the size at which a pool
-/// call stops being a bet on the second CPU (EXPERIMENTS.md, "Dispatch
-/// thresholds").
+/// by `par.small_tasks_inlined`). A whole walk costs 10–60 µs on the
+/// benchmark's fat trees and a cone walk a fraction of that, so this is
+/// up to a few ms of work — several scheduler quanta, the size at which
+/// a pool call stops being a bet on the second CPU (EXPERIMENTS.md,
+/// "Dispatch thresholds").
 const WALK_INLINE_MIN: usize = 256;
 
 /// The incremental policy checker. Holds EC-keyed state; must be used
@@ -117,7 +120,18 @@ pub struct PolicyChecker {
     /// pass there is one entry per model EC.
     ec_state: Vec<EcAnalysis>,
     derived: Derived,
+    /// Link changes since the last pass, as port pairs: each changed
+    /// link, and a source port's old and new greatest peer. An EC that
+    /// used either port of a pair has both devices moved.
+    link_moves: Vec<[Port; 2]>,
+    /// The device set changed since the last pass: its re-walks are
+    /// whole walks (a new device's row is in no analysis yet).
+    nodes_changed: bool,
     policies: Vec<Registered>,
+    /// Policies below this index were evaluated by a pass; the rest were
+    /// registered since, and the next pass evaluates them whatever it
+    /// re-walked.
+    evaluated: usize,
     /// Per-checker worker-count override for the parallel walk phase
     /// (`None`: the process-global [`rc_par::threads`] knob).
     threads: Option<usize>,
@@ -237,9 +251,8 @@ impl Derived {
     }
 
     /// Re-count EC `ec` from its `old` analysis to its `new` one (both
-    /// must fit the matrix), diffing their rows a word at a time, and
-    /// mark in `marks` the pairs whose count moved and the pairs whose
-    /// paths did.
+    /// must fit the matrix), diffing every row, and mark in `marks` what
+    /// changed.
     fn replace(&mut self, ec: EcId, old: &EcAnalysis, new: &EcAnalysis, marks: &mut PairMarks) {
         // One merge over both sorted port lists. An EC uses hundreds of
         // ports on a fat tree: on the k=8 OSPF link churn a binary search
@@ -266,43 +279,121 @@ impl Derived {
                 self.port_users.entry(*port).or_default().insert(ec);
             }
         }
-
         for s in 0..old.n.max(new.n) {
-            let (before, after) = (old.row(s), new.row(s));
-            // Pairs whose paths were modified: a source whose path
-            // signature changed, with every delivery endpoint it had
-            // before or has now.
-            let rerouted = old.path_sig(NodeId(s as u32)) != new.path_sig(NodeId(s as u32));
-            for j in 0..before.len().max(after.len()) {
-                let b = before.get(j).copied().unwrap_or(0);
-                let a = after.get(j).copied().unwrap_or(0);
-                let moved = b ^ a;
-                for bit in ones(std::slice::from_ref(&moved)) {
-                    self.count(s, j * 64 + bit, a >> bit & 1 == 1);
-                }
-                let at = s * marks.words + j;
-                marks.changed[at] |= moved;
-                if rerouted {
-                    marks.touched[at] |= b | a;
-                }
+            let src = NodeId(s as u32);
+            self.diff_row(s, old.row(s), new.row(s), old.path_sig(src) != new.path_sig(src), marks);
+        }
+        marks.note_flips(old, new);
+    }
+
+    /// Patch EC `ec`'s analysis `a` (its rows must fit the matrix) by
+    /// `cone`, re-counting and marking only the rows and ports the cone
+    /// rewrites: the rest are unchanged.
+    fn patch(&mut self, ec: EcId, a: &mut EcAnalysis, cone: &Cone, marks: &mut PairMarks) {
+        for port in &cone.ports_gone {
+            self.unuse(port, ec);
+        }
+        for port in &cone.ports_added {
+            self.port_users.entry(*port).or_default().insert(ec);
+        }
+        for (i, &v) in cone.rows.iter().enumerate() {
+            let (delivered, dropped, looping, sig) = cone.row(i);
+            let (s, src) = (v as usize, NodeId(v));
+            self.diff_row(s, a.row(s), delivered, a.path_sig(src) != sig, marks);
+            if a.drops(src) != dropped {
+                set(&mut marks.dropped, s);
+            }
+            marks.looped |= a.loops(src) != looping;
+        }
+        cone.apply(a);
+    }
+
+    /// Re-count source `s` of an EC from the delivery bitset `before` to
+    /// `after`, a word at a time, and mark the pairs whose count moved —
+    /// and, when its paths were `rerouted`, every delivery endpoint it
+    /// had before or has now.
+    fn diff_row(
+        &mut self,
+        s: usize,
+        before: &[u64],
+        after: &[u64],
+        rerouted: bool,
+        marks: &mut PairMarks,
+    ) {
+        for j in 0..before.len().max(after.len()) {
+            let b = before.get(j).copied().unwrap_or(0);
+            let a = after.get(j).copied().unwrap_or(0);
+            let moved = b ^ a;
+            for bit in ones(std::slice::from_ref(&moved)) {
+                self.count(s, j * 64 + bit, a >> bit & 1 == 1);
+            }
+            let at = s * marks.words + j;
+            marks.changed[at] |= moved;
+            if rerouted {
+                marks.touched[at] |= b | a;
             }
         }
     }
 }
 
 /// The (src, dst) pairs one pass changed, as bitset rows over the pair
-/// matrix: `changed` — the pair's EC count moved; `touched` — its
-/// source's paths moved while it delivered.
+/// matrix: `changed` — the pair's delivery flipped in some re-walked EC;
+/// `touched` — its source's paths moved while it delivered. Both are
+/// reported. Beside them, what policy relevance reads: `merged` — the
+/// pair's delivery differs between an absorbed EC and its survivor;
+/// the sources whose `dropped` bit flipped in some EC; whether any
+/// `looping` bit did.
 struct PairMarks {
     words: usize,
     changed: Vec<u64>,
     touched: Vec<u64>,
+    merged: Vec<u64>,
+    dropped: Vec<u64>,
+    looped: bool,
 }
 
 impl PairMarks {
     fn new(dim: usize) -> Self {
         let words = words(dim);
-        PairMarks { words, changed: vec![0; dim * words], touched: vec![0; dim * words] }
+        PairMarks {
+            words,
+            changed: vec![0; dim * words],
+            touched: vec![0; dim * words],
+            merged: vec![0; dim * words],
+            dropped: vec![0; words],
+            looped: false,
+        }
+    }
+
+    /// Whether the delivery from `src` to `dst` flipped for some packets.
+    fn flipped(&self, src: NodeId, dst: NodeId) -> bool {
+        let (s, d) = (src.0 as usize, dst.0 as usize);
+        let row = |bits: &[u64]| bits.get(s * self.words..).is_some_and(|row| test(row, d));
+        d < self.words * 64 && (row(&self.changed) || row(&self.merged))
+    }
+
+    /// Mark the sources whose `dropped` bit differs between `a` and `b`,
+    /// and note whether a `looping` bit does.
+    fn note_flips(&mut self, a: &EcAnalysis, b: &EcAnalysis) {
+        let bit = |bits: &[u64], j: usize| bits.get(j).copied().unwrap_or(0);
+        for j in 0..a.dropped.len().max(b.dropped.len()) {
+            self.dropped[j] |= bit(&a.dropped, j) ^ bit(&b.dropped, j);
+            self.looped |= bit(&a.looping, j) != bit(&b.looping, j);
+        }
+    }
+
+    /// The packets of an absorbed EC, whose analysis was `gone`, take
+    /// the survivor's analysis `keep`: mark every row they differ in.
+    fn note_merge(&mut self, gone: &EcAnalysis, keep: &EcAnalysis) {
+        for s in 0..gone.n.max(keep.n) {
+            let (before, after) = (gone.row(s), keep.row(s));
+            for j in 0..before.len().max(after.len()) {
+                let b = before.get(j).copied().unwrap_or(0);
+                let a = after.get(j).copied().unwrap_or(0);
+                self.merged[s * self.words + j] |= b ^ a;
+            }
+        }
+        self.note_flips(gone, keep);
     }
 
     /// `(affected, changed)` pair counts: every marked pair, and the
@@ -312,6 +403,13 @@ impl PairMarks {
         let changed = self.changed.iter().map(|c| c.count_ones());
         (affected.sum::<u32>() as usize, changed.sum::<u32>() as usize)
     }
+}
+
+/// One EC a pass re-walked: the patch a cone walk made to its analysis,
+/// or the analysis of a whole walk.
+enum Walked {
+    Cone(Cone),
+    Whole(EcAnalysis),
 }
 
 /// Cached metric handles (name lookups happen once, at attach time).
@@ -330,6 +428,10 @@ struct CheckerTelemetry {
     walk_us: rc_telemetry::Histogram,
     merge_us: rc_telemetry::Histogram,
     eval_us: rc_telemetry::Histogram,
+    /// Per EC an incremental pass re-walks: the devices whose rows it
+    /// rewrote (every device on a whole walk), and the whole walks.
+    cone_nodes: rc_telemetry::Histogram,
+    full_rewalks: rc_telemetry::Counter,
     pool_workers: Option<rc_telemetry::Gauge>,
     pool_tasks: Option<rc_telemetry::Counter>,
     small_tasks_inlined: Option<rc_telemetry::Counter>,
@@ -348,6 +450,8 @@ impl CheckerTelemetry {
             walk_us: registry.histogram("policy.walk_us"),
             merge_us: registry.histogram("policy.merge_us"),
             eval_us: registry.histogram("policy.eval_us"),
+            cone_nodes: registry.histogram("policy.cone_nodes"),
+            full_rewalks: registry.counter("policy.full_rewalks"),
             pool_workers: None,
             pool_tasks: None,
             small_tasks_inlined: None,
@@ -406,7 +510,10 @@ impl PolicyChecker {
             table: Topology::default(),
             ec_state: Vec::new(),
             derived: Derived::default(),
+            link_moves: Vec::new(),
+            nodes_changed: false,
             policies: Vec::new(),
+            evaluated: 0,
             threads: None,
             telemetry: None,
         }
@@ -443,6 +550,7 @@ impl PolicyChecker {
             return BTreeSet::new();
         }
         self.nodes = nodes;
+        self.nodes_changed = true;
         self.table = table(&self.nodes, &self.topo);
         (0..self.ec_state.len() as u32).map(EcId).collect()
     }
@@ -457,13 +565,20 @@ impl PolicyChecker {
         let mut touched = BTreeSet::new();
         for &(src, dst, diff) in delta {
             let peers = self.topo.entry(src).or_default();
+            let walked = peers.last().copied();
             if diff > 0 {
                 peers.insert(dst);
             } else {
                 peers.remove(&dst);
-                if peers.is_empty() {
-                    self.topo.remove(&src);
-                }
+            }
+            self.link_moves.push([src, dst]);
+            // On a multi-access port the walks follow the greatest peer.
+            if peers.last().copied() != walked {
+                let ends = walked.into_iter().chain(peers.last().copied());
+                self.link_moves.extend(ends.map(|peer| [src, peer]));
+            }
+            if peers.is_empty() {
+                self.topo.remove(&src);
             }
             for port in [src, dst] {
                 if let Some(users) = self.derived.port_users.get(&port) {
@@ -479,7 +594,8 @@ impl PolicyChecker {
 
     /// Register a policy. Its packet-class predicate is compiled into
     /// the model's BDD manager. The policy starts "satisfied" and gets
-    /// its real status on the next check.
+    /// its real status on the next pass, full or incremental, whatever
+    /// that pass re-walks.
     pub fn add_policy(&mut self, model: &mut ApkModel, policy: Policy) -> PolicyId {
         let class = match &policy {
             Policy::Reachability { class, .. }
@@ -581,12 +697,16 @@ impl PolicyChecker {
     pub fn check_full(&mut self, model: &mut ApkModel) -> CheckReport {
         self.ec_state.resize_with(model.num_ecs(), EcAnalysis::default);
         let all: BTreeSet<EcId> = model.ecs().collect();
-        self.recheck(model, all, true)
+        self.derived.grow(self.table.len());
+        let marks = PairMarks::new(self.derived.dim);
+        self.recheck(model, all, None, marks)
     }
 
     /// Incremental check after a data plane model batch: re-analyze the
     /// affected ECs (plus any invalidated by `extra`, e.g. link
-    /// changes) and re-evaluate only policies registered on them.
+    /// changes) — each only in the cone of the devices its moves and
+    /// the link changes since the last pass name — and re-evaluate only
+    /// the policies whose rows flipped.
     pub fn check_incremental(
         &mut self,
         model: &mut ApkModel,
@@ -601,6 +721,8 @@ impl PolicyChecker {
                 rc_faults::INJECTED_PANIC_PREFIX
             );
         }
+        self.derived.grow(self.table.len());
+        let mut marks = PairMarks::new(self.derived.dim);
         // Splits first. A split changes no EC's forwarding: the parent's
         // analysis stays valid for its narrower predicate, and the child
         // behaves exactly like its pre-split parent until a move says
@@ -624,9 +746,12 @@ impl PolicyChecker {
         // is uncounted and the last EC takes its id. The survivor keeps
         // its own: the two share a port vector, so if neither changed
         // behaviour both analyses are current, and otherwise one of them
-        // is affected and names the survivor.
+        // is affected and names the survivor. The absorbed EC's packets
+        // now take the survivor's rows: where the two differ, the merge
+        // flipped their fate, and the marks say so.
         for &(keep, gone) in &summary.merges {
             let old = self.ec_state.swap_remove(gone.0 as usize);
+            marks.note_merge(&old, &self.ec_state[keep.0 as usize]);
             self.derived.remove(gone, &old);
             let last = EcId(self.ec_state.len() as u32);
             if gone != last {
@@ -641,11 +766,46 @@ impl PolicyChecker {
         }
         debug_assert_eq!(self.ec_state.len(), model.num_ecs());
         affected.extend(summary.affected.iter().map(|a| a.ec));
-        self.recheck(model, affected, false)
+        self.recheck(model, affected, Some(&summary.affected), marks)
     }
 
-    fn recheck(&mut self, model: &mut ApkModel, affected: BTreeSet<EcId>, full: bool) -> CheckReport {
+    /// Per EC of `ecs` (ascending), the devices whose out-edges can have
+    /// changed since its analysis: those `moves` name, and both ends of
+    /// each link change under a port it used.
+    fn moved_devices(&self, ecs: &[EcId], moves: &[AffectedEc]) -> Vec<Vec<u32>> {
+        let mut moves = moves.iter().peekable();
+        ecs.iter()
+            .map(|&ec| {
+                let mut moved = Vec::new();
+                while let Some(m) = moves.next_if(|m| m.ec <= ec) {
+                    if m.ec == ec {
+                        self.table.moved_by(m.element, &mut moved);
+                    }
+                }
+                let used = &self.ec_state[ec.0 as usize].ports_used;
+                for pair in &self.link_moves {
+                    if pair.iter().any(|p| used.binary_search(p).is_ok()) {
+                        moved.extend(pair.iter().map(|p| p.node.0));
+                    }
+                }
+                moved
+            })
+            .collect()
+    }
+
+    /// Walk the `affected` ECs — in the cone of the devices `moves` and
+    /// the link changes name, or whole on a full pass (`moves` is
+    /// `None`) — merge the new analyses, and evaluate the policies whose
+    /// rows flipped.
+    fn recheck(
+        &mut self,
+        model: &mut ApkModel,
+        affected: BTreeSet<EcId>,
+        moves: Option<&[AffectedEc]>,
+        mut marks: PairMarks,
+    ) -> CheckReport {
         let start = Instant::now();
+        let full = moves.is_none();
         let mut report = CheckReport { affected_ecs: affected.len(), ..Default::default() };
 
         // Phase 1: walk the affected ECs' forwarding graphs. The walks
@@ -655,6 +815,15 @@ impl PolicyChecker {
         // so the serial merge in phase 2, and with it the report and the
         // verdict history, is identical for any worker count.
         let affected_list: Vec<EcId> = affected.iter().copied().collect();
+        self.link_moves.sort_unstable();
+        self.link_moves.dedup();
+        // A changed device set changes rows no move names (a new device
+        // has none yet): whole walks.
+        let moved = moves
+            .filter(|_| !self.nodes_changed)
+            .map(|moves| self.moved_devices(&affected_list, moves));
+        self.link_moves.clear();
+        self.nodes_changed = false;
         let mut nthreads = self.threads.unwrap_or_else(rc_par::threads);
         // Adaptive fallback: a handful of walks is cheaper on the
         // caller's thread than the scoped-pool spawn it would trigger.
@@ -667,9 +836,14 @@ impl PolicyChecker {
         let (analyses, pool_stats) = {
             let view = model.ec_view();
             let walker = Walker::new(&view, &self.table);
-            rc_par::par_map_indexed_in(nthreads, &affected_list, |_, &ec| {
+            let ec_state = &self.ec_state;
+            rc_par::par_map_indexed_in(nthreads, &affected_list, |i, &ec| {
                 rc_faults::fire_walk(ec.0);
-                walker.analyze(ec, None)
+                let old = &ec_state[ec.0 as usize];
+                match moved.as_ref().and_then(|m| walker.analyze_cone(ec, old, &m[i])) {
+                    Some(cone) => Walked::Cone(cone),
+                    None => Walked::Whole(walker.analyze(ec, None)),
+                }
             })
         };
         let walked = start.elapsed();
@@ -682,32 +856,57 @@ impl PolicyChecker {
 
         // Phase 2: merge each new analysis over the old one, strictly in
         // ascending EC order, patching the derived indexes by the
-        // difference.
-        self.derived.grow(self.table.len());
-        let mut marks = PairMarks::new(self.derived.dim);
-        for (&ec, new) in affected_list.iter().zip(analyses) {
+        // difference — a cone walk's in place, over the cone's rows
+        // only, since it rewrites nothing else.
+        for (&ec, walked) in affected_list.iter().zip(analyses) {
             let slot = &mut self.ec_state[ec.0 as usize];
-            self.derived.replace(ec, slot, &new, &mut marks);
-            *slot = new;
+            let whole = matches!(walked, Walked::Whole(_));
+            let rows = match walked {
+                Walked::Cone(cone) => {
+                    self.derived.patch(ec, slot, &cone, &mut marks);
+                    cone.rows.len()
+                }
+                Walked::Whole(new) => {
+                    self.derived.replace(ec, slot, &new, &mut marks);
+                    *slot = new;
+                    self.nodes.len()
+                }
+            };
+            if let Some(tel) = self.telemetry.as_ref().filter(|_| !full) {
+                tel.cone_nodes.record(rows as u64);
+                if whole {
+                    tel.full_rewalks.add(1);
+                }
+            }
         }
         (report.affected_pairs, report.changed_pairs) = marks.counts();
         report.total_pairs = self.derived.num_pairs;
         let merged = start.elapsed();
 
-        // Re-evaluate policies registered on affected packets.
-        let affected_pred = if full {
-            Ref::TRUE
-        } else {
-            let ec_preds: Vec<Ref> = affected.iter().map(|&e| model.ec_pred(e)).collect();
-            model.preds().or_all(ec_preds)
-        };
+        // Re-evaluate the policies whose rows flipped (all of them on a
+        // full pass, and any registered since the last pass). A policy
+        // reads, per EC of its class, one pair bit, one `dropped` bit,
+        // the `looping` bits or the waypoint-free walk: if no EC flipped
+        // what it reads, its verdict stands. Splits and merges cannot
+        // flip a verdict unseen: a split child inherits its parent's
+        // rows, and a merge marks where the absorbed rows differ.
         for idx in 0..self.policies.len() {
-            let relevant = full || {
-                let pred = self.policies[idx].pred;
-                // Read-only satisfiability probe: no node interning, no
-                // apply-cache traffic (see `Bdd::intersects`).
-                model.preds().intersects(pred, affected_pred)
-            };
+            let pred = self.policies[idx].pred;
+            let relevant = full
+                || idx >= self.evaluated
+                || match self.policies[idx].policy {
+                    Policy::Reachability { src, dst, .. } | Policy::Isolation { src, dst, .. } => {
+                        marks.flipped(src, dst)
+                    }
+                    Policy::BlackholeFree { src, .. } => test(&marks.dropped, src.0 as usize),
+                    Policy::LoopFree { .. } => marks.looped,
+                    // Read-only satisfiability probes: no node interning,
+                    // no apply-cache traffic (see `Bdd::intersects`).
+                    Policy::Waypoint { .. } => affected_list.iter().any(|&ec| {
+                        let ec_pred = model.ec_pred(ec);
+                        model.preds().intersects(pred, ec_pred)
+                    }),
+                };
             if !relevant {
                 continue;
             }
@@ -729,6 +928,7 @@ impl PolicyChecker {
                 rc_faults::INJECTED_PANIC_PREFIX
             );
         }
+        self.evaluated = self.policies.len();
         if let Some(tel) = &self.telemetry {
             tel.affected_ecs.add(report.affected_ecs as u64);
             tel.policies_checked.add(report.policies_checked as u64);

@@ -13,4 +13,4 @@ pub mod checker;
 pub mod walk;
 
 pub use checker::{CheckReport, PacketClass, Policy, PolicyChecker, PolicyId};
-pub use walk::{EcAnalysis, Forwarding, Topology, Walker};
+pub use walk::{Cone, EcAnalysis, Forwarding, Topology, Walker};

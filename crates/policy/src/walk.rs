@@ -57,6 +57,15 @@ pub(crate) fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// Set bit `i` to `on`.
+fn put(bits: &mut [u64], i: usize, on: bool) {
+    if on {
+        set(bits, i);
+    } else {
+        bits[i / 64] &= !(1 << (i % 64));
+    }
+}
+
 fn or_into(dst: &mut [u64], src: &[u64]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d |= s;
@@ -80,13 +89,19 @@ fn sort_dedup_from<T: Ord + Copy>(v: &mut Vec<T>, from: usize) {
 /// derived from its node set and link map, never persisted.
 #[derive(Debug, Default)]
 pub struct Topology {
-    /// Devices, ascending.
+    /// Devices, ascending, and the same set as a bitset.
     nodes: Vec<u32>,
+    is_node: Vec<u64>,
     /// `links[link_start[i]..link_start[i + 1]]`: node `i`'s linked
     /// interfaces with the port at the other end, ascending by
     /// interface. Covers every link endpoint, device or not.
     link_start: Vec<u32>,
     links: Vec<(IfaceId, Port)>,
+    /// `rev[rev_start[i]..rev_start[i + 1]]`: the links into node `i`,
+    /// as (sender, index into `links`), ascending — the reverse CSR a
+    /// cone search walks back over.
+    rev_start: Vec<u32>,
+    rev: Vec<(u32, u32)>,
 }
 
 impl Topology {
@@ -99,19 +114,36 @@ impl Topology {
         let ids = nodes.iter().chain(links.iter().flat_map(|(a, b)| [&a.node, &b.node]));
         let len = ids.map(|n| n.0 as usize + 1).max().unwrap_or(0);
         assert!(len <= MAX_NODES, "node id {} past the dense tables' bound", len - 1);
-        let mut link_start = vec![0u32; len + 1];
-        for src in links.keys() {
-            link_start[src.node.0 as usize + 1] += 1;
-        }
-        for i in 0..len {
-            link_start[i + 1] += link_start[i];
-        }
+        let offsets = |ends: &mut dyn Iterator<Item = usize>| {
+            let mut start = vec![0u32; len + 1];
+            for i in ends {
+                start[i + 1] += 1;
+            }
+            for i in 0..len {
+                start[i + 1] += start[i];
+            }
+            start
+        };
         // A `BTreeMap<Port, _>` iterates by (node, iface): already grouped
-        // by node and sorted within each group.
+        // by node and sorted within each group, and so by sender below.
+        let link_start = offsets(&mut links.keys().map(|src| src.node.0 as usize));
+        let rev_start = offsets(&mut links.values().map(|dst| dst.node.0 as usize));
+        let mut fill = rev_start.clone();
+        let mut rev = vec![(0, 0); links.len()];
+        for (l, (src, dst)) in links.iter().enumerate() {
+            let slot = &mut fill[dst.node.0 as usize];
+            rev[*slot as usize] = (src.node.0, l as u32);
+            *slot += 1;
+        }
+        let mut is_node = vec![0; words(len)];
+        nodes.iter().for_each(|n| set(&mut is_node, n.0 as usize));
         Topology {
             nodes: nodes.iter().map(|n| n.0).collect(),
+            is_node,
             link_start,
             links: links.iter().map(|(src, dst)| (src.iface, *dst)).collect(),
+            rev_start,
+            rev,
         }
     }
 
@@ -124,9 +156,32 @@ impl Topology {
         self.link_start[node] as usize..self.link_start[node + 1] as usize
     }
 
+    /// The links into `node`: (sender, link index).
+    fn links_into(&self, node: usize) -> &[(u32, u32)] {
+        match self.rev_start.get(node + 1) {
+            Some(&end) => &self.rev[self.rev_start[node] as usize..end as usize],
+            None => &[],
+        }
+    }
+
     /// The link under `(node, iface)`, as an index into `links`.
     fn link(&self, node: usize, iface: IfaceId) -> Option<usize> {
         self.links_of(node).find(|&l| self.links[l].0 == iface)
+    }
+
+    /// Push the devices whose out-edges a move of `key` can change: a
+    /// FIB or an egress filter changes its own device's, an ingress
+    /// filter those of the devices linked into its port.
+    pub fn moved_by(&self, key: ElementKey, out: &mut Vec<u32>) {
+        match key {
+            ElementKey::Forward(n) | ElementKey::Filter(n, _, Dir::Out) => out.push(n.0),
+            ElementKey::Filter(n, iface, Dir::In) => out.extend(
+                self.links_into(n.0 as usize)
+                    .iter()
+                    .filter(|&&(_, l)| self.links[l as usize].1.iface == iface)
+                    .map(|&(u, _)| u),
+            ),
+        }
     }
 }
 
@@ -175,81 +230,91 @@ impl<'a> Walker<'a> {
         }
     }
 
+    /// Whether device `u` sends `ec` out of `iface`, whose link is
+    /// `link`: its FIB forwards there and the egress filter passes.
+    fn sends(&self, u: usize, iface: IfaceId, link: Option<usize>, ec: EcId) -> bool {
+        let port = Port { node: NodeId(u as u32), iface };
+        matches!(
+            self.fwd[u].map(|e| self.view.action_at(e, ec)),
+            Some(PortAction::Forward(ifaces)) if ifaces.binary_search(&iface).is_ok()
+        ) && !self.denies(self.egress(port, link), ec)
+    }
+
+    /// Whether `u` forwards `ec` over its link `l` into the peer device.
+    fn crosses(&self, u: usize, l: usize, ec: EcId) -> bool {
+        self.sends(u, self.topo.links[l].0, Some(l), ec) && !self.denies(self.filters[l].1, ec)
+    }
+
+    /// Append device `u`'s row of `ec`'s graph to `f`: its successors
+    /// and out-ports (each sorted), the ports it uses, its ACL-blocked
+    /// edges and terminal bits. The caller records the row's end.
+    fn push_row(&self, f: &mut Forwarding, u: usize, ec: EcId, exclude: Option<NodeId>) {
+        let node = NodeId(u as u32);
+        let (first_succ, first_port) = (f.succ.len(), f.ports.len());
+        let action = self.fwd[u].map(|e| self.view.action_at(e, ec));
+        match action {
+            _ if Some(node) == exclude => {}
+            None | Some(PortAction::Drop) => set(&mut f.drops, u),
+            Some(PortAction::Deliver(ifaces)) => {
+                // Connected routes: the packet terminates here (subject
+                // to the egress ACL of the delivering interface).
+                for &iface in ifaces {
+                    let port = Port { node, iface };
+                    if self.denies(self.egress(port, self.topo.link(u, iface)), ec) {
+                        f.blocked_edges.push((node, port, port, Dir::Out));
+                    } else {
+                        set(&mut f.delivers, u);
+                        f.ports.push(port);
+                    }
+                }
+            }
+            Some(PortAction::Forward(ifaces)) => {
+                for &iface in ifaces {
+                    let port = Port { node, iface };
+                    let link = self.topo.link(u, iface);
+                    // Egress ACL at the sending interface.
+                    if self.denies(self.egress(port, link), ec) {
+                        f.blocked_edges.push((node, port, port, Dir::Out));
+                        continue;
+                    }
+                    f.ports.push(port);
+                    f.ports_used.push(port);
+                    let Some(l) = link else {
+                        // Host-facing interface: the packet leaves the
+                        // modeled network here — until a link comes up
+                        // under the port, so the port is still a use.
+                        set(&mut f.delivers, u);
+                        continue;
+                    };
+                    let peer = self.topo.links[l].1;
+                    f.ports_used.push(peer);
+                    // Ingress ACL at the receiving interface. An edge
+                    // into `exclude` stays: that node does nothing.
+                    if self.denies(self.filters[l].1, ec) {
+                        f.blocked_edges.push((node, port, peer, Dir::In));
+                    } else {
+                        f.succ.push(peer.node.0);
+                    }
+                }
+            }
+            Some(other) => unreachable!("filter action {other:?} on a forwarding element"),
+        }
+        sort_dedup_from(&mut f.succ, first_succ);
+        sort_dedup_from(&mut f.ports, first_port);
+    }
+
     /// The forwarding graph of `ec`. `exclude` removes one node (used
     /// for waypoint checks).
     pub fn forwarding(&self, ec: EcId, exclude: Option<NodeId>) -> Forwarding {
         let n = self.topo.len();
-        let mut f = Forwarding {
-            succ_start: vec![0; n + 1],
-            succ: Vec::new(),
-            delivers: vec![0; words(n)],
-            drops: vec![0; words(n)],
-            port_start: vec![0; n + 1],
-            ports: Vec::new(),
-            ports_used: Vec::new(),
-            blocked_edges: Vec::new(),
-        };
+        let mut f = Forwarding::empty(n);
         for &u in &self.topo.nodes {
-            let (u, node) = (u as usize, NodeId(u));
-            let (first_succ, first_port) = (f.succ.len(), f.ports.len());
-            let action = self.fwd[u].map(|e| self.view.action_at(e, ec));
-            match action {
-                _ if Some(node) == exclude => {}
-                None | Some(PortAction::Drop) => set(&mut f.drops, u),
-                Some(PortAction::Deliver(ifaces)) => {
-                    // Connected routes: the packet terminates here (subject
-                    // to the egress ACL of the delivering interface).
-                    for &iface in ifaces {
-                        let port = Port { node, iface };
-                        if self.denies(self.egress(port, self.topo.link(u, iface)), ec) {
-                            f.blocked_edges.push((node, port, port, Dir::Out));
-                        } else {
-                            set(&mut f.delivers, u);
-                            f.ports.push(port);
-                        }
-                    }
-                }
-                Some(PortAction::Forward(ifaces)) => {
-                    for &iface in ifaces {
-                        let port = Port { node, iface };
-                        let link = self.topo.link(u, iface);
-                        // Egress ACL at the sending interface.
-                        if self.denies(self.egress(port, link), ec) {
-                            f.blocked_edges.push((node, port, port, Dir::Out));
-                            continue;
-                        }
-                        f.ports.push(port);
-                        f.ports_used.push(port);
-                        let Some(l) = link else {
-                            // Host-facing interface: the packet leaves the
-                            // modeled network here — until a link comes up
-                            // under the port, so the port is still a use.
-                            set(&mut f.delivers, u);
-                            continue;
-                        };
-                        let peer = self.topo.links[l].1;
-                        f.ports_used.push(peer);
-                        // Ingress ACL at the receiving interface. An edge
-                        // into `exclude` stays: that node does nothing.
-                        if self.denies(self.filters[l].1, ec) {
-                            f.blocked_edges.push((node, port, peer, Dir::In));
-                        } else {
-                            f.succ.push(peer.node.0);
-                        }
-                    }
-                }
-                Some(other) => unreachable!("filter action {other:?} on a forwarding element"),
-            }
-            sort_dedup_from(&mut f.succ, first_succ);
-            sort_dedup_from(&mut f.ports, first_port);
+            let u = u as usize;
+            self.push_row(&mut f, u, ec, exclude);
             f.succ_start[u + 1] = f.succ.len() as u32;
             f.port_start[u + 1] = f.ports.len() as u32;
         }
-        // Rows of non-devices are empty: carry each offset forward.
-        for i in 1..=n {
-            f.succ_start[i] = f.succ_start[i].max(f.succ_start[i - 1]);
-            f.port_start[i] = f.port_start[i].max(f.port_start[i - 1]);
-        }
+        f.close_rows();
         f.ports_used.sort_unstable();
         f.ports_used.dedup();
         f
@@ -258,6 +323,230 @@ impl<'a> Walker<'a> {
     /// The analysis of `ec`'s forwarding graph, `exclude` removed.
     pub fn analyze(&self, ec: EcId, exclude: Option<NodeId>) -> EcAnalysis {
         self.forwarding(ec, exclude).analyze()
+    }
+
+    /// The patch to `old` — the analysis of `ec` over the same node range
+    /// before the devices in `moved` (and only they) changed their
+    /// out-edges — that makes it `ec`'s analysis now. `None` when it
+    /// takes the whole walk: `old` is sized for another node range, or
+    /// the cone passes half the devices.
+    ///
+    /// Only a device that can reach a moved one — its cone — can change
+    /// its row: every other device reaches the same unchanged edges
+    /// before and after. The cone and everything it reaches are walked
+    /// and condensed, so each cone row — path signature included — is
+    /// exactly what the whole walk computes; rows outside the cone are
+    /// kept. `ports_used` is re-derived only at ports a moved device
+    /// can add or drop.
+    pub fn analyze_cone(&self, ec: EcId, old: &EcAnalysis, moved: &[u32]) -> Option<Cone> {
+        let n = self.topo.len();
+        let mut moved: Vec<u32> = moved.iter().copied().filter(|&m| (m as usize) < n).collect();
+        moved.sort_unstable();
+        moved.dedup();
+        if old.n != n {
+            return None;
+        }
+        let (rows, in_cone) = self.cone(ec, &moved)?;
+        let (f, reached) = self.reached(ec, &rows);
+        let w = words(n);
+        let mut patch = Cone {
+            words: w,
+            delivered: vec![0; rows.len() * w],
+            fates: vec![(false, false, None); rows.len()],
+            rows,
+            ports_gone: Vec::new(),
+            ports_added: Vec::new(),
+        };
+        f.propagate(reached, Some(&in_cone), |v, reach, dropped, looping, sig| {
+            let i = patch.rows.binary_search(&(v as u32)).expect("a cone row");
+            patch.delivered[i * w..][..w].copy_from_slice(reach);
+            patch.fates[i] = (dropped, looping, sig);
+        });
+        (patch.ports_gone, patch.ports_added) = self.port_moves(ec, &old.ports_used, &moved);
+        debug_assert!(
+            {
+                let mut patched = old.clone();
+                patch.apply(&mut patched);
+                patched == self.analyze(ec, None)
+            },
+            "the cone patch of EC {} differs from the whole walk",
+            ec.0
+        );
+        Some(patch)
+    }
+
+    /// The devices that can reach one of `moved` now, ascending, and the
+    /// same set as a bitset: found backwards over the links into each,
+    /// admitting a sender only if it forwards `ec` over the link. `None`
+    /// as soon as they pass half the devices.
+    fn cone(&self, ec: EcId, moved: &[u32]) -> Option<(Vec<u32>, Vec<u64>)> {
+        let limit = self.topo.nodes.len() / 2;
+        let mut in_cone = vec![0u64; words(self.topo.len())];
+        moved.iter().for_each(|&m| set(&mut in_cone, m as usize));
+        let mut cone = moved.to_vec();
+        let mut next = 0;
+        while next < cone.len() {
+            if cone.len() > limit {
+                return None;
+            }
+            let x = cone[next] as usize;
+            next += 1;
+            for &(u, l) in self.topo.links_into(x) {
+                if !test(&in_cone, u as usize) && self.crosses(u as usize, l as usize, ec) {
+                    set(&mut in_cone, u as usize);
+                    cone.push(u);
+                }
+            }
+        }
+        cone.sort_unstable();
+        Some((cone, in_cone))
+    }
+
+    /// The forwarding graph of `ec` with rows for `from` and everything
+    /// it reaches only, and those nodes, ascending.
+    fn reached(&self, ec: EcId, from: &[u32]) -> (Forwarding, Vec<u32>) {
+        let n = self.topo.len();
+        // Rows in discovery order first; `ends[k]` closes `order[k]`'s.
+        let mut order = from.to_vec();
+        let mut seen = vec![0u64; words(n)];
+        from.iter().for_each(|&v| set(&mut seen, v as usize));
+        let mut rows = Forwarding::empty(n);
+        let mut ends: Vec<(u32, u32)> = Vec::with_capacity(from.len());
+        let mut next = 0;
+        while next < order.len() {
+            let v = order[next] as usize;
+            next += 1;
+            let first = rows.succ.len();
+            // A node that is no device has an empty row, as in a whole walk.
+            if test(&self.topo.is_node, v) {
+                self.push_row(&mut rows, v, ec, None);
+            }
+            for i in first..rows.succ.len() {
+                let w = rows.succ[i];
+                if !test(&seen, w as usize) {
+                    set(&mut seen, w as usize);
+                    order.push(w);
+                }
+            }
+            ends.push((rows.succ.len() as u32, rows.ports.len() as u32));
+        }
+        // Then laid out again in node order, so ports number in `Port`
+        // order.
+        let mut by_node: Vec<usize> = (0..order.len()).collect();
+        by_node.sort_unstable_by_key(|&k| order[k]);
+        let mut f = Forwarding::empty(n);
+        f.delivers = rows.delivers;
+        f.drops = rows.drops;
+        for &k in &by_node {
+            let (v, (s1, p1)) = (order[k] as usize, ends[k]);
+            let (s0, p0) = if k == 0 { (0, 0) } else { ends[k - 1] };
+            f.succ.extend_from_slice(&rows.succ[s0 as usize..s1 as usize]);
+            f.ports.extend_from_slice(&rows.ports[p0 as usize..p1 as usize]);
+            f.succ_start[v + 1] = f.succ.len() as u32;
+            f.port_start[v + 1] = f.ports.len() as u32;
+        }
+        f.close_rows();
+        (f, by_node.into_iter().map(|k| order[k]).collect())
+    }
+
+    /// The ports `ec`'s forwarding stopped and started using, each
+    /// sorted, where `old` is what it used before the `moved` devices
+    /// (ascending) moved. Only a moved device's own ports and the peers
+    /// of its links can change: every other port is used by a sender
+    /// that did not move.
+    fn port_moves(&self, ec: EcId, old: &[Port], moved: &[u32]) -> (Vec<Port>, Vec<Port>) {
+        // What the moved devices use now: their out-ports and the peers
+        // behind them.
+        let mut now = Vec::new();
+        for &u in moved {
+            let u = u as usize;
+            let Some(PortAction::Forward(ifaces)) = self.fwd[u].map(|e| self.view.action_at(e, ec))
+            else {
+                continue;
+            };
+            for &iface in ifaces {
+                let link = self.topo.link(u, iface);
+                if self.sends(u, iface, link, ec) {
+                    now.push(Port { node: NodeId(u as u32), iface });
+                    now.extend(link.map(|l| self.topo.links[l].1));
+                }
+            }
+        }
+        now.sort_unstable();
+        now.dedup();
+        // What they may have used before and do not now, unless a device
+        // that did not move still does: their own ports (`old` is sorted
+        // by node, so those are one run of it) and their links' peers.
+        // `old` is probed last: it is long, and cold.
+        let mut gone = Vec::new();
+        for &u in moved {
+            let first = old.partition_point(|p| p.node.0 < u);
+            let run = old[first..].partition_point(|p| p.node.0 == u);
+            gone.extend_from_slice(&old[first..first + run]);
+            gone.extend(self.topo.links_of(u as usize).map(|l| self.topo.links[l].1));
+        }
+        gone.sort_unstable();
+        gone.dedup();
+        gone.retain(|&p| {
+            now.binary_search(&p).is_err() && !self.uses(ec, p) && old.binary_search(&p).is_ok()
+        });
+        now.retain(|p| old.binary_search(p).is_err());
+        (gone, now)
+    }
+
+    /// Whether some device sends `ec` out of `port`, or over a link into
+    /// it.
+    fn uses(&self, ec: EcId, port: Port) -> bool {
+        let u = port.node.0 as usize;
+        (u < self.topo.len() && self.sends(u, port.iface, self.topo.link(u, port.iface), ec))
+            || self.topo.links_into(u).iter().any(|&(w, l)| {
+                let (iface, peer) = self.topo.links[l as usize];
+                peer == port && self.sends(w as usize, iface, Some(l as usize), ec)
+            })
+    }
+}
+
+/// What a cone walk ([`Walker::analyze_cone`]) changes in an EC's
+/// analysis: the rows of the devices that can reach a moved one, and the
+/// ports its forwarding stopped and started using. Every other row and
+/// port stays as it was.
+#[derive(Debug)]
+pub struct Cone {
+    /// The devices whose rows are rewritten, ascending.
+    pub(crate) rows: Vec<u32>,
+    /// Their delivery bitsets, `words` words each, in `rows` order.
+    words: usize,
+    delivered: Vec<u64>,
+    /// Their drop and loop flags and path signatures, in `rows` order.
+    fates: Vec<(bool, bool, Option<u64>)>,
+    /// Ports the EC's forwarding stopped using, and started using; each
+    /// sorted.
+    pub(crate) ports_gone: Vec<Port>,
+    pub(crate) ports_added: Vec<Port>,
+}
+
+impl Cone {
+    /// Row `i` (of `rows`): the delivery bitset, whether packets can be
+    /// dropped or loop, and the path signature.
+    pub(crate) fn row(&self, i: usize) -> (&[u64], bool, bool, Option<u64>) {
+        let (dropped, looping, sig) = self.fates[i];
+        (&self.delivered[i * self.words..][..self.words], dropped, looping, sig)
+    }
+
+    /// Write the patch into `a`, the analysis the cone walk started from.
+    pub fn apply(&self, a: &mut EcAnalysis) {
+        for (i, &v) in self.rows.iter().enumerate() {
+            let (delivered, dropped, looping, sig) = self.row(i);
+            a.set_row(v as usize, delivered, dropped, looping, sig);
+        }
+        for p in &self.ports_gone {
+            let at = a.ports_used.binary_search(p).expect("a dropped port was used");
+            a.ports_used.remove(at);
+        }
+        for p in &self.ports_added {
+            let at = a.ports_used.binary_search(p).expect_err("an added port was not used");
+            a.ports_used.insert(at, *p);
+        }
     }
 }
 
@@ -290,6 +579,28 @@ pub struct Forwarding {
 }
 
 impl Forwarding {
+    /// A graph over node ids below `n` with no rows yet.
+    fn empty(n: usize) -> Self {
+        Forwarding {
+            succ_start: vec![0; n + 1],
+            succ: Vec::new(),
+            delivers: vec![0; words(n)],
+            drops: vec![0; words(n)],
+            port_start: vec![0; n + 1],
+            ports: Vec::new(),
+            ports_used: Vec::new(),
+            blocked_edges: Vec::new(),
+        }
+    }
+
+    /// Rows never written are empty: carry each offset forward.
+    fn close_rows(&mut self) {
+        for i in 1..self.succ_start.len() {
+            self.succ_start[i] = self.succ_start[i].max(self.succ_start[i - 1]);
+            self.port_start[i] = self.port_start[i].max(self.port_start[i - 1]);
+        }
+    }
+
     fn len(&self) -> usize {
         self.succ_start.len() - 1
     }
@@ -317,22 +628,28 @@ impl Forwarding {
 
     /// Condense the graph and propagate outcomes to every start node.
     pub fn analyze(&self) -> EcAnalysis {
+        let mut out = EcAnalysis::new(self.len());
+        self.propagate(0..self.len() as u32, None, |v, reach, dropped, looping, sig| {
+            out.set_row(v, reach, dropped, looping, sig)
+        });
+        out.ports_used = self.ports_used.clone();
+        out
+    }
+
+    /// Condense the part of the graph reachable from `roots` and hand
+    /// `write` the fate of each of its nodes — only of the nodes in
+    /// `only`, when given: the node, the delivery nodes it reaches,
+    /// whether its packets can be dropped or loop, and its path
+    /// signature.
+    fn propagate(
+        &self,
+        roots: impl IntoIterator<Item = u32>,
+        only: Option<&[u64]>,
+        mut write: impl FnMut(usize, &[u64], bool, bool, Option<u64>),
+    ) {
         let n = self.len();
-        let (comp_of, num_comps) = self.components();
-        // Members of each component, by counting sort.
-        let mut comp_start = vec![0u32; num_comps + 1];
-        for &c in &comp_of {
-            comp_start[c as usize + 1] += 1;
-        }
-        for c in 0..num_comps {
-            comp_start[c + 1] += comp_start[c];
-        }
-        let mut fill = comp_start.clone();
-        let mut members = vec![0u32; n];
-        for (v, &c) in comp_of.iter().enumerate() {
-            members[fill[c as usize] as usize] = v as u32;
-            fill[c as usize] += 1;
-        }
+        let (comp_of, members, comp_start) = self.components(roots);
+        let num_comps = comp_start.len() - 1;
 
         // Per component: the delivery nodes and out-ports it reaches, as
         // bitset rows, and whether it can drop or loop. Components come
@@ -376,43 +693,33 @@ impl Forwarding {
             looping[c] |= cyclic;
         }
 
-        // FNV-1a over each component's out-ports, in `Port` order.
-        let sig: Vec<Option<u64>> = (0..num_comps)
-            .map(|c| {
-                let mut ports = ones(&used[c * pw..][..pw]).map(|p| self.ports[p]).peekable();
-                ports.peek()?;
-                Some(ports.fold(0xcbf29ce484222325, |h, p| {
+        for c in 0..num_comps {
+            let vs = &members[comp_start[c] as usize..comp_start[c + 1] as usize];
+            let mut written =
+                vs.iter().map(|&v| v as usize).filter(|&v| only.is_none_or(|m| test(m, v)));
+            let Some(first) = written.next() else { continue };
+            // FNV-1a over the component's out-ports, in `Port` order.
+            let mut ports = ones(&used[c * pw..][..pw]).map(|p| self.ports[p]).peekable();
+            let sig = ports.peek().is_some().then(|| {
+                ports.fold(0xcbf29ce484222325, |h, p| {
                     [p.node.0 as u64, p.iface.0 as u64]
                         .into_iter()
                         .fold(h, |h, word| (h ^ word).wrapping_mul(0x100000001b3))
-                }))
-            })
-            .collect();
-
-        let mut out = EcAnalysis::new(n);
-        out.ports_used = self.ports_used.clone();
-        for (v, &c) in comp_of.iter().enumerate() {
-            let c = c as usize;
-            out.delivered[v * w..][..w].copy_from_slice(&reach[c * w..][..w]);
-            if dropped[c] {
-                set(&mut out.dropped, v);
-            }
-            if looping[c] {
-                set(&mut out.looping, v);
-            }
-            if let Some(s) = sig[c] {
-                set(&mut out.routed, v);
-                out.path_sig[v] = s;
+                })
+            });
+            for v in std::iter::once(first).chain(written) {
+                write(v, &reach[c * w..][..w], dropped[c], looping[c], sig);
             }
         }
-        out
     }
 
-    /// Strongly connected components (iterative Tarjan): each node's
-    /// component id, and the count. Components are numbered in reverse
-    /// topological order — one is finished only after everything it
-    /// reaches — so ascending ids visit successors first.
-    fn components(&self) -> (Vec<u32>, usize) {
+    /// Strongly connected components of what `roots` reach (iterative
+    /// Tarjan): each node's component id (`u32::MAX` where unreached),
+    /// the members of each component, and where each one's members
+    /// start. Components are numbered in reverse topological order — one
+    /// is finished only after everything it reaches — so ascending ids
+    /// visit successors first.
+    fn components(&self, roots: impl IntoIterator<Item = u32>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
         const NONE: u32 = u32::MAX;
         let n = self.len();
         let mut comp = vec![NONE; n];
@@ -422,8 +729,10 @@ impl Forwarding {
         let mut stack: Vec<u32> = Vec::new();
         // DFS frames: (node, offset of its next successor in `succ`).
         let mut call: Vec<(u32, u32)> = Vec::new();
-        let (mut next, mut comps) = (0u32, 0u32);
-        for root in 0..n as u32 {
+        // A component's members leave the stack together.
+        let (mut members, mut comp_start) = (Vec::new(), vec![0u32]);
+        let mut next = 0u32;
+        for root in roots {
             if disc[root as usize] != NONE {
                 continue;
             }
@@ -450,14 +759,16 @@ impl Forwarding {
                     continue;
                 }
                 if low[vi] == disc[vi] {
+                    let id = comp_start.len() as u32 - 1;
                     loop {
                         let w = stack.pop().expect("tarjan stack");
-                        comp[w as usize] = comps;
+                        comp[w as usize] = id;
+                        members.push(w);
                         if w == v {
                             break;
                         }
                     }
-                    comps += 1;
+                    comp_start.push(members.len() as u32);
                 }
                 call.pop();
                 if let Some(&(p, _)) = call.last() {
@@ -465,7 +776,7 @@ impl Forwarding {
                 }
             }
         }
-        (comp, comps as usize)
+        (comp, members, comp_start)
     }
 }
 
@@ -499,6 +810,23 @@ pub struct EcAnalysis {
 }
 
 impl EcAnalysis {
+    /// Overwrite start node `v`'s row (`v` below `n`).
+    fn set_row(
+        &mut self,
+        v: usize,
+        delivered: &[u64],
+        dropped: bool,
+        looping: bool,
+        sig: Option<u64>,
+    ) {
+        let w = words(self.n);
+        self.delivered[v * w..][..w].copy_from_slice(delivered);
+        put(&mut self.dropped, v, dropped);
+        put(&mut self.looping, v, looping);
+        put(&mut self.routed, v, sig.is_some());
+        self.path_sig[v] = sig.unwrap_or(0);
+    }
+
     /// Empty rows over node ids below `n`.
     pub(crate) fn new(n: usize) -> Self {
         let w = words(n);
@@ -579,6 +907,8 @@ impl PartialEq for EcAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rc_apkeep::{ApkModel, ModelRule, RuleMatch, RuleUpdate, UpdateOrder};
+    use rc_netcfg::types::Prefix;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
@@ -587,16 +917,7 @@ mod tests {
     /// A graph over nodes `0..len`: `edges` as successor lists, the
     /// rest as terminal bits, no ports.
     fn graph(len: usize, edges: &[(u32, u32)], delivers: &[u32], drops: &[u32]) -> Forwarding {
-        let mut f = Forwarding {
-            succ_start: vec![0; len + 1],
-            succ: Vec::new(),
-            delivers: vec![0; words(len)],
-            drops: vec![0; words(len)],
-            port_start: vec![0; len + 1],
-            ports: Vec::new(),
-            ports_used: Vec::new(),
-            blocked_edges: Vec::new(),
-        };
+        let mut f = Forwarding::empty(len);
         for u in 0..len as u32 {
             f.succ.extend(edges.iter().filter(|e| e.0 == u).map(|e| e.1));
             f.succ_start[u as usize + 1] = f.succ.len() as u32;
@@ -660,6 +981,165 @@ mod tests {
         let a = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3], &[]).analyze();
         assert!(!a.loops_anywhere(), "a diamond is not a loop");
         assert_eq!(delivered(&a, 0), [3]);
+    }
+
+    // Cone patches: a one-prefix data plane over `devices` devices, where
+    // every device delivers unless told otherwise. A link between `u` and
+    // `v` is `u`'s interface `v + 1` facing `v`'s interface `u + 1`;
+    // interface 0 faces hosts.
+
+    const PREFIX: &str = "10.0.0.0/8";
+
+    fn to(v: u32) -> PortAction {
+        PortAction::forward(vec![IfaceId(v + 1)])
+    }
+
+    fn deliver() -> PortAction {
+        PortAction::deliver(vec![IfaceId(0)])
+    }
+
+    fn rule(element: ElementKey, action: PortAction) -> ModelRule {
+        let prefix: Prefix = PREFIX.parse().expect("prefix");
+        let rule_match = match element {
+            ElementKey::Forward(_) => RuleMatch::DstPrefix(prefix),
+            ElementKey::Filter(..) => {
+                RuleMatch::Acl { proto: None, src: Prefix::DEFAULT, dst: prefix, dst_ports: None }
+            }
+        };
+        ModelRule { element, priority: 8, rule_match, action }
+    }
+
+    fn fib(u: u32, action: PortAction) -> ModelRule {
+        rule(ElementKey::Forward(n(u)), action)
+    }
+
+    struct Plane {
+        model: ApkModel,
+        topo: Topology,
+        ec: EcId,
+        old: EcAnalysis,
+    }
+
+    fn plane(devices: u32, edges: &[(u32, u32)], fibs: &[(u32, PortAction)]) -> Plane {
+        let port = |u: u32, iface: u32| Port { node: n(u), iface: IfaceId(iface) };
+        let links = edges
+            .iter()
+            .flat_map(|&(u, v)| {
+                let (a, b) = (port(u, v + 1), port(v, u + 1));
+                [(a, b), (b, a)]
+            })
+            .collect();
+        let topo = Topology::new(&(0..devices).map(n).collect(), &links);
+        let rules = (0..devices)
+            .map(|u| fibs.iter().find(|f| f.0 == u).map_or_else(deliver, |f| f.1.clone()))
+            .enumerate()
+            .map(|(u, action)| RuleUpdate::Insert(fib(u as u32, action)))
+            .collect();
+        let mut model = ApkModel::new();
+        model.apply_batch(rules, UpdateOrder::InsertFirst);
+        let ec = model.ec_of_packet(&rc_bdd::pkt::Packet {
+            dst_ip: 0x0a00_0001,
+            src_ip: 0,
+            proto: 6,
+            src_port: 0,
+            dst_port: 80,
+        });
+        let old = Walker::new(&model.ec_view(), &topo).analyze(ec, None);
+        Plane { model, topo, ec, old }
+    }
+
+    impl Plane {
+        /// Apply `updates` and patch the old analysis from the devices
+        /// the batch's moves name; a patch must equal the whole walk.
+        fn patch(&mut self, updates: Vec<RuleUpdate>) -> Option<(EcAnalysis, Vec<u32>)> {
+            let summary = self.model.apply_batch(updates, UpdateOrder::InsertFirst);
+            let mut moved = Vec::new();
+            for a in summary.affected.iter().filter(|a| a.ec == self.ec) {
+                self.topo.moved_by(a.element, &mut moved);
+            }
+            let view = self.model.ec_view();
+            let walker = Walker::new(&view, &self.topo);
+            let cone = walker.analyze_cone(self.ec, &self.old, &moved)?;
+            let mut a = self.old.clone();
+            cone.apply(&mut a);
+            assert_eq!(a, walker.analyze(self.ec, None), "cone patch vs whole walk");
+            Some((a, cone.rows))
+        }
+    }
+
+    fn reroute(u: u32, from: PortAction, to: PortAction) -> Vec<RuleUpdate> {
+        vec![RuleUpdate::Remove(fib(u, from)), RuleUpdate::Insert(fib(u, to))]
+    }
+
+    #[test]
+    fn cone_of_a_moved_chain_middle_is_its_upstream() {
+        // 0 → 1 → 2 → 3 delivers; 4..8 deliver alone. 1 starts dropping.
+        let chain = [(0, 1), (1, 2), (2, 3)];
+        let mut net = plane(8, &chain, &[(0, to(1)), (1, to(2)), (2, to(3))]);
+        assert_eq!(net.old.delivered(n(0)).collect::<Vec<_>>(), [n(3)]);
+        let (a, cone) = net.patch(reroute(1, to(2), PortAction::Drop)).expect("a small cone");
+        assert_eq!(cone, [0, 1]);
+        assert!(a.drops(n(0)) && a.drops(n(1)) && !a.drops(n(2)));
+        assert_eq!(a.delivered(n(0)).count(), 0);
+        let gone = [Port { node: n(1), iface: IfaceId(3) }, Port { node: n(2), iface: IfaceId(2) }];
+        let kept: Vec<Port> =
+            net.old.ports_used().iter().copied().filter(|p| !gone.contains(p)).collect();
+        assert_eq!(a.ports_used(), kept, "1's out-port and its peer are gone");
+    }
+
+    #[test]
+    fn cone_of_an_ecmp_diamond_branch() {
+        // 0 → {1, 2} → 3 delivers; 4..8 deliver alone. 2 starts dropping.
+        let edges = [(0, 1), (0, 2), (1, 3), (2, 3)];
+        let ecmp = PortAction::forward(vec![IfaceId(2), IfaceId(3)]);
+        let mut net = plane(8, &edges, &[(0, ecmp), (1, to(3)), (2, to(3))]);
+        let (a, cone) = net.patch(reroute(2, to(3), PortAction::Drop)).expect("a small cone");
+        assert_eq!(cone, [0, 2]);
+        assert!(a.drops(n(0)) && !a.drops(n(1)));
+        assert_eq!(a.delivered(n(0)).collect::<Vec<_>>(), [n(3)], "the other branch delivers");
+        assert_ne!(a.path_sig(n(0)), net.old.path_sig(n(0)));
+        assert_eq!(a.path_sig(n(1)), net.old.path_sig(n(1)));
+    }
+
+    #[test]
+    fn a_move_that_closes_a_loop_flags_the_cone() {
+        // 5 → 0 → 1 → 2 → 3 delivers; 2 turns back to 1.
+        let edges = [(5, 0), (0, 1), (1, 2), (2, 3)];
+        let mut net = plane(10, &edges, &[(5, to(0)), (0, to(1)), (1, to(2)), (2, to(3))]);
+        assert!(!net.old.loops_anywhere());
+        let (a, cone) = net.patch(reroute(2, to(3), to(1))).expect("a small cone");
+        assert_eq!(cone, [0, 1, 2, 5]);
+        assert!([5, 0, 1, 2].iter().all(|&v| a.loops(n(v))), "every predecessor loops");
+        assert!(!a.loops(n(3)));
+    }
+
+    #[test]
+    fn an_ingress_filter_move_belongs_to_the_sender() {
+        // 0 → 1 → 2 delivers; 2's interface facing 1 starts denying.
+        let edges = [(0, 1), (1, 2)];
+        let mut net = plane(8, &edges, &[(0, to(1)), (1, to(2))]);
+        let filter = ElementKey::Filter(n(2), IfaceId(2), Dir::In);
+        let mut moved = Vec::new();
+        net.topo.moved_by(filter, &mut moved);
+        assert_eq!(moved, [1], "the device linked into the port");
+        let deny = vec![RuleUpdate::Insert(rule(filter, PortAction::Deny))];
+        let (a, cone) = net.patch(deny).expect("a small cone");
+        assert_eq!(cone, [0, 1]);
+        assert_eq!(a.delivered(n(0)).count(), 0);
+        assert_eq!(a.delivered(n(2)).collect::<Vec<_>>(), [n(2)]);
+    }
+
+    #[test]
+    fn a_cone_past_half_the_devices_takes_the_whole_walk() {
+        // 0 → 1 → … → 7 delivers over eight devices; 7 starts dropping,
+        // so all eight can reach the move.
+        let edges: Vec<(u32, u32)> = (0..7).map(|u| (u, u + 1)).collect();
+        let fibs: Vec<(u32, PortAction)> = (0..7).map(|u| (u, to(u + 1))).collect();
+        let mut net = plane(8, &edges, &fibs);
+        assert!(net.patch(reroute(7, deliver(), PortAction::Drop)).is_none());
+        // Within half it patches: 4 → 5 → 6 → 7, four devices.
+        let mut net = plane(8, &edges[4..], &fibs[4..]);
+        assert!(net.patch(reroute(7, deliver(), PortAction::Drop)).is_some());
     }
 
     #[test]

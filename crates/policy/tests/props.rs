@@ -285,3 +285,99 @@ proptest! {
         }
     }
 }
+
+/// The FIB rule of one action, if it has one.
+fn fib_rule(u: usize, action: &Action) -> Option<RuleUpdate> {
+    let action = match action {
+        Action::NoRoute => return None,
+        Action::Drop => PortAction::Drop,
+        Action::Deliver(i) => PortAction::deliver(vec![IfaceId(*i)]),
+        Action::Forward(ifaces) => {
+            PortAction::forward(ifaces.iter().map(|&i| IfaceId(i)).collect())
+        }
+    };
+    let prefix: Prefix = PREFIX.parse().expect("prefix parses");
+    Some(RuleUpdate::Insert(ModelRule {
+        element: ElementKey::Forward(NodeId(u as u32)),
+        priority: 8,
+        rule_match: RuleMatch::DstPrefix(prefix),
+        action,
+    }))
+}
+
+/// The ACL rule denying the prefix on `(p, dir)`.
+fn deny_rule(p: Port, dir: Dir) -> ModelRule {
+    let prefix: Prefix = PREFIX.parse().expect("prefix parses");
+    ModelRule {
+        element: ElementKey::Filter(p.node, p.iface, dir),
+        priority: u32::MAX,
+        rule_match: RuleMatch::Acl {
+            proto: None,
+            src: Prefix::DEFAULT,
+            dst: prefix,
+            dst_ports: None,
+        },
+        action: PortAction::Deny,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Re-route a few devices and toggle a few ACLs, then patch the old
+    /// analysis in the cone of the devices the batch's moves name: the
+    /// patch must be the whole walk of the new data plane.
+    #[test]
+    fn cone_patch_equals_the_whole_walk(
+        spec in arb_spec(),
+        reroutes in prop::collection::vec((any::<usize>(), arb_action()), 1..4),
+        toggles in prop::collection::vec(
+            (any::<usize>(), 0..=LINKED, any::<bool>()),
+            0..3,
+        ),
+    ) {
+        let (mut model, ec) = install(&spec);
+        let nodes: BTreeSet<NodeId> =
+            (0..spec.len as u32).filter(|v| !spec.absent.contains(v)).map(NodeId).collect();
+        let topo = Topology::new(&nodes, &spec.links);
+        let old = Walker::new(&model.ec_view(), &topo).analyze(ec, None);
+
+        let mut updates = Vec::new();
+        let mut actions = spec.actions.clone();
+        for (at, action) in reroutes {
+            let u = at % spec.len;
+            let unroute = fib_rule(u, &actions[u]).map(|r| RuleUpdate::Remove(r.rule().clone()));
+            updates.extend(unroute.into_iter().chain(fib_rule(u, &action)));
+            actions[u] = action;
+        }
+        let mut denies = spec.denies.clone();
+        for (at, i, inbound) in toggles {
+            let iface = if i == LINKED { HOST } else { i };
+            let key = (port(at % spec.len, iface), if inbound { Dir::In } else { Dir::Out });
+            let rule = deny_rule(key.0, key.1);
+            if denies.remove(&key) {
+                updates.push(RuleUpdate::Remove(rule));
+            } else {
+                denies.insert(key);
+                updates.push(RuleUpdate::Insert(rule));
+            }
+        }
+        let summary = model.apply_batch(updates, UpdateOrder::AsGiven);
+        let pkt = Packet { dst_ip: 0x0a00_0001, src_ip: 0, proto: 6, src_port: 0, dst_port: 80 };
+        // A data plane that stops routing the prefix anywhere merges its
+        // EC into the rest: no patch to take.
+        if model.ec_of_packet(&pkt) == ec {
+            let mut moved = Vec::new();
+            for a in summary.affected.iter().filter(|a| a.ec == ec) {
+                topo.moved_by(a.element, &mut moved);
+            }
+            let view = model.ec_view();
+            let walker = Walker::new(&view, &topo);
+            if let Some(cone) = walker.analyze_cone(ec, &old, &moved) {
+                let mut patched = old.clone();
+                cone.apply(&mut patched);
+                prop_assert_eq!(patched, walker.analyze(ec, None));
+            }
+        }
+    }
+}

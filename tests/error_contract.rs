@@ -149,6 +149,33 @@ fn an_unreadable_acl_entry_through_apply_configs_is_a_change_error() {
     rc.apply_configs(with_entry(Some(6), Some((80, 90)))).expect("a valid entry verifies");
 }
 
+/// The initial build meets the same rule: a configuration set holding
+/// an empty port range on a bound ACL is refused with a change error
+/// naming the range, before any stage runs.
+#[test]
+fn an_empty_port_range_in_the_initial_configs_is_a_change_error() {
+    let mut configs = net();
+    let cfg = configs.get_mut("r000").expect("device exists");
+    let entry = AclEntry {
+        seq: 10,
+        action: AclAction::Deny,
+        proto: Some(6),
+        src: Prefix::DEFAULT,
+        dst: host_prefix(2),
+        dst_ports: Some((90, 80)),
+    };
+    cfg.acls.push(Acl { name: "WEB".into(), entries: vec![entry] });
+    cfg.interfaces[0].acl_in = Some("WEB".into());
+    match RealConfig::new(configs) {
+        Err(Error::Change(e)) => {
+            assert!(e.msg.contains("empty port range"), "{e}");
+            assert!(e.to_string().contains("90"), "the refusal names the range: {e}");
+        }
+        Err(other) => panic!("expected Change error, got: {other:?}"),
+        Ok(_) => panic!("expected Change error, got a verifier"),
+    }
+}
+
 #[test]
 fn injected_engine_fault_rolls_back_byte_identically() {
     let (mut rc, id) = build();

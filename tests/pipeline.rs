@@ -181,6 +181,48 @@ fn acl_changes_flow_through_to_policies() {
     assert_same_state(&rc, &fresh_twin(&rc), &[], "after the ACL change");
 }
 
+/// A policy registered between passes gets its verdict from the next
+/// apply, even one whose moves are disjoint from the policy's packets.
+#[test]
+fn a_policy_registered_between_passes_is_evaluated_by_the_next_apply() {
+    let configs = build_configs(&fat_tree(4), ProtocolChoice::Ospf);
+    let (mut rc, _) = RealConfig::new(configs).unwrap();
+    let permit = |seq, dst| realconfig::ChangeOp::AddAclEntry {
+        device: "pod01-edge00".into(),
+        acl: "EDGE".into(),
+        entry: rc_netcfg::ast::AclEntry {
+            seq,
+            action: rc_netcfg::ast::AclAction::Permit,
+            proto: None,
+            src: realconfig::Prefix::DEFAULT,
+            dst,
+            dst_ports: None,
+        },
+    };
+    let mut cs = ChangeSet::new();
+    cs.push(permit(10, host_prefix(0)));
+    cs.push(realconfig::ChangeOp::BindAcl {
+        device: "pod01-edge00".into(),
+        iface: "eth0".into(),
+        dir: realconfig::AclDir::In,
+        acl: "EDGE".into(),
+    });
+    rc.apply_change(&cs).unwrap();
+
+    let src = rc.node("pod00-edge00").unwrap();
+    let dst = rc.node("pod03-edge01").unwrap();
+    let class = PacketClass::DstPrefix(host_prefix(7));
+    let isolated = rc.add_policy(Policy::Isolation { src, dst, class });
+    // The entry moves host_prefix(1)'s packets only.
+    let mut cs = ChangeSet::new();
+    cs.push(permit(20, host_prefix(1)));
+    let report = rc.apply_change(&cs).unwrap();
+    assert!(report.newly_violated.contains(&isolated.0), "traffic flows, isolation violated");
+    assert!(!rc.is_satisfied(isolated));
+    assert!(rc.recheck_policies().newly_violated.is_empty(), "a full pass agrees");
+    assert_same_state(&rc, &fresh_twin(&rc), &[], "after the disjoint entry");
+}
+
 #[test]
 fn incremental_is_faster_than_full_on_repeat_changes() {
     // Not a benchmark — a sanity bound: incremental work (dataflow
