@@ -18,6 +18,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::time::Instant;
 
 use rc_telemetry::Telemetry;
 
@@ -371,6 +372,10 @@ pub struct OpStats {
     /// Trace records currently held per key shard (indexes
     /// `0..`[`crate::util::NUM_SHARDS`]) — the shard balance.
     pub shard_records: [usize; crate::util::NUM_SHARDS],
+    /// Wall time of this operator's top-level steps, in nanoseconds
+    /// (cumulative). An `iterate` scope is timed whole, under
+    /// `iterate`; its children carry none of their own.
+    pub step_ns: u64,
 }
 
 /// Shared, build-time mutable graph state. Collections hold a weak
@@ -430,6 +435,8 @@ pub struct Dataflow {
     state: Rc<RefCell<GraphState>>,
     epoch: u64,
     work_baseline: u64,
+    /// Cumulative step time per top-level node, in node order.
+    step_ns: Vec<u64>,
     telemetry: Option<EngineTelemetry>,
 }
 
@@ -453,6 +460,8 @@ struct EngineTelemetry {
     steps_run: rc_telemetry::Counter,
     steps_skipped: rc_telemetry::Counter,
     work_by_op: BTreeMap<&'static str, u64>,
+    /// Step time already emitted per operator, in microseconds.
+    step_us_by_op: BTreeMap<&'static str, u64>,
     /// Last-seen cumulative scheduler counters (for per-epoch deltas).
     sched_baseline: (u64, u64),
     /// Shard metrics, registered lazily on first activity so serial
@@ -483,6 +492,7 @@ impl EngineTelemetry {
             steps_run: registry.counter("dataflow.sched.steps_run"),
             steps_skipped: registry.counter("dataflow.sched.steps_skipped"),
             work_by_op: BTreeMap::new(),
+            step_us_by_op: BTreeMap::new(),
             sched_baseline: (0, 0),
             shard_dispatches: None,
             small_tasks_inlined: None,
@@ -508,6 +518,12 @@ impl EngineTelemetry {
                 self.registry.counter(&format!("dataflow.work.{name}")).add(s.work - *baseline);
             }
             *baseline = s.work;
+            let us = s.step_ns / 1000;
+            let emitted = self.step_us_by_op.entry(name).or_insert(0);
+            if us > *emitted {
+                self.registry.counter(&format!("dataflow.step_us.{name}")).add(us - *emitted);
+            }
+            *emitted = us;
         }
         self.pending_times
             .set(stats.get("reduce").map(|s| s.pending).unwrap_or(0) as i64);
@@ -575,12 +591,14 @@ impl Dataflow {
             state: Rc::new(RefCell::new(GraphState::new())),
             epoch: 0,
             work_baseline: 0,
+            step_ns: Vec::new(),
             telemetry: None,
         }
     }
 
     /// Attach a telemetry registry. Every subsequent [`Dataflow::advance`]
-    /// records per-operator work (`dataflow.work.<op>`), queue depths,
+    /// records per-operator work (`dataflow.work.<op>`) and step time
+    /// (`dataflow.step_us.<op>`), queue depths,
     /// reduce pending-times sizes, trace spine sizes, the keys and
     /// records folded on touch and scheduler decisions;
     /// [`Dataflow::compact`] records trace record counts
@@ -601,11 +619,7 @@ impl Dataflow {
     /// Per-operator-name statistics aggregated over the whole graph,
     /// including operators inside `iterate` scopes.
     pub fn op_stats(&self) -> BTreeMap<&'static str, OpStats> {
-        let mut acc = BTreeMap::new();
-        for node in self.state.borrow().stacks[0].iter() {
-            node.collect_stats(&mut acc);
-        }
-        acc
+        collect_stats(&self.state.borrow().stacks[0], &self.step_ns)
     }
 
     pub(crate) fn state(&self) -> &Rc<RefCell<GraphState>> {
@@ -629,16 +643,16 @@ impl Dataflow {
         let sched = Rc::clone(&st.sched);
         let nodes = &mut st.stacks[0];
         if let Some(tel) = &self.telemetry {
-            let mut stats = BTreeMap::new();
-            for node in nodes.iter() {
-                node.collect_stats(&mut stats);
-            }
+            let stats = collect_stats(nodes, &self.step_ns);
             tel.queue_depth.record(stats.values().map(|s| s.queued).sum::<usize>() as u64);
         }
-        for node in nodes.iter_mut() {
+        self.step_ns.resize(nodes.len(), 0);
+        for (node, ns) in nodes.iter_mut().zip(&mut self.step_ns) {
             let run = sched.take(node.slot()) || node.has_internal_work();
             if run {
+                let start = Instant::now();
                 node.step(now)?;
+                *ns += start.elapsed().as_nanos() as u64;
             }
             sched.count(run);
         }
@@ -649,11 +663,7 @@ impl Dataflow {
         let records = total - self.work_baseline;
         self.work_baseline = total;
         if let Some(tel) = &mut self.telemetry {
-            let mut stats = BTreeMap::new();
-            for node in nodes.iter() {
-                node.collect_stats(&mut stats);
-            }
-            tel.record_epoch(&stats, records, &sched);
+            tel.record_epoch(&collect_stats(nodes, &self.step_ns), records, &sched);
         }
         Ok(EpochStats { epoch: self.epoch, records })
     }
@@ -688,4 +698,16 @@ impl Dataflow {
     pub fn trace_records(&self) -> usize {
         self.op_stats().values().map(|s| s.trace_records).sum()
     }
+}
+
+/// Aggregate the statistics of the top-level `nodes` (and, through
+/// them, of every scope's children) by operator name, adding each
+/// node's step time from `step_ns` (indexed like `nodes`).
+fn collect_stats(nodes: &[Box<dyn OpNode>], step_ns: &[u64]) -> BTreeMap<&'static str, OpStats> {
+    let mut acc = BTreeMap::new();
+    for (i, node) in nodes.iter().enumerate() {
+        node.collect_stats(&mut acc);
+        acc.entry(node.name()).or_default().step_ns += step_ns.get(i).copied().unwrap_or(0);
+    }
+    acc
 }

@@ -191,7 +191,8 @@ impl OpNode for ScopeNode {
     }
 
     fn collect_stats(&self, acc: &mut std::collections::BTreeMap<&'static str, crate::graph::OpStats>) {
-        // Report the children individually, not an "iterate" aggregate.
+        // Report the children individually, not an "iterate" aggregate
+        // (the graph adds the scope's step time under "iterate").
         for child in &self.children {
             child.collect_stats(acc);
         }

@@ -271,3 +271,36 @@ fn output_handle_views() {
     assert!(!out.contains(&5));
     assert_eq!(out.len(), 1);
 }
+
+#[test]
+fn step_time_is_reported_per_top_level_operator() {
+    // Reachability along a 40-node chain: the scope iterates 40 times,
+    // so its step takes well over a microsecond.
+    let mut df = Dataflow::new();
+    let telemetry = rc_telemetry::Telemetry::new();
+    df.set_telemetry(telemetry.clone());
+    let (input, edges) = df.input::<(u32, u32)>();
+    let reach = edges.iterate(|inner| {
+        let step = inner.map(|(x, y)| (y, x)).join(&edges).map(|(_y, (x, z))| (x, z));
+        inner.concat(&step).distinct()
+    });
+    let _out = reach.map(|(x, _z)| x).output();
+    input.extend((0..40).map(|i| (i, i + 1)));
+    df.advance().unwrap();
+
+    let stats = df.op_stats();
+    assert!(stats["iterate"].step_ns >= 1000, "{:?}", stats["iterate"]);
+    // The scope is timed whole; the operators inside it carry no time
+    // of their own.
+    for op in ["join", "distinct", "concat"] {
+        assert!(stats[op].work > 0, "{op} did no work");
+        assert_eq!(stats[op].step_ns, 0, "{op}");
+    }
+    let counters = telemetry.snapshot().counters;
+    assert!(counters["dataflow.step_us.iterate"] >= 1);
+    assert_eq!(counters["dataflow.step_us.iterate"], stats["iterate"].step_ns / 1000);
+
+    // An epoch that steps nothing adds no time.
+    df.advance().unwrap();
+    assert_eq!(df.op_stats()["iterate"].step_ns, stats["iterate"].step_ns);
+}

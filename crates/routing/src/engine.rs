@@ -144,7 +144,14 @@ impl RoutingEngine {
             .map(|(n, (m, p))| ((n, p), m));
         let ospf_origins =
             ospf_origin.map(|(n, p, c)| ((n, p), c)).concat_many(&[&ro_conn, &ro_static]);
-        let (dist, ospf_rib) = igp(&ospf_origins, &edges_by_dst, u32::MAX, Proto::Ospf, max_iters);
+        let (ospf_reached, ospf_rib) = igp(
+            &ospf_origins,
+            &edges_by_dst,
+            &redist_pair(Proto::Ospf, Proto::Bgp),
+            u32::MAX,
+            Proto::Ospf,
+            max_iters,
+        );
 
         // ---------- RIP (hop-count distance vector, infinity at 16) ----------
         let rip_edges_by_dst = links
@@ -162,7 +169,14 @@ impl RoutingEngine {
         let rip_origins = rip_origin
             .map(|(n, p, m)| ((n, p), m.clamp(1, 15)))
             .concat_many(&[&rr_conn, &rr_static]);
-        let (rip_dist, rip_rib) = igp(&rip_origins, &rip_edges_by_dst, 15, Proto::Rip, max_iters);
+        let (rip_reached, rip_rib) = igp(
+            &rip_origins,
+            &rip_edges_by_dst,
+            &redist_pair(Proto::Rip, Proto::Bgp),
+            15,
+            Proto::Rip,
+            max_iters,
+        );
 
         // ---------- BGP ----------
         let rb_conn = redist_pair(Proto::Connected, Proto::Bgp)
@@ -171,12 +185,9 @@ impl RoutingEngine {
         let rb_static = redist_pair(Proto::Static, Proto::Bgp)
             .join(&static_prefixes)
             .map(|(n, (_m, p))| ((n, p), BgpRoute::originate(n)));
-        let rb_ospf = redist_pair(Proto::Ospf, Proto::Bgp)
-            .join(&dist.map(|((n, p), _c)| (n, p)))
-            .map(|(n, (_m, p))| ((n, p), BgpRoute::originate(n)));
-        let rb_rip = redist_pair(Proto::Rip, Proto::Bgp)
-            .join(&rip_dist.map(|((n, p), _c)| (n, p)))
-            .map(|(n, (_m, p))| ((n, p), BgpRoute::originate(n)));
+        // The IGPs' (router, prefix) pairs, once per originator reached.
+        let rb_ospf = ospf_reached.map(|(n, p)| ((n, p), BgpRoute::originate(n)));
+        let rb_rip = rip_reached.map(|(n, p)| ((n, p), BgpRoute::originate(n)));
         let bgp_origins = bgp_origin
             .map(|(n, p)| ((n, p), BgpRoute::originate(n)))
             .concat_many(&[&rb_conn, &rb_static, &rb_ospf, &rb_rip])
@@ -436,16 +447,32 @@ type Costs = Collection<((NodeId, Prefix), u32)>;
 type Edges = Collection<(NodeId, (NodeId, IfaceId, u32))>;
 type Rib = Collection<((NodeId, Prefix), RibValue)>;
 
-/// One IGP: the least cost `((u, p), c)` from router `u` to prefix `p`,
-/// at most `limit`, and the ECMP next hops attaining it as `proto` RIB
-/// entries. SPF runs over routers — `d(u, o)` to every originating
-/// router `o` — so a cost change moves each shortest-path tree once, not
-/// once per prefix. Prefixes are attached outside the loop:
-/// `dist(u, p) = min over o of d(u, o) + c(o, p)`. That is a fixpoint,
-/// so `dist(u, p)` is also the least of `u`'s own origin costs and the
-/// `w + dist(v, p)` through its neighbours: one reduce per `(u, p)` over
-/// those values picks the neighbour interfaces that attain it.
-fn igp(origins: &Costs, edges: &Edges, limit: u32, proto: Proto, max_iters: u32) -> (Costs, Rib) {
+/// One IGP: the `proto` RIB entries of the ECMP next hops toward each
+/// prefix, and the `(u, p)` pairs a `redist` router `u` reaches within
+/// `limit`. Nothing before the RIB is keyed per prefix more than once:
+///
+/// 1. SPF runs over routers: `d(u, o)` to every originating router `o`,
+///    so a cost change moves each shortest-path tree once, not once per
+///    prefix.
+/// 2. `NH(u, o)`, the interfaces `i` (to `v`, at weight `w`) where
+///    `w + d(v, o)` attains `d(u, o)`: one reduce per `(u, o)` over the
+///    out-edge candidates plus the seed `((o, o), 0)`, tagged with no
+///    interface.
+/// 3. `O*(u, p)`, the originators attaining `dist(u, p) = min over o of
+///    d(u, o) + c(o, p)` (at most `limit`): one reduce per `(u, p)`.
+/// 4. The RIB is `O*(u, p) ⋈ NH(u, o)` on `(u, o)`.
+///
+/// Both `d` and `dist` are fixpoints, so the union of `NH(u, o)` over
+/// `O*(u, p)` is exactly the interfaces where `w + dist(v, p)` attains
+/// `dist(u, p)`, the next hops a per-prefix SPF picks.
+fn igp(
+    origins: &Costs,
+    edges: &Edges,
+    redist: &Collection<(NodeId, u32)>,
+    limit: u32,
+    proto: Proto,
+    max_iters: u32,
+) -> (Collection<(NodeId, Prefix)>, Rib) {
     let seeds = origins.map(|((o, _p), _c)| o).distinct().map(|o| ((o, o), 0u32));
     let spf = seeds.iterate_capped(max_iters, |inner| {
         let relaxed = inner
@@ -455,27 +482,41 @@ fn igp(origins: &Costs, edges: &Edges, limit: u32, proto: Proto, max_iters: u32)
             .filter(move |(_, d)| *d < limit);
         seeds.concat(&relaxed).reduce_min()
     });
-    let dist = spf
-        .map(|((u, o), d)| (o, (u, d)))
-        .join(&origins.map(|((o, p), c)| (o, (p, c))))
-        .map(|(_o, ((u, d), (p, c)))| ((u, p), d + c))
-        .filter(move |(_, c)| *c <= limit)
-        .reduce_min();
-    let admin = proto.admin_distance();
-    let rib = edges
-        .join(&dist.map(|((v, p), c)| (v, (p, c))))
-        .map(|(_v, ((u, i, w), (p, c)))| ((u, p), (w + c, Some(i))))
-        .filter(move |(_, (c, _))| *c <= limit)
-        .concat(&origins.map(|((u, p), c)| ((u, p), (c, None))))
-        .reduce_named("next-hops", move |_, vals| {
+    let by_router = spf.map(|((u, o), d)| (u, (o, d)));
+    let by_origin = origins.map(|((o, p), c)| (o, (p, c)));
+    let next_hops = by_router
+        .join(edges)
+        .map(|(_v, ((o, d), (u, i, w)))| ((u, o), (d + w, Some(i))))
+        .filter(move |(_, (d, _))| *d < limit)
+        .concat(&seeds.map(|(uo, d)| (uo, (d, None))))
+        .reduce_named("next-hops", |_, vals| {
             let best = vals[0].0 .0;
             vals.iter()
-                .take_while(|((c, _), _)| *c == best)
-                .filter_map(|((_, i), _)| *i)
-                .map(|i| (RibValue { admin, action: FibAction::Forward(i) }, 1))
+                .take_while(|((d, _), _)| *d == best)
+                .filter_map(|((_, i), _)| i.map(|i| (i, 1)))
                 .collect()
         });
-    (dist, rib)
+    let best_origins = spf
+        .map(|((u, o), d)| (o, (u, d)))
+        .join(&by_origin)
+        .map(|(o, ((u, d), (p, c)))| ((u, p), (d + c, o)))
+        .filter(move |(_, (c, _))| *c <= limit)
+        .reduce_named("best-origins", |_, vals| {
+            let best = vals[0].0 .0;
+            vals.iter().take_while(|((c, _), _)| *c == best).map(|((_, o), _)| (*o, 1)).collect()
+        });
+    let admin = proto.admin_distance();
+    let rib = best_origins
+        .map(|((u, p), o)| ((u, o), p))
+        .join(&next_hops)
+        .map(move |((u, _o), (p, i))| ((u, p), RibValue { admin, action: FibAction::Forward(i) }));
+    let reached = redist
+        .join(&by_router)
+        .map(|(u, (_m, (o, d)))| (o, (u, d)))
+        .join(&by_origin)
+        .filter(move |(_o, ((_u, d), (_p, c)))| d + c <= limit)
+        .map(|(_o, ((u, _d), (p, _c)))| (u, p));
+    (reached, rib)
 }
 
 /// A session end's route-map: its entries (values ascending, so `seq`

@@ -394,14 +394,20 @@ fn bgp_policy_state_and_work_are_small_on_fat_tree() {
 #[test]
 fn incremental_ospf_change_work_is_small_on_fat_tree() {
     // A cost flip and a link flip on a k=4 OSPF fat tree. SPF runs over
-    // routers and next hops are picked by one reduce per (router,
-    // prefix), so the four changes cost at most half the join work of
+    // routers, so the four changes cost at most half the join work of
     // the per-prefix fixpoint with its next-hop join, which spent
-    // PER_PREFIX_JOIN_WORK join records on them.
+    // PER_PREFIX_JOIN_WORK join records on them. Next hops are picked
+    // per (router, originating router) and prefixes attached once: when
+    // the `next-hops` reduce picked them per (router, prefix), it spent
+    // PER_PREFIX_NEXT_HOP_WORK records on the four changes (now 554) and
+    // the build held PER_PREFIX_TRACE_RECORDS trace records (now 11 464).
     const PER_PREFIX_JOIN_WORK: u64 = 7764;
+    const PER_PREFIX_NEXT_HOP_WORK: u64 = 1444;
+    const PER_PREFIX_TRACE_RECORDS: usize = 12436;
     let mut h = Harness::new(build_configs(&fat_tree(4), ProtocolChoice::Ospf));
-    let join_work = |h: &Harness| h.engine.op_stats()["join"].work;
-    let before = join_work(&h);
+    let records = h.engine.trace_records();
+    let work = |h: &Harness, op: &str| h.engine.op_stats()[op].work;
+    let (join_before, nh_before) = (work(&h, "join"), work(&h, "next-hops"));
     let mut link_up = ChangeSet::new();
     link_up.push(ChangeOp::EnableInterface { device: "pod01-edge00".into(), iface: "eth0".into() });
     for cs in [
@@ -413,10 +419,19 @@ fn incremental_ospf_change_work_is_small_on_fat_tree() {
         assert!(h.change(&cs) > 0, "{cs:?} moved no FIB entry");
         h.check_against_baseline();
     }
-    let work = join_work(&h) - before;
+    let join = work(&h, "join") - join_before;
+    let next_hops = work(&h, "next-hops") - nh_before;
     assert!(
-        work * 2 <= PER_PREFIX_JOIN_WORK,
-        "join work {work} over the two flips exceeds half of {PER_PREFIX_JOIN_WORK}"
+        join * 2 <= PER_PREFIX_JOIN_WORK,
+        "join work {join} over the two flips exceeds half of {PER_PREFIX_JOIN_WORK}"
+    );
+    assert!(
+        next_hops * 2 <= PER_PREFIX_NEXT_HOP_WORK,
+        "next-hops work {next_hops} exceeds half of {PER_PREFIX_NEXT_HOP_WORK}"
+    );
+    assert!(
+        records * 20 <= PER_PREFIX_TRACE_RECORDS * 19,
+        "{records} trace records after the build exceed 0.95 of {PER_PREFIX_TRACE_RECORDS}"
     );
 }
 
