@@ -25,7 +25,8 @@ fn samples(normal: usize) -> usize {
 /// Accumulate one key's state from a 10k-record history, once with
 /// every record still in the recent delta layer (deep — what a bulk
 /// load in one epoch leaves) and once after a fold moved everything
-/// into the consolidated base (shallow, served from the per-key cache).
+/// into the consolidated base (shallow, served from the per-key cache),
+/// into one reused buffer.
 fn trace_accumulate(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataflow/trace_accumulate");
     group.sample_size(samples(50));
@@ -38,13 +39,24 @@ fn trace_accumulate(c: &mut Criterion) {
         tr
     };
     let t = Time::new(1024, 0);
+    let mut out = Vec::new();
 
     let mut deep = build();
-    group.bench_function("deep-history", |b| b.iter(|| deep.accumulate(&0, t).len()));
+    group.bench_function("deep-history", |b| {
+        b.iter(|| {
+            deep.accumulate(&0, t, &mut out);
+            out.len()
+        })
+    });
 
     let mut shallow = build();
     shallow.compact(1);
-    group.bench_function("shallow-base", |b| b.iter(|| shallow.accumulate(&0, t).len()));
+    group.bench_function("shallow-base", |b| {
+        b.iter(|| {
+            shallow.accumulate(&0, t, &mut out);
+            out.len()
+        })
+    });
     group.finish();
 }
 

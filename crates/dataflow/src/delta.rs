@@ -20,66 +20,55 @@ pub trait Data: Clone + Ord + std::hash::Hash + std::fmt::Debug + Send + 'static
 impl<T: Clone + Ord + std::hash::Hash + std::fmt::Debug + Send + 'static> Data for T {}
 
 /// Sum the diffs of equal `(data, time)` pairs and drop zeros, in place.
+/// The sort is the stable one: a batch often arrives as a few sorted
+/// runs (a `concat` of sorted inputs), which it merges in linear time.
 pub fn consolidate<D: Data>(deltas: &mut Vec<Delta<D>>) {
-    if deltas.len() <= 1 {
-        deltas.retain(|(_, _, r)| *r != 0);
-        return;
-    }
     deltas.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-    let mut write = 0;
-    let mut read = 0;
-    while read < deltas.len() {
-        let mut run_end = read + 1;
-        let mut sum = deltas[read].2;
-        while run_end < deltas.len()
-            && deltas[run_end].0 == deltas[read].0
-            && deltas[run_end].1 == deltas[read].1
-        {
-            sum += deltas[run_end].2;
-            run_end += 1;
-        }
-        if sum != 0 {
-            deltas.swap(write, read);
-            deltas[write].2 = sum;
-            write += 1;
-        }
-        read = run_end;
-    }
-    deltas.truncate(write);
+    let n = sum_runs(deltas, |a, b| a.0 == b.0 && a.1 == b.1, |d| &mut d.2);
+    deltas.truncate(n);
 }
 
 /// Sum the diffs of equal values (ignoring time) and drop zeros, in
 /// place. Used for accumulated views.
 pub fn consolidate_values<D: Data>(values: &mut Vec<(D, Diff)>) {
-    if values.len() <= 1 {
-        values.retain(|(_, r)| *r != 0);
-        return;
-    }
-    values.sort_by(|a, b| a.0.cmp(&b.0));
+    values.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let n = sum_runs(values, |a, b| a.0 == b.0, |v| &mut v.1);
+    values.truncate(n);
+}
+
+/// Sum the diffs of each run of adjacent `same` items into its first
+/// item, move the items whose sum is nonzero to the front, and return
+/// how many there are.
+pub(crate) fn sum_runs<T>(
+    items: &mut [T],
+    same: impl Fn(&T, &T) -> bool,
+    diff: impl Fn(&mut T) -> &mut Diff,
+) -> usize {
     let mut write = 0;
     let mut read = 0;
-    while read < values.len() {
-        let mut run_end = read + 1;
-        let mut sum = values[read].1;
-        while run_end < values.len() && values[run_end].0 == values[read].0 {
-            sum += values[run_end].1;
-            run_end += 1;
+    while read < items.len() {
+        let mut sum = *diff(&mut items[read]);
+        let mut end = read + 1;
+        while end < items.len() && same(&items[end], &items[read]) {
+            sum += *diff(&mut items[end]);
+            end += 1;
         }
         if sum != 0 {
-            values.swap(write, read);
-            values[write].1 = sum;
+            items.swap(write, read);
+            *diff(&mut items[write]) = sum;
             write += 1;
         }
-        read = run_end;
+        read = end;
     }
-    values.truncate(write);
+    write
 }
 
 /// Multiset difference of two consolidated, sorted `(value, count)`
-/// lists: `a ⊖ b`. Both inputs must be sorted by value with no
-/// duplicates; the output is likewise.
-pub fn value_delta<D: Data>(a: &[(D, Diff)], b: &[(D, Diff)]) -> Vec<(D, Diff)> {
-    let mut out = Vec::new();
+/// lists, `a ⊖ b`, written into `out` (its previous contents
+/// discarded). Both inputs must be sorted by value with no duplicates;
+/// the output is likewise.
+pub(crate) fn value_delta<D: Data>(a: &[(D, Diff)], b: &[(D, Diff)], out: &mut Vec<(D, Diff)>) {
+    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() || j < b.len() {
         match (a.get(i), b.get(j)) {
@@ -111,7 +100,6 @@ pub fn value_delta<D: Data>(a: &[(D, Diff)], b: &[(D, Diff)]) -> Vec<(D, Diff)> 
             (None, None) => unreachable!(),
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -147,8 +135,13 @@ mod tests {
     fn value_delta_subtracts() {
         let a = vec![("a", 1), ("b", 2)];
         let b = vec![("b", 1), ("c", 1)];
-        assert_eq!(value_delta(&a, &b), vec![("a", 1), ("b", 1), ("c", -1)]);
-        assert_eq!(value_delta(&a, &a), vec![]);
-        assert_eq!(value_delta(&[], &b), vec![("b", -1), ("c", -1)]);
+        // One buffer throughout: each call must discard what the last left.
+        let mut out = vec![("stale", 9)];
+        value_delta(&a, &b, &mut out);
+        assert_eq!(out, vec![("a", 1), ("b", 1), ("c", -1)]);
+        value_delta(&a, &a, &mut out);
+        assert_eq!(out, vec![]);
+        value_delta(&[], &b, &mut out);
+        assert_eq!(out, vec![("b", -1), ("c", -1)]);
     }
 }

@@ -12,10 +12,11 @@
 //! entry, deferred output and routed batch record for key `k` lives in
 //! shard `shard_of(k)`. Matches only ever form within a key — hence
 //! within a shard — so the shards are independent and a step can run
-//! them as pool tasks (see `graph::run_shards`). Shard outputs are
-//! merged in shard order and globally consolidated, which sorts by
-//! `(data, time)`; the emitted batch is therefore byte-identical to the
-//! single-shard serial result at any worker count.
+//! them as pool tasks (see `graph::run_shards`). Each shard consolidates
+//! its own ready output, which sorts it by `(data, time)`, and the step
+//! concatenates the shards in shard order. No two shards share a key, so
+//! nothing is left to sum across them, and the emitted batch is
+//! byte-identical at any worker count.
 
 use std::rc::Rc;
 
@@ -52,12 +53,23 @@ impl<K: Data, V: Data, W: Data> JoinShard<K, V, W> {
     }
 
     /// The serial join algorithm, restricted to this shard's keys.
-    /// Returns the (unconsolidated) ready outputs and the number of
-    /// matched pairs (work measure).
+    /// Returns the consolidated ready outputs and the number of
+    /// matched pairs (work measure). Outputs due at or before `now` go
+    /// to the ready list as they are produced; the rest join the
+    /// deferred list, whose due records move out in place first.
     fn step(&mut self, now: Time) -> (Vec<JoinDelta<K, V, W>>, u64) {
-        let batch_a = std::mem::take(&mut self.batch_a);
-        let batch_b = std::mem::take(&mut self.batch_b);
-        let mut staging: Vec<JoinDelta<K, V, W>> = Vec::new();
+        let mut batch_a = std::mem::take(&mut self.batch_a);
+        let mut batch_b = std::mem::take(&mut self.batch_b);
+        let mut ready: Vec<JoinDelta<K, V, W>> =
+            self.deferred.extract_if(.., |(_, t, _)| t.leq(now)).collect();
+        let deferred = &mut self.deferred;
+        let mut emit = |d: JoinDelta<K, V, W>| {
+            if d.1.leq(now) {
+                ready.push(d);
+            } else {
+                deferred.push(d);
+            }
+        };
         let mut pairs = 0u64;
         // New A-differences against B's existing history (both spine
         // layers, iterated in place). B's history does not yet contain
@@ -66,29 +78,25 @@ impl<K: Data, V: Data, W: Data> JoinShard<K, V, W> {
         for ((k, v), t1, r1) in &batch_a {
             self.trace_b.for_each(k, |w, t2, r2| {
                 pairs += 1;
-                staging.push(((k.clone(), (v.clone(), w.clone())), t1.join(t2), r1 * r2));
+                emit(((k.clone(), (v.clone(), w.clone())), t1.join(t2), r1 * r2));
             });
         }
-        for ((k, v), t, r) in batch_a {
-            self.trace_a.push(k, v, t, r);
-        }
+        self.trace_a.extend_sorted(&mut batch_a, |_, _| {});
         // New B-differences against A's history *including* this step's
         // A-batch.
         for ((k, w), t2, r2) in &batch_b {
             self.trace_a.for_each(k, |v, t1, r1| {
                 pairs += 1;
-                staging.push(((k.clone(), (v.clone(), w.clone())), t1.join(*t2), r1 * r2));
+                emit(((k.clone(), (v.clone(), w.clone())), t1.join(*t2), r1 * r2));
             });
         }
-        for ((k, w), t, r) in batch_b {
-            self.trace_b.push(k, w, t, r);
+        self.trace_b.extend_sorted(&mut batch_b, |_, _| {});
+        // A list many times longer than what it still holds was sized by
+        // a bulk load.
+        if self.deferred.capacity() > 4 * (self.deferred.len() + 16) {
+            self.deferred.shrink_to(self.deferred.len());
         }
-
-        // Release everything due at or before `now`; defer the rest.
-        staging.append(&mut self.deferred);
-        let (ready, later): (Vec<_>, Vec<_>) =
-            staging.into_iter().partition(|(_, t, _)| t.leq(now));
-        self.deferred = later;
+        consolidate(&mut ready);
         (ready, pairs)
     }
 }
@@ -164,14 +172,11 @@ impl<K: Data, V: Data, W: Data> OpNode for JoinNode<K, V, W> {
             ShardMode::Serial => {}
         }
 
-        // Merge in shard order, then consolidate globally: the result
-        // is sorted by (data, time) — independent of sharding.
         let mut ready: Vec<Delta<(K, (V, W))>> = Vec::new();
         for (shard_ready, pairs) in results {
             self.work += pairs;
             ready.extend(shard_ready);
         }
-        consolidate(&mut ready);
         self.output.emit(ready);
         Ok(())
     }

@@ -18,12 +18,28 @@
 //!
 //! All per-key state — both traces and the pending-times set — is
 //! partitioned into [`NUM_SHARDS`] key shards, so a step can run the
-//! shards as independent pool tasks (see `graph::run_shards`). Shard
-//! stagings are merged by sorting on `(time, data)`: the serial operator
-//! emits in exactly that order (pending times drain in `(t, k)` order
-//! and `value_delta` yields values in ascending order, with at most one
-//! record per `(t, k, w)`), so the merged batch is byte-identical to the
-//! single-shard result at any worker count.
+//! shards as independent pool tasks (see `graph::run_shards`). A shard
+//! emits in `(t, k, w)` order (times are processed in `(t, k)` order and
+//! `value_delta` yields values in ascending order, with at most one
+//! record per `(t, k, w)`), and the step concatenates the shards in
+//! shard order. A key lives in one shard, fixed by its hash, so the
+//! batch is byte-identical at any worker count; every consumer
+//! consolidates its input, so no global sort is paid here.
+//!
+//! # Per-key cost
+//!
+//! A step does no per-key heap allocation beyond the user closure's
+//! result. A key's input records reach its trace with one hash lookup
+//! ([`KeyTrace::extend_sorted`]), its accumulations land in buffers the
+//! shard reuses, and its output difference goes to the output trace with
+//! one more lookup. Interesting times need no sort of the key's history:
+//! [`KeyTrace::later_iters`] answers from the spine's largest iteration
+//! when nothing lies above `t` — always outside `iterate`, so the
+//! top-level reduces (`next-hops`, `best-origins`, `fib-select`,
+//! `distinct`) enqueue exactly their new times. A step that enqueues
+//! nothing beyond its new times, with nothing pending from earlier,
+//! processes its sorted `(t, k)` list directly instead of going through
+//! the pending set.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -46,8 +62,8 @@ pub(crate) type ReduceFn<K, V, W> = dyn Fn(&K, &[(V, Diff)]) -> Vec<(W, Diff)> +
 pub(crate) type ReduceLogic<K, V, W> = Arc<ReduceFn<K, V, W>>;
 
 /// One key shard: input/output traces and pending interesting times for
-/// the keys that hash here, plus the exchange inbox the routing phase
-/// fills each step.
+/// the keys that hash here, the exchange inbox the routing phase fills
+/// each step, and the scratch buffers a step reuses.
 struct ReduceShard<K: Data, V: Data, W: Data> {
     in_trace: KeyTrace<K, V>,
     out_trace: KeyTrace<K, W>,
@@ -55,10 +71,12 @@ struct ReduceShard<K: Data, V: Data, W: Data> {
     /// processed. Lexicographic order on `Time` linearizes the partial
     /// order, so iterating the set front-to-back is causally safe.
     pending: BTreeSet<(Time, K)>,
-    /// Scratch buffer for per-key recorded-times lookups, reused across
-    /// keys and steps to avoid an allocation per batch record.
-    times_scratch: Vec<Time>,
     batch: Vec<Delta<(K, V)>>,
+    /// A key's iterations above a new time.
+    later: Vec<u32>,
+    in_acc: Vec<(V, Diff)>,
+    out_acc: Vec<(W, Diff)>,
+    delta: Vec<(W, Diff)>,
 }
 
 impl<K: Data, V: Data, W: Data> ReduceShard<K, V, W> {
@@ -67,8 +85,11 @@ impl<K: Data, V: Data, W: Data> ReduceShard<K, V, W> {
             in_trace: KeyTrace::new(),
             out_trace: KeyTrace::new(),
             pending: BTreeSet::new(),
-            times_scratch: Vec::new(),
             batch: Vec::new(),
+            later: Vec::new(),
+            in_acc: Vec::new(),
+            out_acc: Vec::new(),
+            delta: Vec::new(),
         }
     }
 
@@ -81,62 +102,77 @@ impl<K: Data, V: Data, W: Data> ReduceShard<K, V, W> {
         now: Time,
         logic: &ReduceFn<K, V, W>,
     ) -> (Vec<Delta<(K, W)>>, u64) {
-        let batch = std::mem::take(&mut self.batch);
-
-        // Record the new differences and enqueue interesting times:
-        // every new time, plus its join with every time already in the
-        // key's history. The routed batch preserves the globally
-        // consolidated `((k, v), t)` order, so adjacent dedup is valid.
-        let mut new_times: Vec<(K, Time)> = Vec::new();
-        for ((k, _), t, _) in &batch {
+        // Record the new differences and collect their `(t, k)` pairs.
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut new_times: Vec<(Time, K)> = Vec::new();
+        self.in_trace.extend_sorted(&mut batch, |k, t| {
             debug_assert!(t.leq(now), "{name}: record at {t:?} arrived after {now:?}");
-            if new_times.last().map(|(lk, lt)| lk != k || lt != t).unwrap_or(true) {
-                new_times.push((k.clone(), *t));
+            if new_times.last().is_none_or(|(lt, lk)| *lt != t || lk != k) {
+                new_times.push((t, k.clone()));
             }
-        }
-        for ((k, v), t, r) in batch {
-            self.in_trace.push(k, v, t, r);
-        }
-        new_times.sort();
+        });
+        new_times.sort_unstable();
         new_times.dedup();
-        let mut times_scratch = std::mem::take(&mut self.times_scratch);
-        for (k, t) in new_times {
-            self.in_trace.times_into(&k, &mut times_scratch);
-            for &u in &times_scratch {
-                let j = t.join(u);
-                self.pending.insert((j, k.clone()));
-            }
-            self.pending.insert((t, k));
-        }
-        self.times_scratch = times_scratch;
 
-        // Process every pending time that is now complete. Pending times
-        // always lie in the current epoch (joins cannot exceed the max
-        // epoch of their arguments), so the lexicographic minimum is
-        // processable iff its iteration component has been reached.
+        // Enqueue interesting times: every new time `t`, plus its join
+        // with every time already in the key's history. All of those
+        // lie in `t`'s epoch, so the joins above `t` are `t`'s epoch at
+        // each distinct recorded iteration above `t.iter` — none when
+        // the key's largest iteration is at most `t.iter`, as at top
+        // level.
+        for (t, k) in &new_times {
+            self.in_trace.later_iters(k, t.iter, &mut self.later);
+            for &i in &self.later {
+                self.pending.insert((Time::new(t.epoch, i), k.clone()));
+            }
+        }
+
+        // Process every interesting time that is now complete, in
+        // `(t, k)` order. Pending times always lie in the current epoch
+        // (joins cannot exceed the max epoch of their arguments), so
+        // the lexicographic minimum is processable iff its iteration
+        // component has been reached. With nothing pending, the new
+        // times are the whole set, already sorted and all `≤ now`.
         let mut staging: Vec<Delta<(K, W)>> = Vec::new();
         let mut processed = 0u64;
-        while let Some((t, k)) = self.pending.iter().next().cloned() {
-            if !t.leq(now) {
-                break;
+        if self.pending.is_empty() {
+            for (t, k) in new_times {
+                processed += 1;
+                self.settle(name, &k, t, logic, &mut staging);
             }
-            self.pending.remove(&(t, k.clone()));
-            processed += 1;
-            let in_acc = self.in_trace.accumulate(&k, t);
-            debug_assert!(
-                in_acc.iter().all(|(_, r)| *r > 0),
-                "{name}: negative input multiplicity for {k:?} at {t:?}: {in_acc:?}"
-            );
-            let mut correct = if in_acc.is_empty() { Vec::new() } else { logic(&k, &in_acc) };
-            consolidate_values(&mut correct);
-            let out_acc = self.out_trace.accumulate(&k, t);
-            let delta = value_delta(&correct, &out_acc);
-            for (w, r) in delta {
-                self.out_trace.push(k.clone(), w.clone(), t, r);
-                staging.push(((k.clone(), w), t, r));
+        } else {
+            self.pending.extend(new_times);
+            while self.pending.first().is_some_and(|(t, _)| t.leq(now)) {
+                let (t, k) = self.pending.pop_first().expect("nonempty");
+                processed += 1;
+                self.settle(name, &k, t, logic, &mut staging);
             }
         }
         (staging, processed)
+    }
+
+    /// Recompute `k`'s output as of `t` and stage the difference against
+    /// what its output history accumulates to there.
+    fn settle(
+        &mut self,
+        name: &'static str,
+        k: &K,
+        t: Time,
+        logic: &ReduceFn<K, V, W>,
+        staging: &mut Vec<Delta<(K, W)>>,
+    ) {
+        self.in_trace.accumulate(k, t, &mut self.in_acc);
+        debug_assert!(
+            self.in_acc.iter().all(|(_, r)| *r > 0),
+            "{name}: negative input multiplicity for {k:?} at {t:?}: {:?}",
+            self.in_acc
+        );
+        let mut correct = if self.in_acc.is_empty() { Vec::new() } else { logic(k, &self.in_acc) };
+        consolidate_values(&mut correct);
+        self.out_trace.accumulate(k, t, &mut self.out_acc);
+        value_delta(&correct, &self.out_acc, &mut self.delta);
+        self.out_trace.extend_key(k, self.delta.iter().map(|(w, r)| (w.clone(), t, *r)));
+        staging.extend(self.delta.drain(..).map(|(w, r)| ((k.clone(), w), t, r)));
     }
 }
 
@@ -213,15 +249,14 @@ impl<K: Data, V: Data, W: Data> OpNode for ReduceNode<K, V, W> {
             ShardMode::Serial => {}
         }
 
-        // Merge by sorting on (time, data): exactly the serial emission
-        // order, and unique per (t, k, w), so the result is independent
-        // of sharding.
+        // Concatenate in shard order: a key's records come from its own
+        // shard only, so the batch depends on the keys, not on which
+        // worker ran which shard.
         let mut staging: Vec<Delta<(K, W)>> = Vec::new();
         for (shard_staging, processed) in results {
             self.work += processed;
             staging.extend(shard_staging);
         }
-        staging.sort_unstable_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
         self.output.emit(staging);
         Ok(())
     }
@@ -235,9 +270,11 @@ impl<K: Data, V: Data, W: Data> OpNode for ReduceNode<K, V, W> {
     }
 
     fn pending_iter(&self, epoch: u64) -> Option<u32> {
+        // `pending` is ordered by time, so a shard's earliest entry of
+        // `epoch` is its first entry not before it.
         self.shards
             .iter()
-            .flat_map(|s| s.pending.iter())
+            .filter_map(|s| s.pending.iter().find(|(t, _)| t.epoch >= epoch))
             .filter(|(t, _)| t.epoch == epoch)
             .map(|(t, _)| t.iter)
             .min()

@@ -9,6 +9,12 @@
 //! is explicitly compacted after every step must agree too —
 //! fold-on-touch ≡ fold-everything.
 //!
+//! Every accumulation goes through one buffer shared by all probes, so
+//! a read that leaves stale contents in place shows as a divergence.
+//! After every step each key's base layer must be sorted by
+//! `(value, iter)`, consolidated, and held in a buffer at most twice
+//! its length.
+//!
 //! Counterexamples found by the random suite are pinned as named
 //! regression tests at the bottom of this file.
 
@@ -142,6 +148,14 @@ impl NaiveTrace {
     }
 }
 
+/// The distinct times of `k`'s history in the spine, sorted.
+fn spine_times(spine: &KeyTrace<K, V>, k: K) -> Vec<Time> {
+    let mut ts: Vec<Time> = spine.history(&k).map(|(_, t, _)| t).collect();
+    ts.sort_unstable();
+    ts.dedup();
+    ts
+}
+
 /// The iterations at which a key has history — all of `times` that a
 /// later epoch can observe (a join with a later time keeps only the
 /// iteration). An explicit fold may only drop iterations, namely those
@@ -165,11 +179,27 @@ fn check_structure(spine: &KeyTrace<K, V>, step: usize) {
         // Live pushes start at epoch 1, so epoch 0 is the base layer.
         let live: Vec<u64> =
             spine.history(&key).map(|(_, t, _)| t.epoch).filter(|&e| e > 0).collect();
-        base += spine.history(&key).count() - live.len();
+        let folded: Vec<(V, u32, Diff)> = spine
+            .history(&key)
+            .filter(|(_, t, _)| t.epoch == 0)
+            .map(|(v, t, r)| (*v, t.iter, r))
+            .collect();
+        base += folded.len();
         recent += live.len();
         assert!(
             live.windows(2).all(|w| w[0] == w[1]),
             "key {key}: recent layer spans epochs {live:?} at step {step}"
+        );
+        assert!(
+            folded.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "key {key}: base not sorted and consolidated at step {step}: {folded:?}"
+        );
+        assert!(folded.iter().all(|r| r.2 != 0), "key {key}: zero in base at step {step}");
+        let cap = spine.base_capacity(&key);
+        assert!(
+            cap <= 2 * folded.len(),
+            "key {key}: base of {} records holds {cap} at step {step}",
+            folded.len()
         );
     }
     assert_eq!((spine.base_len(), spine.recent_len()), (base, recent), "recount at step {step}");
@@ -185,6 +215,13 @@ fn check_spine_matches_naive(ops: &[Op]) -> u64 {
     // The same pushes, plus an explicit full fold after every step.
     let mut swept: KeyTrace<K, V> = KeyTrace::new();
     let mut naive = NaiveTrace::default();
+    let mut later: Vec<u32> = vec![99];
+    // One buffer for every accumulation, seeded with a stale record.
+    let mut buf: Vec<(V, Diff)> = vec![(99, 7)];
+    let mut acc = |trace: &mut KeyTrace<K, V>, key: K, t: Time| {
+        trace.accumulate(&key, t, &mut buf);
+        buf.clone()
+    };
     // Epoch 0 is reserved for the folded base; live pushes start at 1.
     let mut epoch = 1u64;
     for (step, op) in ops.iter().enumerate() {
@@ -203,17 +240,21 @@ fn check_spine_matches_naive(ops: &[Op]) -> u64 {
             Op::Accumulate { key, iter } => {
                 let t = Time::new(epoch, iter);
                 assert_eq!(
-                    spine.accumulate(&key, t),
+                    acc(&mut spine, key, t),
                     naive.accumulate(key, t),
                     "accumulate({key}, {t:?}) diverged at step {step}"
                 );
             }
             Op::Times { key } => {
-                assert_eq!(
-                    spine.times(&key),
-                    naive.times(key),
-                    "times({key}) diverged at step {step}"
-                );
+                let times = naive.times(key);
+                assert_eq!(spine_times(&spine, key), times, "times({key}) diverged at step {step}");
+                // The iterations above each probe, through a reused buffer.
+                for iter in 0..5u32 {
+                    spine.later_iters(&key, iter, &mut later);
+                    let want: Vec<u32> =
+                        iters(times.clone()).into_iter().filter(|&i| i > iter).collect();
+                    assert_eq!(later, want, "later_iters({key}, {iter}) diverged at step {step}");
+                }
             }
             Op::AdvanceEpoch => epoch += 1,
             Op::Compact => {
@@ -236,14 +277,14 @@ fn check_spine_matches_naive(ops: &[Op]) -> u64 {
         for key in 0..4u8 {
             for t in probes(epoch) {
                 assert_eq!(
-                    swept.accumulate(&key, t),
-                    spine.accumulate(&key, t),
+                    acc(&mut swept, key, t),
+                    acc(&mut spine, key, t),
                     "compact changed accumulate({key}, {t:?}) at step {step}"
                 );
             }
-            let unswept = iters(spine.times(&key));
+            let unswept = iters(spine_times(&spine, key));
             assert!(
-                iters(swept.times(&key)).iter().all(|i| unswept.contains(i)),
+                iters(spine_times(&swept, key)).iter().all(|i| unswept.contains(i)),
                 "compact added an iteration to times({key}) at step {step}"
             );
         }
@@ -251,9 +292,9 @@ fn check_spine_matches_naive(ops: &[Op]) -> u64 {
     // Final sweep: every key, a deep and a shallow accumulation time.
     for key in 0..4u8 {
         for t in probes(epoch) {
-            assert_eq!(spine.accumulate(&key, t), naive.accumulate(key, t));
+            assert_eq!(acc(&mut spine, key, t), naive.accumulate(key, t));
         }
-        assert_eq!(spine.times(&key), naive.times(key));
+        assert_eq!(spine_times(&spine, key), naive.times(key));
     }
     epoch
 }
