@@ -8,7 +8,10 @@
 //! a full policy pass, a LinkFailure churn leg, and a from-scratch
 //! full build (config lowering through dataflow, model and policy
 //! bring-up) — with repetitions interleaved across worker counts so
-//! machine noise hits every configuration equally. Structural results
+//! machine noise hits every configuration equally. The workers drive
+//! only the policy walks: the dataflow engine runs on one thread, so a
+//! build's data plane generation is serial at every worker count.
+//! Structural results
 //! (ECs, pairs, verdicts) must be identical for every worker count;
 //! the binary asserts that before reporting timings, and `--check`
 //! additionally gates them against a committed baseline. Timings are

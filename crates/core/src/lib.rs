@@ -70,7 +70,8 @@ pub use rc_routing::route::FibEntry;
 
 // Re-export the pieces a downstream user needs to drive the verifier.
 // `set_threads`/`threads` are the process-global worker-count knob for
-// the parallel phases (per-verifier override: `VerifierOptions::threads`).
+// the policy checker's walk phase (per-verifier override:
+// `VerifierOptions::threads`).
 pub use rc_par::{set_threads, threads};
 pub use rc_apkeep::UpdateOrder;
 pub use rc_telemetry::{MetricsSnapshot, Telemetry};

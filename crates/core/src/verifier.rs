@@ -128,10 +128,11 @@ pub struct VerifierOptions {
     /// Data plane model update order (insertion-first is the fast one;
     /// Table 3 quantifies why).
     pub order: UpdateOrder,
-    /// Worker count for the parallel phases (policy walks and sharded
-    /// dataflow operators). `None` is the process-global knob
-    /// ([`rc_par::threads`]); `Some(1)` forces the exact serial paths.
-    /// Results are byte-identical for any worker count.
+    /// Worker count for the policy checker's walk phase, the one
+    /// parallel phase (the dataflow engine runs on one thread). `None`
+    /// is the process-global knob ([`rc_par::threads`]); `Some(1)`
+    /// forces the exact serial path. Results are byte-identical for any
+    /// worker count.
     pub threads: Option<usize>,
     pub on_failure: OnFailure,
 }
@@ -667,11 +668,6 @@ pub fn full_dataplane_baseline(
 pub fn full_dataplane_realconfig(
     configs: &BTreeMap<String, DeviceConfig>,
 ) -> Result<(std::time::Duration, usize), Error> {
-    let dp = DataPlane::build(
-        configs,
-        &mut Registry::new(),
-        &VerifierOptions::default(),
-        &rc_telemetry::Telemetry::new(),
-    )?;
+    let dp = DataPlane::build(configs, &mut Registry::new(), &rc_telemetry::Telemetry::new())?;
     Ok((dp.dp_gen, dp.engine.fib().len()))
 }

@@ -34,13 +34,11 @@ impl DataPlane {
     pub fn build(
         configs: &BTreeMap<String, DeviceConfig>,
         registry: &mut Registry,
-        opts: &VerifierOptions,
         telemetry: &Telemetry,
     ) -> Result<Self, Error> {
         let lowering = Lowering::new(configs, registry);
         let mut engine = RoutingEngine::new();
         engine.set_telemetry(telemetry.clone());
-        engine.set_threads(opts.threads);
         let t = Instant::now();
         let stats = engine.apply(lowering.facts().iter().map(|f| (f.clone(), 1)))?;
         let dp_gen = t.elapsed();
@@ -83,7 +81,7 @@ impl Stages {
         telemetry: &Telemetry,
         prior_policies: &[(Policy, bool)],
     ) -> Result<(Self, FullReport, CheckReport), Error> {
-        let mut dp = DataPlane::build(configs, registry, opts, telemetry)?;
+        let mut dp = DataPlane::build(configs, registry, telemetry)?;
         let rules = std::mem::take(&mut dp.rules);
         let mut report = FullReport {
             dp_gen: dp.dp_gen,

@@ -243,11 +243,9 @@ impl<K: Data, V: Data> Collection<(K, V)> {
     /// Group by key and apply `logic` to the consolidated value multiset
     /// whenever it changes. `logic` receives values sorted ascending
     /// with positive multiplicities, and must be deterministic.
-    /// `Fn + Send + Sync` because the operator shards its keys across
-    /// pool workers and evaluates `logic` concurrently.
     pub fn reduce<W: Data, F>(&self, logic: F) -> Collection<(K, W)>
     where
-        F: Fn(&K, &[(V, Diff)]) -> Vec<(W, Diff)> + Send + Sync + 'static,
+        F: Fn(&K, &[(V, Diff)]) -> Vec<(W, Diff)> + 'static,
     {
         self.reduce_named("reduce", logic)
     }
@@ -255,11 +253,10 @@ impl<K: Data, V: Data> Collection<(K, V)> {
     /// [`Collection::reduce`] with a diagnostic name.
     pub fn reduce_named<W: Data, F>(&self, name: &'static str, logic: F) -> Collection<(K, W)>
     where
-        F: Fn(&K, &[(V, Diff)]) -> Vec<(W, Diff)> + Send + Sync + 'static,
+        F: Fn(&K, &[(V, Diff)]) -> Vec<(W, Diff)> + 'static,
     {
         let out = Fanout::new();
-        let node =
-            ReduceNode::new(name, self.fanout.subscribe(), out.clone(), std::sync::Arc::new(logic));
+        let node = ReduceNode::new(name, self.fanout.subscribe(), out.clone(), Rc::new(logic));
         self.register(Box::new(node));
         self.derived(out)
     }

@@ -14,10 +14,9 @@ pub type Delta<D> = (D, Time, Diff);
 
 /// The `Data` bound required of everything flowing through a dataflow:
 /// cheap to clone, totally ordered (for consolidation), hashable (for
-/// keyed state), owned, and sendable (stateful operators shard their
-/// keyed traces across pool workers).
-pub trait Data: Clone + Ord + std::hash::Hash + std::fmt::Debug + Send + 'static {}
-impl<T: Clone + Ord + std::hash::Hash + std::fmt::Debug + Send + 'static> Data for T {}
+/// keyed state) and owned.
+pub trait Data: Clone + Ord + std::hash::Hash + std::fmt::Debug + 'static {}
+impl<T: Clone + Ord + std::hash::Hash + std::fmt::Debug + 'static> Data for T {}
 
 /// Sum the diffs of equal `(data, time)` pairs and drop zeros, in place.
 /// The sort is the stable one: a batch often arrives as a few sorted

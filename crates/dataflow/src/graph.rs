@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
 
+use rc_faults::{FaultPoint, INJECTED_PANIC_PREFIX};
 use rc_telemetry::Telemetry;
 
 use crate::delta::{Data, Delta};
@@ -37,9 +38,6 @@ pub(crate) struct Scheduler {
     dirty: RefCell<Vec<bool>>,
     steps_run: Cell<u64>,
     steps_skipped: Cell<u64>,
-    /// Worker count for shard dispatch; 0 means "unset" — resolve via
-    /// the process-wide [`rc_par::threads`] knob at dispatch time.
-    threads: Cell<usize>,
 }
 
 impl Scheduler {
@@ -48,23 +46,7 @@ impl Scheduler {
             dirty: RefCell::new(Vec::new()),
             steps_run: Cell::new(0),
             steps_skipped: Cell::new(0),
-            threads: Cell::new(0),
         })
-    }
-
-    /// Pin (or with `None` unpin) the worker count used when stateful
-    /// operators dispatch their shards.
-    pub fn set_threads(&self, threads: Option<usize>) {
-        self.threads.set(threads.unwrap_or(0));
-    }
-
-    /// The worker count shard dispatch runs at: the pinned count, else
-    /// the process-wide [`rc_par::threads`] resolution.
-    pub fn worker_threads(&self) -> usize {
-        match self.threads.get() {
-            0 => rc_par::threads(),
-            n => n,
-        }
     }
 
     /// Allocate a slot for a newly registered node.
@@ -87,75 +69,38 @@ impl Scheduler {
     }
 
     /// Consume a node's dirty flag.
-    pub fn take(&self, slot: usize) -> bool {
+    fn take(&self, slot: usize) -> bool {
         if slot == UNBOUND {
             return false;
         }
         std::mem::replace(&mut self.dirty.borrow_mut()[slot], false)
     }
 
-    /// Count one scheduling decision (for telemetry).
-    pub fn count(&self, ran: bool) {
-        if ran {
-            self.steps_run.set(self.steps_run.get() + 1);
-        } else {
-            self.steps_skipped.set(self.steps_skipped.get() + 1);
+    /// Step `node` at `t` if it is dirty or holds internal pending
+    /// work, and count the decision. Returns whether it ran.
+    ///
+    /// Every step passes the [`FaultPoint::DataflowStep`] hook first,
+    /// so a test can fail the engine part-way through an epoch, with
+    /// earlier steps' trace writes in place. That point has no error
+    /// channel that would leave the engine as it was, so an error-mode
+    /// fault there escalates to a panic.
+    pub fn step(&self, node: &mut dyn OpNode, t: Time) -> Result<bool, EvalError> {
+        let run = self.take(node.slot()) || node.has_internal_work();
+        if run {
+            if rc_faults::fire(FaultPoint::DataflowStep) {
+                panic!("{INJECTED_PANIC_PREFIX} error before a dataflow step escalated to panic");
+            }
+            node.step(t)?;
         }
+        let counter = if run { &self.steps_run } else { &self.steps_skipped };
+        counter.set(counter.get() + 1);
+        Ok(run)
     }
 
     /// Cumulative `(steps_run, steps_skipped)` counters.
     pub fn step_counts(&self) -> (u64, u64) {
         (self.steps_run.get(), self.steps_skipped.get())
     }
-}
-
-/// Minimum freshly routed records in one operator step before its
-/// shards go to the pool; smaller steps run inline on the caller's
-/// thread. A dispatched step waits for its slowest shard task, and a
-/// task whose CPU is taken away mid-shard is waited for a scheduler
-/// quantum, so a step goes to the pool only when its own inline cost
-/// (0.3–1 µs per record with histories folded on touch) is several
-/// quanta. Between 1 k and 16 k records the pool is 15–30 % faster on
-/// an idle host and slower on a busy one; the spread is not worth it.
-pub(crate) const SHARD_DISPATCH_MIN: usize = 16_384;
-
-/// How one [`run_shards`] call was executed (telemetry material).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ShardMode {
-    /// Shards ran as pool tasks.
-    Dispatched,
-    /// Multiple workers were available but the step was below
-    /// [`SHARD_DISPATCH_MIN`]; shards ran inline (adaptive fallback).
-    Inlined,
-    /// Single-worker configuration: the exact serial path.
-    Serial,
-}
-
-/// Step every shard of a stateful operator, fanning the shards out
-/// over scoped workers when `records` (the step's freshly routed input)
-/// crosses [`SHARD_DISPATCH_MIN`] and more than one worker is
-/// configured. Results always come back in shard order — merge order,
-/// and therefore operator output, is identical in all three modes.
-pub(crate) fn run_shards<S, R, F>(
-    sched: Option<&Rc<Scheduler>>,
-    records: usize,
-    shards: &mut [S],
-    f: F,
-) -> (Vec<R>, ShardMode)
-where
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S) -> R + Sync,
-{
-    let nthreads = sched.map_or(1, |s| s.worker_threads());
-    if nthreads <= 1 {
-        return (shards.iter_mut().enumerate().map(|(i, s)| f(i, s)).collect(), ShardMode::Serial);
-    }
-    if records < SHARD_DISPATCH_MIN {
-        return (shards.iter_mut().enumerate().map(|(i, s)| f(i, s)).collect(), ShardMode::Inlined);
-    }
-    let (out, _stats) = rc_par::par_map_mut_in(nthreads.min(shards.len()), shards, f);
-    (out, ShardMode::Dispatched)
 }
 
 /// A typed edge: producers push difference records, the (single)
@@ -363,15 +308,6 @@ pub struct OpStats {
     /// Internal pending work: a reduce's unprocessed interesting
     /// times, a join's deferred future-time outputs.
     pub pending: usize,
-    /// Steps whose shards ran as pool tasks.
-    pub shard_dispatched: u64,
-    /// Steps that stayed inline because the batch was below the
-    /// dispatch threshold while multiple workers were configured
-    /// (the adaptive serial fallback firing).
-    pub shard_inlined: u64,
-    /// Trace records currently held per key shard (indexes
-    /// `0..`[`crate::util::NUM_SHARDS`]) — the shard balance.
-    pub shard_records: [usize; crate::util::NUM_SHARDS],
     /// Wall time of this operator's top-level steps, in nanoseconds
     /// (cumulative). An `iterate` scope is timed whole, under
     /// `iterate`; its children carry none of their own.
@@ -464,14 +400,6 @@ struct EngineTelemetry {
     step_us_by_op: BTreeMap<&'static str, u64>,
     /// Last-seen cumulative scheduler counters (for per-epoch deltas).
     sched_baseline: (u64, u64),
-    /// Shard metrics, registered lazily on first activity so serial
-    /// runs (which never dispatch or inline) carry no new keys and the
-    /// committed gate baselines stay byte-identical.
-    shard_dispatches: Option<rc_telemetry::Counter>,
-    small_tasks_inlined: Option<rc_telemetry::Counter>,
-    shard_records: Option<Vec<rc_telemetry::Gauge>>,
-    shard_dispatched_seen: u64,
-    shard_inlined_seen: u64,
 }
 
 impl EngineTelemetry {
@@ -494,11 +422,6 @@ impl EngineTelemetry {
             work_by_op: BTreeMap::new(),
             step_us_by_op: BTreeMap::new(),
             sched_baseline: (0, 0),
-            shard_dispatches: None,
-            small_tasks_inlined: None,
-            shard_records: None,
-            shard_dispatched_seen: 0,
-            shard_inlined_seen: 0,
             registry,
         }
     }
@@ -542,39 +465,6 @@ impl EngineTelemetry {
         self.steps_run.add(run - self.sched_baseline.0);
         self.steps_skipped.add(skipped - self.sched_baseline.1);
         self.sched_baseline = (run, skipped);
-
-        // Shard activity: register on first use only, so serial runs
-        // leave the snapshot's key set untouched.
-        let dispatched: u64 = stats.values().map(|s| s.shard_dispatched).sum();
-        if dispatched > self.shard_dispatched_seen {
-            self.shard_dispatches
-                .get_or_insert_with(|| self.registry.counter("dataflow.shard.dispatches"))
-                .add(dispatched - self.shard_dispatched_seen);
-            self.shard_dispatched_seen = dispatched;
-        }
-        let inlined: u64 = stats.values().map(|s| s.shard_inlined).sum();
-        if inlined > self.shard_inlined_seen {
-            self.small_tasks_inlined
-                .get_or_insert_with(|| self.registry.counter("par.small_tasks_inlined"))
-                .add(inlined - self.shard_inlined_seen);
-            self.shard_inlined_seen = inlined;
-        }
-        if dispatched > 0 {
-            let mut per = [0usize; crate::util::NUM_SHARDS];
-            for s in stats.values() {
-                for (acc, n) in per.iter_mut().zip(s.shard_records) {
-                    *acc += n;
-                }
-            }
-            let gauges = self.shard_records.get_or_insert_with(|| {
-                (0..crate::util::NUM_SHARDS)
-                    .map(|i| self.registry.gauge(&format!("dataflow.shard.records.{i}")))
-                    .collect()
-            });
-            for (g, n) in gauges.iter().zip(per) {
-                g.set(n as i64);
-            }
-        }
     }
 }
 
@@ -605,15 +495,6 @@ impl Dataflow {
     /// before and after compaction.
     pub fn set_telemetry(&mut self, registry: Telemetry) {
         self.telemetry = Some(EngineTelemetry::new(registry));
-    }
-
-    /// Pin (or with `None` unpin) the worker count the stateful
-    /// operators dispatch their key shards at. Unpinned, dispatch
-    /// follows the process-wide [`rc_par::threads`] resolution. Any
-    /// worker count — including 1 — produces byte-identical batches,
-    /// traces and outputs; the count changes speed only.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.state.borrow().sched.set_threads(threads);
     }
 
     /// Per-operator-name statistics aggregated over the whole graph,
@@ -648,13 +529,10 @@ impl Dataflow {
         }
         self.step_ns.resize(nodes.len(), 0);
         for (node, ns) in nodes.iter_mut().zip(&mut self.step_ns) {
-            let run = sched.take(node.slot()) || node.has_internal_work();
-            if run {
-                let start = Instant::now();
-                node.step(now)?;
+            let start = Instant::now();
+            if sched.step(node.as_mut(), now)? {
                 *ns += start.elapsed().as_nanos() as u64;
             }
-            sched.count(run);
         }
         for node in nodes.iter_mut() {
             node.end_epoch(self.epoch);

@@ -107,14 +107,11 @@ impl OpNode for ScopeNode {
             // contributes no feedback digest (it emitted nothing).
             let mut digest = 0u64;
             for child in self.children.iter_mut() {
-                let run = sched.take(child.slot()) || child.has_internal_work();
-                if run {
-                    child.step(t)?;
+                if sched.step(child.as_mut(), t)? {
                     if let Some(d) = child.step_digest() {
                         digest = digest.wrapping_add(d);
                     }
                 }
-                sched.count(run);
             }
             // Record this iteration's feedback digest for recurrence
             // detection (0 when the feedback stream is silent).

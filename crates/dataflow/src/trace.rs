@@ -241,8 +241,7 @@ pub struct KeyTrace<K: Data, V: Data> {
     /// Total records in the recent layers.
     recent_len: usize,
     /// Keys folded, and the recent records those folds moved into a
-    /// base (cumulative; a plain tally, traces live inside operator
-    /// shards).
+    /// base (cumulative).
     folded: (u64, u64),
     /// Epoch of the latest push.
     epoch: u64,

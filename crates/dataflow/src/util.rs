@@ -63,21 +63,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Number of key shards in the sharded stateful operators (`join`,
-/// `reduce` and its derivatives). Fixed and worker-count-independent,
-/// so exchange routing — and therefore per-shard trace contents — never
-/// depends on how many workers happen to run.
-pub const NUM_SHARDS: usize = 8;
-
-/// The shard owning `key`. [`FxHasher`] is seed-free and deterministic,
-/// so the same key lands on the same shard in every process, at every
-/// worker count.
-pub fn shard_of<K: std::hash::Hash>(key: &K) -> usize {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    (h.finish() % NUM_SHARDS as u64) as usize
-}
-
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 

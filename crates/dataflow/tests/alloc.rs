@@ -67,7 +67,6 @@ const PER_KEY_BOUND: f64 = 2.0;
 #[test]
 fn steady_reduce_epoch_allocates_little_per_key() {
     let mut df = Dataflow::new();
-    df.set_threads(Some(1));
     let (input, values) = df.input::<(u32, u32)>();
     // Two smallest values per key: multi-valued output, so the output
     // trace folds more than one record per key.

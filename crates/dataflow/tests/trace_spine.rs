@@ -16,11 +16,13 @@
 //! its length.
 //!
 //! Counterexamples found by the random suite are pinned as named
-//! regression tests at the bottom of this file.
+//! regression tests at the bottom of this file, after an operator-level
+//! bound: a `reduce` and a `join` whose keys never come back keep their
+//! traces within twice the folded size plus one epoch's pushes.
 
 use proptest::prelude::*;
 use rc_dataflow::trace::KeyTrace;
-use rc_dataflow::{consolidate_values, Diff, Time};
+use rc_dataflow::{consolidate_values, Dataflow, Diff, Time};
 
 type K = u8;
 type V = u8;
@@ -383,4 +385,39 @@ fn long_replace_stream_stays_folded() {
         ops.push(Op::Times { key: 1 - key });
     }
     assert!(check_spine_matches_naive(&ops) >= 20);
+}
+
+/// Keys inserted once, retracted once and never touched again: only the
+/// whole fold reclaims them. It measures a whole operator's trace, so
+/// after every epoch each operator holds at most twice its folded size
+/// plus the records that epoch pushed.
+#[test]
+fn operator_traces_stay_bounded_when_keys_never_recur() {
+    const LIVE: u32 = 100;
+    let mut df = Dataflow::new();
+    let (input, pairs) = df.input::<(u32, u32)>();
+    let _ = pairs.reduce_min();
+    let _ = pairs.join(&pairs.map(|(k, v)| (k, v + 1)));
+    input.extend((0..LIVE).map(|k| (k, k)));
+    df.advance().unwrap();
+    // Each operator keeps two traces of LIVE records when folded, and an
+    // epoch pushes one insertion and one retraction into each.
+    let (folded, pushes) = (2 * LIVE as usize, 2 * 2);
+    let mut peak = 0;
+    for e in 0..1_000u32 {
+        input.insert((LIVE + e, LIVE + e));
+        input.remove((e, e));
+        df.advance().unwrap();
+        let stats = df.op_stats();
+        for op in ["min", "join"] {
+            let held = stats[op].trace_records;
+            assert!(
+                held <= 2 * folded + pushes,
+                "epoch {e}: {op} holds {held} records, folded size {folded}"
+            );
+            peak = peak.max(held);
+        }
+    }
+    // The retired keys did pile up between whole folds.
+    assert!(peak > folded + pushes, "no history accumulated: peak {peak}");
 }

@@ -39,10 +39,11 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// An instrumented point in the verification pipeline. One per stage
-/// boundary of the paper's three-stage pipeline.
+/// An instrumented point in the verification pipeline: one per stage
+/// boundary of the paper's three-stage pipeline, the persistence I/O
+/// points, and one inside stage 1's epoch.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum FaultPoint {
     /// Entry of `RoutingEngine::apply` (stage 1, incremental data plane
@@ -50,6 +51,12 @@ pub enum FaultPoint {
     /// so an injected error models a divergence detected with the
     /// engine's own state still untouched.
     EngineApply,
+    /// Before each operator step of the dataflow engine (stage 1,
+    /// inside an epoch). Unlike [`FaultPoint::EngineApply`] it can fire
+    /// after earlier steps have written their traces, so the engine is
+    /// left half-way through an epoch. It has no error channel: an
+    /// error-mode fault here escalates to a panic.
+    DataflowStep,
     /// Entry of `ApkModel::apply_batch` (stage 2, incremental data
     /// plane model update). Stage 1 has already committed its delta
     /// when this fires.
@@ -82,9 +89,9 @@ pub enum FaultPoint {
 
 impl FaultPoint {
     /// All instrumented points: the three pipeline stage boundaries in
-    /// pipeline order, the end of stage 3, then the persistence I/O
-    /// points.
-    pub const ALL: [FaultPoint; 8] = [
+    /// pipeline order, the end of stage 3, the persistence I/O points,
+    /// then the dataflow engine's per-step point.
+    pub const ALL: [FaultPoint; 9] = [
         FaultPoint::EngineApply,
         FaultPoint::ApkBatch,
         FaultPoint::PolicyCheck,
@@ -93,6 +100,7 @@ impl FaultPoint {
         FaultPoint::StorePartialAppend,
         FaultPoint::StoreBitFlipRead,
         FaultPoint::StoreFsyncFail,
+        FaultPoint::DataflowStep,
     ];
 
     /// The pipeline stage boundaries only (the points the in-memory
@@ -119,6 +127,7 @@ impl FaultPoint {
             FaultPoint::StorePartialAppend => 5,
             FaultPoint::StoreBitFlipRead => 6,
             FaultPoint::StoreFsyncFail => 7,
+            FaultPoint::DataflowStep => 8,
         }
     }
 }
@@ -127,6 +136,7 @@ impl fmt::Display for FaultPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FaultPoint::EngineApply => write!(f, "engine apply (stage 1)"),
+            FaultPoint::DataflowStep => write!(f, "dataflow operator step (stage 1)"),
             FaultPoint::ApkBatch => write!(f, "apkeep batch (stage 2)"),
             FaultPoint::PolicyCheck => write!(f, "policy check (stage 3)"),
             FaultPoint::PolicyVerdicts => write!(f, "policy verdicts written (stage 3)"),
@@ -340,37 +350,6 @@ pub fn fire_walk(ec: u32) {
     }
 }
 
-/// Process-global one-shot panic point for the dataflow operators'
-/// per-shard step tasks (the shard sibling of [`fire_walk`]'s). Same
-/// rationale as [`WALK_PANIC_TARGET`]: thread-local plans cannot reach
-/// pool workers, and the property under test is that a panic on *any*
-/// shard task unwinds through the pool into the verifier's containment
-/// instead of deadlocking a barrier.
-static SHARD_PANIC: AtomicBool = AtomicBool::new(false);
-
-/// Arm the one-shot shard-panic point: the next shard task that
-/// reaches [`fire_shard`] panics, on whichever worker runs it, then the
-/// point disarms itself.
-pub fn arm_shard_panic() {
-    SHARD_PANIC.store(true, Ordering::SeqCst);
-}
-
-/// Disarm the shard-panic point (idempotent; for test cleanup when the
-/// armed point was never reached).
-pub fn disarm_shard_panic() {
-    SHARD_PANIC.store(false, Ordering::SeqCst);
-}
-
-/// The shard hook. Dataflow operators call this at the top of each
-/// pool task, passing the shard index. Disarmed — the common case — it
-/// is one relaxed atomic load; armed, exactly one task wins the
-/// disarming swap and panics with the injected marker.
-pub fn fire_shard(shard: usize) {
-    if SHARD_PANIC.load(Ordering::Relaxed) && SHARD_PANIC.swap(false, Ordering::SeqCst) {
-        panic!("{INJECTED_PANIC_PREFIX} panic in dataflow shard task {shard}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,19 +432,6 @@ mod tests {
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.starts_with(INJECTED_PANIC_PREFIX), "got: {msg}");
         fire_walk(42); // one-shot
-    }
-
-    #[test]
-    fn shard_panic_is_one_shot() {
-        disarm_shard_panic();
-        fire_shard(0); // disarmed: no-op
-        arm_shard_panic();
-        let err = std::panic::catch_unwind(|| fire_shard(3))
-            .expect_err("must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.starts_with(INJECTED_PANIC_PREFIX), "got: {msg}");
-        assert!(msg.contains("shard task 3"), "got: {msg}");
-        fire_shard(3); // self-disarmed: no-op
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! Built on [`std::thread::scope`], so parallel closures may borrow
 //! from the caller's stack: the policy checker fans read-only per-EC
-//! walks over an `EcView` snapshot, and the dataflow engine hands each
-//! of its 8 operator shards to a worker as `&mut`, with no `'static`
-//! bound, reference counting or `unsafe`.
+//! walks over an `EcView` snapshot, with no `'static` bound, reference
+//! counting or `unsafe`.
 //!
-//! One primitive, [`par_map_mut_in`]:
+//! One primitive, [`par_map`]:
 //!
 //! * **Chunks in ascending order.** The input is cut with
-//!   [`slice::chunks_mut`] into about `CHUNKS_PER_WORKER` (8) chunks per
+//!   [`slice::chunks`] into about `CHUNKS_PER_WORKER` (8) chunks per
 //!   worker; one mutex-guarded iterator hands them out in ascending
 //!   order to the workers, the caller's thread among them.
 //! * **Order-preserving results.** Results are reassembled by chunk
@@ -77,23 +76,7 @@ pub struct PoolStats {
 }
 
 /// Map `f` over `items` on `nthreads` workers, returning results in
-/// input order plus the run's [`PoolStats`]. [`par_map_mut_in`] over a
-/// vector of references; see there for the serial path, ordering and
-/// panics.
-pub fn par_map_indexed_in<T, R, F>(nthreads: usize, items: &[T], f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let mut refs: Vec<&T> = items.iter().collect();
-    par_map_mut_in(nthreads, &mut refs, |i, item| f(i, item))
-}
-
-/// Map `f` over `items` with exclusive access to each element, on
-/// `nthreads` workers, returning results in input order plus the run's
-/// [`PoolStats`]. `T` only needs `Send`: each element crosses to one
-/// worker, inside the one chunk that holds it.
+/// input order plus the run's [`PoolStats`].
 ///
 /// `nthreads <= 1` (or fewer than two items) is the exact serial path:
 /// `f(0, ..), f(1, ..), …` on the caller's thread. Otherwise
@@ -104,21 +87,21 @@ where
 /// If any invocation of `f` panics, the panic with the lowest item
 /// index is re-thrown on the caller's thread after all workers have
 /// stopped: the same payload the serial path raises.
-pub fn par_map_mut_in<T, R, F>(nthreads: usize, items: &mut [T], f: F) -> (Vec<R>, PoolStats)
+pub fn par_map<T, R, F>(nthreads: usize, items: &[T], f: F) -> (Vec<R>, PoolStats)
 where
-    T: Send,
+    T: Sync,
     R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
+    F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
     if nthreads <= 1 || n < 2 {
-        let out = items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect();
+        let out = items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
         return (out, PoolStats { workers: 1, tasks: n as u64 });
     }
 
     let workers = nthreads.min(n);
     let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER);
-    let queue = Mutex::new(items.chunks_mut(chunk).enumerate());
+    let queue = Mutex::new(items.chunks(chunk).enumerate());
     let stop = AtomicBool::new(false);
     let worker = || {
         let mut done = Vec::new();
@@ -129,7 +112,7 @@ where
             let Some((c, part)) = next else { break };
             let ran = catch_unwind(AssertUnwindSafe(|| {
                 let base = c * chunk;
-                part.iter_mut().enumerate().map(|(j, item)| f(base + j, item)).collect::<Vec<R>>()
+                part.iter().enumerate().map(|(j, item)| f(base + j, item)).collect::<Vec<R>>()
             }));
             stop.fetch_or(ran.is_err(), Ordering::Relaxed);
             done.push((c, ran));
@@ -183,24 +166,13 @@ mod tests {
 
                 let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
                 let items: Vec<usize> = (0..n).map(|i| i * 3).collect();
-                let (out, stats) = par_map_indexed_in(nthreads, &items, |i, &x| {
+                let (out, stats) = par_map(nthreads, &items, |i, &x| {
                     assert_eq!(x, i * 3);
                     hits[i].fetch_add(1, Ordering::Relaxed);
                     x + 1
                 });
                 assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>(), "n={n}");
                 assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "n={n} t={nthreads}");
-                assert_eq!(stats.workers, workers, "n={n} t={nthreads}");
-                assert_eq!(stats.tasks, expected_tasks(nthreads, n), "n={n} t={nthreads}");
-
-                let mut items: Vec<u64> = (0..n as u64).collect();
-                let (out, stats) = par_map_mut_in(nthreads, &mut items, |i, x| {
-                    assert_eq!(*x, i as u64);
-                    *x += 100;
-                    i
-                });
-                assert_eq!(items, (100..100 + n as u64).collect::<Vec<_>>(), "n={n}");
-                assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} t={nthreads}");
                 assert_eq!(stats.workers, workers, "n={n} t={nthreads}");
                 assert_eq!(stats.tasks, expected_tasks(nthreads, n), "n={n} t={nthreads}");
             }
@@ -212,19 +184,19 @@ mod tests {
         let items: Vec<u32> = (0..513).rev().collect();
         let f = |i: usize, &x: &u32| (i as u32).wrapping_mul(31).wrapping_add(x);
         let serial: Vec<u32> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        let (par, _) = par_map_indexed_in(4, &items, f);
+        let (par, _) = par_map(4, &items, f);
         assert_eq!(par, serial);
     }
 
     #[test]
     fn worker_panic_propagates_to_caller() {
-        let mut items: Vec<u32> = (0..100).collect();
+        let items: Vec<u32> = (0..100).collect();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            par_map_mut_in(4, &mut items, |_, x| {
-                if *x == 57 {
+            par_map(4, &items, |_, &x| {
+                if x == 57 {
                     panic!("boom at {x}");
                 }
-                *x
+                x
             })
         }))
         .expect_err("panic must cross the pool");
@@ -235,7 +207,7 @@ mod tests {
     fn serial_path_panics_at_lowest_index() {
         let items: Vec<u32> = (0..100).collect();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            par_map_indexed_in(1, &items, |_, &x| {
+            par_map(1, &items, |_, &x| {
                 if x >= 30 {
                     panic!("first hit {x}");
                 }
@@ -256,7 +228,7 @@ mod tests {
         for nthreads in [2, 4] {
             for rep in 0..200 {
                 let err = catch_unwind(AssertUnwindSafe(|| {
-                    par_map_indexed_in(nthreads, &items, |i, _| {
+                    par_map(nthreads, &items, |i, _| {
                         if i == 0 {
                             std::thread::sleep(std::time::Duration::from_millis(1));
                         }

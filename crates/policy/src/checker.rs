@@ -837,7 +837,7 @@ impl PolicyChecker {
             let view = model.ec_view();
             let walker = Walker::new(&view, &self.table);
             let ec_state = &self.ec_state;
-            rc_par::par_map_indexed_in(nthreads, &affected_list, |i, &ec| {
+            rc_par::par_map(nthreads, &affected_list, |i, &ec| {
                 rc_faults::fire_walk(ec.0);
                 let old = &ec_state[ec.0 as usize];
                 match moved.as_ref().and_then(|m| walker.analyze_cone(ec, old, &m[i])) {

@@ -419,12 +419,6 @@ impl RoutingEngine {
         self.df.set_telemetry(registry);
     }
 
-    /// Override the worker count for the underlying dataflow's sharded
-    /// operators (see [`Dataflow::set_threads`]).
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.df.set_threads(threads);
-    }
-
     /// Per-operator statistics of the underlying dataflow.
     pub fn op_stats(&self) -> std::collections::BTreeMap<&'static str, rc_dataflow::OpStats> {
         self.df.op_stats()

@@ -286,6 +286,52 @@ fn injected_policy_panic_restores_verdicts() {
     assert_pipeline_equal(&rc, &twin, id, tid, "after post-rebuild change");
 }
 
+/// A panic part-way through the engine's epoch, after earlier operator
+/// steps have written their traces, is contained like any stage panic:
+/// [`Error::Internal`] with the injected marker, configs and verdict
+/// rolled back, the verifier poisoned. Only a rebuild replaces the
+/// half-stepped engine, and after it the change agrees with a
+/// never-failed twin.
+#[test]
+fn dataflow_step_panic_poisons_and_rebuild_recovers() {
+    use rc_faults::FaultPoint;
+    quiet_injected_panics();
+    let (mut rc, id) = build();
+    let (mut twin, tid) = build();
+    let change = ChangeSet::link_failure("r001", "eth1");
+
+    // Count the operator steps the change takes on a third verifier and
+    // fail the one half-way through: by then the change has been
+    // through joins and reduces inside the IGP fixpoint.
+    let (mut probe, _) = build();
+    let steps = {
+        let _count = rc_faults::FaultPlan::new().install();
+        probe.apply_change(&change).expect("change verifies on the probe");
+        rc_faults::hit_count(FaultPoint::DataflowStep)
+    };
+    assert!(steps >= 20, "the change steps the engine {steps} times");
+
+    let guard =
+        rc_faults::FaultPlan::new().panic_on(FaultPoint::DataflowStep, steps / 2).install();
+    let result = rc.apply_change(&change);
+    drop(guard);
+    let msg = match result {
+        Err(Error::Internal(msg)) => msg,
+        other => panic!("expected Internal from a dataflow step panic, got: {other:?}"),
+    };
+    assert!(msg.starts_with(rc_faults::INJECTED_PANIC_PREFIX), "got: {msg:?}");
+
+    assert_observables_equal(&rc, &twin, "after dataflow step panic");
+    assert_eq!(rc.is_satisfied(id), twin.is_satisfied(tid), "verdict rolled back");
+    assert!(rc.needs_rebuild(), "a dataflow step panic must poison");
+    rc.rebuild().expect("rebuild succeeds");
+
+    rc.apply_change(&change).expect("change verifies after rebuild");
+    twin.apply_change(&change).expect("change verifies on twin");
+    assert_observables_equal(&rc, &twin, "after post-rebuild change");
+    assert_pipeline_equal(&rc, &twin, id, tid, "after post-rebuild change");
+}
+
 #[test]
 fn poisoned_error_is_itself_stateless() {
     quiet_injected_panics();

@@ -1,9 +1,8 @@
-//! Verifier-level contract of the parallel phases: a panic on a pool
-//! worker mid-change — in a policy walk or a dataflow operator shard —
-//! is contained exactly like any other pipeline panic (rolled back +
-//! poisoned, never a deadlocked barrier), and a serial and a parallel
-//! verifier driven through the same change stream report identical
-//! non-timing results.
+//! Verifier-level contract of the parallel phase, the policy checker's
+//! walks: a panic on a pool worker mid-change is contained exactly like
+//! any other pipeline panic (rolled back + poisoned, never a deadlocked
+//! barrier), and a serial and a parallel verifier driven through the
+//! same change stream report identical non-timing results.
 
 use std::sync::{Mutex, Once};
 
@@ -14,8 +13,8 @@ use realconfig::{
     ChangeOp, ChangeReport, ChangeSet, Error, PolicyId, RealConfig, VerifierOptions,
 };
 
-/// The fault points are process-global one-shots, and every test here
-/// drives changes through the stages that fire them — serialize so an
+/// The walk-panic point is a process-global one-shot, and every test
+/// here drives changes through the walks that fire it — serialize so an
 /// armed point cannot trip inside a concurrently running test.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -155,49 +154,10 @@ fn worker_panic_poisons_and_rebuild_recovers() {
     assert_eq!(rc.is_satisfied(id), twin.is_satisfied(tid), "after post-rebuild change");
 }
 
-/// Drive `rc` into the armed one-shot dataflow shard panic and assert
-/// the containment contract end to end: the panic surfaces as
-/// [`Error::Internal`] carrying the injected marker (so the test fails
-/// loudly if the parallel path never engaged), observables roll back to
-/// the `twin`'s, the verifier is poisoned rather than deadlocked on a
-/// barrier, and a rebuild — whose shards run on the pool again —
-/// recovers to full agreement with the twin.
-fn assert_shard_panic_contained(
-    (mut rc, id): (RealConfig, PolicyId),
-    (mut twin, tid): (RealConfig, PolicyId),
-) {
-    quiet_injected_panics();
-
-    rc_faults::arm_shard_panic();
-    let change = ChangeSet::link_failure("pod00-edge00", "eth0");
-    let result = rc.apply_change(&change);
-    // The point disarms itself when it fires; disarm defensively so a
-    // failing assertion below cannot leave it armed for other tests.
-    rc_faults::disarm_shard_panic();
-    let msg = match result {
-        Err(Error::Internal(msg)) => msg,
-        other => panic!("expected Internal from a shard panic, got: {other:?}"),
-    };
-    assert!(msg.starts_with(rc_faults::INJECTED_PANIC_PREFIX), "got: {msg:?}");
-
-    // Contained like any stage panic: observables rolled back, verifier
-    // poisoned, and the pool barrier was released (we got here at all).
-    assert_eq!(rc.configs(), twin.configs(), "configs rolled back");
-    assert_eq!(rc.is_satisfied(id), twin.is_satisfied(tid), "verdict rolled back");
-    assert!(rc.needs_rebuild(), "a shard panic must poison");
-    rc.rebuild().expect("rebuild succeeds");
-
-    rc.apply_change(&change).expect("change verifies after rebuild");
-    twin.apply_change(&change).expect("change verifies on twin");
-    assert_eq!(rc.fib(), twin.fib(), "after post-rebuild change: FIB");
-    assert_eq!(rc.is_satisfied(id), twin.is_satisfied(tid), "after post-rebuild change");
-}
-
 /// The adaptive serial fallback must actually fire on small work items:
-/// a single-link change on a k=4 fat tree routes far fewer than the
-/// dispatch threshold's records per operator step and touches only a
-/// handful of ECs, so a 4-worker verifier must inline that work (and
-/// count it) rather than pay pool setup.
+/// a single-link change on a k=4 fat tree touches only a handful of
+/// ECs, so a 4-worker verifier must walk them inline (and count it)
+/// rather than pay pool setup.
 #[test]
 fn small_work_items_are_inlined_not_dispatched() {
     let _serial_tests = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -209,13 +169,4 @@ fn small_work_items_are_inlined_not_dispatched() {
     let m = rc.metrics_snapshot();
     let inlined = m.counters.get("par.small_tasks_inlined").copied().unwrap_or(0);
     assert!(inlined > 0, "small change at 4 workers must take the inline fallback");
-}
-
-#[test]
-fn dataflow_shard_panic_poisons_and_rebuild_recovers() {
-    let _serial_tests = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // The dataflow shard hook fires in every dispatch mode (serial,
-    // inlined, pool), so the stock harness reaches it on the first
-    // operator step of the change.
-    assert_shard_panic_contained(build(4, Some(4)), build(4, Some(4)));
 }
