@@ -25,8 +25,8 @@ fn samples(normal: usize) -> usize {
 /// Accumulate one key's state from a 10k-record history, once with
 /// every record still in the recent delta layer (deep — what a bulk
 /// load in one epoch leaves) and once after a fold moved everything
-/// into the consolidated base (shallow, served from the per-key cache),
-/// into one reused buffer.
+/// into the consolidated base (shallow, one pass over the value-sorted
+/// base), into one reused buffer.
 fn trace_accumulate(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataflow/trace_accumulate");
     group.sample_size(samples(50));
@@ -60,9 +60,10 @@ fn trace_accumulate(c: &mut Criterion) {
     group.finish();
 }
 
-/// Two incremental epochs through a 2000-key join: insert a record,
-/// advance, remove it, advance. Exercises dirty-set scheduling, trace
-/// pushes with their fold of the touched key, and the join walk.
+/// Two incremental epochs through a 2000-key top-level join: insert a
+/// record, advance, remove it, advance. Exercises dirty-set scheduling,
+/// the merge into a key's accumulation and the match against the other
+/// side's.
 fn join_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("dataflow/join_step");
     group.sample_size(samples(30));

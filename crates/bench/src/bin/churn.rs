@@ -8,10 +8,11 @@
 //! Usage: `cargo run --release -p realconfig-bench --bin churn [-- --k 6 --changes 400]`
 //!
 //! `--fault-every N` additionally injects a deterministic fault
-//! (rotating across the three stage boundaries) into every Nth change
-//! and runs the verifier with the self-healing
+//! (rotating across every fault point an in-memory verifier reaches)
+//! into every Nth change and runs the verifier with the self-healing
 //! [`OnFailure::Rebuild`] policy, recording full-rebuild latency
-//! alongside the incremental percentiles.
+//! alongside the incremental percentiles. Every injected fault must
+//! cost exactly one rebuild; the bin exits 1 otherwise.
 
 #![forbid(unsafe_code)]
 
@@ -48,11 +49,15 @@ struct ChurnResult {
     metrics: realconfig::MetricsSnapshot,
 }
 
-/// One-shot fault plan for round `round`, rotating across the stage
-/// boundaries (stage 1 takes the error channel, stages 2 and 3 panic).
+/// One-shot fault plan for round `round`, rotating across every point
+/// but the store I/O ones, which a verifier without a state dir never
+/// reaches (stage 1 takes the error channel, the others panic).
 fn rotating_fault(round: usize) -> rc_faults::FaultGuard {
-    let point = rc_faults::FaultPoint::ALL[round % rc_faults::FaultPoint::ALL.len()];
-    if point == rc_faults::FaultPoint::EngineApply {
+    use rc_faults::FaultPoint;
+    let points: Vec<FaultPoint> =
+        FaultPoint::ALL.into_iter().filter(|p| !FaultPoint::STORE.contains(p)).collect();
+    let point = points[round % points.len()];
+    if point == FaultPoint::EngineApply {
         rc_faults::FaultPlan::new().error_on(point, 1).install()
     } else {
         rc_faults::FaultPlan::new().panic_on(point, 1).install()
@@ -167,6 +172,11 @@ fn main() {
             realconfig_bench::fmt_us(r.rebuild_p50_us as u128),
             realconfig_bench::fmt_us(r.rebuild_max_us as u128),
         );
+        let faulted = r.changes.div_ceil(fault_every) as u64;
+        if r.rebuilds != faulted {
+            eprintln!("error: {faulted} faulted rounds but {} rebuilds", r.rebuilds);
+            std::process::exit(1);
+        }
     }
     realconfig_bench::write_results(
         "bench_results/churn.json",

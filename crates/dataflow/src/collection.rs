@@ -9,10 +9,10 @@ use crate::operators::concat::ConcatNode;
 use crate::operators::delay::DelayNode;
 use crate::operators::egress::EgressNode;
 use crate::operators::input::{InputHandle, InputNode};
-use crate::operators::join::JoinNode;
+use crate::operators::join::{LoopJoinNode, TopJoinNode};
 use crate::operators::linear::LinearNode;
 use crate::operators::output::OutputHandle;
-use crate::operators::reduce::ReduceNode;
+use crate::operators::reduce::{LoopReduceNode, TopReduceNode};
 use crate::operators::scope::ScopeNode;
 use crate::time::Time;
 
@@ -220,11 +220,16 @@ impl<D: Data> Collection<D> {
 }
 
 impl<K: Data, V: Data> Collection<(K, V)> {
-    /// Equi-join on the key.
+    /// Equi-join on the key. Inside `iterate` the node keeps both
+    /// inputs' histories; at top level, only their accumulations.
     pub fn join<W: Data>(&self, other: &Collection<(K, W)>) -> Collection<(K, (V, W))> {
         let out = Fanout::new();
-        let node = JoinNode::new(self.fanout.subscribe(), other.fanout.subscribe(), out.clone());
-        self.register(Box::new(node));
+        let (a, b, o) = (self.fanout.subscribe(), other.fanout.subscribe(), out.clone());
+        if self.graph().borrow().in_scope() {
+            self.register(Box::new(LoopJoinNode::new(a, b, o)));
+        } else {
+            self.register(Box::new(TopJoinNode::new(a, b, o)));
+        }
         self.derived(out)
     }
 
@@ -250,14 +255,20 @@ impl<K: Data, V: Data> Collection<(K, V)> {
         self.reduce_named("reduce", logic)
     }
 
-    /// [`Collection::reduce`] with a diagnostic name.
+    /// [`Collection::reduce`] with a diagnostic name. Inside `iterate`
+    /// the node keeps input and output histories; at top level, only
+    /// each key's accumulations.
     pub fn reduce_named<W: Data, F>(&self, name: &'static str, logic: F) -> Collection<(K, W)>
     where
         F: Fn(&K, &[(V, Diff)]) -> Vec<(W, Diff)> + 'static,
     {
         let out = Fanout::new();
-        let node = ReduceNode::new(name, self.fanout.subscribe(), out.clone(), Rc::new(logic));
-        self.register(Box::new(node));
+        let (input, o, logic) = (self.fanout.subscribe(), out.clone(), Rc::new(logic));
+        if self.graph().borrow().in_scope() {
+            self.register(Box::new(LoopReduceNode::new(name, input, o, logic)));
+        } else {
+            self.register(Box::new(TopReduceNode::new(name, input, o, logic)));
+        }
         self.derived(out)
     }
 

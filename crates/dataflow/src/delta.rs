@@ -4,6 +4,8 @@
 //! triple; `diff` is a signed multiplicity change. Collections are the
 //! accumulation of their difference history.
 
+use std::cmp::Ordering;
+
 use crate::time::Time;
 
 /// Signed multiplicity change.
@@ -60,6 +62,81 @@ pub(crate) fn sum_runs<T>(
         read = end;
     }
     write
+}
+
+/// Drain `batch`, sorted by key (as [`consolidate`] leaves it), one key
+/// at a time: `each` gets the key and its run of `(value, time, diff)`
+/// records, in order. What `each` leaves of a run is dropped.
+pub(crate) fn drain_key_runs<K: Data, V: Data>(
+    batch: &mut Vec<Delta<(K, V)>>,
+    mut each: impl FnMut(&K, &mut dyn Iterator<Item = (V, Time, Diff)>),
+) {
+    let mut batch = batch.drain(..).peekable();
+    while let Some(((k, v), t, r)) = batch.next() {
+        let mut run = std::iter::once((v, t, r)).chain(std::iter::from_fn(|| {
+            batch.next_if(|((next, _), _, _)| *next == k).map(|((_, v), t, r)| (v, t, r))
+        }));
+        each(&k, &mut run);
+        run.for_each(drop);
+    }
+}
+
+/// Merge `items[old..]` into `items[..old]`, both sorted by `cmp` and
+/// sharing no item `cmp` calls equal, in place. A short tail is merged
+/// in from the back: each step takes the largest unplaced new item,
+/// finds the older items above it and rotates them past the unplaced
+/// new ones, so every older item moves once. The rotations move the
+/// unplaced new items once per step, so a tail with more items than the
+/// square root of the merged length is sorted in instead.
+pub(crate) fn merge_tail<T>(items: &mut [T], old: usize, cmp: impl Fn(&T, &T) -> Ordering) {
+    let fresh = items.len() - old;
+    if fresh * fresh > items.len() {
+        return items.sort_unstable_by(cmp);
+    }
+    let (mut older, mut end) = (old, items.len());
+    while older > 0 && end > older {
+        let p = items[..older].partition_point(|b| cmp(b, &items[end - 1]).is_lt());
+        let unplaced = end - older;
+        items[p..end].rotate_left(older - p);
+        older = p;
+        end = p + unplaced - 1;
+    }
+}
+
+/// Add `run` — values ascending, none twice, no zero diff — into `acc`,
+/// a consolidated accumulation sorted by value, in place: a value `acc`
+/// holds is summed into (and dropped if it cancels), the others are
+/// appended and merged in. Returns `acc`'s new length minus its old.
+pub(crate) fn add_values<V: Data>(
+    acc: &mut Vec<(V, Diff)>,
+    run: impl IntoIterator<Item = (V, Diff)>,
+) -> isize {
+    let before = acc.len();
+    let (mut fresh, mut cancelled) = (0, false);
+    for (v, r) in run {
+        debug_assert!(acc[before..].last().is_none_or(|l| l.0 < v), "run not ascending");
+        match acc[..before].binary_search_by(|a| a.0.cmp(&v)) {
+            Ok(i) => {
+                acc[i].1 += r;
+                cancelled |= acc[i].1 == 0;
+            }
+            Err(_) => {
+                acc.push((v, r));
+                fresh += 1;
+            }
+        }
+    }
+    if cancelled {
+        acc.retain(|a| a.1 != 0);
+    }
+    let old = acc.len() - fresh;
+    merge_tail(acc, old, |a, b| a.0.cmp(&b.0));
+    // A buffer many times larger than what it still holds was sized by
+    // a bulk load or a key that has since shrunk.
+    if acc.capacity() > 4 * (acc.len() + 2) {
+        acc.shrink_to_fit();
+    }
+    acc.len() as isize - before as isize
 }
 
 /// Multiset difference of two consolidated, sorted `(value, count)`
@@ -128,6 +205,30 @@ mod tests {
         let mut v = vec![("a", 1), ("a", -1), ("b", 3)];
         consolidate_values(&mut v);
         assert_eq!(v, vec![("b", 3)]);
+    }
+
+    #[test]
+    fn add_values_sums_drops_and_merges_in_place() {
+        let mut acc = vec![("a", 1), ("c", 2), ("e", 1)];
+        assert_eq!(add_values(&mut acc, [("b", 1), ("c", -2), ("f", 3)]), 1);
+        assert_eq!(acc, vec![("a", 1), ("b", 1), ("e", 1), ("f", 3)]);
+        assert_eq!(add_values(&mut acc, [("a", -1), ("b", -1), ("e", -1), ("f", -3)]), -4);
+        assert!(acc.is_empty());
+        // A bulk run into an empty accumulation is sorted in.
+        assert_eq!(add_values(&mut acc, [("x", 1), ("y", -1)]), 2);
+        assert_eq!(acc, vec![("x", 1), ("y", -1)]);
+    }
+
+    #[test]
+    fn merge_tail_rotates_short_tails_and_sorts_long_ones() {
+        let mut short: Vec<u32> = (0..20).map(|i| 2 * i).collect();
+        short.extend([7, 33]);
+        merge_tail(&mut short, 20, |a, b| a.cmp(b));
+        let mut long = vec![1, 4, 9, 2, 3, 5, 8];
+        merge_tail(&mut long, 3, |a, b| a.cmp(b));
+        for merged in [short, long] {
+            assert!(merged.windows(2).all(|w| w[0] < w[1]), "{merged:?}");
+        }
     }
 
     #[test]

@@ -295,13 +295,15 @@ pub struct OpStats {
     pub work: u64,
     /// Records currently sitting in input queues.
     pub queued: usize,
-    /// Difference records held in keyed traces (both spine layers).
+    /// Records held in keyed state: a top-level operator's
+    /// accumulations, an in-loop operator's traces (both spine layers).
     pub trace_records: usize,
-    /// Trace records in the consolidated base layers.
+    /// In-loop trace records in the consolidated base layers.
     pub trace_base_records: usize,
-    /// Trace records in the recent delta layers.
+    /// In-loop trace records in the recent delta layers.
     pub trace_recent_records: usize,
-    /// Keys whose recent history was folded into its base (cumulative).
+    /// In-loop keys whose recent history was folded into its base
+    /// (cumulative).
     pub folded_keys: u64,
     /// Recent records those folds moved into a base (cumulative).
     pub folded_records: u64,
@@ -381,7 +383,6 @@ pub struct Dataflow {
 struct EngineTelemetry {
     registry: Telemetry,
     queue_depth: rc_telemetry::Histogram,
-    pending_times: rc_telemetry::Gauge,
     trace_records: rc_telemetry::Gauge,
     trace_base_records: rc_telemetry::Gauge,
     trace_recent_records: rc_telemetry::Gauge,
@@ -406,7 +407,6 @@ impl EngineTelemetry {
     fn new(registry: Telemetry) -> Self {
         EngineTelemetry {
             queue_depth: registry.histogram("dataflow.queue_depth"),
-            pending_times: registry.gauge("dataflow.reduce.pending_times"),
             trace_records: registry.gauge("dataflow.trace_records"),
             trace_base_records: registry.gauge("dataflow.trace.base_records"),
             trace_recent_records: registry.gauge("dataflow.trace.recent_records"),
@@ -448,8 +448,6 @@ impl EngineTelemetry {
             }
             *emitted = us;
         }
-        self.pending_times
-            .set(stats.get("reduce").map(|s| s.pending).unwrap_or(0) as i64);
         self.trace_records.set(stats.values().map(|s| s.trace_records).sum::<usize>() as i64);
         self.trace_base_records
             .set(stats.values().map(|s| s.trace_base_records).sum::<usize>() as i64);
@@ -488,9 +486,9 @@ impl Dataflow {
 
     /// Attach a telemetry registry. Every subsequent [`Dataflow::advance`]
     /// records per-operator work (`dataflow.work.<op>`) and step time
-    /// (`dataflow.step_us.<op>`), queue depths,
-    /// reduce pending-times sizes, trace spine sizes, the keys and
-    /// records folded on touch and scheduler decisions;
+    /// (`dataflow.step_us.<op>`), queue depths, keyed state sizes, the
+    /// in-loop trace spines' layer sizes, the keys and records folded
+    /// on touch and scheduler decisions;
     /// [`Dataflow::compact`] records trace record counts
     /// before and after compaction.
     pub fn set_telemetry(&mut self, registry: Telemetry) {
@@ -551,11 +549,12 @@ impl Dataflow {
         self.state.borrow().stacks[0].iter().map(|n| n.work()).sum()
     }
 
-    /// Fold every key of every operator below the current epoch. Pushes
-    /// already fold the keys they touch, and a trace that has doubled
-    /// folds itself whole, so this changes no result; it reclaims now
-    /// what untouched keys still hold in their recent layers (and keys
-    /// whose history cancelled). Sound only between
+    /// Fold every key of every in-loop trace below the current epoch
+    /// (top-level operators hold only live state and have nothing to
+    /// fold). Pushes already fold the keys they touch, and a trace that
+    /// has doubled folds itself whole, so this changes no result; it
+    /// reclaims now what untouched keys still hold in their recent
+    /// layers (and keys whose history cancelled). Sound only between
     /// `advance` calls (which is the only time it can be called, given
     /// `&mut self`).
     pub fn compact(&mut self) {
@@ -571,8 +570,8 @@ impl Dataflow {
         }
     }
 
-    /// Records currently retained across all operator trace spines
-    /// (base + recent layers, including operators inside scopes).
+    /// Records currently retained in keyed state: top-level
+    /// accumulations plus the in-loop trace spines (base + recent).
     pub fn trace_records(&self) -> usize {
         self.op_stats().values().map(|s| s.trace_records).sum()
     }

@@ -13,10 +13,11 @@
 //! Every change is a `(data, time, diff)` difference; times are
 //! two-dimensional [`Time`] values `(epoch, iteration)` ordered by the
 //! product partial order. Stateful operators ([`Collection::join`],
-//! [`Collection::reduce`]) keep full difference traces and emit
-//! corrections at time joins, which makes incremental updates to
-//! iterative computations cost work proportional to what actually
-//! changed — not to the size of the network.
+//! [`Collection::reduce`]) inside `iterate` keep full difference traces
+//! and emit corrections at time joins, which makes incremental updates
+//! to iterative computations cost work proportional to what actually
+//! changed — not to the size of the network. At top level, where every
+//! time is an epoch, they keep only each key's accumulation.
 //!
 //! # Example: incremental reachability
 //!

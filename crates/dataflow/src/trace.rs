@@ -1,10 +1,14 @@
-//! Keyed difference traces — the persistent state behind `join` and
-//! `reduce`.
+//! Keyed difference traces — the state behind `join` and `reduce`
+//! inside `iterate`.
 //!
 //! A trace stores, per key, the full timestamped difference history of a
 //! collection. Operators accumulate a key's state *as of* a timestamp by
 //! summing all differences at times `≤ t` in the product partial order;
-//! this is what makes corrections at time joins possible.
+//! this is what makes corrections at time joins possible. Only operators
+//! built inside `iterate` keep one: at top level every record's time is
+//! `(epoch, 0)` and a key's history is only ever read whole, so a
+//! top-level `join` or `reduce` keeps each key's accumulation instead
+//! (see the `operators` module).
 //!
 //! # Two-layer spine
 //!
@@ -39,11 +43,12 @@
 //!
 //! [`KeyTrace::accumulate`] writes into a buffer the caller keeps and
 //! reuses, and the recent layer's contribution goes through a scratch
-//! buffer the trace keeps, so a steady read allocates nothing.
-//! [`KeyTrace::later_iters`] answers the question `reduce` asks about a
-//! key's history — which iterations above `t` does it hold? — without a
-//! scan when the key's largest iteration is at most `t`'s, which is
-//! always so outside `iterate`.
+//! buffer the trace keeps, so a steady read allocates nothing. The base
+//! is value-sorted, so its contribution at any iteration falls out of one
+//! pass over its value runs. [`KeyTrace::later_iters`] answers the
+//! question `reduce` asks about a key's history — which iterations above
+//! `t` does it hold? — without a scan when the key's largest iteration
+//! is at most `t`'s.
 //!
 //! # Keys that never come back
 //!
@@ -59,15 +64,9 @@
 
 use std::collections::HashMap;
 
-use crate::delta::{consolidate_values, sum_runs, Data, Delta, Diff};
+use crate::delta::{consolidate_values, drain_key_runs, merge_tail, sum_runs, Data, Delta, Diff};
 use crate::time::Time;
 use crate::util::FxHashMap;
-
-/// A cached full-base accumulation. Boxed so an uncached spine — the
-/// overwhelmingly common case, since only deep bases are cached — stays
-/// one pointer wide, keeping the per-key entries small in the trace's
-/// hash table.
-type BaseAccCache<V> = Option<Box<Vec<(V, Diff)>>>;
 
 /// One key's two-layer difference history.
 struct KeySpine<V: Data> {
@@ -77,39 +76,16 @@ struct KeySpine<V: Data> {
     /// Records of the last epoch that pushed to this key, in arrival
     /// order.
     recent: Vec<(V, Time, Diff)>,
-    /// Largest iteration present in `base` (0 when empty). Base
-    /// accumulations at any iteration `≥` this are identical, so they
-    /// can all be served from one cached entry.
-    max_base_iter: u32,
     /// Largest iteration present in either layer (0 when empty): no
     /// recorded time lies above an iteration `≥` this.
     max_iter: u32,
-    /// Cached accumulation of the *whole* base layer (the answer for
-    /// any iteration `≥ max_base_iter` — in particular for every
-    /// top-level, iteration-0 trace). Pushes land in the recent layer
-    /// and never invalidate it; only a fold does. Lookups below
-    /// `max_base_iter` scan the base directly instead of thrashing this
-    /// entry.
-    cache: BaseAccCache<V>,
 }
 
 impl<V: Data> Default for KeySpine<V> {
     fn default() -> Self {
-        KeySpine {
-            base: Vec::new(),
-            recent: Vec::new(),
-            max_base_iter: 0,
-            max_iter: 0,
-            cache: None,
-        }
+        KeySpine { base: Vec::new(), recent: Vec::new(), max_iter: 0 }
     }
 }
-
-/// Base size below which accumulations scan directly instead of going
-/// through the per-key cache. For short histories the scan is a handful
-/// of comparisons, and skipping the cache avoids materializing (and
-/// cloning out of) a second copy of essentially the whole base.
-const CACHE_MIN_BASE: usize = 64;
 
 /// Accumulate a base layer as of iteration `iter` (base records all
 /// live at epoch 0, so only the iteration matters), sum-merged with
@@ -191,15 +167,7 @@ impl<V: Data> KeySpine<V> {
         self.base.extend(
             self.recent.drain(..n).take(m).filter(|r| r.2 != 0).map(|(v, t, r)| (v, t.iter, r)),
         );
-        // Rotations move each older record once but the unplaced new
-        // ones once per step, so a bulk fold would pay quadratically;
-        // one that brings more new records than the square root of the
-        // merged length sorts instead.
-        if fresh * fresh <= self.base.len() {
-            merge_from_back(&mut self.base, old);
-        } else {
-            self.base.sort_unstable_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-        }
+        merge_tail(&mut self.base, old, |a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
         // A buffer many times larger than the epoch it just gave up was
         // sized by a bulk load; a key's steady per-epoch volume keeps
         // its buffer. The base keeps no growth slack.
@@ -209,27 +177,10 @@ impl<V: Data> KeySpine<V> {
         if self.base.capacity() > 2 * self.base.len() {
             self.base.shrink_to_fit();
         }
-        self.cache = None;
-        self.max_base_iter = self.base.iter().map(|&(_, i, _)| i).max().unwrap_or(0);
+        let base_max = self.base.iter().map(|&(_, i, _)| i).max().unwrap_or(0);
         let recent_max = self.recent.iter().map(|(_, t, _)| t.iter).max().unwrap_or(0);
-        self.max_iter = self.max_base_iter.max(recent_max);
+        self.max_iter = base_max.max(recent_max);
         n
-    }
-}
-
-/// Merge `base[old..]` into the sorted `base[..old]` from the back; the
-/// two runs share no `(value, iter)` pair. Each step takes the largest
-/// unplaced new record, finds the older records above it and rotates
-/// them past the unplaced new ones, so every older record moves once.
-fn merge_from_back<V: Data>(base: &mut [(V, u32, Diff)], old: usize) {
-    let (mut older, mut end) = (old, base.len());
-    while older > 0 && end > older {
-        let (v, i) = (&base[end - 1].0, base[end - 1].1);
-        let p = base[..older].partition_point(|b| (&b.0, b.1) < (v, i));
-        let unplaced = end - older;
-        base[p..end].rotate_left(older - p);
-        older = p;
-        end = p + unplaced - 1;
     }
 }
 
@@ -324,13 +275,7 @@ impl<K: Data, V: Data> KeyTrace<K, V> {
         batch: &mut Vec<Delta<(K, V)>>,
         mut each: impl FnMut(&K, Time),
     ) {
-        let mut batch = batch.drain(..).peekable();
-        while let Some(((k, v), t, r)) = batch.next() {
-            let run = std::iter::once((v, t, r)).chain(std::iter::from_fn(|| {
-                batch.next_if(|((next, _), _, _)| *next == k).map(|((_, v), t, r)| (v, t, r))
-            }));
-            self.extend_key(&k, run.inspect(|(_, t, _)| each(&k, *t)));
-        }
+        drain_key_runs(batch, |k, run| self.extend_key(k, run.inspect(|(_, t, _)| each(k, *t))));
     }
 
     /// Cumulative `(keys, records)` folded.
@@ -352,10 +297,8 @@ impl<K: Data, V: Data> KeyTrace<K, V> {
     /// Accumulate `k`'s state as of `t` (product order) into `out`,
     /// consolidated and sorted by value; `out`'s previous contents are
     /// discarded, its memory reused. The base contribution needs no
-    /// sorting: at or above `max_base_iter` it is served from a per-key
-    /// cache (valid across pushes, dropped when the key folds), and
-    /// below it a single pass over the value-sorted base suffices. The
-    /// (small) recent layer is merged on top.
+    /// sorting: one pass over the value-sorted base suffices, with the
+    /// (small) recent layer merged on top.
     pub fn accumulate(&mut self, k: &K, t: Time, out: &mut Vec<(V, Diff)>) {
         out.clear();
         let Some(spine) = self.entries.get_mut(k) else {
@@ -366,15 +309,7 @@ impl<K: Data, V: Data> KeyTrace<K, V> {
         let recent = spine.recent.iter().filter(|(_, u, _)| u.leq(t));
         rec.extend(recent.map(|(v, _, r)| (v.clone(), *r)));
         consolidate_values(rec);
-        if t.iter < spine.max_base_iter || spine.base.len() < CACHE_MIN_BASE {
-            return scan_base_merged(&spine.base, t.iter, rec, out);
-        }
-        let cache = spine.cache.get_or_insert_with(|| {
-            let mut acc = Vec::new();
-            scan_base_merged(&spine.base, spine.max_base_iter, &[], &mut acc);
-            Box::new(acc)
-        });
-        merge_accumulations(cache, rec, out);
+        scan_base_merged(&spine.base, t.iter, rec, out);
     }
 
     /// Visit every difference recorded for `k`, base layer first. Two
@@ -393,8 +328,7 @@ impl<K: Data, V: Data> KeyTrace<K, V> {
 
     /// The distinct iterations above `iter` at which `k` has recorded
     /// differences, written into `out` (sorted). Answered without a
-    /// scan when the key's largest iteration is at most `iter` — always,
-    /// outside `iterate`.
+    /// scan when the key's largest iteration is at most `iter`.
     pub fn later_iters(&self, k: &K, iter: u32, out: &mut Vec<u32>) {
         out.clear();
         let Some(spine) = self.entries.get(k) else {
@@ -463,35 +397,6 @@ impl<K: Data, V: Data> KeyTrace<K, V> {
         self.recent_len = recent_len;
         self.settled = self.len();
     }
-}
-
-/// Sum-merge two consolidated, value-sorted accumulations into `out`,
-/// dropping zeros. Both inputs must be sorted by value with no
-/// duplicates.
-fn merge_accumulations<V: Data>(a: &[(V, Diff)], b: &[(V, Diff)], out: &mut Vec<(V, Diff)>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i].clone());
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j].clone());
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let sum = a[i].1 + b[j].1;
-                if sum != 0 {
-                    out.push((a[i].0.clone(), sum));
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
 }
 
 #[cfg(test)]
@@ -625,41 +530,6 @@ mod tests {
         assert_eq!(tr.recent_len(), 1);
         assert_eq!(acc(&mut tr, "k", Time::new(3, 0)), vec![(1, 1), (2, 1)]);
         assert_eq!(times(&tr, "k"), vec![Time::new(0, 0), Time::new(3, 0)]);
-    }
-
-    #[test]
-    fn accumulation_cache_survives_pushes() {
-        let mut tr: KeyTrace<&str, u32> = KeyTrace::new();
-        for e in 1..=4 {
-            tr.push("k", e as u32, Time::new(e, 0), 1);
-        }
-        tr.compact(4);
-        let base = acc(&mut tr, "k", Time::new(5, 0));
-        // A push after compaction must show up even though the base
-        // accumulation is cached.
-        tr.push("k", 99, Time::new(5, 0), 1);
-        let mut expect = base.clone();
-        expect.push((99, 1));
-        assert_eq!(acc(&mut tr, "k", Time::new(5, 0)), expect);
-        // At a later epoch the cached base is reused again.
-        assert_eq!(acc(&mut tr, "k", Time::new(6, 0)), expect);
-    }
-
-    #[test]
-    fn cached_base_follows_a_fold() {
-        let mut tr: KeyTrace<&str, u32> = KeyTrace::new();
-        for v in 0..2 * CACHE_MIN_BASE as u32 {
-            tr.push("k", v, Time::new(1, 0), 1);
-        }
-        tr.compact(1);
-        let deep = acc(&mut tr, "k", Time::new(2, 0));
-        assert_eq!(deep.len(), 2 * CACHE_MIN_BASE);
-        // Folding a retraction into the base must show through the
-        // cache the first read filled.
-        tr.push("k", 0, Time::new(2, 0), -1);
-        tr.push("k", 1, Time::new(3, 0), -1);
-        assert_eq!(acc(&mut tr, "k", Time::new(3, 0)), deep[2..].to_vec());
-        assert_eq!(acc(&mut tr, "k", Time::new(4, 0)), deep[2..].to_vec());
     }
 
     #[test]

@@ -373,3 +373,135 @@ fn in_loop_change_below_recorded_iterations_revisits_them() {
     out.drain();
     assert_eq!(at_v(&out), vec![((v, 5), 1), ((v, 7), 1)]);
 }
+
+// ---------------------------------------------------------------------
+// Top-level state: accumulations, not histories. A join fed by a
+// negated input holds signed accumulations whose keys can cancel, and a
+// reduce's keys empty and come back; after every epoch the outputs must
+// equal a from-scratch recompute and the operators must hold exactly
+// the live records.
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum Flux {
+    /// Add one copy of `(key, value)` to input `a`, `b` or `c` (0, 1, 2).
+    Add(usize, u32, u32),
+    /// Retract one copy of the i-th live record of an input, if any.
+    Retract(usize, usize),
+    /// Retract every live record of a key from input `a`, emptying the
+    /// reduce's key.
+    Clear(u32),
+}
+
+fn arb_flux() -> impl Strategy<Value = Vec<Vec<Flux>>> {
+    let flux = prop_oneof![
+        4 => (0..3usize, 0..3u32, 0..4u32).prop_map(|(s, k, v)| Flux::Add(s, k, v)),
+        3 => (0..3usize, any::<usize>()).prop_map(|(s, i)| Flux::Retract(s, i)),
+        1 => (0..3u32).prop_map(Flux::Clear),
+    ];
+    prop::collection::vec(prop::collection::vec(flux, 1..5), 1..16)
+}
+
+/// Multiplicity of each record, zeros dropped.
+fn counts<D: Ord + Clone>(recs: impl IntoIterator<Item = (D, isize)>) -> BTreeMap<D, isize> {
+    let mut out = BTreeMap::new();
+    for (d, r) in recs {
+        *out.entry(d).or_insert(0) += r;
+    }
+    out.retain(|_, r| *r != 0);
+    out
+}
+
+/// From-scratch equi-join of two multisets.
+fn join_oracle(
+    a: &BTreeMap<(u32, u32), isize>,
+    b: &BTreeMap<(u32, u32), isize>,
+) -> BTreeMap<(u32, (u32, u32)), isize> {
+    let pairs = a.iter().flat_map(|(&(k, v), &ra)| {
+        let matches = b.iter().filter(move |((kb, _), _)| *kb == k);
+        matches.map(move |(&(_, w), &rb)| ((k, (v, w)), ra * rb))
+    });
+    counts(pairs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn top_level_accumulations_equal_from_scratch(epochs in arb_flux()) {
+        let mut df = Dataflow::new();
+        let inputs = [df.input::<(u32, u32)>(), df.input::<(u32, u32)>(), df.input::<(u32, u32)>()];
+        let [(_, a), (_, b), (_, c)] = &inputs;
+        let other = b.concat(&c.negate());
+        let picks = a.reduce_named("parity", |_, vals| parity_pick(vals));
+        let mut joined_out = a.join(&other).output();
+        let mut picks_out = picks.output();
+        let mut chained_out = picks.join(&other).output();
+
+        let mut live: [Vec<(u32, u32)>; 3] = Default::default();
+        for (epoch, changes) in epochs.into_iter().enumerate() {
+            for change in changes {
+                match change {
+                    Flux::Add(s, k, v) => {
+                        live[s].push((k, v));
+                        inputs[s].0.insert((k, v));
+                    }
+                    Flux::Retract(s, i) => {
+                        if !live[s].is_empty() {
+                            let rec = live[s].swap_remove(i % live[s].len());
+                            inputs[s].0.remove(rec);
+                        }
+                    }
+                    Flux::Clear(k) => {
+                        for rec in live[0].extract_if(.., |(key, _)| *key == k) {
+                            inputs[0].0.remove(rec);
+                        }
+                    }
+                }
+            }
+            df.advance().unwrap();
+            joined_out.drain();
+            picks_out.drain();
+            chained_out.drain();
+
+            let [la, lb, lc] = &live;
+            let a_now = counts(la.iter().map(|&d| (d, 1)));
+            let other_now =
+                counts(lb.iter().map(|&d| (d, 1)).chain(lc.iter().map(|&d| (d, -1))));
+            let mut by_key: BTreeMap<u32, Vec<(u32, isize)>> = BTreeMap::new();
+            for (&(k, v), &r) in &a_now {
+                by_key.entry(k).or_default().push((v, r));
+            }
+            let picks_now = counts(by_key.into_iter().flat_map(|(k, vals)| {
+                parity_pick(&vals).into_iter().map(move |(v, r)| ((k, v), r))
+            }));
+            prop_assert_eq!(state_map(&picks_out), picks_now.clone(), "picks at epoch {}", epoch);
+            prop_assert_eq!(
+                state_map(&joined_out),
+                join_oracle(&a_now, &other_now),
+                "join at epoch {}",
+                epoch
+            );
+            prop_assert_eq!(
+                state_map(&chained_out),
+                join_oracle(&picks_now, &other_now),
+                "reduce-fed join at epoch {}",
+                epoch
+            );
+
+            // Exactly the live records: one per distinct input record
+            // and side of each join, and per live input and output value
+            // of the reduce.
+            let stats = df.op_stats();
+            let join_live = a_now.len() + picks_now.len() + 2 * other_now.len();
+            prop_assert_eq!(stats["join"].trace_records, join_live, "join at epoch {}", epoch);
+            let parity_live = a_now.len() + picks_now.len();
+            let parity = stats["parity"].trace_records;
+            prop_assert_eq!(parity, parity_live, "reduce at epoch {}", epoch);
+
+            if epoch % 5 == 2 {
+                df.compact();
+            }
+        }
+    }
+}

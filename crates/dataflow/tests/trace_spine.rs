@@ -16,9 +16,11 @@
 //! its length.
 //!
 //! Counterexamples found by the random suite are pinned as named
-//! regression tests at the bottom of this file, after an operator-level
-//! bound: a `reduce` and a `join` whose keys never come back keep their
-//! traces within twice the folded size plus one epoch's pushes.
+//! regression tests at the bottom of this file, after two operator-level
+//! bounds on a stream whose keys never come back: inside `iterate`, a
+//! `reduce` and a `join` keep their traces within twice the folded size
+//! plus one epoch's pushes; at top level, where they keep accumulations
+//! instead of traces, they hold exactly the live records.
 
 use proptest::prelude::*;
 use rc_dataflow::trace::KeyTrace;
@@ -329,8 +331,8 @@ fn cancelling_pair_folds_to_empty_base() {
     ]);
 }
 
-/// A push after compaction must be visible through the per-key
-/// accumulation cache (cache primed by the first accumulate).
+/// A push after compaction must show in the next accumulation at the
+/// same iteration as the one read before it.
 #[test]
 fn push_after_compaction_invalidates_nothing_it_should_not() {
     check_spine_matches_naive(&[
@@ -342,8 +344,8 @@ fn push_after_compaction_invalidates_nothing_it_should_not() {
     ]);
 }
 
-/// Accumulating below the base's maximum iteration must not reuse the
-/// cache entry primed at a higher effective iteration.
+/// Accumulating below the base's maximum iteration, right after a read
+/// above it, must count only the base records at or below it.
 #[test]
 fn low_iter_accumulation_after_high_iter_cache_fill() {
     check_spine_matches_naive(&[
@@ -387,34 +389,72 @@ fn long_replace_stream_stays_folded() {
     assert!(check_spine_matches_naive(&ops) >= 20);
 }
 
-/// Keys inserted once, retracted once and never touched again: only the
-/// whole fold reclaims them. It measures a whole operator's trace, so
-/// after every epoch each operator holds at most twice its folded size
-/// plus the records that epoch pushed.
-#[test]
-fn operator_traces_stay_bounded_when_keys_never_recur() {
-    const LIVE: u32 = 100;
+/// The statistics of `min` and `join` after every epoch of a stream over
+/// `LIVE` keys that inserts a fresh key and retires an old one per epoch,
+/// with the two operators built by `build`. Retired keys are never
+/// touched again.
+fn retire_once_stream(
+    build: impl FnOnce(&rc_dataflow::Collection<(u32, u32)>),
+) -> Vec<[rc_dataflow::OpStats; 2]> {
     let mut df = Dataflow::new();
     let (input, pairs) = df.input::<(u32, u32)>();
-    let _ = pairs.reduce_min();
-    let _ = pairs.join(&pairs.map(|(k, v)| (k, v + 1)));
+    build(&pairs);
     input.extend((0..LIVE).map(|k| (k, k)));
     df.advance().unwrap();
+    (0..1_000u32)
+        .map(|e| {
+            input.insert((LIVE + e, LIVE + e));
+            input.remove((e, e));
+            df.advance().unwrap();
+            let stats = df.op_stats();
+            ["min", "join"].map(|op| stats[op])
+        })
+        .collect()
+}
+
+const LIVE: u32 = 100;
+
+/// The operators of [`retire_once_stream`]: a `reduce_min`, and a join of
+/// the collection with a shifted copy of itself.
+fn min_and_join(pairs: &rc_dataflow::Collection<(u32, u32)>) {
+    let _ = pairs.reduce_min();
+    let _ = pairs.join(&pairs.map(|(k, v)| (k, v + 1)));
+}
+
+/// At top level a `reduce` holds each live key's input and output
+/// accumulations and a `join` each live key's accumulation per side, and
+/// a key is dropped when its accumulation empties: after every epoch
+/// each holds exactly two records per live key, and no trace layer.
+#[test]
+fn top_level_operators_hold_exactly_the_live_records() {
+    for (e, ops) in retire_once_stream(min_and_join).into_iter().enumerate() {
+        for stats in ops {
+            assert_eq!(stats.trace_records, 2 * LIVE as usize, "epoch {e}: {stats:?}");
+            assert_eq!((stats.trace_base_records, stats.trace_recent_records), (0, 0));
+        }
+    }
+}
+
+/// Keys inserted once, retracted once and never touched again: inside
+/// `iterate` only the whole fold reclaims them. It measures a whole
+/// operator's trace, so after every epoch each operator holds at most
+/// twice its folded size plus the records that epoch pushed.
+#[test]
+fn in_loop_traces_stay_bounded_when_keys_never_recur() {
+    let per_epoch = retire_once_stream(|pairs| {
+        let _ = pairs.iterate(|x| {
+            min_and_join(x);
+            x.clone()
+        });
+    });
     // Each operator keeps two traces of LIVE records when folded, and an
     // epoch pushes one insertion and one retraction into each.
     let (folded, pushes) = (2 * LIVE as usize, 2 * 2);
     let mut peak = 0;
-    for e in 0..1_000u32 {
-        input.insert((LIVE + e, LIVE + e));
-        input.remove((e, e));
-        df.advance().unwrap();
-        let stats = df.op_stats();
-        for op in ["min", "join"] {
-            let held = stats[op].trace_records;
-            assert!(
-                held <= 2 * folded + pushes,
-                "epoch {e}: {op} holds {held} records, folded size {folded}"
-            );
+    for (e, ops) in per_epoch.into_iter().enumerate() {
+        for stats in ops {
+            let held = stats.trace_records;
+            assert!(held <= 2 * folded + pushes, "epoch {e}: folded size {folded}, {stats:?}");
             peak = peak.max(held);
         }
     }
